@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .grading import ParabolicData, grading_by, parabolic_data, semisimple_for_levi
+from .grading import ParabolicData, _witness_grading, grading_by, parabolic_data
 from .jordan import jordan_decompose
 from .liealg import LieAlgebra, LieElement, ad_matrix, centralizer_basis
 from .linalg import (
@@ -230,8 +230,7 @@ def chart_semisimple(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChar
     if not pair.nilpotent.is_zero():
         raise NotSemisimpleError("element has a nonzero nilpotent part")
     levi = centralizer_basis(algebra, x)
-    z = semisimple_for_levi(algebra, levi, seed)
-    pd = parabolic_data(grading_by(algebra, z))
+    pd = parabolic_data(_witness_grading(algebra, levi, seed))
     if not pd.levi0.same_span(levi):
         raise AssertionError("witness zero piece differs from the centralizer")
     outer = ComplementSeq((
@@ -262,8 +261,7 @@ def chart_mixed(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
     if pair.semisimple.is_zero() or pair.nilpotent.is_zero():
         raise ValueError("element is not mixed (needs nonzero x_s and x_n)")
     levi = centralizer_basis(algebra, pair.semisimple)
-    z = semisimple_for_levi(algebra, levi, seed)
-    pd = parabolic_data(grading_by(algebra, z))
+    pd = parabolic_data(_witness_grading(algebra, levi, seed))
     inner_base = levi.element_from_matrix(pair.nilpotent.matrix)
     inner = chart_nilpotent(levi, inner_base)
     outer = ComplementSeq((

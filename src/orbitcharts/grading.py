@@ -1,10 +1,14 @@
 """Integer gradings by ad of a grading element, and parabolic data.
 
 g(i) is the eigenspace of ad h for the integer eigenvalue i. Candidate
-eigenvalues come from the integer roots of the characteristic polynomial of
-ad h (divisor test on the constant term of its squarefree part), so the
-scan is complete; the grading is accepted only when the eigenspaces fill
-the whole algebra.
+weights come from the natural representation: g is an ad h-stable subspace
+of gl_n, so every eigenvalue of ad h on g is a difference l_i - l_j of
+eigenvalues of the n x n matrix h. When the characteristic polynomial of h
+(degree n) splits over the rationals, the integer differences of its roots
+are therefore every possible weight. When it does not split, the scan falls
+back to every integer root of the characteristic polynomial of ad h
+(degree dim g). Either way the scan is complete; the grading is accepted
+only when the eigenspaces fill the whole algebra.
 
 `semisimple_for_levi` realizes the witness statement behind the charts: a
 semisimple integer element z, central in the given Levi, whose full
@@ -17,7 +21,9 @@ fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Tuple
 
 from .liealg import (
@@ -28,6 +34,7 @@ from .liealg import (
     subalgebra_from_coords,
 )
 from .linalg import (
+    Polynomial,
     RatMatrix,
     ZERO,
     char_poly,
@@ -37,6 +44,7 @@ from .linalg import (
     mat_vec,
     matrix_to_json,
     rank,
+    squarefree_part,
 )
 from .rng import SplitMix64
 
@@ -83,18 +91,25 @@ class ParabolicData:
 
 
 def grading_by(algebra: LieAlgebra, h: LieElement) -> Grading:
-    """Decompose ``algebra`` into integer eigenspaces of ad h."""
+    """Decompose ``algebra`` into integer eigenspaces of ad h.
+
+    The weights scanned are `_natural_weights` of h, or, when the
+    characteristic polynomial of h does not split over the rationals, every
+    integer root of the characteristic polynomial of ad h.
+    """
     if h.algebra is not algebra:
         raise ValueError("element does not belong to the given algebra")
     ad_h = ad_matrix(algebra, h)
     dim = algebra.dim
     if dim == 0:
         return Grading(algebra, h, {})
-    roots = integer_roots(char_poly(ad_h))
+    weights = _natural_weights(h.matrix)
+    if weights is None:
+        weights = integer_roots(char_poly(ad_h))
     ident = RatMatrix.identity(dim)
     pieces: Dict[int, Tuple[LieElement, ...]] = {}
     total = 0
-    for i in roots:
+    for i in weights:
         vectors = kernel_basis(ad_h - ident.scale(i))
         if not vectors:
             continue
@@ -107,6 +122,25 @@ def grading_by(algebra: LieAlgebra, h: LieElement) -> Grading:
     grading = Grading(algebra, h, dict(sorted(pieces.items())))
     _check_piece_compatibility(grading, ad_h)
     return grading
+
+
+def _natural_weights(m: RatMatrix):
+    """Integer differences of the eigenvalues of ``m`` (0 included), or None
+    when its characteristic polynomial does not split over the rationals.
+
+    The rational roots l of the monic squarefree part p (degree d) are
+    mu / D for the integer roots mu of D^d p(mu / D), where D clears the
+    denominators of p.
+    """
+    p = squarefree_part(char_poly(m))
+    d = p.degree
+    denom = math.lcm(*(c.denominator for c in p.coefficients))
+    scaled = Polynomial(tuple(c * denom ** (d - k) for k, c in enumerate(p.coefficients)))
+    roots = [Fraction(mu, denom) for mu in integer_roots(scaled)]
+    if len(roots) != d:
+        return None
+    diffs = {a - b for a in roots for b in roots}
+    return sorted(int(w) for w in diffs if w.denominator == 1)
 
 
 def _check_piece_compatibility(grading: Grading, ad_h: RatMatrix) -> None:
@@ -163,15 +197,21 @@ def semisimple_for_levi(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
     attempts draw integer coordinates from [-n^2, n^2] with the seeded
     generator. Each candidate is fully verified before being returned.
     """
+    return _witness_grading(algebra, levi, seed, budget).grading_element
+
+
+def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
+                     budget: int = 64) -> Grading:
+    """The grading by the witness `semisimple_for_levi` returns; the grading
+    is the last step of the witness's validation, so it is computed once."""
     levi_coords = [algebra.coords_of_matrix(b) for b in levi.basis]
     if any(c is None for c in levi_coords):
         raise ValueError("levi is not contained in the ambient algebra")
     center = center_basis(levi)
     n = algebra.ambient_size
     if center.dim == 0:
-        zero = algebra.zero_element()
         if levi.same_span(algebra):
-            return zero
+            return grading_by(algebra, algebra.zero_element())
         raise WitnessNotFoundError(
             f"{levi.label} has trivial center and is proper: no torus witness exists"
         )
@@ -201,10 +241,9 @@ def semisimple_for_levi(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
         if any(mat_vec(ad_z, bc) != zero_vec for bc in levi_coords):
             continue
         try:
-            grading_by(algebra, z)
+            return grading_by(algebra, z)
         except NonIntegerSpectrumError:
             continue
-        return z
     raise WitnessNotFoundError(
         f"no witness for {levi.label} within {budget} attempts (seed {seed})"
     )

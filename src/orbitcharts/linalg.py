@@ -769,15 +769,16 @@ def integer_roots(p: Polynomial) -> list:
         shift += 1
     if shift:
         roots.add(0)
-    stripped = Polynomial(tuple(coeffs))
-    if stripped.degree >= 1:
-        scale = 1
-        for c in stripped.coefficients:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        const = int(stripped.coefficients[0] * scale)
-        for d in _divisors(const):
+    if len(coeffs) >= 2:
+        # Clear denominators once; each divisor is then tested by integer Horner.
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in reversed(coeffs)]
+        for d in _divisors(ints[-1]):
             for r in (d, -d):
-                if stripped(Fraction(r)) == 0:
+                value = 0
+                for c in ints:
+                    value = value * r + c
+                if not value:
                     roots.add(r)
     return sorted(roots)
 

@@ -13,6 +13,7 @@ from conftest import (
 from orbitcharts.grading import (
     NonIntegerSpectrumError,
     WitnessNotFoundError,
+    _natural_weights,
     grading_by,
     grading_to_json,
     parabolic_data,
@@ -20,10 +21,12 @@ from orbitcharts.grading import (
 )
 from orbitcharts.liealg import (
     LieAlgebra,
+    ad_matrix,
     block_levi,
     build_classical,
     centralizer_basis,
 )
+from orbitcharts.linalg import RatMatrix, char_poly, integer_roots, kernel_basis
 from orbitcharts.sl2 import jacobson_morozov
 
 F = Fraction
@@ -73,6 +76,76 @@ class TestGradingBy:
         g = grading_by(sl2, element(sl2, [[1, 0], [0, -1]]))
         data = grading_to_json(g)
         assert set(data["pieces"].keys()) == {"-2", "0", "2"}
+
+
+def _exhaustive_pieces(algebra, h):
+    """Piece coordinates from every integer root of the characteristic
+    polynomial of ad h: the scan that natural-representation weights replace."""
+    ad_h = ad_matrix(algebra, h)
+    ident = RatMatrix.identity(algebra.dim)
+    pieces = {}
+    for i in integer_roots(char_poly(ad_h)):
+        vectors = kernel_basis(ad_h - ident.scale(i))
+        if vectors:
+            pieces[i] = [tuple(v) for v in vectors]
+    return pieces
+
+
+def _jm_elements(n):
+    algebra = build_classical("sl", n)
+    return [(algebra, jacobson_morozov(
+        algebra, algebra.element_from_matrix(jordan_nilpotent(n, part))).h)
+        for part in nontrivial_partitions(n)]
+
+
+_DIAGONALS = [
+    ("sl", 3, [1, 0, -1]), ("sl", 3, [2, -1, -1]), ("sl", 3, [5, -2, -3]),
+    ("sl", 4, [1, 1, -1, -1]), ("sl", 4, [3, -1, -1, -1]), ("sl", 4, [2, 1, 0, -3]),
+    ("sl", 5, [1, 1, 1, -1, -2]), ("sl", 5, [4, -1, -1, -1, -1]),
+    ("sl", 5, [2, 1, 0, -1, -2]),
+    ("so", 5, [1, 0, 0, 0, -1]), ("so", 5, [2, 1, 0, -1, -2]), ("so", 5, [1, 1, 0, -1, -1]),
+    ("sp", 4, [1, 0, 0, -1]), ("sp", 4, [2, 1, -1, -2]), ("sp", 4, [1, 1, -1, -1]),
+]
+
+
+def _diagonal_elements():
+    out = []
+    for family, n, values in _DIAGONALS:
+        algebra = build_classical(family, n)
+        out.append((algebra, algebra.element_from_matrix(diag_matrix(values))))
+    return out
+
+
+class TestNaturalWeights:
+    @pytest.mark.parametrize("source", ["jm3", "jm4", "jm5", "diagonal"])
+    def test_pieces_match_exhaustive_scan(self, source):
+        cases = _diagonal_elements() if source == "diagonal" else _jm_elements(int(source[2:]))
+        for algebra, h in cases:
+            g = grading_by(algebra, h)
+            expected = _exhaustive_pieces(algebra, h)
+            assert {i: [el.coords for el in els] for i, els in g.pieces.items()} \
+                == expected, (algebra.label, h.matrix)
+            assert g.piece_dims() == {i: len(v) for i, v in expected.items()}
+
+    def test_rational_non_integer_weights(self, sl3):
+        h = sl3.element_from_matrix(diag_matrix([F(1, 3), F(1, 3), F(-2, 3)]))
+        assert _natural_weights(h.matrix) == [-1, 0, 1]
+        assert grading_by(sl3, h).piece_dims() == {-1: 2, 0: 4, 1: 2}
+
+    def test_non_split_grading_element_falls_back(self):
+        # h = A (+) (A + I) with A = [[0, 2], [1, 0]]: no rational eigenvalue,
+        # yet [h, E] = -E on the span of h and the upper-right identity block E.
+        h = RatMatrix.from_rows([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 1, 2], [0, 0, 1, 1]])
+        e = RatMatrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
+        algebra = LieAlgebra((h, e), "span{h, E} in gl4")
+        assert _natural_weights(h) is None
+        g = grading_by(algebra, algebra.element_from_matrix(h))
+        assert g.piece_dims() == {-1: 1, 0: 1}
+
+    def test_non_split_shortfall_message(self, sl3):
+        companion = element(sl3, [[0, 0, 2], [1, 0, 0], [0, 1, 0]])  # t^3 - 2
+        with pytest.raises(NonIntegerSpectrumError, match="span 2 of 8"):
+            grading_by(sl3, companion)
 
 
 class TestParabolicData:

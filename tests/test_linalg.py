@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,57 @@ class TestPolynomial:
         # 2 is a root of t^2/2 - t - 1 + ... use (t-2)(t-1/2) = t^2 - 5/2 t + 1
         p = Polynomial((F(1), F(-5, 2), F(1)))
         assert integer_roots(p) == [2]
+
+
+def _poly_from_roots(roots, extra=Polynomial((F(1),))):
+    p = extra
+    for r in roots:
+        p = p * Polynomial((F(-r), F(1)))
+    return p
+
+
+def _divisor_scan_roots(p):
+    """Integer roots by Fraction evaluation at every divisor of the scaled
+    constant term, divisors found by trial division."""
+    coeffs = list(p.coefficients)
+    roots = [0] if not coeffs[0] else []
+    while not coeffs[0]:
+        coeffs.pop(0)
+    stripped = Polynomial(tuple(coeffs))
+    if stripped.degree < 1:
+        return roots
+    scale = 1
+    for c in coeffs:
+        scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    const = abs(int(coeffs[0] * scale))
+    divisors = set()
+    d = 1
+    while d * d <= const:
+        if const % d == 0:
+            divisors.update((d, const // d))
+        d += 1
+    roots += [r for d in divisors for r in (d, -d) if stripped(F(r)) == 0]
+    return sorted(roots)
+
+
+class TestIntegerRoots:
+    @pytest.mark.parametrize("p, expected", [
+        # (t - 2)(t - 5)(t + 3/2) / 7
+        (_poly_from_roots([2, 5, F(-3, 2)]).scale(F(1, 7)), [2, 5]),
+        # t^2 (t - 3)(t - 1/2) (2/3)
+        (_poly_from_roots([0, 0, 3, F(1, 2)]).scale(F(2, 3)), [0, 3]),
+        # repeated roots: (t - 3)^3 (t + 1)^2
+        (_poly_from_roots([3, 3, 3, -1, -1]), [-1, 3]),
+        # constant term -1000003 * 999983, factored by Pollard rho
+        (_poly_from_roots([1000003, -999983], Polynomial((F(1), F(0), F(1)))),
+         [-999983, 1000003]),
+        # no integer root
+        (Polynomial((F(-2), F(0), F(0), F(1))), []),
+        (_poly_from_roots([F(1, 2)], Polynomial((F(1), F(0), F(1)))), []),
+    ])
+    def test_matches_divisor_scan(self, p, expected):
+        assert integer_roots(p) == expected
+        assert _divisor_scan_roots(p) == expected
 
 
 class TestDualNumber:
