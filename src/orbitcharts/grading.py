@@ -222,10 +222,7 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
             coords = [1] * center.dim
         else:
             coords = [rng.randint(-bound, bound) for _ in range(center.dim)]
-        z_mat = RatMatrix.zeros(n, n)
-        for c, b in zip(coords, center.basis):
-            if c:
-                z_mat = z_mat + b.scale(c)
+        z_mat = center.element(coords).matrix
         if z_mat.is_zero():
             continue
         if not is_semisimple_matrix(z_mat):

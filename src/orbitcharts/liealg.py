@@ -2,10 +2,13 @@
 
 A `LieAlgebra` is an ordered basis of ambient n x n rational matrices that
 is linearly independent and closed under the commutator; both conditions
-are checked at construction and the adjoint matrices of the basis elements
-are cached. Subalgebras (Levis, centralizers, centers, graded pieces) are
-first-class `LieAlgebra` values, which is what lets the mixed-case orbit
-construction recurse uniformly into centralizers.
+are checked at construction. The closure check computes the coordinates of
+every [b_i, b_j]; they are kept as sparse structure constants, the nonzero
+entries of each ad(b_i), from which `ad_matrix` assembles ad x in one pass.
+The nonzero entries of each basis matrix are kept too, so `element` builds
+its matrix in one pass. Subalgebras (Levis, centralizers, centers, graded
+pieces) are first-class `LieAlgebra` values, which is what lets the
+mixed-case orbit construction recurse uniformly into centralizers.
 
 Basis conventions (frozen, since chart coordinates refer to basis indices):
 
@@ -30,6 +33,7 @@ from .linalg import (
     ZERO,
     RatMatrix,
     VectorSpan,
+    _as_fractions,
     commutator,
     kernel_basis,
     matrix_from_json,
@@ -64,16 +68,23 @@ class LieAlgebra:
                                     length=ambient_size * ambient_size)
         except ValueError as exc:
             raise ValueError(f"{label}: basis is linearly dependent") from exc
-        self._ad_basis = self._validate_closure()
+        self._basis_support = tuple(
+            tuple((p, v) for p, v in enumerate(b.entries) if v) for b in basis)
+        self._structure = self._validate_closure()
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def _validate_closure(self) -> tuple:
-        """Check [b_i, b_j] stays in the span; cache ad matrices of the basis."""
+        """Check [b_i, b_j] stays in the span; return the structure constants.
+
+        Entry i lists the nonzero entries of ad(b_i) as (p, value) pairs,
+        p = row * dim + col the row-major position: the column of b_j holds
+        the coordinates of [b_i, b_j].
+        """
         m = self.dim
-        cols = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+        table = [[] for _ in range(m)]
         for i in range(m):
             for j in range(i + 1, m):
                 prod = commutator(self.basis[i], self.basis[j])
@@ -84,12 +95,10 @@ class LieAlgebra:
                         f"([b_{i}, b_{j}] leaves the span)"
                     )
                 for k, c in enumerate(coords):
-                    cols[i][k][j] = c
-                    cols[j][k][i] = -c
-        return tuple(RatMatrix.from_rows(cols[i]) for i in range(m))
-
-    def ad_of_basis(self, i: int) -> RatMatrix:
-        return self._ad_basis[i]
+                    if c:
+                        table[i].append((k * m + j, c))
+                        table[j].append((k * m + i, -c))
+        return tuple(tuple(entries) for entries in table)
 
     def coords_of_matrix(self, matrix: RatMatrix):
         if matrix.rows != self.ambient_size or matrix.cols != self.ambient_size:
@@ -100,15 +109,12 @@ class LieAlgebra:
         return self.coords_of_matrix(matrix) is not None
 
     def element(self, coords: Sequence) -> "LieElement":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = _as_fractions(coords)
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
         n = self.ambient_size
-        mat = RatMatrix.zeros(n, n)
-        for c, b in zip(coords, self.basis):
-            if c:
-                mat = mat + b.scale(c)
-        return LieElement(self, coords, mat)
+        return LieElement(self, coords,
+                          RatMatrix(n, n, _sparse_sum(coords, self._basis_support, n * n)))
 
     def element_from_matrix(self, matrix: RatMatrix) -> "LieElement":
         coords = self.coords_of_matrix(matrix)
@@ -156,11 +162,19 @@ def ad_matrix(algebra: LieAlgebra, x: LieElement) -> RatMatrix:
     if x.algebra is not algebra:
         raise ValueError("element does not belong to the given algebra")
     m = algebra.dim
-    out = RatMatrix.zeros(m, m)
-    for c, adb in zip(x.coords, algebra._ad_basis):
+    return RatMatrix(m, m, _sparse_sum(x.coords, algebra._structure, m * m))
+
+
+def _sparse_sum(coeffs: Sequence[Fraction], supports: Sequence, size: int) -> tuple:
+    """Entries of sum c_i * M_i, with M_i given by its nonzero (position,
+    value) pairs; one pass over the nonzero terms, one Fraction per product."""
+    acc = [None] * size
+    for c, support in zip(coeffs, supports):
         if c:
-            out = out + adb.scale(c)
-    return out
+            for p, v in support:
+                a = acc[p]
+                acc[p] = c * v if a is None else a + c * v
+    return tuple(ZERO if a is None else a for a in acc)
 
 
 def subalgebra_from_coords(algebra: LieAlgebra, coord_vectors: Sequence[Sequence[Fraction]],

@@ -1,6 +1,14 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 All values are `fractions.Fraction`; no floating point appears anywhere.
+Entries of `RatMatrix`, coefficients of `Polynomial` and the parts of a
+`DualNumber` are coerced once, on construction, by one rule: a value whose
+type is exactly `Fraction` is kept as it is, a `float` is refused with
+`TypeError` (its binary value is rarely the rational that was meant; pass
+a string such as "1/10" instead), and anything else (an int, a string, a
+Fraction subclass) goes through `Fraction(x)`. Results of Fraction
+arithmetic are exact Fractions already, so matrix operations construct
+each result entry once.
 Rank and kernel computations run fraction-free (Bareiss) on integer-scaled
 rows to control coefficient growth. Every function is pure and
 deterministic: rerunning on equal inputs gives bit-identical results.
@@ -33,6 +41,27 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"invalid rational literal {text!r}") from exc
 
 
+def _as_fraction(x) -> Fraction:
+    """The coercion rule of the module docstring, for one value."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"floating-point value {x!r}: pass an int, a Fraction or "
+                        f"a rational string")
+    return Fraction(x)
+
+
+_EXACT = {Fraction}
+
+
+def _as_fractions(values) -> tuple:
+    """Tuple of exact Fractions; an all-Fraction tuple is returned as is."""
+    values = tuple(values)
+    if set(map(type, values)) <= _EXACT:
+        return values
+    return tuple(map(_as_fraction, values))
+
+
 def rational_str(value: Fraction) -> str:
     """Canonical serialization: "p/q", or just "p" when the denominator is 1."""
     return str(Fraction(value))
@@ -54,7 +83,7 @@ class RatMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        ents = tuple(Fraction(x) for x in self.entries)
+        ents = _as_fractions(self.entries)
         if len(ents) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(ents)}"
@@ -69,7 +98,7 @@ class RatMatrix:
         for row in rows_data:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(Fraction(x) for x in row)
+            flat.extend(row)
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod
@@ -117,7 +146,7 @@ class RatMatrix:
         return NotImplemented
 
     def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
+        c = _as_fraction(c)
         return RatMatrix(self.rows, self.cols, tuple(a * c for a in self.entries))
 
     def transpose(self) -> "RatMatrix":
@@ -527,10 +556,11 @@ class Polynomial:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = [Fraction(c) for c in self.coefficients]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        coeffs = _as_fractions(self.coefficients)
+        end = len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        object.__setattr__(self, "coefficients", coeffs[:end])
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -538,7 +568,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @property
     def degree(self) -> int:
@@ -581,7 +611,7 @@ class Polynomial:
         return Polynomial(tuple(out))
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _as_fraction(c)
         return Polynomial(tuple(a * c for a in self.coefficients))
 
     def monic(self) -> "Polynomial":
@@ -822,15 +852,15 @@ class DualNumber:
     epsilon: Fraction = ZERO
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "value", _as_fraction(self.value))
+        object.__setattr__(self, "epsilon", _as_fraction(self.epsilon))
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, DualNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return DualNumber(Fraction(other))
+            return DualNumber(other)
         return None
 
     def __add__(self, other):

@@ -40,6 +40,8 @@ from .linalg import (
     ZERO,
     char_poly,
     det,
+    g_lincomb,
+    g_to_matrix,
     matrix_to_json,
     rank,
     rational_str,
@@ -133,26 +135,25 @@ def _diag_det_one(n: int, rng: SplitMix64) -> tuple:
     return d, d_inv
 
 
-def _sample_slice_coords(chart: OrbitChart, rng: SplitMix64) -> tuple:
+def _sample_slice_coords(chart: OrbitChart, slice_span: VectorSpan,
+                         rng: SplitMix64) -> tuple:
     """Coordinates of a random point of the group-orbit slice.
 
     The point is Ad(g)(base slice point) with g a product of exponentials
     of random elements of u (and, over sl with a diagonal grading element,
     a determinant-one diagonal factor), so membership in the slice holds by
-    construction.
+    construction. ``slice_span`` is `_slice_span` of the chart.
     """
-    nil = chart if chart.case_tag == "nilpotent" else chart.inner
+    nil = _nilpotent_part(chart)
     pd = nil.parabolic
     algebra = nil.algebra
     n = algebra.ambient_size
     base = nil.base_element.matrix
+    u_rows = [el.matrix.row_lists() for el in pd.u]
     gs = []
     for _ in range(2):
-        combo = RatMatrix.zeros(n, n)
-        for el in pd.u:
-            c = rng.fraction()
-            if c:
-                combo = combo + el.matrix.scale(c)
+        coeffs = [rng.fraction() for _ in pd.u]
+        combo = g_to_matrix(g_lincomb(coeffs, u_rows, n, n))
         gs.append((exp_nilpotent(combo), exp_nilpotent(-combo)))
     use_diag = (algebra.family == "sl"
                 and _is_diagonal(pd.grading.grading_element.matrix))
@@ -166,22 +167,33 @@ def _sample_slice_coords(chart: OrbitChart, rng: SplitMix64) -> tuple:
     else:
         point = gs[1][0] * point * gs[1][1]
         point = gs[0][0] * point * gs[0][1]
-    span = VectorSpan([m.flatten() for m in nil.target_space], length=n * n)
-    coords = span.coords_of(point.flatten())
+    coords = slice_span.coords_of(point.flatten())
     if coords is None:
         raise AssertionError("sampled orbit point left the slice")
     return coords
+
+
+def _nilpotent_part(chart: OrbitChart) -> OrbitChart:
+    return chart if chart.case_tag == "nilpotent" else chart.inner
+
+
+def _slice_span(chart: OrbitChart) -> VectorSpan:
+    """Span of the slice the nilpotent part of ``chart`` is built on."""
+    nil = _nilpotent_part(chart)
+    n = nil.algebra.ambient_size
+    return VectorSpan([m.flatten() for m in nil.target_space], length=n * n)
 
 
 def _is_diagonal(m: RatMatrix) -> bool:
     return all(not m.at(i, j) for i in range(m.rows) for j in range(m.cols) if i != j)
 
 
-def _sample_params(chart: OrbitChart, rng: SplitMix64) -> tuple:
+def _sample_params(chart: OrbitChart, slice_span: VectorSpan | None,
+                   rng: SplitMix64) -> tuple:
     factor_count = chart.param_count - _slice_count(chart)
     params = [rng.fraction() for _ in range(factor_count)]
     if _slice_count(chart):
-        params.extend(_sample_slice_coords(chart, rng))
+        params.extend(_sample_slice_coords(chart, slice_span, rng))
     return tuple(params)
 
 
@@ -250,15 +262,16 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
     values = []
     ranks = []
     seen = set()
+    slice_span = _slice_span(chart) if _slice_count(chart) else None
     for _ in range(samples):
         # Resample coinciding tuples: sampled parameter tuples are pairwise
         # distinct, so equal outputs below would witness a genuine
         # injectivity failure rather than a duplicated input.
-        params = _sample_params(chart, rng)
+        params = _sample_params(chart, slice_span, rng)
         for _retry in range(32):
             if params not in seen:
                 break
-            params = _sample_params(chart, rng)
+            params = _sample_params(chart, slice_span, rng)
         seen.add(params)
         value, derivs = eval_chart_with_derivatives(chart, params)
         values.append(value)

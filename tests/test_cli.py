@@ -106,6 +106,23 @@ class TestVerify:
         golden = (GOLDEN / "sl3_e13_verify.json").read_text(encoding="utf-8")
         assert out == golden
 
+    @pytest.mark.parametrize("family,size,element,golden", [
+        ("so", 5, '{"matrix": [["1","0","0","0","0"],["0","1","0","0","0"],'
+                  '["0","0","0","0","0"],["0","0","0","-1","0"],["0","0","0","0","-1"]]}',
+         "so5_diag_verify.json"),
+        ("sp", 4, '{"matrix": [["0","1","0","0"],["0","0","1","0"],'
+                  '["0","0","0","-1"],["0","0","0","0"]]}',
+         "sp4_regular_nilpotent_verify.json"),
+        ("sl", 4, '{"matrix": [["1","1","0","0"],["0","1","0","0"],'
+                  '["0","0","-1","0"],["0","0","0","-1"]]}',
+         "sl4_mixed_verify.json"),
+    ], ids=["so5-semisimple", "sp4-nilpotent", "sl4-mixed"])
+    def test_golden_beyond_sl3(self, family, size, element, golden):
+        code, out = run(["verify", "--family", family, "--size", str(size),
+                         "--element", element, "--seed", "42", "--samples", "10"])
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.json"
         code, out = run(["verify", "--family", "sl", "--size", "2",

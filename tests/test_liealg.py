@@ -16,7 +16,7 @@ from orbitcharts.liealg import (
     centralizer_basis,
     trace_form_gram,
 )
-from orbitcharts.linalg import RatMatrix, commutator, rank
+from orbitcharts.linalg import RatMatrix, commutator, mat_vec, rank
 from orbitcharts.rng import SplitMix64
 
 F = Fraction
@@ -106,6 +106,53 @@ class TestBracketAndAd:
     def test_membership(self, sl2):
         with pytest.raises(NotInAlgebraError):
             sl2.element_from_matrix(RatMatrix.identity(2))  # nonzero trace
+
+
+def _dense_combination(algebra, coords):
+    """sum c_i * b_i, one dense matrix addition per term."""
+    n = algebra.ambient_size
+    total = RatMatrix.zeros(n, n)
+    for c, b in zip(coords, algebra.basis):
+        total = total + b.scale(c)
+    return total
+
+
+def _structure_constant_cases():
+    sl4 = build_classical("sl", 4)
+    x = sl4.element_from_matrix(RatMatrix.from_rows(
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
+    cases = [build_classical(family, n) for family, n in
+             (("sl", 3), ("sl", 4), ("sl", 5), ("so", 5), ("so", 6), ("sp", 4))]
+    cases += [block_levi(5, (2, 2, 1)), centralizer_basis(sl4, x)]
+    return cases
+
+
+class TestSparseStructureConstants:
+    """ad x assembled from the sparse structure constants, and `element`,
+    against the ambient commutator and the dense basis combination."""
+
+    @pytest.mark.parametrize("algebra", _structure_constant_cases(),
+                             ids=lambda a: a.label.replace(" ", "_"))
+    def test_ad_matches_commutator(self, algebra):
+        rng = SplitMix64(algebra.dim)
+        for _ in range(4):
+            xc = [rng.fraction(denominators=(2, 3, 7)) for _ in range(algebra.dim)]
+            yc = [rng.fraction(denominators=(2, 3, 7)) for _ in range(algebra.dim)]
+            xm = _dense_combination(algebra, xc)
+            ym = _dense_combination(algebra, yc)
+            expected = algebra.coords_of_matrix(xm * ym - ym * xm)
+            assert mat_vec(ad_matrix(algebra, algebra.element(xc)), yc) == expected
+
+    @pytest.mark.parametrize("algebra", _structure_constant_cases(),
+                             ids=lambda a: a.label.replace(" ", "_"))
+    def test_element_matches_dense_combination(self, algebra):
+        rng = SplitMix64(algebra.dim + 1)
+        for _ in range(4):
+            coords = [rng.fraction(denominators=(2, 3, 7)) for _ in range(algebra.dim)]
+            x = algebra.element(coords)
+            assert x.matrix == _dense_combination(algebra, coords)
+            assert all(type(c) is Fraction for c in x.coords)
+            assert all(type(v) is Fraction for v in x.matrix.entries)
 
 
 class TestCentralizers:

@@ -294,3 +294,77 @@ class TestMatrixBasics:
         assert m1 == m2
         assert kernel_basis(m1) == kernel_basis(m2)
         assert char_poly(m1) == char_poly(m2)
+
+
+class TestCoercion:
+    """Each entry is coerced once: exact Fractions are kept, ints, strings and
+    Fraction subclasses go through Fraction(x), floats are refused."""
+
+    FORMS = [
+        [[1, -2], [0, 3]],
+        [["1", "-2/1"], ["0", "6/2"]],
+        [[F(1), F(-2)], [F(0), F(3)]],
+        ((1, "-2"), (F(0), 3)),
+    ]
+
+    @pytest.mark.parametrize("rows", FORMS)
+    def test_entries_are_exact_fractions(self, rows):
+        m = M(rows)
+        assert type(m.entries) is tuple
+        assert all(type(x) is Fraction for x in m.entries)
+        for flat in (RatMatrix(2, 2, [x for row in rows for x in row]),
+                     RatMatrix(2, 2, (x for row in rows for x in row))):
+            assert type(flat.entries) is tuple
+            assert all(type(x) is Fraction for x in flat.entries)
+            assert flat == m
+
+    def test_input_forms_equal_and_hash_equal(self):
+        mats = [M(rows) for rows in self.FORMS]
+        mats += [RatMatrix(2, 2, tuple(x for row in rows for x in row))
+                 for rows in self.FORMS]
+        assert all(m == mats[0] for m in mats)
+        assert len({hash(m) for m in mats}) == 1
+
+    def test_fraction_subclass_becomes_fraction(self):
+        class Sub(Fraction):
+            pass
+
+        m = M([[Sub(1, 2)]])
+        assert type(m.entries[0]) is Fraction
+        assert m == M([[F(1, 2)]])
+
+    def test_decimal_string_stays_exact(self):
+        assert M([["0.1"]]).entries == (F(1, 10),)
+
+    def test_wrong_entry_count(self):
+        with pytest.raises(ValueError):
+            RatMatrix(2, 2, (1, 2, 3))
+        with pytest.raises(ValueError):
+            M([[1, 2], [3]])
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            M([[0.1]])
+        with pytest.raises(TypeError):
+            RatMatrix(1, 2, (F(1), 0.5))
+        with pytest.raises(TypeError):
+            M([[1]]).scale(0.5)
+        with pytest.raises(TypeError):
+            Polynomial((1, 0.5))
+        with pytest.raises(TypeError):
+            DualNumber(0.5)
+        with pytest.raises(TypeError):
+            DualNumber(F(1), 0.25)
+
+    def test_polynomial_coercion_and_trimming(self):
+        p = Polynomial([1, "1/2", F(0), 0])
+        assert p.coefficients == (F(1), F(1, 2))
+        assert all(type(c) is Fraction for c in p.coefficients)
+        assert p.degree == 1
+        assert Polynomial((0, F(0), "0")).is_zero()
+        assert Polynomial(("3",)) == Polynomial.constant(3)
+
+    def test_dual_number_parts_are_exact(self):
+        d = DualNumber(2, "1/3")
+        assert type(d.value) is Fraction and type(d.epsilon) is Fraction
+        assert (d * 3).value == 6 and (d * 3).epsilon == 1
