@@ -1,8 +1,6 @@
 """Exact rational charts on adjoint orbits of classical matrix Lie algebras."""
 
 from .charts import (
-    ComplementSeq,
-    NilpotentFactor,
     NotSemisimpleError,
     OrbitChart,
     build_chart,
@@ -11,9 +9,7 @@ from .charts import (
     chart_nilpotent,
     chart_semisimple,
     chart_to_json,
-    compose_complements,
     eval_chart,
-    eval_complement,
     exp_nilpotent,
 )
 from .grading import (

@@ -1,8 +1,22 @@
 """Orbit charts: polynomial conjugation maps onto adjoint orbits.
 
-A chart is data, never generated code: an ordered sequence of nilpotent
-factors (each a basis of a nilpotent subspace, exponentiated on evaluation),
-an affine slice, and for the mixed case an inner chart inside the Levi.
+A chart is data, never generated code. Every chart is stored flat, once,
+when it is built:
+
+* ``factors``: an ordered tuple of nilpotent factors, each a tuple of basis
+  matrices of a nilpotent subspace, one parameter per basis matrix;
+* ``shift``: the point added to the slice (``x`` in the semisimple case,
+  ``x_s`` in the mixed case, none in the nilpotent case);
+* ``slice_basis`` and ``slice_base``: an affine slice, one parameter per
+  basis matrix, and the slice coordinates of the base point.
+
+With parameters t (one per factor basis matrix, in order) followed by v
+(one per slice basis matrix) the chart is
+
+    psi(t, v) = Ad(exp a_1 ... exp a_m)(shift + sum_j v_j s_j),
+    a_f = sum_i t_(f,i) b_(f,i),
+
+and ``base_params`` (all t zero, v = slice_base) hits the base element.
 Evaluation is interpretive, which keeps exact differentiation possible.
 
 The three constructions:
@@ -13,12 +27,18 @@ The three constructions:
   exactly u2; for even gradings u2 = u. Verification reports flag whenever
   the two differ.
 * semisimple x: factors [u-, u] of the grading by an integer witness z
-  whose centralizer is the Levi centralizing x; the slice is the single
-  point x.
-* mixed x = x_s + x_n: outer factors [u-, u] for the Levi centralizing
-  x_s, inner nilpotent chart for x_n inside that Levi, shifted by x_s.
+  whose centralizer is the Levi centralizing x; shift x, no slice.
+* mixed x = x_s + x_n: factors [u-, u] for the Levi centralizing x_s, then
+  the factors of the nilpotent chart of x_n inside that Levi; shift x_s,
+  and that inner chart's slice. The nested form
+  Ad(exp a exp b)(x_s + Ad(exp c)(v)) equals the flat one because the
+  inner factors centralize x_s.
 
-Factor order is significant; swapping factors generally changes the map.
+``case_tag`` and the nested ``inner`` chart of the mixed case are the
+report and serialization view, and ``parabolic`` is the construction
+scaffolding that verification samples from; evaluation reads only the flat
+fields. Factor order is significant; swapping factors generally changes
+the map.
 """
 
 from __future__ import annotations
@@ -36,6 +56,7 @@ from .linalg import (
     RatMatrix,
     VectorSpan,
     ZERO,
+    _as_fraction,
     g_add,
     g_div_int,
     g_identity,
@@ -56,43 +77,23 @@ class NotSemisimpleError(ValueError):
     """chart_semisimple was given an element with a nonzero nilpotent part."""
 
 
-@dataclass(frozen=True)
-class NilpotentFactor:
-    """Basis of a nilpotent subspace; one parameter per basis matrix."""
-
-    subspace_basis: Tuple[RatMatrix, ...]
-
-    @property
-    def param_count(self) -> int:
-        return len(self.subspace_basis)
-
-
-@dataclass(frozen=True)
-class ComplementSeq:
-    """Ordered factor sequence; products are taken left to right."""
-
-    factors: Tuple[NilpotentFactor, ...]
-
-    @property
-    def param_count(self) -> int:
-        return sum(f.param_count for f in self.factors)
-
-
 @dataclass(eq=False)
 class OrbitChart:
     """Evaluable parameterization of (an open piece of) the orbit of base_element.
 
-    target_space is the slice basis: u2 for the nilpotent case, the single
-    point for the semisimple and mixed cases (the mixed slice lives in the
-    inner chart). parabolic carries the construction scaffolding for
-    verification and sampling; it is not serialized.
+    The flat fields ``factors``, ``shift``, ``slice_basis`` and
+    ``slice_base`` define the map (see the module docstring). ``inner`` is
+    the nested nilpotent chart of the mixed case, whose factors and slice
+    are the tail of this chart's. ``parabolic`` carries the construction
+    scaffolding for verification and sampling; it is not serialized.
     """
 
     case_tag: str
     base_element: LieElement
-    outer: ComplementSeq
-    target_space: Tuple[RatMatrix, ...]
-    slice_base_coords: Tuple[Fraction, ...]
+    factors: Tuple[Tuple[RatMatrix, ...], ...]
+    shift: Optional[RatMatrix]
+    slice_basis: Tuple[RatMatrix, ...]
+    slice_base: Tuple[Fraction, ...]
     inner: Optional["OrbitChart"]
     expected_orbit_dim: int
     parabolic: Optional[ParabolicData] = field(default=None, repr=False)
@@ -103,21 +104,11 @@ class OrbitChart:
 
     @property
     def param_count(self) -> int:
-        count = self.outer.param_count
-        if self.case_tag == "nilpotent":
-            count += len(self.target_space)
-        elif self.case_tag == "mixed":
-            count += self.inner.param_count
-        return count
+        return sum(len(f) for f in self.factors) + len(self.slice_basis)
 
     @property
     def base_params(self) -> tuple:
-        zeros = (ZERO,) * self.outer.param_count
-        if self.case_tag == "nilpotent":
-            return zeros + self.slice_base_coords
-        if self.case_tag == "mixed":
-            return zeros + self.inner.base_params
-        return zeros
+        return (ZERO,) * (self.param_count - len(self.slice_basis)) + self.slice_base
 
     @property
     def u2_differs_from_u(self) -> bool:
@@ -129,66 +120,38 @@ class OrbitChart:
 
 
 # ---------------------------------------------------------------------------
-# Exponentials and factor sequences
+# Exponentials
 # ---------------------------------------------------------------------------
+
+
+def _exp_series(a: list, n: int) -> tuple:
+    """(powers, exp a, exp -a) of a nilpotent n x n row list a.
+
+    powers is [I, a, ..., a^k] up to the last nonzero power; both
+    exponentials are summed from those same powers.
+    """
+    powers = [g_identity(n)]
+    acc = g_identity(n)
+    acc_neg = g_identity(n)
+    power = a
+    k = 1
+    while not g_is_zero(power):
+        if k == n:
+            raise NotNilpotentError("matrix is not nilpotent")
+        powers.append(power)
+        term = g_div_int(power, math.factorial(k))
+        acc = g_add(acc, term)
+        acc_neg = g_add(acc_neg, term if k % 2 == 0 else g_neg(term))
+        power = g_mul(power, a)
+        k += 1
+    return powers, acc, acc_neg
 
 
 def exp_nilpotent(a: RatMatrix) -> RatMatrix:
     """exp of a nilpotent matrix, summed exactly; inverse is exp(-a)."""
     if a.rows != a.cols:
         raise NotNilpotentError("exp of a non-square matrix")
-    n = a.rows
-    rows = a.row_lists()
-    power = rows
-    acc = g_identity(n)
-    for k in range(1, n + 1):
-        if g_is_zero(power):
-            break
-        if k == n:
-            raise NotNilpotentError("matrix is not nilpotent")
-        acc = g_add(acc, g_div_int(power, math.factorial(k)))
-        power = g_mul(power, rows)
-    return g_to_matrix(acc)
-
-
-def compose_complements(outer: ComplementSeq, inner: ComplementSeq) -> ComplementSeq:
-    """Concatenation, outer factors first; order is preserved."""
-    return ComplementSeq(outer.factors + inner.factors)
-
-
-def eval_complement(seq: ComplementSeq, params: Sequence[Fraction],
-                    tail: RatMatrix) -> RatMatrix:
-    """Product exp(sum t b) ... exp(sum t b) * tail, factors in order."""
-    if len(params) != seq.param_count:
-        raise ValueError(
-            f"expected {seq.param_count} parameters, got {len(params)}"
-        )
-    n = tail.rows
-    result = None
-    pos = 0
-    for factor in seq.factors:
-        coeffs = params[pos:pos + factor.param_count]
-        pos += factor.param_count
-        a = g_lincomb(coeffs, [b.row_lists() for b in factor.subspace_basis], n, n)
-        e, _ = _exp_pair(a, n)
-        result = e if result is None else g_mul(result, e)
-    tail_rows = tail.row_lists()
-    return g_to_matrix(tail_rows if result is None else g_mul(result, tail_rows))
-
-
-def _exp_pair(a: list, n: int) -> tuple:
-    """(exp(a), exp(-a)) for a in a graded nilpotent subspace; powers shared."""
-    acc = g_identity(n)
-    acc_neg = g_identity(n)
-    power = a
-    k = 1
-    while k <= n - 1 and not g_is_zero(power):
-        term = g_div_int(power, math.factorial(k))
-        acc = g_add(acc, term)
-        acc_neg = g_add(acc_neg, term) if k % 2 == 0 else g_add(acc_neg, g_neg(term))
-        power = g_mul(power, a)
-        k += 1
-    return acc, acc_neg
+    return g_to_matrix(_exp_series(a.row_lists(), a.rows)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -196,30 +159,46 @@ def _exp_pair(a: list, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _slice_span(slice_basis: Sequence[RatMatrix], n: int) -> VectorSpan:
+    """Span of the flattened slice basis, in ambient n x n coordinates."""
+    return VectorSpan([m.flatten() for m in slice_basis], length=n * n)
+
+
+def _make_chart(case_tag: str, base: LieElement, factors: tuple,
+                shift: Optional[RatMatrix], slice_basis: tuple,
+                inner: Optional[OrbitChart], orbit_dim: int,
+                parabolic: Optional[ParabolicData], error: type) -> OrbitChart:
+    """Flatten, find the slice coordinates of the base, and validate.
+
+    A mixed chart appends the inner chart's factors and takes its slice.
+    Defects raise ``error``: AssertionError for charts built here,
+    ValueError for charts read from outside input.
+    """
+    slice_base = ()
+    if inner is not None:
+        factors = factors + inner.factors
+        slice_basis, slice_base = inner.slice_basis, inner.slice_base
+    elif slice_basis:
+        slice_base = _slice_span(slice_basis, base.algebra.ambient_size).coords_of(
+            base.matrix.flatten())
+        if slice_base is None:
+            raise error("base element does not lie in the slice span")
+    chart = OrbitChart(case_tag, base, factors, shift, slice_basis, slice_base,
+                       inner, orbit_dim, parabolic)
+    _validate_chart(chart, error)
+    return chart
+
+
+def _basis(elements: Sequence[LieElement]) -> Tuple[RatMatrix, ...]:
+    return tuple(el.matrix for el in elements)
+
+
 def chart_nilpotent(algebra: LieAlgebra, e: LieElement) -> OrbitChart:
     """Chart psi(a, v) = Ad(exp a)(v): a over u-, v affine coordinates on u2."""
     triple = jacobson_morozov(algebra, e)
     pd = parabolic_data(grading_by(algebra, triple.h))
-    factor = NilpotentFactor(tuple(el.matrix for el in pd.u_minus))
-    target = tuple(el.matrix for el in pd.u2)
-    span = VectorSpan([m.flatten() for m in target],
-                      length=algebra.ambient_size ** 2)
-    base_coords = span.coords_of(e.matrix.flatten())
-    if base_coords is None:
-        raise AssertionError("nilpotent element does not lie in u2")
-    cdim = algebra.dim - rank(ad_matrix(algebra, e))
-    chart = OrbitChart(
-        case_tag="nilpotent",
-        base_element=e,
-        outer=ComplementSeq((factor,)),
-        target_space=target,
-        slice_base_coords=base_coords,
-        inner=None,
-        expected_orbit_dim=algebra.dim - cdim,
-        parabolic=pd,
-    )
-    _validate_chart(chart)
-    return chart
+    return _make_chart("nilpotent", e, (_basis(pd.u_minus),), None, _basis(pd.u2),
+                       None, rank(ad_matrix(algebra, e)), pd, AssertionError)
 
 
 def chart_semisimple(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
@@ -233,22 +212,8 @@ def chart_semisimple(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChar
     pd = parabolic_data(_witness_grading(algebra, levi, seed))
     if not pd.levi0.same_span(levi):
         raise AssertionError("witness zero piece differs from the centralizer")
-    outer = ComplementSeq((
-        NilpotentFactor(tuple(el.matrix for el in pd.u_minus)),
-        NilpotentFactor(tuple(el.matrix for el in pd.u)),
-    ))
-    chart = OrbitChart(
-        case_tag="semisimple",
-        base_element=x,
-        outer=outer,
-        target_space=(x.matrix,),
-        slice_base_coords=(),
-        inner=None,
-        expected_orbit_dim=algebra.dim - levi.dim,
-        parabolic=pd,
-    )
-    _validate_chart(chart)
-    return chart
+    return _make_chart("semisimple", x, (_basis(pd.u_minus), _basis(pd.u)), x.matrix,
+                       (), None, algebra.dim - levi.dim, pd, AssertionError)
 
 
 def chart_mixed(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
@@ -262,29 +227,10 @@ def chart_mixed(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
         raise ValueError("element is not mixed (needs nonzero x_s and x_n)")
     levi = centralizer_basis(algebra, pair.semisimple)
     pd = parabolic_data(_witness_grading(algebra, levi, seed))
-    inner_base = levi.element_from_matrix(pair.nilpotent.matrix)
-    inner = chart_nilpotent(levi, inner_base)
-    outer = ComplementSeq((
-        NilpotentFactor(tuple(el.matrix for el in pd.u_minus)),
-        NilpotentFactor(tuple(el.matrix for el in pd.u)),
-    ))
-    cdim = algebra.dim - rank(ad_matrix(algebra, x))
-    chart = OrbitChart(
-        case_tag="mixed",
-        base_element=x,
-        outer=outer,
-        target_space=(pair.semisimple.matrix,),
-        slice_base_coords=(),
-        inner=inner,
-        expected_orbit_dim=algebra.dim - cdim,
-        parabolic=pd,
-    )
-    if outer.param_count + inner.param_count != chart.expected_orbit_dim:
-        raise AssertionError(
-            "outer plus inner parameter count disagrees with the orbit dimension"
-        )
-    _validate_chart(chart)
-    return chart
+    inner = chart_nilpotent(levi, levi.element_from_matrix(pair.nilpotent.matrix))
+    return _make_chart("mixed", x, (_basis(pd.u_minus), _basis(pd.u)),
+                       pair.semisimple.matrix, (), inner, rank(ad_matrix(algebra, x)), pd,
+                       AssertionError)
 
 
 def build_chart(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
@@ -299,15 +245,15 @@ def build_chart(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
     return chart_mixed(algebra, x, seed)
 
 
-def _validate_chart(chart: OrbitChart) -> None:
+def _validate_chart(chart: OrbitChart, error: type) -> None:
     if chart.param_count != chart.expected_orbit_dim:
-        raise AssertionError(
+        raise error(
             f"parameter count {chart.param_count} != orbit dimension "
             f"{chart.expected_orbit_dim}"
         )
     base = eval_chart(chart, chart.base_params)
     if base != chart.base_element.matrix:
-        raise AssertionError("chart does not hit the base element at the base tuple")
+        raise error("chart does not hit the base element at the base tuple")
 
 
 # ---------------------------------------------------------------------------
@@ -315,151 +261,111 @@ def _validate_chart(chart: OrbitChart) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _flatten(chart: OrbitChart) -> tuple:
-    """(factors, shift matrix or None, slice matrices) of the unrolled chart.
+@dataclass
+class _ValuePass:
+    """The value of a chart and the intermediates its derivatives reuse.
 
-    Valid because the inner factors centralize the shift, so nesting and
-    concatenation agree (the merge property of factor sequences).
+    series[f] is `_exp_series` of the matrix of factors[f]; prefix[f] is
+    the product of the exponentials of factors[:f] and inv_prefix[f] its
+    inverse, so prefix[m] = g and inv_prefix[m] = g^-1 for m factors.
     """
-    if chart.case_tag == "nilpotent":
-        return list(chart.outer.factors), None, chart.target_space
-    if chart.case_tag == "semisimple":
-        return list(chart.outer.factors), chart.target_space[0], ()
-    if chart.case_tag == "mixed":
-        if chart.inner is None or chart.inner.case_tag != "nilpotent":
-            raise ValueError("mixed chart needs a nilpotent inner chart")
-        factors = list(chart.outer.factors) + list(chart.inner.outer.factors)
-        return factors, chart.target_space[0], chart.inner.target_space
-    raise ValueError(f"unknown case tag {chart.case_tag!r}")
+
+    series: list
+    prefix: list
+    inv_prefix: list
+    core: list
+    g_core: list
+    value: list
 
 
-def eval_chart_rows(chart: OrbitChart, params: Sequence) -> list:
+def _value_pass(chart: OrbitChart, params: Sequence) -> _ValuePass:
     """Evaluate with arbitrary ring scalars (Fractions or DualNumbers)."""
     if len(params) != chart.param_count:
         raise ValueError(
             f"expected {chart.param_count} parameters, got {len(params)}"
         )
-    factors, shift, slice_mats = _flatten(chart)
     n = chart.algebra.ambient_size
+    series = []
+    prefix = [g_identity(n)]
+    inv_prefix = [g_identity(n)]
     pos = 0
-    g = None
-    g_inv = None
-    for factor in factors:
-        coeffs = params[pos:pos + factor.param_count]
-        pos += factor.param_count
-        a = g_lincomb(coeffs, [b.row_lists() for b in factor.subspace_basis], n, n)
-        e, e_inv = _exp_pair(a, n)
-        g = e if g is None else g_mul(g, e)
-        g_inv = e_inv if g_inv is None else g_mul(e_inv, g_inv)
-    core = shift.row_lists() if shift is not None else g_zero(n, n)
-    if slice_mats:
-        combo = g_lincomb(params[pos:], [m.row_lists() for m in slice_mats], n, n)
+    for basis in chart.factors:
+        coeffs = params[pos:pos + len(basis)]
+        pos += len(basis)
+        a = g_lincomb(coeffs, [b.row_lists() for b in basis], n, n)
+        series.append(_exp_series(a, n))
+        prefix.append(g_mul(prefix[-1], series[-1][1]))
+        inv_prefix.append(g_mul(series[-1][2], inv_prefix[-1]))
+    core = chart.shift.row_lists() if chart.shift is not None else g_zero(n, n)
+    if chart.slice_basis:
+        combo = g_lincomb(params[pos:], [s.row_lists() for s in chart.slice_basis], n, n)
         core = g_add(core, combo)
-    if g is None:
-        return core
-    return g_mul(g_mul(g, core), g_inv)
+    g_core = g_mul(prefix[-1], core)
+    return _ValuePass(series, prefix, inv_prefix, core, g_core,
+                      g_mul(g_core, inv_prefix[-1]))
+
+
+def eval_chart_rows(chart: OrbitChart, params: Sequence) -> list:
+    """Value as row lists, at arbitrary ring scalars (Fractions or DualNumbers)."""
+    return _value_pass(chart, params).value
 
 
 def eval_chart(chart: OrbitChart, params: Sequence) -> RatMatrix:
     """Exact evaluation at a rational parameter tuple."""
-    coerced = [Fraction(p) for p in params]
-    return g_to_matrix(eval_chart_rows(chart, coerced))
+    return g_to_matrix(eval_chart_rows(chart, [_as_fraction(p) for p in params]))
 
 
 def eval_chart_with_derivatives(chart: OrbitChart, params: Sequence) -> tuple:
     """Value and all first derivatives at a rational tuple.
 
     Equivalent to evaluating with one dual-number perturbation per
-    parameter (epsilon^2 = 0), with the shared value parts computed once.
+    parameter (epsilon^2 = 0), with the shared value parts computed once:
+    the per-factor powers and prefix products come from the value pass,
+    and the suffix products are built once here.
     Returns (RatMatrix, [RatMatrix per parameter]).
     """
-    coerced = [Fraction(p) for p in params]
-    if len(coerced) != chart.param_count:
-        raise ValueError(
-            f"expected {chart.param_count} parameters, got {len(coerced)}"
-        )
-    factors, shift, slice_mats = _flatten(chart)
+    vp = _value_pass(chart, [_as_fraction(p) for p in params])
     n = chart.algebra.ambient_size
-    m = len(factors)
-
-    mats = []       # per factor: combined matrix A
-    powers_all = [] # per factor: [I, A, ..., A^(n-1)] padded with zeros
-    exps = []
-    exp_invs = []
-    zero = g_zero(n, n)
-    pos = 0
-    factor_offsets = []
-    for factor in factors:
-        coeffs = coerced[pos:pos + factor.param_count]
-        factor_offsets.append(pos)
-        pos += factor.param_count
-        a = g_lincomb(coeffs, [b.row_lists() for b in factor.subspace_basis], n, n)
-        powers = [g_identity(n), a]
-        for _ in range(2, n):
-            prev = powers[-1]
-            powers.append(zero if g_is_zero(prev) else g_mul(prev, a))
-        acc = g_identity(n)
-        acc_neg = g_identity(n)
-        for k in range(1, n):
-            if g_is_zero(powers[k]):
-                continue
-            term = g_div_int(powers[k], math.factorial(k))
-            acc = g_add(acc, term)
-            acc_neg = g_add(acc_neg, term) if k % 2 == 0 else g_add(acc_neg, g_neg(term))
-        mats.append(a)
-        powers_all.append(powers)
-        exps.append(acc)
-        exp_invs.append(acc_neg)
-    slice_offset = pos
-
-    ident = g_identity(n)
-    pre = [ident]
-    for f in range(1, m):
-        pre.append(g_mul(pre[-1], exps[f - 1]))
-    post = [ident] * m
+    m = len(chart.factors)
+    g, g_inv = vp.prefix[m], vp.inv_prefix[m]
+    # suffix[f] is the product of the exponentials of factors[f+1:];
+    # inv_suffix[f] is its inverse
+    suffix = [g_identity(n)] * m
+    inv_suffix = [g_identity(n)] * m
     for f in range(m - 2, -1, -1):
-        post[f] = g_mul(exps[f + 1], post[f + 1])
-    ginv_pre = [ident] * m
-    for f in range(m - 2, -1, -1):
-        ginv_pre[f] = g_mul(ginv_pre[f + 1], exp_invs[f + 1])
-    ginv_post = [ident]
-    for f in range(1, m):
-        ginv_post.append(g_mul(exp_invs[f - 1], ginv_post[-1]))
-
-    g = g_mul(pre[m - 1], exps[m - 1]) if m else ident
-    g_inv = g_mul(exp_invs[m - 1], ginv_post[m - 1]) if m else ident
-    core = shift.row_lists() if shift is not None else g_zero(n, n)
-    if slice_mats:
-        combo = g_lincomb(coerced[slice_offset:], [s.row_lists() for s in slice_mats], n, n)
-        core = g_add(core, combo)
-    g_core = g_mul(g, core)
-    core_ginv = g_mul(core, g_inv)
-    value = g_mul(g_core, g_inv)
+        _, e, e_inv = vp.series[f + 1]
+        suffix[f] = g_mul(e, suffix[f + 1])
+        inv_suffix[f] = g_mul(inv_suffix[f + 1], e_inv)
+    core_ginv = g_mul(vp.core, g_inv)
 
     derivs = []
-    for f, factor in enumerate(factors):
-        powers = powers_all[f]
-        a = mats[f]
-        for b_mat in factor.subspace_basis:
+    for f, basis in enumerate(chart.factors):
+        powers = vp.series[f][0]
+        for b_mat in basis:
             b = b_mat.row_lists()
             dp = b
-            dexp = g_div_int(dp, 1)
-            dexp_neg = g_neg(dexp)
-            for k in range(2, n):
-                dp = g_add(g_mul(dp, a), g_mul(powers[k - 1], b))
+            dexp = b
+            dexp_neg = g_neg(b)
+            # d(a^k) = d(a^(k-1)) a + a^(k-1) b, nonzero possibly after a^k = 0;
+            # every term has a factor a, so a = 0 leaves dexp = b
+            for k in range(2, n if len(powers) > 1 else 2):
+                dp = g_mul(dp, powers[1])
+                if k - 1 < len(powers):
+                    dp = g_add(dp, g_mul(powers[k - 1], b))
                 if g_is_zero(dp):
+                    if k >= len(powers):
+                        break
                     continue
                 term = g_div_int(dp, math.factorial(k))
                 dexp = g_add(dexp, term)
-                dexp_neg = g_add(dexp_neg, term) if k % 2 == 0 else g_add(dexp_neg, g_neg(term))
-            dg = g_mul(g_mul(pre[f], dexp), post[f])
-            dginv = g_mul(g_mul(ginv_pre[f], dexp_neg), ginv_post[f])
-            deriv = g_add(g_mul(dg, core_ginv), g_mul(g_core, dginv))
+                dexp_neg = g_add(dexp_neg, term if k % 2 == 0 else g_neg(term))
+            dg = g_mul(g_mul(vp.prefix[f], dexp), suffix[f])
+            dginv = g_mul(g_mul(inv_suffix[f], dexp_neg), vp.inv_prefix[f])
+            deriv = g_add(g_mul(dg, core_ginv), g_mul(vp.g_core, dginv))
             derivs.append(g_to_matrix(deriv))
-    for s in slice_mats:
-        deriv = g_mul(g_mul(g, s.row_lists()), g_inv)
-        derivs.append(g_to_matrix(deriv))
-    return g_to_matrix(value), derivs
+    for s in chart.slice_basis:
+        derivs.append(g_to_matrix(g_mul(g_mul(g, s.row_lists()), g_inv)))
+    return g_to_matrix(vp.value), derivs
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +374,21 @@ def eval_chart_with_derivatives(chart: OrbitChart, params: Sequence) -> tuple:
 
 
 def chart_to_json(chart: OrbitChart) -> dict:
+    """The nested view: a mixed chart lists its own factors and shift, and
+    its inner chart separately."""
     from .liealg import element_to_json
 
+    inner = chart.inner
+    own_factors = chart.factors
+    if inner is not None:
+        own_factors = own_factors[:len(own_factors) - len(inner.factors)]
     return {
         "case_tag": chart.case_tag,
         "base_element": element_to_json(chart.base_element),
-        "factors": [
-            {"basis": [matrix_to_json(b) for b in f.subspace_basis]}
-            for f in chart.outer.factors
-        ],
-        "slice_basis": [matrix_to_json(s) for s in chart.target_space],
-        "inner": chart_to_json(chart.inner) if chart.inner is not None else None,
+        "factors": [{"basis": [matrix_to_json(b) for b in f]} for f in own_factors],
+        "slice_basis": [matrix_to_json(s) for s in
+                        (chart.slice_basis if chart.shift is None else (chart.shift,))],
+        "inner": chart_to_json(inner) if inner is not None else None,
         "expected_orbit_dim": chart.expected_orbit_dim,
     }
 
@@ -488,29 +398,28 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
 
     Construction scaffolding (witness grading, parabolic) is not serialized;
     the result evaluates and differentiates but carries parabolic=None.
+    Raises ValueError when the parameter count differs from
+    expected_orbit_dim or the base tuple does not evaluate to the base
+    element.
     """
     case = data["case_tag"]
     base = algebra.element_from_matrix(matrix_from_json(data["base_element"]["matrix"]))
-    outer = ComplementSeq(tuple(
-        NilpotentFactor(tuple(matrix_from_json(b) for b in f["basis"]))
-        for f in data["factors"]
-    ))
-    target = tuple(matrix_from_json(s) for s in data["slice_basis"])
+    factors = tuple(tuple(matrix_from_json(b) for b in f["basis"])
+                    for f in data["factors"])
+    listed = tuple(matrix_from_json(s) for s in data["slice_basis"])
+    orbit_dim = int(data["expected_orbit_dim"])
     if case == "nilpotent":
-        span = VectorSpan([t.flatten() for t in target],
-                          length=algebra.ambient_size ** 2)
-        coords = span.coords_of(base.matrix.flatten())
-        if coords is None:
-            raise ValueError("base element does not lie in the slice span")
-        return OrbitChart(case, base, outer, target, coords, None,
-                          int(data["expected_orbit_dim"]))
-    if case == "semisimple":
-        return OrbitChart(case, base, outer, target, (), None,
-                          int(data["expected_orbit_dim"]))
+        return _make_chart(case, base, factors, None, listed, None, orbit_dim,
+                           None, ValueError)
+    if case not in ("semisimple", "mixed"):
+        raise ValueError(f"unknown case tag {case!r}")
+    if len(listed) != 1:
+        raise ValueError(f"{case} chart needs exactly one slice matrix, the shift")
+    inner = None
     if case == "mixed":
-        xs = target[0]
-        levi = centralizer_basis(algebra, algebra.element_from_matrix(xs))
+        levi = centralizer_basis(algebra, algebra.element_from_matrix(listed[0]))
         inner = chart_from_json(levi, data["inner"])
-        return OrbitChart(case, base, outer, target, (), inner,
-                          int(data["expected_orbit_dim"]))
-    raise ValueError(f"unknown case tag {case!r}")
+        if inner.case_tag != "nilpotent":
+            raise ValueError("mixed chart needs a nilpotent inner chart")
+    return _make_chart(case, base, factors, listed[0], (), inner, orbit_dim,
+                       None, ValueError)

@@ -20,9 +20,10 @@ from typing import List, Sequence
 
 from .charts import (
     OrbitChart,
+    _exp_series,
+    _slice_span,
     build_chart,
     eval_chart_with_derivatives,
-    exp_nilpotent,
 )
 from .grading import WitnessNotFoundError, semisimple_for_levi
 from .jordan import jordan_decompose
@@ -135,16 +136,16 @@ def _diag_det_one(n: int, rng: SplitMix64) -> tuple:
     return d, d_inv
 
 
-def _sample_slice_coords(chart: OrbitChart, slice_span: VectorSpan,
+def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan,
                          rng: SplitMix64) -> tuple:
-    """Coordinates of a random point of the group-orbit slice.
+    """Coordinates of a random point of the group-orbit slice of ``nil``.
 
     The point is Ad(g)(base slice point) with g a product of exponentials
     of random elements of u (and, over sl with a diagonal grading element,
     a determinant-one diagonal factor), so membership in the slice holds by
-    construction. ``slice_span`` is `_slice_span` of the chart.
+    construction. ``nil`` is a nilpotent chart carrying its scaffolding and
+    ``slice_span`` is the span of its slice.
     """
-    nil = _nilpotent_part(chart)
     pd = nil.parabolic
     algebra = nil.algebra
     n = algebra.ambient_size
@@ -153,8 +154,8 @@ def _sample_slice_coords(chart: OrbitChart, slice_span: VectorSpan,
     gs = []
     for _ in range(2):
         coeffs = [rng.fraction() for _ in pd.u]
-        combo = g_to_matrix(g_lincomb(coeffs, u_rows, n, n))
-        gs.append((exp_nilpotent(combo), exp_nilpotent(-combo)))
+        _, e, e_inv = _exp_series(g_lincomb(coeffs, u_rows, n, n), n)
+        gs.append((g_to_matrix(e), g_to_matrix(e_inv)))
     use_diag = (algebra.family == "sl"
                 and _is_diagonal(pd.grading.grading_element.matrix))
     if use_diag:
@@ -173,36 +174,29 @@ def _sample_slice_coords(chart: OrbitChart, slice_span: VectorSpan,
     return coords
 
 
-def _nilpotent_part(chart: OrbitChart) -> OrbitChart:
+def _nilpotent_part(chart: OrbitChart) -> OrbitChart | None:
+    """The nilpotent chart whose slice ``chart`` carries, or None."""
     return chart if chart.case_tag == "nilpotent" else chart.inner
-
-
-def _slice_span(chart: OrbitChart) -> VectorSpan:
-    """Span of the slice the nilpotent part of ``chart`` is built on."""
-    nil = _nilpotent_part(chart)
-    n = nil.algebra.ambient_size
-    return VectorSpan([m.flatten() for m in nil.target_space], length=n * n)
 
 
 def _is_diagonal(m: RatMatrix) -> bool:
     return all(not m.at(i, j) for i in range(m.rows) for j in range(m.cols) if i != j)
 
 
-def _sample_params(chart: OrbitChart, slice_span: VectorSpan | None,
+def _sample_params(chart: OrbitChart, nil: OrbitChart, slice_span: VectorSpan | None,
                    rng: SplitMix64) -> tuple:
-    factor_count = chart.param_count - _slice_count(chart)
-    params = [rng.fraction() for _ in range(factor_count)]
-    if _slice_count(chart):
-        params.extend(_sample_slice_coords(chart, slice_span, rng))
+    """Random factor parameters of ``chart``, then orbit-slice coordinates
+    drawn from the scaffolding of ``nil``."""
+    params = [rng.fraction() for _ in range(chart.param_count - len(chart.slice_basis))]
+    if chart.slice_basis:
+        params.extend(_sample_slice_coords(nil, slice_span, rng))
     return tuple(params)
 
 
-def _slice_count(chart: OrbitChart) -> int:
-    if chart.case_tag == "nilpotent":
-        return len(chart.target_space)
-    if chart.case_tag == "mixed":
-        return len(chart.inner.target_space)
-    return 0
+def _same_flat_data(a: OrbitChart, b: OrbitChart) -> bool:
+    return (a.case_tag == b.case_tag and a.factors == b.factors and a.shift == b.shift
+            and a.slice_basis == b.slice_basis and a.slice_base == b.slice_base
+            and a.expected_orbit_dim == b.expected_orbit_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +206,25 @@ def _slice_count(chart: OrbitChart) -> int:
 
 def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
                  seed: int, samples: int = 10) -> VerificationReport:
-    """Run the full exact check battery on a chart for (algebra, x)."""
-    if chart.parabolic is None and chart.case_tag != "mixed":
-        chart = build_chart(algebra, x, seed)
-    elif chart.case_tag == "mixed" and (chart.inner is None
-                                        or chart.inner.parabolic is None):
-        chart = build_chart(algebra, x, seed)
+    """Run the full exact check battery on ``chart`` for (algebra, x).
+
+    Every evaluation check runs on ``chart`` itself. A chart without
+    construction scaffolding (one from `chart_from_json`) borrows it from
+    the chart that `build_chart` makes for (algebra, x, seed); the report
+    then also checks that the rebuilt chart's flat data equal the given
+    chart's (``rebuilt_chart_identity``), so ``seed`` must be the seed the
+    given chart was built with.
+    """
     rng = SplitMix64(seed)
     checks: List[Check] = []
+    scaffold = chart
+    if chart.parabolic is None or (chart.inner is not None
+                                   and chart.inner.parabolic is None):
+        scaffold = build_chart(algebra, x, seed)
+        same = _same_flat_data(chart, scaffold)
+        checks.append(Check("rebuilt_chart_identity", expected=True, observed=same,
+                            passed=same))
+    nil = _nilpotent_part(scaffold)
 
     oracle_cdim = centralizer_basis(algebra, x).dim
     expected_dim = algebra.dim - oracle_cdim
@@ -231,10 +236,10 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
                 and chart.expected_orbit_dim == expected_dim),
     ))
 
-    if chart.case_tag == "nilpotent":
-        checks.append(_tangent_check(chart, "tangent_identity"))
-    elif chart.case_tag == "mixed":
-        checks.append(_tangent_check(chart.inner, "inner_tangent_identity"))
+    if nil is not None:
+        name = "tangent_identity" if nil is scaffold else "inner_tangent_identity"
+        checks.append(_tangent_check(nil, name))
+    if chart.case_tag == "mixed":
         inner_cdim = centralizer_basis(chart.inner.algebra,
                                        chart.inner.base_element).dim
         checks.append(Check(
@@ -262,16 +267,21 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
     values = []
     ranks = []
     seen = set()
-    slice_span = _slice_span(chart) if _slice_count(chart) else None
-    for _ in range(samples):
+    slice_span = None
+    if chart.slice_basis:
+        slice_span = _slice_span(scaffold.slice_basis, algebra.ambient_size)
+    # Slice coordinates are drawn in the scaffold's slice; a given chart whose
+    # slice has another dimension cannot take them (rebuilt_chart_identity fails).
+    sampled = samples if len(chart.slice_basis) == len(scaffold.slice_basis) else 0
+    for _ in range(sampled):
         # Resample coinciding tuples: sampled parameter tuples are pairwise
         # distinct, so equal outputs below would witness a genuine
         # injectivity failure rather than a duplicated input.
-        params = _sample_params(chart, slice_span, rng)
+        params = _sample_params(chart, nil, slice_span, rng)
         for _retry in range(32):
             if params not in seen:
                 break
-            params = _sample_params(chart, slice_span, rng)
+            params = _sample_params(chart, nil, slice_span, rng)
         seen.add(params)
         value, derivs = eval_chart_with_derivatives(chart, params)
         values.append(value)
@@ -280,7 +290,7 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
         "jacobian_rank_samples",
         expected=[chart.expected_orbit_dim] * samples,
         observed=ranks,
-        passed=all(r == chart.expected_orbit_dim for r in ranks),
+        passed=(ranks == [chart.expected_orbit_dim] * samples),
     ))
 
     distinct = len({v.entries for v in values})
@@ -318,7 +328,7 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
     checks.append(Check(
         "u2_differs_from_u",
         expected=None,
-        observed=chart.u2_differs_from_u,
+        observed=scaffold.u2_differs_from_u,
         passed=True,
     ))
 

@@ -1,27 +1,33 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import diag_matrix, elem, element
 from orbitcharts.charts import (
-    ComplementSeq,
-    NilpotentFactor,
     NotSemisimpleError,
+    OrbitChart,
     build_chart,
     chart_from_json,
     chart_mixed,
     chart_nilpotent,
     chart_semisimple,
     chart_to_json,
-    compose_complements,
     eval_chart,
     eval_chart_rows,
     eval_chart_with_derivatives,
-    eval_complement,
     exp_nilpotent,
 )
-from orbitcharts.liealg import centralizer_basis
-from orbitcharts.linalg import NotNilpotentError, RatMatrix, char_poly, det, rank
+from orbitcharts.liealg import build_classical, centralizer_basis
+from orbitcharts.linalg import (
+    ZERO,
+    DualNumber,
+    NotNilpotentError,
+    RatMatrix,
+    char_poly,
+    det,
+    rank,
+)
 from orbitcharts.rng import SplitMix64
 
 F = Fraction
@@ -57,37 +63,57 @@ class TestExpNilpotent:
             assert exp_nilpotent(a) * exp_nilpotent(-a) == RatMatrix.identity(n)
 
 
+def conjugate(factors, params, core):
+    """Ad(exp a_1 ... exp a_m)(core), summed factor by factor with exp_nilpotent."""
+    n = core.rows
+    g = RatMatrix.identity(n)
+    g_inv = RatMatrix.identity(n)
+    pos = 0
+    for basis in factors:
+        a = RatMatrix.zeros(n, n)
+        for c, b in zip(params[pos:pos + len(basis)], basis):
+            a = a + b.scale(c)
+        pos += len(basis)
+        g = g * exp_nilpotent(a)
+        g_inv = exp_nilpotent(-a) * g_inv
+    assert g * g_inv == RatMatrix.identity(n)
+    return g * core * g_inv
+
+
 class TestComplements:
-    def test_compose_concatenates_in_order(self):
-        f1 = NilpotentFactor((elem(2, 1, 0),))
-        f2 = NilpotentFactor((elem(2, 0, 1),))
-        seq = compose_complements(ComplementSeq((f1,)), ComplementSeq((f2,)))
-        assert seq.factors == (f1, f2)
-        assert seq.param_count == 2
+    """Factor sequences, through eval_chart on charts with edited factors."""
 
-    def test_compose_with_empty(self):
-        f1 = NilpotentFactor((elem(2, 1, 0),))
-        s = ComplementSeq((f1,))
-        assert compose_complements(s, ComplementSeq(())) == s
+    @pytest.fixture
+    def h_chart(self, sl2):
+        return chart_semisimple(sl2, element(sl2, [[1, 0], [0, -1]]), 42)
 
-    def test_eval_big_cell_sl2(self):
-        seq = ComplementSeq((NilpotentFactor((elem(2, 1, 0),)),))
-        out = eval_complement(seq, (F(2),), M([[1, 1], [0, 1]]))
-        assert out == M([[1, 1], [2, 3]])
+    def test_compose_concatenates_in_order(self, h_chart):
+        assert len(h_chart.factors) == 2
+        assert h_chart.param_count == 2
+        params = (F(2), F(-3, 5))
+        want = conjugate(h_chart.factors, params, h_chart.shift)
+        assert eval_chart(h_chart, params) == want
 
-    def test_eval_empty_seq(self):
-        g = M([[1, 2], [0, 1]])
-        assert eval_complement(ComplementSeq(()), (), g) == g
+    def test_compose_with_empty(self, h_chart):
+        padded = replace(h_chart, factors=h_chart.factors + ((),))
+        assert padded.param_count == 2
+        assert eval_chart(padded, (F(1), F(7))) == eval_chart(h_chart, (F(1), F(7)))
 
-    def test_eval_zero_params_is_tail(self):
-        seq = ComplementSeq((NilpotentFactor((elem(2, 1, 0),)),))
-        ident = RatMatrix.identity(2)
-        assert eval_complement(seq, (F(0),), ident) == ident
+    def test_eval_big_cell_sl2(self, h_chart):
+        lower = replace(h_chart, factors=((elem(2, 1, 0),),))
+        assert eval_chart(lower, (F(2),)) == M([[1, 0], [4, -1]])
 
-    def test_param_count_mismatch(self):
-        seq = ComplementSeq((NilpotentFactor((elem(2, 1, 0),)),))
+    def test_eval_empty_seq(self, h_chart):
+        bare = replace(h_chart, factors=())
+        assert eval_chart(bare, ()) == h_chart.shift
+
+    def test_eval_zero_params_is_tail(self, h_chart):
+        assert eval_chart(h_chart, (F(0), F(0))) == h_chart.shift
+
+    def test_param_count_mismatch(self, h_chart):
+        lower = replace(h_chart, factors=((elem(2, 1, 0),),))
         with pytest.raises(ValueError):
-            eval_complement(seq, (F(1), F(2)), RatMatrix.identity(2))
+            eval_chart(lower, (F(1), F(2)))
 
 
 class TestNilpotentChart:
@@ -129,7 +155,7 @@ class TestNilpotentChart:
         base_ranks = [rank(e.matrix.power(k)) for k in (1, 2)]
         for _ in range(6):
             params = list(chart.base_params)
-            for i in range(chart.outer.param_count):
+            for i in range(chart.param_count - len(chart.slice_basis)):
                 params[i] = rng.fraction()
             m = eval_chart(chart, params)
             assert char_poly(m) == char_poly(e.matrix)
@@ -181,22 +207,17 @@ class TestSemisimpleChart:
     def test_factor_order_sensitivity(self, sl2):
         h = element(sl2, [[1, 0], [0, -1]])
         chart = chart_semisimple(sl2, h, 42)
-        swapped = ComplementSeq((chart.outer.factors[1], chart.outer.factors[0]))
+        swapped = replace(chart, factors=chart.factors[::-1])
         params = (F(1), F(1))
-        original = eval_chart(chart, params)
-        reordered = eval_complement(swapped, params, RatMatrix.identity(2))
-        conjugated = reordered * h.matrix * (
-            eval_complement(ComplementSeq((swapped.factors[1],)), (F(-1),),
-                            eval_complement(ComplementSeq((swapped.factors[0],)),
-                                            (F(-1),), RatMatrix.identity(2))))
-        assert conjugated != original
+        assert eval_chart(swapped, params) == conjugate(swapped.factors, params, h.matrix)
+        assert eval_chart(swapped, params) != eval_chart(chart, params)
 
 
 class TestMixedChart:
     def test_sl3_counts_and_base(self, sl3):
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1))
         chart = chart_mixed(sl3, x, 42)
-        assert chart.outer.param_count == 4
+        assert chart.param_count - chart.inner.param_count == 4
         assert chart.inner.param_count == 2
         assert chart.param_count == 6
         assert eval_chart(chart, chart.base_params) == x.matrix
@@ -208,34 +229,18 @@ class TestMixedChart:
         assert chart.param_count == sl4.dim - oracle
 
     def test_nested_equals_flat_composition(self, sl3):
-        # evaluating the nested chart agrees with the concatenated factor
-        # sequence applied to (x_s + slice point): the merge property
+        # the flat chart agrees with the nested form
+        # Ad(exp a exp b)(x_s + inner chart): the merge property
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1))
         chart = chart_mixed(sl3, x, 42)
-        flat = compose_complements(chart.outer, chart.inner.outer)
+        outer_count = chart.param_count - chart.inner.param_count
+        outer_factors = chart.factors[:len(chart.factors) - len(chart.inner.factors)]
+        assert chart.factors[len(outer_factors):] == chart.inner.factors
         rng = SplitMix64(29)
         for _ in range(6):
             params = [rng.fraction() for _ in range(chart.param_count)]
-            slice_coords = chart.inner.slice_base_coords
-            params = params[:-len(slice_coords)] + list(slice_coords)
-            nested = eval_chart(chart, params)
-            g = eval_complement(flat, tuple(params[:flat.param_count]),
-                                RatMatrix.identity(3))
-            g_inv = RatMatrix.identity(3)
-            pos = 0
-            for factor in flat.factors:
-                coeffs = params[pos:pos + factor.param_count]
-                pos += factor.param_count
-                combo = RatMatrix.zeros(3, 3)
-                for c, b in zip(coeffs, factor.subspace_basis):
-                    combo = combo + b.scale(c)
-                g_inv = exp_nilpotent(-combo) * g_inv
-            assert g * g_inv == RatMatrix.identity(3)
-            slice_point = RatMatrix.zeros(3, 3)
-            for c, b in zip(slice_coords, chart.inner.target_space):
-                slice_point = slice_point + b.scale(c)
-            core = chart.target_space[0] + slice_point
-            assert nested == g * core * g_inv
+            core = chart.shift + eval_chart(chart.inner, params[outer_count:])
+            assert eval_chart(chart, params) == conjugate(outer_factors, params, core)
 
     def test_rejects_pure_cases(self, sl3):
         with pytest.raises(ValueError):
@@ -263,40 +268,66 @@ class TestEvalChart:
             sl3, sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1)), 42)
         assert mixed.case_tag == "mixed"
 
-    def test_derivatives_match_dual_number_evaluation(self, sl3):
-        from orbitcharts.linalg import DualNumber, ZERO
+    def test_float_parameter_rejected(self, sl3):
+        chart = chart_nilpotent(sl3, sl3.element_from_matrix(elem(3, 0, 2)))
+        with pytest.raises(TypeError):
+            eval_chart(chart, [0.5, 1, 1, 1])
+        with pytest.raises(TypeError):
+            eval_chart_with_derivatives(chart, [1, 1, 1, 0.5])
 
+    def test_rational_string_parameter_accepted(self, sl3):
+        chart = chart_nilpotent(sl3, sl3.element_from_matrix(elem(3, 0, 2)))
+        want = eval_chart(chart, [F(1, 3), 1, 1, 1])
+        assert eval_chart(chart, ["1/3", 1, 1, 1]) == want
+        assert eval_chart_with_derivatives(chart, ["1/3", 1, 1, 1])[0] == want
+
+    def test_derivatives_match_dual_number_evaluation(self, sl3):
         for x_rows, builder in [
             ([[0, 0, 1], [0, 0, 0], [0, 0, 0]], lambda x: chart_nilpotent(sl3, x)),
             ([[1, 0, 0], [0, 1, 0], [0, 0, -2]], lambda x: chart_semisimple(sl3, x, 42)),
             ([[1, 1, 0], [0, 1, 0], [0, 0, -2]], lambda x: chart_mixed(sl3, x, 42)),
         ]:
-            x = element(sl3, x_rows)
-            chart = builder(x)
+            chart = builder(element(sl3, x_rows))
             rng = SplitMix64(33)
-            params = [rng.fraction() for _ in range(chart.param_count)]
-            value, derivs = eval_chart_with_derivatives(chart, params)
-            assert value == eval_chart(chart, params)
-            for j in range(chart.param_count):
-                dual_params = [
-                    DualNumber(p, F(1) if i == j else F(0))
-                    for i, p in enumerate(params)
-                ]
-                rows = eval_chart_rows(chart, dual_params)
-                eps = [[c.epsilon if isinstance(c, DualNumber) else ZERO
-                        for c in row] for row in rows]
-                assert RatMatrix.from_rows(eps) == derivs[j]
+            assert_dual_number_derivatives(
+                chart, [rng.fraction() for _ in range(chart.param_count)])
+
+    def test_derivative_past_vanishing_power_derivative(self):
+        # a = J (regular lower nilpotent, n = 5) and b = E31 - E42 + E53
+        # anticommute, so d(a^2) = ab + ba = 0 while d(a^3) = a^2 b = E51 != 0
+        sl5 = build_classical("sl", 5)
+        jay = sum((elem(5, i + 1, i) for i in range(1, 4)), elem(5, 1, 0))
+        b = elem(5, 2, 0) - elem(5, 3, 1) + elem(5, 4, 2)
+        assert jay * b + b * jay == RatMatrix.zeros(5, 5)
+        x = sl5.element_from_matrix(diag_matrix([1, 0, 0, 0, -1]))
+        chart = OrbitChart("semisimple", x, ((jay, b),), x.matrix, (), (), None, 2)
+        assert_dual_number_derivatives(chart, [F(1), F(0)])
+
+
+def assert_dual_number_derivatives(chart, params):
+    """eval_chart_with_derivatives against one dual-number evaluation per
+    parameter through the value path."""
+    value, derivs = eval_chart_with_derivatives(chart, params)
+    assert value == eval_chart(chart, params)
+    for j in range(chart.param_count):
+        dual_params = [DualNumber(p, F(1) if i == j else F(0)) for i, p in enumerate(params)]
+        rows = eval_chart_rows(chart, dual_params)
+        eps = [[c.epsilon if isinstance(c, DualNumber) else ZERO for c in row]
+               for row in rows]
+        assert RatMatrix.from_rows(eps) == derivs[j]
+
+
+CASES = {
+    "nilpotent": [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    "semisimple": [[1, 0, 0], [0, 1, 0], [0, 0, -2]],
+    "mixed": [[1, 1, 0], [0, 1, 0], [0, 0, -2]],
+}
 
 
 class TestChartSerialization:
     @pytest.mark.parametrize("case", ["nilpotent", "semisimple", "mixed"])
     def test_round_trip_evaluates_identically(self, sl3, case):
-        rows = {
-            "nilpotent": [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
-            "semisimple": [[1, 0, 0], [0, 1, 0], [0, 0, -2]],
-            "mixed": [[1, 1, 0], [0, 1, 0], [0, 0, -2]],
-        }[case]
-        x = element(sl3, rows)
+        x = element(sl3, CASES[case])
         chart = build_chart(sl3, x, 42)
         data = chart_to_json(chart)
         rebuilt = chart_from_json(sl3, data)
@@ -306,3 +337,21 @@ class TestChartSerialization:
         rng = SplitMix64(37)
         params = [rng.fraction() for _ in range(chart.param_count)]
         assert eval_chart(rebuilt, params) == eval_chart(chart, params)
+
+    @pytest.mark.parametrize("case", ["nilpotent", "semisimple", "mixed"])
+    def test_orbit_dim_mismatch_rejected(self, sl3, case):
+        data = chart_to_json(build_chart(sl3, element(sl3, CASES[case]), 42))
+        data["expected_orbit_dim"] += 1
+        with pytest.raises(ValueError, match="orbit dimension"):
+            chart_from_json(sl3, data)
+
+    @pytest.mark.parametrize("case", ["nilpotent", "semisimple", "mixed"])
+    def test_base_matrix_mismatch_rejected(self, sl3, case):
+        # E31 lies outside the nilpotent slice, and the base tuple of the
+        # other charts evaluates to the unchanged element
+        data = chart_to_json(build_chart(sl3, element(sl3, CASES[case]), 42))
+        rows = [[str(F(c) + (1 if (i, j) == (2, 0) else 0)) for j, c in enumerate(row)]
+                for i, row in enumerate(CASES[case])]
+        data["base_element"]["matrix"] = rows
+        with pytest.raises(ValueError, match="base element"):
+            chart_from_json(sl3, data)

@@ -14,6 +14,10 @@ H2 = '{"matrix": [["1","0"],["0","-1"]]}'
 BLOCK3 = '{"matrix": [["1","0","0"],["0","1","0"],["0","0","-2"]]}'
 MIXED3 = '{"matrix": [["1","1","0"],["0","1","0"],["0","0","-2"]]}'
 ZERO2 = '{"matrix": [["0","0"],["0","0"]]}'
+SO5_DIAG = ('{"matrix": [["1","0","0","0","0"],["0","1","0","0","0"],'
+            '["0","0","0","0","0"],["0","0","0","-1","0"],["0","0","0","0","-1"]]}')
+SP4_REGULAR = ('{"matrix": [["0","1","0","0"],["0","0","1","0"],'
+               '["0","0","0","-1"],["0","0","0","0"]]}')
 
 
 def run(args):
@@ -97,6 +101,20 @@ class TestChart:
         assert code == 5
         assert out == ""
 
+    @pytest.mark.parametrize("family,size,element,golden", [
+        ("sl", 3, E13, "sl3_e13_chart.json"),
+        ("sl", 3, BLOCK3, "sl3_diag_chart.json"),
+        ("sl", 3, MIXED3, "sl3_mixed_chart.json"),
+        ("so", 5, SO5_DIAG, "so5_diag_chart.json"),
+        ("sp", 4, SP4_REGULAR, "sp4_regular_nilpotent_chart.json"),
+    ], ids=["sl3-nilpotent", "sl3-semisimple", "sl3-mixed",
+            "so5-semisimple", "sp4-nilpotent"])
+    def test_golden(self, family, size, element, golden):
+        code, out = run(["chart", "--family", family, "--size", str(size),
+                         "--element", element, "--seed", "42"])
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
 
 class TestVerify:
     def test_exit_zero_and_golden(self):
@@ -107,12 +125,8 @@ class TestVerify:
         assert out == golden
 
     @pytest.mark.parametrize("family,size,element,golden", [
-        ("so", 5, '{"matrix": [["1","0","0","0","0"],["0","1","0","0","0"],'
-                  '["0","0","0","0","0"],["0","0","0","-1","0"],["0","0","0","0","-1"]]}',
-         "so5_diag_verify.json"),
-        ("sp", 4, '{"matrix": [["0","1","0","0"],["0","0","1","0"],'
-                  '["0","0","0","-1"],["0","0","0","0"]]}',
-         "sp4_regular_nilpotent_verify.json"),
+        ("so", 5, SO5_DIAG, "so5_diag_verify.json"),
+        ("sp", 4, SP4_REGULAR, "sp4_regular_nilpotent_verify.json"),
         ("sl", 4, '{"matrix": [["1","1","0","0"],["0","1","0","0"],'
                   '["0","0","-1","0"],["0","0","0","-1"]]}',
          "sl4_mixed_verify.json"),

@@ -88,6 +88,47 @@ class TestVerifyChart:
         rebuilt = chart_from_json(sl3, chart_to_json(chart))
         rep = verify_chart(sl3, x, rebuilt, 42, 5)
         assert rep.overall_pass
+        assert rep.check("rebuilt_chart_identity").passed
+
+    def test_built_chart_has_no_rebuild_check(self, sl3):
+        e13 = sl3.element_from_matrix(elem(3, 0, 2))
+        rep = verify_chart(sl3, e13, chart_nilpotent(sl3, e13), 42, 3)
+        with pytest.raises(KeyError):
+            rep.check("rebuilt_chart_identity")
+
+    def test_tampered_deserialized_chart_fails(self, sl3):
+        # the report describes the chart it is given, not a rebuilt one
+        from orbitcharts.charts import chart_from_json, chart_to_json, eval_chart
+
+        x = sl3.element_from_matrix(diag_matrix([1, 1, -2]))
+        data = chart_to_json(build_chart(sl3, x, 42))
+        untampered = chart_from_json(sl3, data)
+        rep = verify_chart(sl3, x, untampered, 42, 5)
+        assert rep.overall_pass
+        assert rep.check("rebuilt_chart_identity").passed
+        data["factors"] = data["factors"][::-1]
+        tampered = chart_from_json(sl3, data)
+        params = (F(1),) * tampered.param_count
+        assert eval_chart(tampered, params) != eval_chart(untampered, params)
+        rep = verify_chart(sl3, x, tampered, 42, 5)
+        assert not rep.overall_pass
+        assert not rep.check("rebuilt_chart_identity").passed
+
+    def test_deserialized_chart_with_other_slice_dimension(self, sl3):
+        # an extra slice vector with a matching orbit dimension passes
+        # chart_from_json, but cannot take slice samples; the report fails
+        # instead of raising
+        from orbitcharts.charts import chart_from_json, chart_to_json
+
+        e13 = sl3.element_from_matrix(elem(3, 0, 2))
+        data = chart_to_json(build_chart(sl3, e13, 42))
+        data["slice_basis"].append([["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]])
+        data["expected_orbit_dim"] += 1
+        rep = verify_chart(sl3, e13, chart_from_json(sl3, data), 42, 3)
+        assert not rep.overall_pass
+        assert not rep.check("rebuilt_chart_identity").passed
+        assert not rep.check("dimension_identity").passed
+        assert not rep.check("jacobian_rank_samples").passed
 
     def test_report_json_shape(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
