@@ -133,7 +133,7 @@ def cmd_verify(config: RunConfig) -> dict:
         raise ZeroElementError("the zero element has no chart")
     chart = build_chart(algebra, x, config.seed)
     chart_report = verify_chart(algebra, x, chart, config.seed, config.samples)
-    red_report = redstab_suite(algebra, x, config.seed)
+    red_report = redstab_suite(algebra, x, config.seed, chart)
     return {
         "chart_verification": report_to_json(chart_report),
         "redstab": report_to_json(red_report),

@@ -16,11 +16,16 @@ centralizer is exactly that Levi. The search is a verify-and-retry loop
 over integer coordinates in the center (first the all-ones vector, then
 seeded random draws), since over the rationals a verified random witness
 replaces the generic-element existence argument that holds over large
-fields.
+fields. In the split classical algebras (`build_classical`) a witness
+exists only when every element of the Levi's center has rational
+eigenvalues, so a center whose basis fails this is rejected before any
+draw; when the budget runs out, the error counts the rejected draws by
+reason.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,7 +131,17 @@ def grading_by(algebra: LieAlgebra, h: LieElement) -> Grading:
 
 def _natural_weights(m: RatMatrix):
     """Integer differences of the eigenvalues of ``m`` (0 included), or None
-    when its characteristic polynomial does not split over the rationals.
+    when its characteristic polynomial does not split over the rationals."""
+    roots = _rational_eigenvalues(m)
+    if roots is None:
+        return None
+    diffs = {a - b for a in roots for b in roots}
+    return sorted(int(w) for w in diffs if w.denominator == 1)
+
+
+def _rational_eigenvalues(m: RatMatrix):
+    """The distinct eigenvalues of ``m``, or None when its characteristic
+    polynomial does not split over the rationals.
 
     The rational roots l of the monic squarefree part p (degree d) are
     mu / D for the integer roots mu of D^d p(mu / D), where D clears the
@@ -137,10 +152,7 @@ def _natural_weights(m: RatMatrix):
     denom = math.lcm(*(c.denominator for c in p.coefficients))
     scaled = Polynomial(tuple(c * denom ** (d - k) for k, c in enumerate(p.coefficients)))
     roots = [Fraction(mu, denom) for mu in integer_roots(scaled)]
-    if len(roots) != d:
-        return None
-    diffs = {a - b for a in roots for b in roots}
-    return sorted(int(w) for w in diffs if w.denominator == 1)
+    return roots if len(roots) == d else None
 
 
 def _check_piece_compatibility(grading: Grading, ad_h: RatMatrix) -> None:
@@ -196,14 +208,36 @@ def semisimple_for_levi(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
     already succeeds for block Levis and keeps the output canonical); later
     attempts draw integer coordinates from [-n^2, n^2] with the seeded
     generator. Each candidate is fully verified before being returned.
+    Raises `WitnessNotFoundError` when no witness can exist or none is found
+    within ``budget`` attempts.
     """
     return _witness_grading(algebra, levi, seed, budget).grading_element
+
+
+_REJECTION_REASONS = ("zero", "not semisimple", "outside the algebra",
+                      "centralizer too large", "not central", "non-integer spectrum")
 
 
 def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
                      budget: int = 64) -> Grading:
     """The grading by the witness `semisimple_for_levi` returns; the grading
-    is the last step of the witness's validation, so it is computed once."""
+    is the last step of the witness's validation, so it is computed once.
+
+    When ``algebra`` is a split classical form (``algebra.family`` set), a
+    center basis element whose characteristic polynomial does not split over
+    the rationals raises `WitnessNotFoundError` before any draw. No witness
+    can exist then. A witness z has integer ad-eigenvalues, which are the
+    differences (and, for so/sp, the sums) of its eigenvalues; with trace
+    zero (sl) or eigenvalues in pairs l, -l (so, sp), this makes every
+    eigenvalue of z rational. So c(z) is block-diagonal on the rational
+    eigenspaces of z, and every rational element of its center acts on each
+    block as a rational scalar, except on the zero eigenspace of an so form
+    when that space has dimension 2. There Witt cancellation against the
+    split form makes the space hyperbolic, so its rotations are a split
+    torus with rational eigenvalues too. The argument needs the split form:
+    an algebra without a family can hold an anisotropic rotation, which may
+    be its own witness, so it always runs the search.
+    """
     levi_coords = [algebra.coords_of_matrix(b) for b in levi.basis]
     if any(c is None for c in levi_coords):
         raise ValueError("levi is not contained in the ambient algebra")
@@ -215,35 +249,57 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
         raise WitnessNotFoundError(
             f"{levi.label} has trivial center and is proper: no torus witness exists"
         )
+    if algebra.family is not None:
+        for i, b in enumerate(center.basis):
+            if _rational_eigenvalues(b) is None:
+                element = json.dumps(matrix_to_json(b))
+                raise WitnessNotFoundError(
+                    f"no rational witness for {levi.label}: the characteristic "
+                    f"polynomial of center basis element {i} {element} does not "
+                    f"split over the rationals"
+                )
     rng = SplitMix64(seed)
     bound = n * n
+    rejected = dict.fromkeys(_REJECTION_REASONS, 0)
     for attempt in range(budget):
         if attempt == 0:
             coords = [1] * center.dim
         else:
             coords = [rng.randint(-bound, bound) for _ in range(center.dim)]
-        z_mat = center.element(coords).matrix
-        if z_mat.is_zero():
-            continue
-        if not is_semisimple_matrix(z_mat):
-            continue
-        coords_in_l = algebra.coords_of_matrix(z_mat)
-        if coords_in_l is None:
-            continue
-        z = algebra.element(coords_in_l)
-        ad_z = ad_matrix(algebra, z)
-        if algebra.dim - rank(ad_z) != levi.dim:
-            continue
-        zero_vec = (ZERO,) * algebra.dim
-        if any(mat_vec(ad_z, bc) != zero_vec for bc in levi_coords):
-            continue
-        try:
-            return grading_by(algebra, z)
-        except NonIntegerSpectrumError:
-            continue
+        outcome = _grade_candidate(algebra, levi, levi_coords,
+                                   center.element(coords).matrix)
+        if isinstance(outcome, Grading):
+            return outcome
+        rejected[outcome] += 1
+    counts = ", ".join(f"{reason}: {count}" for reason, count in rejected.items())
     raise WitnessNotFoundError(
-        f"no witness for {levi.label} within {budget} attempts (seed {seed})"
+        f"no witness for {levi.label} within {budget} attempts (seed {seed}); "
+        f"rejected: {counts}"
     )
+
+
+def _grade_candidate(algebra: LieAlgebra, levi: LieAlgebra, levi_coords: list,
+                     z_mat: RatMatrix):
+    """The grading by the candidate ``z_mat`` if it is a witness for
+    ``levi``, else the reason it is rejected (one of _REJECTION_REASONS)."""
+    if z_mat.is_zero():
+        return "zero"
+    if not is_semisimple_matrix(z_mat):
+        return "not semisimple"
+    coords_in_l = algebra.coords_of_matrix(z_mat)
+    if coords_in_l is None:
+        return "outside the algebra"
+    z = algebra.element(coords_in_l)
+    ad_z = ad_matrix(algebra, z)
+    if algebra.dim - rank(ad_z) != levi.dim:
+        return "centralizer too large"
+    zero_vec = (ZERO,) * algebra.dim
+    if any(mat_vec(ad_z, bc) != zero_vec for bc in levi_coords):
+        return "not central"
+    try:
+        return grading_by(algebra, z)
+    except NonIntegerSpectrumError:
+        return "non-integer spectrum"
 
 
 def grading_to_json(grading: Grading) -> dict:

@@ -361,15 +361,26 @@ def _tangent_check(nil_chart: OrbitChart, name: str) -> Check:
 
 def check_centralizer_reductive(algebra: LieAlgebra, x: LieElement) -> bool:
     """Trace-form proxy: the Gram matrix on the centralizer is nonsingular."""
-    cent = centralizer_basis(algebra, x)
-    return det(trace_form_gram(algebra, cent)) != 0
+    return _trace_form_nondegenerate(algebra, centralizer_basis(algebra, x))
 
 
-def redstab_suite(algebra: LieAlgebra, x: LieElement, seed: int) -> VerificationReport:
-    """Semisimplicity, the reductivity proxy, and the Levi witness, cross-checked."""
+def _trace_form_nondegenerate(algebra: LieAlgebra, sub: LieAlgebra) -> bool:
+    return det(trace_form_gram(algebra, sub)) != 0
+
+
+def redstab_suite(algebra: LieAlgebra, x: LieElement, seed: int,
+                  chart: OrbitChart | None = None) -> VerificationReport:
+    """Semisimplicity, the reductivity proxy, and the Levi witness, cross-checked.
+
+    ``chart`` is the chart built for (algebra, x, seed), if there is one. A
+    semisimple chart carrying its scaffolding already holds the witness
+    grading, which is the grading the search here would find (same Levi,
+    same seed), so it is taken from the chart instead of searching again.
+    """
     pair = jordan_decompose(algebra, x)
     semisimple = pair.nilpotent.is_zero()
-    proxy = check_centralizer_reductive(algebra, x)
+    cent = centralizer_basis(algebra, x)
+    proxy = _trace_form_nondegenerate(algebra, cent)
     checks: List[Check] = [Check(
         "semisimple_iff_reductive",
         expected=semisimple,
@@ -377,17 +388,20 @@ def redstab_suite(algebra: LieAlgebra, x: LieElement, seed: int) -> Verification
         passed=(semisimple == proxy),
     )]
     if semisimple:
-        levi = centralizer_basis(algebra, x)
-        witness_json = None
-        zero_piece_ok = False
-        found = False
-        try:
-            z = semisimple_for_levi(algebra, levi, seed)
-            found = True
-            witness_json = matrix_to_json(z.matrix)
-            zero_piece_ok = centralizer_basis(algebra, z).same_span(levi)
-        except WitnessNotFoundError:
-            pass
+        if (chart is not None and chart.case_tag == "semisimple"
+                and chart.parabolic is not None and chart.algebra is algebra
+                and chart.base_element.matrix == x.matrix):
+            # levi0 is the kernel of ad z, i.e. the centralizer of z
+            z, zero_piece = chart.parabolic.grading.grading_element, chart.parabolic.levi0
+        else:
+            try:
+                z = semisimple_for_levi(algebra, cent, seed)
+                zero_piece = centralizer_basis(algebra, z)
+            except WitnessNotFoundError:
+                z = None
+        found = z is not None
+        witness_json = matrix_to_json(z.matrix) if found else None
+        zero_piece_ok = found and zero_piece.same_span(cent)
         checks.append(Check(
             "levi_witness_found",
             expected=True,

@@ -14,6 +14,8 @@ H2 = '{"matrix": [["1","0"],["0","-1"]]}'
 BLOCK3 = '{"matrix": [["1","0","0"],["0","1","0"],["0","0","-2"]]}'
 MIXED3 = '{"matrix": [["1","1","0"],["0","1","0"],["0","0","-2"]]}'
 ZERO2 = '{"matrix": [["0","0"],["0","0"]]}'
+# companion matrix of t^3 - t - 1, which has no rational root
+CUBIC3 = '{"matrix": [["0","0","1"],["1","0","1"],["0","1","0"]]}'
 SO5_DIAG = ('{"matrix": [["1","0","0","0","0"],["0","1","0","0","0"],'
             '["0","0","0","0","0"],["0","0","0","-1","0"],["0","0","0","0","-1"]]}')
 SP4_REGULAR = ('{"matrix": [["0","1","0","0"],["0","0","1","0"],'
@@ -136,6 +138,53 @@ class TestVerify:
                          "--element", element, "--seed", "42", "--samples", "10"])
         assert code == 0
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_non_split_rejected_exit_4(self, capsys):
+        code, out = run(["verify", "--family", "sl", "--size", "3",
+                         "--element", CUBIC3])
+        assert (code, out) == (4, "")
+        err = capsys.readouterr().err
+        assert "center basis element 0 [[" in err
+        assert "does not split over the rationals" in err
+
+    def test_budget_exhaustion_counts_reasons(self, capsys, monkeypatch):
+        import orbitcharts.grading as grading
+
+        def no_integer_spectrum(*_args):
+            raise grading.NonIntegerSpectrumError("forced")
+
+        monkeypatch.setattr(grading, "grading_by", no_integer_spectrum)
+        code, out = run(["verify", "--family", "sl", "--size", "2", "--element", H2])
+        assert (code, out) == (4, "")
+        err = capsys.readouterr().err
+        assert "within 64 attempts (seed 42); rejected: " in err
+        counts = dict(item.rsplit(": ", 1)
+                      for item in err.strip().split("rejected: ")[1].split(", "))
+        assert list(counts) == ["zero", "not semisimple", "outside the algebra",
+                                "centralizer too large", "not central",
+                                "non-integer spectrum"]
+        assert sum(map(int, counts.values())) == 64
+        assert int(counts["non-integer spectrum"]) > 0
+
+    @pytest.mark.parametrize("family,size,element", [
+        ("sl", 3, BLOCK3), ("so", 5, SO5_DIAG)], ids=["sl3", "so5"])
+    def test_one_witness_search(self, family, size, element, monkeypatch):
+        import orbitcharts.charts as charts
+        import orbitcharts.grading as grading
+
+        calls = []
+        search = grading._witness_grading
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(grading, "_witness_grading", counted)
+        monkeypatch.setattr(charts, "_witness_grading", counted)
+        code, _ = run(["verify", "--family", family, "--size", str(size),
+                       "--element", element])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.json"

@@ -235,3 +235,55 @@ class TestWitness:
             levi = block_levi(n, comp)
             z = semisimple_for_levi(algebra, levi, 42)
             assert centralizer_basis(algebra, z).same_span(levi), comp
+
+
+# Elements whose semisimple part has an irrational eigenvalue, so the center
+# of its centralizer does not split and no rational witness exists. C is
+# [[0, 2], [1, 0]], the companion matrix of t^2 - 2.
+_NON_SPLIT = {
+    # companion of t^3 - t - 1, which has no rational root
+    "sl3-cubic": ("sl", 3, [[0, 0, 1], [1, 0, 1], [0, 1, 0]]),
+    # x_s = diag(C, C), x_n = the identity block above the diagonal
+    "sl4-mixed": ("sl", 4, [[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]]),
+    # diag(C, -S C^T S), S the 2x2 antidiagonal ones, preserves both split forms
+    "sp4": ("sp", 4, [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, -1, 0]]),
+    "so5": ("so", 5, [[0, 2, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+                      [0, 0, 0, 0, -2], [0, 0, 0, -1, 0]]),
+}
+
+
+def _no_candidate(*_args):
+    raise AssertionError("a witness candidate was examined")
+
+
+class TestEarlyRejection:
+    @pytest.mark.parametrize("case", sorted(_NON_SPLIT))
+    def test_rejected_before_any_candidate(self, case, monkeypatch):
+        import orbitcharts.grading as grading
+        from orbitcharts.charts import build_chart
+
+        family, n, rows = _NON_SPLIT[case]
+        algebra = build_classical(family, n)
+        x = element(algebra, rows)
+        monkeypatch.setattr(grading, "grading_by", _no_candidate)
+        monkeypatch.setattr(grading, "is_semisimple_matrix", _no_candidate)
+        with pytest.raises(WitnessNotFoundError,
+                           match="center basis element 0 .* does not split"):
+            build_chart(algebra, x, 42)
+
+    def test_family_less_algebra_keeps_search(self):
+        # The rotation R = [[0, -1], [1, 0]] in one block is central in
+        # R (+) sl2; its characteristic polynomial t^2 + 1 does not split,
+        # yet it is its own witness in this non-split algebra.
+        rotation = RatMatrix.from_rows(
+            [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+        sl2_block = [RatMatrix.from_rows([[0] * 4, [0] * 4] + rows) for rows in (
+            [[0, 0, 0, 1], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], [0, 0, 1, 0]],
+            [[0, 0, 1, 0], [0, 0, 0, -1]],
+        )]
+        algebra = LieAlgebra((rotation, *sl2_block), "R (+) sl2")
+        assert algebra.family is None
+        levi = centralizer_basis(algebra, algebra.element_from_matrix(rotation))
+        assert levi.same_span(algebra)
+        assert semisimple_for_levi(algebra, levi, 42).matrix == rotation

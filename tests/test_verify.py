@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import diag_matrix, elem, element, jordan_nilpotent, nontrivial_partitions
+from conftest import (
+    diag_matrix,
+    elem,
+    element,
+    jordan_nilpotent,
+    nontrivial_partitions,
+    partitions,
+)
 from orbitcharts.charts import build_chart, chart_nilpotent, chart_semisimple, exp_nilpotent
 from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import build_classical
@@ -184,6 +191,42 @@ class TestRedstabSuite:
             e = algebra.element_from_matrix(jordan_nilpotent(n, part))
             rep = redstab_suite(algebra, e, 42)
             assert rep.overall_pass, part
+
+
+def _semisimple_corpus():
+    """Nonzero sl3-sl5 diagonals for every multiplicity pattern, and so5, so6
+    and sp4 diagonals."""
+    cases = []
+    for n in (3, 4, 5):
+        for pattern in list(partitions(n))[1:]:
+            values = [k for k, m in enumerate(pattern) for _ in range(m)]
+            shift = F(sum(values), n)
+            cases.append(pytest.param("sl", n, [v - shift for v in values],
+                                      id=f"sl{n}-" + ",".join(map(str, pattern))))
+    for family, n, values in (
+            ("so", 5, [1, 1, 0, -1, -1]), ("so", 5, [2, 1, 0, -1, -2]),
+            ("so", 6, [1, 1, 1, -1, -1, -1]), ("so", 6, [2, 1, 0, 0, -1, -2]),
+            ("so", 6, [1, 0, 0, 0, 0, -1]), ("sp", 4, [1, 1, -1, -1]),
+            ("sp", 4, [2, 1, -1, -2]), ("sp", 4, [1, 0, 0, -1])):
+        cases.append(pytest.param(family, n, values,
+                                  id=f"{family}{n}-" + ",".join(map(str, values))))
+    return cases
+
+
+class TestRedstabWitnessFromChart:
+    @pytest.mark.parametrize("family,n,values", _semisimple_corpus())
+    def test_same_report_as_search(self, family, n, values):
+        algebra = build_classical(family, n)
+        x = algebra.element_from_matrix(diag_matrix(values))
+        chart = build_chart(algebra, x, 42)
+        assert report_to_json(redstab_suite(algebra, x, 42, chart)) \
+            == report_to_json(redstab_suite(algebra, x, 42))
+
+    def test_chart_of_another_element_is_not_used(self, sl3):
+        x = sl3.element_from_matrix(diag_matrix([1, 1, -2]))
+        other = build_chart(sl3, sl3.element_from_matrix(diag_matrix([2, -1, -1])), 42)
+        assert report_to_json(redstab_suite(sl3, x, 42, other)) \
+            == report_to_json(redstab_suite(sl3, x, 42))
 
 
 class TestInvariants:
