@@ -19,6 +19,19 @@ With parameters t (one per factor basis matrix, in order) followed by v
 and ``base_params`` (all t zero, v = slice_base) hits the base element.
 Evaluation is interpretive, which keeps exact differentiation possible.
 
+Derivatives are taken in bracket form. Write g = exp a_1 ... exp a_m,
+core = shift + sum_j v_j s_j and value = g core g^-1, and let prefix[f]
+be exp a_1 ... exp a_(f-1) (for f = 1 the identity). Since
+d(g^-1) = -g^-1 dg g^-1, the derivative along the basis element b of
+factor f is
+
+    [X, value],  X = dg g^-1 = prefix[f] (dexp_f(b) exp(-a_f)) prefix[f]^-1,
+
+where dexp_f(b) is the derivative of exp a_f along b; the exponentials
+after factor f cancel in dg g^-1. The derivative along the slice element
+s_j is g s_j g^-1. One loop computes these columns, exactly or in another
+arithmetic (`linalg.Arithmetic`) from the exact pieces of the value pass.
+
 The three constructions:
 
 * nilpotent e: factors [u-], slice u2 = g(>=2) of the sl2-grading through
@@ -52,6 +65,8 @@ from .grading import ParabolicData, _witness_grading, grading_by, parabolic_data
 from .jordan import jordan_decompose
 from .liealg import LieAlgebra, LieElement, ad_matrix, centralizer_basis
 from .linalg import (
+    EXACT,
+    Arithmetic,
     NotNilpotentError,
     RatMatrix,
     VectorSpan,
@@ -265,7 +280,7 @@ def _validate_chart(chart: OrbitChart, error: type) -> None:
 class _ValuePass:
     """The value of a chart and the intermediates its derivatives reuse.
 
-    series[f] is `_exp_series` of the matrix of factors[f]; prefix[f] is
+    series[f] is `_exp_series` of the matrix a_f of factors[f]; prefix[f] is
     the product of the exponentials of factors[:f] and inv_prefix[f] its
     inverse, so prefix[m] = g and inv_prefix[m] = g^-1 for m factors.
     """
@@ -273,8 +288,6 @@ class _ValuePass:
     series: list
     prefix: list
     inv_prefix: list
-    core: list
-    g_core: list
     value: list
 
 
@@ -300,9 +313,8 @@ def _value_pass(chart: OrbitChart, params: Sequence) -> _ValuePass:
     if chart.slice_basis:
         combo = g_lincomb(params[pos:], [s.row_lists() for s in chart.slice_basis], n, n)
         core = g_add(core, combo)
-    g_core = g_mul(prefix[-1], core)
-    return _ValuePass(series, prefix, inv_prefix, core, g_core,
-                      g_mul(g_core, inv_prefix[-1]))
+    return _ValuePass(series, prefix, inv_prefix,
+                      g_mul(g_mul(prefix[-1], core), inv_prefix[-1]))
 
 
 def eval_chart_rows(chart: OrbitChart, params: Sequence) -> list:
@@ -315,57 +327,60 @@ def eval_chart(chart: OrbitChart, params: Sequence) -> RatMatrix:
     return g_to_matrix(eval_chart_rows(chart, [_as_fraction(p) for p in params]))
 
 
-def eval_chart_with_derivatives(chart: OrbitChart, params: Sequence) -> tuple:
-    """Value and all first derivatives at a rational tuple.
+def _derivative_pass(chart: OrbitChart, vp: _ValuePass,
+                     arith: Arithmetic = EXACT) -> list:
+    """All first derivatives at the value pass ``vp``, as row lists in ``arith``.
 
-    Equivalent to evaluating with one dual-number perturbation per
-    parameter (epsilon^2 = 0), with the shared value parts computed once:
-    the per-factor powers and prefix products come from the value pass,
-    and the suffix products are built once here.
-    Returns (RatMatrix, [RatMatrix per parameter]).
+    The bracket form of the module docstring. Every exact piece is taken
+    from ``vp`` and reduced into ``arith`` once; the powers of a_f drive
+    dexp_f(b) = sum_k d(a_f^k)/k!, where d(a^k) = d(a^(k-1)) a + a^(k-1) b
+    can be nonzero after a^k = 0, and every term has a factor a, so a = 0
+    leaves dexp = b. The zero test only skips terms that vanish.
     """
-    vp = _value_pass(chart, [_as_fraction(p) for p in params])
     n = chart.algebra.ambient_size
-    m = len(chart.factors)
-    g, g_inv = vp.prefix[m], vp.inv_prefix[m]
-    # suffix[f] is the product of the exponentials of factors[f+1:];
-    # inv_suffix[f] is its inverse
-    suffix = [g_identity(n)] * m
-    inv_suffix = [g_identity(n)] * m
-    for f in range(m - 2, -1, -1):
-        _, e, e_inv = vp.series[f + 1]
-        suffix[f] = g_mul(e, suffix[f + 1])
-        inv_suffix[f] = g_mul(inv_suffix[f + 1], e_inv)
-    core_ginv = g_mul(vp.core, g_inv)
-
-    derivs = []
+    mul, inv_fact, reduce = arith
+    value = reduce(vp.value)
+    neg_value = g_neg(value)
+    columns = []
     for f, basis in enumerate(chart.factors):
-        powers = vp.series[f][0]
+        powers = [reduce(p) for p in vp.series[f][0]]
+        exp_neg = reduce(vp.series[f][2])
+        if f:
+            pre, inv_pre = reduce(vp.prefix[f]), reduce(vp.inv_prefix[f])
         for b_mat in basis:
-            b = b_mat.row_lists()
-            dp = b
-            dexp = b
-            dexp_neg = g_neg(b)
-            # d(a^k) = d(a^(k-1)) a + a^(k-1) b, nonzero possibly after a^k = 0;
-            # every term has a factor a, so a = 0 leaves dexp = b
+            b = reduce(b_mat.row_lists())
+            dp = dexp = b
             for k in range(2, n if len(powers) > 1 else 2):
-                dp = g_mul(dp, powers[1])
+                dp = mul(dp, powers[1])
                 if k - 1 < len(powers):
-                    dp = g_add(dp, g_mul(powers[k - 1], b))
+                    dp = g_add(dp, mul(powers[k - 1], b))
                 if g_is_zero(dp):
                     if k >= len(powers):
                         break
                     continue
-                term = g_div_int(dp, math.factorial(k))
-                dexp = g_add(dexp, term)
-                dexp_neg = g_add(dexp_neg, term if k % 2 == 0 else g_neg(term))
-            dg = g_mul(g_mul(vp.prefix[f], dexp), suffix[f])
-            dginv = g_mul(g_mul(inv_suffix[f], dexp_neg), vp.inv_prefix[f])
-            deriv = g_add(g_mul(dg, core_ginv), g_mul(vp.g_core, dginv))
-            derivs.append(g_to_matrix(deriv))
-    for s in chart.slice_basis:
-        derivs.append(g_to_matrix(g_mul(g_mul(g, s.row_lists()), g_inv)))
-    return g_to_matrix(vp.value), derivs
+                c = inv_fact(k)
+                dexp = [[x + c * y for x, y in zip(rx, ry)] for rx, ry in zip(dexp, dp)]
+            x = mul(dexp, exp_neg)
+            if f:
+                x = mul(mul(pre, x), inv_pre)
+            columns.append(g_add(mul(x, value), mul(neg_value, x)))
+    if chart.slice_basis:
+        m = len(chart.factors)
+        g, g_inv = reduce(vp.prefix[m]), reduce(vp.inv_prefix[m])
+        for s in chart.slice_basis:
+            columns.append(mul(mul(g, reduce(s.row_lists())), g_inv))
+    return columns
+
+
+def eval_chart_with_derivatives(chart: OrbitChart, params: Sequence) -> tuple:
+    """Value and all first derivatives at a rational tuple, exactly.
+
+    Equal to evaluating with one dual-number perturbation per parameter
+    (epsilon^2 = 0), computed in bracket form from one value pass.
+    Returns (RatMatrix, [RatMatrix per parameter]).
+    """
+    vp = _value_pass(chart, [_as_fraction(p) for p in params])
+    return g_to_matrix(vp.value), [g_to_matrix(c) for c in _derivative_pass(chart, vp)]
 
 
 # ---------------------------------------------------------------------------

@@ -340,13 +340,3 @@ def algebra_from_json(data: dict) -> LieAlgebra:
 
 def element_to_json(x: LieElement) -> dict:
     return {"algebra_label": x.algebra.label, "matrix": matrix_to_json(x.matrix)}
-
-
-def element_from_json(algebra: LieAlgebra, data: dict) -> LieElement:
-    if "matrix" in data:
-        return algebra.element_from_matrix(matrix_from_json(data["matrix"]))
-    if "coords" in data:
-        from .linalg import parse_rational
-
-        return algebra.element([parse_rational(c) for c in data["coords"]])
-    raise ValueError("element JSON needs 'matrix' or 'coords'")

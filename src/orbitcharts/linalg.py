@@ -10,8 +10,10 @@ Fraction subclass) goes through `Fraction(x)`. Results of Fraction
 arithmetic are exact Fractions already, so matrix operations construct
 each result entry once.
 Rank and kernel computations run fraction-free (Bareiss) on integer-scaled
-rows to control coefficient growth. Every function is pure and
-deterministic: rerunning on equal inputs gives bit-identical results.
+rows to control coefficient growth; the same elimination loop also runs
+over F_p, into which `mod_p_arithmetic` reduces exact values for rank
+certificates. Every function is pure and deterministic: rerunning on equal
+inputs gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 Rational = Fraction
 
@@ -227,16 +229,8 @@ def g_add(a: list, b: list) -> list:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def g_sub(a: list, b: list) -> list:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def g_neg(a: list) -> list:
     return [[-x for x in row] for row in a]
-
-
-def g_scale(a: list, s) -> list:
-    return [[s * x for x in row] for row in a]
 
 
 def g_div_int(a: list, k: int) -> list:
@@ -283,6 +277,66 @@ def g_to_matrix(a: list) -> RatMatrix:
     return RatMatrix.from_rows(a)
 
 
+class Arithmetic(NamedTuple):
+    """The scalars a generic row-list loop runs in.
+
+    ``mul`` is the matrix product, ``inv_fact(k)`` the scalar 1/k!, and
+    ``reduce`` takes a row list of exact Fractions into these scalars.
+    Sums and negations are plain `g_add` and `g_neg`.
+    """
+
+    mul: Callable
+    inv_fact: Callable
+    reduce: Callable
+
+
+EXACT = Arithmetic(g_mul, lambda k: Fraction(1, math.factorial(k)), lambda rows: rows)
+
+
+class NotInvertibleModP(ArithmeticError):
+    """A denominator is divisible by the modulus: the value has no image mod p."""
+
+
+def mod_p_arithmetic(p: int) -> Arithmetic:
+    """Arithmetic of F_p on the rationals whose denominators p does not divide.
+
+    ``reduce`` applies the ring map Z_(p) -> F_p, num/den -> num * den^-1
+    mod p, and raises NotInvertibleModP on any other rational (as does
+    ``inv_fact(k)`` when p divides k!); each denominator is inverted once.
+    Products are reduced into [0, p). Sums and negations of reduced values
+    are left unreduced: they stay in their residue class, and the next
+    product reduces them.
+    """
+    inverses = {1: 1}
+
+    def inverse(d: int) -> int:
+        inv = inverses.get(d)
+        if inv is None:
+            if d % p == 0:
+                raise NotInvertibleModP(f"{p} divides the denominator {d}")
+            inv = inverses[d] = pow(d, -1, p)
+        return inv
+
+    def reduce(rows: list) -> list:
+        return [[x.numerator * inverse(x.denominator) % p if x else 0 for x in row]
+                for row in rows]
+
+    def mul(a: list, b: list) -> list:
+        cols = len(b[0])
+        out = []
+        for arow in a:
+            acc = [0] * cols
+            for aik, brow in zip(arow, b):
+                if aik:
+                    for j, bkj in enumerate(brow):
+                        if bkj:
+                            acc[j] += aik * bkj
+            out.append([x % p for x in acc])
+        return out
+
+    return Arithmetic(mul, lambda k: inverse(math.factorial(k)), reduce)
+
+
 # ---------------------------------------------------------------------------
 # Fraction-free elimination (Bareiss)
 # ---------------------------------------------------------------------------
@@ -301,11 +355,16 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple:
     return out, factors
 
 
-def _bareiss(rows: list) -> tuple:
+def _bareiss(rows: list, modulus: int | None = None) -> tuple:
     """In-place fraction-free echelon form.
 
     Returns (rows, pivot_columns, swap_count). Entries stay integral; each
-    elimination step divides exactly by the previous pivot.
+    elimination step divides exactly by the previous pivot. With a prime
+    ``modulus`` the same loop eliminates over the field F_p instead: the
+    rows must hold integers, none of them a nonzero multiple of the
+    modulus, each step reduces ``row_i * piv - ric * row_r`` mod p and the
+    division by the previous pivot is dropped (every nonzero pivot is a
+    unit). The pivot columns then give the rank over F_p.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -329,8 +388,12 @@ def _bareiss(rows: list) -> tuple:
             ric = rows[i][c]
             row_i = rows[i]
             row_r = rows[r]
-            for j in range(c, n):
-                row_i[j] = (row_i[j] * piv - ric * row_r[j]) // prev
+            if modulus is None:
+                for j in range(c, n):
+                    row_i[j] = (row_i[j] * piv - ric * row_r[j]) // prev
+            elif ric:
+                for j in range(c, n):
+                    row_i[j] = (row_i[j] * piv - ric * row_r[j]) % modulus
         prev = piv
         piv_cols.append(c)
         r += 1
@@ -535,9 +598,6 @@ class VectorSpan:
                     if trow[j]:
                         coords[j] += a * trow[j]
         return tuple(coords)
-
-    def contains(self, vector: Sequence[Fraction]) -> bool:
-        return self.coords_of(vector) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,15 @@ Reports are pure functions of (inputs, seed). Every sampled quantity flows
 from one splitmix64 stream, so reruns are byte-identical. Failures are
 recorded in the report, never thrown.
 
+The Jacobian checks certify full rank modulo the prime p = 2^61 - 1. At
+each point one exact value pass is made; the derivative columns are then
+computed over F_p from its pieces and eliminated there. If p divides no
+denominator of those pieces and the F_p rank equals the number of columns,
+some maximal minor is nonzero mod p, hence nonzero over Q, so the exact
+rank is full and the report is what exact elimination would give. In every
+other case the exact columns are computed and ranked by Bareiss
+elimination (`_jacobian_rank`).
+
 The reductivity of a centralizer is tested through its proxy: the ambient
 trace form restricted to the centralizer is nondegenerate. This is valid
 for the algebraic subalgebras arising here (centralizers of semisimple
@@ -20,10 +29,11 @@ from typing import List, Sequence
 
 from .charts import (
     OrbitChart,
+    _derivative_pass,
     _exp_series,
     _slice_span,
+    _value_pass,
     build_chart,
-    eval_chart_with_derivatives,
 )
 from .grading import WitnessNotFoundError, semisimple_for_levi
 from .jordan import jordan_decompose
@@ -36,14 +46,18 @@ from .liealg import (
 )
 from .linalg import (
     ONE,
+    NotInvertibleModP,
     RatMatrix,
     VectorSpan,
     ZERO,
+    _as_fractions,
+    _bareiss,
     char_poly,
     det,
     g_lincomb,
     g_to_matrix,
     matrix_to_json,
+    mod_p_arithmetic,
     rank,
     rational_str,
 )
@@ -98,22 +112,70 @@ def report_to_json(report: VerificationReport) -> dict:
 # Jacobians
 # ---------------------------------------------------------------------------
 
+# The prime of the full-rank certificate (the Mersenne prime 2^61 - 1).
+JACOBIAN_PRIME = 2 ** 61 - 1
+
 
 def jacobian_rank_at(chart: OrbitChart, params: Sequence) -> int:
     """Exact rank of the differential of the chart at ``params``.
 
-    Columns are the directional derivatives, one dual-number perturbation
-    per parameter, flattened to ambient coordinates.
+    Columns are the directional derivatives, one per parameter, flattened
+    to ambient coordinates; see `_jacobian_rank`.
     """
-    _, derivs = eval_chart_with_derivatives(chart, params)
-    return _rank_of_derivs(derivs)
+    return _jacobian_rank(chart, _value_pass(chart, _as_fractions(params)))
 
 
-def _rank_of_derivs(derivs: Sequence[RatMatrix]) -> int:
+def _jacobian_rank(chart: OrbitChart, vp, prime: int = JACOBIAN_PRIME) -> int:
+    """Exact rank of the derivative columns at the exact value pass ``vp``.
+
+    Certificate first: the derivative pass runs over F_p on the pieces of
+    ``vp`` (`_rank_mod_p`). Every derivative entry is a polynomial, with
+    coefficients 1/k!, in the entries of those pieces and of the chart's
+    basis matrices. So when p divides none of their denominators and no
+    k! that occurs, the columns mod p are the image of the exact columns under the ring map
+    Z_(p) -> F_p, and so is every minor. An F_p rank equal to
+    ``param_count`` (the number of columns) then exhibits a maximal minor
+    that is nonzero mod p, hence nonzero over Q: the exact rank is
+    ``param_count``. Otherwise (p divides a denominator, or the F_p rank
+    falls short, which a genuine deficit and an unlucky prime both cause)
+    the exact columns are computed from ``vp`` and ranked by Bareiss
+    elimination. Either way the result is the exact rank.
+    """
+    if _rank_mod_p(chart, vp, prime) == chart.param_count:
+        return chart.param_count
+    return _rank_of_derivs(_derivative_pass(chart, vp))
+
+
+def _rank_mod_p(chart: OrbitChart, vp, prime: int) -> int | None:
+    """Rank over F_p of the derivative columns at ``vp``, or None when the
+    prime divides a denominator of the pieces they are computed from."""
+    try:
+        columns = _derivative_pass(chart, vp, mod_p_arithmetic(prime))
+    except NotInvertibleModP:
+        return None
+    rows = [[x % prime for row in col for x in row] for col in columns]
+    return len(_bareiss(rows, modulus=prime)[1])
+
+
+def _rank_of_derivs(derivs: Sequence[list]) -> int:
+    """Exact rank of derivative columns given as row lists of Fractions."""
     if not derivs:
         return 0
-    rows = [list(d.flatten()) for d in derivs]
-    return rank(RatMatrix.from_rows(rows))
+    return rank(RatMatrix.from_rows([[x for row in d for x in row] for d in derivs]))
+
+
+def _power_ranks(m: RatMatrix) -> list:
+    """[rank(m^k) for k = 1 .. n-1], one product per power; once a power
+    vanishes the remaining ranks are 0."""
+    ranks = []
+    power = m
+    for k in range(1, m.rows):
+        if power.is_zero():
+            return ranks + [0] * (m.rows - k)
+        ranks.append(rank(power))
+        if k + 1 < m.rows:
+            power = power * m
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +311,9 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
             passed=(inner_cdim == oracle_cdim),
         ))
 
-    base_value, base_derivs = eval_chart_with_derivatives(chart, chart.base_params)
-    base_rank = _rank_of_derivs(base_derivs)
+    base_vp = _value_pass(chart, _as_fractions(chart.base_params))
+    base_value = g_to_matrix(base_vp.value)
+    base_rank = _jacobian_rank(chart, base_vp)
     checks.append(Check(
         "base_point_identity",
         expected=True,
@@ -283,9 +346,9 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
                 break
             params = _sample_params(chart, nil, slice_span, rng)
         seen.add(params)
-        value, derivs = eval_chart_with_derivatives(chart, params)
-        values.append(value)
-        ranks.append(_rank_of_derivs(derivs))
+        vp = _value_pass(chart, params)
+        values.append(g_to_matrix(vp.value))
+        ranks.append(_jacobian_rank(chart, vp))
     checks.append(Check(
         "jacobian_rank_samples",
         expected=[chart.expected_orbit_dim] * samples,
@@ -312,11 +375,8 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
     ))
 
     if chart.case_tag == "nilpotent":
-        n = algebra.ambient_size
-        base_ranks = [rank(x.matrix.power(k)) for k in range(1, n)]
-        observed_ranks = sorted({
-            tuple(rank(v.power(k)) for k in range(1, n)) for v in values
-        })
+        base_ranks = _power_ranks(x.matrix)
+        observed_ranks = sorted({tuple(_power_ranks(v)) for v in values})
         ok = (not values) or observed_ranks == [tuple(base_ranks)]
         checks.append(Check(
             "jordan_type_preserved",

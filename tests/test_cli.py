@@ -139,6 +139,16 @@ class TestVerify:
         assert code == 0
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
+    def test_golden_sl6_regular_nilpotent(self):
+        # 30 Jacobian columns per sample and five powers per Jordan-type check
+        rows = [[str(int(j == i + 1)) for j in range(6)] for i in range(6)]
+        code, out = run(["verify", "--family", "sl", "--size", "6",
+                         "--element", json.dumps({"matrix": rows}),
+                         "--seed", "42", "--samples", "10"])
+        assert code == 0
+        golden = GOLDEN / "sl6_regular_nilpotent_verify.json"
+        assert out == golden.read_text(encoding="utf-8")
+
     def test_non_split_rejected_exit_4(self, capsys):
         code, out = run(["verify", "--family", "sl", "--size", "3",
                          "--element", CUBIC3])
