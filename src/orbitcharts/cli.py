@@ -5,8 +5,10 @@
 
 stdout carries only JSON (stable key order, canonical rational strings);
 diagnostics go to stderr. Exit codes: 0 success (for `verify`: all checks
-passed), 1 failed verification checks, 2 parse error, 3 element not in the
-algebra, 4 witness search failure, 5 zero element / zero semisimple part.
+passed), 1 failed verification checks, 2 parse error (a negative
+`--samples` included) or an `--out` file that cannot be written, 3 element
+not in the algebra, 4 witness search failure, 5 zero element / zero
+semisimple part.
 """
 
 from __future__ import annotations
@@ -190,6 +192,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+    if args.samples < 0:
+        print(f"orbit: --samples must be nonnegative, got {args.samples}",
+              file=sys.stderr)
+        return EXIT_PARSE
     config = RunConfig(
         algebra_family=args.family,
         size=args.size,
@@ -217,7 +223,11 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     text = json.dumps(result, indent=2) + "\n"
     if config.output:
-        Path(config.output).write_text(text, encoding="utf-8")
+        try:
+            Path(config.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"orbit: cannot write {config.output!r}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         sys.stdout.write(text)
     if args.command == "verify" and not result["overall_pass"]:

@@ -234,7 +234,7 @@ def g_neg(a: list) -> list:
 
 
 def g_div_int(a: list, k: int) -> list:
-    return [[x / k for x in row] for row in a]
+    return [[x / k if x else x for x in row] for row in a]
 
 
 def g_mul(a: list, b: list) -> list:
@@ -347,10 +347,8 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple:
     out = []
     factors = []
     for row in rows:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
+        scale = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
         factors.append(scale)
     return out, factors
 
@@ -413,13 +411,8 @@ def rank(m: RatMatrix) -> int:
 
 def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple:
     """Scale a nonzero rational vector to coprime integers, leading entry positive."""
-    scale = 1
-    for x in vec:
-        scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    (ints,), _ = _int_rows([vec])
+    g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     ints = [v // g for v in ints]
@@ -441,22 +434,37 @@ def kernel_basis(m: RatMatrix) -> list:
     if m.rows == 0:
         return [tuple(ONE if j == f else ZERO for j in range(ncols)) for f in range(ncols)]
     rows, _ = _int_rows(m.row_lists())
+    return _int_kernel_basis(rows, ncols)
+
+
+def _int_kernel_basis(rows: list, ncols: int) -> list:
+    """`kernel_basis` of nonempty integer rows (eliminated in place): Bareiss,
+    back-substitution, primitive form.
+
+    The back-substitution stays in integers. For the free column f, with t
+    pivot columns before it, x_f starts at the t-th Bareiss pivot, which is
+    the determinant of the t x t pivot minor; by Cramer's rule every entry
+    solved is then an integer, so each division is exact.
+    """
     ech, piv, _ = _bareiss(rows)
     pivset = set(piv)
     basis = []
     for f in range(ncols):
         if f in pivset:
             continue
-        x = [ZERO] * ncols
-        x[f] = ONE
-        for idx in range(len(piv) - 1, -1, -1):
+        t = sum(1 for c in piv if c < f)
+        x = [0] * ncols
+        x[f] = ech[t - 1][piv[t - 1]] if t else 1
+        for idx in range(t - 1, -1, -1):
             c = piv[idx]
             row = ech[idx]
-            s = ZERO
+            s = 0
             for j in range(c + 1, ncols):
                 if x[j]:
                     s += row[j] * x[j]
-            x[c] = Fraction(-s, row[c])
+            x[c], rem = divmod(-s, row[c])
+            if rem:
+                raise ArithmeticError("inexact division in fraction-free back-substitution")
         basis.append(primitive_integer_vector(x))
     return basis
 
@@ -570,7 +578,7 @@ class VectorSpan:
                 break
         if r < m:
             raise ValueError("vectors are linearly dependent")
-        self._rref = rref
+        self._rref_support = [[(j, y) for j, y in enumerate(row) if y] for row in rref]
         self._transform = transform
         self._pivots = pivots
 
@@ -584,12 +592,13 @@ class VectorSpan:
             raise ValueError("vector length mismatch")
         alphas = [vector[p] for p in self._pivots]
         residual = list(vector)
-        for a, row in zip(alphas, self._rref):
+        for a, support in zip(alphas, self._rref_support):
             if a:
-                residual = [x - a * y for x, y in zip(residual, row)]
+                for j, y in support:
+                    residual[j] -= a * y
         if any(residual):
             return None
-        m = len(self._rref)
+        m = len(self._transform)
         coords = [ZERO] * m
         for i, a in enumerate(alphas):
             if a:

@@ -275,8 +275,11 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
     the chart that `build_chart` makes for (algebra, x, seed); the report
     then also checks that the rebuilt chart's flat data equal the given
     chart's (``rebuilt_chart_identity``), so ``seed`` must be the seed the
-    given chart was built with.
+    given chart was built with. A negative ``samples`` raises ValueError
+    before any work.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     rng = SplitMix64(seed)
     checks: List[Check] = []
     scaffold = chart

@@ -22,6 +22,10 @@ SP4_REGULAR = ('{"matrix": [["0","1","0","0"],["0","0","1","0"],'
                '["0","0","0","-1"],["0","0","0","0"]]}')
 
 
+def _no_chart(*_args):
+    raise AssertionError("a chart was built")
+
+
 def run(args):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -204,6 +208,25 @@ class TestVerify:
         assert out == ""
         data = json.loads(target.read_text(encoding="utf-8"))
         assert data["overall_pass"] is True
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code, out = run(["verify", "--family", "sl", "--size", "2",
+                         "--element", H2, "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert "orbit: cannot write" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_negative_samples_exit_2(self, capsys, monkeypatch):
+        import orbitcharts.cli as cli
+
+        monkeypatch.setattr(cli, "build_chart", _no_chart)
+        code, out = run(["verify", "--family", "sl", "--size", "2",
+                         "--element", H2, "--samples", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "--samples must be nonnegative" in capsys.readouterr().err
 
     def test_malformed_element_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,10 @@ from conftest import (
     nontrivial_partitions,
 )
 from orbitcharts.grading import (
+    Grading,
     NonIntegerSpectrumError,
     WitnessNotFoundError,
+    _certify_pieces,
     _natural_weights,
     grading_by,
     grading_to_json,
@@ -26,7 +29,14 @@ from orbitcharts.liealg import (
     build_classical,
     centralizer_basis,
 )
-from orbitcharts.linalg import RatMatrix, char_poly, integer_roots, kernel_basis
+from orbitcharts.linalg import (
+    RatMatrix,
+    VectorSpan,
+    char_poly,
+    commutator,
+    integer_roots,
+    kernel_basis,
+)
 from orbitcharts.sl2 import jacobson_morozov
 
 F = Fraction
@@ -146,6 +156,133 @@ class TestNaturalWeights:
         companion = element(sl3, [[0, 0, 2], [1, 0, 0], [0, 1, 0]])  # t^3 - 2
         with pytest.raises(NonIntegerSpectrumError, match="span 2 of 8"):
             grading_by(sl3, companion)
+
+
+def _upper_nilpotent_basis(algebra):
+    n = algebra.ambient_size
+    return [b for b in algebra.basis
+            if all(not b.at(i, j) for i in range(n) for j in range(i + 1))]
+
+
+def _split_jm_elements(family, n):
+    """JM h of each strictly upper-triangular basis element of so(n) or
+    sp(n), and of their sum (a regular nilpotent)."""
+    algebra = build_classical(family, n)
+    upper = _upper_nilpotent_basis(algebra)
+    total = upper[0]
+    for b in upper[1:]:
+        total = total + b
+    return [(algebra, jacobson_morozov(algebra, algebra.element_from_matrix(e)).h)
+            for e in upper + [total]]
+
+
+# One diagonal per multiplicity pattern of sl3-sl5, distinct block values.
+_WITNESS_DIAGONALS = [
+    [1, 1, -2], [1, 0, -1],
+    [1, 1, 1, -3], [1, 1, -1, -1], [2, 2, -1, -3], [3, 1, -1, -3],
+    [1, 1, 1, 1, -4], [2, 2, 2, -3, -3], [3, 3, 3, -4, -5], [1, 1, -1, -1, 0],
+    [2, 2, 1, -1, -4], [2, 1, 0, -1, -2],
+]
+
+
+def _witness_elements():
+    out = []
+    for values in _WITNESS_DIAGONALS:
+        algebra = build_classical("sl", len(values))
+        x = algebra.element_from_matrix(diag_matrix(values))
+        levi = centralizer_basis(algebra, x)
+        out.append((algebra, semisimple_for_levi(algebra, levi, 42)))
+    return out
+
+
+def _non_split_element():
+    # h = A (+) (A + I) with A = [[0, 2], [1, 0]], as in TestNaturalWeights
+    h = RatMatrix.from_rows([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 1, 2], [0, 0, 1, 1]])
+    e = RatMatrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
+    algebra = LieAlgebra((h, e), "span{h, E} in gl4")
+    return [(algebra, algebra.element_from_matrix(h))]
+
+
+def _skewed_elements():
+    """sl2 and sl3 in bases with fractional multiples of a Cartan element
+    added, so that rows of ad h have denominators other than 1."""
+    out = []
+    for n, h_diag in ((2, [1, -1]), (3, [1, 0, -1])):
+        standard = build_classical("sl", n)
+        d = diag_matrix([1, -1] + [0] * (n - 2))
+        basis = [b + d.scale(F(1, k + 3)) for k, b in enumerate(standard.basis)]
+        algebra = LieAlgebra(tuple(basis), f"sl{n} in a skewed basis")
+        out.append((algebra, algebra.element_from_matrix(diag_matrix(h_diag))))
+    return out
+
+
+_CORPORA = {
+    "sl-jm": lambda: [c for n in (3, 4, 5, 6) for c in _jm_elements(n)],
+    "so-sp-jm": lambda: [c for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6))
+                         for c in _split_jm_elements(family, n)],
+    "sl-witness": _witness_elements,
+    "non-split": _non_split_element,
+    "skewed": _skewed_elements,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_gradings(name):
+    return [(algebra, h, grading_by(algebra, h)) for algebra, h in _CORPORA[name]()]
+
+
+class TestIntegerRowsAndCertificate:
+    @pytest.mark.parametrize("name", sorted(_CORPORA))
+    def test_pieces_equal_rational_kernels(self, name):
+        for algebra, h, g in _corpus_gradings(name):
+            ad_h = ad_matrix(algebra, h)
+            ident = RatMatrix.identity(algebra.dim)
+            assert sum(g.piece_dims().values()) == algebra.dim
+            for i, els in g.pieces.items():
+                assert [el.coords for el in els] \
+                    == kernel_basis(ad_h - ident.scale(i)), (algebra.label, i)
+
+    def test_skewed_rows_are_fractional(self):
+        for algebra, h, _ in _corpus_gradings("skewed"):
+            ad_h = ad_matrix(algebra, h)
+            assert any(x.denominator > 1 for x in ad_h.entries), algebra.label
+
+    @pytest.mark.parametrize("name", sorted(_CORPORA))
+    def test_every_pair_bracket_is_graded(self, name):
+        for algebra, _, g in _corpus_gradings(name):
+            spans = {i: VectorSpan([el.matrix.flatten() for el in els])
+                     for i, els in g.pieces.items()}
+            items = [(i, el) for i, els in g.pieces.items() for el in els]
+            for a, (i, x) in enumerate(items):
+                for j, y in items[a:]:
+                    prod = commutator(x.matrix, y.matrix)
+                    if i + j in spans:
+                        assert spans[i + j].coords_of(prod.flatten()) is not None
+                    else:
+                        assert prod.is_zero(), (algebra.label, i, j)
+
+    def test_relabelled_element_rejected(self):
+        _, _, g = _corpus_gradings("sl-jm")[0]
+        pieces = dict(g.pieces)
+        moved = pieces[2][0]
+        pieces[2] = pieces[2][1:]
+        pieces[0] = pieces[0] + (moved,)
+        index = len(pieces[0]) - 1
+        with pytest.raises(NonIntegerSpectrumError,
+                           match=rf"element {index} of g\(0\) is not an eigenvector"):
+            _certify_pieces(Grading(g.algebra, g.grading_element, pieces))
+
+    def test_non_eigenvector_rejected(self):
+        for name in ("sl-jm", "so-sp-jm", "sl-witness"):
+            _, _, g = _corpus_gradings(name)[-1]
+            pieces = dict(g.pieces)
+            top = max(pieces)
+            x, y = pieces[top][0], pieces[0][0]
+            mixed = g.algebra.element(tuple(a + b for a, b in zip(x.coords, y.coords)))
+            pieces[top] = (mixed,) + pieces[top][1:]
+            with pytest.raises(NonIntegerSpectrumError,
+                               match=rf"element 0 of g\({top}\) is not an eigenvector"):
+                _certify_pieces(Grading(g.algebra, g.grading_element, pieces))
 
 
 class TestParabolicData:

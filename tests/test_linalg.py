@@ -60,6 +60,34 @@ class TestKernelAndRank:
                 assert all(s == 0 for s in
                            (sum(m.at(i, j) * v[j] for j in range(c)) for i in range(r)))
 
+    def test_kernel_matches_independent_solve(self):
+        # Kernel vector of free column f: x_f = 1, the other free entries 0,
+        # the pivot entries solved by solve_linear, then primitive form.
+        rng = SplitMix64(11)
+        for _ in range(30):
+            c = rng.randint(2, 7)
+            base = [[rng.fraction() for _ in range(c)] for _ in range(rng.randint(1, 4))]
+            combos = [[sum(rng.randint(-2, 2) * row[j] for row in base) for j in range(c)]
+                      for _ in range(rng.randint(0, 3))]
+            m = M(base + combos)
+            cols = [[m.at(i, j) for i in range(m.rows)] for j in range(c)]
+            pivots = [j for j in range(c) if rank(M(list(zip(*cols[:j + 1])))) >
+                      (rank(M(list(zip(*cols[:j])))) if j else 0)]
+            expected = []
+            for f in (j for j in range(c) if j not in pivots):
+                y = solve_linear(M(list(zip(*(cols[p] for p in pivots)))),
+                                 [-v for v in cols[f]]) if pivots else ()
+                x = [F(0)] * c
+                x[f] = F(1)
+                for p, v in zip(pivots, y):
+                    x[p] = v
+                scale = math.lcm(*(v.denominator for v in x))
+                ints = [int(v * scale) for v in x]
+                g = math.gcd(*ints)
+                sign = -1 if next(v for v in ints if v) < 0 else 1
+                expected.append(tuple(F(sign * v // g) for v in ints))
+            assert kernel_basis(m) == expected
+
     def test_rank_fractional_entries(self):
         assert rank(M([[F(1, 2), F(1, 3)], [F(1, 1), F(1, 1)]])) == 2
         assert rank(M([[F(1, 2), F(1, 3)], [F(3, 2), F(1, 1)]])) == 1

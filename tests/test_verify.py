@@ -63,6 +63,19 @@ class TestVerifyChart:
         assert rep.overall_pass
         assert rep.check("jacobian_rank_base").observed == 2
 
+    def test_negative_samples_rejected_up_front(self, sl2, monkeypatch):
+        import orbitcharts.verify as verify
+
+        def no_work(*_args):
+            raise AssertionError("verification work started")
+
+        e = element(sl2, [[0, 1], [0, 0]])
+        chart = chart_nilpotent(sl2, e)
+        monkeypatch.setattr(verify, "centralizer_basis", no_work)
+        monkeypatch.setattr(verify, "build_chart", no_work)
+        with pytest.raises(ValueError, match="samples must be nonnegative"):
+            verify_chart(sl2, e, chart, 42, -1)
+
     def test_sl3_minimal_flags_u2(self, sl3):
         e13 = sl3.element_from_matrix(elem(3, 0, 2))
         chart = chart_nilpotent(sl3, e13)
