@@ -39,7 +39,6 @@ from .linalg import (
     NotNilpotentError,
     Polynomial,
     RatMatrix,
-    Rational,
     char_poly,
     det,
     integer_roots,

@@ -79,7 +79,6 @@ from .linalg import (
     g_lincomb,
     g_mul,
     g_neg,
-    g_to_matrix,
     g_zero,
     matrix_from_json,
     matrix_to_json,
@@ -166,7 +165,7 @@ def exp_nilpotent(a: RatMatrix) -> RatMatrix:
     """exp of a nilpotent matrix, summed exactly; inverse is exp(-a)."""
     if a.rows != a.cols:
         raise NotNilpotentError("exp of a non-square matrix")
-    return g_to_matrix(_exp_series(a.row_lists(), a.rows)[1])
+    return RatMatrix.from_rows(_exp_series(a.row_lists(), a.rows)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def exp_nilpotent(a: RatMatrix) -> RatMatrix:
 
 def _slice_span(slice_basis: Sequence[RatMatrix], n: int) -> VectorSpan:
     """Span of the flattened slice basis, in ambient n x n coordinates."""
-    return VectorSpan([m.flatten() for m in slice_basis], length=n * n)
+    return VectorSpan([m.entries for m in slice_basis], length=n * n)
 
 
 def _make_chart(case_tag: str, base: LieElement, factors: tuple,
@@ -195,7 +194,7 @@ def _make_chart(case_tag: str, base: LieElement, factors: tuple,
         slice_basis, slice_base = inner.slice_basis, inner.slice_base
     elif slice_basis:
         slice_base = _slice_span(slice_basis, base.algebra.ambient_size).coords_of(
-            base.matrix.flatten())
+            base.matrix.entries)
         if slice_base is None:
             raise error("base element does not lie in the slice span")
     chart = OrbitChart(case_tag, base, factors, shift, slice_basis, slice_base,
@@ -324,7 +323,7 @@ def eval_chart_rows(chart: OrbitChart, params: Sequence) -> list:
 
 def eval_chart(chart: OrbitChart, params: Sequence) -> RatMatrix:
     """Exact evaluation at a rational parameter tuple."""
-    return g_to_matrix(eval_chart_rows(chart, [_as_fraction(p) for p in params]))
+    return RatMatrix.from_rows(eval_chart_rows(chart, [_as_fraction(p) for p in params]))
 
 
 def _derivative_pass(chart: OrbitChart, vp: _ValuePass,
@@ -380,7 +379,8 @@ def eval_chart_with_derivatives(chart: OrbitChart, params: Sequence) -> tuple:
     Returns (RatMatrix, [RatMatrix per parameter]).
     """
     vp = _value_pass(chart, [_as_fraction(p) for p in params])
-    return g_to_matrix(vp.value), [g_to_matrix(c) for c in _derivative_pass(chart, vp)]
+    return (RatMatrix.from_rows(vp.value),
+            [RatMatrix.from_rows(c) for c in _derivative_pass(chart, vp)])
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,15 @@ def _load_element_matrix(source: str) -> RatMatrix:
 
 
 def _resolve(config: RunConfig) -> tuple:
-    algebra = build_classical(config.algebra_family, config.size)
+    """The algebra and the element. The element is parsed and its shape
+    checked first: building the algebra takes seconds at large sizes, and a
+    bad element should not wait for it."""
     matrix = _load_element_matrix(config.element_source)
     if matrix.rows != config.size or matrix.cols != config.size:
         raise NotInAlgebraError(
             f"element is {matrix.rows}x{matrix.cols}, expected {config.size}x{config.size}"
         )
+    algebra = build_classical(config.algebra_family, config.size)
     element = algebra.element_from_matrix(matrix)
     return algebra, element
 

@@ -232,8 +232,7 @@ def parabolic_data(grading: Grading) -> ParabolicData:
     return ParabolicData(grading, p, u, u_minus, u2, levi0)
 
 
-def semisimple_for_levi(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
-                        budget: int = 64) -> LieElement:
+def semisimple_for_levi(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> LieElement:
     """Integer semisimple z, central in ``levi``, with centralizer exactly ``levi``.
 
     Attempt 0 takes the all-ones coordinate vector in the center basis (which
@@ -241,17 +240,17 @@ def semisimple_for_levi(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
     attempts draw integer coordinates from [-n^2, n^2] with the seeded
     generator. Each candidate is fully verified before being returned.
     Raises `WitnessNotFoundError` when no witness can exist or none is found
-    within ``budget`` attempts.
+    within `_WITNESS_ATTEMPTS` (64) attempts.
     """
-    return _witness_grading(algebra, levi, seed, budget).grading_element
+    return _witness_grading(algebra, levi, seed).grading_element
 
 
+_WITNESS_ATTEMPTS = 64
 _REJECTION_REASONS = ("zero", "not semisimple", "outside the algebra",
                       "centralizer too large", "not central", "non-integer spectrum")
 
 
-def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
-                     budget: int = 64) -> Grading:
+def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Grading:
     """The grading by the witness `semisimple_for_levi` returns; the grading
     is the last step of the witness's validation, so it is computed once.
 
@@ -293,7 +292,7 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
     rng = SplitMix64(seed)
     bound = n * n
     rejected = dict.fromkeys(_REJECTION_REASONS, 0)
-    for attempt in range(budget):
+    for attempt in range(_WITNESS_ATTEMPTS):
         if attempt == 0:
             coords = [1] * center.dim
         else:
@@ -305,7 +304,7 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int,
         rejected[outcome] += 1
     counts = ", ".join(f"{reason}: {count}" for reason, count in rejected.items())
     raise WitnessNotFoundError(
-        f"no witness for {levi.label} within {budget} attempts (seed {seed}); "
+        f"no witness for {levi.label} within {_WITNESS_ATTEMPTS} attempts (seed {seed}); "
         f"rejected: {counts}"
     )
 
@@ -332,13 +331,3 @@ def _grade_candidate(algebra: LieAlgebra, levi: LieAlgebra, levi_coords: list,
         return grading_by(algebra, z)
     except NonIntegerSpectrumError:
         return "non-integer spectrum"
-
-
-def grading_to_json(grading: Grading) -> dict:
-    return {
-        "grading_element": matrix_to_json(grading.grading_element.matrix),
-        "pieces": {
-            str(i): [matrix_to_json(el.matrix) for el in els]
-            for i, els in grading.pieces.items()
-        },
-    }

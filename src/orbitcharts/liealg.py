@@ -36,7 +36,6 @@ from .linalg import (
     _as_fractions,
     commutator,
     kernel_basis,
-    matrix_from_json,
     matrix_to_json,
     vstack,
 )
@@ -64,7 +63,7 @@ class LieAlgebra:
         self.ambient_size = ambient_size
         self.family = family
         try:
-            self._span = VectorSpan([b.flatten() for b in basis],
+            self._span = VectorSpan([b.entries for b in basis],
                                     length=ambient_size * ambient_size)
         except ValueError as exc:
             raise ValueError(f"{label}: basis is linearly dependent") from exc
@@ -88,7 +87,7 @@ class LieAlgebra:
         for i in range(m):
             for j in range(i + 1, m):
                 prod = commutator(self.basis[i], self.basis[j])
-                coords = self._span.coords_of(prod.flatten())
+                coords = self._span.coords_of(prod.entries)
                 if coords is None:
                     raise ValueError(
                         f"{self.label}: basis is not bracket-closed "
@@ -103,7 +102,7 @@ class LieAlgebra:
     def coords_of_matrix(self, matrix: RatMatrix):
         if matrix.rows != self.ambient_size or matrix.cols != self.ambient_size:
             return None
-        return self._span.coords_of(matrix.flatten())
+        return self._span.coords_of(matrix.entries)
 
     def contains_matrix(self, matrix: RatMatrix) -> bool:
         return self.coords_of_matrix(matrix) is not None
@@ -323,19 +322,6 @@ def block_levi(n: int, composition: Sequence[int]) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def algebra_to_json(algebra: LieAlgebra) -> dict:
-    return {
-        "label": algebra.label,
-        "ambient_size": algebra.ambient_size,
-        "basis": [matrix_to_json(b) for b in algebra.basis],
-    }
-
-
-def algebra_from_json(data: dict) -> LieAlgebra:
-    basis = [matrix_from_json(b) for b in data["basis"]]
-    return LieAlgebra(basis, data["label"], ambient_size=data["ambient_size"])
 
 
 def element_to_json(x: LieElement) -> dict:

@@ -9,11 +9,13 @@ a string such as "1/10" instead), and anything else (an int, a string, a
 Fraction subclass) goes through `Fraction(x)`. Results of Fraction
 arithmetic are exact Fractions already, so matrix operations construct
 each result entry once.
-Rank and kernel computations run fraction-free (Bareiss) on integer-scaled
-rows to control coefficient growth; the same elimination loop also runs
-over F_p, into which `mod_p_arithmetic` reduces exact values for rank
-certificates. Every function is pure and deterministic: rerunning on equal
-inputs gives bit-identical results.
+Every exact elimination (`rank`, `det`, `kernel_basis`, `solve_linear` and
+`VectorSpan`) runs one fraction-free loop, `_bareiss`, on integer-scaled
+rows to control coefficient growth, and every solve after it runs one
+integer back-substitution, `_back_substitute`. The same elimination loop
+also runs over F_p, into which `mod_p_arithmetic` reduces exact values for
+rank certificates. Every function is pure and deterministic: rerunning on
+equal inputs gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -137,7 +137,7 @@ class RatMatrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            return g_to_matrix(g_mul(self.row_lists(), other.row_lists()))
+            return RatMatrix.from_rows(g_mul(self.row_lists(), other.row_lists()))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -183,9 +183,6 @@ class RatMatrix:
                 return True
             p = p * self
         return p.is_zero()
-
-    def flatten(self) -> tuple:
-        return self.entries
 
     def _check_same_shape(self, other: "RatMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -271,10 +268,6 @@ def g_lincomb(coeffs: Sequence, mats: Sequence[list], rows: int, cols: int) -> l
 
 def g_is_zero(a: list) -> bool:
     return all(not x for row in a for x in row)
-
-
-def g_to_matrix(a: list) -> RatMatrix:
-    return RatMatrix.from_rows(a)
 
 
 class Arithmetic(NamedTuple):
@@ -439,34 +432,36 @@ def kernel_basis(m: RatMatrix) -> list:
 
 def _int_kernel_basis(rows: list, ncols: int) -> list:
     """`kernel_basis` of nonempty integer rows (eliminated in place): Bareiss,
-    back-substitution, primitive form.
-
-    The back-substitution stays in integers. For the free column f, with t
-    pivot columns before it, x_f starts at the t-th Bareiss pivot, which is
-    the determinant of the t x t pivot minor; by Cramer's rule every entry
-    solved is then an integer, so each division is exact.
-    """
+    back-substitution, primitive form."""
     ech, piv, _ = _bareiss(rows)
     pivset = set(piv)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        t = sum(1 for c in piv if c < f)
-        x = [0] * ncols
-        x[f] = ech[t - 1][piv[t - 1]] if t else 1
-        for idx in range(t - 1, -1, -1):
-            c = piv[idx]
-            row = ech[idx]
-            s = 0
-            for j in range(c + 1, ncols):
-                if x[j]:
-                    s += row[j] * x[j]
-            x[c], rem = divmod(-s, row[c])
-            if rem:
-                raise ArithmeticError("inexact division in fraction-free back-substitution")
-        basis.append(primitive_integer_vector(x))
-    return basis
+    return [primitive_integer_vector(_back_substitute(ech, piv, f, ncols))
+            for f in range(ncols) if f not in pivset]
+
+
+def _back_substitute(ech: list, piv: list, f: int, ncols: int) -> list:
+    """The integer kernel vector x of the `_bareiss` echelon rows ``ech``
+    whose only nonzero free entry is x_f, for a free column f.
+
+    The back-substitution stays in integers. With t pivot columns before f,
+    x_f starts at the t-th Bareiss pivot, which is the determinant of the
+    t x t pivot minor; by Cramer's rule every entry solved is then an
+    integer, so each division is exact.
+    """
+    t = sum(1 for c in piv if c < f)
+    x = [0] * ncols
+    x[f] = ech[t - 1][piv[t - 1]] if t else 1
+    for idx in range(t - 1, -1, -1):
+        c = piv[idx]
+        row = ech[idx]
+        s = 0
+        for j in range(c + 1, f + 1):
+            if x[j]:
+                s += row[j] * x[j]
+        x[c], rem = divmod(-s, row[c])
+        if rem:
+            raise ArithmeticError("inexact division in fraction-free back-substitution")
+    return x
 
 
 def det(m: RatMatrix) -> Fraction:
@@ -492,26 +487,21 @@ def solve_linear(m: RatMatrix, rhs: Sequence[Fraction]):
     """One solution of m x = rhs, or None if inconsistent.
 
     Free variables are set to zero, so the result is the deterministic
-    minimal-support solution of the row-reduced system.
+    minimal-support solution of the row-reduced system. [m | rhs] is
+    eliminated; the system is inconsistent when its last pivot is the rhs
+    column n, and otherwise that column is free: its kernel vector v gives
+    x = -v[:n] / v[n].
     """
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    ncols = m.cols
+    n = m.cols
     aug = [list(row) + [Fraction(b)] for row, b in zip(m.row_lists(), rhs)]
     rows, _ = _int_rows(aug)
     ech, piv, _ = _bareiss(rows)
-    if piv and piv[-1] == ncols:
+    if piv and piv[-1] == n:
         return None
-    x = [ZERO] * ncols
-    for idx in range(len(piv) - 1, -1, -1):
-        c = piv[idx]
-        row = ech[idx]
-        s = Fraction(row[ncols])
-        for j in range(c + 1, ncols):
-            if x[j]:
-                s -= row[j] * x[j]
-        x[c] = s / row[c]
-    return tuple(x)
+    v = _back_substitute(ech, piv, n, n + 1)
+    return tuple(Fraction(-x, v[n]) for x in v[:n])
 
 
 def mat_vec(m: RatMatrix, v: Sequence[Fraction]) -> tuple:
@@ -540,7 +530,14 @@ def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
 
 
 class VectorSpan:
-    """Span of independent row vectors, with exact coordinate solving."""
+    """Span of independent row vectors, with exact coordinate solving.
+
+    The integer rows of [vectors | I] are brought to the echelon form
+    [U | T] by `_bareiss`. Each row of U is the combination of the vectors
+    that the same row of T lists, and a pivot at or past ``length`` means
+    the vectors are dependent. Each row is kept as its pivot column, its
+    pivot and the nonzero (index, value) pairs of its U and T parts.
+    """
 
     def __init__(self, vectors: Sequence[Sequence[Fraction]], length: int | None = None):
         vectors = [list(v) for v in vectors]
@@ -550,62 +547,39 @@ class VectorSpan:
             raise ValueError("empty span needs an explicit ambient length")
         self.length = length
         m = len(vectors)
-        rref = [list(v) for v in vectors]
-        transform = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
-        pivots = []
-        r = 0
-        for c in range(length):
-            pr = None
-            for i in range(r, m):
-                if rref[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rref[r], rref[pr] = rref[pr], rref[r]
-            transform[r], transform[pr] = transform[pr], transform[r]
-            inv = ONE / rref[r][c]
-            rref[r] = [x * inv for x in rref[r]]
-            transform[r] = [x * inv for x in transform[r]]
-            for i in range(m):
-                if i != r and rref[i][c]:
-                    f = rref[i][c]
-                    rref[i] = [x - f * y for x, y in zip(rref[i], rref[r])]
-                    transform[i] = [x - f * y for x, y in zip(transform[i], transform[r])]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        if r < m:
+        rows, _ = _int_rows([v + [int(i == j) for j in range(m)] for i, v in enumerate(vectors)])
+        ech, piv, _ = _bareiss(rows)
+        if piv and piv[-1] >= length:
             raise ValueError("vectors are linearly dependent")
-        self._rref_support = [[(j, y) for j, y in enumerate(row) if y] for row in rref]
-        self._transform = transform
-        self._pivots = pivots
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
+        self._dim = m
+        self._rows = [(c, row[c],
+                       [(j, y) for j, y in enumerate(row[:length]) if y],
+                       [(i, t) for i, t in enumerate(row[length:]) if t])
+                      for c, row in zip(piv, ech)]
 
     def coords_of(self, vector: Sequence[Fraction]):
-        """Coordinates in the original vectors, or None if outside the span."""
+        """Coordinates in the original vectors, or None if outside the span.
+
+        U's pivots are walked in order: each solves one coefficient from the
+        residual at its column and subtracts that multiple of its U row; the
+        coordinates sum the coefficients times the T rows.
+        """
         if len(vector) != self.length:
             raise ValueError("vector length mismatch")
-        alphas = [vector[p] for p in self._pivots]
         residual = list(vector)
-        for a, support in zip(alphas, self._rref_support):
-            if a:
-                for j, y in support:
+        alphas = []
+        for c, pivot, u_support, t_support in self._rows:
+            if residual[c]:
+                a = Fraction(residual[c], pivot)
+                for j, y in u_support:
                     residual[j] -= a * y
+                alphas.append((a, t_support))
         if any(residual):
             return None
-        m = len(self._transform)
-        coords = [ZERO] * m
-        for i, a in enumerate(alphas):
-            if a:
-                trow = self._transform[i]
-                for j in range(m):
-                    if trow[j]:
-                        coords[j] += a * trow[j]
+        coords = [ZERO] * self._dim
+        for a, t_support in alphas:
+            for i, t in t_support:
+                coords[i] += a * t
         return tuple(coords)
 
 

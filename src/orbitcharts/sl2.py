@@ -18,7 +18,6 @@ from .linalg import (
     RatMatrix,
     ZERO,
     mat_vec,
-    matrix_to_json,
     solve_linear,
 )
 
@@ -75,11 +74,3 @@ def _check_relations(algebra: LieAlgebra, t: Sl2Triple) -> None:
         raise NoTripleFoundError("[h, f] != -2f")
     if bracket(t.e, t.f).matrix != t.h.matrix:
         raise NoTripleFoundError("[e, f] != h")
-
-
-def triple_to_json(t: Sl2Triple) -> dict:
-    return {
-        "e": matrix_to_json(t.e.matrix),
-        "h": matrix_to_json(t.h.matrix),
-        "f": matrix_to_json(t.f.matrix),
-    }

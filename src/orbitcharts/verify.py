@@ -55,7 +55,6 @@ from .linalg import (
     char_poly,
     det,
     g_lincomb,
-    g_to_matrix,
     matrix_to_json,
     mod_p_arithmetic,
     rank,
@@ -217,20 +216,15 @@ def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan,
     for _ in range(2):
         coeffs = [rng.fraction() for _ in pd.u]
         _, e, e_inv = _exp_series(g_lincomb(coeffs, u_rows, n, n), n)
-        gs.append((g_to_matrix(e), g_to_matrix(e_inv)))
+        gs.append((RatMatrix.from_rows(e), RatMatrix.from_rows(e_inv)))
     use_diag = (algebra.family == "sl"
                 and _is_diagonal(pd.grading.grading_element.matrix))
+    point = gs[1][0] * base * gs[1][1]
     if use_diag:
         d, d_inv = _diag_det_one(n, rng)
-    point = base
-    if use_diag:
-        point = gs[1][0] * point * gs[1][1]
         point = d * point * d_inv
-        point = gs[0][0] * point * gs[0][1]
-    else:
-        point = gs[1][0] * point * gs[1][1]
-        point = gs[0][0] * point * gs[0][1]
-    coords = slice_span.coords_of(point.flatten())
+    point = gs[0][0] * point * gs[0][1]
+    coords = slice_span.coords_of(point.entries)
     if coords is None:
         raise AssertionError("sampled orbit point left the slice")
     return coords
@@ -315,7 +309,7 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
         ))
 
     base_vp = _value_pass(chart, _as_fractions(chart.base_params))
-    base_value = g_to_matrix(base_vp.value)
+    base_value = RatMatrix.from_rows(base_vp.value)
     base_rank = _jacobian_rank(chart, base_vp)
     checks.append(Check(
         "base_point_identity",
@@ -350,7 +344,7 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
             params = _sample_params(chart, nil, slice_span, rng)
         seen.add(params)
         vp = _value_pass(chart, params)
-        values.append(g_to_matrix(vp.value))
+        values.append(RatMatrix.from_rows(vp.value))
         ranks.append(_jacobian_rank(chart, vp))
     checks.append(Check(
         "jacobian_rank_samples",

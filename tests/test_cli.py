@@ -250,6 +250,23 @@ class TestVerify:
                        "--element", H2])
         assert code == 3
 
+    def test_element_checked_before_algebra_is_built(self, tmp_path, capsys, monkeypatch):
+        import orbitcharts.cli as cli
+
+        def _no_algebra(*_args):
+            raise AssertionError("the algebra was built")
+
+        monkeypatch.setattr(cli, "build_classical", _no_algebra)
+        code, out = run(["analyze", "--family", "sl", "--size", "12", "--element", H2])
+        assert (code, out) == (3, "")
+        assert "orbit: element is 2x2, expected 12x12" in capsys.readouterr().err
+        path = tmp_path / "bad.json"
+        path.write_text("{not json", encoding="utf-8")
+        code, out = run(["verify", "--family", "sl", "--size", "12",
+                         "--element", str(path)])
+        assert (code, out) == (2, "")
+        assert "orbit: element is not valid JSON" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_sl2_jordan_block(self):

@@ -7,8 +7,6 @@ from orbitcharts.liealg import (
     LieAlgebra,
     NotInAlgebraError,
     ad_matrix,
-    algebra_from_json,
-    algebra_to_json,
     block_levi,
     bracket,
     build_classical,
@@ -264,10 +262,3 @@ class TestBlockLevi:
         with pytest.raises(ValueError):
             block_levi(3, (2, 2))
 
-
-class TestSerialization:
-    def test_round_trip(self, sl2):
-        data = algebra_to_json(sl2)
-        rebuilt = algebra_from_json(data)
-        assert rebuilt.dim == sl2.dim
-        assert rebuilt.same_span(sl2)

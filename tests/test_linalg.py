@@ -7,6 +7,7 @@ from orbitcharts.linalg import (
     DualNumber,
     Polynomial,
     RatMatrix,
+    VectorSpan,
     char_poly,
     det,
     integer_roots,
@@ -120,6 +121,117 @@ class TestSolveDet:
             p = char_poly(m)
             sign = -1 if n % 2 else 1
             assert det(m) == sign * p.coefficients[0]
+
+
+def _gauss_jordan(rows, ncols):
+    """Reduced row echelon form over Fractions and its pivot columns: the
+    elimination `solve_linear` and `VectorSpan` are checked against."""
+    rows = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _reference_solve(rows, rhs, ncols):
+    """The free-variables-zero solution of rows x = rhs, or None."""
+    red, pivots = _gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [F(0)] * ncols
+    for row, c in zip(red, pivots):
+        x[c] = row[ncols]
+    return tuple(x)
+
+
+def _reference_coords(vectors, vector):
+    """Coordinates of ``vector`` in the independent ``vectors``, or None."""
+    columns = [[v[j] for v in vectors] for j in range(len(vector))]
+    return _reference_solve(columns, vector, len(vectors))
+
+
+def _random_entry(rng, fractional):
+    return rng.fraction() if fractional else F(rng.randint(-5, 5))
+
+
+class TestEliminationAgainstGaussJordan:
+    @pytest.mark.parametrize("fractional", [False, True], ids=["integer", "fractional"])
+    def test_span_coords(self, fractional):
+        rng = SplitMix64(23 + fractional)
+        for _ in range(60):
+            length = rng.randint(1, 7)
+            vectors = [[_random_entry(rng, fractional) for _ in range(length)]
+                       for _ in range(rng.randint(1, length))]
+            if rng.randint(0, 2) == 0:
+                vectors.append([sum((rng.randint(-2, 2) * v[j] for v in vectors), F(0))
+                                for j in range(length)])
+            if len(_gauss_jordan(vectors, length)[1]) < len(vectors):
+                with pytest.raises(ValueError, match="vectors are linearly dependent"):
+                    VectorSpan(vectors)
+                continue
+            span = VectorSpan(vectors)
+            coeffs = [_random_entry(rng, fractional) for _ in vectors]
+            inside = [sum((c * v[j] for c, v in zip(coeffs, vectors)), F(0))
+                      for j in range(length)]
+            assert span.coords_of(inside) == tuple(coeffs)
+            probe = [_random_entry(rng, fractional) for _ in range(length)]
+            assert span.coords_of(probe) == _reference_coords(vectors, probe)
+            assert all(type(c) is F for c in span.coords_of(inside))
+
+    def test_dependent_sets_rejected(self):
+        for vectors in ([[1, 2], [2, 4]], [[0, 0, 0]], [[1, 0], [0, 1], [1, 1]],
+                        [[F(1, 2), F(1, 3), 1], [3, 2, 6], [0, 1, 0]]):
+            with pytest.raises(ValueError, match="vectors are linearly dependent"):
+                VectorSpan(vectors)
+
+    def test_vectors_outside_span(self):
+        span = VectorSpan([[1, 0, 0], [0, F(1, 2), 1]])
+        assert span.coords_of([0, 0, 1]) is None
+        assert span.coords_of([1, 1, 1]) is None
+        assert span.coords_of([2, 1, 2]) == (F(2), F(2))
+
+    def test_empty_span(self):
+        span = VectorSpan([], length=3)
+        assert span.coords_of([0, 0, 0]) == ()
+        assert span.coords_of([0, F(1, 2), 0]) is None
+        with pytest.raises(ValueError, match="explicit ambient length"):
+            VectorSpan([])
+
+    @pytest.mark.parametrize("fractional", [False, True], ids=["integer", "fractional"])
+    def test_solve_linear(self, fractional):
+        rng = SplitMix64(31 + fractional)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            base = [[_random_entry(rng, fractional) for _ in range(cols)]
+                    for _ in range(rng.randint(1, rows))]
+            # extra rows are combinations of the others, so many systems are singular
+            m = base + [[sum((rng.randint(-2, 2) * row[j] for row in base), F(0))
+                         for j in range(cols)] for _ in range(rows - len(base))]
+            x0 = [_random_entry(rng, fractional) for _ in range(cols)]
+            consistent = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in m]
+            for rhs in (consistent, [_random_entry(rng, fractional) for _ in m]):
+                sol = solve_linear(M(m), rhs)
+                assert sol == _reference_solve(m, rhs, cols)
+                if sol is not None:
+                    assert all(type(x) is F for x in sol)
+            assert solve_linear(M(m), consistent) is not None
+            assert solve_linear(M(m), [0] * rows) == (F(0),) * cols
+
+    def test_solve_inconsistent_and_degenerate(self):
+        assert solve_linear(M([[1, 2], [2, 4]]), (F(1), F(3))) is None
+        assert solve_linear(M([[0, 0]]), (F(1),)) is None
+        assert solve_linear(M([[0, 0]]), (F(0),)) == (F(0), F(0))
+        assert solve_linear(M([[F(1, 2), F(1, 3)], [1, 1]]), (F(1), F(0))) == (F(6), F(-6))
 
 
 class TestCharPoly:

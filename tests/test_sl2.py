@@ -50,18 +50,6 @@ def test_borel_has_no_triple():
         jacobson_morozov(borel, e)
 
 
-def test_triple_serialization(sl2):
-    from orbitcharts.sl2 import triple_to_json
-
-    e = element(sl2, [[0, 1], [0, 0]])
-    data = triple_to_json(jacobson_morozov(sl2, e))
-    assert data == {
-        "e": [["0", "1"], ["0", "0"]],
-        "h": [["1", "0"], ["0", "-1"]],
-        "f": [["0", "0"], ["1", "0"]],
-    }
-
-
 def _relations_hold(algebra, t):
     return (bracket(t.h, t.e).matrix == t.e.matrix.scale(2)
             and bracket(t.h, t.f).matrix == t.f.matrix.scale(-2)
