@@ -31,6 +31,7 @@ where dexp_f(b) is the derivative of exp a_f along b; the exponentials
 after factor f cancel in dg g^-1. The derivative along the slice element
 s_j is g s_j g^-1. One loop computes these columns, exactly or in another
 arithmetic (`linalg.Arithmetic`) from the exact pieces of the value pass.
+Every matrix in both passes is a `RatMatrix`.
 
 The three constructions:
 
@@ -56,7 +57,6 @@ the map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -71,15 +71,9 @@ from .linalg import (
     RatMatrix,
     VectorSpan,
     ZERO,
-    _as_fraction,
-    g_add,
-    g_div_int,
-    g_identity,
-    g_is_zero,
-    g_lincomb,
-    g_mul,
-    g_neg,
-    g_zero,
+    _as_fractions,
+    _lincomb,
+    _support,
     matrix_from_json,
     matrix_to_json,
     rank,
@@ -138,25 +132,25 @@ class OrbitChart:
 # ---------------------------------------------------------------------------
 
 
-def _exp_series(a: list, n: int) -> tuple:
-    """(powers, exp a, exp -a) of a nilpotent n x n row list a.
+def _exp_series(a: RatMatrix) -> tuple:
+    """(powers, exp a, exp -a) of a nilpotent square matrix a.
 
     powers is [I, a, ..., a^k] up to the last nonzero power; both
     exponentials are summed from those same powers.
     """
-    powers = [g_identity(n)]
-    acc = g_identity(n)
-    acc_neg = g_identity(n)
+    n = a.rows
+    powers = [RatMatrix.identity(n)]
+    acc = acc_neg = powers[0]
     power = a
     k = 1
-    while not g_is_zero(power):
+    while not power.is_zero():
         if k == n:
             raise NotNilpotentError("matrix is not nilpotent")
         powers.append(power)
-        term = g_div_int(power, math.factorial(k))
-        acc = g_add(acc, term)
-        acc_neg = g_add(acc_neg, term if k % 2 == 0 else g_neg(term))
-        power = g_mul(power, a)
+        term = power.scale(EXACT.inv_fact(k))
+        acc = acc + term
+        acc_neg = acc_neg + term if k % 2 == 0 else acc_neg - term
+        power = power * a
         k += 1
     return powers, acc, acc_neg
 
@@ -165,7 +159,7 @@ def exp_nilpotent(a: RatMatrix) -> RatMatrix:
     """exp of a nilpotent matrix, summed exactly; inverse is exp(-a)."""
     if a.rows != a.cols:
         raise NotNilpotentError("exp of a non-square matrix")
-    return RatMatrix.from_rows(_exp_series(a.row_lists(), a.rows)[1])
+    return _exp_series(a)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +169,7 @@ def exp_nilpotent(a: RatMatrix) -> RatMatrix:
 
 def _slice_span(slice_basis: Sequence[RatMatrix], n: int) -> VectorSpan:
     """Span of the flattened slice basis, in ambient n x n coordinates."""
-    return VectorSpan([m.entries for m in slice_basis], length=n * n)
+    return VectorSpan(slice_basis, length=n * n)
 
 
 def _make_chart(case_tag: str, base: LieElement, factors: tuple,
@@ -194,7 +188,7 @@ def _make_chart(case_tag: str, base: LieElement, factors: tuple,
         slice_basis, slice_base = inner.slice_basis, inner.slice_base
     elif slice_basis:
         slice_base = _slice_span(slice_basis, base.algebra.ambient_size).coords_of(
-            base.matrix.entries)
+            base.matrix)
         if slice_base is None:
             raise error("base element does not lie in the slice span")
     chart = OrbitChart(case_tag, base, factors, shift, slice_basis, slice_base,
@@ -291,44 +285,36 @@ class _ValuePass:
 
 
 def _value_pass(chart: OrbitChart, params: Sequence) -> _ValuePass:
-    """Evaluate with arbitrary ring scalars (Fractions or DualNumbers)."""
+    """Evaluate at a tuple of exact Fractions."""
     if len(params) != chart.param_count:
         raise ValueError(
             f"expected {chart.param_count} parameters, got {len(params)}"
         )
     n = chart.algebra.ambient_size
     series = []
-    prefix = [g_identity(n)]
-    inv_prefix = [g_identity(n)]
+    prefix = [RatMatrix.identity(n)]
+    inv_prefix = [prefix[0]]
     pos = 0
     for basis in chart.factors:
         coeffs = params[pos:pos + len(basis)]
         pos += len(basis)
-        a = g_lincomb(coeffs, [b.row_lists() for b in basis], n, n)
-        series.append(_exp_series(a, n))
-        prefix.append(g_mul(prefix[-1], series[-1][1]))
-        inv_prefix.append(g_mul(series[-1][2], inv_prefix[-1]))
-    core = chart.shift.row_lists() if chart.shift is not None else g_zero(n, n)
+        series.append(_exp_series(_lincomb(coeffs, [_support(b) for b in basis], n, n)))
+        prefix.append(prefix[-1] * series[-1][1])
+        inv_prefix.append(series[-1][2] * inv_prefix[-1])
+    core = chart.shift if chart.shift is not None else RatMatrix.zeros(n, n)
     if chart.slice_basis:
-        combo = g_lincomb(params[pos:], [s.row_lists() for s in chart.slice_basis], n, n)
-        core = g_add(core, combo)
-    return _ValuePass(series, prefix, inv_prefix,
-                      g_mul(g_mul(prefix[-1], core), inv_prefix[-1]))
-
-
-def eval_chart_rows(chart: OrbitChart, params: Sequence) -> list:
-    """Value as row lists, at arbitrary ring scalars (Fractions or DualNumbers)."""
-    return _value_pass(chart, params).value
+        core = core + _lincomb(params[pos:], [_support(s) for s in chart.slice_basis], n, n)
+    return _ValuePass(series, prefix, inv_prefix, prefix[-1] * core * inv_prefix[-1])
 
 
 def eval_chart(chart: OrbitChart, params: Sequence) -> RatMatrix:
     """Exact evaluation at a rational parameter tuple."""
-    return RatMatrix.from_rows(eval_chart_rows(chart, [_as_fraction(p) for p in params]))
+    return _value_pass(chart, _as_fractions(params)).value
 
 
 def _derivative_pass(chart: OrbitChart, vp: _ValuePass,
                      arith: Arithmetic = EXACT) -> list:
-    """All first derivatives at the value pass ``vp``, as row lists in ``arith``.
+    """All first derivatives at the value pass ``vp``, as matrices in ``arith``.
 
     The bracket form of the module docstring. Every exact piece is taken
     from ``vp`` and reduced into ``arith`` once; the powers of a_f drive
@@ -339,7 +325,6 @@ def _derivative_pass(chart: OrbitChart, vp: _ValuePass,
     n = chart.algebra.ambient_size
     mul, inv_fact, reduce = arith
     value = reduce(vp.value)
-    neg_value = g_neg(value)
     columns = []
     for f, basis in enumerate(chart.factors):
         powers = [reduce(p) for p in vp.series[f][0]]
@@ -347,27 +332,26 @@ def _derivative_pass(chart: OrbitChart, vp: _ValuePass,
         if f:
             pre, inv_pre = reduce(vp.prefix[f]), reduce(vp.inv_prefix[f])
         for b_mat in basis:
-            b = reduce(b_mat.row_lists())
+            b = reduce(b_mat)
             dp = dexp = b
             for k in range(2, n if len(powers) > 1 else 2):
                 dp = mul(dp, powers[1])
                 if k - 1 < len(powers):
-                    dp = g_add(dp, mul(powers[k - 1], b))
-                if g_is_zero(dp):
+                    dp = dp + mul(powers[k - 1], b)
+                if dp.is_zero():
                     if k >= len(powers):
                         break
                     continue
-                c = inv_fact(k)
-                dexp = [[x + c * y for x, y in zip(rx, ry)] for rx, ry in zip(dexp, dp)]
+                dexp = dexp + dp.scale(inv_fact(k))
             x = mul(dexp, exp_neg)
             if f:
                 x = mul(mul(pre, x), inv_pre)
-            columns.append(g_add(mul(x, value), mul(neg_value, x)))
+            columns.append(mul(x, value) - mul(value, x))
     if chart.slice_basis:
         m = len(chart.factors)
         g, g_inv = reduce(vp.prefix[m]), reduce(vp.inv_prefix[m])
         for s in chart.slice_basis:
-            columns.append(mul(mul(g, reduce(s.row_lists())), g_inv))
+            columns.append(mul(mul(g, reduce(s)), g_inv))
     return columns
 
 
@@ -378,9 +362,8 @@ def eval_chart_with_derivatives(chart: OrbitChart, params: Sequence) -> tuple:
     (epsilon^2 = 0), computed in bracket form from one value pass.
     Returns (RatMatrix, [RatMatrix per parameter]).
     """
-    vp = _value_pass(chart, [_as_fraction(p) for p in params])
-    return (RatMatrix.from_rows(vp.value),
-            [RatMatrix.from_rows(c) for c in _derivative_pass(chart, vp)])
+    vp = _value_pass(chart, _as_fractions(params))
+    return vp.value, _derivative_pass(chart, vp)
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +396,17 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
 
     Construction scaffolding (witness grading, parabolic) is not serialized;
     the result evaluates and differentiates but carries parabolic=None.
-    Raises ValueError when the parameter count differs from
-    expected_orbit_dim or the base tuple does not evaluate to the base
-    element.
+    Raises ValueError when a field is missing or has the wrong JSON type,
+    when the parameter count differs from expected_orbit_dim, or when the
+    base tuple does not evaluate to the base element.
     """
+    _check_chart_shape(data)
     case = data["case_tag"]
-    base = algebra.element_from_matrix(matrix_from_json(data["base_element"]["matrix"]))
+    base = algebra.element_from_matrix(matrix_from_json(data["base_element"].get("matrix")))
     factors = tuple(tuple(matrix_from_json(b) for b in f["basis"])
                     for f in data["factors"])
     listed = tuple(matrix_from_json(s) for s in data["slice_basis"])
-    orbit_dim = int(data["expected_orbit_dim"])
+    orbit_dim = data["expected_orbit_dim"]
     if case == "nilpotent":
         return _make_chart(case, base, factors, None, listed, None, orbit_dim,
                            None, ValueError)
@@ -438,3 +422,23 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
             raise ValueError("mixed chart needs a nilpotent inner chart")
     return _make_chart(case, base, factors, listed[0], (), inner, orbit_dim,
                        None, ValueError)
+
+
+_CHART_FIELDS = (("case_tag", str, "a string"), ("base_element", dict, "an object"),
+                 ("factors", list, "an array"), ("slice_basis", list, "an array"),
+                 ("expected_orbit_dim", int, "an integer"))
+
+
+def _check_chart_shape(data) -> None:
+    """Raise ValueError naming the first field of chart JSON ``data`` that
+    is missing or has the wrong JSON type."""
+    if not isinstance(data, dict):
+        raise ValueError("chart JSON must be an object")
+    for key, kind, name in _CHART_FIELDS:
+        if not isinstance(data.get(key), kind) or isinstance(data.get(key), bool):
+            raise ValueError(f"chart JSON field {key!r} must be {name}")
+    if not all(isinstance(f, dict) and isinstance(f.get("basis"), list)
+               for f in data["factors"]):
+        raise ValueError("chart JSON field 'factors' must hold objects with a 'basis' array")
+    if data["case_tag"] == "mixed" and not isinstance(data.get("inner"), dict):
+        raise ValueError("chart JSON field 'inner' must be an object in a mixed chart")

@@ -10,8 +10,8 @@ back to every integer root of the characteristic polynomial of ad h
 (degree dim g). Either way the scan is complete; the grading is accepted
 only when the eigenspaces fill the whole algebra.
 
-Each eigenspace is a kernel computed on integer rows: ad h is scaled to
-integers once, and weight i only shifts the diagonal. The pieces are then
+Each eigenspace is a kernel computed on integer rows: the numerators of
+ad h are read once, and weight i only shifts the diagonal. The pieces are then
 certified element by element (h x - x h = i x for each x in g(i), as n x n
 matrices); with the dimension count and the closure of g, the Jacobi
 identity gives [g(i), g(j)] in g(i + j) for every pair of pieces.
@@ -51,6 +51,7 @@ from .linalg import (
     _int_kernel_basis,
     _int_rows,
     char_poly,
+    commutator,
     integer_roots,
     is_semisimple_matrix,
     mat_vec,
@@ -105,10 +106,9 @@ def grading_by(algebra: LieAlgebra, h: LieElement) -> Grading:
     characteristic polynomial of h does not split over the rationals, every
     integer root of the characteristic polynomial of ad h.
 
-    ad h is scaled to integer rows once: row k is multiplied by the lcm d_k
-    of its denominators. For an integer weight i, row k of ad h - i I has
-    the same denominators, so its integer rows are those of ad h with
-    i * d_k subtracted on the diagonal, and each g(i) is the kernel of those
+    The integer rows of ad h are its numerators over its denominator d, read
+    once. For an integer weight i, d (ad h - i I) has the rows of ad h with
+    i * d subtracted on the diagonal, and each g(i) is the kernel of those
     rows. The pieces are then certified by `_certify_pieces`.
     """
     if h.algebra is not algebra:
@@ -120,13 +120,12 @@ def grading_by(algebra: LieAlgebra, h: LieElement) -> Grading:
     weights = _natural_weights(h.matrix)
     if weights is None:
         weights = integer_roots(char_poly(ad_h))
-    ad_rows, factors = _int_rows(ad_h.row_lists())
     pieces: Dict[int, Tuple[LieElement, ...]] = {}
     total = 0
     for i in weights:
-        rows = [list(row) for row in ad_rows]
-        for k, d in enumerate(factors):
-            rows[k][k] -= i * d
+        rows = _int_rows(ad_h)
+        for k, row in enumerate(rows):
+            row[k] -= i * ad_h.den
         vectors = _int_kernel_basis(rows, dim)
         if not vectors:
             continue
@@ -179,34 +178,15 @@ def _certify_pieces(grading: Grading) -> None:
     identity
     [h, [x, y]] = [[h, x], y] + [x, [h, y]] = (i + j) [x, y]
     then puts [g(i), g(j)] inside g(i + j) for every pair of pieces.
-    The check runs on integer multiples of the matrices.
     """
-    scale, h = _integer_multiple(grading.grading_element.matrix)
+    h = grading.grading_element.matrix
     for i, els in grading.pieces.items():
         for index, el in enumerate(els):
-            _, x = _integer_multiple(el.matrix)
-            for h_row, x_row in zip(h, x):
-                # this row of i x - h x + x h, zero entries of h and x skipped
-                acc = [i * scale * v for v in x_row]
-                for a, row in zip(h_row, x):
-                    if a:
-                        for j, v in enumerate(row):
-                            acc[j] -= a * v
-                for a, row in zip(x_row, h):
-                    if a:
-                        for j, v in enumerate(row):
-                            acc[j] += a * v
-                if any(acc):
-                    raise NonIntegerSpectrumError(
-                        f"element {index} of g({i}) is not an eigenvector "
-                        f"of ad h with eigenvalue {i}"
-                    )
-
-
-def _integer_multiple(m: RatMatrix) -> tuple:
-    """(d, rows): d the lcm of the denominators of ``m``, rows of d * m as ints."""
-    (ints,), (d,) = _int_rows([m.entries])
-    return d, [ints[r * m.cols:(r + 1) * m.cols] for r in range(m.rows)]
+            if commutator(h, el.matrix) != el.matrix.scale(i):
+                raise NonIntegerSpectrumError(
+                    f"element {index} of g({i}) is not an eigenvector "
+                    f"of ad h with eigenvalue {i}"
+                )
 
 
 def parabolic_data(grading: Grading) -> ParabolicData:

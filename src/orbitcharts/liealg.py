@@ -4,9 +4,10 @@ A `LieAlgebra` is an ordered basis of ambient n x n rational matrices that
 is linearly independent and closed under the commutator; both conditions
 are checked at construction. The closure check computes the coordinates of
 every [b_i, b_j]; they are kept as sparse structure constants, the nonzero
-entries of each ad(b_i), from which `ad_matrix` assembles ad x in one pass.
-The nonzero entries of each basis matrix are kept too, so `element` builds
-its matrix in one pass. Subalgebras (Levis, centralizers, centers, graded
+entries of each ad(b_i) in the integer form of `linalg._support`, from
+which `ad_matrix` assembles ad x in one pass (`linalg._lincomb`). The
+supports of the basis matrices are kept too, so `element` builds its matrix
+in one pass. Subalgebras (Levis, centralizers, centers, graded
 pieces) are first-class `LieAlgebra` values, which is what lets the
 mixed-case orbit construction recurse uniformly into centralizers.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -34,6 +36,9 @@ from .linalg import (
     RatMatrix,
     VectorSpan,
     _as_fractions,
+    _integers_over,
+    _lincomb,
+    _support,
     commutator,
     kernel_basis,
     matrix_to_json,
@@ -63,12 +68,10 @@ class LieAlgebra:
         self.ambient_size = ambient_size
         self.family = family
         try:
-            self._span = VectorSpan([b.entries for b in basis],
-                                    length=ambient_size * ambient_size)
+            self._span = VectorSpan(basis, length=ambient_size * ambient_size)
         except ValueError as exc:
             raise ValueError(f"{label}: basis is linearly dependent") from exc
-        self._basis_support = tuple(
-            tuple((p, v) for p, v in enumerate(b.entries) if v) for b in basis)
+        self._basis_support = tuple(map(_support, basis))
         self._structure = self._validate_closure()
 
     @property
@@ -78,16 +81,16 @@ class LieAlgebra:
     def _validate_closure(self) -> tuple:
         """Check [b_i, b_j] stays in the span; return the structure constants.
 
-        Entry i lists the nonzero entries of ad(b_i) as (p, value) pairs,
-        p = row * dim + col the row-major position: the column of b_j holds
-        the coordinates of [b_i, b_j].
+        Entry i is the `_support` of ad(b_i), whose nonzero entries are
+        listed at p = row * dim + col, the row-major position: the column of
+        b_j holds the coordinates of [b_i, b_j].
         """
         m = self.dim
         table = [[] for _ in range(m)]
         for i in range(m):
             for j in range(i + 1, m):
                 prod = commutator(self.basis[i], self.basis[j])
-                coords = self._span.coords_of(prod.entries)
+                coords = self._span.coords_of(prod)
                 if coords is None:
                     raise ValueError(
                         f"{self.label}: basis is not bracket-closed "
@@ -97,12 +100,16 @@ class LieAlgebra:
                     if c:
                         table[i].append((k * m + j, c))
                         table[j].append((k * m + i, -c))
-        return tuple(tuple(entries) for entries in table)
+        supports = []
+        for entries in table:
+            ints, d = _integers_over([c for _, c in entries])
+            supports.append((d, tuple(zip((p for p, _ in entries), ints))))
+        return tuple(supports)
 
     def coords_of_matrix(self, matrix: RatMatrix):
         if matrix.rows != self.ambient_size or matrix.cols != self.ambient_size:
             return None
-        return self._span.coords_of(matrix.entries)
+        return self._span.coords_of(matrix)
 
     def contains_matrix(self, matrix: RatMatrix) -> bool:
         return self.coords_of_matrix(matrix) is not None
@@ -112,8 +119,7 @@ class LieAlgebra:
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
         n = self.ambient_size
-        return LieElement(self, coords,
-                          RatMatrix(n, n, _sparse_sum(coords, self._basis_support, n * n)))
+        return LieElement(self, coords, _lincomb(coords, self._basis_support, n, n))
 
     def element_from_matrix(self, matrix: RatMatrix) -> "LieElement":
         coords = self.coords_of_matrix(matrix)
@@ -161,19 +167,7 @@ def ad_matrix(algebra: LieAlgebra, x: LieElement) -> RatMatrix:
     if x.algebra is not algebra:
         raise ValueError("element does not belong to the given algebra")
     m = algebra.dim
-    return RatMatrix(m, m, _sparse_sum(x.coords, algebra._structure, m * m))
-
-
-def _sparse_sum(coeffs: Sequence[Fraction], supports: Sequence, size: int) -> tuple:
-    """Entries of sum c_i * M_i, with M_i given by its nonzero (position,
-    value) pairs; one pass over the nonzero terms, one Fraction per product."""
-    acc = [None] * size
-    for c, support in zip(coeffs, supports):
-        if c:
-            for p, v in support:
-                a = acc[p]
-                acc[p] = c * v if a is None else a + c * v
-    return tuple(ZERO if a is None else a for a in acc)
+    return _lincomb(x.coords, algebra._structure, m, m)
 
 
 def subalgebra_from_coords(algebra: LieAlgebra, coord_vectors: Sequence[Sequence[Fraction]],
@@ -205,27 +199,12 @@ def trace_form_gram(algebra: LieAlgebra, sub: LieAlgebra) -> RatMatrix:
     """Gram matrix of the ambient trace form restricted to ``sub``'s basis."""
     if sub.ambient_size != algebra.ambient_size:
         raise ValueError("ambient sizes differ")
-    n = algebra.ambient_size
-    m = sub.dim
-    gram = []
-    for i in range(m):
-        bi = sub.basis[i]
-        row = []
-        for j in range(m):
-            bj = sub.basis[j]
-            s = ZERO
-            for a in range(n):
-                for k in range(n):
-                    x = bi.at(a, k)
-                    if x:
-                        y = bj.at(k, a)
-                        if y:
-                            s += x * y
-            row.append(s)
-        gram.append(row)
-    if m == 0:
+    if sub.dim == 0:
         return RatMatrix.zeros(0, 0)
-    return RatMatrix.from_rows(gram)
+    # tr(b_i b_j) is the dot product of b_i with the transpose of b_j
+    transposed = [b.transpose() for b in sub.basis]
+    return RatMatrix.from_rows([[Fraction(sum(map(mul, bi.nums, bj.nums)), bi.den * bj.den)
+                                 for bj in transposed] for bi in sub.basis])
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,28 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-All values are `fractions.Fraction`; no floating point appears anywhere.
-Entries of `RatMatrix`, coefficients of `Polynomial` and the parts of a
-`DualNumber` are coerced once, on construction, by one rule: a value whose
-type is exactly `Fraction` is kept as it is, a `float` is refused with
-`TypeError` (its binary value is rarely the rational that was meant; pass
-a string such as "1/10" instead), and anything else (an int, a string, a
-Fraction subclass) goes through `Fraction(x)`. Results of Fraction
-arithmetic are exact Fractions already, so matrix operations construct
-each result entry once.
-Every exact elimination (`rank`, `det`, `kernel_basis`, `solve_linear` and
-`VectorSpan`) runs one fraction-free loop, `_bareiss`, on integer-scaled
-rows to control coefficient growth, and every solve after it runs one
-integer back-substitution, `_back_substitute`. The same elimination loop
-also runs over F_p, into which `mod_p_arithmetic` reduces exact values for
-rank certificates. Every function is pure and deterministic: rerunning on
-equal inputs gives bit-identical results.
+No floating point appears anywhere. A `RatMatrix` stores integer numerators
+over one shared positive denominator in lowest terms: the gcd of the
+denominator and all numerators is 1, and the zero matrix has denominator 1.
+So equal matrices have equal storage, and the denominator is the lcm of the
+reduced entry denominators. Fractions appear at the API boundary only.
+Entries given to `RatMatrix`, coefficients of `Polynomial` and the parts of
+a `DualNumber` are coerced once, on construction, by one rule: a value
+whose type is exactly `Fraction` is kept as it is, a `float` is refused
+with `TypeError` (its binary value is rarely the rational that was meant;
+pass a string such as "1/10" instead), a string goes through
+`parse_rational`, and anything else (an int, a Fraction subclass) goes
+through `Fraction(x)`. `RatMatrix.entries` and `RatMatrix.at` give exact
+Fractions back.
+Every matrix product (`*`, `power`, `char_poly`, `Polynomial.evaluate_matrix`
+and the products of chart evaluation, exact or mod p) runs one integer
+row-product loop, `_product`, on numerators; like `_bareiss`, it takes an
+optional prime modulus. Every exact elimination (`rank`, `det`,
+`kernel_basis`, `solve_linear` and `VectorSpan`) runs one fraction-free
+loop, `_bareiss`, on integer rows to control coefficient growth, and every
+solve after it runs one integer back-substitution, `_back_substitute`. The
+same elimination loop also runs over F_p, into which `mod_p_arithmetic`
+reduces exact matrices for rank certificates. Every function is pure and
+deterministic: rerunning on equal inputs gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -34,13 +41,19 @@ class NotNilpotentError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical form "p/q" (or "p") into a Fraction."""
+    """Parse "p/q", "p" or a decimal such as "0.1" into a Fraction.
+
+    Exponent notation ("1e5") is refused: it is the one form `Fraction`
+    accepts whose cost is not bounded by the length of the string.
+    """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational literal {text!r}") from exc
+    if "e" not in text.lower():
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"invalid rational literal {text!r}")
 
 
 def _as_fraction(x) -> Fraction:
@@ -50,6 +63,8 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"floating-point value {x!r}: pass an int, a Fraction or "
                         f"a rational string")
+    if isinstance(x, str):
+        return parse_rational(x)
     return Fraction(x)
 
 
@@ -64,6 +79,13 @@ def _as_fractions(values) -> tuple:
     return tuple(map(_as_fraction, values))
 
 
+def _integers_over(values) -> tuple:
+    """(ints, d) for rationals ``values``: d the lcm of their denominators,
+    ints their multiples by d. The gcd of d and ints is 1."""
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
 def rational_str(value: Fraction) -> str:
     """Canonical serialization: "p/q", or just "p" when the denominator is 1."""
     return str(Fraction(value))
@@ -74,23 +96,33 @@ def rational_str(value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RatMatrix:
-    """Immutable dense matrix of rationals, row-major entries."""
+    """Immutable dense matrix of rationals, row-major.
 
-    rows: int
-    cols: int
-    entries: tuple
+    Stored as the integer numerators ``nums`` over the shared denominator
+    ``den``, in lowest terms (see the module docstring), so ``==`` and
+    ``hash`` compare storage directly.
+    """
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("rows", "cols", "nums", "den")
+
+    def __init__(self, rows: int, cols: int, entries):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        ents = _as_fractions(self.entries)
-        if len(ents) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(ents)}"
-            )
-        object.__setattr__(self, "entries", ents)
+        ents = _as_fractions(entries)
+        if len(ents) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(ents)}")
+        nums, den = _integers_over(ents)
+        _fill(self, rows, cols, tuple(nums), den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RatMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("RatMatrix is immutable")
+
+    def __reduce__(self):
+        return _matrix, (self.rows, self.cols, self.nums, self.den)
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence]) -> "RatMatrix":
@@ -105,39 +137,59 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return _matrix(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        nums = [0] * (n * n)
+        nums[::n + 1] = [1] * n
+        return _matrix(n, n, nums)
+
+    @property
+    def entries(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return Fraction(self.nums[i * self.cols + j], self.den)
 
     def row_lists(self) -> list:
         c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
+        entries = self.entries
+        return [list(entries[i * c:(i + 1) * c]) for i in range(self.rows)]
+
+    def __eq__(self, other):
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.den == other.den and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.den, self.nums))
+
+    def __repr__(self):
+        return f"RatMatrix({self.rows}, {self.cols}, {self.entries!r})"
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(self.rows, self.cols,
-                         tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(self.rows, self.cols,
-                         tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._plus(other, -1)
+
+    def _plus(self, other: "RatMatrix", sign: int) -> "RatMatrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return _matrix(self.rows, self.cols,
+                       [x * fa + y * fb for x, y in zip(self.nums, other.nums)], den)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return _matrix(self.rows, self.cols, [-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
-            if self.cols != other.rows:
-                raise ValueError(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-                )
-            return RatMatrix.from_rows(g_mul(self.row_lists(), other.row_lists()))
+            return _product(self, other)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -149,16 +201,18 @@ class RatMatrix:
 
     def scale(self, c) -> "RatMatrix":
         c = _as_fraction(c)
-        return RatMatrix(self.rows, self.cols, tuple(a * c for a in self.entries))
+        p = c.numerator
+        return _matrix(self.rows, self.cols, [x * p for x in self.nums],
+                       self.den * c.denominator)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        r, c, nums = self.rows, self.cols, self.nums
+        return _matrix(c, r, [nums[i * c + j] for j in range(c) for i in range(r)], self.den)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.at(i, i) for i in range(self.rows)), ZERO)
+        return Fraction(sum(self.nums[::self.cols + 1]), self.den)
 
     def power(self, k: int) -> "RatMatrix":
         if self.rows != self.cols:
@@ -171,7 +225,7 @@ class RatMatrix:
         return result
 
     def is_zero(self) -> bool:
-        return all(not a for a in self.entries)
+        return not any(self.nums)
 
     def is_nilpotent(self) -> bool:
         """True iff some power (at most the size) vanishes."""
@@ -184,9 +238,72 @@ class RatMatrix:
             p = p * self
         return p.is_zero()
 
-    def _check_same_shape(self, other: "RatMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+
+def _fill(m: RatMatrix, rows: int, cols: int, nums: tuple, den: int) -> None:
+    setattr_ = object.__setattr__
+    setattr_(m, "rows", rows)
+    setattr_(m, "cols", cols)
+    setattr_(m, "nums", nums)
+    setattr_(m, "den", den)
+
+
+def _matrix(rows: int, cols: int, nums, den: int = 1) -> RatMatrix:
+    """The matrix of the integer numerators ``nums`` over ``den`` > 0,
+    brought to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    m = object.__new__(RatMatrix)
+    _fill(m, rows, cols, tuple(nums), den)
+    return m
+
+
+def _product(a: RatMatrix, b: RatMatrix, modulus: int | None = None) -> RatMatrix:
+    """a b: the one integer row-product loop, on numerators.
+
+    Zero entries are skipped, which matters for the sparse basis matrices
+    used throughout. The denominator of the product is a.den * b.den. With
+    a prime ``modulus`` (the pattern of `_bareiss`) both matrices hold
+    integer representatives of F_p (denominator 1, see
+    `mod_p_arithmetic`) and each product entry is reduced into
+    [0, modulus).
+    """
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    inner, cols, anums, bnums = a.cols, b.cols, a.nums, b.nums
+    brows = [[(j, v) for j, v in enumerate(bnums[k * cols:(k + 1) * cols]) if v]
+             for k in range(inner)]
+    out = []
+    for i in range(a.rows):
+        acc = [0] * cols
+        for aik, brow in zip(anums[i * inner:(i + 1) * inner], brows):
+            if aik:
+                for j, v in brow:
+                    acc[j] += aik * v
+        out.extend(acc if modulus is None else [x % modulus for x in acc])
+    return _matrix(a.rows, cols, out, a.den * b.den if modulus is None else 1)
+
+
+def _support(m: RatMatrix) -> tuple:
+    """(den, nonzero (position, numerator) pairs) of ``m``: the sparse form
+    `_lincomb` sums."""
+    return m.den, tuple((p, v) for p, v in enumerate(m.nums) if v)
+
+
+def _lincomb(coeffs: Sequence[Fraction], supports: Sequence, rows: int,
+             cols: int) -> RatMatrix:
+    """sum c_i M_i, each M_i given by its `_support`: one pass over the
+    nonzero terms, in integers over one common denominator."""
+    terms = [(c, s) for c, s in zip(coeffs, supports) if c]
+    den = math.lcm(*(c.denominator * d for c, (d, _) in terms))
+    acc = [0] * (rows * cols)
+    for c, (d, pairs) in terms:
+        f = c.numerator * (den // (c.denominator * d))
+        for p, v in pairs:
+            acc[p] += f * v
+    return _matrix(rows, cols, acc, den)
 
 
 def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -194,7 +311,7 @@ def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 def matrix_to_json(m: RatMatrix) -> list:
-    return [[rational_str(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    return [[rational_str(x) for x in row] for row in m.row_lists()]
 
 
 def matrix_from_json(data) -> RatMatrix:
@@ -204,78 +321,12 @@ def matrix_from_json(data) -> RatMatrix:
     return RatMatrix.from_rows(rows)
 
 
-# ---------------------------------------------------------------------------
-# Generic row-list arithmetic
-#
-# These helpers operate on plain lists of lists and only assume ring
-# arithmetic of the entries, so the same code path evaluates matrices of
-# Fractions and of DualNumbers. Zero entries are skipped in products, which
-# matters for the sparse basis matrices used throughout.
-# ---------------------------------------------------------------------------
-
-
-def g_zero(rows: int, cols: int) -> list:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def g_identity(n: int) -> list:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def g_add(a: list, b: list) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def g_neg(a: list) -> list:
-    return [[-x for x in row] for row in a]
-
-
-def g_div_int(a: list, k: int) -> list:
-    return [[x / k if x else x for x in row] for row in a]
-
-
-def g_mul(a: list, b: list) -> list:
-    n = len(a)
-    cols = len(b[0])
-    out = [[ZERO] * cols for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k, aik in enumerate(arow):
-            if not aik:
-                continue
-            brow = b[k]
-            for j, bkj in enumerate(brow):
-                if bkj:
-                    orow[j] = orow[j] + aik * bkj
-    return out
-
-
-def g_lincomb(coeffs: Sequence, mats: Sequence[list], rows: int, cols: int) -> list:
-    out = [[ZERO] * cols for _ in range(rows)]
-    for c, m in zip(coeffs, mats):
-        if not c:
-            continue
-        for i in range(rows):
-            orow = out[i]
-            mrow = m[i]
-            for j in range(cols):
-                v = mrow[j]
-                if v:
-                    orow[j] = orow[j] + c * v
-    return out
-
-
-def g_is_zero(a: list) -> bool:
-    return all(not x for row in a for x in row)
-
-
 class Arithmetic(NamedTuple):
-    """The scalars a generic row-list loop runs in.
+    """The scalars a derivative pass runs in.
 
     ``mul`` is the matrix product, ``inv_fact(k)`` the scalar 1/k!, and
-    ``reduce`` takes a row list of exact Fractions into these scalars.
-    Sums and negations are plain `g_add` and `g_neg`.
+    ``reduce`` takes an exact `RatMatrix` into these scalars. Sums,
+    negations, scaling and zero tests are the `RatMatrix` operators.
     """
 
     mul: Callable
@@ -283,7 +334,7 @@ class Arithmetic(NamedTuple):
     reduce: Callable
 
 
-EXACT = Arithmetic(g_mul, lambda k: Fraction(1, math.factorial(k)), lambda rows: rows)
+EXACT = Arithmetic(_product, lambda k: Fraction(1, math.factorial(k)), lambda m: m)
 
 
 class NotInvertibleModP(ArithmeticError):
@@ -293,41 +344,28 @@ class NotInvertibleModP(ArithmeticError):
 def mod_p_arithmetic(p: int) -> Arithmetic:
     """Arithmetic of F_p on the rationals whose denominators p does not divide.
 
-    ``reduce`` applies the ring map Z_(p) -> F_p, num/den -> num * den^-1
-    mod p, and raises NotInvertibleModP on any other rational (as does
-    ``inv_fact(k)`` when p divides k!); each denominator is inverted once.
-    Products are reduced into [0, p). Sums and negations of reduced values
-    are left unreduced: they stay in their residue class, and the next
-    product reduces them.
+    A matrix over F_p is a `RatMatrix` of integer representatives
+    (denominator 1). ``reduce`` applies the ring map Z_(p) -> F_p,
+    num/den -> num * den^-1 mod p, entrywise with the shared denominator, and
+    raises NotInvertibleModP when p divides it (as does ``inv_fact(k)``
+    when p divides k!). Since the shared denominator is the lcm of the
+    reduced entry denominators, that is exactly when p divides the
+    denominator of some entry. Products run `_product` mod p and land in
+    [0, p). Sums and negations of reduced values are left unreduced: they
+    stay in their residue class, and the next product reduces them.
     """
-    inverses = {1: 1}
 
     def inverse(d: int) -> int:
-        inv = inverses.get(d)
-        if inv is None:
-            if d % p == 0:
-                raise NotInvertibleModP(f"{p} divides the denominator {d}")
-            inv = inverses[d] = pow(d, -1, p)
-        return inv
+        if d % p == 0:
+            raise NotInvertibleModP(f"{p} divides the denominator {d}")
+        return pow(d, -1, p)
 
-    def reduce(rows: list) -> list:
-        return [[x.numerator * inverse(x.denominator) % p if x else 0 for x in row]
-                for row in rows]
+    def reduce(m: RatMatrix) -> RatMatrix:
+        inv = inverse(m.den)
+        return _matrix(m.rows, m.cols, [x * inv % p for x in m.nums])
 
-    def mul(a: list, b: list) -> list:
-        cols = len(b[0])
-        out = []
-        for arow in a:
-            acc = [0] * cols
-            for aik, brow in zip(arow, b):
-                if aik:
-                    for j, bkj in enumerate(brow):
-                        if bkj:
-                            acc[j] += aik * bkj
-            out.append([x % p for x in acc])
-        return out
-
-    return Arithmetic(mul, lambda k: inverse(math.factorial(k)), reduce)
+    return Arithmetic(lambda a, b: _product(a, b, p), lambda k: inverse(math.factorial(k)),
+                      reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +373,10 @@ def mod_p_arithmetic(p: int) -> Arithmetic:
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple:
-    """Scale each row by the lcm of its denominators; return rows and factors."""
-    out = []
-    factors = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-        factors.append(scale)
-    return out, factors
+def _int_rows(m: RatMatrix) -> list:
+    """The rows of den * m, the numerators, as fresh lists of ints."""
+    c, nums = m.cols, m.nums
+    return [list(nums[i * c:(i + 1) * c]) for i in range(m.rows)]
 
 
 def _bareiss(rows: list, modulus: int | None = None) -> tuple:
@@ -397,24 +430,19 @@ def rank(m: RatMatrix) -> int:
     """Rank over the rationals by fraction-free elimination."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    rows, _ = _int_rows(m.row_lists())
-    _, piv, _ = _bareiss(rows)
+    _, piv, _ = _bareiss(_int_rows(m))
     return len(piv)
 
 
 def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple:
     """Scale a nonzero rational vector to coprime integers, leading entry positive."""
-    (ints,), _ = _int_rows([vec])
+    ints, _ = _integers_over(vec)
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(Fraction(v // g) for v in ints)
 
 
 def kernel_basis(m: RatMatrix) -> list:
@@ -426,8 +454,7 @@ def kernel_basis(m: RatMatrix) -> list:
     ncols = m.cols
     if m.rows == 0:
         return [tuple(ONE if j == f else ZERO for j in range(ncols)) for f in range(ncols)]
-    rows, _ = _int_rows(m.row_lists())
-    return _int_kernel_basis(rows, ncols)
+    return _int_kernel_basis(_int_rows(m), ncols)
 
 
 def _int_kernel_basis(rows: list, ncols: int) -> list:
@@ -471,16 +498,11 @@ def det(m: RatMatrix) -> Fraction:
     n = m.rows
     if n == 0:
         return ONE
-    rows, factors = _int_rows(m.row_lists())
-    ech, piv, swaps = _bareiss(rows)
+    ech, piv, swaps = _bareiss(_int_rows(m))
     if len(piv) < n:
         return ZERO
-    value = Fraction(ech[n - 1][n - 1])
-    if swaps % 2:
-        value = -value
-    for f in factors:
-        value /= f
-    return value
+    value = Fraction(ech[n - 1][n - 1], m.den ** n)
+    return -value if swaps % 2 else value
 
 
 def solve_linear(m: RatMatrix, rhs: Sequence[Fraction]):
@@ -495,8 +517,10 @@ def solve_linear(m: RatMatrix, rhs: Sequence[Fraction]):
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length mismatch")
     n = m.cols
-    aug = [list(row) + [Fraction(b)] for row, b in zip(m.row_lists(), rhs)]
-    rows, _ = _int_rows(aug)
+    rhs_ints, d = _integers_over(_as_fractions(rhs))
+    den = math.lcm(m.den, d)
+    fm, fr = den // m.den, den // d
+    rows = [[x * fm for x in row] + [b * fr] for row, b in zip(_int_rows(m), rhs_ints)]
     ech, piv, _ = _bareiss(rows)
     if piv and piv[-1] == n:
         return None
@@ -507,47 +531,50 @@ def solve_linear(m: RatMatrix, rhs: Sequence[Fraction]):
 def mat_vec(m: RatMatrix, v: Sequence[Fraction]) -> tuple:
     if len(v) != m.cols:
         raise ValueError("vector length mismatch")
-    out = []
-    for i in range(m.rows):
-        s = ZERO
-        for j, x in enumerate(v):
-            if x:
-                s += m.at(i, j) * x
-        out.append(s)
-    return tuple(out)
+    return (m * RatMatrix(len(v), 1, v)).entries
 
 
 def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     if not mats:
         raise ValueError("nothing to stack")
     cols = mats[0].cols
-    rows = []
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column mismatch in stack")
-        rows.extend(m.row_lists())
-    return RatMatrix.from_rows(rows)
+    if any(m.cols != cols for m in mats):
+        raise ValueError("column mismatch in stack")
+    den = math.lcm(*(m.den for m in mats))
+    nums = [x * (den // m.den) for m in mats for x in m.nums]
+    return _matrix(sum(m.rows for m in mats), cols, nums, den)
+
+
+def _vector_ints(v) -> tuple:
+    """(ints, d) with ints / d the rational vector ``v``; a `RatMatrix` is
+    read as its row-major entries."""
+    if isinstance(v, RatMatrix):
+        return v.nums, v.den
+    return _integers_over(v)
 
 
 class VectorSpan:
     """Span of independent row vectors, with exact coordinate solving.
 
-    The integer rows of [vectors | I] are brought to the echelon form
-    [U | T] by `_bareiss`. Each row of U is the combination of the vectors
-    that the same row of T lists, and a pivot at or past ``length`` means
-    the vectors are dependent. Each row is kept as its pivot column, its
-    pivot and the nonzero (index, value) pairs of its U and T parts.
+    A vector is a sequence of rationals or a `RatMatrix`, read as its
+    row-major entries. The integer rows of [vectors | I] are brought to the
+    echelon form [U | T] by `_bareiss`. Each row of U is the combination of
+    the vectors that the same row of T lists, and a pivot at or past
+    ``length`` means the vectors are dependent. Each row is kept as its
+    pivot column, its pivot and the nonzero (index, value) pairs of its U
+    and T parts.
     """
 
-    def __init__(self, vectors: Sequence[Sequence[Fraction]], length: int | None = None):
-        vectors = [list(v) for v in vectors]
+    def __init__(self, vectors: Sequence, length: int | None = None):
+        vectors = [_vector_ints(v) for v in vectors]
         if vectors:
-            length = len(vectors[0])
+            length = len(vectors[0][0])
         elif length is None:
             raise ValueError("empty span needs an explicit ambient length")
         self.length = length
         m = len(vectors)
-        rows, _ = _int_rows([v + [int(i == j) for j in range(m)] for i, v in enumerate(vectors)])
+        rows = [list(ints) + [d if j == i else 0 for j in range(m)]
+                for i, (ints, d) in enumerate(vectors)]
         ech, piv, _ = _bareiss(rows)
         if piv and piv[-1] >= length:
             raise ValueError("vectors are linearly dependent")
@@ -557,30 +584,37 @@ class VectorSpan:
                        [(i, t) for i, t in enumerate(row[length:]) if t])
                       for c, row in zip(piv, ech)]
 
-    def coords_of(self, vector: Sequence[Fraction]):
+    def coords_of(self, vector):
         """Coordinates in the original vectors, or None if outside the span.
 
-        U's pivots are walked in order: each solves one coefficient from the
-        residual at its column and subtracts that multiple of its U row; the
-        coordinates sum the coefficients times the T rows.
+        In integers: the residual r starts as d * vector for the common
+        denominator d, the coordinate numerators C at 0 and their
+        denominator s at d. U's pivots are walked in order, and each clears
+        r at its column c: with g = gcd(r_c, pivot), r becomes
+        (pivot/g) r - (r_c/g) U_row, C becomes (pivot/g) C + (r_c/g) T_row
+        and s becomes (pivot/g) s, which keeps s * vector = C . vectors + r.
         """
-        if len(vector) != self.length:
+        ints, scale = _vector_ints(vector)
+        if len(ints) != self.length:
             raise ValueError("vector length mismatch")
-        residual = list(vector)
-        alphas = []
+        residual = list(ints)
+        coords = [0] * self._dim
         for c, pivot, u_support, t_support in self._rows:
-            if residual[c]:
-                a = Fraction(residual[c], pivot)
+            rc = residual[c]
+            if rc:
+                g = math.gcd(rc, pivot)
+                f, q = pivot // g, rc // g
+                if f != 1:
+                    residual = [x * f for x in residual]
+                    coords = [x * f for x in coords]
+                    scale *= f
                 for j, y in u_support:
-                    residual[j] -= a * y
-                alphas.append((a, t_support))
+                    residual[j] -= q * y
+                for i, t in t_support:
+                    coords[i] += q * t
         if any(residual):
             return None
-        coords = [ZERO] * self._dim
-        for a, t_support in alphas:
-            for i, t in t_support:
-                coords[i] += a * t
-        return tuple(coords)
+        return tuple(Fraction(x, scale) if x else ZERO for x in coords)
 
 
 # ---------------------------------------------------------------------------
@@ -844,8 +878,7 @@ def integer_roots(p: Polynomial) -> list:
         roots.add(0)
     if len(coeffs) >= 2:
         # Clear denominators once; each divisor is then tested by integer Horner.
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (scale // c.denominator) for c in reversed(coeffs)]
+        ints, _ = _integers_over(coeffs[::-1])
         for d in _divisors(ints[-1]):
             for r in (d, -d):
                 value = 0

@@ -19,6 +19,7 @@ from .linalg import (
     ZERO,
     mat_vec,
     solve_linear,
+    vstack,
 )
 
 
@@ -53,9 +54,7 @@ def jacobson_morozov(algebra: LieAlgebra, e: LieElement) -> Sl2Triple:
 
     adh = ad_matrix(algebra, h)
     m = algebra.dim
-    two_id = RatMatrix.identity(m).scale(2)
-    stacked_rows = (adh + two_id).row_lists() + ade.row_lists()
-    stacked = RatMatrix.from_rows(stacked_rows)
+    stacked = vstack([adh + RatMatrix.identity(m).scale(2), ade])
     joint_rhs = tuple([ZERO] * m) + h.coords
     f_coords = solve_linear(stacked, joint_rhs)
     if f_coords is None:

@@ -52,13 +52,17 @@ from .linalg import (
     ZERO,
     _as_fractions,
     _bareiss,
+    _int_rows,
+    _lincomb,
+    _matrix,
+    _support,
     char_poly,
     det,
-    g_lincomb,
     matrix_to_json,
     mod_p_arithmetic,
     rank,
     rational_str,
+    vstack,
 )
 from .rng import SplitMix64
 
@@ -152,15 +156,15 @@ def _rank_mod_p(chart: OrbitChart, vp, prime: int) -> int | None:
         columns = _derivative_pass(chart, vp, mod_p_arithmetic(prime))
     except NotInvertibleModP:
         return None
-    rows = [[x % prime for row in col for x in row] for col in columns]
+    rows = [[x % prime for x in col.nums] for col in columns]
     return len(_bareiss(rows, modulus=prime)[1])
 
 
-def _rank_of_derivs(derivs: Sequence[list]) -> int:
-    """Exact rank of derivative columns given as row lists of Fractions."""
+def _rank_of_derivs(derivs: Sequence[RatMatrix]) -> int:
+    """Exact rank of derivative columns, each flattened to one row."""
     if not derivs:
         return 0
-    return rank(RatMatrix.from_rows([[x for row in d for x in row] for d in derivs]))
+    return rank(vstack([_matrix(1, d.rows * d.cols, d.nums, d.den) for d in derivs]))
 
 
 def _power_ranks(m: RatMatrix) -> list:
@@ -211,12 +215,11 @@ def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan,
     algebra = nil.algebra
     n = algebra.ambient_size
     base = nil.base_element.matrix
-    u_rows = [el.matrix.row_lists() for el in pd.u]
+    u_supports = [_support(el.matrix) for el in pd.u]
     gs = []
     for _ in range(2):
         coeffs = [rng.fraction() for _ in pd.u]
-        _, e, e_inv = _exp_series(g_lincomb(coeffs, u_rows, n, n), n)
-        gs.append((RatMatrix.from_rows(e), RatMatrix.from_rows(e_inv)))
+        gs.append(_exp_series(_lincomb(coeffs, u_supports, n, n))[1:])
     use_diag = (algebra.family == "sl"
                 and _is_diagonal(pd.grading.grading_element.matrix))
     point = gs[1][0] * base * gs[1][1]
@@ -224,7 +227,7 @@ def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan,
         d, d_inv = _diag_det_one(n, rng)
         point = d * point * d_inv
     point = gs[0][0] * point * gs[0][1]
-    coords = slice_span.coords_of(point.entries)
+    coords = slice_span.coords_of(point)
     if coords is None:
         raise AssertionError("sampled orbit point left the slice")
     return coords
@@ -236,7 +239,7 @@ def _nilpotent_part(chart: OrbitChart) -> OrbitChart | None:
 
 
 def _is_diagonal(m: RatMatrix) -> bool:
-    return all(not m.at(i, j) for i in range(m.rows) for j in range(m.cols) if i != j)
+    return not any(x for i, row in enumerate(_int_rows(m)) for j, x in enumerate(row) if i != j)
 
 
 def _sample_params(chart: OrbitChart, nil: OrbitChart, slice_span: VectorSpan | None,
@@ -309,7 +312,7 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
         ))
 
     base_vp = _value_pass(chart, _as_fractions(chart.base_params))
-    base_value = RatMatrix.from_rows(base_vp.value)
+    base_value = base_vp.value
     base_rank = _jacobian_rank(chart, base_vp)
     checks.append(Check(
         "base_point_identity",
@@ -344,7 +347,7 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
             params = _sample_params(chart, nil, slice_span, rng)
         seen.add(params)
         vp = _value_pass(chart, params)
-        values.append(RatMatrix.from_rows(vp.value))
+        values.append(vp.value)
         ranks.append(_jacobian_rank(chart, vp))
     checks.append(Check(
         "jacobian_rank_samples",
@@ -353,7 +356,7 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
         passed=(ranks == [chart.expected_orbit_dim] * samples),
     ))
 
-    distinct = len({v.entries for v in values})
+    distinct = len(set(values))
     checks.append(Check(
         "injectivity_sampling",
         expected=samples,

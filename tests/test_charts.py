@@ -14,13 +14,11 @@ from orbitcharts.charts import (
     chart_semisimple,
     chart_to_json,
     eval_chart,
-    eval_chart_rows,
     eval_chart_with_derivatives,
     exp_nilpotent,
 )
 from orbitcharts.liealg import build_classical, centralizer_basis
 from orbitcharts.linalg import (
-    ZERO,
     DualNumber,
     NotNilpotentError,
     RatMatrix,
@@ -304,17 +302,52 @@ class TestEvalChart:
         assert_dual_number_derivatives(chart, [F(1), F(0)])
 
 
+def _dual_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), DualNumber(0)) for col in zip(*b)]
+            for row in a]
+
+
+def _dual_chart_value(chart, params):
+    """The chart formula Ad(exp a_1 ... exp a_m)(shift + sum_j v_j s_j),
+    a_f = sum_i t_(f,i) b_(f,i), on dual-number row lists; it shares no code
+    with the library's evaluator."""
+    n = chart.algebra.ambient_size
+    ident = [[DualNumber(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def combine(start, coeffs, mats):
+        for c, m in zip(coeffs, mats):
+            start = [[x + c * y for x, y in zip(r, mr)] for r, mr in zip(start, m.row_lists())]
+        return start
+
+    def exp(a, sign):  # sum over k < n of (sign a)^k / k!; a is nilpotent
+        term = total = ident
+        for k in range(1, n):
+            term = [[x * F(sign, k) for x in row] for row in _dual_mul(term, a)]
+            total = [[x + y for x, y in zip(r, tr)] for r, tr in zip(total, term)]
+        return total
+
+    zero = [[DualNumber(0)] * n for _ in range(n)]
+    g = g_inv = ident
+    pos = 0
+    for basis in chart.factors:
+        a = combine(zero, params[pos:pos + len(basis)], basis)
+        pos += len(basis)
+        g, g_inv = _dual_mul(g, exp(a, 1)), _dual_mul(exp(a, -1), g_inv)
+    shift = zero if chart.shift is None else chart.shift.row_lists()
+    core = combine(shift, params[pos:], chart.slice_basis)
+    return _dual_mul(_dual_mul(g, core), g_inv)
+
+
 def assert_dual_number_derivatives(chart, params):
-    """eval_chart_with_derivatives against one dual-number evaluation per
-    parameter through the value path."""
+    """eval_chart_with_derivatives against the chart formula evaluated at one
+    dual-number perturbation per parameter (epsilon^2 = 0)."""
     value, derivs = eval_chart_with_derivatives(chart, params)
     assert value == eval_chart(chart, params)
     for j in range(chart.param_count):
         dual_params = [DualNumber(p, F(1) if i == j else F(0)) for i, p in enumerate(params)]
-        rows = eval_chart_rows(chart, dual_params)
-        eps = [[c.epsilon if isinstance(c, DualNumber) else ZERO for c in row]
-               for row in rows]
-        assert RatMatrix.from_rows(eps) == derivs[j]
+        rows = _dual_chart_value(chart, dual_params)
+        assert M([[c.value for c in row] for row in rows]) == value
+        assert M([[c.epsilon for c in row] for row in rows]) == derivs[j]
 
 
 CASES = {
@@ -337,6 +370,22 @@ class TestChartSerialization:
         rng = SplitMix64(37)
         params = [rng.fraction() for _ in range(chart.param_count)]
         assert eval_chart(rebuilt, params) == eval_chart(chart, params)
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d.update(inner=None), "inner"),
+        (lambda d: d.pop("factors"), "factors"),
+        (lambda d: d.update(factors="abc"), "factors"),
+        (lambda d: d.update(factors=[{"basis": None}]), "factors"),
+        (lambda d: d.pop("case_tag"), "case_tag"),
+        (lambda d: d.update(base_element=[]), "base_element"),
+        (lambda d: d.update(slice_basis=None), "slice_basis"),
+        (lambda d: d.update(expected_orbit_dim="6"), "expected_orbit_dim"),
+    ])
+    def test_malformed_shape_raises_value_error(self, sl3, mutate, field):
+        data = chart_to_json(build_chart(sl3, element(sl3, CASES["mixed"]), 42))
+        mutate(data)
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            chart_from_json(sl3, data)
 
     @pytest.mark.parametrize("case", ["nilpotent", "semisimple", "mixed"])
     def test_orbit_dim_mismatch_rejected(self, sl3, case):

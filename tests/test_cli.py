@@ -240,6 +240,12 @@ class TestVerify:
                        "--element", "no_such_file.json"])
         assert code == 2
 
+    def test_exponent_literal_exit_2(self, capsys):
+        element = '{"matrix": [["1e400","0"],["0","-1e400"]]}'
+        code, out = run(["analyze", "--family", "sl", "--size", "2", "--element", element])
+        assert (code, out) == (2, "")
+        assert "invalid rational literal '1e400'" in capsys.readouterr().err
+
     def test_not_in_algebra_exit_3(self):
         code, _ = run(["analyze", "--family", "sl", "--size", "2",
                        "--element", '{"matrix": [["1","0"],["0","1"]]}'])

@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from orbitcharts.linalg import (
     DualNumber,
+    NotInvertibleModP,
     Polynomial,
     RatMatrix,
     VectorSpan,
@@ -14,6 +17,7 @@ from orbitcharts.linalg import (
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
+    mod_p_arithmetic,
     parse_rational,
     poly_extended_gcd,
     poly_gcd,
@@ -421,6 +425,19 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             parse_rational("abc")
 
+    @pytest.mark.parametrize("text", ["1e5", "1E5", "2.5e-3", "1e2000000"])
+    def test_exponent_notation_refused(self, text):
+        # Fraction("1e2000000") would build a 2,000,001-digit integer
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            parse_rational(text)
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            M([[text]])
+
+    def test_decimal_and_plain_literals_accepted(self):
+        assert parse_rational("0.1") == F(1, 10)
+        assert parse_rational(" 7 ") == F(7)
+        assert M([["0.25", "3/4"]]) == M([[F(1, 4), F(3, 4)]])
+
     def test_matrix_json_round_trip(self):
         a = M([[F(1, 2), 0], [3, F(-7, 3)]])
         assert matrix_from_json(matrix_to_json(a)) == a
@@ -508,3 +525,181 @@ class TestCoercion:
         d = DualNumber(2, "1/3")
         assert type(d.value) is Fraction and type(d.epsilon) is Fraction
         assert (d * 3).value == 6 and (d * 3).epsilon == 1
+
+
+# ---------------------------------------------------------------------------
+# RatMatrix against a plain Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)] for row in a]
+
+
+def _ref_add(a, b, sign=1):
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _ref_power(a, k):
+    out = [[F(int(i == j)) for j in range(len(a))] for i in range(len(a))]
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_is_zero(a):
+    return all(not x for row in a for x in row)
+
+
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 14, 35)
+
+
+def _random_rows(rng, r, c, density=3):
+    """Mixed denominators; about one entry in ``density`` is zero."""
+    return [[F(0) if rng.randint(1, density) == 1
+             else rng.fraction(-30, 30, DENOMINATORS) for _ in range(c)] for _ in range(r)]
+
+
+def _random_nilpotent_rows(rng, n):
+    """P U P^-1 for a strictly upper-triangular U and a unit triangular P."""
+    u = [[rng.fraction(-5, 5, DENOMINATORS) if j > i else F(0) for j in range(n)]
+         for i in range(n)]
+    lower = [[F(int(i == j)) if j >= i else rng.fraction(-3, 3) for j in range(n)]
+             for i in range(n)]
+    return M(lower) * M(u) * RatMatrix.from_rows(_ref_inverse_lower(lower))
+
+
+def _ref_inverse_lower(lower):
+    """Inverse of a unit lower-triangular Fraction matrix, by forward substitution."""
+    n = len(lower)
+    inv = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for k in range(i):
+            c = lower[i][k]
+            inv[i] = [x - c * y for x, y in zip(inv[i], inv[k])]
+    return inv
+
+
+class TestRatMatrixAgainstFractionReference:
+    """Integer numerators over one shared denominator give the results of
+    plain Fraction lists of lists, on seeded random matrices with mixed
+    denominators."""
+
+    SHAPES = [(1, 1), (2, 3), (3, 2), (4, 4), (5, 3), (1, 6), (6, 6)]
+
+    def test_sums_differences_and_negation(self):
+        rng = SplitMix64(901)
+        for r, c in self.SHAPES * 6:
+            a, b = _random_rows(rng, r, c), _random_rows(rng, r, c)
+            assert M(a) + M(b) == M(_ref_add(a, b))
+            assert M(a) - M(b) == M(_ref_add(a, b, -1))
+            assert -M(a) == M([[-x for x in row] for row in a])
+            assert M(a) - M(a) == RatMatrix.zeros(r, c)
+
+    def test_products_including_non_square(self):
+        rng = SplitMix64(902)
+        for r, k in self.SHAPES * 5:
+            c = rng.randint(1, 6)
+            a, b = _random_rows(rng, r, k), _random_rows(rng, k, c)
+            product = M(a) * M(b)
+            assert (product.rows, product.cols) == (r, c)
+            assert product == M(_ref_mul(a, b))
+            assert product.entries == tuple(x for row in _ref_mul(a, b) for x in row)
+        with pytest.raises(ValueError):
+            M([[1, 2]]) * M([[1, 2]])
+
+    def test_scale_transpose_trace_power(self):
+        rng = SplitMix64(903)
+        for r, c in self.SHAPES * 4:
+            a = _random_rows(rng, r, c)
+            k = rng.fraction(-7, 7, DENOMINATORS)
+            assert M(a).scale(k) == M([[k * x for x in row] for row in a])
+            assert k * M(a) == M(a) * k == M(a).scale(k)
+            assert M(a).transpose() == M([list(col) for col in zip(*a)])
+            if r == c:
+                assert M(a).trace() == sum((a[i][i] for i in range(r)), F(0))
+                for e in range(4):
+                    assert M(a).power(e) == M(_ref_power(a, e))
+
+    def test_is_zero_and_is_nilpotent(self):
+        rng = SplitMix64(904)
+        for n in range(1, 6):
+            assert RatMatrix.zeros(n, n).is_zero() and RatMatrix.zeros(n, n).is_nilpotent()
+            for _ in range(6):
+                a = _random_rows(rng, n, n)
+                assert M(a).is_zero() == _ref_is_zero(a)
+                want = _ref_is_zero(_ref_power(a, n))
+                assert M(a).is_nilpotent() == want
+                nil = _random_nilpotent_rows(rng, n)
+                assert nil.is_nilpotent()
+                assert _ref_is_zero(_ref_power(nil.row_lists(), n))
+        assert not M([[1, 2, 3]]).is_nilpotent()
+
+    def test_lowest_terms_make_equality_and_hash_structural(self):
+        rng = SplitMix64(905)
+        pairs = [(M([[F(2, 4), 1]]), M([[F(1, 2), 1]])),
+                 (M([[F(1, 2), F(1, 2)]]) + M([[F(1, 2), F(-1, 2)]]), M([[1, 0]])),
+                 (M([[F(1, 6), 0]]) - M([[F(1, 6), 0]]), RatMatrix.zeros(1, 2))]
+        for _ in range(20):
+            a = M(_random_rows(rng, 3, 3))
+            pairs.append((a.scale(3).scale(F(1, 3)), a))
+            pairs.append((a * RatMatrix.identity(3), a))
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+            assert x.den > 0
+            assert math.gcd(x.den, *x.nums) == 1
+        assert RatMatrix.zeros(2, 2).den == 1
+        assert M([[F(1, 2), 0]]).scale(0).den == 1
+
+    def test_entries_are_exact_fractions(self):
+        rng = SplitMix64(906)
+        for r, c in self.SHAPES:
+            a = _random_rows(rng, r, c)
+            m = M(a)
+            assert type(m.entries) is tuple
+            assert all(type(x) is Fraction for x in m.entries)
+            assert m.entries == tuple(x for row in a for x in row)
+            assert m.row_lists() == a
+            assert all(m.at(i, j) == a[i][j] for i in range(r) for j in range(c))
+
+    def test_immutable_and_copyable(self):
+        m = M([[F(1, 2), 3], [0, F(-5, 6)]])
+        with pytest.raises(AttributeError):
+            m.den = 1
+        assert copy.deepcopy(m) == m
+        assert pickle.loads(pickle.dumps(m)) == m
+
+    def test_floats_refused(self):
+        with pytest.raises(TypeError):
+            M([[F(1, 2), 0.5]])
+        with pytest.raises(TypeError):
+            M([[1, 2]]).scale(0.5)
+        with pytest.raises(TypeError):
+            RatMatrix(1, 1, (1.0,))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_mod_p_reduction_defined_exactly_off_the_prime(self, p):
+        """reduce raises NotInvertibleModP exactly when p divides some
+        entry's reduced denominator, and is a ring map where defined."""
+        arith = mod_p_arithmetic(p)
+        rng = SplitMix64(907 + p)
+        raised = kept = 0
+        for _ in range(40):
+            a, b = _random_rows(rng, 3, 3), _random_rows(rng, 3, 3)
+            divisible = any(x.denominator % p == 0 for row in a for x in row)
+            try:
+                ra = arith.reduce(M(a))
+            except NotInvertibleModP:
+                assert divisible
+                raised += 1
+                continue
+            assert not divisible
+            kept += 1
+            assert ra.den == 1
+            assert list(ra.nums) == [x.numerator * pow(x.denominator, -1, p) % p
+                                     for row in a for x in row]
+            if not any(x.denominator % p == 0 for row in b for x in row):
+                rb = arith.reduce(M(b))
+                assert arith.mul(ra, rb) == arith.reduce(M(a) * M(b))
+        assert raised and kept
+
