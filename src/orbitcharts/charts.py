@@ -33,18 +33,17 @@ s_j is g s_j g^-1. One loop computes these columns, exactly or in another
 arithmetic (`linalg.Arithmetic`) from the exact pieces of the value pass.
 Every matrix in both passes is a `RatMatrix`.
 
-The three constructions:
+Two constructions, chosen by the Jordan split x = x_s + x_n (computed once):
 
-* nilpotent e: factors [u-], slice u2 = g(>=2) of the sl2-grading through
-  e. The slice is u2 rather than u because ad e maps g(i) onto g(i+2) for
-  i >= 0, so the tangent space of the group orbit inside the nilradical is
-  exactly u2; for even gradings u2 = u. Verification reports flag whenever
-  the two differ.
-* semisimple x: factors [u-, u] of the grading by an integer witness z
-  whose centralizer is the Levi centralizing x; shift x, no slice.
-* mixed x = x_s + x_n: factors [u-, u] for the Levi centralizing x_s, then
-  the factors of the nilpotent chart of x_n inside that Levi; shift x_s,
-  and that inner chart's slice. The nested form
+* x_s = 0, nilpotent e: factors [u-], slice u2 = g(>=2) of the sl2-grading
+  through e. The slice is u2 rather than u because ad e maps g(i) onto
+  g(i+2) for i >= 0, so the tangent space of the group orbit inside the
+  nilradical is exactly u2; for even gradings u2 = u. Verification reports
+  flag whenever the two differ.
+* x_s != 0: factors [u-, u] of the grading by an integer witness z whose
+  centralizer, the zero piece, is the Levi c(x_s); shift x_s. A semisimple
+  x stops there, with no slice. A mixed x appends the factors and the slice
+  of the nilpotent chart of x_n inside c(x_s); the nested form
   Ad(exp a exp b)(x_s + Ad(exp c)(v)) equals the flat one because the
   inner factors centralize x_s.
 
@@ -61,8 +60,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .grading import ParabolicData, _witness_grading, grading_by, parabolic_data
-from .jordan import jordan_decompose
+from .grading import (
+    ParabolicData,
+    _witness_grading,
+    _zero_piece_matches,
+    grading_by,
+    parabolic_data,
+)
+from .jordan import JordanPair, jordan_decompose
 from .liealg import LieAlgebra, LieElement, ad_matrix, centralizer_basis
 from .linalg import (
     EXACT,
@@ -167,11 +172,6 @@ def exp_nilpotent(a: RatMatrix) -> RatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _slice_span(slice_basis: Sequence[RatMatrix], n: int) -> VectorSpan:
-    """Span of the flattened slice basis, in ambient n x n coordinates."""
-    return VectorSpan(slice_basis, length=n * n)
-
-
 def _make_chart(case_tag: str, base: LieElement, factors: tuple,
                 shift: Optional[RatMatrix], slice_basis: tuple,
                 inner: Optional[OrbitChart], orbit_dim: int,
@@ -187,13 +187,16 @@ def _make_chart(case_tag: str, base: LieElement, factors: tuple,
         factors = factors + inner.factors
         slice_basis, slice_base = inner.slice_basis, inner.slice_base
     elif slice_basis:
-        slice_base = _slice_span(slice_basis, base.algebra.ambient_size).coords_of(
-            base.matrix)
+        n = base.algebra.ambient_size
+        slice_base = VectorSpan(slice_basis, length=n * n).coords_of(base.matrix)
         if slice_base is None:
             raise error("base element does not lie in the slice span")
     chart = OrbitChart(case_tag, base, factors, shift, slice_basis, slice_base,
                        inner, orbit_dim, parabolic)
-    _validate_chart(chart, error)
+    if chart.param_count != orbit_dim:
+        raise error(f"parameter count {chart.param_count} != orbit dimension {orbit_dim}")
+    if eval_chart(chart, chart.base_params) != base.matrix:
+        raise error("chart does not hit the base element at the base tuple")
     return chart
 
 
@@ -216,12 +219,7 @@ def chart_semisimple(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChar
     pair = jordan_decompose(algebra, x)
     if not pair.nilpotent.is_zero():
         raise NotSemisimpleError("element has a nonzero nilpotent part")
-    levi = centralizer_basis(algebra, x)
-    pd = parabolic_data(_witness_grading(algebra, levi, seed))
-    if not pd.levi0.same_span(levi):
-        raise AssertionError("witness zero piece differs from the centralizer")
-    return _make_chart("semisimple", x, (_basis(pd.u_minus), _basis(pd.u)), x.matrix,
-                       (), None, algebra.dim - levi.dim, pd, AssertionError)
+    return _chart_from_split(algebra, x, pair, seed)
 
 
 def chart_mixed(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
@@ -233,35 +231,34 @@ def chart_mixed(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
     pair = jordan_decompose(algebra, x)
     if pair.semisimple.is_zero() or pair.nilpotent.is_zero():
         raise ValueError("element is not mixed (needs nonzero x_s and x_n)")
+    return _chart_from_split(algebra, x, pair, seed)
+
+
+def _chart_from_split(algebra: LieAlgebra, x: LieElement, pair: JordanPair,
+                      seed: int) -> OrbitChart:
+    """The x_s != 0 construction: outer factors [u-, u] of the witness
+    grading of the Levi c(x_s), shift x_s, and the nilpotent chart of x_n
+    inside c(x_s) when x_n != 0."""
     levi = centralizer_basis(algebra, pair.semisimple)
     pd = parabolic_data(_witness_grading(algebra, levi, seed))
-    inner = chart_nilpotent(levi, levi.element_from_matrix(pair.nilpotent.matrix))
-    return _make_chart("mixed", x, (_basis(pd.u_minus), _basis(pd.u)),
-                       pair.semisimple.matrix, (), inner, rank(ad_matrix(algebra, x)), pd,
-                       AssertionError)
+    if not _zero_piece_matches(pd.grading, levi):
+        raise AssertionError("witness zero piece differs from the centralizer")
+    inner = None
+    if not pair.nilpotent.is_zero():
+        inner = chart_nilpotent(levi, levi.element_from_matrix(pair.nilpotent.matrix))
+    return _make_chart("semisimple" if inner is None else "mixed", x,
+                       (_basis(pd.u_minus), _basis(pd.u)), pair.semisimple.matrix, (),
+                       inner, rank(ad_matrix(algebra, x)), pd, AssertionError)
 
 
 def build_chart(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
-    """Dispatch on the Jordan type of x to the matching chart constructor."""
+    """Split x once and build the chart of its Jordan type."""
     if x.is_zero():
         raise ValueError("the zero element has the zero orbit; no chart")
     pair = jordan_decompose(algebra, x)
     if pair.semisimple.is_zero():
         return chart_nilpotent(algebra, x)
-    if pair.nilpotent.is_zero():
-        return chart_semisimple(algebra, x, seed)
-    return chart_mixed(algebra, x, seed)
-
-
-def _validate_chart(chart: OrbitChart, error: type) -> None:
-    if chart.param_count != chart.expected_orbit_dim:
-        raise error(
-            f"parameter count {chart.param_count} != orbit dimension "
-            f"{chart.expected_orbit_dim}"
-        )
-    base = eval_chart(chart, chart.base_params)
-    if base != chart.base_element.matrix:
-        raise error("chart does not hit the base element at the base tuple")
+    return _chart_from_split(algebra, x, pair, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +394,15 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
     Construction scaffolding (witness grading, parabolic) is not serialized;
     the result evaluates and differentiates but carries parabolic=None.
     Raises ValueError when a field is missing or has the wrong JSON type,
+    when a factor, slice or shift matrix is not n x n for the algebra,
     when the parameter count differs from expected_orbit_dim, or when the
     base tuple does not evaluate to the base element.
     """
     _check_chart_shape(data)
     case = data["case_tag"]
     base = algebra.element_from_matrix(matrix_from_json(data["base_element"].get("matrix")))
-    factors = tuple(tuple(matrix_from_json(b) for b in f["basis"])
-                    for f in data["factors"])
-    listed = tuple(matrix_from_json(s) for s in data["slice_basis"])
+    factors = tuple(_square_matrices(algebra, "factors", f["basis"]) for f in data["factors"])
+    listed = _square_matrices(algebra, "slice_basis", data["slice_basis"])
     orbit_dim = data["expected_orbit_dim"]
     if case == "nilpotent":
         return _make_chart(case, base, factors, None, listed, None, orbit_dim,
@@ -442,3 +439,12 @@ def _check_chart_shape(data) -> None:
         raise ValueError("chart JSON field 'factors' must hold objects with a 'basis' array")
     if data["case_tag"] == "mixed" and not isinstance(data.get("inner"), dict):
         raise ValueError("chart JSON field 'inner' must be an object in a mixed chart")
+
+
+def _square_matrices(algebra: LieAlgebra, key: str, entries: list) -> tuple:
+    """The matrices of chart JSON field ``key``; each must be n x n."""
+    n = algebra.ambient_size
+    matrices = tuple(matrix_from_json(m) for m in entries)
+    if any(m.rows != n or m.cols != n for m in matrices):
+        raise ValueError(f"chart JSON field {key!r} must hold {n}x{n} matrices")
+    return matrices

@@ -23,8 +23,8 @@ from typing import Optional
 from .charts import build_chart, chart_to_json
 from .grading import WitnessNotFoundError
 from .jordan import jordan_decompose, jordan_pair_to_json
-from .liealg import LieAlgebra, LieElement, NotInAlgebraError, build_classical, centralizer_basis
-from .linalg import RatMatrix, matrix_from_json, matrix_to_json
+from .liealg import NotInAlgebraError, ad_matrix, build_classical
+from .linalg import RatMatrix, matrix_from_json, matrix_to_json, rank
 from .verify import (
     ZeroSemisimplePartError,
     class_id_to_json,
@@ -95,29 +95,18 @@ def _resolve(config: RunConfig) -> tuple:
     return algebra, element
 
 
-def _case_of(algebra: LieAlgebra, x: LieElement) -> tuple:
-    pair = jordan_decompose(algebra, x)
-    if x.is_zero():
-        case = "zero"
-    elif pair.semisimple.is_zero():
-        case = "nilpotent"
-    elif pair.nilpotent.is_zero():
-        case = "semisimple"
-    else:
-        case = "mixed"
-    return pair, case
-
-
 def cmd_analyze(config: RunConfig) -> dict:
     algebra, x = _resolve(config)
-    pair, case = _case_of(algebra, x)
-    cdim = centralizer_basis(algebra, x).dim
+    pair = jordan_decompose(algebra, x)
+    case = ("zero" if x.is_zero() else "nilpotent" if pair.semisimple.is_zero()
+            else "semisimple" if pair.nilpotent.is_zero() else "mixed")
+    orbit_dim = rank(ad_matrix(algebra, x))
     out = {
         "algebra": algebra.label,
         "case": case,
         "jordan": jordan_pair_to_json(pair),
-        "centralizer_dim": cdim,
-        "orbit_dim": algebra.dim - cdim,
+        "centralizer_dim": algebra.dim - orbit_dim,
+        "orbit_dim": orbit_dim,
     }
     if algebra.family == "sl" and not pair.semisimple.is_zero():
         out["class_id"] = class_id_to_json(invariants(algebra, pair.semisimple))

@@ -42,7 +42,6 @@ from .liealg import (
     LieElement,
     ad_matrix,
     center_basis,
-    subalgebra_from_coords,
 )
 from .linalg import (
     Polynomial,
@@ -85,14 +84,15 @@ class Grading:
 @dataclass(eq=False)
 class ParabolicData:
     """Subspaces derived from a grading: p = g(>=0), u = g(>0), their opposite,
-    and the chart target u2 = g(>=2)."""
+    and the chart target u2 = g(>=2). The Levi g(0) is ``grading.pieces[0]``;
+    it is not built as a subalgebra, since nothing brackets inside it, and
+    `_zero_piece_matches` compares it with a subalgebra already in hand."""
 
     grading: Grading
     p: Tuple[LieElement, ...]
     u: Tuple[LieElement, ...]
     u_minus: Tuple[LieElement, ...]
     u2: Tuple[LieElement, ...]
-    levi0: LieAlgebra
 
     @property
     def u2_differs_from_u(self) -> bool:
@@ -190,7 +190,7 @@ def _certify_pieces(grading: Grading) -> None:
 
 
 def parabolic_data(grading: Grading) -> ParabolicData:
-    """Assemble p, u, u-, u2 and g(0) from a grading; validate their shape."""
+    """Assemble p, u, u- and u2 from a grading; validate their shape."""
     pieces = grading.pieces
     pos = sorted(i for i in pieces if i > 0)
     neg = sorted((i for i in pieces if i < 0), reverse=True)
@@ -207,9 +207,15 @@ def parabolic_data(grading: Grading) -> ParabolicData:
     for el in u + u_minus:
         if not el.matrix.is_nilpotent():
             raise AssertionError("graded piece of nonzero weight is not nilpotent")
-    levi0 = subalgebra_from_coords(algebra, [el.coords for el in zero_piece],
-                                   label=f"g(0) of {algebra.label}")
-    return ParabolicData(grading, p, u, u_minus, u2, levi0)
+    return ParabolicData(grading, p, u, u_minus, u2)
+
+
+def _zero_piece_matches(grading: Grading, sub: LieAlgebra) -> bool:
+    """Whether g(0) of ``grading`` spans ``sub``. The zero piece is a kernel
+    basis, so equal dimensions and containment give equal spans."""
+    zero_piece = grading.pieces.get(0, ())
+    return (len(zero_piece) == sub.dim
+            and all(sub.contains_matrix(el.matrix) for el in zero_piece))
 
 
 def semisimple_for_levi(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> LieElement:

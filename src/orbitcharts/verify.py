@@ -31,15 +31,15 @@ from .charts import (
     OrbitChart,
     _derivative_pass,
     _exp_series,
-    _slice_span,
     _value_pass,
     build_chart,
 )
-from .grading import WitnessNotFoundError, semisimple_for_levi
+from .grading import WitnessNotFoundError, _witness_grading, _zero_piece_matches
 from .jordan import jordan_decompose
 from .liealg import (
     LieAlgebra,
     LieElement,
+    ad_matrix,
     bracket,
     centralizer_basis,
     trace_form_gram,
@@ -58,6 +58,7 @@ from .linalg import (
     _support,
     char_poly,
     det,
+    is_semisimple_matrix,
     matrix_to_json,
     mod_p_arithmetic,
     rank,
@@ -288,8 +289,8 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
                             passed=same))
     nil = _nilpotent_part(scaffold)
 
-    oracle_cdim = centralizer_basis(algebra, x).dim
-    expected_dim = algebra.dim - oracle_cdim
+    expected_dim = rank(ad_matrix(algebra, x))
+    oracle_cdim = algebra.dim - expected_dim
     checks.append(Check(
         "dimension_identity",
         expected=expected_dim,
@@ -302,8 +303,8 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
         name = "tangent_identity" if nil is scaffold else "inner_tangent_identity"
         checks.append(_tangent_check(nil, name))
     if chart.case_tag == "mixed":
-        inner_cdim = centralizer_basis(chart.inner.algebra,
-                                       chart.inner.base_element).dim
+        inner = chart.inner
+        inner_cdim = inner.algebra.dim - rank(ad_matrix(inner.algebra, inner.base_element))
         checks.append(Check(
             "centralizer_composition",
             expected=oracle_cdim,
@@ -332,7 +333,7 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
     seen = set()
     slice_span = None
     if chart.slice_basis:
-        slice_span = _slice_span(scaffold.slice_basis, algebra.ambient_size)
+        slice_span = VectorSpan(scaffold.slice_basis, length=algebra.ambient_size ** 2)
     # Slice coordinates are drawn in the scaffold's slice; a given chart whose
     # slice has another dimension cannot take them (rebuilt_chart_identity fails).
     sampled = samples if len(chart.slice_basis) == len(scaffold.slice_basis) else 0
@@ -421,26 +422,22 @@ def _tangent_check(nil_chart: OrbitChart, name: str) -> Check:
 
 def check_centralizer_reductive(algebra: LieAlgebra, x: LieElement) -> bool:
     """Trace-form proxy: the Gram matrix on the centralizer is nonsingular."""
-    return _trace_form_nondegenerate(algebra, centralizer_basis(algebra, x))
-
-
-def _trace_form_nondegenerate(algebra: LieAlgebra, sub: LieAlgebra) -> bool:
-    return det(trace_form_gram(algebra, sub)) != 0
+    return det(trace_form_gram(algebra, centralizer_basis(algebra, x))) != 0
 
 
 def redstab_suite(algebra: LieAlgebra, x: LieElement, seed: int,
                   chart: OrbitChart | None = None) -> VerificationReport:
     """Semisimplicity, the reductivity proxy, and the Levi witness, cross-checked.
 
-    ``chart`` is the chart built for (algebra, x, seed), if there is one. A
-    semisimple chart carrying its scaffolding already holds the witness
-    grading, which is the grading the search here would find (same Levi,
-    same seed), so it is taken from the chart instead of searching again.
+    ``chart`` is the chart built for (algebra, x, seed), if there is one.
+    For semisimple x the witness grading is taken from a semisimple chart of
+    x that carries its scaffolding: it is the grading the search would find
+    (same Levi, same seed). Without such a chart it is searched for here.
+    Either way its zero piece is compared with the centralizer of x.
     """
-    pair = jordan_decompose(algebra, x)
-    semisimple = pair.nilpotent.is_zero()
+    semisimple = is_semisimple_matrix(x.matrix)
     cent = centralizer_basis(algebra, x)
-    proxy = _trace_form_nondegenerate(algebra, cent)
+    proxy = det(trace_form_gram(algebra, cent)) != 0
     checks: List[Check] = [Check(
         "semisimple_iff_reductive",
         expected=semisimple,
@@ -451,17 +448,15 @@ def redstab_suite(algebra: LieAlgebra, x: LieElement, seed: int,
         if (chart is not None and chart.case_tag == "semisimple"
                 and chart.parabolic is not None and chart.algebra is algebra
                 and chart.base_element.matrix == x.matrix):
-            # levi0 is the kernel of ad z, i.e. the centralizer of z
-            z, zero_piece = chart.parabolic.grading.grading_element, chart.parabolic.levi0
+            grading = chart.parabolic.grading
         else:
             try:
-                z = semisimple_for_levi(algebra, cent, seed)
-                zero_piece = centralizer_basis(algebra, z)
+                grading = _witness_grading(algebra, cent, seed)
             except WitnessNotFoundError:
-                z = None
-        found = z is not None
-        witness_json = matrix_to_json(z.matrix) if found else None
-        zero_piece_ok = found and zero_piece.same_span(cent)
+                grading = None
+        found = grading is not None
+        witness_json = matrix_to_json(grading.grading_element.matrix) if found else None
+        zero_piece_ok = found and _zero_piece_matches(grading, cent)
         checks.append(Check(
             "levi_witness_found",
             expected=True,

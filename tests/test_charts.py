@@ -357,6 +357,22 @@ CASES = {
 }
 
 
+def _upper(rows, cols):
+    """JSON of a rows x cols matrix with ones above the diagonal."""
+    return [[str(int(i < j)) for j in range(cols)] for i in range(rows)]
+
+
+def _on(case, mutate):
+    """A mutation that swaps in the sl3 chart JSON of ``case``, then applies
+    ``mutate`` to it."""
+    def swap(data):
+        sl3 = build_classical("sl", 3)
+        data.clear()
+        data.update(chart_to_json(build_chart(sl3, element(sl3, CASES[case]), 42)))
+        mutate(data)
+    return swap
+
+
 class TestChartSerialization:
     @pytest.mark.parametrize("case", ["nilpotent", "semisimple", "mixed"])
     def test_round_trip_evaluates_identically(self, sl3, case):
@@ -380,6 +396,18 @@ class TestChartSerialization:
         (lambda d: d.update(base_element=[]), "base_element"),
         (lambda d: d.update(slice_basis=None), "slice_basis"),
         (lambda d: d.update(expected_orbit_dim="6"), "expected_orbit_dim"),
+        pytest.param(_on("nilpotent", lambda d: d["factors"][0]["basis"].__setitem__(0, _upper(4, 4))),
+                     "factors", id="nilpotent-factor-4x4"),
+        pytest.param(_on("nilpotent", lambda d: d["factors"][0]["basis"].__setitem__(0, _upper(2, 2))),
+                     "factors", id="nilpotent-factor-2x2"),
+        pytest.param(_on("nilpotent", lambda d: d["factors"][0]["basis"].__setitem__(0, _upper(1, 9))),
+                     "factors", id="nilpotent-factor-1x9"),
+        pytest.param(_on("nilpotent", lambda d: d["slice_basis"].__setitem__(0, _upper(2, 2))),
+                     "slice_basis", id="nilpotent-slice-2x2"),
+        pytest.param(_on("semisimple", lambda d: d["slice_basis"].__setitem__(0, _upper(4, 4))),
+                     "slice_basis", id="semisimple-shift-4x4"),
+        pytest.param(lambda d: d["inner"]["factors"][0]["basis"].__setitem__(0, _upper(2, 2)),
+                     "factors", id="mixed-inner-factor-2x2"),
     ])
     def test_malformed_shape_raises_value_error(self, sl3, mutate, field):
         data = chart_to_json(build_chart(sl3, element(sl3, CASES["mixed"]), 42))

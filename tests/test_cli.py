@@ -1,11 +1,18 @@
 import contextlib
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import orbitcharts.charts as charts
+import orbitcharts.cli as cli
+import orbitcharts.grading as grading
+import orbitcharts.jordan as jordan
+import orbitcharts.verify as verify
 from orbitcharts.cli import main
+from orbitcharts.liealg import LieAlgebra, build_classical
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -183,9 +190,6 @@ class TestVerify:
     @pytest.mark.parametrize("family,size,element", [
         ("sl", 3, BLOCK3), ("so", 5, SO5_DIAG)], ids=["sl3", "so5"])
     def test_one_witness_search(self, family, size, element, monkeypatch):
-        import orbitcharts.charts as charts
-        import orbitcharts.grading as grading
-
         calls = []
         search = grading._witness_grading
 
@@ -195,6 +199,7 @@ class TestVerify:
 
         monkeypatch.setattr(grading, "_witness_grading", counted)
         monkeypatch.setattr(charts, "_witness_grading", counted)
+        monkeypatch.setattr(verify, "_witness_grading", counted)
         code, _ = run(["verify", "--family", family, "--size", str(size),
                        "--element", element])
         assert code == 0
@@ -219,8 +224,6 @@ class TestVerify:
         assert not target.exists()
 
     def test_negative_samples_exit_2(self, capsys, monkeypatch):
-        import orbitcharts.cli as cli
-
         monkeypatch.setattr(cli, "build_chart", _no_chart)
         code, out = run(["verify", "--family", "sl", "--size", "2",
                          "--element", H2, "--samples", "-1"])
@@ -309,3 +312,48 @@ class TestDeterminism:
         _, out = run(["analyze", "--family", "sl", "--size", "2",
                       "--element", H2])
         json.loads(out)
+
+
+SL5_CASES = {
+    "nilpotent": [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0],
+                  [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]],
+    "semisimple": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0],
+                   [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]],
+    "mixed": [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0],
+              [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]],
+}
+# most LieAlgebra constructions per request: the Levi c(x_s) and its center
+# for a chart with x_s != 0, and the centralizer of x for the reductivity proxy
+MAX_ALGEBRAS = {
+    "verify": {"nilpotent": 1, "semisimple": 3, "mixed": 3},
+    "chart": {"nilpotent": 0, "semisimple": 2, "mixed": 2},
+    "analyze": {"nilpotent": 0, "semisimple": 0, "mixed": 0},
+}
+
+
+class TestAnalysedOnce:
+    """One request splits its element once and builds only the subalgebras
+    something reads."""
+
+    @pytest.mark.parametrize("command", sorted(MAX_ALGEBRAS))
+    @pytest.mark.parametrize("case", sorted(SL5_CASES))
+    def test_call_counts(self, monkeypatch, command, case):
+        build_classical("sl", 5)  # the ambient algebra is built once per process
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        split = counted("jordan_decompose", jordan.jordan_decompose)
+        for module in (jordan, charts, cli, verify):
+            monkeypatch.setattr(module, "jordan_decompose", split)
+        monkeypatch.setattr(LieAlgebra, "__init__", counted("algebras", LieAlgebra.__init__))
+        element = json.dumps({"matrix": [[str(v) for v in row] for row in SL5_CASES[case]]})
+        code, _ = run([command, "--family", "sl", "--size", "5", "--element", element,
+                       "--samples", "2"])
+        assert code == 0
+        assert counts["jordan_decompose"] == 1
+        assert counts["algebras"] <= MAX_ALGEBRAS[command][case]

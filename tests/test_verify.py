@@ -10,7 +10,13 @@ from conftest import (
     nontrivial_partitions,
     partitions,
 )
-from orbitcharts.charts import build_chart, chart_nilpotent, chart_semisimple, exp_nilpotent
+from orbitcharts.charts import (
+    build_chart,
+    chart_mixed,
+    chart_nilpotent,
+    chart_semisimple,
+    exp_nilpotent,
+)
 from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import build_classical
 from orbitcharts.linalg import RatMatrix, char_poly
@@ -18,6 +24,7 @@ from orbitcharts.rng import SplitMix64
 from orbitcharts.verify import (
     OrbitClassId,
     ZeroSemisimplePartError,
+    _same_flat_data,
     check_centralizer_reductive,
     hamiltonian_class,
     invariants,
@@ -226,6 +233,52 @@ def _semisimple_corpus():
     return cases
 
 
+def _mixed_corpus():
+    """sl3-sl5, so5, so6 and sp4 diagonals plus a nilpotent inside their
+    centralizer: superdiagonal ones in repeated-eigenvalue blocks (for so and
+    sp, E_01 with the partner entry the form requires)."""
+    cases = []
+    for family, values, entries in (
+            ("sl", [1, 1, -2], [(0, 1, 1)]),
+            ("sl", [1, 1, -1, -1], [(0, 1, 1)]),
+            ("sl", [1, 1, -1, -1], [(0, 1, 1), (2, 3, 1)]),
+            ("sl", [1, 1, 1, -3], [(0, 1, 1), (1, 2, 1)]),
+            ("sl", [1, 1, 0, -1, -1], [(0, 1, 1), (3, 4, 1)]),
+            ("sl", [2, 2, 2, -3, -3], [(0, 1, 1), (1, 2, 1)]),
+            ("so", [1, 1, 0, -1, -1], [(0, 1, 1), (3, 4, -1)]),
+            ("so", [1, 1, 1, -1, -1, -1], [(0, 1, 1), (4, 5, -1)]),
+            ("sp", [1, 1, -1, -1], [(0, 1, 1), (2, 3, -1)])):
+        n = len(values)
+        label = ",".join(map(str, values)) + "+" + ",".join(f"E{i}{j}" for i, j, _ in entries)
+        cases.append(pytest.param(family, n, values, entries, id=f"{family}{n}-{label}"))
+    return cases
+
+
+def _mixed_element(family, n, values, entries):
+    algebra = build_classical(family, n)
+    m = diag_matrix(values)
+    for i, j, v in entries:
+        m = m + elem(n, i, j, v)
+    return algebra, algebra.element_from_matrix(m)
+
+
+class TestOneConstruction:
+    @pytest.mark.parametrize("family,n,values", _semisimple_corpus())
+    def test_semisimple_same_flat_data(self, family, n, values):
+        algebra = build_classical(family, n)
+        x = algebra.element_from_matrix(diag_matrix(values))
+        chart = build_chart(algebra, x, 42)
+        assert chart.case_tag == "semisimple"
+        assert _same_flat_data(chart, chart_semisimple(algebra, x, 42))
+
+    @pytest.mark.parametrize("family,n,values,entries", _mixed_corpus())
+    def test_mixed_same_flat_data(self, family, n, values, entries):
+        algebra, x = _mixed_element(family, n, values, entries)
+        chart = build_chart(algebra, x, 42)
+        assert chart.case_tag == "mixed"
+        assert _same_flat_data(chart, chart_mixed(algebra, x, 42))
+
+
 class TestRedstabWitnessFromChart:
     @pytest.mark.parametrize("family,n,values", _semisimple_corpus())
     def test_same_report_as_search(self, family, n, values):
@@ -234,6 +287,22 @@ class TestRedstabWitnessFromChart:
         chart = build_chart(algebra, x, 42)
         assert report_to_json(redstab_suite(algebra, x, 42, chart)) \
             == report_to_json(redstab_suite(algebra, x, 42))
+
+    @pytest.mark.parametrize("family,n,values,entries", _mixed_corpus())
+    def test_mixed_same_report_as_without_chart(self, family, n, values, entries):
+        algebra, x = _mixed_element(family, n, values, entries)
+        rep = redstab_suite(algebra, x, 42, build_chart(algebra, x, 42))
+        assert rep.overall_pass
+        assert report_to_json(rep) == report_to_json(redstab_suite(algebra, x, 42))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_nilpotent_same_report_as_without_chart(self, n):
+        algebra = build_classical("sl", n)
+        for part in nontrivial_partitions(n):
+            e = algebra.element_from_matrix(jordan_nilpotent(n, part))
+            rep = redstab_suite(algebra, e, 42, build_chart(algebra, e, 42))
+            assert rep.overall_pass, part
+            assert report_to_json(rep) == report_to_json(redstab_suite(algebra, e, 42)), part
 
     def test_chart_of_another_element_is_not_used(self, sl3):
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]))
