@@ -4,7 +4,7 @@ A chart is data, never generated code. Every chart is stored flat, once,
 when it is built:
 
 * ``factors``: an ordered tuple of nilpotent factors, each a tuple of basis
-  matrices of a nilpotent subspace, one parameter per basis matrix;
+  matrices of a nilpotent subalgebra, one parameter per basis matrix;
 * ``shift``: the point added to the slice (``x`` in the semisimple case,
   ``x_s`` in the mixed case, none in the nilpotent case);
 * ``slice_basis`` and ``slice_base``: an affine slice, one parameter per
@@ -29,9 +29,10 @@ factor f is
 
 where dexp_f(b) is the derivative of exp a_f along b; the exponentials
 after factor f cancel in dg g^-1. The derivative along the slice element
-s_j is g s_j g^-1. One loop computes these columns, exactly or in another
-arithmetic (`linalg.Arithmetic`) from the exact pieces of the value pass.
-Every matrix in both passes is a `RatMatrix`.
+s_j is g s_j g^-1. `eval_chart_with_derivatives` computes these columns
+exactly from the pieces of one value pass; `verify` ranks a conjugate of
+them that needs no dexp series (`verify._jacobian_rank`). Every matrix in
+both passes is a `RatMatrix`.
 
 Two constructions, chosen by the Jordan split x = x_s + x_n (computed once):
 
@@ -56,6 +57,7 @@ the map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -70,15 +72,18 @@ from .grading import (
 from .jordan import JordanPair, jordan_decompose
 from .liealg import LieAlgebra, LieElement, ad_matrix, centralizer_basis
 from .linalg import (
-    EXACT,
-    Arithmetic,
     NotNilpotentError,
     RatMatrix,
     VectorSpan,
     ZERO,
     _as_fractions,
+    _bareiss,
+    _int_rows,
     _lincomb,
+    _matrix,
+    _span_rank,
     _support,
+    commutator,
     matrix_from_json,
     matrix_to_json,
     rank,
@@ -95,7 +100,11 @@ class OrbitChart:
     """Evaluable parameterization of (an open piece of) the orbit of base_element.
 
     The flat fields ``factors``, ``shift``, ``slice_basis`` and
-    ``slice_base`` define the map (see the module docstring). ``inner`` is
+    ``slice_base`` define the map (see the module docstring). Each factor
+    spans a nilpotent subalgebra of gl_n: its span is closed under the
+    bracket, and every product of n of its matrices vanishes. A built
+    chart's factors are grading pieces g(<0) or g(>0), which are such
+    subalgebras; `chart_from_json` checks it. ``inner`` is
     the nested nilpotent chart of the mixed case, whose factors and slice
     are the tail of this chart's. ``parabolic`` carries the construction
     scaffolding for verification and sampling; it is not serialized.
@@ -152,7 +161,7 @@ def _exp_series(a: RatMatrix) -> tuple:
         if k == n:
             raise NotNilpotentError("matrix is not nilpotent")
         powers.append(power)
-        term = power.scale(EXACT.inv_fact(k))
+        term = power.scale(Fraction(1, math.factorial(k)))
         acc = acc + term
         acc_neg = acc_neg + term if k % 2 == 0 else acc_neg - term
         power = power * a
@@ -273,12 +282,14 @@ class _ValuePass:
     series[f] is `_exp_series` of the matrix a_f of factors[f]; prefix[f] is
     the product of the exponentials of factors[:f] and inv_prefix[f] its
     inverse, so prefix[m] = g and inv_prefix[m] = g^-1 for m factors.
+    core is shift + sum_j v_j s_j, and value is g core g^-1.
     """
 
     series: list
     prefix: list
     inv_prefix: list
-    value: list
+    core: RatMatrix
+    value: RatMatrix
 
 
 def _value_pass(chart: OrbitChart, params: Sequence) -> _ValuePass:
@@ -301,7 +312,7 @@ def _value_pass(chart: OrbitChart, params: Sequence) -> _ValuePass:
     core = chart.shift if chart.shift is not None else RatMatrix.zeros(n, n)
     if chart.slice_basis:
         core = core + _lincomb(params[pos:], [_support(s) for s in chart.slice_basis], n, n)
-    return _ValuePass(series, prefix, inv_prefix, prefix[-1] * core * inv_prefix[-1])
+    return _ValuePass(series, prefix, inv_prefix, core, prefix[-1] * core * inv_prefix[-1])
 
 
 def eval_chart(chart: OrbitChart, params: Sequence) -> RatMatrix:
@@ -309,58 +320,40 @@ def eval_chart(chart: OrbitChart, params: Sequence) -> RatMatrix:
     return _value_pass(chart, _as_fractions(params)).value
 
 
-def _derivative_pass(chart: OrbitChart, vp: _ValuePass,
-                     arith: Arithmetic = EXACT) -> list:
-    """All first derivatives at the value pass ``vp``, as matrices in ``arith``.
-
-    The bracket form of the module docstring. Every exact piece is taken
-    from ``vp`` and reduced into ``arith`` once; the powers of a_f drive
-    dexp_f(b) = sum_k d(a_f^k)/k!, where d(a^k) = d(a^(k-1)) a + a^(k-1) b
-    can be nonzero after a^k = 0, and every term has a factor a, so a = 0
-    leaves dexp = b. The zero test only skips terms that vanish.
-    """
-    n = chart.algebra.ambient_size
-    mul, inv_fact, reduce = arith
-    value = reduce(vp.value)
-    columns = []
-    for f, basis in enumerate(chart.factors):
-        powers = [reduce(p) for p in vp.series[f][0]]
-        exp_neg = reduce(vp.series[f][2])
-        if f:
-            pre, inv_pre = reduce(vp.prefix[f]), reduce(vp.inv_prefix[f])
-        for b_mat in basis:
-            b = reduce(b_mat)
-            dp = dexp = b
-            for k in range(2, n if len(powers) > 1 else 2):
-                dp = mul(dp, powers[1])
-                if k - 1 < len(powers):
-                    dp = dp + mul(powers[k - 1], b)
-                if dp.is_zero():
-                    if k >= len(powers):
-                        break
-                    continue
-                dexp = dexp + dp.scale(inv_fact(k))
-            x = mul(dexp, exp_neg)
-            if f:
-                x = mul(mul(pre, x), inv_pre)
-            columns.append(mul(x, value) - mul(value, x))
-    if chart.slice_basis:
-        m = len(chart.factors)
-        g, g_inv = reduce(vp.prefix[m]), reduce(vp.inv_prefix[m])
-        for s in chart.slice_basis:
-            columns.append(mul(mul(g, reduce(s)), g_inv))
-    return columns
-
-
 def eval_chart_with_derivatives(chart: OrbitChart, params: Sequence) -> tuple:
     """Value and all first derivatives at a rational tuple, exactly.
 
     Equal to evaluating with one dual-number perturbation per parameter
-    (epsilon^2 = 0), computed in bracket form from one value pass.
-    Returns (RatMatrix, [RatMatrix per parameter]).
+    (epsilon^2 = 0), computed in the bracket form of the module docstring
+    from one value pass. The powers of a_f drive dexp_f(b) = sum_k d(a_f^k)/k!,
+    where d(a^k) = d(a^(k-1)) a + a^(k-1) b can be nonzero after a^k = 0,
+    and every term has a factor a, so a = 0 leaves dexp = b. The zero test
+    only skips terms that vanish. Returns (RatMatrix, [RatMatrix per parameter]).
     """
     vp = _value_pass(chart, _as_fractions(params))
-    return vp.value, _derivative_pass(chart, vp)
+    n = chart.algebra.ambient_size
+    value = vp.value
+    columns = []
+    for f, basis in enumerate(chart.factors):
+        powers, _, exp_neg = vp.series[f]
+        for b in basis:
+            dp = dexp = b
+            for k in range(2, n if len(powers) > 1 else 2):
+                dp = dp * powers[1]
+                if k - 1 < len(powers):
+                    dp = dp + powers[k - 1] * b
+                if dp.is_zero():
+                    if k >= len(powers):
+                        break
+                    continue
+                dexp = dexp + dp.scale(Fraction(1, math.factorial(k)))
+            x = dexp * exp_neg
+            if f:
+                x = vp.prefix[f] * x * vp.inv_prefix[f]
+            columns.append(x * value - value * x)
+    g, g_inv = vp.prefix[-1], vp.inv_prefix[-1]
+    columns.extend(g * s * g_inv for s in chart.slice_basis)
+    return value, columns
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +388,25 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
     the result evaluates and differentiates but carries parabolic=None.
     Raises ValueError when a field is missing or has the wrong JSON type,
     when a factor, slice or shift matrix is not n x n for the algebra,
+    when a factor does not span a nilpotent subalgebra (see `OrbitChart`),
     when the parameter count differs from expected_orbit_dim, or when the
     base tuple does not evaluate to the base element.
+
+    The factor check is what lets `verify._jacobian_rank` rank the
+    conjugated columns: it needs each factor's span closed under the
+    bracket, and the exponentials need every a_f nilpotent. A chart that
+    fails it could not pass ``rebuilt_chart_identity`` in `verify_chart`
+    anyway, since every built chart's factors pass it.
     """
     _check_chart_shape(data)
     case = data["case_tag"]
     base = algebra.element_from_matrix(matrix_from_json(data["base_element"].get("matrix")))
     factors = tuple(_square_matrices(algebra, "factors", f["basis"]) for f in data["factors"])
+    for i, basis in enumerate(factors):
+        defect = _factor_defect(basis, algebra.ambient_size)
+        if defect:
+            raise ValueError(f"chart JSON field 'factors' must span nilpotent subalgebras; "
+                             f"factor {i} is not {defect}")
     listed = _square_matrices(algebra, "slice_basis", data["slice_basis"])
     orbit_dim = data["expected_orbit_dim"]
     if case == "nilpotent":
@@ -448,3 +453,27 @@ def _square_matrices(algebra: LieAlgebra, key: str, entries: list) -> tuple:
     if any(m.rows != n or m.cols != n for m in matrices):
         raise ValueError(f"chart JSON field {key!r} must hold {n}x{n} matrices")
     return matrices
+
+
+def _factor_defect(basis: tuple, n: int) -> str:
+    """Why the span U of the n x n matrices ``basis`` is not a nilpotent
+    subalgebra, or "" when it is.
+
+    U is nilpotent iff every product of n of its matrices vanishes, that
+    is iff V_n = 0 for V_0 = Q^n and V_(k+1) = span{b v : b in basis,
+    v in V_k}; each V_k is kept as the echelon rows of its vectors. U is
+    closed iff adding the brackets of basis pairs leaves its dimension.
+    """
+    space = RatMatrix.identity(n)
+    transposed = [b.transpose() for b in basis]
+    for _ in range(n):
+        ech, piv, _ = _bareiss([row for bt in transposed for row in _int_rows(space * bt)])
+        if not piv:
+            break
+        space = _matrix(len(piv), n, [x for row in ech[:len(piv)] for x in row])
+    else:
+        return "nilpotent"
+    brackets = [commutator(a, b) for i, a in enumerate(basis) for b in basis[i + 1:]]
+    if _span_rank(basis + tuple(brackets)) != _span_rank(basis):
+        return "bracket-closed"
+    return ""

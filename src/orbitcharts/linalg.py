@@ -14,15 +14,13 @@ pass a string such as "1/10" instead), a string goes through
 through `Fraction(x)`. `RatMatrix.entries` and `RatMatrix.at` give exact
 Fractions back.
 Every matrix product (`*`, `power`, `char_poly`, `Polynomial.evaluate_matrix`
-and the products of chart evaluation, exact or mod p) runs one integer
-row-product loop, `_product`, on numerators; like `_bareiss`, it takes an
-optional prime modulus. Every exact elimination (`rank`, `det`,
+and the products of chart evaluation) runs one integer row-product loop,
+`_product`, on numerators. Every elimination (`rank`, `det`,
 `kernel_basis`, `solve_linear` and `VectorSpan`) runs one fraction-free
 loop, `_bareiss`, on integer rows to control coefficient growth, and every
-solve after it runs one integer back-substitution, `_back_substitute`. The
-same elimination loop also runs over F_p, into which `mod_p_arithmetic`
-reduces exact matrices for rank certificates. Every function is pure and
-deterministic: rerunning on equal inputs gives bit-identical results.
+solve after it runs one integer back-substitution, `_back_substitute`.
+Every function is pure and deterministic: rerunning on equal inputs gives
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -260,15 +258,11 @@ def _matrix(rows: int, cols: int, nums, den: int = 1) -> RatMatrix:
     return m
 
 
-def _product(a: RatMatrix, b: RatMatrix, modulus: int | None = None) -> RatMatrix:
+def _product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """a b: the one integer row-product loop, on numerators.
 
     Zero entries are skipped, which matters for the sparse basis matrices
-    used throughout. The denominator of the product is a.den * b.den. With
-    a prime ``modulus`` (the pattern of `_bareiss`) both matrices hold
-    integer representatives of F_p (denominator 1, see
-    `mod_p_arithmetic`) and each product entry is reduced into
-    [0, modulus).
+    used throughout. The denominator of the product is a.den * b.den.
     """
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
@@ -282,8 +276,8 @@ def _product(a: RatMatrix, b: RatMatrix, modulus: int | None = None) -> RatMatri
             if aik:
                 for j, v in brow:
                     acc[j] += aik * v
-        out.extend(acc if modulus is None else [x % modulus for x in acc])
-    return _matrix(a.rows, cols, out, a.den * b.den if modulus is None else 1)
+        out.extend(acc)
+    return _matrix(a.rows, cols, out, a.den * b.den)
 
 
 def _support(m: RatMatrix) -> tuple:
@@ -321,53 +315,6 @@ def matrix_from_json(data) -> RatMatrix:
     return RatMatrix.from_rows(rows)
 
 
-class Arithmetic(NamedTuple):
-    """The scalars a derivative pass runs in.
-
-    ``mul`` is the matrix product, ``inv_fact(k)`` the scalar 1/k!, and
-    ``reduce`` takes an exact `RatMatrix` into these scalars. Sums,
-    negations, scaling and zero tests are the `RatMatrix` operators.
-    """
-
-    mul: Callable
-    inv_fact: Callable
-    reduce: Callable
-
-
-EXACT = Arithmetic(_product, lambda k: Fraction(1, math.factorial(k)), lambda m: m)
-
-
-class NotInvertibleModP(ArithmeticError):
-    """A denominator is divisible by the modulus: the value has no image mod p."""
-
-
-def mod_p_arithmetic(p: int) -> Arithmetic:
-    """Arithmetic of F_p on the rationals whose denominators p does not divide.
-
-    A matrix over F_p is a `RatMatrix` of integer representatives
-    (denominator 1). ``reduce`` applies the ring map Z_(p) -> F_p,
-    num/den -> num * den^-1 mod p, entrywise with the shared denominator, and
-    raises NotInvertibleModP when p divides it (as does ``inv_fact(k)``
-    when p divides k!). Since the shared denominator is the lcm of the
-    reduced entry denominators, that is exactly when p divides the
-    denominator of some entry. Products run `_product` mod p and land in
-    [0, p). Sums and negations of reduced values are left unreduced: they
-    stay in their residue class, and the next product reduces them.
-    """
-
-    def inverse(d: int) -> int:
-        if d % p == 0:
-            raise NotInvertibleModP(f"{p} divides the denominator {d}")
-        return pow(d, -1, p)
-
-    def reduce(m: RatMatrix) -> RatMatrix:
-        inv = inverse(m.den)
-        return _matrix(m.rows, m.cols, [x * inv % p for x in m.nums])
-
-    return Arithmetic(lambda a, b: _product(a, b, p), lambda k: inverse(math.factorial(k)),
-                      reduce)
-
-
 # ---------------------------------------------------------------------------
 # Fraction-free elimination (Bareiss)
 # ---------------------------------------------------------------------------
@@ -379,16 +326,11 @@ def _int_rows(m: RatMatrix) -> list:
     return [list(nums[i * c:(i + 1) * c]) for i in range(m.rows)]
 
 
-def _bareiss(rows: list, modulus: int | None = None) -> tuple:
+def _bareiss(rows: list) -> tuple:
     """In-place fraction-free echelon form.
 
     Returns (rows, pivot_columns, swap_count). Entries stay integral; each
-    elimination step divides exactly by the previous pivot. With a prime
-    ``modulus`` the same loop eliminates over the field F_p instead: the
-    rows must hold integers, none of them a nonzero multiple of the
-    modulus, each step reduces ``row_i * piv - ric * row_r`` mod p and the
-    division by the previous pivot is dropped (every nonzero pivot is a
-    unit). The pivot columns then give the rank over F_p.
+    elimination step divides exactly by the previous pivot.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -412,12 +354,8 @@ def _bareiss(rows: list, modulus: int | None = None) -> tuple:
             ric = rows[i][c]
             row_i = rows[i]
             row_r = rows[r]
-            if modulus is None:
-                for j in range(c, n):
-                    row_i[j] = (row_i[j] * piv - ric * row_r[j]) // prev
-            elif ric:
-                for j in range(c, n):
-                    row_i[j] = (row_i[j] * piv - ric * row_r[j]) % modulus
+            for j in range(c, n):
+                row_i[j] = (row_i[j] * piv - ric * row_r[j]) // prev
         prev = piv
         piv_cols.append(c)
         r += 1
@@ -543,6 +481,16 @@ def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     den = math.lcm(*(m.den for m in mats))
     nums = [x * (den // m.den) for m in mats for x in m.nums]
     return _matrix(sum(m.rows for m in mats), cols, nums, den)
+
+
+def _span_rank(mats: Sequence[RatMatrix]) -> int:
+    """Dimension of the span of the same-shape matrices ``mats``: the rank
+    of their numerators, one flattened matrix per row (scaling a row by its
+    denominator keeps the rank)."""
+    if not mats:
+        return 0
+    size = mats[0].rows * mats[0].cols
+    return rank(_matrix(len(mats), size, [x for m in mats for x in m.nums]))
 
 
 def _vector_ints(v) -> tuple:

@@ -4,14 +4,11 @@ Reports are pure functions of (inputs, seed). Every sampled quantity flows
 from one splitmix64 stream, so reruns are byte-identical. Failures are
 recorded in the report, never thrown.
 
-The Jacobian checks certify full rank modulo the prime p = 2^61 - 1. At
-each point one exact value pass is made; the derivative columns are then
-computed over F_p from its pieces and eliminated there. If p divides no
-denominator of those pieces and the F_p rank equals the number of columns,
-some maximal minor is nonzero mod p, hence nonzero over Q, so the exact
-rank is full and the report is what exact elimination would give. In every
-other case the exact columns are computed and ranked by Bareiss
-elimination (`_jacobian_rank`).
+The Jacobian checks rank the differential exactly. At each point one
+exact value pass is made, and its pieces give the differential's columns
+conjugated by g^-1, in which each factor column is one bracket with the
+core and each slice column is the slice element itself; one Bareiss
+elimination ranks them (`_jacobian_rank`).
 
 The reductivity of a centralizer is tested through its proxy: the ambient
 trace form restricted to the centralizer is nondegenerate. This is valid
@@ -29,7 +26,6 @@ from typing import List, Sequence
 
 from .charts import (
     OrbitChart,
-    _derivative_pass,
     _exp_series,
     _value_pass,
     build_chart,
@@ -46,24 +42,20 @@ from .liealg import (
 )
 from .linalg import (
     ONE,
-    NotInvertibleModP,
     RatMatrix,
     VectorSpan,
     ZERO,
     _as_fractions,
-    _bareiss,
     _int_rows,
     _lincomb,
-    _matrix,
+    _span_rank,
     _support,
     char_poly,
     det,
     is_semisimple_matrix,
     matrix_to_json,
-    mod_p_arithmetic,
     rank,
     rational_str,
-    vstack,
 )
 from .rng import SplitMix64
 
@@ -116,56 +108,49 @@ def report_to_json(report: VerificationReport) -> dict:
 # Jacobians
 # ---------------------------------------------------------------------------
 
-# The prime of the full-rank certificate (the Mersenne prime 2^61 - 1).
-JACOBIAN_PRIME = 2 ** 61 - 1
-
-
 def jacobian_rank_at(chart: OrbitChart, params: Sequence) -> int:
-    """Exact rank of the differential of the chart at ``params``.
-
-    Columns are the directional derivatives, one per parameter, flattened
-    to ambient coordinates; see `_jacobian_rank`.
-    """
+    """Exact rank of the differential of the chart at ``params``; see
+    `_jacobian_rank`."""
     return _jacobian_rank(chart, _value_pass(chart, _as_fractions(params)))
 
 
-def _jacobian_rank(chart: OrbitChart, vp, prime: int = JACOBIAN_PRIME) -> int:
-    """Exact rank of the derivative columns at the exact value pass ``vp``.
+def _jacobian_rank(chart: OrbitChart, vp) -> int:
+    """Exact rank of the differential of ``chart`` at the value pass ``vp``.
 
-    Certificate first: the derivative pass runs over F_p on the pieces of
-    ``vp`` (`_rank_mod_p`). Every derivative entry is a polynomial, with
-    coefficients 1/k!, in the entries of those pieces and of the chart's
-    basis matrices. So when p divides none of their denominators and no
-    k! that occurs, the columns mod p are the image of the exact columns under the ring map
-    Z_(p) -> F_p, and so is every minor. An F_p rank equal to
-    ``param_count`` (the number of columns) then exhibits a maximal minor
-    that is nonzero mod p, hence nonzero over Q: the exact rank is
-    ``param_count``. Otherwise (p divides a denominator, or the F_p rank
-    falls short, which a genuine deficit and an unlucky prime both cause)
-    the exact columns are computed from ``vp`` and ranked by Bareiss
-    elimination. Either way the result is the exact rank.
+    Write g = E_1 ... E_m with E_f = exp a_f, so the value is g core g^-1.
+    The derivative along the basis element b of factor f is [dg g^-1, value]
+    and along the slice element s_j it is g s_j g^-1. Conjugating every
+    column by g^-1 is one invertible linear map, so it keeps the rank, and
+    it turns them into
+
+        [S_f^-1 phi_f(b) S_f, core]  and  s_j,
+
+    where S_f = E_(f+1) ... E_m (the identity for the last factor) and
+    phi_f(b) = E_f^-1 dexp_f(b) = sum_k (-ad a_f)^k (b) / (k+1)!. Each
+    factor spans a nilpotent subalgebra U_f (see `OrbitChart`) that
+    contains a_f, so ad a_f is nilpotent on U_f, phi_f is unipotent there,
+    and phi_f(U_f) = U_f (B. Hall, Lie Groups, Lie Algebras, and
+    Representations, Thm 5.4, for the derivative of exp). The columns of
+    factor f therefore span the same space as [S_f^-1 b S_f, core] over
+    the basis b of U_f, which are the columns ranked here: no dexp series,
+    and no conjugation for the last factor.
+    `chart_from_json` refuses a factor that is not such a subalgebra rather
+    than leaving it to a second derivative path: every built chart's
+    factors are grading pieces of one sign, so a chart that fails the
+    check could never pass ``rebuilt_chart_identity``.
     """
-    if _rank_mod_p(chart, vp, prime) == chart.param_count:
-        return chart.param_count
-    return _rank_of_derivs(_derivative_pass(chart, vp))
-
-
-def _rank_mod_p(chart: OrbitChart, vp, prime: int) -> int | None:
-    """Rank over F_p of the derivative columns at ``vp``, or None when the
-    prime divides a denominator of the pieces they are computed from."""
-    try:
-        columns = _derivative_pass(chart, vp, mod_p_arithmetic(prime))
-    except NotInvertibleModP:
-        return None
-    rows = [[x % prime for x in col.nums] for col in columns]
-    return len(_bareiss(rows, modulus=prime)[1])
-
-
-def _rank_of_derivs(derivs: Sequence[RatMatrix]) -> int:
-    """Exact rank of derivative columns, each flattened to one row."""
-    if not derivs:
-        return 0
-    return rank(vstack([_matrix(1, d.rows * d.cols, d.nums, d.den) for d in derivs]))
+    core = vp.core
+    columns = list(chart.slice_basis)
+    suffix = suffix_inv = None  # S_f and S_f^-1, built from the last factor down
+    for f in range(len(chart.factors) - 1, -1, -1):
+        for b in chart.factors[f]:
+            x = b if suffix is None else suffix_inv * b * suffix
+            columns.append(x * core - core * x)
+        if f:
+            _, exp_a, exp_neg = vp.series[f]
+            suffix = exp_a if suffix is None else exp_a * suffix
+            suffix_inv = exp_neg if suffix_inv is None else suffix_inv * exp_neg
+    return _span_rank(columns)
 
 
 def _power_ranks(m: RatMatrix) -> list:

@@ -24,6 +24,7 @@ from orbitcharts.linalg import (
     RatMatrix,
     char_poly,
     det,
+    matrix_to_json,
     rank,
 )
 from orbitcharts.rng import SplitMix64
@@ -413,6 +414,21 @@ class TestChartSerialization:
         data = chart_to_json(build_chart(sl3, element(sl3, CASES["mixed"]), 42))
         mutate(data)
         with pytest.raises(ValueError, match=f"'{field}'"):
+            chart_from_json(sl3, data)
+
+    @pytest.mark.parametrize("values, factor, defect", [
+        # a = t1 E21 + t2 E32 + t3 E13 has a^3 != 0: verify_chart used to
+        # raise NotNilpotentError from the exponential instead of reporting
+        ([1, 0, -1], [(1, 0), (2, 1), (0, 2)], "nilpotent"),
+        # nilpotent, but [E21, E32] = -E31 leaves the span
+        ([1, 1, -2], [(1, 0), (2, 1)], "bracket-closed"),
+    ], ids=["not-nilpotent", "not-closed"])
+    def test_factor_span_not_nilpotent_subalgebra_refused(self, sl3, values, factor,
+                                                          defect):
+        data = chart_to_json(build_chart(sl3, sl3.element_from_matrix(diag_matrix(values)), 42))
+        assert len(data["factors"][0]["basis"]) == len(factor)
+        data["factors"][0]["basis"] = [matrix_to_json(elem(3, i, j)) for i, j in factor]
+        with pytest.raises(ValueError, match=f"'factors'.*not {defect}"):
             chart_from_json(sl3, data)
 
     @pytest.mark.parametrize("case", ["nilpotent", "semisimple", "mixed"])

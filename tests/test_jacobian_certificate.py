@@ -1,10 +1,13 @@
-"""The mod-p full-rank certificate of the Jacobian checks and its exact fallback.
+"""The exact Jacobian rank of the verify checks, and the exact derivatives.
 
-`verify._jacobian_rank` ranks the derivative columns over F_p first and
-computes them exactly only when that does not certify full rank. The
-fallback tests pass a tiny prime, so that a column vanishes, columns become
-dependent or a denominator is divisible by it. The sweep compares the F_p
-rank with the exact rank, and the exact bracket-form derivatives with
+`verify._jacobian_rank` ranks the chart's differential through its columns
+conjugated by g^-1: one bracket with the core per factor basis element, and
+each slice element as it is. The tests compare that rank with the exact rank
+of the `eval_chart_with_derivatives` columns: on hand-made sl2 and sl3
+charts whose columns vanish, coincide or carry a denominator modulo a small
+prime, on a chart with a genuine rank deficit, on a three-factor sl2 chart
+whose rank depends on conjugating by the later factors, and on a sweep of
+built charts. The sweep also compares the exact bracket-form derivatives with
 digests recorded from the suffix-product derivative pass they replaced.
 """
 
@@ -49,50 +52,51 @@ def _exact_rank(chart, params):
 
 
 @pytest.fixture
-def exact_calls(monkeypatch):
-    """Counts the exact derivative rankings `verify` falls back to."""
+def rank_calls(monkeypatch):
+    """The number of columns of each elimination `verify` runs through
+    `_span_rank`."""
     calls = []
-    real = verify._rank_of_derivs
+    real = verify._span_rank
 
-    def spy(derivs):
-        calls.append(len(derivs))
-        return real(derivs)
+    def spy(columns):
+        calls.append(len(columns))
+        return real(columns)
 
-    monkeypatch.setattr(verify, "_rank_of_derivs", spy)
+    monkeypatch.setattr(verify, "_span_rank", spy)
     return calls
 
 
 class TestFallback:
-    def test_column_vanishing_mod_prime(self, exact_calls):
+    """Charts whose columns vanish, coincide or carry a denominator modulo a
+    small prime: no modulus enters the rank, so each point is one exact
+    elimination of its columns."""
+
+    def test_column_vanishing_mod_prime(self, rank_calls):
         # [7 E21, h] = 14 E21 is zero mod 7
         chart = _sl2_chart(elem(2, 1, 0, 7), elem(2, 0, 1))
         vp = _value_pass(chart, (F(0), F(0)))
-        assert verify._rank_mod_p(chart, vp, 7) == 1
-        assert verify._jacobian_rank(chart, vp, 7) == 2 == _exact_rank(chart, (0, 0))
-        assert exact_calls == [2]
+        assert verify._jacobian_rank(chart, vp) == 2 == _exact_rank(chart, (0, 0))
+        assert rank_calls == [2]
 
-    def test_columns_dependent_mod_prime(self, exact_calls):
+    def test_columns_dependent_mod_prime(self, rank_calls):
         # columns 2 E21 and 2 E21 - 14 E12: independent over Q, not mod 7
         chart = _sl2_chart(elem(2, 1, 0), elem(2, 1, 0) + elem(2, 0, 1, 7))
         vp = _value_pass(chart, (F(0), F(0)))
-        assert verify._rank_mod_p(chart, vp, 7) == 1
-        assert verify._jacobian_rank(chart, vp, 7) == 2 == _exact_rank(chart, (0, 0))
-        assert exact_calls == [2]
+        assert verify._jacobian_rank(chart, vp) == 2 == _exact_rank(chart, (0, 0))
+        assert rank_calls == [2]
 
-    def test_basis_denominator_divisible_by_prime(self, exact_calls):
+    def test_basis_denominator_divisible_by_prime(self, rank_calls):
         chart = _sl2_chart(elem(2, 1, 0, F(1, 7)), elem(2, 0, 1))
         vp = _value_pass(chart, (F(0), F(0)))
-        assert verify._rank_mod_p(chart, vp, 7) is None
-        assert verify._jacobian_rank(chart, vp, 7) == 2
-        assert exact_calls == [2]
+        assert verify._jacobian_rank(chart, vp) == 2 == _exact_rank(chart, (0, 0))
+        assert rank_calls == [2]
 
-    def test_parameter_denominator_divisible_by_prime(self, exact_calls):
+    def test_parameter_denominator_divisible_by_prime(self, rank_calls):
         # exp(E21 / 7) carries the denominator into the value pass
         chart = _sl2_chart(elem(2, 1, 0), elem(2, 0, 1))
         vp = _value_pass(chart, (F(1, 7), F(0)))
-        assert verify._rank_mod_p(chart, vp, 7) is None
-        assert verify._jacobian_rank(chart, vp, 7) == 2 == _exact_rank(chart, (F(1, 7), 0))
-        assert exact_calls == [2]
+        assert verify._jacobian_rank(chart, vp) == 2 == _exact_rank(chart, (F(1, 7), 0))
+        assert rank_calls == [2]
 
     def test_factorial_divisible_by_prime(self):
         # 1/2! enters dexp of the regular nilpotent factor of sl3
@@ -101,40 +105,36 @@ class TestFallback:
         lower = elem(3, 1, 0) + elem(3, 2, 1)
         chart = OrbitChart("semisimple", x, ((lower,),), x.matrix, (), (), None, 1)
         vp = _value_pass(chart, (F(1),))
-        assert verify._rank_mod_p(chart, vp, 2) is None
-        assert verify._jacobian_rank(chart, vp, 2) == 1 == _exact_rank(chart, (1,))
+        assert verify._jacobian_rank(chart, vp) == 1 == _exact_rank(chart, (1,))
 
-    @pytest.mark.parametrize("prime", [7, verify.JACOBIAN_PRIME])
-    def test_genuine_deficit_reports_exact_rank(self, prime, exact_calls):
+    def test_genuine_deficit_reports_exact_rank(self, rank_calls):
         chart = _sl2_chart(elem(2, 1, 0), elem(2, 1, 0, 2))
         params = (F(1, 3), F(-2))
         vp = _value_pass(chart, params)
-        assert verify._rank_mod_p(chart, vp, prime) == 1
-        assert verify._jacobian_rank(chart, vp, prime) == 1 == _exact_rank(chart, params)
-        assert exact_calls == [2]
+        assert verify._jacobian_rank(chart, vp) == 1 == _exact_rank(chart, params)
+        assert rank_calls == [2]
 
-    def test_certified_verify_ranks_nothing_exactly(self, exact_calls):
+    def test_verify_ranks_each_point_once(self, rank_calls):
         sl3 = build_classical("sl", 3)
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1))
         report = verify.verify_chart(sl3, x, build_chart(sl3, x, 42), 42, 5)
+        assert report.check("jacobian_rank_base").observed == 6
         assert report.check("jacobian_rank_samples").observed == [6] * 5
-        assert exact_calls == []
+        assert rank_calls == [6] * 6
 
 
-class TestModularElimination:
-    def test_rank_over_field(self):
-        rows = [[1, 2, 3], [2, 4, 6], [0, 0, 5]]
-        for p, want in ((11, 2), (5, 1), (2, 2)):
-            reduced = [[x % p for x in r] for r in rows]
-            assert len(verify._bareiss(reduced, modulus=p)[1]) == want, p
-
-    def test_never_exceeds_exact_rank(self):
-        rng = SplitMix64(5)
-        for _ in range(50):
-            rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
-            exact = rank(RatMatrix.from_rows(rows))
-            mod = len(verify._bareiss([[x % 3 for x in r] for r in rows], modulus=3)[1])
-            assert mod <= exact
+def test_factor_columns_conjugated_by_later_factors(rank_calls):
+    # on e = E12 with factors E12, E21, E12 the rank at (1, 1, 1) is 2; it
+    # drops to 1 if a factor column skips S_f, conjugates by S_f the other
+    # way, or multiplies S_f in the other order
+    sl2 = build_classical("sl", 2)
+    e = elem(2, 0, 1)
+    chart = OrbitChart("nilpotent", sl2.element_from_matrix(e),
+                       ((e,), (elem(2, 1, 0),), (e,)), e, (), (), None, 3)
+    params = (F(1), F(1), F(1))
+    assert verify._jacobian_rank(chart, _value_pass(chart, params)) == 2
+    assert _exact_rank(chart, params) == 2
+    assert rank_calls == [3]
 
 
 def _sweep_elements():
@@ -199,7 +199,6 @@ def test_sweep_mod_p_rank_equals_exact_rank(label):
         assert derivative_digest(derivs) == digests[f"{label}/{name}"], name
         exact = rank(RatMatrix.from_rows([d.entries for d in derivs]))
         vp = _value_pass(chart, tuple(F(p) for p in params))
-        assert verify._rank_mod_p(chart, vp, verify.JACOBIAN_PRIME) == exact, name
         assert verify._jacobian_rank(chart, vp) == exact, name
 
 

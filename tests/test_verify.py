@@ -11,19 +11,24 @@ from conftest import (
     partitions,
 )
 from orbitcharts.charts import (
+    _value_pass,
     build_chart,
+    chart_from_json,
     chart_mixed,
     chart_nilpotent,
     chart_semisimple,
+    chart_to_json,
+    eval_chart_with_derivatives,
     exp_nilpotent,
 )
 from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import build_classical
-from orbitcharts.linalg import RatMatrix, char_poly
+from orbitcharts.linalg import RatMatrix, char_poly, rank
 from orbitcharts.rng import SplitMix64
 from orbitcharts.verify import (
     OrbitClassId,
     ZeroSemisimplePartError,
+    _jacobian_rank,
     _same_flat_data,
     check_centralizer_reductive,
     hamiltonian_class,
@@ -277,6 +282,46 @@ class TestOneConstruction:
         chart = build_chart(algebra, x, 42)
         assert chart.case_tag == "mixed"
         assert _same_flat_data(chart, chart_mixed(algebra, x, 42))
+
+
+def _reversed_round_trip(algebra, chart):
+    """The chart read back from its JSON with its own (outer) factors
+    reversed; a mixed chart keeps its inner chart."""
+    data = chart_to_json(chart)
+    data["factors"] = data["factors"][::-1]
+    return chart_from_json(algebra, data)
+
+
+def _assert_rank_matches_derivatives(chart):
+    """_jacobian_rank equals the exact rank of the derivative columns at
+    the base tuple and at two seeded random tuples."""
+    rng = SplitMix64(808)
+    points = [chart.base_params] + [
+        tuple(rng.fraction() for _ in range(chart.param_count)) for _ in range(2)]
+    for params in points:
+        _, derivs = eval_chart_with_derivatives(chart, params)
+        exact = rank(RatMatrix.from_rows([d.entries for d in derivs]))
+        assert _jacobian_rank(chart, _value_pass(chart, params)) == exact, params
+
+
+class TestJacobianRankAgainstDerivatives:
+    """so/sp and three-factor (mixed) charts, as built and read back from
+    JSON with their outer factors in the other order."""
+
+    @pytest.mark.parametrize("family,n,values", _semisimple_corpus())
+    def test_semisimple(self, family, n, values):
+        algebra = build_classical(family, n)
+        chart = build_chart(algebra, algebra.element_from_matrix(diag_matrix(values)), 42)
+        _assert_rank_matches_derivatives(chart)
+        _assert_rank_matches_derivatives(_reversed_round_trip(algebra, chart))
+
+    @pytest.mark.parametrize("family,n,values,entries", _mixed_corpus())
+    def test_mixed(self, family, n, values, entries):
+        algebra, x = _mixed_element(family, n, values, entries)
+        chart = build_chart(algebra, x, 42)
+        assert len(chart.factors) == 3
+        _assert_rank_matches_derivatives(chart)
+        _assert_rank_matches_derivatives(_reversed_round_trip(algebra, chart))
 
 
 class TestRedstabWitnessFromChart:
