@@ -107,9 +107,12 @@ class TestFallback:
         vp = _value_pass(chart, (F(1),))
         assert verify._jacobian_rank(chart, vp) == 1 == _exact_rank(chart, (1,))
 
-    def test_genuine_deficit_reports_exact_rank(self, rank_calls):
+    @pytest.mark.parametrize("denominator", [7, 2 ** 61 - 1])
+    def test_genuine_deficit_reports_exact_rank(self, denominator, rank_calls):
+        # E21 and 2*E21 give rank 1 at every point, with small or large
+        # denominators in the parameters alike
         chart = _sl2_chart(elem(2, 1, 0), elem(2, 1, 0, 2))
-        params = (F(1, 3), F(-2))
+        params = (F(1, denominator), F(-2, 3))
         vp = _value_pass(chart, params)
         assert verify._jacobian_rank(chart, vp) == 1 == _exact_rank(chart, params)
         assert rank_calls == [2]
