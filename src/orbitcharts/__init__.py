@@ -28,7 +28,6 @@ from .liealg import (
     NotInAlgebraError,
     ad_matrix,
     block_levi,
-    bracket,
     build_classical,
     center_basis,
     centralizer_basis,

@@ -250,7 +250,7 @@ def _chart_from_split(algebra: LieAlgebra, x: LieElement, pair: JordanPair,
     inside c(x_s) when x_n != 0."""
     levi = centralizer_basis(algebra, pair.semisimple)
     pd = parabolic_data(_witness_grading(algebra, levi, seed))
-    if not _zero_piece_matches(pd.grading, levi):
+    if not _zero_piece_matches(pd.grading, pair.semisimple.matrix, levi.dim):
         raise AssertionError("witness zero piece differs from the centralizer")
     inner = None
     if not pair.nilpotent.is_zero():

@@ -86,7 +86,7 @@ class ParabolicData:
     """Subspaces derived from a grading: p = g(>=0), u = g(>0), their opposite,
     and the chart target u2 = g(>=2). The Levi g(0) is ``grading.pieces[0]``;
     it is not built as a subalgebra, since nothing brackets inside it, and
-    `_zero_piece_matches` compares it with a subalgebra already in hand."""
+    `_zero_piece_matches` compares it with c(s) by dimension and commutators."""
 
     grading: Grading
     p: Tuple[LieElement, ...]
@@ -210,12 +210,12 @@ def parabolic_data(grading: Grading) -> ParabolicData:
     return ParabolicData(grading, p, u, u_minus, u2)
 
 
-def _zero_piece_matches(grading: Grading, sub: LieAlgebra) -> bool:
-    """Whether g(0) of ``grading`` spans ``sub``. The zero piece is a kernel
-    basis, so equal dimensions and containment give equal spans."""
+def _zero_piece_matches(grading: Grading, s: RatMatrix, dim: int) -> bool:
+    """Whether g(0) of ``grading`` spans c(s), of dimension ``dim``: the zero
+    piece is a kernel basis, so ``dim`` elements commuting with s span c(s)."""
     zero_piece = grading.pieces.get(0, ())
-    return (len(zero_piece) == sub.dim
-            and all(sub.contains_matrix(el.matrix) for el in zero_piece))
+    return (len(zero_piece) == dim
+            and all(commutator(s, el.matrix).is_zero() for el in zero_piece))
 
 
 def semisimple_for_levi(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> LieElement:

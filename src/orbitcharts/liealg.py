@@ -7,9 +7,11 @@ every [b_i, b_j]; they are kept as sparse structure constants, the nonzero
 entries of each ad(b_i) in the integer form of `linalg._support`, from
 which `ad_matrix` assembles ad x in one pass (`linalg._lincomb`). The
 supports of the basis matrices are kept too, so `element` builds its matrix
-in one pass. Subalgebras (Levis, centralizers, centers, graded
-pieces) are first-class `LieAlgebra` values, which is what lets the
-mixed-case orbit construction recurse uniformly into centralizers.
+in one pass. A `LieAlgebra` is built only where something brackets inside
+it: the classical algebras, the Levi c(x_s) (the mixed chart recurses into
+it, and the witness search reads its structure constants through
+`center_basis`) and that Levi's center. Every other subspace fact is read
+from a kernel basis, a commutator or a rank.
 
 Basis conventions (frozen, since chart coordinates refer to basis indices):
 
@@ -155,13 +157,6 @@ class LieElement:
         return all(not c for c in self.coords)
 
 
-def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """[x, y] = xy - yx, expressed in the common basis."""
-    if x.algebra is not y.algebra:
-        raise ValueError("bracket of elements of different algebras")
-    return x.algebra.element_from_matrix(commutator(x.matrix, y.matrix))
-
-
 def ad_matrix(algebra: LieAlgebra, x: LieElement) -> RatMatrix:
     """Matrix of z -> [x, z] in the basis of ``algebra``."""
     if x.algebra is not algebra:
@@ -195,16 +190,16 @@ def center_basis(algebra: LieAlgebra) -> LieAlgebra:
                                   label=f"center of {algebra.label}")
 
 
-def trace_form_gram(algebra: LieAlgebra, sub: LieAlgebra) -> RatMatrix:
-    """Gram matrix of the ambient trace form restricted to ``sub``'s basis."""
-    if sub.ambient_size != algebra.ambient_size:
-        raise ValueError("ambient sizes differ")
-    if sub.dim == 0:
+def trace_form_gram(basis: Sequence[RatMatrix]) -> RatMatrix:
+    """Gram matrix of the trace form tr(ab) on square matrices of one size."""
+    if any(b.rows != b.cols or b.rows != basis[0].rows for b in basis):
+        raise ValueError("trace form needs square matrices of one size")
+    if not basis:
         return RatMatrix.zeros(0, 0)
     # tr(b_i b_j) is the dot product of b_i with the transpose of b_j
-    transposed = [b.transpose() for b in sub.basis]
+    transposed = [b.transpose() for b in basis]
     return RatMatrix.from_rows([[Fraction(sum(map(mul, bi.nums, bj.nums)), bi.den * bj.den)
-                                 for bj in transposed] for bi in sub.basis])
+                                 for bj in transposed] for bi in basis])
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liealg import LieAlgebra, LieElement, ad_matrix, bracket
+from .liealg import LieAlgebra, LieElement, ad_matrix
 from .linalg import (
     NotNilpotentError,
     RatMatrix,
     ZERO,
+    commutator,
     mat_vec,
     solve_linear,
     vstack,
@@ -67,9 +68,9 @@ def jacobson_morozov(algebra: LieAlgebra, e: LieElement) -> Sl2Triple:
 
 
 def _check_relations(algebra: LieAlgebra, t: Sl2Triple) -> None:
-    if bracket(t.h, t.e).matrix != t.e.matrix.scale(2):
+    if commutator(t.h.matrix, t.e.matrix) != t.e.matrix.scale(2):
         raise NoTripleFoundError("[h, e] != 2e")
-    if bracket(t.h, t.f).matrix != t.f.matrix.scale(-2):
+    if commutator(t.h.matrix, t.f.matrix) != t.f.matrix.scale(-2):
         raise NoTripleFoundError("[h, f] != -2f")
-    if bracket(t.e, t.f).matrix != t.h.matrix:
+    if commutator(t.e.matrix, t.f.matrix) != t.h.matrix:
         raise NoTripleFoundError("[e, f] != h")

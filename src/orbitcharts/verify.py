@@ -36,7 +36,6 @@ from .liealg import (
     LieAlgebra,
     LieElement,
     ad_matrix,
-    bracket,
     centralizer_basis,
     trace_form_gram,
 )
@@ -53,6 +52,7 @@ from .linalg import (
     char_poly,
     det,
     is_semisimple_matrix,
+    kernel_basis,
     matrix_to_json,
     rank,
     rational_str,
@@ -387,14 +387,10 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
 
 
 def _tangent_check(nil_chart: OrbitChart, name: str) -> Check:
-    """dim [p, e] == dim u2, as the rank of the restricted bracket map."""
+    """dim [e, p] == dim u2, as the rank of ad e on the coordinates of p."""
     pd = nil_chart.parabolic
-    algebra = nil_chart.algebra
-    e = nil_chart.base_element
-    rows = []
-    for el in pd.p:
-        rows.append(list(bracket(el, e).coords))
-    observed = rank(RatMatrix.from_rows(rows)) if rows else 0
+    p_columns = RatMatrix.from_rows([el.coords for el in pd.p]).transpose()
+    observed = rank(ad_matrix(nil_chart.algebra, nil_chart.base_element) * p_columns)
     expected = len(pd.u2)
     return Check(name, expected=expected, observed=observed,
                  passed=(observed == expected))
@@ -405,9 +401,14 @@ def _tangent_check(nil_chart: OrbitChart, name: str) -> Check:
 # ---------------------------------------------------------------------------
 
 
+def _centralizer_matrices(algebra: LieAlgebra, x: LieElement) -> list:
+    """The matrices of a kernel basis of ad x, which span c(x)."""
+    return [algebra.element(v).matrix for v in kernel_basis(ad_matrix(algebra, x))]
+
+
 def check_centralizer_reductive(algebra: LieAlgebra, x: LieElement) -> bool:
     """Trace-form proxy: the Gram matrix on the centralizer is nonsingular."""
-    return det(trace_form_gram(algebra, centralizer_basis(algebra, x))) != 0
+    return det(trace_form_gram(_centralizer_matrices(algebra, x))) != 0
 
 
 def redstab_suite(algebra: LieAlgebra, x: LieElement, seed: int,
@@ -417,12 +418,13 @@ def redstab_suite(algebra: LieAlgebra, x: LieElement, seed: int,
     ``chart`` is the chart built for (algebra, x, seed), if there is one.
     For semisimple x the witness grading is taken from a semisimple chart of
     x that carries its scaffolding: it is the grading the search would find
-    (same Levi, same seed). Without such a chart it is searched for here.
-    Either way its zero piece is compared with the centralizer of x.
+    (same Levi, same seed). Only without such a chart is c(x) built as a
+    `LieAlgebra`, for the search; otherwise it is a kernel basis of ad x.
+    Either way the zero piece must match c(x) (`_zero_piece_matches`).
     """
     semisimple = is_semisimple_matrix(x.matrix)
-    cent = centralizer_basis(algebra, x)
-    proxy = det(trace_form_gram(algebra, cent)) != 0
+    cent = _centralizer_matrices(algebra, x)
+    proxy = det(trace_form_gram(cent)) != 0
     checks: List[Check] = [Check(
         "semisimple_iff_reductive",
         expected=semisimple,
@@ -436,12 +438,12 @@ def redstab_suite(algebra: LieAlgebra, x: LieElement, seed: int,
             grading = chart.parabolic.grading
         else:
             try:
-                grading = _witness_grading(algebra, cent, seed)
+                grading = _witness_grading(algebra, centralizer_basis(algebra, x), seed)
             except WitnessNotFoundError:
                 grading = None
         found = grading is not None
         witness_json = matrix_to_json(grading.grading_element.matrix) if found else None
-        zero_piece_ok = found and _zero_piece_matches(grading, cent)
+        zero_piece_ok = found and _zero_piece_matches(grading, x.matrix, len(cent))
         checks.append(Check(
             "levi_witness_found",
             expected=True,

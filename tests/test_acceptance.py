@@ -27,11 +27,10 @@ from orbitcharts.charts import (
 from orbitcharts.cli import main
 from orbitcharts.liealg import (
     block_levi,
-    bracket,
     build_classical,
     centralizer_basis,
 )
-from orbitcharts.linalg import RatMatrix, det, rank
+from orbitcharts.linalg import RatMatrix, commutator, det, rank
 from orbitcharts.rng import SplitMix64
 from orbitcharts.sl2 import jacobson_morozov
 from orbitcharts.verify import (
@@ -113,9 +112,9 @@ def test_criterion_1_nilpotent_exhaustion():
     for n, part, algebra, e in _nilpotent_corpus():
         triple = jacobson_morozov(algebra, e)
         relations = (
-            bracket(triple.h, triple.e).matrix == e.matrix.scale(2)
-            and bracket(triple.h, triple.f).matrix == triple.f.matrix.scale(-2)
-            and bracket(triple.e, triple.f).matrix == triple.h.matrix
+            commutator(triple.h.matrix, e.matrix) == e.matrix.scale(2)
+            and commutator(triple.h.matrix, triple.f.matrix) == triple.f.matrix.scale(-2)
+            and commutator(triple.e.matrix, triple.f.matrix) == triple.h.matrix
         )
         chart = chart_nilpotent(algebra, e)
         cdim = centralizer_basis(algebra, e).dim
@@ -139,7 +138,8 @@ def test_criterion_2_dimension_identities():
         dims = pd.grading.piece_dims()
         cdim = centralizer_basis(algebra, e).dim
         identity_1 = cdim == dims.get(0, 0) + dims.get(1, 0)
-        tangent_rows = [list(bracket(el, e).coords) for el in pd.p]
+        tangent_rows = [algebra.coords_of_matrix(commutator(el.matrix, e.matrix))
+                        for el in pd.p]
         identity_2 = rank(RatMatrix.from_rows(tangent_rows)) == len(pd.u2)
         ok = ok and identity_1 and identity_2
     _report("2 dimension identities", ok)

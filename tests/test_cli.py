@@ -323,9 +323,10 @@ SL5_CASES = {
               [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]],
 }
 # most LieAlgebra constructions per request: the Levi c(x_s) and its center
-# for a chart with x_s != 0, and the centralizer of x for the reductivity proxy
+# for a chart with x_s != 0; the reductivity proxy reads c(x) from a kernel
+# basis of ad x and builds no subalgebra
 MAX_ALGEBRAS = {
-    "verify": {"nilpotent": 1, "semisimple": 3, "mixed": 3},
+    "verify": {"nilpotent": 0, "semisimple": 2, "mixed": 2},
     "chart": {"nilpotent": 0, "semisimple": 2, "mixed": 2},
     "analyze": {"nilpotent": 0, "semisimple": 0, "mixed": 0},
 }

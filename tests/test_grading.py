@@ -17,6 +17,7 @@ from orbitcharts.grading import (
     WitnessNotFoundError,
     _certify_pieces,
     _natural_weights,
+    _zero_piece_matches,
     grading_by,
     parabolic_data,
     semisimple_for_levi,
@@ -320,6 +321,29 @@ class TestParabolicData:
                 assert dims.get(-i, 0) == d, part
             cent = centralizer_basis(algebra, e)
             assert cent.dim == dims.get(0, 0) + dims.get(1, 0), part
+
+
+class TestZeroPieceMatches:
+    """g(0) spans c(x) for x = diag(1, 1, -2) in sl3, where dim c(x) = 4."""
+
+    X = diag_matrix([1, 1, -2])
+
+    def test_grading_by_x_matches(self, sl3):
+        grading = grading_by(sl3, sl3.element_from_matrix(self.X))
+        assert _zero_piece_matches(grading, self.X, 4)
+
+    def test_wrong_dimension_fails(self, sl3):
+        # g(0) of diag(1, 0, -1) is the Cartan: 2 elements, not 4
+        grading = grading_by(sl3, sl3.element_from_matrix(diag_matrix([1, 0, -1])))
+        assert not _zero_piece_matches(grading, self.X, 4)
+
+    def test_same_dimension_not_commuting_fails(self, sl3):
+        # g(0) of diag(1, -2, 1) has 4 elements, E13 among them, and
+        # [x, E13] = 3 E13 != 0
+        grading = grading_by(sl3, sl3.element_from_matrix(diag_matrix([1, -2, 1])))
+        assert len(grading.pieces[0]) == 4
+        assert any(el.matrix == elem(3, 0, 2) for el in grading.pieces[0])
+        assert not _zero_piece_matches(grading, self.X, 4)
 
 
 class TestWitness:

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import diag_matrix, elem, element, jordan_nilpotent, nontrivial_partitions
-from orbitcharts.liealg import LieAlgebra, ad_matrix, bracket, build_classical
-from orbitcharts.linalg import NotNilpotentError, solve_linear
+from orbitcharts.liealg import LieAlgebra, ad_matrix, build_classical
+from orbitcharts.linalg import NotNilpotentError, commutator, solve_linear
 from orbitcharts.sl2 import NoTripleFoundError, jacobson_morozov
 
 F = Fraction
@@ -51,9 +51,10 @@ def test_borel_has_no_triple():
 
 
 def _relations_hold(algebra, t):
-    return (bracket(t.h, t.e).matrix == t.e.matrix.scale(2)
-            and bracket(t.h, t.f).matrix == t.f.matrix.scale(-2)
-            and bracket(t.e, t.f).matrix == t.h.matrix)
+    e, h, f = t.e.matrix, t.h.matrix, t.f.matrix
+    return (commutator(h, e) == e.scale(2)
+            and commutator(h, f) == f.scale(-2)
+            and commutator(e, f) == h)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -67,4 +68,4 @@ def test_all_jordan_types(n):
         sol = solve_linear(ad_matrix(algebra, e), t.h.coords)
         assert sol is not None, part
         # e sits in weight 2 of its own grading
-        assert bracket(t.h, t.e).matrix == e.matrix.scale(2)
+        assert commutator(t.h.matrix, e.matrix) == e.matrix.scale(2)
