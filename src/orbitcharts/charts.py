@@ -19,20 +19,21 @@ With parameters t (one per factor basis matrix, in order) followed by v
 and ``base_params`` (all t zero, v = slice_base) hits the base element.
 Evaluation is interpretive, which keeps exact differentiation possible.
 
-Derivatives are taken in bracket form. Write g = exp a_1 ... exp a_m,
-core = shift + sum_j v_j s_j and value = g core g^-1, and let prefix[f]
-be exp a_1 ... exp a_(f-1) (for f = 1 the identity). Since
-d(g^-1) = -g^-1 dg g^-1, the derivative along the basis element b of
-factor f is
+Derivatives are taken in one suffix form. Write g = exp a_1 ... exp a_m,
+core = shift + sum_j v_j s_j and value = g core g^-1, and let S_f be
+exp a_(f+1) ... exp a_m (for the last factor the identity). Since
+d(g^-1) = -g^-1 dg g^-1, the derivative is g [g^-1 dg, core] g^-1, and
+along the basis element b of factor f it is
 
-    [X, value],  X = dg g^-1 = prefix[f] (dexp_f(b) exp(-a_f)) prefix[f]^-1,
+    g [S_f^-1 y S_f, core] g^-1,  y = exp(-a_f) dexp_f(b)
+                                    = sum_k (-ad a_f)^k (b) / (k+1)!,
 
-where dexp_f(b) is the derivative of exp a_f along b; the exponentials
-after factor f cancel in dg g^-1. The derivative along the slice element
-s_j is g s_j g^-1. `eval_chart_with_derivatives` computes these columns
-exactly from the pieces of one value pass; `verify` ranks a conjugate of
-them that needs no dexp series (`verify._jacobian_rank`). Every matrix in
-both passes is a `RatMatrix`.
+where dexp_f(b) is the derivative of exp a_f along b (B. Hall, Lie Groups,
+Lie Algebras, and Representations, Thm 5.4); the series stops at its first
+zero term. The derivative along the slice element s_j is g s_j g^-1.
+`_core_brackets` forms the brackets [S_f^-1 y S_f, core] for both
+`eval_chart_with_derivatives` and `verify._jacobian_rank`, which ranks
+them with y = b. Every matrix is a `RatMatrix`.
 
 Two constructions, chosen by the Jordan split x = x_s + x_n (computed once):
 
@@ -147,33 +148,28 @@ class OrbitChart:
 
 
 def _exp_series(a: RatMatrix) -> tuple:
-    """(powers, exp a, exp -a) of a nilpotent square matrix a.
-
-    powers is [I, a, ..., a^k] up to the last nonzero power; both
-    exponentials are summed from those same powers.
-    """
+    """(exp a, exp -a) of a nilpotent square matrix a, summed from the same
+    powers of a."""
     n = a.rows
-    powers = [RatMatrix.identity(n)]
-    acc = acc_neg = powers[0]
+    acc = acc_neg = RatMatrix.identity(n)
     power = a
     k = 1
     while not power.is_zero():
         if k == n:
             raise NotNilpotentError("matrix is not nilpotent")
-        powers.append(power)
         term = power.scale(Fraction(1, math.factorial(k)))
         acc = acc + term
         acc_neg = acc_neg + term if k % 2 == 0 else acc_neg - term
         power = power * a
         k += 1
-    return powers, acc, acc_neg
+    return acc, acc_neg
 
 
 def exp_nilpotent(a: RatMatrix) -> RatMatrix:
     """exp of a nilpotent matrix, summed exactly; inverse is exp(-a)."""
     if a.rows != a.cols:
         raise NotNilpotentError("exp of a non-square matrix")
-    return _exp_series(a)[1]
+    return _exp_series(a)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +251,11 @@ def _chart_from_split(algebra: LieAlgebra, x: LieElement, pair: JordanPair,
     inner = None
     if not pair.nilpotent.is_zero():
         inner = chart_nilpotent(levi, levi.element_from_matrix(pair.nilpotent.matrix))
+    # c(x) = c(x_s) = levi for a semisimple x
+    orbit_dim = algebra.dim - levi.dim if inner is None else rank(ad_matrix(algebra, x))
     return _make_chart("semisimple" if inner is None else "mixed", x,
                        (_basis(pd.u_minus), _basis(pd.u)), pair.semisimple.matrix, (),
-                       inner, rank(ad_matrix(algebra, x)), pd, AssertionError)
+                       inner, orbit_dim, pd, AssertionError)
 
 
 def build_chart(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
@@ -279,15 +277,14 @@ def build_chart(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
 class _ValuePass:
     """The value of a chart and the intermediates its derivatives reuse.
 
-    series[f] is `_exp_series` of the matrix a_f of factors[f]; prefix[f] is
-    the product of the exponentials of factors[:f] and inv_prefix[f] its
-    inverse, so prefix[m] = g and inv_prefix[m] = g^-1 for m factors.
-    core is shift + sum_j v_j s_j, and value is g core g^-1.
+    series[f] is (a_f, exp a_f, exp -a_f) for the matrix a_f of factors[f];
+    g = exp a_1 ... exp a_m and g_inv is its inverse. core is
+    shift + sum_j v_j s_j, and value is g core g^-1.
     """
 
     series: list
-    prefix: list
-    inv_prefix: list
+    g: RatMatrix
+    g_inv: RatMatrix
     core: RatMatrix
     value: RatMatrix
 
@@ -300,19 +297,52 @@ def _value_pass(chart: OrbitChart, params: Sequence) -> _ValuePass:
         )
     n = chart.algebra.ambient_size
     series = []
-    prefix = [RatMatrix.identity(n)]
-    inv_prefix = [prefix[0]]
+    g = g_inv = RatMatrix.identity(n)
     pos = 0
     for basis in chart.factors:
         coeffs = params[pos:pos + len(basis)]
         pos += len(basis)
-        series.append(_exp_series(_lincomb(coeffs, [_support(b) for b in basis], n, n)))
-        prefix.append(prefix[-1] * series[-1][1])
-        inv_prefix.append(series[-1][2] * inv_prefix[-1])
+        a = _lincomb(coeffs, [_support(b) for b in basis], n, n)
+        exp_a, exp_neg = _exp_series(a)
+        series.append((a, exp_a, exp_neg))
+        g, g_inv = g * exp_a, exp_neg * g_inv
     core = chart.shift if chart.shift is not None else RatMatrix.zeros(n, n)
     if chart.slice_basis:
         core = core + _lincomb(params[pos:], [_support(s) for s in chart.slice_basis], n, n)
-    return _ValuePass(series, prefix, inv_prefix, core, prefix[-1] * core * inv_prefix[-1])
+    return _ValuePass(series, g, g_inv, core, g * core * g_inv)
+
+
+def _core_brackets(vp: _ValuePass, per_factor: Sequence) -> list:
+    """[S_f^-1 y S_f, core] for the matrices y of per_factor[f], in
+    parameter order, with S_f = exp a_(f+1) ... exp a_m (the identity for
+    the last factor); see the module docstring."""
+    core = vp.core
+    blocks = []
+    suffix = suffix_inv = None  # S_f and S_f^-1, built from the last factor down
+    for f in range(len(per_factor) - 1, -1, -1):
+        block = []
+        for y in per_factor[f]:
+            x = y if suffix is None else suffix_inv * y * suffix
+            block.append(x * core - core * x)
+        blocks.append(block)
+        if f:
+            _, exp_a, exp_neg = vp.series[f]
+            suffix = exp_a if suffix is None else exp_a * suffix
+            suffix_inv = exp_neg if suffix_inv is None else suffix_inv * exp_neg
+    return [column for block in reversed(blocks) for column in block]
+
+
+def _left_dexp(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """exp(-a) dexp_a(b) = sum_k (-ad a)^k (b) / (k+1)!, summed until the
+    first zero term."""
+    total = term = b
+    k = 1
+    while True:
+        term = term * a - a * term
+        if term.is_zero():
+            return total
+        k += 1
+        total = total + term.scale(Fraction(1, math.factorial(k)))
 
 
 def eval_chart(chart: OrbitChart, params: Sequence) -> RatMatrix:
@@ -324,36 +354,14 @@ def eval_chart_with_derivatives(chart: OrbitChart, params: Sequence) -> tuple:
     """Value and all first derivatives at a rational tuple, exactly.
 
     Equal to evaluating with one dual-number perturbation per parameter
-    (epsilon^2 = 0), computed in the bracket form of the module docstring
-    from one value pass. The powers of a_f drive dexp_f(b) = sum_k d(a_f^k)/k!,
-    where d(a^k) = d(a^(k-1)) a + a^(k-1) b can be nonzero after a^k = 0,
-    and every term has a factor a, so a = 0 leaves dexp = b. The zero test
-    only skips terms that vanish. Returns (RatMatrix, [RatMatrix per parameter]).
+    (epsilon^2 = 0), computed in the suffix form of the module docstring
+    from one value pass. Returns (RatMatrix, [RatMatrix per parameter]).
     """
     vp = _value_pass(chart, _as_fractions(params))
-    n = chart.algebra.ambient_size
-    value = vp.value
-    columns = []
-    for f, basis in enumerate(chart.factors):
-        powers, _, exp_neg = vp.series[f]
-        for b in basis:
-            dp = dexp = b
-            for k in range(2, n if len(powers) > 1 else 2):
-                dp = dp * powers[1]
-                if k - 1 < len(powers):
-                    dp = dp + powers[k - 1] * b
-                if dp.is_zero():
-                    if k >= len(powers):
-                        break
-                    continue
-                dexp = dexp + dp.scale(Fraction(1, math.factorial(k)))
-            x = dexp * exp_neg
-            if f:
-                x = vp.prefix[f] * x * vp.inv_prefix[f]
-            columns.append(x * value - value * x)
-    g, g_inv = vp.prefix[-1], vp.inv_prefix[-1]
-    columns.extend(g * s * g_inv for s in chart.slice_basis)
-    return value, columns
+    ys = [[_left_dexp(a, b) for b in basis]
+          for (a, _, _), basis in zip(vp.series, chart.factors)]
+    columns = _core_brackets(vp, ys) + list(chart.slice_basis)
+    return vp.value, [vp.g * c * vp.g_inv for c in columns]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 stdout carries only JSON (stable key order, canonical rational strings);
 diagnostics go to stderr. Exit codes: 0 success (for `verify`: all checks
 passed), 1 failed verification checks, 2 parse error (a negative
-`--samples` included) or an `--out` file that cannot be written, 3 element
+`--samples` included), a `--size` the family does not support (checked
+before the element is read) or an `--out` file that cannot be written, 3 element
 not in the algebra, 4 witness search failure, 5 zero element / zero
 semisimple part.
 """
@@ -23,7 +24,7 @@ from typing import Optional
 from .charts import build_chart, chart_to_json
 from .grading import WitnessNotFoundError
 from .jordan import jordan_decompose, jordan_pair_to_json
-from .liealg import NotInAlgebraError, ad_matrix, build_classical
+from .liealg import NotInAlgebraError, _check_size, ad_matrix, build_classical
 from .linalg import RatMatrix, matrix_from_json, matrix_to_json, rank
 from .verify import (
     ZeroSemisimplePartError,
@@ -82,9 +83,10 @@ def _load_element_matrix(source: str) -> RatMatrix:
 
 
 def _resolve(config: RunConfig) -> tuple:
-    """The algebra and the element. The element is parsed and its shape
-    checked first: building the algebra takes seconds at large sizes, and a
-    bad element should not wait for it."""
+    """The algebra and the element. The size is checked first, then the
+    element is parsed and its shape checked: building the algebra takes
+    seconds at large sizes, and a bad element should not wait for it."""
+    _check_size(config.algebra_family, config.size)
     matrix = _load_element_matrix(config.element_source)
     if matrix.rows != config.size or matrix.cols != config.size:
         raise NotInAlgebraError(

@@ -229,30 +229,36 @@ def _form_annihilator_basis(n: int, pairing) -> list:
 _CLASSICAL_CACHE: dict = {}
 
 
+def _check_size(family: str, n: int) -> None:
+    """Raise ValueError, with the reason, unless family is sl, so or sp
+    and n is a size `build_classical` supports for it."""
+    if family not in ("sl", "so", "sp"):
+        raise ValueError(f"unsupported family {family!r}")
+    if family == "sl" and n < 2:
+        raise ValueError("sl(n) needs n >= 2")
+    if family == "so" and n < 3:
+        raise ValueError("so(n) needs n >= 3")
+    if family == "sp" and (n < 2 or n % 2):
+        raise ValueError("sp(n) needs even n >= 2")
+
+
 def build_classical(family: str, n: int) -> LieAlgebra:
     """sl(n), so(n) or sp(n) over the rationals, with the documented basis order."""
     key = (family, n)
     if key in _CLASSICAL_CACHE:
         return _CLASSICAL_CACHE[key]
+    _check_size(family, n)
     if family == "sl":
-        if n < 2:
-            raise ValueError("sl(n) needs n >= 2")
         basis = [_elementary(n, i, j) for i in range(n) for j in range(n) if i != j]
         basis += [_elementary(n, k, k) - _elementary(n, k + 1, k + 1) for k in range(n - 1)]
         expected = n * n - 1
     elif family == "so":
-        if n < 3:
-            raise ValueError("so(n) needs n >= 3")
         basis = _form_annihilator_basis(n, lambda i: ONE)
         expected = n * (n - 1) // 2
-    elif family == "sp":
-        if n < 2 or n % 2:
-            raise ValueError("sp(n) needs even n >= 2")
+    else:
         half = n // 2
         basis = _form_annihilator_basis(n, lambda i: ONE if i < half else -ONE)
         expected = n * (n + 1) // 2
-    else:
-        raise ValueError(f"unsupported family {family!r}")
     algebra = LieAlgebra(basis, f"{family}{n}", family=family)
     if algebra.dim != expected:
         raise AssertionError(f"{family}{n}: dimension {algebra.dim} != {expected}")

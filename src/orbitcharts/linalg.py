@@ -26,6 +26,7 @@ bit-identical results.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,18 +39,25 @@ class NotNilpotentError(ValueError):
     """A matrix required to be nilpotent is not."""
 
 
+# What `Fraction` reads on Python 3.10, minus exponents: a sign, digits
+# with an optional "/q" or decimal part, and surrounding whitespace. Later
+# versions also read underscores ("1_0") and spaces around "/".
+_RATIONAL_LITERAL = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|\.\d*)?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", "p" or a decimal such as "0.1" into a Fraction.
 
-    Exponent notation ("1e5") is refused: it is the one form `Fraction`
-    accepts whose cost is not bounded by the length of the string.
+    One grammar on every supported Python (`_RATIONAL_LITERAL`). Exponent
+    notation ("1e5") is refused: its cost is not bounded by the length of
+    the string.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    if "e" not in text.lower():
+    if _RATIONAL_LITERAL.fullmatch(text):
         try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError):
+            return Fraction(text)
+        except ZeroDivisionError:
             pass
     raise ValueError(f"invalid rational literal {text!r}")
 

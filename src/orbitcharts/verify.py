@@ -5,10 +5,10 @@ from one splitmix64 stream, so reruns are byte-identical. Failures are
 recorded in the report, never thrown.
 
 The Jacobian checks rank the differential exactly. At each point one
-exact value pass is made, and its pieces give the differential's columns
-conjugated by g^-1, in which each factor column is one bracket with the
-core and each slice column is the slice element itself; one Bareiss
-elimination ranks them (`_jacobian_rank`).
+exact value pass is made, and `charts._core_brackets` gives the
+differential's columns conjugated by g^-1, in which each factor column is
+one bracket with the core and each slice column is the slice element
+itself; one Bareiss elimination ranks them (`_jacobian_rank`).
 
 The reductivity of a centralizer is tested through its proxy: the ambient
 trace form restricted to the centralizer is nondegenerate. This is valid
@@ -26,6 +26,7 @@ from typing import List, Sequence
 
 from .charts import (
     OrbitChart,
+    _core_brackets,
     _exp_series,
     _value_pass,
     build_chart,
@@ -117,40 +118,15 @@ def jacobian_rank_at(chart: OrbitChart, params: Sequence) -> int:
 def _jacobian_rank(chart: OrbitChart, vp) -> int:
     """Exact rank of the differential of ``chart`` at the value pass ``vp``.
 
-    Write g = E_1 ... E_m with E_f = exp a_f, so the value is g core g^-1.
-    The derivative along the basis element b of factor f is [dg g^-1, value]
-    and along the slice element s_j it is g s_j g^-1. Conjugating every
-    column by g^-1 is one invertible linear map, so it keeps the rank, and
-    it turns them into
-
-        [S_f^-1 phi_f(b) S_f, core]  and  s_j,
-
-    where S_f = E_(f+1) ... E_m (the identity for the last factor) and
-    phi_f(b) = E_f^-1 dexp_f(b) = sum_k (-ad a_f)^k (b) / (k+1)!. Each
-    factor spans a nilpotent subalgebra U_f (see `OrbitChart`) that
-    contains a_f, so ad a_f is nilpotent on U_f, phi_f is unipotent there,
-    and phi_f(U_f) = U_f (B. Hall, Lie Groups, Lie Algebras, and
-    Representations, Thm 5.4, for the derivative of exp). The columns of
-    factor f therefore span the same space as [S_f^-1 b S_f, core] over
-    the basis b of U_f, which are the columns ranked here: no dexp series,
-    and no conjugation for the last factor.
-    `chart_from_json` refuses a factor that is not such a subalgebra rather
-    than leaving it to a second derivative path: every built chart's
-    factors are grading pieces of one sign, so a chart that fails the
-    check could never pass ``rebuilt_chart_identity``.
+    The differential's columns, conjugated by g^-1 (which keeps the rank),
+    are [S_f^-1 y S_f, core] with y = exp(-a_f) dexp_f(b) for the basis b
+    of each factor f, and the slice elements s_j (see `charts`). Here b
+    stands in for y. Factor f spans a nilpotent subalgebra U_f that holds
+    a_f (see `OrbitChart`), so ad a_f is nilpotent on U_f and the map
+    b -> y = sum_k (-ad a_f)^k (b) / (k+1)! sends U_f onto itself: both
+    bases span one space. `chart_from_json` refuses other factors.
     """
-    core = vp.core
-    columns = list(chart.slice_basis)
-    suffix = suffix_inv = None  # S_f and S_f^-1, built from the last factor down
-    for f in range(len(chart.factors) - 1, -1, -1):
-        for b in chart.factors[f]:
-            x = b if suffix is None else suffix_inv * b * suffix
-            columns.append(x * core - core * x)
-        if f:
-            _, exp_a, exp_neg = vp.series[f]
-            suffix = exp_a if suffix is None else exp_a * suffix
-            suffix_inv = exp_neg if suffix_inv is None else suffix_inv * exp_neg
-    return _span_rank(columns)
+    return _span_rank(_core_brackets(vp, chart.factors) + list(chart.slice_basis))
 
 
 def _power_ranks(m: RatMatrix) -> list:
@@ -191,29 +167,24 @@ def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan,
                          rng: SplitMix64) -> tuple:
     """Coordinates of a random point of the group-orbit slice of ``nil``.
 
-    The point is Ad(g)(base slice point) with g a product of exponentials
-    of random elements of u (and, over sl with a diagonal grading element,
-    a determinant-one diagonal factor), so membership in the slice holds by
-    construction. ``nil`` is a nilpotent chart carrying its scaffolding and
+    The point is Ad(exp(y) d)(base slice point) with y a random element of
+    u and, over sl with a diagonal grading element, d a determinant-one
+    diagonal matrix (otherwise d = 1), so membership in the slice holds by
+    construction. exp(u) is the whole unipotent group U, and such a d
+    normalizes U, so one exponential reaches every point that a product of
+    them would. ``nil`` is a nilpotent chart carrying its scaffolding and
     ``slice_span`` is the span of its slice.
     """
     pd = nil.parabolic
     algebra = nil.algebra
     n = algebra.ambient_size
-    base = nil.base_element.matrix
-    u_supports = [_support(el.matrix) for el in pd.u]
-    gs = []
-    for _ in range(2):
-        coeffs = [rng.fraction() for _ in pd.u]
-        gs.append(_exp_series(_lincomb(coeffs, u_supports, n, n))[1:])
-    use_diag = (algebra.family == "sl"
-                and _is_diagonal(pd.grading.grading_element.matrix))
-    point = gs[1][0] * base * gs[1][1]
-    if use_diag:
+    coeffs = [rng.fraction() for _ in pd.u]
+    exp_y, exp_neg = _exp_series(_lincomb(coeffs, [_support(el.matrix) for el in pd.u], n, n))
+    point = nil.base_element.matrix
+    if algebra.family == "sl" and _is_diagonal(pd.grading.grading_element.matrix):
         d, d_inv = _diag_det_one(n, rng)
         point = d * point * d_inv
-    point = gs[0][0] * point * gs[0][1]
-    coords = slice_span.coords_of(point)
+    coords = slice_span.coords_of(exp_y * point * exp_neg)
     if coords is None:
         raise AssertionError("sampled orbit point left the slice")
     return coords

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -248,6 +249,29 @@ class TestMixedChart:
             chart_mixed(sl3, sl3.element_from_matrix(elem(3, 0, 1)), 42)
 
 
+# so5, so6 and sp4 charts, nilpotent and semisimple, and an sl4 mixed chart,
+# whose three factors make S_f differ from the identity for the first two
+DERIVATIVE_CASES = {
+    "so5-nilpotent": ("so", 5, elem(5, 0, 1) - elem(5, 3, 4) + elem(5, 1, 2) - elem(5, 2, 3)),
+    "so5-semisimple": ("so", 5, diag_matrix([2, 1, 0, -1, -2])),
+    "so6-nilpotent": ("so", 6, elem(6, 0, 1) - elem(6, 4, 5) + elem(6, 1, 2) - elem(6, 3, 4)),
+    "so6-semisimple": ("so", 6, diag_matrix([2, 1, 1, -1, -1, -2])),
+    "sp4-nilpotent": ("sp", 4, M([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 0]])),
+    "sp4-semisimple": ("sp", 4, diag_matrix([2, 1, -1, -2])),
+    "sl4-mixed": ("sl", 4, diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def derivative_chart(label):
+    """The chart (seed 42) of a `DERIVATIVE_CASES` element."""
+    family, n, m = DERIVATIVE_CASES[label]
+    algebra = build_classical(family, n)
+    chart = build_chart(algebra, algebra.element_from_matrix(m), 42)
+    assert chart.case_tag == label.split("-")[1]
+    return chart
+
+
 class TestEvalChart:
     def test_param_count_mismatch(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
@@ -288,6 +312,15 @@ class TestEvalChart:
         ]:
             chart = builder(element(sl3, x_rows))
             rng = SplitMix64(33)
+            assert_dual_number_derivatives(
+                chart, [rng.fraction() for _ in range(chart.param_count)])
+
+    @pytest.mark.parametrize("label", sorted(DERIVATIVE_CASES))
+    def test_derivatives_on_built_charts(self, label):
+        chart = derivative_chart(label)
+        rng = SplitMix64(41)
+        assert_dual_number_derivatives(chart, chart.base_params)
+        for _ in range(2):
             assert_dual_number_derivatives(
                 chart, [rng.fraction() for _ in range(chart.param_count)])
 

@@ -10,9 +10,11 @@ import orbitcharts.charts as charts
 import orbitcharts.cli as cli
 import orbitcharts.grading as grading
 import orbitcharts.jordan as jordan
+import orbitcharts.liealg as liealg
 import orbitcharts.verify as verify
 from orbitcharts.cli import main
-from orbitcharts.liealg import LieAlgebra, build_classical
+from orbitcharts.liealg import LieAlgebra, ad_matrix, build_classical
+from orbitcharts.linalg import RatMatrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -259,6 +261,29 @@ class TestVerify:
                        "--element", H2])
         assert code == 3
 
+    @pytest.mark.parametrize("family,size,rows,reason", [
+        ("sl", 1, 1, "sl(n) needs n >= 2"),
+        ("sl", 1, 2, "sl(n) needs n >= 2"),
+        ("sl", 0, 2, "sl(n) needs n >= 2"),
+        ("sl", -1, 1, "sl(n) needs n >= 2"),
+        ("sp", 3, 3, "sp(n) needs even n >= 2"),
+        ("sp", 3, 2, "sp(n) needs even n >= 2"),
+        ("so", 2, 2, "so(n) needs n >= 3"),
+        ("so", 2, 3, "so(n) needs n >= 3"),
+    ])
+    def test_unsupported_size_exit_2_whatever_the_element(self, capsys, family, size,
+                                                          rows, reason):
+        element = json.dumps({"matrix": [["0"] * rows for _ in range(rows)]})
+        code, out = run(["analyze", "--family", family, "--size", str(size),
+                         "--element", element])
+        assert (code, out) == (2, "")
+        assert f"orbit: {reason}" in capsys.readouterr().err
+
+    def test_underscore_literal_exit_2(self):
+        element = '{"matrix": [["1_0","0"],["0","-1_0"]]}'
+        code, out = run(["verify", "--family", "sl", "--size", "2", "--element", element])
+        assert (code, out) == (2, "")
+
     def test_element_checked_before_algebra_is_built(self, tmp_path, capsys, monkeypatch):
         import orbitcharts.cli as cli
 
@@ -358,3 +383,30 @@ class TestAnalysedOnce:
         assert code == 0
         assert counts["jordan_decompose"] == 1
         assert counts["algebras"] <= MAX_ALGEBRAS[command][case]
+
+    def test_semisimple_verify_eliminates_ad_x_three_times(self, monkeypatch):
+        # the Levi c(x) in the chart, the dimension_identity oracle and the
+        # redstab kernel; the chart's orbit dimension is dim g - dim c(x).
+        # The witness search ranks ad z of its candidates z in `grading`,
+        # which is not counted (here the accepted z equals x)
+        sl5 = build_classical("sl", 5)
+        rows = SL5_CASES["semisimple"]
+        ad_x = ad_matrix(sl5, sl5.element_from_matrix(RatMatrix.from_rows(rows)))
+        eliminations = []
+
+        def counted(fn):
+            def wrapper(m, *args, **kwargs):
+                if m == ad_x:
+                    eliminations.append(fn.__name__)
+                return fn(m, *args, **kwargs)
+            return wrapper
+
+        for module in (charts, cli, liealg, verify):
+            for name in ("rank", "kernel_basis"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
+        code, _ = run(["verify", "--family", "sl", "--size", "5", "--element", element,
+                       "--samples", "2"])
+        assert code == 0
+        assert len(eliminations) == 3

@@ -431,6 +431,13 @@ class TestMatrixBasics:
         with pytest.raises(ValueError, match="invalid rational literal"):
             M([[text]])
 
+    @pytest.mark.parametrize("text", ["1_0", "1.5_0", "1/2_0", "1 / 2"])
+    def test_grammar_of_newer_pythons_refused(self, text):
+        # Fraction reads underscores from Python 3.11 and spaces around "/"
+        # from 3.12; one grammar holds on every supported version
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            parse_rational(text)
+
     def test_decimal_and_plain_literals_accepted(self):
         assert parse_rational("0.1") == F(1, 10)
         assert parse_rational(" 7 ") == F(7)
