@@ -6,10 +6,10 @@
 stdout carries only JSON (stable key order, canonical rational strings);
 diagnostics go to stderr. Exit codes: 0 success (for `verify`: all checks
 passed), 1 failed verification checks, 2 parse error (a negative
-`--samples` included), a `--size` the family does not support (checked
-before the element is read) or an `--out` file that cannot be written, 3 element
-not in the algebra, 4 witness search failure, 5 zero element / zero
-semisimple part.
+`--samples` included), a `--size` the family does not support, a
+`classify` outside sl (both checked before the element is read) or an
+`--out` file that cannot be written, 3 element not in the algebra, 4
+witness search failure, 5 zero element / zero semisimple part.
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ def cmd_verify(config: RunConfig) -> dict:
 
 
 def cmd_classify(config: RunConfig) -> dict:
+    if config.algebra_family != "sl":
+        raise ValueError("invariants are implemented for sl algebras only")
     algebra, x = _resolve(config)
     cid = hamiltonian_class(algebra, x)
     rep = kostant_rep(config.size, cid)

@@ -17,8 +17,9 @@ Every matrix product (`*`, `power`, `char_poly`, `Polynomial.evaluate_matrix`
 and the products of chart evaluation) runs one integer row-product loop,
 `_product`, on numerators. Every elimination (`rank`, `det`,
 `kernel_basis`, `solve_linear` and `VectorSpan`) runs one fraction-free
-loop, `_bareiss`, on integer rows to control coefficient growth, and every
-solve after it runs one integer back-substitution, `_back_substitute`.
+loop, `_bareiss`, on integer rows to control coefficient growth; it skips
+the rows whose entry in the pivot column is zero and scales them lazily.
+Every solve after it runs one integer back-substitution, `_back_substitute`.
 Every function is pure and deterministic: rerunning on equal inputs gives
 bit-identical results.
 """
@@ -337,14 +338,26 @@ def _int_rows(m: RatMatrix) -> list:
 def _bareiss(rows: list) -> tuple:
     """In-place fraction-free echelon form.
 
-    Returns (rows, pivot_columns, swap_count). Entries stay integral; each
-    elimination step divides exactly by the previous pivot.
+    Returns (rows, pivot_columns, swap_count). With pivots p_0 = 1, p_1, ...
+    step k replaces each row v below the pivot row w by
+    (v * p_(k+1) - v_c * w) / p_k, whose entries are minors of the input.
+    A row with v_c = 0 is only scaled by p_(k+1) / p_k, and over steps
+    a..b-1 those factors telescope to p_b / p_a. So such a row is skipped,
+    and each row keeps its level, the step its stored values are current
+    to (zeros stay zero, so the pivot search may read stale rows). A row of
+    level a that becomes the pivot row at step k is brought up to date as
+    v * p_k / p_a; one with v_c != 0 takes the step and its catch-up at
+    once, (v * p_(k+1) - v_c * w) / p_a. Each division is exact, since it
+    yields a minor. Swaps carry the level with the row, and the rows left
+    below the last pivot are zero: the result is that of scaling every row
+    at every step.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     piv_cols = []
+    pivots = [1]
+    levels = [0] * m
     r = 0
-    prev = 1
     swaps = 0
     for c in range(n):
         pr = None
@@ -356,15 +369,22 @@ def _bareiss(rows: list) -> tuple:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
+            levels[r], levels[pr] = levels[pr], levels[r]
             swaps += 1
-        piv = rows[r][c]
+        row_r = rows[r]
+        if levels[r] != r:
+            prev, old = pivots[r], pivots[levels[r]]
+            row_r[c:] = [x * prev // old for x in row_r[c:]]
+        piv = row_r[c]
+        tail = row_r[c:]
         for i in range(r + 1, m):
-            ric = rows[i][c]
             row_i = rows[i]
-            row_r = rows[r]
-            for j in range(c, n):
-                row_i[j] = (row_i[j] * piv - ric * row_r[j]) // prev
-        prev = piv
+            ric = row_i[c]
+            if ric:
+                div = pivots[levels[i]]
+                row_i[c:] = [(x * piv - ric * y) // div for x, y in zip(row_i[c:], tail)]
+                levels[i] = r + 1
+        pivots.append(piv)
         piv_cols.append(c)
         r += 1
         if r == m:

@@ -125,8 +125,12 @@ def _jacobian_rank(chart: OrbitChart, vp) -> int:
     a_f (see `OrbitChart`), so ad a_f is nilpotent on U_f and the map
     b -> y = sum_k (-ad a_f)^k (b) / (k+1)! sends U_f onto itself: both
     bases span one space. `chart_from_json` refuses other factors.
+
+    The rank does not depend on row order. The slice elements come first:
+    they are sparse with small integers, so they pivot first and the dense
+    bracket rows are eliminated against them.
     """
-    return _span_rank(_core_brackets(vp, chart.factors) + list(chart.slice_basis))
+    return _span_rank(list(chart.slice_basis) + _core_brackets(vp, chart.factors))
 
 
 def _power_ranks(m: RatMatrix) -> list:

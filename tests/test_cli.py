@@ -316,6 +316,22 @@ class TestClassify:
                        "--element", '{"matrix": [["0","1"],["0","0"]]}'])
         assert code == 5
 
+    @pytest.mark.parametrize("element", [
+        SO5_DIAG,
+        json.dumps({"matrix": [["1"] * 5 for _ in range(5)]}),  # not in so5
+        "no-such-element-file.json",
+    ], ids=["so5-element", "not-in-so5", "unreadable-path"])
+    def test_outside_sl_exit_2_before_the_element_is_read(self, capsys, monkeypatch,
+                                                           element):
+        def _not_read(*_args):
+            raise AssertionError("the element was read")
+
+        monkeypatch.setattr(cli, "_load_element_matrix", _not_read)
+        code, out = run(["classify", "--family", "so", "--size", "5",
+                         "--element", element])
+        assert (code, out) == (2, "")
+        assert "orbit: invariants are implemented for sl algebras only" in capsys.readouterr().err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from orbitcharts.charts import _core_brackets, _value_pass, build_chart
+from orbitcharts.liealg import build_classical
 from orbitcharts.linalg import (
     DualNumber,
     Polynomial,
     RatMatrix,
     VectorSpan,
+    _bareiss,
     char_poly,
     det,
     integer_roots,
@@ -682,3 +685,139 @@ class TestRatMatrixAgainstFractionReference:
         with pytest.raises(TypeError):
             RatMatrix(1, 1, (1.0,))
 
+
+def _reference_bareiss(rows):
+    """The dense fraction-free loop: every row below the pivot is scaled at
+    every step, whatever its entry in the pivot column."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    piv_cols = []
+    r = 0
+    prev = 1
+    swaps = 0
+    for c in range(n):
+        pr = None
+        for i in range(r, m):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            swaps += 1
+        piv = rows[r][c]
+        for i in range(r + 1, m):
+            ric = rows[i][c]
+            row_i = rows[i]
+            row_r = rows[r]
+            for j in range(c, n):
+                row_i[j] = (row_i[j] * piv - ric * row_r[j]) // prev
+        prev = piv
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, piv_cols, swaps
+
+
+def _sparse_rows(rng, m, n, percent):
+    """m x n integers in [-9, 9], each entry nonzero with about ``percent``
+    percent chance."""
+    return [[rng.randint(-9, 9) if rng.randint(1, 100) <= percent else 0
+             for _ in range(n)] for _ in range(m)]
+
+
+def _diagonal_rows(rng, n, permuted):
+    rows = [[0] * n for _ in range(n)]
+    order = list(range(n))
+    if permuted:
+        for i in range(n - 1, 0, -1):
+            j = rng.randint(0, i)
+            order[i], order[j] = order[j], order[i]
+    for i in range(n):
+        rows[i][order[i]] = rng.choice((-7, -3, -2, -1, 0, 1, 2, 5, 9))
+    return rows
+
+
+def _deficient_rows(rng, m, n):
+    """Random rows, then some replaced by a repeat or by a sum of two rows."""
+    rows = _sparse_rows(rng, m, n, 60)
+    for i in range(2, m):
+        kind = rng.randint(0, 2)
+        if kind == 1:
+            rows[i] = list(rows[rng.randint(0, i - 1)])
+        elif kind == 2:
+            a, b = rows[rng.randint(0, i - 1)], rows[rng.randint(0, i - 1)]
+            rows[i] = [x + rng.randint(-2, 2) * y for x, y in zip(a, b)]
+    return rows
+
+
+def _with_zero_lines(rng, rows):
+    rows = [list(row) for row in rows]
+    rows[rng.randint(0, len(rows) - 1)] = [0] * len(rows[0])
+    c = rng.randint(0, len(rows[0]) - 1)
+    for row in rows:
+        row[c] = 0
+    return rows
+
+
+def _sl4_mixed_jacobian_rows():
+    """The flattened numerator rows `verify._jacobian_rank` eliminates for a
+    built sl4 mixed chart, at a seeded chart point."""
+    sl4 = build_classical("sl", 4)
+    x = sl4.element_from_matrix(M([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]))
+    chart = build_chart(sl4, x, 42)
+    rng = SplitMix64(77)
+    vp = _value_pass(chart, tuple(rng.fraction(-3, 3) for _ in range(chart.param_count)))
+    mats = list(chart.slice_basis) + _core_brackets(vp, chart.factors)
+    return [list(mat.nums) for mat in mats]
+
+
+def _bareiss_corpus():
+    rng = SplitMix64(4242)
+    corpus = []
+    for n in (1, 2, 5, 8):
+        corpus += [_diagonal_rows(rng, n, False), _diagonal_rows(rng, n, True)]
+    for m, n in ((1, 1), (1, 7), (7, 1), (3, 8), (8, 3), (6, 6), (9, 12), (12, 9)):
+        for percent in (10, 30, 100):
+            corpus.append(_sparse_rows(rng, m, n, percent))
+        corpus.append(_deficient_rows(rng, m, n))
+        corpus.append(_with_zero_lines(rng, _sparse_rows(rng, m, n, 50)))
+    corpus.append(_sl4_mixed_jacobian_rows())
+    return corpus
+
+
+class TestBareissAgainstDenseLoop:
+    """`_bareiss` skips rows whose pivot-column entry is zero and scales them
+    lazily; its echelon rows, pivot columns and swap count equal those of
+    the dense loop."""
+
+    @pytest.mark.parametrize("rows", _bareiss_corpus())
+    def test_same_result_as_dense_loop(self, rows):
+        assert _bareiss(copy.deepcopy(rows)) == _reference_bareiss(copy.deepcopy(rows))
+
+    def test_skipped_rows_become_pivot_rows_after_swaps(self):
+        # column 0 swaps row 2 up and skips the rest; column 1 swaps a
+        # skipped row into the pivot row, and column 2 pivots on a row
+        # skipped twice
+        rows = [[0, 2, 1, 3], [0, 0, 5, 1], [3, 1, 0, 2], [0, 4, 0, 7]]
+        want = _reference_bareiss(copy.deepcopy(rows))
+        assert want[1:] == ([0, 1, 2, 3], 2)
+        assert _bareiss(copy.deepcopy(rows)) == want
+
+
+def test_bareiss_property_against_dense_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        entry = st.one_of(st.just(0), st.integers(-20, 20))
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=m, max_size=m))
+        assert _bareiss(copy.deepcopy(rows)) == _reference_bareiss(copy.deepcopy(rows))
+
+    check()

@@ -437,3 +437,64 @@ class TestKostantRep:
             cid = OrbitClassId(vec)
             rep = kostant_rep(n, cid)
             assert invariants(algebra, rep).invariant_vector == vec
+
+
+def _regular_nilpotent(family, n):
+    """sl: the n x n Jordan block. so/sp: the sum of the strictly
+    upper-triangular basis elements, which holds every simple root vector."""
+    algebra = build_classical(family, n)
+    if family == "sl":
+        return algebra, algebra.element_from_matrix(jordan_nilpotent(n, [n]))
+    total = None
+    for b in algebra.basis:
+        if all(not b.at(i, j) for i in range(n) for j in range(i + 1)):
+            total = b if total is None else total + b
+    return algebra, algebra.element_from_matrix(total)
+
+
+def _jordan_type(x):
+    """The Jordan type of a nilpotent matrix, from the ranks of its powers:
+    rank(x^(k-1)) - rank(x^k) blocks have size at least k."""
+    n = x.rows
+    ranks = [n]
+    power = x
+    while ranks[-1]:
+        ranks.append(rank(power))
+        power = power * x
+    dual = [a - b for a, b in zip(ranks, ranks[1:])]
+    return [sum(1 for d in dual if d > i) for i in range(dual[0])]
+
+
+def _nilpotent_orbit_dim(family, n, part):
+    """Collingwood-McGovern, Cor. 6.1.4: the orbit dimension of a nilpotent
+    of Jordan type ``part`` in sl(n), so(n) or sp(n)."""
+    dual = [sum(1 for p in part if p > k) for k in range(max(part))]
+    squares = sum(d * d for d in dual)
+    odd = sum(1 for p in part if p % 2)
+    if family == "sl":
+        return n * n - squares
+    if family == "so":
+        return (n * n - n) // 2 - (squares - odd) // 2
+    return (n * n + n) // 2 - (squares + odd) // 2
+
+
+class TestScaleRegularNilpotents:
+    """Regular nilpotents of sl8, so8 and sp8: the chart verifies, and its
+    dimension is the Collingwood-McGovern orbit dimension of the Jordan type
+    read off the matrix."""
+
+    @pytest.mark.parametrize("family,n,part", [
+        ("sl", 8, [8]), ("so", 8, [7, 1]), ("sp", 8, [8]),
+    ])
+    def test_verifies_with_partition_dimension(self, family, n, part):
+        algebra, x = _regular_nilpotent(family, n)
+        assert _jordan_type(x.matrix) == part
+        dim = _nilpotent_orbit_dim(family, n, part)
+        # a regular orbit has dimension dim g - rank g
+        assert dim == algebra.dim - (n - 1 if family == "sl" else n // 2)
+        chart = build_chart(algebra, x, 42)
+        report = verify_chart(algebra, x, chart, 42, 10)
+        assert report.overall_pass
+        assert report.check("dimension_identity").expected == dim
+        assert chart.param_count == chart.expected_orbit_dim == dim
+        assert redstab_suite(algebra, x, 42, chart).overall_pass
