@@ -297,7 +297,7 @@ def _value_pass(chart: OrbitChart, params: Sequence) -> _ValuePass:
         )
     n = chart.algebra.ambient_size
     series = []
-    g = g_inv = RatMatrix.identity(n)
+    g = g_inv = None  # None until the first factor: no product with the identity
     pos = 0
     for basis in chart.factors:
         coeffs = params[pos:pos + len(basis)]
@@ -305,7 +305,9 @@ def _value_pass(chart: OrbitChart, params: Sequence) -> _ValuePass:
         a = _lincomb(coeffs, [_support(b) for b in basis], n, n)
         exp_a, exp_neg = _exp_series(a)
         series.append((a, exp_a, exp_neg))
-        g, g_inv = g * exp_a, exp_neg * g_inv
+        g, g_inv = (exp_a, exp_neg) if g is None else (g * exp_a, exp_neg * g_inv)
+    if g is None:
+        g = g_inv = RatMatrix.identity(n)
     core = chart.shift if chart.shift is not None else RatMatrix.zeros(n, n)
     if chart.slice_basis:
         core = core + _lincomb(params[pos:], [_support(s) for s in chart.slice_basis], n, n)

@@ -3,7 +3,14 @@
 A `LieAlgebra` is an ordered basis of ambient n x n rational matrices that
 is linearly independent and closed under the commutator; both conditions
 are checked at construction. The closure check computes the coordinates of
-every [b_i, b_j]; they are kept as sparse structure constants, the nonzero
+every [b_i, b_j] without a dense matrix: the bracket is formed from the
+basis supports, multiplying only the entries (r, k) and (k, c) that meet,
+and solved by a walk over the echelon rows of the independence check's
+`VectorSpan` that visits only the pivot columns the bracket, or the fill-in
+of earlier steps, reaches, in increasing order. An echelon row is zero left
+of its pivot column, so a nonzero residual at a column that is not a pivot
+column can be cleared by no row still to come: the bracket leaves the span.
+The coordinates are kept as sparse structure constants, the nonzero
 entries of each ad(b_i) in the integer form of `linalg._support`, from
 which `ad_matrix` assembles ad x in one pass (`linalg._lincomb`). The
 supports of the basis matrices are kept too, so `element` builds its matrix
@@ -27,6 +34,7 @@ Basis conventions (frozen, since chart coordinates refer to basis indices):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -38,10 +46,9 @@ from .linalg import (
     RatMatrix,
     VectorSpan,
     _as_fractions,
-    _integers_over,
     _lincomb,
+    _matrix,
     _support,
-    commutator,
     kernel_basis,
     matrix_to_json,
     vstack,
@@ -86,26 +93,54 @@ class LieAlgebra:
         Entry i is the `_support` of ad(b_i), whose nonzero entries are
         listed at p = row * dim + col, the row-major position: the column of
         b_j holds the coordinates of [b_i, b_j].
+
+        Each bracket is formed from the basis supports, in integers over
+        d_i * d_j: an entry (r, k) of one factor is multiplied only with
+        row k of the other. `VectorSpan.sparse_coords_of` solves it on the
+        span built for the independence check, visiting only the pivot
+        columns the bracket or its fill-in reaches. A nonzero residual at a
+        column that is not a pivot column can be cleared by no remaining
+        echelon row, since each is zero left of its pivot column, so the
+        bracket leaves the span and the basis is refused.
         """
-        m = self.dim
+        n, m = self.ambient_size, self.dim
+        # entry (r, k) of b_i as (r * n, k, value), and the rows of b_i
+        entries = [[(p - p % n, p % n, v) for p, v in pairs]
+                   for _, pairs in self._basis_support]
+        by_row = []
+        for _, pairs in self._basis_support:
+            rows = {}
+            for p, v in pairs:
+                rows.setdefault(p // n, []).append((p % n, v))
+            by_row.append(rows)
         table = [[] for _ in range(m)]
         for i in range(m):
+            di, ei, ri = self._basis_support[i][0], entries[i], by_row[i]
             for j in range(i + 1, m):
-                prod = commutator(self.basis[i], self.basis[j])
-                coords = self._span.coords_of(prod)
-                if coords is None:
+                ej, rj = entries[j], by_row[j]
+                bracket = {}
+                for rn, k, v in ei:
+                    for c, w in rj.get(k, ()):
+                        bracket[rn + c] = bracket.get(rn + c, 0) + v * w
+                for rn, k, v in ej:
+                    for c, w in ri.get(k, ()):
+                        bracket[rn + c] = bracket.get(rn + c, 0) - v * w
+                solved = self._span.sparse_coords_of(
+                    bracket, di * self._basis_support[j][0])
+                if solved is None:
                     raise ValueError(
                         f"{self.label}: basis is not bracket-closed "
                         f"([b_{i}, b_{j}] leaves the span)"
                     )
-                for k, c in enumerate(coords):
-                    if c:
-                        table[i].append((k * m + j, c))
-                        table[j].append((k * m + i, -c))
+                coords, s = solved
+                for k, x in coords:
+                    table[i].append((k * m + j, x, s))
+                    table[j].append((k * m + i, -x, s))
         supports = []
-        for entries in table:
-            ints, d = _integers_over([c for _, c in entries])
-            supports.append((d, tuple(zip((p for p, _ in entries), ints))))
+        for ad_entries in table:
+            # d is the lcm of the reduced denominators, as in `_integers_over`
+            d = math.lcm(*(s // math.gcd(x, s) for _, x, s in ad_entries))
+            supports.append((d, tuple((p, x * d // s) for p, x, s in ad_entries)))
         return tuple(supports)
 
     def coords_of_matrix(self, matrix: RatMatrix):
@@ -208,8 +243,9 @@ def trace_form_gram(basis: Sequence[RatMatrix]) -> RatMatrix:
 
 
 def _elementary(n: int, i: int, j: int) -> RatMatrix:
-    return RatMatrix(n, n, tuple(ONE if (a, b) == (i, j) else ZERO
-                                 for a in range(n) for b in range(n)))
+    nums = [0] * (n * n)
+    nums[i * n + j] = 1
+    return _matrix(n, n, nums)
 
 
 def _form_annihilator_basis(n: int, pairing) -> list:

@@ -26,6 +26,7 @@ bit-identical results.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -536,9 +537,11 @@ class VectorSpan:
     row-major entries. The integer rows of [vectors | I] are brought to the
     echelon form [U | T] by `_bareiss`. Each row of U is the combination of
     the vectors that the same row of T lists, and a pivot at or past
-    ``length`` means the vectors are dependent. Each row is kept as its
-    pivot column, its pivot and the nonzero (index, value) pairs of its U
-    and T parts.
+    ``length`` means the vectors are dependent. Each row is kept under its
+    pivot column, in increasing column order, as its pivot and the nonzero
+    (index, value) pairs of its U and T parts. `coords_of` walks every row
+    of a dense vector; `sparse_coords_of` walks only the rows whose pivot
+    column a sparse vector reaches.
     """
 
     def __init__(self, vectors: Sequence, length: int | None = None):
@@ -555,10 +558,10 @@ class VectorSpan:
         if piv and piv[-1] >= length:
             raise ValueError("vectors are linearly dependent")
         self._dim = m
-        self._rows = [(c, row[c],
-                       [(j, y) for j, y in enumerate(row[:length]) if y],
-                       [(i, t) for i, t in enumerate(row[length:]) if t])
-                      for c, row in zip(piv, ech)]
+        self._rows = {c: (row[c],
+                          [(j, y) for j, y in enumerate(row[:length]) if y],
+                          [(i, t) for i, t in enumerate(row[length:]) if t])
+                      for c, row in zip(piv, ech)}
 
     def coords_of(self, vector):
         """Coordinates in the original vectors, or None if outside the span.
@@ -575,7 +578,7 @@ class VectorSpan:
             raise ValueError("vector length mismatch")
         residual = list(ints)
         coords = [0] * self._dim
-        for c, pivot, u_support, t_support in self._rows:
+        for c, (pivot, u_support, t_support) in self._rows.items():
             rc = residual[c]
             if rc:
                 g = math.gcd(rc, pivot)
@@ -591,6 +594,54 @@ class VectorSpan:
         if any(residual):
             return None
         return tuple(Fraction(x, scale) if x else ZERO for x in coords)
+
+    def sparse_coords_of(self, residual: dict, scale: int):
+        """Sparse coordinates of the vector {index: numerator} / ``scale``
+        (``scale`` > 0): (pairs, s) with the coordinates' nonzero numerators
+        as sorted (index, numerator) pairs over one denominator s > 0, or
+        None if the vector is outside the span. ``residual`` is consumed.
+
+        The invariant and the step are those of `coords_of`, with the sign
+        of g taken from the pivot so that f > 0. Only the pivots that the
+        residual reaches are visited: its nonzero columns wait in a heap,
+        fill-in from an echelon row (which is zero left of its pivot
+        column) joins the heap, and the smallest column is taken next. A
+        nonzero residual at a column that is not a pivot column ends the
+        walk: every row still to come is zero at that column, so no
+        combination of the vectors can clear it.
+        """
+        rows = self._rows
+        heap = list(residual)
+        heapq.heapify(heap)
+        coords = {}
+        while heap:
+            c = heapq.heappop(heap)
+            rc = residual[c]
+            if not rc:
+                continue
+            row = rows.get(c)
+            if row is None:
+                return None
+            pivot, u_support, t_support = row
+            g = math.gcd(rc, pivot)
+            if pivot < 0:
+                g = -g
+            f, q = pivot // g, rc // g
+            if f != 1:
+                for j in residual:
+                    residual[j] *= f
+                for i in coords:
+                    coords[i] *= f
+                scale *= f
+            for j, y in u_support:
+                if j in residual:
+                    residual[j] -= q * y
+                else:
+                    residual[j] = -q * y
+                    heapq.heappush(heap, j)
+            for i, t in t_support:
+                coords[i] = coords.get(i, 0) + q * t
+        return sorted((i, x) for i, x in coords.items() if x), scale
 
 
 # ---------------------------------------------------------------------------

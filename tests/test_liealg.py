@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import diag_matrix, elem, element
+from conftest import compositions, diag_matrix, elem, element
+from orbitcharts import linalg
+from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import (
     LieAlgebra,
     NotInAlgebraError,
@@ -13,7 +15,7 @@ from orbitcharts.liealg import (
     centralizer_basis,
     trace_form_gram,
 )
-from orbitcharts.linalg import RatMatrix, commutator, mat_vec, rank
+from orbitcharts.linalg import RatMatrix, VectorSpan, _integers_over, commutator, mat_vec, rank
 from orbitcharts.rng import SplitMix64
 
 F = Fraction
@@ -97,6 +99,18 @@ class TestBracketAndAd:
         with pytest.raises(ValueError, match="closed"):
             LieAlgebra((elem(2, 0, 1), elem(2, 1, 0)), "bad")
 
+    def test_closure_rejected_after_fill_in(self):
+        # [h, E12 + E21] = 2 E12 - 2 E21 is nonzero first at the pivot
+        # column of E12 + E21; eliminating it leaves -4 at the E21 entry,
+        # which is no pivot column
+        with pytest.raises(ValueError, match="closed"):
+            LieAlgebra((diag_matrix([1, -1]), elem(2, 0, 1) + elem(2, 1, 0)), "bad")
+        # span{I + E12, diag(1,-1)}: [diag(1,-1), I + E12] = 2 E12 lies on a
+        # pivot column only, and its elimination fills in the E22 entry,
+        # which is no pivot column
+        with pytest.raises(ValueError, match="closed"):
+            LieAlgebra((RatMatrix.identity(2) + elem(2, 0, 1), diag_matrix([1, -1])), "bad")
+
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError, match="dependent"):
             LieAlgebra((elem(2, 0, 1), elem(2, 0, 1).scale(2)), "dep")
@@ -151,6 +165,88 @@ class TestSparseStructureConstants:
             assert x.matrix == _dense_combination(algebra, coords)
             assert all(type(c) is Fraction for c in x.coords)
             assert all(type(v) is Fraction for v in x.matrix.entries)
+
+
+def _reference_structure(basis):
+    """The structure constants by the dense closure loop: each [b_i, b_j]
+    as an ambient commutator, solved by `VectorSpan.coords_of`."""
+    if not basis:
+        return ()
+    m, n = len(basis), basis[0].rows
+    span = VectorSpan(basis, length=n * n)
+    table = [[] for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            coords = span.coords_of(commutator(basis[i], basis[j]))
+            assert coords is not None
+            for k, c in enumerate(coords):
+                if c:
+                    table[i].append((k * m + j, c))
+                    table[j].append((k * m + i, -c))
+    supports = []
+    for entries in table:
+        ints, d = _integers_over([c for _, c in entries])
+        supports.append((d, tuple(zip((p for p, _ in entries), ints))))
+    return tuple(supports)
+
+
+def _mixed_subalgebras():
+    """The Levi c(x_s), its center and the centralizer c(x) of mixed
+    elements x of sl5 and so6."""
+    sl5, so6 = build_classical("sl", 5), build_classical("so", 6)
+    elements = [(sl5, diag_matrix(d) + elem(5, p, p + 1)) for d, p in (
+        ([2, 2, 2, 2, -8], 0), ([1, 1, 1, F(-3, 2), F(-3, 2)], 3),
+        ([3, 3, -1, -1, -4], 2), ([1, 1, 0, -1, -1], 0), ([1, 2, 2, 2, -7], 1))]
+    # so6: x_s = diag(1, 1, 0, 0, -1, -1), x_n the basis element of so6 at
+    # the (0, 1) entry, which commutes with x_s
+    x_s = diag_matrix([1, 1, 0, 0, -1, -1])
+    x_n = next(b for b in so6.basis if b.at(0, 1) and commutator(b, x_s).is_zero())
+    elements.append((so6, x_s + x_n))
+    algebras = []
+    for algebra, matrix in elements:
+        x = algebra.element_from_matrix(matrix)
+        pair = jordan_decompose(algebra, x)
+        assert not pair.semisimple.is_zero() and not pair.nilpotent.is_zero()
+        levi = centralizer_basis(algebra, pair.semisimple)
+        algebras += [levi, center_basis(levi), centralizer_basis(algebra, x)]
+    return algebras
+
+
+def _oracle_cases():
+    cases = [build_classical("sl", n) for n in range(2, 9)]
+    cases += [build_classical("so", n) for n in range(3, 10)]
+    cases += [build_classical("sp", n) for n in range(2, 9, 2)]
+    cases += [block_levi(5, c) for c in compositions(5)]
+    return cases + _mixed_subalgebras()
+
+
+class TestStructureOracle:
+    """The sparse closure walk against the dense commutator loop."""
+
+    @pytest.mark.parametrize("algebra", _oracle_cases(),
+                             ids=lambda a: a.label.replace(" ", "_"))
+    def test_structure_equals_dense_reference(self, algebra):
+        assert algebra._structure == _reference_structure(algebra.basis)
+
+    def test_mixed_subalgebras_are_nontrivial(self):
+        # six elements, each giving a Levi, its center and a centralizer
+        algebras = _mixed_subalgebras()
+        assert len(algebras) == 18
+        assert all(a.dim for a in algebras)
+
+    def test_building_makes_no_matrix_product(self, monkeypatch):
+        basis = build_classical("sl", 8).basis
+        calls = []
+        product = linalg._product
+
+        def counting(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        monkeypatch.setattr(linalg, "_product", counting)
+        algebra = LieAlgebra(basis, "sl8 again")
+        assert algebra.dim == 63
+        assert not calls
 
 
 class TestCentralizers:
