@@ -25,8 +25,9 @@ Basis conventions (frozen, since chart coordinates refer to basis indices):
 * sl(n): elementary matrices E_ij, i != j, in lexicographic (i, j) order,
   followed by the diagonal differences E_kk - E_(k+1)(k+1).
 * so(n): annihilator of the split symmetric form S (ones on the
-  antidiagonal), basis produced by kernel extraction in row-major entry
-  order; entries are integers. The split form is used so that nonzero
+  antidiagonal), one integer basis element per pair of entries the form
+  ties together, ordered by the later entry of the pair in row-major order
+  (`_form_annihilator_basis`). The split form is used so that nonzero
   nilpotents and integer gradings exist over the rationals.
 * sp(n), n even: same construction for the split antidiagonal symplectic
   form (+1 in the top half, -1 in the bottom half).
@@ -249,17 +250,30 @@ def _elementary(n: int, i: int, j: int) -> RatMatrix:
 
 
 def _form_annihilator_basis(n: int, pairing) -> list:
-    """Solve A^T S + S A = 0 entrywise; ``pairing(i)`` gives the sign of the
-    antidiagonal form at row i. Returns integer basis matrices."""
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [ZERO] * (n * n)
-            row[(n - 1 - j) * n + i] += pairing(n - 1 - j)
-            row[(n - 1 - i) * n + j] += pairing(i)
-            rows.append(row)
-    constraint = RatMatrix.from_rows(rows)
-    return [RatMatrix(n, n, vec) for vec in kernel_basis(constraint)]
+    """Integer basis of the A with A^T S + S A = 0, for the antidiagonal
+    form S whose row i has the sign ``pairing(i)`` (+1 or -1).
+
+    The condition ties entry (r, c) to entry (n-1-c, n-1-r): at flat
+    row-major indices p <= q it reads pairing(p_r) A_p + pairing(p_c) A_q = 0,
+    with (p_r, p_c) the row and column of p. A pair p < q gives
+    E_p - pairing(p_r) pairing(p_c) E_q; an antidiagonal entry (p = q) is
+    its own basis element when pairing(p_r) + pairing(p_c) = 0 (sp) and is
+    zero otherwise (so). Elements come in increasing q, the order of the
+    free columns when the kernel of the constraint matrix is extracted.
+    """
+    basis = []
+    for q in range(n * n):
+        pr, pc = n - 1 - q % n, n - 1 - q // n
+        p = pr * n + pc
+        nums = [0] * (n * n)
+        if p < q:
+            nums[p], nums[q] = 1, -pairing(pr) * pairing(pc)
+        elif p == q and pairing(pr) + pairing(pc) == 0:
+            nums[q] = 1
+        else:
+            continue
+        basis.append(_matrix(n, n, nums))
+    return basis
 
 
 _CLASSICAL_CACHE: dict = {}
@@ -289,11 +303,11 @@ def build_classical(family: str, n: int) -> LieAlgebra:
         basis += [_elementary(n, k, k) - _elementary(n, k + 1, k + 1) for k in range(n - 1)]
         expected = n * n - 1
     elif family == "so":
-        basis = _form_annihilator_basis(n, lambda i: ONE)
+        basis = _form_annihilator_basis(n, lambda i: 1)
         expected = n * (n - 1) // 2
     else:
         half = n // 2
-        basis = _form_annihilator_basis(n, lambda i: ONE if i < half else -ONE)
+        basis = _form_annihilator_basis(n, lambda i: 1 if i < half else -1)
         expected = n * (n + 1) // 2
     algebra = LieAlgebra(basis, f"{family}{n}", family=family)
     if algebra.dim != expected:

@@ -16,10 +16,13 @@ Fractions back.
 Every matrix product (`*`, `power`, `char_poly`, `Polynomial.evaluate_matrix`
 and the products of chart evaluation) runs one integer row-product loop,
 `_product`, on numerators. Every elimination (`rank`, `det`,
-`kernel_basis`, `solve_linear` and `VectorSpan`) runs one fraction-free
-loop, `_bareiss`, on integer rows to control coefficient growth; it skips
-the rows whose entry in the pivot column is zero and scales them lazily.
-Every solve after it runs one integer back-substitution, `_back_substitute`.
+`kernel_basis`, `solve_linear`, `VectorSpan` and the resultant of a
+polynomial and its derivative) runs one fraction-free loop, `_bareiss`, on
+integer rows to control coefficient growth; it skips the rows whose entry
+in the pivot column is zero and scales them lazily. Every solve after it
+runs one integer back-substitution, `_back_substitute`. Integer roots of a
+polynomial are lifted from its roots modulo a small prime (Hensel), not
+found by factoring.
 Every function is pure and deterministic: rerunning on equal inputs gives
 bit-identical results.
 """
@@ -539,9 +542,9 @@ class VectorSpan:
     the vectors that the same row of T lists, and a pivot at or past
     ``length`` means the vectors are dependent. Each row is kept under its
     pivot column, in increasing column order, as its pivot and the nonzero
-    (index, value) pairs of its U and T parts. `coords_of` walks every row
-    of a dense vector; `sparse_coords_of` walks only the rows whose pivot
-    column a sparse vector reaches.
+    (index, value) pairs of its U and T parts. Coordinates are solved by
+    one walk, `sparse_coords_of`, over only the rows whose pivot column the
+    vector reaches.
     """
 
     def __init__(self, vectors: Sequence, length: int | None = None):
@@ -564,36 +567,20 @@ class VectorSpan:
                       for c, row in zip(piv, ech)}
 
     def coords_of(self, vector):
-        """Coordinates in the original vectors, or None if outside the span.
-
-        In integers: the residual r starts as d * vector for the common
-        denominator d, the coordinate numerators C at 0 and their
-        denominator s at d. U's pivots are walked in order, and each clears
-        r at its column c: with g = gcd(r_c, pivot), r becomes
-        (pivot/g) r - (r_c/g) U_row, C becomes (pivot/g) C + (r_c/g) T_row
-        and s becomes (pivot/g) s, which keeps s * vector = C . vectors + r.
-        """
+        """Coordinates in the original vectors, or None if outside the span:
+        `sparse_coords_of` on the nonzero entries of ``vector``, as a
+        dense tuple of Fractions."""
         ints, scale = _vector_ints(vector)
         if len(ints) != self.length:
             raise ValueError("vector length mismatch")
-        residual = list(ints)
-        coords = [0] * self._dim
-        for c, (pivot, u_support, t_support) in self._rows.items():
-            rc = residual[c]
-            if rc:
-                g = math.gcd(rc, pivot)
-                f, q = pivot // g, rc // g
-                if f != 1:
-                    residual = [x * f for x in residual]
-                    coords = [x * f for x in coords]
-                    scale *= f
-                for j, y in u_support:
-                    residual[j] -= q * y
-                for i, t in t_support:
-                    coords[i] += q * t
-        if any(residual):
+        solved = self.sparse_coords_of({j: x for j, x in enumerate(ints) if x}, scale)
+        if solved is None:
             return None
-        return tuple(Fraction(x, scale) if x else ZERO for x in coords)
+        pairs, s = solved
+        coords = [ZERO] * self._dim
+        for i, x in pairs:
+            coords[i] = Fraction(x, s)
+        return tuple(coords)
 
     def sparse_coords_of(self, residual: dict, scale: int):
         """Sparse coordinates of the vector {index: numerator} / ``scale``
@@ -601,8 +588,12 @@ class VectorSpan:
         as sorted (index, numerator) pairs over one denominator s > 0, or
         None if the vector is outside the span. ``residual`` is consumed.
 
-        The invariant and the step are those of `coords_of`, with the sign
-        of g taken from the pivot so that f > 0. Only the pivots that the
+        In integers: the residual r starts as the given numerators, the
+        coordinate numerators C at 0 and their denominator s at ``scale``.
+        Each pivot clears r at its column c: with g = gcd(r_c, pivot),
+        signed like the pivot, and f = pivot/g > 0, r becomes
+        f r - (r_c/g) U_row, C becomes f C + (r_c/g) T_row and s becomes
+        f s, which keeps s * vector = C . vectors + r. Only the pivots that the
         residual reaches are visited: its nonzero columns wait in a heap,
         fill-in from an echelon row (which is zero left of its pivot
         column) joins the heap, and the smallest column is taken next. A
@@ -805,114 +796,71 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     return q.monic()
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def _horner(ints: Sequence[int], x: int) -> int:
+    """The integer polynomial ``ints`` (lowest degree first) at x."""
+    value = 0
+    for c in reversed(ints):
+        value = value * x + c
+    return value
 
 
-def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3e24 with this base set.
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    c = 1
-    while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
-
-
-def _factorize(n: int) -> dict:
-    factors: dict = {}
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
-
-
-def _divisors(n: int) -> list:
-    n = abs(n)
-    if n == 0:
-        raise ValueError("zero has no divisor list")
-    if n < 10 ** 6:
-        small = []
-        large = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                small.append(d)
-                if d != n // d:
-                    large.append(n // d)
-            d += 1
-        return small + large[::-1]
-    divs = [1]
-    for p, e in _factorize(n).items():
-        pk = 1
-        block = list(divs)
-        for _ in range(e):
-            pk *= p
-            divs.extend(d * pk for d in block)
-    return sorted(divs)
+def _resultant_with_derivative(ints: list) -> int:
+    """Res(P, P') up to sign, for the integer polynomial P = ``ints`` of
+    degree n >= 1: the determinant of the (2n - 1)-square Sylvester matrix,
+    by `_bareiss`. It is 0 exactly when P has a repeated root."""
+    n = len(ints) - 1
+    high = ints[::-1]
+    dhigh = [i * c for i, c in enumerate(ints) if i][::-1]
+    size = 2 * n - 1
+    rows = [[0] * k + high + [0] * (size - n - 1 - k) for k in range(n - 1)]
+    rows += [[0] * k + dhigh + [0] * (size - n - k) for k in range(n)]
+    ech, piv, _ = _bareiss(rows)
+    return ech[-1][-1] if len(piv) == size else 0
 
 
 def integer_roots(p: Polynomial) -> list:
-    """All integer roots of ``p``, in increasing order."""
+    """All integer roots of ``p``, in increasing order.
+
+    Found by Hensel lifting, without factoring anything. P is p with its
+    denominators cleared, replaced by its squarefree part when the
+    resultant R of P and P' is 0. Modulo the least prime q that divides
+    neither lead(P) nor R, P keeps its degree and has only simple roots,
+    so each root mod q lifts to exactly one root modulo every power of q
+    by Newton's step x - P(x) / P'(x). An integer root r satisfies
+    |r| <= B = 1 + max |a_i| // |lead(P)| (Cauchy), so once the modulus M
+    exceeds 2B, r is the lift taken in (-M/2, M/2]; each such lift is
+    kept when it is an exact root.
+    """
     if p.is_zero():
         raise ValueError("every integer is a root of the zero polynomial")
-    coeffs = list(p.coefficients)
-    roots = set()
-    shift = 0
-    while not coeffs[0]:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.add(0)
-    if len(coeffs) >= 2:
-        # Clear denominators once; each divisor is then tested by integer Horner.
-        ints, _ = _integers_over(coeffs[::-1])
-        for d in _divisors(ints[-1]):
-            for r in (d, -d):
-                value = 0
-                for c in ints:
-                    value = value * r + c
-                if not value:
-                    roots.add(r)
+    if p.degree < 1:
+        return []
+    ints, _ = _integers_over(p.coefficients)
+    res = _resultant_with_derivative(ints)
+    if not res:
+        ints, _ = _integers_over(squarefree_part(p).coefficients)
+        res = _resultant_with_derivative(ints)
+    # The least q >= 2 coprime to lead(P) * R is prime: a smaller prime
+    # factor of q would be coprime to it too.
+    bad = ints[-1] * res
+    q = 2
+    while math.gcd(q, bad) != 1:
+        q += 1
+    deriv = [i * c for i, c in enumerate(ints) if i]
+    bound = 1 + max(map(abs, ints[:-1])) // abs(ints[-1])
+    reduced = [c % q for c in ints]
+    roots = []
+    for x in range(q):
+        if _horner(reduced, x) % q:
+            continue
+        modulus = q
+        while modulus <= 2 * bound:
+            modulus *= modulus
+            x = (x - _horner(ints, x) * pow(_horner(deriv, x), -1, modulus)) % modulus
+        if 2 * x > modulus:
+            x -= modulus
+        if not _horner(ints, x):
+            roots.append(x)
     return sorted(roots)
 
 

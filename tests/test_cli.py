@@ -25,6 +25,10 @@ MIXED3 = '{"matrix": [["1","1","0"],["0","1","0"],["0","0","-2"]]}'
 ZERO2 = '{"matrix": [["0","0"],["0","0"]]}'
 # companion matrix of t^3 - t - 1, which has no rational root
 CUBIC3 = '{"matrix": [["0","0","1"],["1","0","1"],["0","1","0"]]}'
+# companion matrix of t^3 - 7t - M, M = (10^20 + 39)(10^20 + 129) a product
+# of two primes: no rational root, and a constant term too large to factor
+BIG_CUBIC3 = json.dumps({"matrix": [["0", "0", str((10 ** 20 + 39) * (10 ** 20 + 129))],
+                                    ["1", "0", "7"], ["0", "1", "0"]]})
 SO5_DIAG = ('{"matrix": [["1","0","0","0","0"],["0","1","0","0","0"],'
             '["0","0","0","0","0"],["0","0","0","-1","0"],["0","0","0","0","-1"]]}')
 SP4_REGULAR = ('{"matrix": [["0","1","0","0"],["0","0","1","0"],'
@@ -169,6 +173,13 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "center basis element 0 [[" in err
         assert "does not split over the rationals" in err
+
+    @pytest.mark.parametrize("command", ["chart", "verify"])
+    def test_non_split_with_large_constant_term_exit_4(self, capsys, command):
+        code, out = run([command, "--family", "sl", "--size", "3",
+                         "--element", BIG_CUBIC3])
+        assert (code, out) == (4, "")
+        assert "does not split over the rationals" in capsys.readouterr().err
 
     def test_budget_exhaustion_counts_reasons(self, capsys, monkeypatch):
         import orbitcharts.grading as grading

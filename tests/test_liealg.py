@@ -15,11 +15,36 @@ from orbitcharts.liealg import (
     centralizer_basis,
     trace_form_gram,
 )
-from orbitcharts.linalg import RatMatrix, VectorSpan, _integers_over, commutator, mat_vec, rank
+from orbitcharts.linalg import (
+    RatMatrix,
+    VectorSpan,
+    _integers_over,
+    commutator,
+    kernel_basis,
+    mat_vec,
+    rank,
+)
 from orbitcharts.rng import SplitMix64
 
 F = Fraction
 
+
+def _kernel_form_basis(family, n):
+    """The so/sp basis by kernel extraction: the kernel of the n^2 x n^2
+    constraint matrix of A^T S + S A = 0, entry by entry."""
+    half = n // 2
+
+    def pairing(i):
+        return 1 if family == "so" or i < half else -1
+
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            row[(n - 1 - j) * n + i] += pairing(n - 1 - j)
+            row[(n - 1 - i) * n + j] += pairing(i)
+            rows.append(row)
+    return [RatMatrix(n, n, v) for v in kernel_basis(RatMatrix.from_rows(rows))]
 
 class TestBuildClassical:
     @pytest.mark.parametrize("family,n,dim", [
@@ -61,6 +86,11 @@ class TestBuildClassical:
             s = RatMatrix.from_rows(s_rows)
             for b in algebra.basis:
                 assert (b.transpose() * s + s * b).is_zero()
+
+    @pytest.mark.parametrize("family,n", [("so", n) for n in range(3, 13)]
+                             + [("sp", n) for n in range(2, 13, 2)])
+    def test_so_sp_basis_equals_kernel_reference(self, family, n):
+        assert build_classical(family, n).basis == tuple(_kernel_form_basis(family, n))
 
 
 class TestBracketAndAd:

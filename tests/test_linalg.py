@@ -347,16 +347,60 @@ class TestIntegerRoots:
         (_poly_from_roots([0, 0, 3, F(1, 2)]).scale(F(2, 3)), [0, 3]),
         # repeated roots: (t - 3)^3 (t + 1)^2
         (_poly_from_roots([3, 3, 3, -1, -1]), [-1, 3]),
-        # constant term -1000003 * 999983, factored by Pollard rho
+        # constant term -1000003 * 999983, a product of two primes
         (_poly_from_roots([1000003, -999983], Polynomial((F(1), F(0), F(1)))),
          [-999983, 1000003]),
         # no integer root
         (Polynomial((F(-2), F(0), F(0), F(1))), []),
         (_poly_from_roots([F(1, 2)], Polynomial((F(1), F(0), F(1)))), []),
+        # degree 0 and degree 1
+        (Polynomial((F(5),)), []),
+        (Polynomial((F(-6), F(3))), [2]),
+        (Polynomial((F(-3), F(2))), []),
+        # repeated zero root: t^3 (t - 4)
+        (_poly_from_roots([0, 0, 0, 4]), [0, 4]),
+        # rational leading coefficient: (3/5)(t + 2)(t - 7)
+        (_poly_from_roots([-2, 7]).scale(F(3, 5)), [-2, 7]),
     ])
     def test_matches_divisor_scan(self, p, expected):
         assert integer_roots(p) == expected
         assert _divisor_scan_roots(p) == expected
+
+    def test_roots_whose_product_is_a_strong_pseudoprime(self):
+        # 399165290221 * 798330580441 is the least strong pseudoprime to
+        # all twelve prime bases 2, 3, ..., 37 (Sorenson and Webster, 2015)
+        roots = [399165290221, 798330580441]
+        assert integer_roots(_poly_from_roots(roots)) == roots
+
+    def test_roots_whose_product_has_two_21_digit_prime_factors(self):
+        roots = [10 ** 20 + 39, 10 ** 20 + 129]
+        assert integer_roots(_poly_from_roots(roots)) == roots
+
+
+def test_integer_roots_property():
+    """c * prod (t - r_i) * prod (t^2 + a_j^2) * prod (b_k t - a_k), with
+    b_k >= 2 coprime to a_k, has exactly the integer roots r_i."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    big = st.integers(-10 ** 30, 10 ** 30)
+    fraction = st.tuples(st.integers(-1000, 1000), st.integers(2, 1000)).filter(
+        lambda ab: math.gcd(*ab) == 1)
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        roots = data.draw(st.lists(big, max_size=4))
+        if roots:
+            roots += data.draw(st.lists(st.sampled_from(roots), max_size=2))
+        c = F(data.draw(st.integers(-100, 100).filter(bool)), data.draw(st.integers(1, 100)))
+        p = Polynomial((c,))
+        for a in data.draw(st.lists(st.integers(1, 10 ** 6), max_size=2)):
+            p = p * Polynomial((F(a * a), F(0), F(1)))
+        for a, b in data.draw(st.lists(fraction, max_size=2)):
+            p = p * Polynomial((F(-a), F(b)))
+        assert integer_roots(_poly_from_roots(roots, p)) == sorted(set(roots))
+
+    check()
 
 
 class TestDualNumber:
