@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .charts import build_chart, chart_to_json
 from .grading import WitnessNotFoundError
@@ -53,16 +51,6 @@ class ZeroElementError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    algebra_family: str
-    size: int
-    element_source: str
-    seed: int = 42
-    samples: int = 10
-    output: Optional[str] = None
-
-
 def _load_element_matrix(source: str) -> RatMatrix:
     text = source
     if not source.lstrip().startswith("{"):
@@ -82,23 +70,23 @@ def _load_element_matrix(source: str) -> RatMatrix:
         raise ElementParseError(str(exc))
 
 
-def _resolve(config: RunConfig) -> tuple:
+def _resolve(args: argparse.Namespace) -> tuple:
     """The algebra and the element. The size is checked first, then the
     element is parsed and its shape checked: building the algebra takes
     seconds at large sizes, and a bad element should not wait for it."""
-    _check_size(config.algebra_family, config.size)
-    matrix = _load_element_matrix(config.element_source)
-    if matrix.rows != config.size or matrix.cols != config.size:
+    _check_size(args.family, args.size)
+    matrix = _load_element_matrix(args.element)
+    if matrix.rows != args.size or matrix.cols != args.size:
         raise NotInAlgebraError(
-            f"element is {matrix.rows}x{matrix.cols}, expected {config.size}x{config.size}"
+            f"element is {matrix.rows}x{matrix.cols}, expected {args.size}x{args.size}"
         )
-    algebra = build_classical(config.algebra_family, config.size)
+    algebra = build_classical(args.family, args.size)
     element = algebra.element_from_matrix(matrix)
     return algebra, element
 
 
-def cmd_analyze(config: RunConfig) -> dict:
-    algebra, x = _resolve(config)
+def cmd_analyze(args: argparse.Namespace) -> dict:
+    algebra, x = _resolve(args)
     pair = jordan_decompose(algebra, x)
     case = ("zero" if x.is_zero() else "nilpotent" if pair.semisimple.is_zero()
             else "semisimple" if pair.nilpotent.is_zero() else "mixed")
@@ -115,21 +103,21 @@ def cmd_analyze(config: RunConfig) -> dict:
     return out
 
 
-def cmd_chart(config: RunConfig) -> dict:
-    algebra, x = _resolve(config)
+def cmd_chart(args: argparse.Namespace) -> dict:
+    algebra, x = _resolve(args)
     if x.is_zero():
         raise ZeroElementError("the zero element has no chart")
-    chart = build_chart(algebra, x, config.seed)
+    chart = build_chart(algebra, x, args.seed)
     return chart_to_json(chart)
 
 
-def cmd_verify(config: RunConfig) -> dict:
-    algebra, x = _resolve(config)
+def cmd_verify(args: argparse.Namespace) -> dict:
+    algebra, x = _resolve(args)
     if x.is_zero():
         raise ZeroElementError("the zero element has no chart")
-    chart = build_chart(algebra, x, config.seed)
-    chart_report = verify_chart(algebra, x, chart, config.seed, config.samples)
-    red_report = redstab_suite(algebra, x, config.seed, chart)
+    chart = build_chart(algebra, x, args.seed)
+    chart_report = verify_chart(algebra, x, chart, args.seed, args.samples)
+    red_report = redstab_suite(algebra, x, args.seed, chart)
     return {
         "chart_verification": report_to_json(chart_report),
         "redstab": report_to_json(red_report),
@@ -137,12 +125,12 @@ def cmd_verify(config: RunConfig) -> dict:
     }
 
 
-def cmd_classify(config: RunConfig) -> dict:
-    if config.algebra_family != "sl":
+def cmd_classify(args: argparse.Namespace) -> dict:
+    if args.family != "sl":
         raise ValueError("invariants are implemented for sl algebras only")
-    algebra, x = _resolve(config)
+    algebra, x = _resolve(args)
     cid = hamiltonian_class(algebra, x)
-    rep = kostant_rep(config.size, cid)
+    rep = kostant_rep(args.size, cid)
     return {
         "class_id": class_id_to_json(cid),
         "kostant_representative": matrix_to_json(rep.matrix),
@@ -194,16 +182,8 @@ def main(argv=None) -> int:
         print(f"orbit: --samples must be nonnegative, got {args.samples}",
               file=sys.stderr)
         return EXIT_PARSE
-    config = RunConfig(
-        algebra_family=args.family,
-        size=args.size,
-        element_source=args.element,
-        seed=args.seed,
-        samples=args.samples,
-        output=args.out,
-    )
     try:
-        result = _COMMANDS[args.command](config)
+        result = _COMMANDS[args.command](args)
     except ElementParseError as exc:
         print(f"orbit: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -220,11 +200,11 @@ def main(argv=None) -> int:
         print(f"orbit: {exc}", file=sys.stderr)
         return EXIT_PARSE
     text = json.dumps(result, indent=2) + "\n"
-    if config.output:
+    if args.out:
         try:
-            Path(config.output).write_text(text, encoding="utf-8")
+            Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            print(f"orbit: cannot write {config.output!r}: {exc}", file=sys.stderr)
+            print(f"orbit: cannot write {args.out!r}: {exc}", file=sys.stderr)
             return EXIT_PARSE
     else:
         sys.stdout.write(text)

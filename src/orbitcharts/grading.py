@@ -22,11 +22,13 @@ centralizer is exactly that Levi. The search is a verify-and-retry loop
 over integer coordinates in the center (first the all-ones vector, then
 seeded random draws), since over the rationals a verified random witness
 replaces the generic-element existence argument that holds over large
-fields. In the split classical algebras (`build_classical`) a witness
-exists only when every element of the Levi's center has rational
-eigenvalues, so a center whose basis fails this is rejected before any
-draw; when the budget runs out, the error counts the rejected draws by
-reason.
+fields. Every draw lies in the Levi and commutes with it by construction,
+so a draw is rejected only for being zero, not semisimple, having a
+centralizer larger than the Levi, or having a non-integer ad-spectrum. In
+the split classical algebras (`build_classical`) a witness exists only
+when every element of the Levi's center has rational eigenvalues, so a
+center whose basis fails this is rejected before any draw; when the
+budget runs out, the error counts the rejected draws by reason.
 """
 
 from __future__ import annotations
@@ -46,14 +48,12 @@ from .liealg import (
 from .linalg import (
     Polynomial,
     RatMatrix,
-    ZERO,
     _int_kernel_basis,
     _int_rows,
     char_poly,
     commutator,
     integer_roots,
     is_semisimple_matrix,
-    mat_vec,
     matrix_to_json,
     rank,
     squarefree_part,
@@ -119,7 +119,7 @@ def grading_by(algebra: LieAlgebra, h: LieElement) -> Grading:
         return Grading(algebra, h, {})
     weights = _natural_weights(h.matrix)
     if weights is None:
-        weights = integer_roots(char_poly(ad_h))
+        weights = integer_roots(squarefree_part(char_poly(ad_h)))
     pieces: Dict[int, Tuple[LieElement, ...]] = {}
     total = 0
     for i in weights:
@@ -225,20 +225,24 @@ def semisimple_for_levi(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Lie
     already succeeds for block Levis and keeps the output canonical); later
     attempts draw integer coordinates from [-n^2, n^2] with the seeded
     generator. Each candidate is fully verified before being returned.
-    Raises `WitnessNotFoundError` when no witness can exist or none is found
-    within `_WITNESS_ATTEMPTS` (64) attempts.
+    Raises `ValueError` when a basis element of ``levi`` lies outside
+    ``algebra``, and `WitnessNotFoundError` when no witness can exist or
+    none is found within `_WITNESS_ATTEMPTS` (64) attempts.
     """
+    if not all(algebra.contains_matrix(b) for b in levi.basis):
+        raise ValueError("levi is not contained in the ambient algebra")
     return _witness_grading(algebra, levi, seed).grading_element
 
 
 _WITNESS_ATTEMPTS = 64
-_REJECTION_REASONS = ("zero", "not semisimple", "outside the algebra",
-                      "centralizer too large", "not central", "non-integer spectrum")
+_REJECTION_REASONS = ("zero", "not semisimple", "centralizer too large",
+                      "non-integer spectrum")
 
 
 def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Grading:
     """The grading by the witness `semisimple_for_levi` returns; the grading
     is the last step of the witness's validation, so it is computed once.
+    ``levi`` must lie in ``algebra``, as a centralizer built in it does.
 
     When ``algebra`` is a split classical form (``algebra.family`` set), a
     center basis element whose characteristic polynomial does not split over
@@ -255,9 +259,6 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Gradin
     an algebra without a family can hold an anisotropic rotation, which may
     be its own witness, so it always runs the search.
     """
-    levi_coords = [algebra.coords_of_matrix(b) for b in levi.basis]
-    if any(c is None for c in levi_coords):
-        raise ValueError("levi is not contained in the ambient algebra")
     center = center_basis(levi)
     n = algebra.ambient_size
     if center.dim == 0:
@@ -283,8 +284,7 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Gradin
             coords = [1] * center.dim
         else:
             coords = [rng.randint(-bound, bound) for _ in range(center.dim)]
-        outcome = _grade_candidate(algebra, levi, levi_coords,
-                                   center.element(coords).matrix)
+        outcome = _grade_candidate(algebra, levi, center.element(coords).matrix)
         if isinstance(outcome, Grading):
             return outcome
         rejected[outcome] += 1
@@ -295,24 +295,21 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Gradin
     )
 
 
-def _grade_candidate(algebra: LieAlgebra, levi: LieAlgebra, levi_coords: list,
-                     z_mat: RatMatrix):
+def _grade_candidate(algebra: LieAlgebra, levi: LieAlgebra, z_mat: RatMatrix):
     """The grading by the candidate ``z_mat`` if it is a witness for
-    ``levi``, else the reason it is rejected (one of _REJECTION_REASONS)."""
+    ``levi``, else the reason it is rejected (one of _REJECTION_REASONS).
+
+    z is a combination of the center basis of ``levi``, so it lies in the
+    Levi, hence in ``algebra``, and commutes with the Levi. Then c(z)
+    contains the Levi, and the rank of ad z alone proves c(z) = Levi.
+    """
     if z_mat.is_zero():
         return "zero"
     if not is_semisimple_matrix(z_mat):
         return "not semisimple"
-    coords_in_l = algebra.coords_of_matrix(z_mat)
-    if coords_in_l is None:
-        return "outside the algebra"
-    z = algebra.element(coords_in_l)
-    ad_z = ad_matrix(algebra, z)
-    if algebra.dim - rank(ad_z) != levi.dim:
+    z = algebra.element_from_matrix(z_mat)
+    if algebra.dim - rank(ad_matrix(algebra, z)) != levi.dim:
         return "centralizer too large"
-    zero_vec = (ZERO,) * algebra.dim
-    if any(mat_vec(ad_z, bc) != zero_vec for bc in levi_coords):
-        return "not central"
     try:
         return grading_by(algebra, z)
     except NonIntegerSpectrumError:

@@ -20,6 +20,7 @@ test proxy, not as a general theorem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
@@ -46,8 +47,8 @@ from .linalg import (
     VectorSpan,
     ZERO,
     _as_fractions,
-    _int_rows,
     _lincomb,
+    _matrix,
     _span_rank,
     _support,
     char_poly,
@@ -152,19 +153,22 @@ def _power_ranks(m: RatMatrix) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _diag_det_one(n: int, rng: SplitMix64) -> tuple:
-    """Random diagonal matrix with determinant 1 (entries small integers,
-    last entry the correcting reciprocal)."""
-    entries = [Fraction(rng.randint(1, 9)) for _ in range(n - 1)]
-    prod = ONE
-    for e in entries:
-        prod *= e
-    entries.append(ONE / prod)
-    d = RatMatrix.from_rows([[entries[i] if i == j else ZERO for j in range(n)]
-                             for i in range(n)])
-    d_inv = RatMatrix.from_rows([[ONE / entries[i] if i == j else ZERO for j in range(n)]
-                                 for i in range(n)])
-    return d, d_inv
+def _diagonal_conjugate(m: RatMatrix, rng: SplitMix64) -> RatMatrix:
+    """d m d^-1 for a random determinant-one diagonal d = diag(e_1, ...,
+    e_(n-1), 1 / P), with each e_i drawn from 1..9 and P their product.
+
+    Computed on the numerators: D = P d = (e_1 P, ..., e_(n-1) P, 1) is
+    integral with d_i / d_j = D_i / D_j, so entry (i, j) is
+    m_ij D_i (L / D_j) over den L, with L = lcm(D).
+    """
+    n = m.rows
+    entries = [rng.randint(1, 9) for _ in range(n - 1)]
+    prod = math.prod(entries)
+    scales = [e * prod for e in entries] + [1]
+    lcm = math.lcm(*scales)
+    inverse = [lcm // s for s in scales]
+    return _matrix(n, n, [x * scales[k // n] * inverse[k % n] if x else 0
+                          for k, x in enumerate(m.nums)], m.den * lcm)
 
 
 def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan,
@@ -186,8 +190,7 @@ def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan,
     exp_y, exp_neg = _exp_series(_lincomb(coeffs, [_support(el.matrix) for el in pd.u], n, n))
     point = nil.base_element.matrix
     if algebra.family == "sl" and _is_diagonal(pd.grading.grading_element.matrix):
-        d, d_inv = _diag_det_one(n, rng)
-        point = d * point * d_inv
+        point = _diagonal_conjugate(point, rng)
     coords = slice_span.coords_of(exp_y * point * exp_neg)
     if coords is None:
         raise AssertionError("sampled orbit point left the slice")
@@ -200,7 +203,7 @@ def _nilpotent_part(chart: OrbitChart) -> OrbitChart | None:
 
 
 def _is_diagonal(m: RatMatrix) -> bool:
-    return not any(x for i, row in enumerate(_int_rows(m)) for j, x in enumerate(row) if i != j)
+    return not any(x for k, x in enumerate(m.nums) if k % (m.cols + 1))
 
 
 def _sample_params(chart: OrbitChart, nil: OrbitChart, slice_span: VectorSpan | None,

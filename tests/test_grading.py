@@ -346,6 +346,36 @@ class TestZeroPieceMatches:
         assert not _zero_piece_matches(grading, self.X, 4)
 
 
+class TestNonSplitFallback:
+    def test_one_resultant_per_root_search(self, monkeypatch):
+        # h is the companion matrix of t^6 - t - 1 (trace 0, no rational
+        # eigenvalue), so the weights come from the squarefree part of
+        # char_poly(ad h); its integer roots give only g(0) = c(h), of
+        # dimension 5 < 35
+        import orbitcharts.grading as grading
+        import orbitcharts.linalg as linalg
+
+        rows = [[int(i == j + 1) for j in range(6)] for i in range(6)]
+        rows[0][5] = rows[1][5] = 1
+        sl6 = build_classical("sl", 6)
+        h = element(sl6, rows)
+        calls = {"integer_roots": 0, "resultant": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(grading, "integer_roots",
+                            counted("integer_roots", grading.integer_roots))
+        monkeypatch.setattr(linalg, "_resultant_with_derivative",
+                            counted("resultant", linalg._resultant_with_derivative))
+        with pytest.raises(NonIntegerSpectrumError, match="span 5 of 35"):
+            grading_by(sl6, h)
+        assert calls == {"integer_roots": 2, "resultant": 2}
+
+
 class TestWitness:
     def test_sl3_block_levi(self, sl3):
         levi = block_levi(3, (2, 1))
@@ -384,6 +414,11 @@ class TestWitness:
         borel = LieAlgebra((elem(2, 0, 1), diag_matrix([1, -1])), "borel")
         with pytest.raises(WitnessNotFoundError):
             semisimple_for_levi(sl2, borel, 42)
+
+    def test_levi_outside_the_algebra_raises(self, sl3):
+        scalars = LieAlgebra((RatMatrix.identity(3),), "scalars")
+        with pytest.raises(ValueError, match="not contained"):
+            semisimple_for_levi(sl3, scalars, 42)
 
     def test_nilpotent_center_exhausts_budget(self, sl2):
         line = LieAlgebra((elem(2, 0, 1),), "nilpotent line")

@@ -28,6 +28,8 @@ from orbitcharts.rng import SplitMix64
 from orbitcharts.verify import (
     OrbitClassId,
     ZeroSemisimplePartError,
+    _diagonal_conjugate,
+    _is_diagonal,
     _jacobian_rank,
     _same_flat_data,
     check_centralizer_reductive,
@@ -498,3 +500,34 @@ class TestScaleRegularNilpotents:
         assert report.check("dimension_identity").expected == dim
         assert chart.param_count == chart.expected_orbit_dim == dim
         assert redstab_suite(algebra, x, 42, chart).overall_pass
+
+
+def _reference_diagonal_conjugate(m, rng):
+    """d m d^-1 in Fraction matrices, with the determinant-one diagonal d
+    drawn as `_diagonal_conjugate` draws it."""
+    entries = [F(rng.randint(1, 9)) for _ in range(m.rows - 1)]
+    prod = F(1)
+    for e in entries:
+        prod *= e
+    entries.append(1 / prod)
+    return diag_matrix(entries) * m * diag_matrix([1 / e for e in entries])
+
+
+class TestDiagonalConjugate:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_equals_fraction_reference(self, n):
+        source = SplitMix64(1000 + n)
+        for seed in range(20):
+            m = RatMatrix.from_rows(
+                [[source.fraction(-9, 9, (1, 2, 3, 4, 7)) if source.randint(0, 2) else 0
+                  for _ in range(n)] for _ in range(n)])
+            rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+            assert _diagonal_conjugate(m, rng) == \
+                _reference_diagonal_conjugate(m, reference_rng)
+            # the same draws, so later samples are unchanged too
+            assert rng.next_u64() == reference_rng.next_u64()
+
+    def test_is_diagonal(self):
+        assert _is_diagonal(diag_matrix([3, F(1, 2), 0, -7]))
+        assert not _is_diagonal(diag_matrix([1, 2, 3]) + elem(3, 2, 1))
+        assert not _is_diagonal(elem(3, 0, 2, F(1, 5)))
