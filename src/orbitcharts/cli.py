@@ -62,6 +62,8 @@ def _load_element_matrix(source: str) -> RatMatrix:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ElementParseError(f"element is not valid JSON: {exc}")
+    except RecursionError:
+        raise ElementParseError("element JSON is nested too deeply")
     if not isinstance(data, dict) or "matrix" not in data:
         raise ElementParseError('element JSON must be an object with a "matrix" key')
     try:

@@ -1,10 +1,10 @@
 """Additive Jordan decomposition of a rational matrix.
 
-Chevalley's Newton iteration: with q the squarefree part of the
-characteristic polynomial and u*q + v*q' = 1, the map
-x -> x - q(x) v(x) squares the q-adic order each step, so after at most
-ceil(log2 n) steps it lands on the semisimple part. Everything happens in
-the commutative subring Q[x]; no eigenvalues are ever computed.
+Exact Newton steps: with q the squarefree part of the characteristic
+polynomial, x -> x - q(x) q'(x)^-1 squares the q-adic order each step, so
+after at most ceil(log2 n) steps it lands on the semisimple part. q'(x_k)
+is invertible: x_k - x is a nilpotent element of Q[x], so x_k has the
+eigenvalues of x, at none of which q' vanishes. No eigenvalue is computed.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 from .liealg import LieAlgebra, LieElement
 from .linalg import (
+    RatMatrix,
+    VectorSpan,
+    _int_rows,
     char_poly,
     matrix_to_json,
-    poly_extended_gcd,
     squarefree_part,
 )
 
@@ -26,6 +28,18 @@ class JordanPair:
 
     semisimple: LieElement
     nilpotent: LieElement
+
+
+def _inverse(m: RatMatrix) -> RatMatrix:
+    """m^-1 = den (den m)^-1, row i of (den m)^-1 being the coordinates of
+    e_i in the integer rows den m."""
+    n = m.rows
+    try:
+        span = VectorSpan(_int_rows(m))
+    except ValueError:
+        raise ArithmeticError("Newton step met a singular q'(x)") from None
+    rows = [span.coords_of([int(i == j) for j in range(n)]) for i in range(n)]
+    return RatMatrix.from_rows(rows).scale(m.den)
 
 
 def jordan_decompose(algebra: LieAlgebra, x: LieElement) -> JordanPair:
@@ -43,14 +57,12 @@ def jordan_decompose(algebra: LieAlgebra, x: LieElement) -> JordanPair:
         return JordanPair(zero, zero)
     n = mat.rows
     q = squarefree_part(char_poly(mat))
-    g, _, v = poly_extended_gcd(q, q.derivative())
-    if g.degree != 0:
-        raise ArithmeticError("squarefree polynomial shares a factor with its derivative")
+    dq = q.derivative()
     xs = mat
     qx = q.evaluate_matrix(xs)
     steps = 0
     while not qx.is_zero():
-        xs = xs - qx * v.evaluate_matrix(xs)
+        xs = xs - qx * _inverse(dq.evaluate_matrix(xs))
         qx = q.evaluate_matrix(xs)
         steps += 1
         if steps > 2 * n:

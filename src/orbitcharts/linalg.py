@@ -766,23 +766,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
-def poly_extended_gcd(a: Polynomial, b: Polynomial) -> tuple:
-    """(g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    r0, r1 = a, b
-    u0, u1 = Polynomial.constant(1), Polynomial.zero()
-    v0, v1 = Polynomial.zero(), Polynomial.constant(1)
-    while not r1.is_zero():
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lead = r0.leading
-    inv = ONE / lead
-    return r0.scale(inv), u0.scale(inv), v0.scale(inv)
-
-
 def squarefree_part(p: Polynomial) -> Polynomial:
     """p / gcd(p, p'), monic: same roots as p, each simple."""
     if p.is_zero():

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 _MASK = (1 << 64) - 1
+_NUM_LO, _NUM_HI, _DENOMINATORS = -9, 9, (1, 2, 3)
 
 
 class SplitMix64:
@@ -30,11 +31,9 @@ class SplitMix64:
         span = hi - lo + 1
         return lo + self.next_u64() % span
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
-    def fraction(self, num_lo: int = -9, num_hi: int = 9, denominators=(1, 2, 3)) -> Fraction:
-        """Small random rational: numerator in [num_lo, num_hi], denominator from the given set."""
-        num = self.randint(num_lo, num_hi)
-        den = self.choice(denominators)
+    def fraction(self) -> Fraction:
+        """Small random rational: a numerator in [_NUM_LO, _NUM_HI] is drawn,
+        then a denominator from _DENOMINATORS."""
+        num = self.randint(_NUM_LO, _NUM_HI)
+        den = _DENOMINATORS[self.randint(0, len(_DENOMINATORS) - 1)]
         return Fraction(num, den)

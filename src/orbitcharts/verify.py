@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence
 
 from .charts import (
@@ -485,13 +484,12 @@ def invariants(algebra: LieAlgebra, x: LieElement) -> OrbitClassId:
 def hamiltonian_class(algebra: LieAlgebra, x: LieElement) -> OrbitClassId:
     """Class of the unique semisimple orbit in the fiber through x.
 
-    Rejects elements whose semisimple part vanishes: the zero orbit carries
-    no nonzero semisimple representative.
+    Rejects nilpotent x, whose semisimple part vanishes: the zero orbit has
+    no nonzero semisimple representative. char_poly(x) = char_poly(x_s).
     """
-    pair = jordan_decompose(algebra, x)
-    if pair.semisimple.is_zero():
+    if x.matrix.is_nilpotent():
         raise ZeroSemisimplePartError("semisimple part is zero")
-    return invariants(algebra, pair.semisimple)
+    return invariants(algebra, x)
 
 
 def kostant_rep(n: int, class_id: OrbitClassId) -> LieElement:

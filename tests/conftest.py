@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+from fractions import Fraction
+
 import pytest
 
 from orbitcharts.linalg import RatMatrix
@@ -43,6 +45,25 @@ def compositions(n):
             yield (first,) + rest
 
 
+def unit_bidiagonal(entries, upper=True):
+    """(u, u^-1) for u = I + N, N carrying ``entries`` just above (or below)
+    the diagonal; u^-1 = sum_k (-N)^k."""
+    n = len(entries) + 1
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, c in enumerate(entries):
+        if upper:
+            rows[i][i + 1] = c
+        else:
+            rows[i + 1][i] = c
+    u = RatMatrix.from_rows(rows)
+    step = RatMatrix.identity(n) - u
+    inverse, term = RatMatrix.identity(n), RatMatrix.identity(n)
+    for _ in range(n - 1):
+        term = term * step
+        inverse = inverse + term
+    return u, inverse
+
+
 def diag_matrix(values):
     n = len(values)
     return RatMatrix.from_rows(
@@ -54,6 +75,18 @@ def elem(n, i, j, value=1):
     rows = [[0] * n for _ in range(n)]
     rows[i][j] = value
     return RatMatrix.from_rows(rows)
+
+
+def draw_choice(rng, seq):
+    """One entry of ``seq``, by one draw from a SplitMix64."""
+    return seq[rng.randint(0, len(seq) - 1)]
+
+
+def draw_fraction(rng, lo, hi, denominators=(1, 2, 3)):
+    """num / den with num in [lo, hi] drawn first, then den from
+    ``denominators``."""
+    num = rng.randint(lo, hi)
+    return Fraction(num, draw_choice(rng, denominators))
 
 
 def sl(n):

@@ -1,11 +1,14 @@
 """Property tests of chart derivatives and serialization at random tuples,
-and of whole charts on random so/sp elements."""
+of whole charts on random so/sp elements, and of sl nilpotent orbits by
+Jordan type."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
-from conftest import diag_matrix
+from conftest import diag_matrix, jordan_nilpotent, nontrivial_partitions, unit_bidiagonal
 from test_charts import DERIVATIVE_CASES, assert_dual_number_derivatives, derivative_chart
 from orbitcharts.charts import (
     build_chart,
@@ -15,7 +18,9 @@ from orbitcharts.charts import (
     eval_chart_with_derivatives,
     exp_nilpotent,
 )
+from orbitcharts.cli import main
 from orbitcharts.liealg import build_classical
+from orbitcharts.linalg import RatMatrix, rank
 from orbitcharts.verify import redstab_suite, report_to_json, verify_chart
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -78,3 +83,52 @@ def test_so_sp_conjugated_diagonals_and_upper_nilpotents(family, n, data):
     _assert_chart_verifies(algebra, algebra.element_from_matrix(x))
     if not y.is_zero():
         _assert_chart_verifies(algebra, algebra.element_from_matrix(y))
+
+
+def _run_json(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args)
+    return code, json.loads(out.getvalue())
+
+
+def _jordan_type(m):
+    """The block sizes of the nilpotent m, largest first: rank(m^(k-1)) -
+    rank(m^k) blocks have size >= k, which is the dual partition."""
+    ranks, power = [m.rows], RatMatrix.identity(m.rows)
+    while ranks[-1]:
+        power = power * m
+        ranks.append(rank(power))
+    dual = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    return [sum(1 for d in dual if d >= i) for i in range(1, dual[0] + 1)]
+
+
+SL_NILPOTENT_TYPES = [(n, tuple(p)) for n in (3, 4, 5) for p in nontrivial_partitions(n)]
+
+
+@pytest.mark.parametrize("n,lam", SL_NILPOTENT_TYPES,
+                         ids=[f"sl{n}-{''.join(map(str, lam))}" for n, lam in SL_NILPOTENT_TYPES])
+@hypothesis.settings(derandomize=True, max_examples=3, deadline=None)
+@hypothesis.given(data=st.data())
+def test_sl_nilpotent_orbit_by_jordan_type(n, lam, data):
+    """u N_lambda u^-1 for a nilpotent N_lambda of Jordan type lambda and a
+    unit upper-bidiagonal u with entries in {-1, 0, 1}: the orbit and
+    centralizer dimensions are n^2 - sum (lambda'_i)^2 and
+    sum (lambda'_i)^2 - 1 (Collingwood-McGovern, 6.1), the chart verifies,
+    and the ranks of its powers give back lambda."""
+    entries = data.draw(st.lists(st.integers(-1, 1), min_size=n - 1, max_size=n - 1))
+    u, u_inv = unit_bidiagonal(entries)
+    assert u * u_inv == RatMatrix.identity(n)
+    x = u * jordan_nilpotent(n, lam) * u_inv
+    assert _jordan_type(x) == list(lam)
+
+    dual_squares = sum(sum(1 for part in lam if part >= j) ** 2
+                       for j in range(1, lam[0] + 1))
+    element = json.dumps({"matrix": [[str(v) for v in row] for row in x.row_lists()]})
+    common = ["--family", "sl", "--size", str(n), "--element", element]
+    code, analysis = _run_json(["analyze"] + common)
+    assert code == 0 and analysis["case"] == "nilpotent"
+    assert analysis["orbit_dim"] == n * n - dual_squares
+    assert analysis["centralizer_dim"] == dual_squares - 1
+    code, report = _run_json(["verify", "--samples", "3"] + common)
+    assert code == 0 and report["overall_pass"] is True

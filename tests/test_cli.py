@@ -250,6 +250,24 @@ class TestVerify:
                        "--element", str(path)])
         assert code == 2
 
+    # 100000 nested lists: `json` gives up at a depth that depends on the
+    # Python version (1000 on 3.10/3.11, 5000 on 3.12, 100000 on 3.13)
+    DEEP_ELEMENT = '{"matrix": ' + "[" * 100000
+
+    def test_deeply_nested_inline_element_exit_2(self, capsys):
+        code, out = run(["analyze", "--family", "sl", "--size", "2",
+                         "--element", self.DEEP_ELEMENT])
+        assert (code, out) == (2, "")
+        assert "element JSON is nested too deeply" in capsys.readouterr().err
+
+    def test_deeply_nested_element_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP_ELEMENT, encoding="utf-8")
+        code, out = run(["analyze", "--family", "sl", "--size", "2",
+                         "--element", str(path)])
+        assert (code, out) == (2, "")
+        assert "element JSON is nested too deeply" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         code, _ = run(["verify", "--family", "sl", "--size", "2",
                        "--element", "no_such_file.json"])
@@ -409,6 +427,25 @@ class TestAnalysedOnce:
         assert code == 0
         assert counts["jordan_decompose"] == 1
         assert counts["algebras"] <= MAX_ALGEBRAS[command][case]
+
+    @pytest.mark.parametrize("case", ["semisimple", "mixed"])
+    def test_classify_splits_only_the_companion(self, monkeypatch, case):
+        # the class is read from char_poly(x) = char_poly(x_s); only
+        # `kostant_rep` splits, its companion matrix
+        splits, split = [], jordan.jordan_decompose
+
+        def counted(algebra, x):
+            splits.append(x.matrix)
+            return split(algebra, x)
+
+        for module in (jordan, charts, cli, verify):
+            monkeypatch.setattr(module, "jordan_decompose", counted)
+        rows = SL5_CASES[case]
+        element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
+        code, out = run(["classify", "--family", "sl", "--size", "5", "--element", element])
+        assert code == 0
+        assert len(splits) == 1 and splits[0] != RatMatrix.from_rows(rows)
+        assert json.loads(out)["class_id"] == ["-2", "0", "1", "0"]
 
     def test_semisimple_verify_eliminates_ad_x_three_times(self, monkeypatch):
         # the Levi c(x) in the chart, the dimension_identity oracle and the

@@ -2,16 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import diag_matrix, elem, element
-from orbitcharts.jordan import jordan_decompose
+from conftest import diag_matrix, elem, element, unit_bidiagonal
+from orbitcharts import jordan
+from orbitcharts.charts import exp_nilpotent
+from orbitcharts.jordan import _inverse, jordan_decompose
 from orbitcharts.liealg import ad_matrix, build_classical
 from orbitcharts.linalg import (
+    Polynomial,
     RatMatrix,
     char_poly,
     commutator,
     is_semisimple_matrix,
     kernel_basis,
+    poly_divmod,
     rank,
+    squarefree_part,
     vstack,
 )
 from orbitcharts.rng import SplitMix64
@@ -88,3 +93,180 @@ def test_centralizer_is_intersection(sl3):
         for v in kernel_basis(ad_x):
             col = RatMatrix.from_rows([[c] for c in v])
             assert (stacked * col).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The Newton split against Chevalley's iteration
+# ---------------------------------------------------------------------------
+
+
+def _extended_gcd(a, b):
+    """(g, u, v) with u*a + v*b = g and g monic: the extended Euclidean
+    algorithm over `Polynomial`."""
+    one, zero = Polynomial.constant(1), Polynomial.zero()
+    r0, r1, u0, u1, v0, v1 = a, b, one, zero, zero, one
+    while not r1.is_zero():
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    inv = 1 / r0.leading
+    return r0.scale(inv), u0.scale(inv), v0.scale(inv)
+
+
+def _chevalley_semisimple(m):
+    """x_s by Chevalley's iteration x -> x - q(x) v(x), with q the squarefree
+    part of char_poly(m) and v its Bezout cofactor: u*q + v*q' = 1."""
+    q = squarefree_part(char_poly(m))
+    g, u, v = _extended_gcd(q, q.derivative())
+    assert g == Polynomial.constant(1)
+    assert u * q + v * q.derivative() == g
+    xs = m
+    while not q.evaluate_matrix(xs).is_zero():
+        xs = xs - q.evaluate_matrix(xs) * v.evaluate_matrix(xs)
+    return xs
+
+
+def _product(factors):
+    p = Polynomial.constant(1)
+    for f in factors:
+        p = p * Polynomial(tuple(F(c) for c in f))
+    return p
+
+
+def _companion(p):
+    """The companion matrix of the monic p: ones below the diagonal and
+    -c_0 .. -c_(n-1) in the last column."""
+    n = p.degree
+    return RatMatrix.from_rows(
+        [[F(int(i == j + 1)) if j < n - 1 else -p.coefficients[i] for j in range(n)]
+         for i in range(n)])
+
+
+# monic, traceless, with repeated and non-rational roots; coefficients
+# lowest degree first
+COMPANION_CASES = {
+    "(t-1)^3(t+1)^3(t^2-2)^2": [(-1, 1)] * 3 + [(1, 1)] * 3 + [(-2, 0, 1)] * 2,
+    "(t-1)^2(t+2)": [(-1, 1)] * 2 + [(2, 1)],
+    "(t^2-2)^2": [(-2, 0, 1)] * 2,
+    "(t^2+1)^2(t^2-3)": [(1, 0, 1)] * 2 + [(-3, 0, 1)],
+    "(t^3-2)^2": [(-2, 0, 0, 1)] * 2,
+    "t^2(t^2+t+1)^2(t-2)": [(0, 1)] * 2 + [(1, 1, 1)] * 2 + [(-2, 1)],
+}
+
+
+def _conjugated_jordan_form(n, rng):
+    """(g J g^-1, g D g^-1): J a traceless Jordan form with a random block
+    structure and small eigenvalues, D its diagonal, g the product of a
+    seeded unit upper- and lower-bidiagonal matrix, entries in {-1, 0, 1}."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, n - sum(sizes)))
+    values = [F(rng.randint(-3, 3)) for _ in sizes[:-1]]
+    values.append(-F(sum(s * v for s, v in zip(sizes, values)), sizes[-1]))
+    diag = [v for s, v in zip(sizes, values) for _ in range(s)]
+    linked = {sum(sizes[:k]) + j for k, s in enumerate(sizes) for j in range(s - 1)}
+    nil = RatMatrix.from_rows([[int(j == i + 1 and i in linked) for j in range(n)]
+                               for i in range(n)])
+    u, u_inv = unit_bidiagonal([rng.randint(-1, 1) for _ in range(n - 1)])
+    low, low_inv = unit_bidiagonal([rng.randint(-1, 1) for _ in range(n - 1)], upper=False)
+    g, g_inv = low * u, u_inv * low_inv
+    d = diag_matrix(diag)
+    return g * (d + nil) * g_inv, g * d * g_inv
+
+
+def _upper_nilpotent(algebra, rng):
+    """An integer combination, coefficients in {-1, 0, 1}, of the strictly
+    upper-triangular basis elements of ``algebra``."""
+    n = algebra.ambient_size
+    y = RatMatrix.zeros(n, n)
+    for b in algebra.basis:
+        if all(not b.at(i, j) for i in range(n) for j in range(i + 1)):
+            y = y + b.scale(rng.randint(-1, 1))
+    return y
+
+
+# x_s + x_n with [x_s, x_n] = 0: the nilpotent is a root vector of weight 0
+SPLIT_MIXED_CASES = {
+    "so5": ("so", 5, diag_matrix([1, 1, 0, -1, -1]), elem(5, 0, 1) - elem(5, 3, 4)),
+    "sp4": ("sp", 4, diag_matrix([1, 1, -1, -1]), elem(4, 0, 1) - elem(4, 2, 3)),
+}
+
+
+def _assert_newton_equals_chevalley(algebra, m, expected_semisimple=None):
+    pair = jordan_decompose(algebra, algebra.element_from_matrix(m))
+    reference = _chevalley_semisimple(m)
+    assert pair.semisimple.matrix == reference
+    assert pair.nilpotent.matrix == m - reference
+    if expected_semisimple is not None:
+        assert reference == expected_semisimple
+
+
+class TestNewtonEqualsChevalley:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_rational(self, n):
+        algebra = build_classical("sl", n)
+        rng = SplitMix64(500 + n)
+        for _ in range(6):
+            _assert_newton_equals_chevalley(algebra, _random_element(algebra, rng).matrix)
+
+    @pytest.mark.parametrize("label", sorted(COMPANION_CASES))
+    def test_companion(self, label):
+        p = _product(COMPANION_CASES[label])
+        m = _companion(p)
+        assert char_poly(m) == p
+        algebra = build_classical("sl", p.degree)
+        _assert_newton_equals_chevalley(algebra, m)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_conjugated_jordan_forms(self, n):
+        algebra = build_classical("sl", n)
+        rng = SplitMix64(600 + n)
+        for _ in range(8):
+            m, semisimple = _conjugated_jordan_form(n, rng)
+            _assert_newton_equals_chevalley(algebra, m, semisimple)
+
+    @pytest.mark.parametrize("label", sorted(SPLIT_MIXED_CASES))
+    def test_so_sp_mixed(self, label):
+        family, n, d, e = SPLIT_MIXED_CASES[label]
+        algebra = build_classical(family, n)
+        assert commutator(d, e).is_zero() and not e.is_zero()
+        rng = SplitMix64(700 + n)
+        for _ in range(4):
+            y = _upper_nilpotent(algebra, rng)
+            g, g_inv = exp_nilpotent(y), exp_nilpotent(-y)
+            _assert_newton_equals_chevalley(algebra, g * (d + e) * g_inv, g * d * g_inv)
+
+
+class TestInverse:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_two_sided(self, n):
+        rng = SplitMix64(800 + n)
+        checked = 0
+        while checked < 5:
+            m = RatMatrix.from_rows([[rng.fraction() for _ in range(n)] for _ in range(n)])
+            if rank(m) < n:
+                continue
+            inverse = _inverse(m)
+            assert m * inverse == RatMatrix.identity(n)
+            assert inverse * m == RatMatrix.identity(n)
+            checked += 1
+
+    def test_singular_is_an_internal_fault(self):
+        with pytest.raises(ArithmeticError):
+            _inverse(RatMatrix.from_rows([[1, 2], [2, 4]]))
+
+    @pytest.mark.parametrize("rows,inverses", [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, -2]], 0),   # semisimple: q(x) = 0 at once
+        ([[1, 1, 0], [0, 1, 0], [0, 0, -2]], 1),   # one Newton step
+    ], ids=["semisimple", "mixed"])
+    def test_newton_steps_invert(self, monkeypatch, sl3, rows, inverses):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return _inverse(m)
+
+        monkeypatch.setattr(jordan, "_inverse", counted)
+        jordan_decompose(sl3, element(sl3, rows))
+        assert len(calls) == inverses

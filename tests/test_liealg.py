@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import compositions, diag_matrix, elem, element
+from conftest import compositions, diag_matrix, draw_fraction, elem, element
 from orbitcharts import linalg
 from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import (
@@ -178,8 +178,8 @@ class TestSparseStructureConstants:
     def test_ad_matches_commutator(self, algebra):
         rng = SplitMix64(algebra.dim)
         for _ in range(4):
-            xc = [rng.fraction(denominators=(2, 3, 7)) for _ in range(algebra.dim)]
-            yc = [rng.fraction(denominators=(2, 3, 7)) for _ in range(algebra.dim)]
+            xc = [draw_fraction(rng, -9, 9, (2, 3, 7)) for _ in range(algebra.dim)]
+            yc = [draw_fraction(rng, -9, 9, (2, 3, 7)) for _ in range(algebra.dim)]
             xm = _dense_combination(algebra, xc)
             ym = _dense_combination(algebra, yc)
             expected = algebra.coords_of_matrix(xm * ym - ym * xm)
@@ -190,7 +190,7 @@ class TestSparseStructureConstants:
     def test_element_matches_dense_combination(self, algebra):
         rng = SplitMix64(algebra.dim + 1)
         for _ in range(4):
-            coords = [rng.fraction(denominators=(2, 3, 7)) for _ in range(algebra.dim)]
+            coords = [draw_fraction(rng, -9, 9, (2, 3, 7)) for _ in range(algebra.dim)]
             x = algebra.element(coords)
             assert x.matrix == _dense_combination(algebra, coords)
             assert all(type(c) is Fraction for c in x.coords)

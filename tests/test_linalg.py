@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import draw_choice, draw_fraction
 from orbitcharts.charts import _core_brackets, _value_pass, build_chart
 from orbitcharts.liealg import build_classical
 from orbitcharts.linalg import (
@@ -20,7 +21,6 @@ from orbitcharts.linalg import (
     matrix_from_json,
     matrix_to_json,
     parse_rational,
-    poly_extended_gcd,
     poly_gcd,
     rank,
     rational_str,
@@ -285,16 +285,6 @@ class TestPolynomial:
         a = Polynomial((F(-1), F(0), F(1)))  # t^2 - 1
         b = Polynomial((F(-1), F(1)))        # t - 1
         assert poly_gcd(a, b) == b
-
-    def test_extended_gcd_bezout(self):
-        rng = SplitMix64(17)
-        for _ in range(30):
-            a = Polynomial(tuple(rng.fraction() for _ in range(rng.randint(1, 5))))
-            b = Polynomial(tuple(rng.fraction() for _ in range(rng.randint(1, 5))))
-            if a.is_zero() and b.is_zero():
-                continue
-            g, u, v = poly_extended_gcd(a, b)
-            assert u * a + v * b == g
 
     def test_integer_roots(self):
         p = Polynomial((F(2), F(-3), F(0), F(1)))  # roots 1, 1, -2
@@ -609,14 +599,14 @@ DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 14, 35)
 def _random_rows(rng, r, c, density=3):
     """Mixed denominators; about one entry in ``density`` is zero."""
     return [[F(0) if rng.randint(1, density) == 1
-             else rng.fraction(-30, 30, DENOMINATORS) for _ in range(c)] for _ in range(r)]
+             else draw_fraction(rng, -30, 30, DENOMINATORS) for _ in range(c)] for _ in range(r)]
 
 
 def _random_nilpotent_rows(rng, n):
     """P U P^-1 for a strictly upper-triangular U and a unit triangular P."""
-    u = [[rng.fraction(-5, 5, DENOMINATORS) if j > i else F(0) for j in range(n)]
+    u = [[draw_fraction(rng, -5, 5, DENOMINATORS) if j > i else F(0) for j in range(n)]
          for i in range(n)]
-    lower = [[F(int(i == j)) if j >= i else rng.fraction(-3, 3) for j in range(n)]
+    lower = [[F(int(i == j)) if j >= i else draw_fraction(rng, -3, 3) for j in range(n)]
              for i in range(n)]
     return M(lower) * M(u) * RatMatrix.from_rows(_ref_inverse_lower(lower))
 
@@ -664,7 +654,7 @@ class TestRatMatrixAgainstFractionReference:
         rng = SplitMix64(903)
         for r, c in self.SHAPES * 4:
             a = _random_rows(rng, r, c)
-            k = rng.fraction(-7, 7, DENOMINATORS)
+            k = draw_fraction(rng, -7, 7, DENOMINATORS)
             assert M(a).scale(k) == M([[k * x for x in row] for row in a])
             assert k * M(a) == M(a) * k == M(a).scale(k)
             assert M(a).transpose() == M([list(col) for col in zip(*a)])
@@ -780,7 +770,7 @@ def _diagonal_rows(rng, n, permuted):
             j = rng.randint(0, i)
             order[i], order[j] = order[j], order[i]
     for i in range(n):
-        rows[i][order[i]] = rng.choice((-7, -3, -2, -1, 0, 1, 2, 5, 9))
+        rows[i][order[i]] = draw_choice(rng, (-7, -3, -2, -1, 0, 1, 2, 5, 9))
     return rows
 
 
@@ -813,7 +803,7 @@ def _sl4_mixed_jacobian_rows():
     x = sl4.element_from_matrix(M([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]))
     chart = build_chart(sl4, x, 42)
     rng = SplitMix64(77)
-    vp = _value_pass(chart, tuple(rng.fraction(-3, 3) for _ in range(chart.param_count)))
+    vp = _value_pass(chart, tuple(draw_fraction(rng, -3, 3) for _ in range(chart.param_count)))
     mats = list(chart.slice_basis) + _core_brackets(vp, chart.factors)
     return [list(mat.nums) for mat in mats]
 

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     diag_matrix,
+    draw_fraction,
     elem,
     element,
     jordan_nilpotent,
@@ -407,6 +408,18 @@ class TestHamiltonianClass:
         with pytest.raises(ZeroSemisimplePartError):
             hamiltonian_class(sl2, e)
 
+    def test_so5_nilpotent_rejected_before_the_family(self):
+        # x_s = 0 exactly when x is nilpotent; that is refused before the
+        # sl-only invariants refuse the family
+        so5 = build_classical("so", 5)
+        e = so5.element_from_matrix(elem(5, 0, 1) - elem(5, 3, 4))
+        with pytest.raises(ZeroSemisimplePartError):
+            hamiltonian_class(so5, e)
+        d = so5.element_from_matrix(diag_matrix([1, 1, 0, -1, -1]))
+        with pytest.raises(ValueError, match="sl algebras only") as info:
+            hamiltonian_class(so5, d)
+        assert not isinstance(info.value, ZeroSemisimplePartError)
+
 
 class TestKostantRep:
     def test_n2(self, sl2):
@@ -519,7 +532,7 @@ class TestDiagonalConjugate:
         source = SplitMix64(1000 + n)
         for seed in range(20):
             m = RatMatrix.from_rows(
-                [[source.fraction(-9, 9, (1, 2, 3, 4, 7)) if source.randint(0, 2) else 0
+                [[draw_fraction(source, -9, 9, (1, 2, 3, 4, 7)) if source.randint(0, 2) else 0
                   for _ in range(n)] for _ in range(n)])
             rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
             assert _diagonal_conjugate(m, rng) == \
