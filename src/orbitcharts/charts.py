@@ -49,7 +49,8 @@ Two constructions, chosen by the Jordan split x = x_s + x_n (computed once):
   Ad(exp a exp b)(x_s + Ad(exp c)(v)) equals the flat one because the
   inner factors centralize x_s.
 
-``case_tag`` and the nested ``inner`` chart of the mixed case are the
+The nested ``inner`` chart of the mixed case and ``case_tag``, which is
+read off the shape (no shift: nilpotent; an inner chart: mixed), are the
 report and serialization view, and ``parabolic`` is the construction
 scaffolding that verification samples from; evaluation reads only the flat
 fields. Factor order is significant; swapping factors generally changes
@@ -71,7 +72,7 @@ from .grading import (
     parabolic_data,
 )
 from .jordan import JordanPair, jordan_decompose
-from .liealg import LieAlgebra, LieElement, ad_matrix, centralizer_basis
+from .liealg import LieAlgebra, LieElement, ad_matrix, centralizer_basis, element_to_json
 from .linalg import (
     NotNilpotentError,
     RatMatrix,
@@ -111,14 +112,12 @@ class OrbitChart:
     scaffolding for verification and sampling; it is not serialized.
     """
 
-    case_tag: str
     base_element: LieElement
     factors: Tuple[Tuple[RatMatrix, ...], ...]
     shift: Optional[RatMatrix]
     slice_basis: Tuple[RatMatrix, ...]
     slice_base: Tuple[Fraction, ...]
     inner: Optional["OrbitChart"]
-    expected_orbit_dim: int
     parabolic: Optional[ParabolicData] = field(default=None, repr=False)
 
     @property
@@ -126,8 +125,19 @@ class OrbitChart:
         return self.base_element.algebra
 
     @property
+    def case_tag(self) -> str:
+        if self.shift is None:
+            return "nilpotent"
+        return "semisimple" if self.inner is None else "mixed"
+
+    @property
     def param_count(self) -> int:
         return sum(len(f) for f in self.factors) + len(self.slice_basis)
+
+    @property
+    def expected_orbit_dim(self) -> int:
+        """The parameter count, which `_make_chart` checks is the orbit dimension."""
+        return self.param_count
 
     @property
     def base_params(self) -> tuple:
@@ -177,7 +187,7 @@ def exp_nilpotent(a: RatMatrix) -> RatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _make_chart(case_tag: str, base: LieElement, factors: tuple,
+def _make_chart(base: LieElement, factors: tuple,
                 shift: Optional[RatMatrix], slice_basis: tuple,
                 inner: Optional[OrbitChart], orbit_dim: int,
                 parabolic: Optional[ParabolicData], error: type) -> OrbitChart:
@@ -196,8 +206,7 @@ def _make_chart(case_tag: str, base: LieElement, factors: tuple,
         slice_base = VectorSpan(slice_basis, length=n * n).coords_of(base.matrix)
         if slice_base is None:
             raise error("base element does not lie in the slice span")
-    chart = OrbitChart(case_tag, base, factors, shift, slice_basis, slice_base,
-                       inner, orbit_dim, parabolic)
+    chart = OrbitChart(base, factors, shift, slice_basis, slice_base, inner, parabolic)
     if chart.param_count != orbit_dim:
         raise error(f"parameter count {chart.param_count} != orbit dimension {orbit_dim}")
     if eval_chart(chart, chart.base_params) != base.matrix:
@@ -209,63 +218,62 @@ def _basis(elements: Sequence[LieElement]) -> Tuple[RatMatrix, ...]:
     return tuple(el.matrix for el in elements)
 
 
-def chart_nilpotent(algebra: LieAlgebra, e: LieElement) -> OrbitChart:
+def chart_nilpotent(e: LieElement) -> OrbitChart:
     """Chart psi(a, v) = Ad(exp a)(v): a over u-, v affine coordinates on u2."""
-    triple = jacobson_morozov(algebra, e)
-    pd = parabolic_data(grading_by(algebra, triple.h))
-    return _make_chart("nilpotent", e, (_basis(pd.u_minus),), None, _basis(pd.u2),
-                       None, rank(ad_matrix(algebra, e)), pd, AssertionError)
+    triple = jacobson_morozov(e)
+    pd = parabolic_data(grading_by(triple.h))
+    return _make_chart(e, (_basis(pd.u_minus),), None, _basis(pd.u2),
+                       None, rank(ad_matrix(e)), pd, AssertionError)
 
 
-def chart_semisimple(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
+def chart_semisimple(x: LieElement, seed: int) -> OrbitChart:
     """Chart psi(a, b) = Ad(exp a exp b)(x): a over u-, b over u of the witness grading."""
     if x.is_zero():
         raise ValueError("the zero element has the zero orbit; no chart")
-    pair = jordan_decompose(algebra, x)
+    pair = jordan_decompose(x)
     if not pair.nilpotent.is_zero():
         raise NotSemisimpleError("element has a nonzero nilpotent part")
-    return _chart_from_split(algebra, x, pair, seed)
+    return _chart_from_split(x, pair, seed)
 
 
-def chart_mixed(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
+def chart_mixed(x: LieElement, seed: int) -> OrbitChart:
     """Chart psi(a, b, c, v) = Ad(exp a exp b)(x_s + Ad(exp c)(v)).
 
     Outer factors come from the witness grading for the Levi centralizing
     x_s; the inner chart parameterizes the orbit of x_n inside that Levi.
     """
-    pair = jordan_decompose(algebra, x)
+    pair = jordan_decompose(x)
     if pair.semisimple.is_zero() or pair.nilpotent.is_zero():
         raise ValueError("element is not mixed (needs nonzero x_s and x_n)")
-    return _chart_from_split(algebra, x, pair, seed)
+    return _chart_from_split(x, pair, seed)
 
 
-def _chart_from_split(algebra: LieAlgebra, x: LieElement, pair: JordanPair,
-                      seed: int) -> OrbitChart:
+def _chart_from_split(x: LieElement, pair: JordanPair, seed: int) -> OrbitChart:
     """The x_s != 0 construction: outer factors [u-, u] of the witness
     grading of the Levi c(x_s), shift x_s, and the nilpotent chart of x_n
     inside c(x_s) when x_n != 0."""
-    levi = centralizer_basis(algebra, pair.semisimple)
+    algebra = x.algebra
+    levi = centralizer_basis(pair.semisimple)
     pd = parabolic_data(_witness_grading(algebra, levi, seed))
     if not _zero_piece_matches(pd.grading, pair.semisimple.matrix, levi.dim):
         raise AssertionError("witness zero piece differs from the centralizer")
     inner = None
     if not pair.nilpotent.is_zero():
-        inner = chart_nilpotent(levi, levi.element_from_matrix(pair.nilpotent.matrix))
+        inner = chart_nilpotent(levi.element_from_matrix(pair.nilpotent.matrix))
     # c(x) = c(x_s) = levi for a semisimple x
-    orbit_dim = algebra.dim - levi.dim if inner is None else rank(ad_matrix(algebra, x))
-    return _make_chart("semisimple" if inner is None else "mixed", x,
-                       (_basis(pd.u_minus), _basis(pd.u)), pair.semisimple.matrix, (),
+    orbit_dim = algebra.dim - levi.dim if inner is None else rank(ad_matrix(x))
+    return _make_chart(x, (_basis(pd.u_minus), _basis(pd.u)), pair.semisimple.matrix, (),
                        inner, orbit_dim, pd, AssertionError)
 
 
-def build_chart(algebra: LieAlgebra, x: LieElement, seed: int) -> OrbitChart:
+def build_chart(x: LieElement, seed: int) -> OrbitChart:
     """Split x once and build the chart of its Jordan type."""
     if x.is_zero():
         raise ValueError("the zero element has the zero orbit; no chart")
-    pair = jordan_decompose(algebra, x)
+    pair = jordan_decompose(x)
     if pair.semisimple.is_zero():
-        return chart_nilpotent(algebra, x)
-    return _chart_from_split(algebra, x, pair, seed)
+        return chart_nilpotent(x)
+    return _chart_from_split(x, pair, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +382,6 @@ def eval_chart_with_derivatives(chart: OrbitChart, params: Sequence) -> tuple:
 def chart_to_json(chart: OrbitChart) -> dict:
     """The nested view: a mixed chart lists its own factors and shift, and
     its inner chart separately."""
-    from .liealg import element_to_json
-
     inner = chart.inner
     own_factors = chart.factors
     if inner is not None:
@@ -420,20 +426,18 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
     listed = _square_matrices(algebra, "slice_basis", data["slice_basis"])
     orbit_dim = data["expected_orbit_dim"]
     if case == "nilpotent":
-        return _make_chart(case, base, factors, None, listed, None, orbit_dim,
-                           None, ValueError)
+        return _make_chart(base, factors, None, listed, None, orbit_dim, None, ValueError)
     if case not in ("semisimple", "mixed"):
         raise ValueError(f"unknown case tag {case!r}")
     if len(listed) != 1:
         raise ValueError(f"{case} chart needs exactly one slice matrix, the shift")
     inner = None
     if case == "mixed":
-        levi = centralizer_basis(algebra, algebra.element_from_matrix(listed[0]))
+        levi = centralizer_basis(algebra.element_from_matrix(listed[0]))
         inner = chart_from_json(levi, data["inner"])
         if inner.case_tag != "nilpotent":
             raise ValueError("mixed chart needs a nilpotent inner chart")
-    return _make_chart(case, base, factors, listed[0], (), inner, orbit_dim,
-                       None, ValueError)
+    return _make_chart(base, factors, listed[0], (), inner, orbit_dim, None, ValueError)
 
 
 _CHART_FIELDS = (("case_tag", str, "a string"), ("base_element", dict, "an object"),

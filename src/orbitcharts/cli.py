@@ -22,7 +22,7 @@ from pathlib import Path
 from .charts import build_chart, chart_to_json
 from .grading import WitnessNotFoundError
 from .jordan import jordan_decompose, jordan_pair_to_json
-from .liealg import NotInAlgebraError, _check_size, ad_matrix, build_classical
+from .liealg import LieElement, NotInAlgebraError, _check_size, ad_matrix, build_classical
 from .linalg import RatMatrix, matrix_from_json, matrix_to_json, rank
 from .verify import (
     ZeroSemisimplePartError,
@@ -72,8 +72,8 @@ def _load_element_matrix(source: str) -> RatMatrix:
         raise ElementParseError(str(exc))
 
 
-def _resolve(args: argparse.Namespace) -> tuple:
-    """The algebra and the element. The size is checked first, then the
+def _resolve(args: argparse.Namespace) -> LieElement:
+    """The element, in its algebra. The size is checked first, then the
     element is parsed and its shape checked: building the algebra takes
     seconds at large sizes, and a bad element should not wait for it."""
     _check_size(args.family, args.size)
@@ -82,17 +82,16 @@ def _resolve(args: argparse.Namespace) -> tuple:
         raise NotInAlgebraError(
             f"element is {matrix.rows}x{matrix.cols}, expected {args.size}x{args.size}"
         )
-    algebra = build_classical(args.family, args.size)
-    element = algebra.element_from_matrix(matrix)
-    return algebra, element
+    return build_classical(args.family, args.size).element_from_matrix(matrix)
 
 
 def cmd_analyze(args: argparse.Namespace) -> dict:
-    algebra, x = _resolve(args)
-    pair = jordan_decompose(algebra, x)
+    x = _resolve(args)
+    algebra = x.algebra
+    pair = jordan_decompose(x)
     case = ("zero" if x.is_zero() else "nilpotent" if pair.semisimple.is_zero()
             else "semisimple" if pair.nilpotent.is_zero() else "mixed")
-    orbit_dim = rank(ad_matrix(algebra, x))
+    orbit_dim = rank(ad_matrix(x))
     out = {
         "algebra": algebra.label,
         "case": case,
@@ -101,25 +100,25 @@ def cmd_analyze(args: argparse.Namespace) -> dict:
         "orbit_dim": orbit_dim,
     }
     if algebra.family == "sl" and not pair.semisimple.is_zero():
-        out["class_id"] = class_id_to_json(invariants(algebra, pair.semisimple))
+        out["class_id"] = class_id_to_json(invariants(pair.semisimple))
     return out
 
 
 def cmd_chart(args: argparse.Namespace) -> dict:
-    algebra, x = _resolve(args)
+    x = _resolve(args)
     if x.is_zero():
         raise ZeroElementError("the zero element has no chart")
-    chart = build_chart(algebra, x, args.seed)
+    chart = build_chart(x, args.seed)
     return chart_to_json(chart)
 
 
 def cmd_verify(args: argparse.Namespace) -> dict:
-    algebra, x = _resolve(args)
+    x = _resolve(args)
     if x.is_zero():
         raise ZeroElementError("the zero element has no chart")
-    chart = build_chart(algebra, x, args.seed)
-    chart_report = verify_chart(algebra, x, chart, args.seed, args.samples)
-    red_report = redstab_suite(algebra, x, args.seed, chart)
+    chart = build_chart(x, args.seed)
+    chart_report = verify_chart(x, chart, args.seed, args.samples)
+    red_report = redstab_suite(x, args.seed, chart)
     return {
         "chart_verification": report_to_json(chart_report),
         "redstab": report_to_json(red_report),
@@ -130,8 +129,7 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 def cmd_classify(args: argparse.Namespace) -> dict:
     if args.family != "sl":
         raise ValueError("invariants are implemented for sl algebras only")
-    algebra, x = _resolve(args)
-    cid = hamiltonian_class(algebra, x)
+    cid = hamiltonian_class(_resolve(args))
     rep = kostant_rep(args.size, cid)
     return {
         "class_id": class_id_to_json(cid),

@@ -73,9 +73,12 @@ class WitnessNotFoundError(RuntimeError):
 class Grading:
     """Eigenspace decomposition g = (+) g(i) under ad of the grading element."""
 
-    algebra: LieAlgebra
     grading_element: LieElement
     pieces: Dict[int, Tuple[LieElement, ...]]
+
+    @property
+    def algebra(self) -> LieAlgebra:
+        return self.grading_element.algebra
 
     def piece_dims(self) -> Dict[int, int]:
         return {i: len(els) for i, els in self.pieces.items()}
@@ -99,8 +102,8 @@ class ParabolicData:
         return len(self.u2) != len(self.u)
 
 
-def grading_by(algebra: LieAlgebra, h: LieElement) -> Grading:
-    """Decompose ``algebra`` into integer eigenspaces of ad h.
+def grading_by(h: LieElement) -> Grading:
+    """Decompose the algebra of h into integer eigenspaces of ad h.
 
     The weights scanned are `_natural_weights` of h, or, when the
     characteristic polynomial of h does not split over the rationals, every
@@ -111,12 +114,11 @@ def grading_by(algebra: LieAlgebra, h: LieElement) -> Grading:
     i * d subtracted on the diagonal, and each g(i) is the kernel of those
     rows. The pieces are then certified by `_certify_pieces`.
     """
-    if h.algebra is not algebra:
-        raise ValueError("element does not belong to the given algebra")
-    ad_h = ad_matrix(algebra, h)
+    algebra = h.algebra
+    ad_h = ad_matrix(h)
     dim = algebra.dim
     if dim == 0:
-        return Grading(algebra, h, {})
+        return Grading(h, {})
     weights = _natural_weights(h.matrix)
     if weights is None:
         weights = integer_roots(squarefree_part(char_poly(ad_h)))
@@ -135,7 +137,7 @@ def grading_by(algebra: LieAlgebra, h: LieElement) -> Grading:
         raise NonIntegerSpectrumError(
             f"integer eigenspaces of ad h span {total} of {dim} dimensions"
         )
-    grading = Grading(algebra, h, dict(sorted(pieces.items())))
+    grading = Grading(h, dict(sorted(pieces.items())))
     _certify_pieces(grading)
     return grading
 
@@ -199,8 +201,7 @@ def parabolic_data(grading: Grading) -> ParabolicData:
     u2 = tuple(el for i in pos if i >= 2 for el in pieces[i])
     zero_piece = pieces.get(0, ())
     p = tuple(zero_piece) + u
-    algebra = grading.algebra
-    if len(p) + len(u_minus) != algebra.dim:
+    if len(p) + len(u_minus) != grading.algebra.dim:
         raise AssertionError("p and u- do not complement each other")
     if len(u) != len(u_minus):
         raise AssertionError("u and u- have different dimensions")
@@ -263,7 +264,7 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Gradin
     n = algebra.ambient_size
     if center.dim == 0:
         if levi.same_span(algebra):
-            return grading_by(algebra, algebra.zero_element())
+            return grading_by(algebra.zero_element())
         raise WitnessNotFoundError(
             f"{levi.label} has trivial center and is proper: no torus witness exists"
         )
@@ -308,9 +309,9 @@ def _grade_candidate(algebra: LieAlgebra, levi: LieAlgebra, z_mat: RatMatrix):
     if not is_semisimple_matrix(z_mat):
         return "not semisimple"
     z = algebra.element_from_matrix(z_mat)
-    if algebra.dim - rank(ad_matrix(algebra, z)) != levi.dim:
+    if algebra.dim - rank(ad_matrix(z)) != levi.dim:
         return "centralizer too large"
     try:
-        return grading_by(algebra, z)
+        return grading_by(z)
     except NonIntegerSpectrumError:
         return "non-integer spectrum"

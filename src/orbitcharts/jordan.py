@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liealg import LieAlgebra, LieElement
+from .liealg import LieElement
 from .linalg import (
     RatMatrix,
     VectorSpan,
@@ -42,15 +42,14 @@ def _inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix.from_rows(rows).scale(m.den)
 
 
-def jordan_decompose(algebra: LieAlgebra, x: LieElement) -> JordanPair:
+def jordan_decompose(x: LieElement) -> JordanPair:
     """Split x into its commuting semisimple and nilpotent parts.
 
     The semisimple part is a polynomial in x with rational coefficients, so
     it lies in sl automatically; for so/sp membership is solved and checked
     when the parts are re-expressed in the basis.
     """
-    if x.algebra is not algebra:
-        raise ValueError("element does not belong to the given algebra")
+    algebra = x.algebra
     mat = x.matrix
     if mat.is_zero():
         zero = algebra.zero_element()
@@ -65,7 +64,7 @@ def jordan_decompose(algebra: LieAlgebra, x: LieElement) -> JordanPair:
         xs = xs - qx * _inverse(dq.evaluate_matrix(xs))
         qx = q.evaluate_matrix(xs)
         steps += 1
-        if steps > 2 * n:
+        if steps > n.bit_length():
             raise ArithmeticError("Jordan iteration failed to converge")
     semis = algebra.element_from_matrix(xs)
     nil = algebra.element_from_matrix(mat - xs)

@@ -15,10 +15,12 @@ entries of each ad(b_i) in the integer form of `linalg._support`, from
 which `ad_matrix` assembles ad x in one pass (`linalg._lincomb`). The
 supports of the basis matrices are kept too, so `element` builds its matrix
 in one pass. A `LieAlgebra` is built only where something brackets inside
-it: the classical algebras, the Levi c(x_s) (the mixed chart recurses into
-it, and the witness search reads its structure constants through
-`center_basis`) and that Levi's center. Every other subspace fact is read
-from a kernel basis, a commutator or a rank.
+it: the classical algebras and the Levi c(x_s) (the mixed chart recurses
+into it, and the witness search reads its structure constants through
+`center_basis`). The Levi's center is a `LieAlgebra` too, as the span the
+search draws its candidates from, though nothing brackets inside it.
+Every other subspace fact is read from a kernel basis, a commutator or a
+rank.
 
 Basis conventions (frozen, since chart coordinates refer to basis indices):
 
@@ -193,12 +195,10 @@ class LieElement:
         return all(not c for c in self.coords)
 
 
-def ad_matrix(algebra: LieAlgebra, x: LieElement) -> RatMatrix:
-    """Matrix of z -> [x, z] in the basis of ``algebra``."""
-    if x.algebra is not algebra:
-        raise ValueError("element does not belong to the given algebra")
-    m = algebra.dim
-    return _lincomb(x.coords, algebra._structure, m, m)
+def ad_matrix(x: LieElement) -> RatMatrix:
+    """Matrix of z -> [x, z] in the basis of the algebra of x."""
+    m = x.algebra.dim
+    return _lincomb(x.coords, x.algebra._structure, m, m)
 
 
 def subalgebra_from_coords(algebra: LieAlgebra, coord_vectors: Sequence[Sequence[Fraction]],
@@ -207,9 +207,10 @@ def subalgebra_from_coords(algebra: LieAlgebra, coord_vectors: Sequence[Sequence
     return LieAlgebra(mats, label, ambient_size=algebra.ambient_size)
 
 
-def centralizer_basis(algebra: LieAlgebra, x: LieElement) -> LieAlgebra:
-    """Centralizer of x in ``algebra``: the kernel of ad x, as a subalgebra."""
-    vectors = kernel_basis(ad_matrix(algebra, x))
+def centralizer_basis(x: LieElement) -> LieAlgebra:
+    """Centralizer of x in the algebra of x: the kernel of ad x, as a subalgebra."""
+    algebra = x.algebra
+    vectors = kernel_basis(ad_matrix(x))
     return subalgebra_from_coords(algebra, vectors,
                                   label=f"centralizer in {algebra.label}")
 
@@ -219,7 +220,7 @@ def center_basis(algebra: LieAlgebra) -> LieAlgebra:
     if algebra.dim == 0:
         return LieAlgebra((), f"center of {algebra.label}",
                           ambient_size=algebra.ambient_size)
-    stacked = vstack([ad_matrix(algebra, algebra.basis_element(i))
+    stacked = vstack([ad_matrix(algebra.basis_element(i))
                       for i in range(algebra.dim)])
     vectors = kernel_basis(stacked)
     return subalgebra_from_coords(algebra, vectors,

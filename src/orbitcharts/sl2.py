@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liealg import LieAlgebra, LieElement, ad_matrix
+from .liealg import LieElement, ad_matrix
 from .linalg import (
     NotNilpotentError,
     RatMatrix,
@@ -37,15 +37,14 @@ class Sl2Triple:
     f: LieElement
 
 
-def jacobson_morozov(algebra: LieAlgebra, e: LieElement) -> Sl2Triple:
-    if e.algebra is not algebra:
-        raise ValueError("element does not belong to the given algebra")
+def jacobson_morozov(e: LieElement) -> Sl2Triple:
     if e.is_zero():
         raise ValueError("Jacobson-Morozov needs a nonzero element")
     if not e.matrix.is_nilpotent():
         raise NotNilpotentError("element is not nilpotent")
 
-    ade = ad_matrix(algebra, e)
+    algebra = e.algebra
+    ade = ad_matrix(e)
     ade2 = ade * ade
     rhs = tuple(-2 * c for c in e.coords)
     u = solve_linear(ade2, rhs)
@@ -53,7 +52,7 @@ def jacobson_morozov(algebra: LieAlgebra, e: LieElement) -> Sl2Triple:
         raise NoTripleFoundError("no h with [h,e] = 2e inside [e, g]")
     h = algebra.element(mat_vec(ade, u))
 
-    adh = ad_matrix(algebra, h)
+    adh = ad_matrix(h)
     m = algebra.dim
     stacked = vstack([adh + RatMatrix.identity(m).scale(2), ade])
     joint_rhs = tuple([ZERO] * m) + h.coords
@@ -63,11 +62,11 @@ def jacobson_morozov(algebra: LieAlgebra, e: LieElement) -> Sl2Triple:
     f = algebra.element(f_coords)
 
     triple = Sl2Triple(e, h, f)
-    _check_relations(algebra, triple)
+    _check_relations(triple)
     return triple
 
 
-def _check_relations(algebra: LieAlgebra, t: Sl2Triple) -> None:
+def _check_relations(t: Sl2Triple) -> None:
     if commutator(t.h.matrix, t.e.matrix) != t.e.matrix.scale(2):
         raise NoTripleFoundError("[h, e] != 2e")
     if commutator(t.h.matrix, t.f.matrix) != t.f.matrix.scale(-2):

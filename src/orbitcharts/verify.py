@@ -34,9 +34,9 @@ from .charts import (
 from .grading import WitnessNotFoundError, _witness_grading, _zero_piece_matches
 from .jordan import jordan_decompose
 from .liealg import (
-    LieAlgebra,
     LieElement,
     ad_matrix,
+    build_classical,
     centralizer_basis,
     trace_form_gram,
 )
@@ -217,8 +217,7 @@ def _sample_params(chart: OrbitChart, nil: OrbitChart, slice_span: VectorSpan | 
 
 def _same_flat_data(a: OrbitChart, b: OrbitChart) -> bool:
     return (a.case_tag == b.case_tag and a.factors == b.factors and a.shift == b.shift
-            and a.slice_basis == b.slice_basis and a.slice_base == b.slice_base
-            and a.expected_orbit_dim == b.expected_orbit_dim)
+            and a.slice_basis == b.slice_basis and a.slice_base == b.slice_base)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +225,13 @@ def _same_flat_data(a: OrbitChart, b: OrbitChart) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
-                 seed: int, samples: int = 10) -> VerificationReport:
-    """Run the full exact check battery on ``chart`` for (algebra, x).
+def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
+                 samples: int = 10) -> VerificationReport:
+    """Run the full exact check battery on ``chart`` for x.
 
     Every evaluation check runs on ``chart`` itself. A chart without
     construction scaffolding (one from `chart_from_json`) borrows it from
-    the chart that `build_chart` makes for (algebra, x, seed); the report
+    the chart that `build_chart` makes for (x, seed); the report
     then also checks that the rebuilt chart's flat data equal the given
     chart's (``rebuilt_chart_identity``), so ``seed`` must be the seed the
     given chart was built with. A negative ``samples`` raises ValueError
@@ -240,25 +239,25 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    algebra = x.algebra
     rng = SplitMix64(seed)
     checks: List[Check] = []
     scaffold = chart
     if chart.parabolic is None or (chart.inner is not None
                                    and chart.inner.parabolic is None):
-        scaffold = build_chart(algebra, x, seed)
+        scaffold = build_chart(x, seed)
         same = _same_flat_data(chart, scaffold)
         checks.append(Check("rebuilt_chart_identity", expected=True, observed=same,
                             passed=same))
     nil = _nilpotent_part(scaffold)
 
-    expected_dim = rank(ad_matrix(algebra, x))
+    expected_dim = rank(ad_matrix(x))
     oracle_cdim = algebra.dim - expected_dim
     checks.append(Check(
         "dimension_identity",
         expected=expected_dim,
         observed=chart.param_count,
-        passed=(chart.param_count == expected_dim
-                and chart.expected_orbit_dim == expected_dim),
+        passed=(chart.param_count == expected_dim),
     ))
 
     if nil is not None:
@@ -266,7 +265,7 @@ def verify_chart(algebra: LieAlgebra, x: LieElement, chart: OrbitChart,
         checks.append(_tangent_check(nil, name))
     if chart.case_tag == "mixed":
         inner = chart.inner
-        inner_cdim = inner.algebra.dim - rank(ad_matrix(inner.algebra, inner.base_element))
+        inner_cdim = inner.algebra.dim - rank(ad_matrix(inner.base_element))
         checks.append(Check(
             "centralizer_composition",
             expected=oracle_cdim,
@@ -367,7 +366,7 @@ def _tangent_check(nil_chart: OrbitChart, name: str) -> Check:
     """dim [e, p] == dim u2, as the rank of ad e on the coordinates of p."""
     pd = nil_chart.parabolic
     p_columns = RatMatrix.from_rows([el.coords for el in pd.p]).transpose()
-    observed = rank(ad_matrix(nil_chart.algebra, nil_chart.base_element) * p_columns)
+    observed = rank(ad_matrix(nil_chart.base_element) * p_columns)
     expected = len(pd.u2)
     return Check(name, expected=expected, observed=observed,
                  passed=(observed == expected))
@@ -378,29 +377,30 @@ def _tangent_check(nil_chart: OrbitChart, name: str) -> Check:
 # ---------------------------------------------------------------------------
 
 
-def _centralizer_matrices(algebra: LieAlgebra, x: LieElement) -> list:
+def _centralizer_matrices(x: LieElement) -> list:
     """The matrices of a kernel basis of ad x, which span c(x)."""
-    return [algebra.element(v).matrix for v in kernel_basis(ad_matrix(algebra, x))]
+    return [x.algebra.element(v).matrix for v in kernel_basis(ad_matrix(x))]
 
 
-def check_centralizer_reductive(algebra: LieAlgebra, x: LieElement) -> bool:
+def check_centralizer_reductive(x: LieElement) -> bool:
     """Trace-form proxy: the Gram matrix on the centralizer is nonsingular."""
-    return det(trace_form_gram(_centralizer_matrices(algebra, x))) != 0
+    return det(trace_form_gram(_centralizer_matrices(x))) != 0
 
 
-def redstab_suite(algebra: LieAlgebra, x: LieElement, seed: int,
+def redstab_suite(x: LieElement, seed: int,
                   chart: OrbitChart | None = None) -> VerificationReport:
     """Semisimplicity, the reductivity proxy, and the Levi witness, cross-checked.
 
-    ``chart`` is the chart built for (algebra, x, seed), if there is one.
+    ``chart`` is the chart built for (x, seed), if there is one.
     For semisimple x the witness grading is taken from a semisimple chart of
     x that carries its scaffolding: it is the grading the search would find
     (same Levi, same seed). Only without such a chart is c(x) built as a
     `LieAlgebra`, for the search; otherwise it is a kernel basis of ad x.
     Either way the zero piece must match c(x) (`_zero_piece_matches`).
     """
+    algebra = x.algebra
     semisimple = is_semisimple_matrix(x.matrix)
-    cent = _centralizer_matrices(algebra, x)
+    cent = _centralizer_matrices(x)
     proxy = det(trace_form_gram(cent)) != 0
     checks: List[Check] = [Check(
         "semisimple_iff_reductive",
@@ -415,7 +415,7 @@ def redstab_suite(algebra: LieAlgebra, x: LieElement, seed: int,
             grading = chart.parabolic.grading
         else:
             try:
-                grading = _witness_grading(algebra, centralizer_basis(algebra, x), seed)
+                grading = _witness_grading(algebra, centralizer_basis(x), seed)
             except WitnessNotFoundError:
                 grading = None
         found = grading is not None
@@ -469,11 +469,11 @@ def class_id_to_json(cid: OrbitClassId) -> list:
     return [rational_str(c) for c in cid.invariant_vector]
 
 
-def invariants(algebra: LieAlgebra, x: LieElement) -> OrbitClassId:
+def invariants(x: LieElement) -> OrbitClassId:
     """Adjoint-invariant coordinates of x (sl only)."""
-    if algebra.family != "sl":
+    if x.algebra.family != "sl":
         raise ValueError("invariants are implemented for sl algebras only")
-    n = algebra.ambient_size
+    n = x.algebra.ambient_size
     p = char_poly(x.matrix)
     coeffs = p.coefficients + (ZERO,) * (n + 1 - len(p.coefficients))
     if coeffs[n - 1] != 0:
@@ -481,7 +481,7 @@ def invariants(algebra: LieAlgebra, x: LieElement) -> OrbitClassId:
     return OrbitClassId(tuple(coeffs[k] for k in range(n - 2, -1, -1)))
 
 
-def hamiltonian_class(algebra: LieAlgebra, x: LieElement) -> OrbitClassId:
+def hamiltonian_class(x: LieElement) -> OrbitClassId:
     """Class of the unique semisimple orbit in the fiber through x.
 
     Rejects nilpotent x, whose semisimple part vanishes: the zero orbit has
@@ -489,14 +489,12 @@ def hamiltonian_class(algebra: LieAlgebra, x: LieElement) -> OrbitClassId:
     """
     if x.matrix.is_nilpotent():
         raise ZeroSemisimplePartError("semisimple part is zero")
-    return invariants(algebra, x)
+    return invariants(x)
 
 
 def kostant_rep(n: int, class_id: OrbitClassId) -> LieElement:
     """Semisimple representative of the class: the Jordan-semisimple part of
     the companion matrix of t^n + c_(n-2) t^(n-2) + ... + c_0."""
-    from .liealg import build_classical
-
     vec = class_id.invariant_vector
     if len(vec) != n - 1:
         raise ValueError(f"class vector must have length {n - 1}")
@@ -508,6 +506,5 @@ def kostant_rep(n: int, class_id: OrbitClassId) -> LieElement:
         rows[i][i - 1] = ONE
     for i in range(n):
         rows[i][n - 1] = -low_coeffs[i]
-    algebra = build_classical("sl", n)
-    companion = algebra.element_from_matrix(RatMatrix.from_rows(rows))
-    return jordan_decompose(algebra, companion).semisimple
+    companion = build_classical("sl", n).element_from_matrix(RatMatrix.from_rows(rows))
+    return jordan_decompose(companion).semisimple

@@ -110,15 +110,15 @@ def test_criterion_1_nilpotent_exhaustion():
     started = time.time()
     ok = True
     for n, part, algebra, e in _nilpotent_corpus():
-        triple = jacobson_morozov(algebra, e)
+        triple = jacobson_morozov(e)
         relations = (
             commutator(triple.h.matrix, e.matrix) == e.matrix.scale(2)
             and commutator(triple.h.matrix, triple.f.matrix) == triple.f.matrix.scale(-2)
             and commutator(triple.e.matrix, triple.f.matrix) == triple.h.matrix
         )
-        chart = chart_nilpotent(algebra, e)
-        cdim = centralizer_basis(algebra, e).dim
-        rep = verify_chart(algebra, e, chart, SEED, 10)
+        chart = chart_nilpotent(e)
+        cdim = centralizer_basis(e).dim
+        rep = verify_chart(e, chart, SEED, 10)
         rank_ok = (rep.check("jacobian_rank_base").observed
                    == algebra.dim - cdim == chart.param_count)
         ok = ok and relations and rep.overall_pass and rank_ok
@@ -133,10 +133,10 @@ def test_criterion_2_dimension_identities():
 
     ok = True
     for n, part, algebra, e in _nilpotent_corpus():
-        triple = jacobson_morozov(algebra, e)
-        pd = parabolic_data(grading_by(algebra, triple.h))
+        triple = jacobson_morozov(e)
+        pd = parabolic_data(grading_by(triple.h))
         dims = pd.grading.piece_dims()
-        cdim = centralizer_basis(algebra, e).dim
+        cdim = centralizer_basis(e).dim
         identity_1 = cdim == dims.get(0, 0) + dims.get(1, 0)
         tangent_rows = [algebra.coords_of_matrix(commutator(el.matrix, e.matrix))
                         for el in pd.p]
@@ -149,8 +149,8 @@ def test_criterion_3_semisimple_charts():
     ok = True
     count = 0
     for n, algebra, x in _semisimple_corpus():
-        chart = chart_semisimple(algebra, x, SEED)
-        rep = verify_chart(algebra, x, chart, SEED, 10)
+        chart = chart_semisimple(x, SEED)
+        rep = verify_chart(x, chart, SEED, 10)
         ok = ok and rep.overall_pass and rep.check("char_poly_preserved").passed
         count += 1
     _report("3 semisimple charts", ok and count == 60, f"{count} charts")
@@ -160,9 +160,9 @@ def test_criterion_4_mixed_charts():
     ok = True
     count = 0
     for n, algebra, x in _mixed_corpus():
-        oracle = centralizer_basis(algebra, x).dim
-        chart = chart_mixed(algebra, x, SEED)
-        rep = verify_chart(algebra, x, chart, SEED, 10)
+        oracle = centralizer_basis(x).dim
+        chart = chart_mixed(x, SEED)
+        rep = verify_chart(x, chart, SEED, 10)
         ok = ok and chart.param_count == algebra.dim - oracle and rep.overall_pass
         count += 1
     _report("4 mixed charts", ok and count == 40, f"{count} charts")
@@ -174,7 +174,7 @@ def test_criterion_5_redstab_suite():
     for corpus in (_nilpotent_corpus(), _semisimple_corpus(), _mixed_corpus()):
         for item in corpus:
             algebra, x = item[-2], item[-1]
-            rep = redstab_suite(algebra, x, SEED)
+            rep = redstab_suite(x, SEED)
             total += 1
             if not rep.overall_pass:
                 counterexamples += 1
@@ -192,7 +192,7 @@ def test_criterion_6_levi_witness():
         for comp in compositions(n):
             levi = block_levi(n, comp)
             z = semisimple_for_levi(algebra, levi, SEED)
-            ok = ok and centralizer_basis(algebra, z).same_span(levi)
+            ok = ok and centralizer_basis(z).same_span(levi)
             count += 1
     _report("6 Levi witnesses", ok, f"{count} compositions")
 
@@ -207,14 +207,14 @@ def test_criterion_7_classification_round_trip():
             if not any(vec):
                 vec = (F(1),) + vec[1:]
             cid = OrbitClassId(vec)
-            ok = ok and invariants(algebra, kostant_rep(n, cid)).invariant_vector == vec
+            ok = ok and invariants(kostant_rep(n, cid)).invariant_vector == vec
     rejections = True
     for n in (2, 3, 4, 5):
         algebra = build_classical("sl", n)
         for part in nontrivial_partitions(n):
             e = algebra.element_from_matrix(jordan_nilpotent(n, part))
             try:
-                hamiltonian_class(algebra, e)
+                hamiltonian_class(e)
                 rejections = False
             except ZeroSemisimplePartError:
                 pass
@@ -225,12 +225,12 @@ def test_criterion_8_hand_fixtures():
     fixtures = json.loads((GOLDEN / "chart_fixtures.json").read_text(encoding="utf-8"))
     sl2 = build_classical("sl", 2)
     e = sl2.element_from_matrix(elem(2, 0, 1))
-    nil = eval_chart(chart_nilpotent(sl2, e), (1, 1))
+    nil = eval_chart(chart_nilpotent(e), (1, 1))
     nil_ok = [[str(nil.at(i, j)) for j in range(2)] for i in range(2)] \
         == fixtures["sl2_nilpotent_psi_1_1"]
 
     h = sl2.element_from_matrix(diag_matrix([1, -1]))
-    ss = eval_chart(chart_semisimple(sl2, h, SEED), (1, 1))
+    ss = eval_chart(chart_semisimple(h, SEED), (1, 1))
     ss_ok = [[str(ss.at(i, j)) for j in range(2)] for i in range(2)] \
         == fixtures["sl2_semisimple_psi_1_1"] and det(ss) == -1
 

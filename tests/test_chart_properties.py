@@ -51,9 +51,9 @@ def _assert_chart_verifies(algebra, x):
     """The chart of x verifies with both suites, a second verification
     prints the same bytes, and the JSON round trip keeps the base value."""
     def reports():
-        chart = build_chart(algebra, x, 42)
-        chart_report = verify_chart(algebra, x, chart, 42, 10)
-        red_report = redstab_suite(algebra, x, 42, chart)
+        chart = build_chart(x, 42)
+        chart_report = verify_chart(x, chart, 42, 10)
+        red_report = redstab_suite(x, 42, chart)
         assert chart_report.overall_pass and red_report.overall_pass
         text = json.dumps([report_to_json(chart_report), report_to_json(red_report)])
         return chart, text

@@ -18,7 +18,9 @@ from orbitcharts.charts import (
     eval_chart_with_derivatives,
     exp_nilpotent,
 )
-from orbitcharts.liealg import build_classical, centralizer_basis
+from orbitcharts.grading import grading_by
+from orbitcharts.jordan import jordan_decompose
+from orbitcharts.liealg import ad_matrix, build_classical, centralizer_basis
 from orbitcharts.linalg import (
     DualNumber,
     NotNilpotentError,
@@ -29,6 +31,7 @@ from orbitcharts.linalg import (
     rank,
 )
 from orbitcharts.rng import SplitMix64
+from orbitcharts.sl2 import jacobson_morozov
 
 F = Fraction
 
@@ -85,7 +88,7 @@ class TestComplements:
 
     @pytest.fixture
     def h_chart(self, sl2):
-        return chart_semisimple(sl2, element(sl2, [[1, 0], [0, -1]]), 42)
+        return chart_semisimple(element(sl2, [[1, 0], [0, -1]]), 42)
 
     def test_compose_concatenates_in_order(self, h_chart):
         assert len(h_chart.factors) == 2
@@ -119,7 +122,7 @@ class TestComplements:
 class TestNilpotentChart:
     def test_sl2_closed_form(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
-        chart = chart_nilpotent(sl2, e)
+        chart = chart_nilpotent(e)
         assert chart.param_count == 2
         assert chart.base_params == (F(0), F(1))
         rng = SplitMix64(9)
@@ -132,25 +135,25 @@ class TestNilpotentChart:
 
     def test_sl3_minimal_counts(self, sl3):
         e13 = sl3.element_from_matrix(elem(3, 0, 2))
-        chart = chart_nilpotent(sl3, e13)
+        chart = chart_nilpotent(e13)
         assert chart.param_count == 4
         assert chart.expected_orbit_dim == 4
         assert chart.u2_differs_from_u
 
     def test_sl3_regular_counts(self, sl3):
         e = sl3.element_from_matrix(elem(3, 0, 1) + elem(3, 1, 2))
-        chart = chart_nilpotent(sl3, e)
+        chart = chart_nilpotent(e)
         assert chart.param_count == 6
         assert chart.expected_orbit_dim == 6
 
     def test_base_point_identity(self, sl3):
         e = sl3.element_from_matrix(elem(3, 0, 1) + elem(3, 1, 2))
-        chart = chart_nilpotent(sl3, e)
+        chart = chart_nilpotent(e)
         assert eval_chart(chart, chart.base_params) == e.matrix
 
     def test_jordan_type_preserved_on_orbit_samples(self, sl3):
         e = sl3.element_from_matrix(elem(3, 0, 1) + elem(3, 1, 2))
-        chart = chart_nilpotent(sl3, e)
+        chart = chart_nilpotent(e)
         rng = SplitMix64(15)
         base_ranks = [rank(e.matrix.power(k)) for k in (1, 2)]
         for _ in range(6):
@@ -165,7 +168,7 @@ class TestNilpotentChart:
 class TestSemisimpleChart:
     def test_sl2_closed_form(self, sl2):
         h = element(sl2, [[1, 0], [0, -1]])
-        chart = chart_semisimple(sl2, h, 42)
+        chart = chart_semisimple(h, 42)
         assert chart.param_count == 2
         rng = SplitMix64(19)
         for _ in range(12):
@@ -180,24 +183,24 @@ class TestSemisimpleChart:
 
     def test_base_point(self, sl2):
         h = element(sl2, [[1, 0], [0, -1]])
-        chart = chart_semisimple(sl2, h, 42)
+        chart = chart_semisimple(h, 42)
         assert eval_chart(chart, (0, 0)) == h.matrix
 
     def test_sl3_block_counts(self, sl3):
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]))
-        chart = chart_semisimple(sl3, x, 42)
+        chart = chart_semisimple(x, 42)
         assert chart.param_count == 4
 
     def test_rejects_nonsemisimple(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
         with pytest.raises(NotSemisimpleError):
-            chart_semisimple(sl2, e, 42)
+            chart_semisimple(e, 42)
         with pytest.raises(ValueError):
-            chart_semisimple(sl2, sl2.zero_element(), 42)
+            chart_semisimple(sl2.zero_element(), 42)
 
     def test_char_poly_preserved(self, sl3):
         x = sl3.element_from_matrix(diag_matrix([2, -1, -1]))
-        chart = chart_semisimple(sl3, x, 42)
+        chart = chart_semisimple(x, 42)
         rng = SplitMix64(25)
         target = char_poly(x.matrix)
         for _ in range(8):
@@ -206,7 +209,7 @@ class TestSemisimpleChart:
 
     def test_factor_order_sensitivity(self, sl2):
         h = element(sl2, [[1, 0], [0, -1]])
-        chart = chart_semisimple(sl2, h, 42)
+        chart = chart_semisimple(h, 42)
         swapped = replace(chart, factors=chart.factors[::-1])
         params = (F(1), F(1))
         assert eval_chart(swapped, params) == conjugate(swapped.factors, params, h.matrix)
@@ -216,7 +219,7 @@ class TestSemisimpleChart:
 class TestMixedChart:
     def test_sl3_counts_and_base(self, sl3):
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1))
-        chart = chart_mixed(sl3, x, 42)
+        chart = chart_mixed(x, 42)
         assert chart.param_count - chart.inner.param_count == 4
         assert chart.inner.param_count == 2
         assert chart.param_count == 6
@@ -224,15 +227,15 @@ class TestMixedChart:
 
     def test_oracle_dimension(self, sl4):
         x = sl4.element_from_matrix(diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1))
-        chart = chart_mixed(sl4, x, 42)
-        oracle = centralizer_basis(sl4, x).dim
+        chart = chart_mixed(x, 42)
+        oracle = centralizer_basis(x).dim
         assert chart.param_count == sl4.dim - oracle
 
     def test_nested_equals_flat_composition(self, sl3):
         # the flat chart agrees with the nested form
         # Ad(exp a exp b)(x_s + inner chart): the merge property
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1))
-        chart = chart_mixed(sl3, x, 42)
+        chart = chart_mixed(x, 42)
         outer_count = chart.param_count - chart.inner.param_count
         outer_factors = chart.factors[:len(chart.factors) - len(chart.inner.factors)]
         assert chart.factors[len(outer_factors):] == chart.inner.factors
@@ -244,9 +247,57 @@ class TestMixedChart:
 
     def test_rejects_pure_cases(self, sl3):
         with pytest.raises(ValueError):
-            chart_mixed(sl3, sl3.element_from_matrix(diag_matrix([1, 1, -2])), 42)
+            chart_mixed(sl3.element_from_matrix(diag_matrix([1, 1, -2])), 42)
         with pytest.raises(ValueError):
-            chart_mixed(sl3, sl3.element_from_matrix(elem(3, 0, 1)), 42)
+            chart_mixed(sl3.element_from_matrix(elem(3, 0, 1)), 42)
+
+
+class TestAlgebraFromElement:
+    """Every call reads the algebra off its element: the nilpotent part of
+    a mixed sl5 element, taken in the Levi c(x_s), is charted, split and
+    graded inside that Levi."""
+
+    @pytest.fixture(scope="class")
+    def levi_case(self):
+        x = element(build_classical("sl", 5), [
+            [1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0],
+            [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]])
+        pair = jordan_decompose(x)
+        levi = centralizer_basis(pair.semisimple)
+        return x, levi, levi.element_from_matrix(pair.nilpotent.matrix)
+
+    def test_nilpotent_chart_in_the_levi_is_the_inner_chart(self, levi_case):
+        x, levi, y = levi_case
+        chart, inner = chart_nilpotent(y), build_chart(x, 42).inner
+        assert chart.algebra is levi
+        assert chart.factors == inner.factors
+        assert chart.slice_basis == inner.slice_basis
+        assert chart.slice_base == inner.slice_base
+
+    def test_ad_split_and_grading_stay_in_the_levi(self, levi_case):
+        _, levi, y = levi_case
+        ad_y = ad_matrix(y)
+        assert (ad_y.rows, ad_y.cols) == (levi.dim, levi.dim)
+        pair = jordan_decompose(y)
+        assert pair.semisimple.algebra is levi and pair.nilpotent.algebra is levi
+        assert grading_by(jacobson_morozov(y).h).algebra is levi
+
+
+class TestDerivedFields:
+    def test_case_tag_read_from_the_shape(self, sl2):
+        e, h = element(sl2, [[0, 1], [0, 0]]), element(sl2, [[1, 0], [0, -1]])
+        lower, upper = elem(2, 1, 0), elem(2, 0, 1)
+        nil = OrbitChart(e, ((lower,),), None, (upper,), (F(1),), None)
+        semisimple = OrbitChart(h, ((lower,), (upper,)), h.matrix, (), (), None)
+        mixed = OrbitChart(h, ((lower,), (upper,)), h.matrix, (), (), nil)
+        assert [c.case_tag for c in (nil, semisimple, mixed)] == \
+            ["nilpotent", "semisimple", "mixed"]
+
+    def test_expected_orbit_dim_follows_the_factors(self, sl3):
+        chart = chart_nilpotent(sl3.element_from_matrix(elem(3, 0, 2)))
+        assert chart.expected_orbit_dim == chart.param_count == 4
+        shorter = replace(chart, factors=())
+        assert shorter.expected_orbit_dim == shorter.param_count == len(chart.slice_basis)
 
 
 # so5, so6 and sp4 charts, nilpotent and semisimple, and an sl4 mixed chart,
@@ -267,7 +318,7 @@ def derivative_chart(label):
     """The chart (seed 42) of a `DERIVATIVE_CASES` element."""
     family, n, m = DERIVATIVE_CASES[label]
     algebra = build_classical(family, n)
-    chart = build_chart(algebra, algebra.element_from_matrix(m), 42)
+    chart = build_chart(algebra.element_from_matrix(m), 42)
     assert chart.case_tag == label.split("-")[1]
     return chart
 
@@ -275,40 +326,40 @@ def derivative_chart(label):
 class TestEvalChart:
     def test_param_count_mismatch(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
-        chart = chart_nilpotent(sl2, e)
+        chart = chart_nilpotent(e)
         with pytest.raises(ValueError):
             eval_chart(chart, (1, 2, 3))
 
     def test_build_chart_dispatch(self, sl3):
         zero = sl3.zero_element()
         with pytest.raises(ValueError):
-            build_chart(sl3, zero, 42)
-        nil = build_chart(sl3, sl3.element_from_matrix(elem(3, 0, 2)), 42)
+            build_chart(zero, 42)
+        nil = build_chart(sl3.element_from_matrix(elem(3, 0, 2)), 42)
         assert nil.case_tag == "nilpotent"
-        ss = build_chart(sl3, sl3.element_from_matrix(diag_matrix([1, 1, -2])), 42)
+        ss = build_chart(sl3.element_from_matrix(diag_matrix([1, 1, -2])), 42)
         assert ss.case_tag == "semisimple"
         mixed = build_chart(
-            sl3, sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1)), 42)
+            sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1)), 42)
         assert mixed.case_tag == "mixed"
 
     def test_float_parameter_rejected(self, sl3):
-        chart = chart_nilpotent(sl3, sl3.element_from_matrix(elem(3, 0, 2)))
+        chart = chart_nilpotent(sl3.element_from_matrix(elem(3, 0, 2)))
         with pytest.raises(TypeError):
             eval_chart(chart, [0.5, 1, 1, 1])
         with pytest.raises(TypeError):
             eval_chart_with_derivatives(chart, [1, 1, 1, 0.5])
 
     def test_rational_string_parameter_accepted(self, sl3):
-        chart = chart_nilpotent(sl3, sl3.element_from_matrix(elem(3, 0, 2)))
+        chart = chart_nilpotent(sl3.element_from_matrix(elem(3, 0, 2)))
         want = eval_chart(chart, [F(1, 3), 1, 1, 1])
         assert eval_chart(chart, ["1/3", 1, 1, 1]) == want
         assert eval_chart_with_derivatives(chart, ["1/3", 1, 1, 1])[0] == want
 
     def test_derivatives_match_dual_number_evaluation(self, sl3):
         for x_rows, builder in [
-            ([[0, 0, 1], [0, 0, 0], [0, 0, 0]], lambda x: chart_nilpotent(sl3, x)),
-            ([[1, 0, 0], [0, 1, 0], [0, 0, -2]], lambda x: chart_semisimple(sl3, x, 42)),
-            ([[1, 1, 0], [0, 1, 0], [0, 0, -2]], lambda x: chart_mixed(sl3, x, 42)),
+            ([[0, 0, 1], [0, 0, 0], [0, 0, 0]], lambda x: chart_nilpotent(x)),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, -2]], lambda x: chart_semisimple(x, 42)),
+            ([[1, 1, 0], [0, 1, 0], [0, 0, -2]], lambda x: chart_mixed(x, 42)),
         ]:
             chart = builder(element(sl3, x_rows))
             rng = SplitMix64(33)
@@ -332,7 +383,7 @@ class TestEvalChart:
         b = elem(5, 2, 0) - elem(5, 3, 1) + elem(5, 4, 2)
         assert jay * b + b * jay == RatMatrix.zeros(5, 5)
         x = sl5.element_from_matrix(diag_matrix([1, 0, 0, 0, -1]))
-        chart = OrbitChart("semisimple", x, ((jay, b),), x.matrix, (), (), None, 2)
+        chart = OrbitChart(x, ((jay, b),), x.matrix, (), (), None)
         assert_dual_number_derivatives(chart, [F(1), F(0)])
 
 
@@ -402,7 +453,7 @@ def _on(case, mutate):
     def swap(data):
         sl3 = build_classical("sl", 3)
         data.clear()
-        data.update(chart_to_json(build_chart(sl3, element(sl3, CASES[case]), 42)))
+        data.update(chart_to_json(build_chart(element(sl3, CASES[case]), 42)))
         mutate(data)
     return swap
 
@@ -411,7 +462,7 @@ class TestChartSerialization:
     @pytest.mark.parametrize("case", ["nilpotent", "semisimple", "mixed"])
     def test_round_trip_evaluates_identically(self, sl3, case):
         x = element(sl3, CASES[case])
-        chart = build_chart(sl3, x, 42)
+        chart = build_chart(x, 42)
         data = chart_to_json(chart)
         rebuilt = chart_from_json(sl3, data)
         assert rebuilt.case_tag == case
@@ -444,7 +495,7 @@ class TestChartSerialization:
                      "factors", id="mixed-inner-factor-2x2"),
     ])
     def test_malformed_shape_raises_value_error(self, sl3, mutate, field):
-        data = chart_to_json(build_chart(sl3, element(sl3, CASES["mixed"]), 42))
+        data = chart_to_json(build_chart(element(sl3, CASES["mixed"]), 42))
         mutate(data)
         with pytest.raises(ValueError, match=f"'{field}'"):
             chart_from_json(sl3, data)
@@ -458,7 +509,7 @@ class TestChartSerialization:
     ], ids=["not-nilpotent", "not-closed"])
     def test_factor_span_not_nilpotent_subalgebra_refused(self, sl3, values, factor,
                                                           defect):
-        data = chart_to_json(build_chart(sl3, sl3.element_from_matrix(diag_matrix(values)), 42))
+        data = chart_to_json(build_chart(sl3.element_from_matrix(diag_matrix(values)), 42))
         assert len(data["factors"][0]["basis"]) == len(factor)
         data["factors"][0]["basis"] = [matrix_to_json(elem(3, i, j)) for i, j in factor]
         with pytest.raises(ValueError, match=f"'factors'.*not {defect}"):
@@ -466,7 +517,7 @@ class TestChartSerialization:
 
     @pytest.mark.parametrize("case", ["nilpotent", "semisimple", "mixed"])
     def test_orbit_dim_mismatch_rejected(self, sl3, case):
-        data = chart_to_json(build_chart(sl3, element(sl3, CASES[case]), 42))
+        data = chart_to_json(build_chart(element(sl3, CASES[case]), 42))
         data["expected_orbit_dim"] += 1
         with pytest.raises(ValueError, match="orbit dimension"):
             chart_from_json(sl3, data)
@@ -475,7 +526,7 @@ class TestChartSerialization:
     def test_base_matrix_mismatch_rejected(self, sl3, case):
         # E31 lies outside the nilpotent slice, and the base tuple of the
         # other charts evaluates to the unchanged element
-        data = chart_to_json(build_chart(sl3, element(sl3, CASES[case]), 42))
+        data = chart_to_json(build_chart(element(sl3, CASES[case]), 42))
         rows = [[str(F(c) + (1 if (i, j) == (2, 0) else 0)) for j, c in enumerate(row)]
                 for i, row in enumerate(CASES[case])]
         data["base_element"]["matrix"] = rows

@@ -434,9 +434,9 @@ class TestAnalysedOnce:
         # `kostant_rep` splits, its companion matrix
         splits, split = [], jordan.jordan_decompose
 
-        def counted(algebra, x):
+        def counted(x):
             splits.append(x.matrix)
-            return split(algebra, x)
+            return split(x)
 
         for module in (jordan, charts, cli, verify):
             monkeypatch.setattr(module, "jordan_decompose", counted)
@@ -454,7 +454,7 @@ class TestAnalysedOnce:
         # which is not counted (here the accepted z equals x)
         sl5 = build_classical("sl", 5)
         rows = SL5_CASES["semisimple"]
-        ad_x = ad_matrix(sl5, sl5.element_from_matrix(RatMatrix.from_rows(rows)))
+        ad_x = ad_matrix(sl5.element_from_matrix(RatMatrix.from_rows(rows)))
         eliminations = []
 
         def counted(fn):

@@ -51,34 +51,38 @@ def zero_piece_subalgebra(grading):
 
 class TestGradingBy:
     def test_sl2_by_h(self, sl2):
-        g = grading_by(sl2, element(sl2, [[1, 0], [0, -1]]))
+        g = grading_by(element(sl2, [[1, 0], [0, -1]]))
         assert g.piece_dims() == {-2: 1, 0: 1, 2: 1}
 
     def test_sl3_by_diag_101(self, sl3):
-        g = grading_by(sl3, sl3.element_from_matrix(diag_matrix([1, 0, -1])))
+        g = grading_by(sl3.element_from_matrix(diag_matrix([1, 0, -1])))
         assert g.piece_dims() == {-2: 1, -1: 2, 0: 2, 1: 2, 2: 1}
 
     def test_sl3_by_diag_202(self, sl3):
-        g = grading_by(sl3, sl3.element_from_matrix(diag_matrix([2, 0, -2])))
+        g = grading_by(sl3.element_from_matrix(diag_matrix([2, 0, -2])))
         assert g.piece_dims() == {-4: 1, -2: 2, 0: 2, 2: 2, 4: 1}
+
+    def test_algebra_is_the_grading_elements(self, sl3):
+        h = sl3.element_from_matrix(diag_matrix([1, 0, -1]))
+        assert Grading(h, grading_by(h).pieces).algebra is h.algebra is sl3
 
     def test_non_diagonalizable_rejected(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
         with pytest.raises(NonIntegerSpectrumError):
-            grading_by(sl2, e)
+            grading_by(e)
 
     def test_non_integer_spectrum_rejected(self, sl2):
         h3 = element(sl2, [[F(1, 3), 0], [0, F(-1, 3)]])
         with pytest.raises(NonIntegerSpectrumError):
-            grading_by(sl2, h3)
+            grading_by(h3)
 
     def test_bracket_compatibility_all_pairs(self, sl3):
         from orbitcharts.liealg import ad_matrix
         from orbitcharts.linalg import mat_vec
 
         h = sl3.element_from_matrix(diag_matrix([1, 0, -1]))
-        g = grading_by(sl3, h)
-        ad_h = ad_matrix(sl3, h)
+        g = grading_by(h)
+        ad_h = ad_matrix(h)
         for i, xs in g.pieces.items():
             for j, ys in g.pieces.items():
                 for x in xs:
@@ -93,7 +97,7 @@ class TestGradingBy:
 def _exhaustive_pieces(algebra, h):
     """Piece coordinates from every integer root of the characteristic
     polynomial of ad h: the scan that natural-representation weights replace."""
-    ad_h = ad_matrix(algebra, h)
+    ad_h = ad_matrix(h)
     ident = RatMatrix.identity(algebra.dim)
     pieces = {}
     for i in integer_roots(char_poly(ad_h)):
@@ -106,7 +110,7 @@ def _exhaustive_pieces(algebra, h):
 def _jm_elements(n):
     algebra = build_classical("sl", n)
     return [(algebra, jacobson_morozov(
-        algebra, algebra.element_from_matrix(jordan_nilpotent(n, part))).h)
+        algebra.element_from_matrix(jordan_nilpotent(n, part))).h)
         for part in nontrivial_partitions(n)]
 
 
@@ -133,7 +137,7 @@ class TestNaturalWeights:
     def test_pieces_match_exhaustive_scan(self, source):
         cases = _diagonal_elements() if source == "diagonal" else _jm_elements(int(source[2:]))
         for algebra, h in cases:
-            g = grading_by(algebra, h)
+            g = grading_by(h)
             expected = _exhaustive_pieces(algebra, h)
             assert {i: [el.coords for el in els] for i, els in g.pieces.items()} \
                 == expected, (algebra.label, h.matrix)
@@ -142,7 +146,7 @@ class TestNaturalWeights:
     def test_rational_non_integer_weights(self, sl3):
         h = sl3.element_from_matrix(diag_matrix([F(1, 3), F(1, 3), F(-2, 3)]))
         assert _natural_weights(h.matrix) == [-1, 0, 1]
-        assert grading_by(sl3, h).piece_dims() == {-1: 2, 0: 4, 1: 2}
+        assert grading_by(h).piece_dims() == {-1: 2, 0: 4, 1: 2}
 
     def test_non_split_grading_element_falls_back(self):
         # h = A (+) (A + I) with A = [[0, 2], [1, 0]]: no rational eigenvalue,
@@ -151,13 +155,13 @@ class TestNaturalWeights:
         e = RatMatrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
         algebra = LieAlgebra((h, e), "span{h, E} in gl4")
         assert _natural_weights(h) is None
-        g = grading_by(algebra, algebra.element_from_matrix(h))
+        g = grading_by(algebra.element_from_matrix(h))
         assert g.piece_dims() == {-1: 1, 0: 1}
 
     def test_non_split_shortfall_message(self, sl3):
         companion = element(sl3, [[0, 0, 2], [1, 0, 0], [0, 1, 0]])  # t^3 - 2
         with pytest.raises(NonIntegerSpectrumError, match="span 2 of 8"):
-            grading_by(sl3, companion)
+            grading_by(companion)
 
 
 def _upper_nilpotent_basis(algebra):
@@ -174,7 +178,7 @@ def _split_jm_elements(family, n):
     total = upper[0]
     for b in upper[1:]:
         total = total + b
-    return [(algebra, jacobson_morozov(algebra, algebra.element_from_matrix(e)).h)
+    return [(algebra, jacobson_morozov(algebra.element_from_matrix(e)).h)
             for e in upper + [total]]
 
 
@@ -192,7 +196,7 @@ def _witness_elements():
     for values in _WITNESS_DIAGONALS:
         algebra = build_classical("sl", len(values))
         x = algebra.element_from_matrix(diag_matrix(values))
-        levi = centralizer_basis(algebra, x)
+        levi = centralizer_basis(x)
         out.append((algebra, semisimple_for_levi(algebra, levi, 42)))
     return out
 
@@ -230,14 +234,14 @@ _CORPORA = {
 
 @functools.lru_cache(maxsize=None)
 def _corpus_gradings(name):
-    return [(algebra, h, grading_by(algebra, h)) for algebra, h in _CORPORA[name]()]
+    return [(algebra, h, grading_by(h)) for algebra, h in _CORPORA[name]()]
 
 
 class TestIntegerRowsAndCertificate:
     @pytest.mark.parametrize("name", sorted(_CORPORA))
     def test_pieces_equal_rational_kernels(self, name):
         for algebra, h, g in _corpus_gradings(name):
-            ad_h = ad_matrix(algebra, h)
+            ad_h = ad_matrix(h)
             ident = RatMatrix.identity(algebra.dim)
             assert sum(g.piece_dims().values()) == algebra.dim
             for i, els in g.pieces.items():
@@ -246,7 +250,7 @@ class TestIntegerRowsAndCertificate:
 
     def test_skewed_rows_are_fractional(self):
         for algebra, h, _ in _corpus_gradings("skewed"):
-            ad_h = ad_matrix(algebra, h)
+            ad_h = ad_matrix(h)
             assert any(x.denominator > 1 for x in ad_h.entries), algebra.label
 
     @pytest.mark.parametrize("name", sorted(_CORPORA))
@@ -272,7 +276,7 @@ class TestIntegerRowsAndCertificate:
         index = len(pieces[0]) - 1
         with pytest.raises(NonIntegerSpectrumError,
                            match=rf"element {index} of g\(0\) is not an eigenvector"):
-            _certify_pieces(Grading(g.algebra, g.grading_element, pieces))
+            _certify_pieces(Grading(g.grading_element, pieces))
 
     def test_non_eigenvector_rejected(self):
         for name in ("sl-jm", "so-sp-jm", "sl-witness"):
@@ -284,27 +288,27 @@ class TestIntegerRowsAndCertificate:
             pieces[top] = (mixed,) + pieces[top][1:]
             with pytest.raises(NonIntegerSpectrumError,
                                match=rf"element 0 of g\({top}\) is not an eigenvector"):
-                _certify_pieces(Grading(g.algebra, g.grading_element, pieces))
+                _certify_pieces(Grading(g.grading_element, pieces))
 
 
 class TestParabolicData:
     def test_sl2(self, sl2):
-        pd = parabolic_data(grading_by(sl2, element(sl2, [[1, 0], [0, -1]])))
+        pd = parabolic_data(grading_by(element(sl2, [[1, 0], [0, -1]])))
         assert (len(pd.p), len(pd.u), len(pd.u2), len(pd.u_minus)) == (2, 1, 1, 1)
         assert not pd.u2_differs_from_u
 
     def test_sl3_odd_grading(self, sl3):
-        pd = parabolic_data(grading_by(sl3, sl3.element_from_matrix(diag_matrix([1, 0, -1]))))
+        pd = parabolic_data(grading_by(sl3.element_from_matrix(diag_matrix([1, 0, -1]))))
         assert (len(pd.p), len(pd.u), len(pd.u2), len(pd.u_minus)) == (5, 3, 1, 3)
         assert pd.u2_differs_from_u
 
     def test_sl3_even_grading(self, sl3):
-        pd = parabolic_data(grading_by(sl3, sl3.element_from_matrix(diag_matrix([2, 0, -2]))))
+        pd = parabolic_data(grading_by(sl3.element_from_matrix(diag_matrix([2, 0, -2]))))
         assert (len(pd.u), len(pd.u2)) == (3, 3)
         assert not pd.u2_differs_from_u
 
     def test_levi0_closed_and_nilpotent_pieces(self, sl3):
-        pd = parabolic_data(grading_by(sl3, sl3.element_from_matrix(diag_matrix([1, 0, -1]))))
+        pd = parabolic_data(grading_by(sl3.element_from_matrix(diag_matrix([1, 0, -1]))))
         assert zero_piece_subalgebra(pd.grading).dim == 2
         for el in pd.u + pd.u_minus + pd.u2:
             assert el.matrix.is_nilpotent()
@@ -314,12 +318,12 @@ class TestParabolicData:
         algebra = build_classical("sl", n)
         for part in nontrivial_partitions(n):
             e = algebra.element_from_matrix(jordan_nilpotent(n, part))
-            t = jacobson_morozov(algebra, e)
-            g = grading_by(algebra, t.h)
+            t = jacobson_morozov(e)
+            g = grading_by(t.h)
             dims = g.piece_dims()
             for i, d in dims.items():
                 assert dims.get(-i, 0) == d, part
-            cent = centralizer_basis(algebra, e)
+            cent = centralizer_basis(e)
             assert cent.dim == dims.get(0, 0) + dims.get(1, 0), part
 
 
@@ -329,18 +333,18 @@ class TestZeroPieceMatches:
     X = diag_matrix([1, 1, -2])
 
     def test_grading_by_x_matches(self, sl3):
-        grading = grading_by(sl3, sl3.element_from_matrix(self.X))
+        grading = grading_by(sl3.element_from_matrix(self.X))
         assert _zero_piece_matches(grading, self.X, 4)
 
     def test_wrong_dimension_fails(self, sl3):
         # g(0) of diag(1, 0, -1) is the Cartan: 2 elements, not 4
-        grading = grading_by(sl3, sl3.element_from_matrix(diag_matrix([1, 0, -1])))
+        grading = grading_by(sl3.element_from_matrix(diag_matrix([1, 0, -1])))
         assert not _zero_piece_matches(grading, self.X, 4)
 
     def test_same_dimension_not_commuting_fails(self, sl3):
         # g(0) of diag(1, -2, 1) has 4 elements, E13 among them, and
         # [x, E13] = 3 E13 != 0
-        grading = grading_by(sl3, sl3.element_from_matrix(diag_matrix([1, -2, 1])))
+        grading = grading_by(sl3.element_from_matrix(diag_matrix([1, -2, 1])))
         assert len(grading.pieces[0]) == 4
         assert any(el.matrix == elem(3, 0, 2) for el in grading.pieces[0])
         assert not _zero_piece_matches(grading, self.X, 4)
@@ -372,7 +376,7 @@ class TestNonSplitFallback:
         monkeypatch.setattr(linalg, "_resultant_with_derivative",
                             counted("resultant", linalg._resultant_with_derivative))
         with pytest.raises(NonIntegerSpectrumError, match="span 5 of 35"):
-            grading_by(sl6, h)
+            grading_by(h)
         assert calls == {"integer_roots": 2, "resultant": 2}
 
 
@@ -395,7 +399,7 @@ class TestWitness:
     def test_witness_grading_zero_piece_is_levi(self, sl3):
         levi = block_levi(3, (2, 1))
         z = semisimple_for_levi(sl3, levi, 42)
-        pd = parabolic_data(grading_by(sl3, z))
+        pd = parabolic_data(grading_by(z))
         assert zero_piece_subalgebra(pd.grading).same_span(levi)
 
     def test_deterministic_given_seed(self, sl4):
@@ -408,7 +412,7 @@ class TestWitness:
         levi = block_levi(3, (3,))
         z = semisimple_for_levi(sl3, levi, 42)
         assert z.is_zero()
-        assert centralizer_basis(sl3, z).same_span(levi)
+        assert centralizer_basis(z).same_span(levi)
 
     def test_trivial_center_proper_fails_fast(self, sl2):
         borel = LieAlgebra((elem(2, 0, 1), diag_matrix([1, -1])), "borel")
@@ -431,7 +435,7 @@ class TestWitness:
         for comp in compositions(n):
             levi = block_levi(n, comp)
             z = semisimple_for_levi(algebra, levi, 42)
-            assert centralizer_basis(algebra, z).same_span(levi), comp
+            assert centralizer_basis(z).same_span(levi), comp
 
 
 # Elements whose semisimple part has an irrational eigenvalue, so the center
@@ -466,7 +470,7 @@ class TestEarlyRejection:
         monkeypatch.setattr(grading, "is_semisimple_matrix", _no_candidate)
         with pytest.raises(WitnessNotFoundError,
                            match="center basis element 0 .* does not split"):
-            build_chart(algebra, x, 42)
+            build_chart(x, 42)
 
     def test_family_less_algebra_keeps_search(self):
         # The rotation R = [[0, -1], [1, 0]] in one block is central in
@@ -481,6 +485,6 @@ class TestEarlyRejection:
         )]
         algebra = LieAlgebra((rotation, *sl2_block), "R (+) sl2")
         assert algebra.family is None
-        levi = centralizer_basis(algebra, algebra.element_from_matrix(rotation))
+        levi = centralizer_basis(algebra.element_from_matrix(rotation))
         assert levi.same_span(algebra)
         assert semisimple_for_levi(algebra, levi, 42).matrix == rotation

@@ -42,8 +42,7 @@ def _sl2_chart(*factor_bases):
     """A hand-made sl2 chart on the shift h, one factor per given matrix."""
     sl2 = build_classical("sl", 2)
     x = sl2.element_from_matrix(H)
-    return OrbitChart("semisimple", x, tuple((b,) for b in factor_bases), H, (), (),
-                      None, len(factor_bases))
+    return OrbitChart(x, tuple((b,) for b in factor_bases), H, (), (), None)
 
 
 def _exact_rank(chart, params):
@@ -103,7 +102,7 @@ class TestFallback:
         sl3 = build_classical("sl", 3)
         x = sl3.element_from_matrix(diag_matrix([1, 0, -1]))
         lower = elem(3, 1, 0) + elem(3, 2, 1)
-        chart = OrbitChart("semisimple", x, ((lower,),), x.matrix, (), (), None, 1)
+        chart = OrbitChart(x, ((lower,),), x.matrix, (), (), None)
         vp = _value_pass(chart, (F(1),))
         assert verify._jacobian_rank(chart, vp) == 1 == _exact_rank(chart, (1,))
 
@@ -120,7 +119,7 @@ class TestFallback:
     def test_verify_ranks_each_point_once(self, rank_calls):
         sl3 = build_classical("sl", 3)
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1))
-        report = verify.verify_chart(sl3, x, build_chart(sl3, x, 42), 42, 5)
+        report = verify.verify_chart(x, build_chart(x, 42), 42, 5)
         assert report.check("jacobian_rank_base").observed == 6
         assert report.check("jacobian_rank_samples").observed == [6] * 5
         assert rank_calls == [6] * 6
@@ -132,8 +131,8 @@ def test_factor_columns_conjugated_by_later_factors(rank_calls):
     # way, or multiplies S_f in the other order
     sl2 = build_classical("sl", 2)
     e = elem(2, 0, 1)
-    chart = OrbitChart("nilpotent", sl2.element_from_matrix(e),
-                       ((e,), (elem(2, 1, 0),), (e,)), e, (), (), None, 3)
+    chart = OrbitChart(sl2.element_from_matrix(e),
+                       ((e,), (elem(2, 1, 0),), (e,)), e, (), (), None)
     params = (F(1), F(1), F(1))
     assert verify._jacobian_rank(chart, _value_pass(chart, params)) == 2
     assert _exact_rank(chart, params) == 2
@@ -174,7 +173,7 @@ def sweep_chart(label):
     """The chart (seed 42) of a sweep element."""
     family, n, m = SWEEP[label]
     algebra = build_classical(family, n)
-    return build_chart(algebra, algebra.element_from_matrix(m), 42)
+    return build_chart(algebra.element_from_matrix(m), 42)
 
 
 def sweep_points(chart):

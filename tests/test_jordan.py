@@ -26,27 +26,27 @@ F = Fraction
 
 def test_nilpotent_input(sl2):
     e = element(sl2, [[0, 1], [0, 0]])
-    pair = jordan_decompose(sl2, e)
+    pair = jordan_decompose(e)
     assert pair.semisimple.is_zero()
     assert pair.nilpotent.matrix == e.matrix
 
 
 def test_distinct_eigenvalues_is_semisimple(sl2):
     x = element(sl2, [[1, 1], [0, -1]])
-    pair = jordan_decompose(sl2, x)
+    pair = jordan_decompose(x)
     assert pair.nilpotent.is_zero()
     assert pair.semisimple.matrix == x.matrix
 
 
 def test_mixed_block_example(sl3):
     x = element(sl3, [[1, 1, 0], [0, 1, 0], [0, 0, -2]])
-    pair = jordan_decompose(sl3, x)
+    pair = jordan_decompose(x)
     assert pair.semisimple.matrix == diag_matrix([1, 1, -2])
     assert pair.nilpotent.matrix == elem(3, 0, 1)
 
 
 def test_zero_input(sl3):
-    pair = jordan_decompose(sl3, sl3.zero_element())
+    pair = jordan_decompose(sl3.zero_element())
     assert pair.semisimple.is_zero() and pair.nilpotent.is_zero()
 
 
@@ -60,14 +60,14 @@ def test_pair_invariants_random(n):
     rng = SplitMix64(31 + n)
     for _ in range(50):
         x = _random_element(algebra, rng)
-        pair = jordan_decompose(algebra, x)
+        pair = jordan_decompose(x)
         xs, xn = pair.semisimple.matrix, pair.nilpotent.matrix
         assert xs + xn == x.matrix
         assert commutator(xs, xn).is_zero()
         assert xn.is_nilpotent()
         assert is_semisimple_matrix(xs)
         # rerun gives the identical pair
-        again = jordan_decompose(algebra, x)
+        again = jordan_decompose(x)
         assert again.semisimple.matrix == xs and again.nilpotent.matrix == xn
 
 
@@ -75,7 +75,7 @@ def test_char_poly_preserved(sl3):
     rng = SplitMix64(37)
     for _ in range(25):
         x = _random_element(sl3, rng)
-        pair = jordan_decompose(sl3, x)
+        pair = jordan_decompose(x)
         assert char_poly(pair.semisimple.matrix) == char_poly(x.matrix)
 
 
@@ -84,9 +84,9 @@ def test_centralizer_is_intersection(sl3):
     rng = SplitMix64(41)
     for _ in range(20):
         x = _random_element(sl3, rng)
-        pair = jordan_decompose(sl3, x)
-        ad_x = ad_matrix(sl3, x)
-        stacked = vstack([ad_matrix(sl3, pair.semisimple), ad_matrix(sl3, pair.nilpotent)])
+        pair = jordan_decompose(x)
+        ad_x = ad_matrix(x)
+        stacked = vstack([ad_matrix(pair.semisimple), ad_matrix(pair.nilpotent)])
         dim_x = sl3.dim - rank(ad_x)
         dim_meet = sl3.dim - rank(stacked)
         assert dim_x == dim_meet
@@ -194,7 +194,7 @@ SPLIT_MIXED_CASES = {
 
 
 def _assert_newton_equals_chevalley(algebra, m, expected_semisimple=None):
-    pair = jordan_decompose(algebra, algebra.element_from_matrix(m))
+    pair = jordan_decompose(algebra.element_from_matrix(m))
     reference = _chevalley_semisimple(m)
     assert pair.semisimple.matrix == reference
     assert pair.nilpotent.matrix == m - reference
@@ -268,5 +268,20 @@ class TestInverse:
             return _inverse(m)
 
         monkeypatch.setattr(jordan, "_inverse", counted)
-        jordan_decompose(sl3, element(sl3, rows))
+        jordan_decompose(element(sl3, rows))
         assert len(calls) == inverses
+
+    def test_wrong_inverse_fails_within_the_step_bound(self, monkeypatch, sl4):
+        # a correct step doubles the q-adic order, so ceil(log2 n) steps reach
+        # x_s; with a wrong inverse the split must stop after n.bit_length()
+        calls = []
+
+        def doubled(m):
+            calls.append(m)
+            return _inverse(m).scale(2)
+
+        monkeypatch.setattr(jordan, "_inverse", doubled)
+        rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, -3]]
+        with pytest.raises(ArithmeticError, match="failed to converge"):
+            jordan_decompose(element(sl4, rows))
+        assert len(calls) <= (4).bit_length() + 1

@@ -23,7 +23,7 @@ def test_ad_is_a_representation_and_matches_the_commutator(family, n, data):
     coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=7)
     vector = st.lists(coordinate, min_size=algebra.dim, max_size=algebra.dim)
     x, y = algebra.element(data.draw(vector)), algebra.element(data.draw(vector))
-    ad_x, ad_y = ad_matrix(algebra, x), ad_matrix(algebra, y)
+    ad_x, ad_y = ad_matrix(x), ad_matrix(y)
     z = algebra.element(mat_vec(ad_x, y.coords))
-    assert ad_x * ad_y - ad_y * ad_x == ad_matrix(algebra, z)
+    assert ad_x * ad_y - ad_y * ad_x == ad_matrix(z)
     assert z.matrix == commutator(x.matrix, y.matrix)

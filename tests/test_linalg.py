@@ -801,7 +801,7 @@ def _sl4_mixed_jacobian_rows():
     built sl4 mixed chart, at a seeded chart point."""
     sl4 = build_classical("sl", 4)
     x = sl4.element_from_matrix(M([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]))
-    chart = build_chart(sl4, x, 42)
+    chart = build_chart(x, 42)
     rng = SplitMix64(77)
     vp = _value_pass(chart, tuple(draw_fraction(rng, -3, 3) for _ in range(chart.param_count)))
     mats = list(chart.slice_basis) + _core_brackets(vp, chart.factors)

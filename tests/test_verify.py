@@ -49,32 +49,32 @@ F = Fraction
 class TestJacobianRank:
     def test_sl2_nilpotent_at_base(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
-        chart = chart_nilpotent(sl2, e)
+        chart = chart_nilpotent(e)
         assert jacobian_rank_at(chart, (0, 1)) == 2
 
     def test_sl2_semisimple_at_origin(self, sl2):
         h = element(sl2, [[1, 0], [0, -1]])
-        chart = chart_semisimple(sl2, h, 42)
+        chart = chart_semisimple(h, 42)
         assert jacobian_rank_at(chart, (0, 0)) == 2
 
     def test_sl3_minimal_at_base(self, sl3):
         e13 = sl3.element_from_matrix(elem(3, 0, 2))
-        chart = chart_nilpotent(sl3, e13)
+        chart = chart_nilpotent(e13)
         assert jacobian_rank_at(chart, chart.base_params) == 4
 
 
 class TestVerifyChart:
     def test_sl2_nilpotent_all_pass(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
-        chart = chart_nilpotent(sl2, e)
-        rep = verify_chart(sl2, e, chart, 42, 10)
+        chart = chart_nilpotent(e)
+        rep = verify_chart(e, chart, 42, 10)
         assert rep.overall_pass
         assert rep.check("jacobian_rank_base").observed == 2
 
     def test_sl2_semisimple_all_pass_det(self, sl2):
         h = element(sl2, [[1, 0], [0, -1]])
-        chart = chart_semisimple(sl2, h, 42)
-        rep = verify_chart(sl2, h, chart, 42, 10)
+        chart = chart_semisimple(h, 42)
+        rep = verify_chart(h, chart, 42, 10)
         assert rep.overall_pass
         assert rep.check("jacobian_rank_base").observed == 2
 
@@ -85,32 +85,32 @@ class TestVerifyChart:
             raise AssertionError("verification work started")
 
         e = element(sl2, [[0, 1], [0, 0]])
-        chart = chart_nilpotent(sl2, e)
+        chart = chart_nilpotent(e)
         monkeypatch.setattr(verify, "centralizer_basis", no_work)
         monkeypatch.setattr(verify, "build_chart", no_work)
         with pytest.raises(ValueError, match="samples must be nonnegative"):
-            verify_chart(sl2, e, chart, 42, -1)
+            verify_chart(e, chart, 42, -1)
 
     def test_sl3_minimal_flags_u2(self, sl3):
         e13 = sl3.element_from_matrix(elem(3, 0, 2))
-        chart = chart_nilpotent(sl3, e13)
-        rep = verify_chart(sl3, e13, chart, 42, 10)
+        chart = chart_nilpotent(e13)
+        rep = verify_chart(e13, chart, 42, 10)
         assert rep.overall_pass
         assert rep.check("jacobian_rank_base").observed == 4
         assert rep.check("u2_differs_from_u").observed is True
 
     def test_mixed_composition_check(self, sl3):
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1))
-        chart = build_chart(sl3, x, 42)
-        rep = verify_chart(sl3, x, chart, 42, 10)
+        chart = build_chart(x, 42)
+        rep = verify_chart(x, chart, 42, 10)
         assert rep.overall_pass
         assert rep.check("centralizer_composition").passed
 
     def test_report_is_seed_deterministic(self, sl3):
         e13 = sl3.element_from_matrix(elem(3, 0, 2))
-        chart = chart_nilpotent(sl3, e13)
-        r1 = report_to_json(verify_chart(sl3, e13, chart, 7, 5))
-        r2 = report_to_json(verify_chart(sl3, e13, chart, 7, 5))
+        chart = chart_nilpotent(e13)
+        r1 = report_to_json(verify_chart(e13, chart, 7, 5))
+        r2 = report_to_json(verify_chart(e13, chart, 7, 5))
         assert r1 == r2
 
     def test_deserialized_chart_verifies(self, sl3):
@@ -119,15 +119,15 @@ class TestVerifyChart:
         from orbitcharts.charts import chart_from_json, chart_to_json
 
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1))
-        chart = build_chart(sl3, x, 42)
+        chart = build_chart(x, 42)
         rebuilt = chart_from_json(sl3, chart_to_json(chart))
-        rep = verify_chart(sl3, x, rebuilt, 42, 5)
+        rep = verify_chart(x, rebuilt, 42, 5)
         assert rep.overall_pass
         assert rep.check("rebuilt_chart_identity").passed
 
     def test_built_chart_has_no_rebuild_check(self, sl3):
         e13 = sl3.element_from_matrix(elem(3, 0, 2))
-        rep = verify_chart(sl3, e13, chart_nilpotent(sl3, e13), 42, 3)
+        rep = verify_chart(e13, chart_nilpotent(e13), 42, 3)
         with pytest.raises(KeyError):
             rep.check("rebuilt_chart_identity")
 
@@ -136,16 +136,16 @@ class TestVerifyChart:
         from orbitcharts.charts import chart_from_json, chart_to_json, eval_chart
 
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]))
-        data = chart_to_json(build_chart(sl3, x, 42))
+        data = chart_to_json(build_chart(x, 42))
         untampered = chart_from_json(sl3, data)
-        rep = verify_chart(sl3, x, untampered, 42, 5)
+        rep = verify_chart(x, untampered, 42, 5)
         assert rep.overall_pass
         assert rep.check("rebuilt_chart_identity").passed
         data["factors"] = data["factors"][::-1]
         tampered = chart_from_json(sl3, data)
         params = (F(1),) * tampered.param_count
         assert eval_chart(tampered, params) != eval_chart(untampered, params)
-        rep = verify_chart(sl3, x, tampered, 42, 5)
+        rep = verify_chart(x, tampered, 42, 5)
         assert not rep.overall_pass
         assert not rep.check("rebuilt_chart_identity").passed
 
@@ -156,10 +156,10 @@ class TestVerifyChart:
         from orbitcharts.charts import chart_from_json, chart_to_json
 
         e13 = sl3.element_from_matrix(elem(3, 0, 2))
-        data = chart_to_json(build_chart(sl3, e13, 42))
+        data = chart_to_json(build_chart(e13, 42))
         data["slice_basis"].append([["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]])
         data["expected_orbit_dim"] += 1
-        rep = verify_chart(sl3, e13, chart_from_json(sl3, data), 42, 3)
+        rep = verify_chart(e13, chart_from_json(sl3, data), 42, 3)
         assert not rep.overall_pass
         assert not rep.check("rebuilt_chart_identity").passed
         assert not rep.check("dimension_identity").passed
@@ -167,8 +167,8 @@ class TestVerifyChart:
 
     def test_report_json_shape(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
-        chart = chart_nilpotent(sl2, e)
-        data = report_to_json(verify_chart(sl2, e, chart, 42, 3))
+        chart = chart_nilpotent(e)
+        data = report_to_json(verify_chart(e, chart, 42, 3))
         assert set(data) == {"subject", "seed", "sample_count", "checks", "overall_pass"}
         for c in data["checks"]:
             assert set(c) == {"name", "expected", "observed", "pass"}
@@ -177,39 +177,39 @@ class TestVerifyChart:
 class TestReductiveProxy:
     def test_semisimple_reductive(self, sl2):
         h = element(sl2, [[1, 0], [0, -1]])
-        assert check_centralizer_reductive(sl2, h) is True
+        assert check_centralizer_reductive(h) is True
 
     def test_nilpotent_not_reductive(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
-        assert check_centralizer_reductive(sl2, e) is False
+        assert check_centralizer_reductive(e) is False
 
     def test_mixed_not_reductive(self, sl3):
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1))
-        assert check_centralizer_reductive(sl3, x) is False
+        assert check_centralizer_reductive(x) is False
 
 
 class TestRedstabSuite:
     def test_semisimple_with_witness(self, sl2):
         h = element(sl2, [[1, 0], [0, -1]])
-        rep = redstab_suite(sl2, h, 42)
+        rep = redstab_suite(h, 42)
         assert rep.overall_pass
         assert rep.check("levi_witness_found").observed == [["1", "0"], ["0", "-1"]]
 
     def test_nilpotent(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
-        rep = redstab_suite(sl2, e, 42)
+        rep = redstab_suite(e, 42)
         assert rep.overall_pass
         assert rep.check("semisimple_iff_reductive").expected is False
 
     def test_sl3_block_semisimple(self, sl3):
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]))
-        rep = redstab_suite(sl3, x, 42)
+        rep = redstab_suite(x, 42)
         assert rep.overall_pass
         assert rep.check("levi_witness_found").observed == [
             ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-2"]]
 
     def test_zero_element(self, sl3):
-        rep = redstab_suite(sl3, sl3.zero_element(), 42)
+        rep = redstab_suite(sl3.zero_element(), 42)
         assert rep.overall_pass
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -217,7 +217,7 @@ class TestRedstabSuite:
         algebra = build_classical("sl", n)
         for part in nontrivial_partitions(n):
             e = algebra.element_from_matrix(jordan_nilpotent(n, part))
-            rep = redstab_suite(algebra, e, 42)
+            rep = redstab_suite(e, 42)
             assert rep.overall_pass, part
 
 
@@ -275,16 +275,16 @@ class TestOneConstruction:
     def test_semisimple_same_flat_data(self, family, n, values):
         algebra = build_classical(family, n)
         x = algebra.element_from_matrix(diag_matrix(values))
-        chart = build_chart(algebra, x, 42)
+        chart = build_chart(x, 42)
         assert chart.case_tag == "semisimple"
-        assert _same_flat_data(chart, chart_semisimple(algebra, x, 42))
+        assert _same_flat_data(chart, chart_semisimple(x, 42))
 
     @pytest.mark.parametrize("family,n,values,entries", _mixed_corpus())
     def test_mixed_same_flat_data(self, family, n, values, entries):
         algebra, x = _mixed_element(family, n, values, entries)
-        chart = build_chart(algebra, x, 42)
+        chart = build_chart(x, 42)
         assert chart.case_tag == "mixed"
-        assert _same_flat_data(chart, chart_mixed(algebra, x, 42))
+        assert _same_flat_data(chart, chart_mixed(x, 42))
 
 
 def _reversed_round_trip(algebra, chart):
@@ -314,14 +314,14 @@ class TestJacobianRankAgainstDerivatives:
     @pytest.mark.parametrize("family,n,values", _semisimple_corpus())
     def test_semisimple(self, family, n, values):
         algebra = build_classical(family, n)
-        chart = build_chart(algebra, algebra.element_from_matrix(diag_matrix(values)), 42)
+        chart = build_chart(algebra.element_from_matrix(diag_matrix(values)), 42)
         _assert_rank_matches_derivatives(chart)
         _assert_rank_matches_derivatives(_reversed_round_trip(algebra, chart))
 
     @pytest.mark.parametrize("family,n,values,entries", _mixed_corpus())
     def test_mixed(self, family, n, values, entries):
         algebra, x = _mixed_element(family, n, values, entries)
-        chart = build_chart(algebra, x, 42)
+        chart = build_chart(x, 42)
         assert len(chart.factors) == 3
         _assert_rank_matches_derivatives(chart)
         _assert_rank_matches_derivatives(_reversed_round_trip(algebra, chart))
@@ -332,51 +332,51 @@ class TestRedstabWitnessFromChart:
     def test_same_report_as_search(self, family, n, values):
         algebra = build_classical(family, n)
         x = algebra.element_from_matrix(diag_matrix(values))
-        chart = build_chart(algebra, x, 42)
-        assert report_to_json(redstab_suite(algebra, x, 42, chart)) \
-            == report_to_json(redstab_suite(algebra, x, 42))
+        chart = build_chart(x, 42)
+        assert report_to_json(redstab_suite(x, 42, chart)) \
+            == report_to_json(redstab_suite(x, 42))
 
     @pytest.mark.parametrize("family,n,values,entries", _mixed_corpus())
     def test_mixed_same_report_as_without_chart(self, family, n, values, entries):
         algebra, x = _mixed_element(family, n, values, entries)
-        rep = redstab_suite(algebra, x, 42, build_chart(algebra, x, 42))
+        rep = redstab_suite(x, 42, build_chart(x, 42))
         assert rep.overall_pass
-        assert report_to_json(rep) == report_to_json(redstab_suite(algebra, x, 42))
+        assert report_to_json(rep) == report_to_json(redstab_suite(x, 42))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_nilpotent_same_report_as_without_chart(self, n):
         algebra = build_classical("sl", n)
         for part in nontrivial_partitions(n):
             e = algebra.element_from_matrix(jordan_nilpotent(n, part))
-            rep = redstab_suite(algebra, e, 42, build_chart(algebra, e, 42))
+            rep = redstab_suite(e, 42, build_chart(e, 42))
             assert rep.overall_pass, part
-            assert report_to_json(rep) == report_to_json(redstab_suite(algebra, e, 42)), part
+            assert report_to_json(rep) == report_to_json(redstab_suite(e, 42)), part
 
     def test_chart_of_another_element_is_not_used(self, sl3):
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]))
-        other = build_chart(sl3, sl3.element_from_matrix(diag_matrix([2, -1, -1])), 42)
-        assert report_to_json(redstab_suite(sl3, x, 42, other)) \
-            == report_to_json(redstab_suite(sl3, x, 42))
+        other = build_chart(sl3.element_from_matrix(diag_matrix([2, -1, -1])), 42)
+        assert report_to_json(redstab_suite(x, 42, other)) \
+            == report_to_json(redstab_suite(x, 42))
 
 
 class TestInvariants:
     def test_sl2_h(self, sl2):
         h = element(sl2, [[1, 0], [0, -1]])
-        assert invariants(sl2, h).invariant_vector == (F(-1),)
+        assert invariants(h).invariant_vector == (F(-1),)
 
     def test_sl3_block(self, sl3):
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]))
-        assert invariants(sl3, x).invariant_vector == (F(-3), F(2))
+        assert invariants(x).invariant_vector == (F(-3), F(2))
 
     def test_nilpotent_all_zero(self, sl3):
         e = sl3.element_from_matrix(elem(3, 0, 1) + elem(3, 1, 2))
-        assert invariants(sl3, e).is_zero()
+        assert invariants(e).is_zero()
 
     def test_rejects_non_sl(self):
         so4 = build_classical("so", 4)
         x = so4.element(so4.basis and [1] + [0] * (so4.dim - 1))
         with pytest.raises(ValueError):
-            invariants(so4, x)
+            invariants(x)
 
     def test_conjugation_invariance(self, sl3):
         rng = SplitMix64(55)
@@ -390,23 +390,23 @@ class TestInvariants:
                 g = g * exp_nilpotent(b)
                 g_inv = exp_nilpotent(-b) * g_inv
             y = sl3.element_from_matrix(g * x.matrix * g_inv)
-            assert invariants(sl3, y).invariant_vector == \
-                invariants(sl3, x).invariant_vector
+            assert invariants(y).invariant_vector == \
+                invariants(x).invariant_vector
 
 
 class TestHamiltonianClass:
     def test_sl2_mixed_jordan_block(self, sl2):
         x = element(sl2, [[1, 1], [0, -1]])
-        assert hamiltonian_class(sl2, x).invariant_vector == (F(-1),)
+        assert hamiltonian_class(x).invariant_vector == (F(-1),)
 
     def test_sl3_mixed(self, sl3):
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1))
-        assert hamiltonian_class(sl3, x).invariant_vector == (F(-3), F(2))
+        assert hamiltonian_class(x).invariant_vector == (F(-3), F(2))
 
     def test_rejects_nilpotent(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
         with pytest.raises(ZeroSemisimplePartError):
-            hamiltonian_class(sl2, e)
+            hamiltonian_class(e)
 
     def test_so5_nilpotent_rejected_before_the_family(self):
         # x_s = 0 exactly when x is nilpotent; that is refused before the
@@ -414,10 +414,10 @@ class TestHamiltonianClass:
         so5 = build_classical("so", 5)
         e = so5.element_from_matrix(elem(5, 0, 1) - elem(5, 3, 4))
         with pytest.raises(ZeroSemisimplePartError):
-            hamiltonian_class(so5, e)
+            hamiltonian_class(e)
         d = so5.element_from_matrix(diag_matrix([1, 1, 0, -1, -1]))
         with pytest.raises(ValueError, match="sl algebras only") as info:
-            hamiltonian_class(so5, d)
+            hamiltonian_class(d)
         assert not isinstance(info.value, ZeroSemisimplePartError)
 
 
@@ -430,9 +430,9 @@ class TestKostantRep:
         cid = OrbitClassId((F(-3), F(2)))
         rep = kostant_rep(3, cid)
         assert char_poly(rep.matrix).coefficients == (F(2), F(-3), F(0), F(1))
-        assert invariants(sl3, rep).invariant_vector == cid.invariant_vector
+        assert invariants(rep).invariant_vector == cid.invariant_vector
         # the companion itself is not semisimple here; its Jordan part is
-        pair = jordan_decompose(sl3, rep)
+        pair = jordan_decompose(rep)
         assert pair.nilpotent.is_zero()
 
     def test_rejects_zero_class(self):
@@ -451,7 +451,7 @@ class TestKostantRep:
                 vec = (F(1),) + vec[1:]
             cid = OrbitClassId(vec)
             rep = kostant_rep(n, cid)
-            assert invariants(algebra, rep).invariant_vector == vec
+            assert invariants(rep).invariant_vector == vec
 
 
 def _regular_nilpotent(family, n):
@@ -507,12 +507,12 @@ class TestScaleRegularNilpotents:
         dim = _nilpotent_orbit_dim(family, n, part)
         # a regular orbit has dimension dim g - rank g
         assert dim == algebra.dim - (n - 1 if family == "sl" else n // 2)
-        chart = build_chart(algebra, x, 42)
-        report = verify_chart(algebra, x, chart, 42, 10)
+        chart = build_chart(x, 42)
+        report = verify_chart(x, chart, 42, 10)
         assert report.overall_pass
         assert report.check("dimension_identity").expected == dim
         assert chart.param_count == chart.expected_orbit_dim == dim
-        assert redstab_suite(algebra, x, 42, chart).overall_pass
+        assert redstab_suite(x, 42, chart).overall_pass
 
 
 def _reference_diagonal_conjugate(m, rng):
