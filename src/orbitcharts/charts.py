@@ -333,7 +333,7 @@ def _core_brackets(vp: _ValuePass, per_factor: Sequence) -> list:
         block = []
         for y in per_factor[f]:
             x = y if suffix is None else suffix_inv * y * suffix
-            block.append(x * core - core * x)
+            block.append(commutator(x, core))
         blocks.append(block)
         if f:
             _, exp_a, exp_neg = vp.series[f]
@@ -348,7 +348,7 @@ def _left_dexp(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     total = term = b
     k = 1
     while True:
-        term = term * a - a * term
+        term = commutator(term, a)
         if term.is_zero():
             return total
         k += 1

@@ -13,9 +13,13 @@ pass a string such as "1/10" instead), a string goes through
 `parse_rational`, and anything else (an int, a Fraction subclass) goes
 through `Fraction(x)`. `RatMatrix.entries` and `RatMatrix.at` give exact
 Fractions back.
-Every matrix product (`*`, `power`, `char_poly`, `Polynomial.evaluate_matrix`
-and the products of chart evaluation) runs one integer row-product loop,
-`_product`, on numerators. Every elimination (`rank`, `det`,
+Every matrix product (`*`, `commutator`, `char_poly`,
+`Polynomial.evaluate_matrix` and the products of chart evaluation) runs one
+integer product loop, `_accumulate`, on numerators. The nonzero entries of
+the left factor drive it, and the sparse pairs of a row of the right factor
+are built only when a nonzero first reaches that row. `_product` fills one
+buffer with it; `commutator` fills one buffer with both halves, signs +1 and
+-1, and normalizes once. Every elimination (`rank`, `det`,
 `kernel_basis`, `solve_linear`, `VectorSpan` and the resultant of a
 polynomial and its derivative) runs one fraction-free loop, `_bareiss`, on
 integer rows to control coefficient growth; it skips the rows whose entry
@@ -225,16 +229,6 @@ class RatMatrix:
             raise ValueError("trace of a non-square matrix")
         return Fraction(sum(self.nums[::self.cols + 1]), self.den)
 
-    def power(self, k: int) -> "RatMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        result = RatMatrix.identity(self.rows)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def is_zero(self) -> bool:
         return not any(self.nums)
 
@@ -271,26 +265,40 @@ def _matrix(rows: int, cols: int, nums, den: int = 1) -> RatMatrix:
     return m
 
 
-def _product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """a b: the one integer row-product loop, on numerators.
+def _accumulate(out: list, a: RatMatrix, b: RatMatrix, sign: int) -> None:
+    """out += sign * (numerators of a) (numerators of b): the one integer
+    product loop.
 
-    Zero entries are skipped, which matters for the sparse basis matrices
-    used throughout. The denominator of the product is a.den * b.den.
+    The nonzero entries of a drive it: each a_ik adds sign * a_ik * (row k
+    of b) into the row-major buffer ``out`` of a.rows x b.cols integers.
+    The nonzero (column, value) pairs of a row of b are built when a
+    nonzero of a first reaches that row, and reused after that.
     """
+    inner, cols, bnums = a.cols, b.cols, b.nums
+    brows = [None] * inner
+    for p, aik in enumerate(a.nums):
+        if aik:
+            i, k = divmod(p, inner)
+            brow = brows[k]
+            if brow is None:
+                start = k * cols
+                brow = brows[k] = [(j, v) for j, v in
+                                   enumerate(bnums[start:start + cols]) if v]
+            aik *= sign
+            base = i * cols
+            for j, v in brow:
+                out[base + j] += aik * v
+
+
+def _product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """a b: one `_accumulate` call, driven by the nonzeros of a, over the
+    denominator a.den * b.den. `commutator` fills its one buffer the same
+    way."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    inner, cols, anums, bnums = a.cols, b.cols, a.nums, b.nums
-    brows = [[(j, v) for j, v in enumerate(bnums[k * cols:(k + 1) * cols]) if v]
-             for k in range(inner)]
-    out = []
-    for i in range(a.rows):
-        acc = [0] * cols
-        for aik, brow in zip(anums[i * inner:(i + 1) * inner], brows):
-            if aik:
-                for j, v in brow:
-                    acc[j] += aik * v
-        out.extend(acc)
-    return _matrix(a.rows, cols, out, a.den * b.den)
+    out = [0] * (a.rows * b.cols)
+    _accumulate(out, a, b, 1)
+    return _matrix(a.rows, b.cols, out, a.den * b.den)
 
 
 def _support(m: RatMatrix) -> tuple:
@@ -314,7 +322,15 @@ def _lincomb(coeffs: Sequence[Fraction], supports: Sequence, rows: int,
 
 
 def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    return a * b - b * a
+    """[a, b] = a b - b a for n x n matrices: two `_accumulate` calls, signs
+    +1 and -1, into one buffer over a.den * b.den, normalized once."""
+    n = a.rows
+    if not n == a.cols == b.rows == b.cols:
+        raise ValueError(f"cannot bracket {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    out = [0] * (n * n)
+    _accumulate(out, a, b, 1)
+    _accumulate(out, b, a, -1)
+    return _matrix(n, n, out, a.den * b.den)
 
 
 def matrix_to_json(m: RatMatrix) -> list:

@@ -89,6 +89,14 @@ def draw_fraction(rng, lo, hi, denominators=(1, 2, 3)):
     return Fraction(num, draw_choice(rng, denominators))
 
 
+def matrix_power(m, k):
+    """m^k for a square RatMatrix m and k >= 0, by k repeated products."""
+    result = RatMatrix.identity(m.rows)
+    for _ in range(k):
+        result = result * m
+    return result
+
+
 def sl(n):
     return build_classical("sl", n)
 

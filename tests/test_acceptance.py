@@ -148,7 +148,7 @@ def test_criterion_2_dimension_identities():
 def test_criterion_3_semisimple_charts():
     ok = True
     count = 0
-    for n, algebra, x in _semisimple_corpus():
+    for *_, x in _semisimple_corpus():
         chart = chart_semisimple(x, SEED)
         rep = verify_chart(x, chart, SEED, 10)
         ok = ok and rep.overall_pass and rep.check("char_poly_preserved").passed
@@ -173,7 +173,7 @@ def test_criterion_5_redstab_suite():
     total = 0
     for corpus in (_nilpotent_corpus(), _semisimple_corpus(), _mixed_corpus()):
         for item in corpus:
-            algebra, x = item[-2], item[-1]
+            x = item[-1]
             rep = redstab_suite(x, SEED)
             total += 1
             if not rep.overall_pass:
@@ -201,7 +201,6 @@ def test_criterion_7_classification_round_trip():
     ok = True
     rng = SplitMix64(SEED + 2)
     for n in (2, 3, 4):
-        algebra = build_classical("sl", n)
         for _ in range(25):
             vec = tuple(rng.fraction() for _ in range(n - 1))
             if not any(vec):

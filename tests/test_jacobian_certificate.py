@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import diag_matrix, elem, jordan_nilpotent, nontrivial_partitions
+from conftest import diag_matrix, elem, jordan_nilpotent, matrix_power, nontrivial_partitions
 from orbitcharts import verify
 from orbitcharts.charts import (
     OrbitChart,
@@ -205,7 +205,7 @@ def test_sweep_mod_p_rank_equals_exact_rank(label):
 
 
 def _assert_power_ranks(m):
-    assert verify._power_ranks(m) == [rank(m.power(k)) for k in range(1, m.rows)]
+    assert verify._power_ranks(m) == [rank(matrix_power(m, k)) for k in range(1, m.rows)]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import draw_choice, draw_fraction
+from conftest import diag_matrix, draw_choice, draw_fraction, matrix_power
 from orbitcharts.charts import _core_brackets, _value_pass, build_chart
 from orbitcharts.liealg import build_classical
 from orbitcharts.linalg import (
@@ -14,7 +14,9 @@ from orbitcharts.linalg import (
     RatMatrix,
     VectorSpan,
     _bareiss,
+    _matrix,
     char_poly,
+    commutator,
     det,
     integer_roots,
     kernel_basis,
@@ -442,8 +444,8 @@ class TestMatrixBasics:
         a = M([[1, 2], [3, 4]])
         assert a.trace() == 5
         assert a.transpose() == M([[1, 3], [2, 4]])
-        assert a.power(0) == RatMatrix.identity(2)
-        assert a.power(2) == a * a
+        assert matrix_power(a, 0) == RatMatrix.identity(2)
+        assert matrix_power(a, 2) == a * a
 
     def test_nilpotent_detection(self):
         assert M([[0, 1], [0, 0]]).is_nilpotent()
@@ -661,7 +663,7 @@ class TestRatMatrixAgainstFractionReference:
             if r == c:
                 assert M(a).trace() == sum((a[i][i] for i in range(r)), F(0))
                 for e in range(4):
-                    assert M(a).power(e) == M(_ref_power(a, e))
+                    assert matrix_power(M(a), e) == M(_ref_power(a, e))
 
     def test_is_zero_and_is_nilpotent(self):
         rng = SplitMix64(904)
@@ -718,6 +720,164 @@ class TestRatMatrixAgainstFractionReference:
             M([[1, 2]]).scale(0.5)
         with pytest.raises(TypeError):
             RatMatrix(1, 1, (1.0,))
+
+
+# ---------------------------------------------------------------------------
+# The product kernel against the row loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_product(a, b):
+    """a b by the row loop: the nonzero pairs of every row of b built up
+    front, then every row of a walked, entry by entry."""
+    inner, cols, anums, bnums = a.cols, b.cols, a.nums, b.nums
+    brows = [[(j, v) for j, v in enumerate(bnums[k * cols:(k + 1) * cols]) if v]
+             for k in range(inner)]
+    out = []
+    for i in range(a.rows):
+        acc = [0] * cols
+        for aik, brow in zip(anums[i * inner:(i + 1) * inner], brows):
+            if aik:
+                for j, v in brow:
+                    acc[j] += aik * v
+        out.extend(acc)
+    return _matrix(a.rows, cols, out, a.den * b.den)
+
+
+def _reference_commutator(a, b):
+    return _reference_product(a, b) - _reference_product(b, a)
+
+
+KERNEL_KINDS = ("zero", "identity", "single", "paired", 10, 30, 100)
+
+
+def _kernel_operand(rng, r, c, kind):
+    """An r x c matrix of one kind: zero, (rectangular) identity, one or two
+    basis-like entries (E_ij or E_ij -+ E_kl, as in so/sp bases), or random
+    entries with mixed denominators, each nonzero with about ``kind``
+    percent chance."""
+    rows = [[F(0)] * c for _ in range(r)]
+    if kind == "identity":
+        for i in range(min(r, c)):
+            rows[i][i] = F(1)
+    elif kind in ("single", "paired"):
+        v = draw_fraction(rng, -30, 30, DENOMINATORS) or F(1)
+        rows[rng.randint(0, r - 1)][rng.randint(0, c - 1)] = v
+        if kind == "paired":
+            rows[rng.randint(0, r - 1)][rng.randint(0, c - 1)] -= v * draw_choice(rng, (1, -1, 2))
+    elif kind != "zero":
+        rows = [[draw_fraction(rng, -30, 30, DENOMINATORS) if rng.randint(1, 100) <= kind
+                 else F(0) for _ in range(c)] for _ in range(r)]
+    return M(rows)
+
+
+def _product_corpus():
+    rng = SplitMix64(2020)
+    corpus = []
+    for r, k, c in ((1, 7, 1), (7, 1, 7), (1, 7, 7), (7, 1, 1), (2, 5, 3), (3, 4, 6),
+                    (4, 4, 4), (5, 8, 2), (6, 6, 6)):
+        for kind_a in KERNEL_KINDS:
+            for kind_b in KERNEL_KINDS:
+                corpus.append((_kernel_operand(rng, r, k, kind_a),
+                               _kernel_operand(rng, k, c, kind_b)))
+    return corpus
+
+
+def _commutator_corpus():
+    rng = SplitMix64(2021)
+    return [(_kernel_operand(rng, n, n, kind_a), _kernel_operand(rng, n, n, kind_b))
+            for n in range(1, 9) for kind_a in KERNEL_KINDS for kind_b in KERNEL_KINDS]
+
+
+def _assert_same_matrix(got, want):
+    assert (got.rows, got.cols, got.den, got.nums) == (want.rows, want.cols, want.den, want.nums)
+
+
+class TestProductKernelAgainstRowLoop:
+    """`_product` and `commutator` run `_accumulate`, driven by the nonzeros
+    of the left factor, into one integer buffer; their storage equals that
+    of the row loop and of a b - b a built from it."""
+
+    def test_products(self):
+        for a, b in _product_corpus():
+            _assert_same_matrix(a * b, _reference_product(a, b))
+
+    def test_commutators(self):
+        for a, b in _commutator_corpus():
+            _assert_same_matrix(commutator(a, b), _reference_commutator(a, b))
+            _assert_same_matrix(commutator(b, a), -commutator(a, b))
+
+    def test_cancelling_halves_reduce_to_lowest_terms(self):
+        a = M([[F(1, 6), F(1, 4)], [0, F(1, 6)]])
+        _assert_same_matrix(commutator(a, a), RatMatrix.zeros(2, 2))
+        _assert_same_matrix(commutator(a, RatMatrix.identity(2)), RatMatrix.zeros(2, 2))
+        b = M([[F(1, 3), 0], [0, F(-1, 3)]])
+        _assert_same_matrix(commutator(b, a), _reference_commutator(b, a))
+        assert commutator(b, a).den == 6
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (3, 2)), ((2, 2), (3, 3)),
+                                        ((2, 3), (2, 3)), ((1, 2), (2, 2))])
+    def test_commutator_of_non_square_or_mismatched_shapes_refused(self, shapes):
+        (r1, c1), (r2, c2) = shapes
+        with pytest.raises(ValueError):
+            commutator(RatMatrix.zeros(r1, c1), RatMatrix.zeros(r2, c2))
+
+
+def test_product_kernel_property_against_row_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        r, k, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+        entry = st.one_of(st.just(F(0)), st.builds(F, st.integers(-20, 20),
+                                                   st.sampled_from(DENOMINATORS)))
+
+        def matrix(rows, cols):
+            return RatMatrix(rows, cols, data.draw(st.lists(entry, min_size=rows * cols,
+                                                            max_size=rows * cols)))
+
+        a, b = matrix(r, k), matrix(k, c)
+        _assert_same_matrix(a * b, _reference_product(a, b))
+        x, y = matrix(k, k), matrix(k, k)
+        _assert_same_matrix(commutator(x, y), _reference_commutator(x, y))
+
+    check()
+
+
+# sl4 mixed (three factors), so5 semisimple and sp4 nilpotent charts
+BRACKET_CASES = {
+    "sl4-mixed": ("sl", 4, M([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])),
+    "so5-semisimple": ("so", 5, diag_matrix([2, 1, 0, -1, -2])),
+    "sp4-nilpotent": ("sp", 4, M([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 0]])),
+}
+
+
+@pytest.mark.parametrize("label", list(BRACKET_CASES))
+def test_core_brackets_equal_reference_brackets(label):
+    """`_core_brackets` against [S_f^-1 b S_f, core] formed by the row loop,
+    at the base tuple and at seeded sample tuples."""
+    family, n, m = BRACKET_CASES[label]
+    chart = build_chart(build_classical(family, n).element_from_matrix(m), 42)
+    rng = SplitMix64(606)
+    points = [chart.base_params] + [
+        tuple(draw_fraction(rng, -3, 3) for _ in range(chart.param_count)) for _ in range(3)]
+    for params in points:
+        vp = _value_pass(chart, params)
+        want = []
+        for f, basis in enumerate(chart.factors):
+            suffix = suffix_inv = RatMatrix.identity(n)
+            for _, exp_a, exp_neg in vp.series[f + 1:]:
+                suffix = _reference_product(suffix, exp_a)
+                suffix_inv = _reference_product(exp_neg, suffix_inv)
+            for b in basis:
+                x = _reference_product(_reference_product(suffix_inv, b), suffix)
+                want.append(_reference_commutator(x, vp.core))
+        got = _core_brackets(vp, chart.factors)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_matrix(g, w)
 
 
 def _reference_bareiss(rows):

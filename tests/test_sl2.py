@@ -50,7 +50,7 @@ def test_borel_has_no_triple():
         jacobson_morozov(e)
 
 
-def _relations_hold(algebra, t):
+def _relations_hold(t):
     e, h, f = t.e.matrix, t.h.matrix, t.f.matrix
     return (commutator(h, e) == e.scale(2)
             and commutator(h, f) == f.scale(-2)
@@ -63,7 +63,7 @@ def test_all_jordan_types(n):
     for part in nontrivial_partitions(n):
         e = algebra.element_from_matrix(jordan_nilpotent(n, part))
         t = jacobson_morozov(e)
-        assert _relations_hold(algebra, t), part
+        assert _relations_hold(t), part
         # h lies in the image of ad e
         sol = solve_linear(ad_matrix(e), t.h.coords)
         assert sol is not None, part

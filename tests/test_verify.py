@@ -281,7 +281,7 @@ class TestOneConstruction:
 
     @pytest.mark.parametrize("family,n,values,entries", _mixed_corpus())
     def test_mixed_same_flat_data(self, family, n, values, entries):
-        algebra, x = _mixed_element(family, n, values, entries)
+        _, x = _mixed_element(family, n, values, entries)
         chart = build_chart(x, 42)
         assert chart.case_tag == "mixed"
         assert _same_flat_data(chart, chart_mixed(x, 42))
@@ -338,7 +338,7 @@ class TestRedstabWitnessFromChart:
 
     @pytest.mark.parametrize("family,n,values,entries", _mixed_corpus())
     def test_mixed_same_report_as_without_chart(self, family, n, values, entries):
-        algebra, x = _mixed_element(family, n, values, entries)
+        _, x = _mixed_element(family, n, values, entries)
         rep = redstab_suite(x, 42, build_chart(x, 42))
         assert rep.overall_pass
         assert report_to_json(rep) == report_to_json(redstab_suite(x, 42))
@@ -443,7 +443,6 @@ class TestKostantRep:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_round_trip_random(self, n):
-        algebra = build_classical("sl", n)
         rng = SplitMix64(60 + n)
         for _ in range(25):
             vec = tuple(rng.fraction() for _ in range(n - 1))
