@@ -34,7 +34,6 @@ from .liealg import (
     trace_form_gram,
 )
 from .linalg import (
-    DualNumber,
     NotNilpotentError,
     Polynomial,
     RatMatrix,

@@ -364,8 +364,9 @@ def eval_chart_with_derivatives(chart: OrbitChart, params: Sequence) -> tuple:
     """Value and all first derivatives at a rational tuple, exactly.
 
     Equal to evaluating with one dual-number perturbation per parameter
-    (epsilon^2 = 0), computed in the suffix form of the module docstring
-    from one value pass. Returns (RatMatrix, [RatMatrix per parameter]).
+    (epsilon^2 = 0), the oracle the test suite checks it against; computed
+    in the suffix form of the module docstring from one value pass. Returns
+    (RatMatrix, [RatMatrix per parameter]).
     """
     vp = _value_pass(chart, _as_fractions(params))
     ys = [[_left_dexp(a, b) for b in basis]

@@ -5,14 +5,13 @@ over one shared positive denominator in lowest terms: the gcd of the
 denominator and all numerators is 1, and the zero matrix has denominator 1.
 So equal matrices have equal storage, and the denominator is the lcm of the
 reduced entry denominators. Fractions appear at the API boundary only.
-Entries given to `RatMatrix`, coefficients of `Polynomial` and the parts of
-a `DualNumber` are coerced once, on construction, by one rule: a value
-whose type is exactly `Fraction` is kept as it is, a `float` is refused
-with `TypeError` (its binary value is rarely the rational that was meant;
-pass a string such as "1/10" instead), a string goes through
-`parse_rational`, and anything else (an int, a Fraction subclass) goes
-through `Fraction(x)`. `RatMatrix.entries` and `RatMatrix.at` give exact
-Fractions back.
+Entries given to `RatMatrix` and coefficients of `Polynomial` are coerced
+once, on construction, by one rule: a value whose type is exactly `Fraction`
+is kept as it is, a `float` is refused with `TypeError` (its binary value is
+rarely the rational that was meant; pass a string such as "1/10" instead), a
+string goes through `parse_rational`, and anything else (an int, a Fraction
+subclass) goes through `Fraction(x)`. `RatMatrix.entries` and `RatMatrix.at`
+give exact Fractions back.
 Every matrix product (`*`, `commutator`, `char_poly`,
 `Polynomial.evaluate_matrix` and the products of chart evaluation) runs one
 integer product loop, `_accumulate`, on numerators. The nonzero entries of
@@ -24,9 +23,12 @@ buffer with it; `commutator` fills one buffer with both halves, signs +1 and
 polynomial and its derivative) runs one fraction-free loop, `_bareiss`, on
 integer rows to control coefficient growth; it skips the rows whose entry
 in the pivot column is zero and scales them lazily. Every solve after it
-runs one integer back-substitution, `_back_substitute`. Integer roots of a
-polynomial are lifted from its roots modulo a small prime (Hensel), not
-found by factoring.
+runs one integer back-substitution, `_back_substitute`. The polynomial
+layer runs on integers too: `char_poly` is Faddeev-LeVerrier on the
+numerators, `Polynomial.evaluate_matrix` is integer Horner, and
+`squarefree_part` divides by a gcd from a primitive pseudo-remainder
+sequence, `_pseudo_divmod`. Integer roots of a polynomial are lifted from
+its roots modulo a small prime (Hensel), not found by factoring.
 Every function is pure and deterministic: rerunning on equal inputs gives
 bit-identical results.
 """
@@ -233,11 +235,12 @@ class RatMatrix:
         return not any(self.nums)
 
     def is_nilpotent(self) -> bool:
-        """True iff some power (at most the size) vanishes."""
+        """True iff some power, at most the n-th, vanishes: checks m^1 ... m^n
+        with n - 1 products."""
         if self.rows != self.cols:
             return False
         p = self
-        for _ in range(self.rows):
+        for _ in range(self.rows - 1):
             if p.is_zero():
                 return True
             p = p * self
@@ -725,74 +728,72 @@ class Polynomial:
         c = _as_fraction(c)
         return Polynomial(tuple(a * c for a in self.coefficients))
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            raise ValueError("cannot normalize the zero polynomial")
-        return self.scale(ONE / self.leading)
-
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i))
 
     def __call__(self, x):
-        """Horner evaluation; works for any ring scalar (Fraction, DualNumber)."""
+        """Horner evaluation at x, any scalar of a ring containing the rationals."""
         result = ZERO
         for c in reversed(self.coefficients):
             result = result * x + c
         return result
 
     def evaluate_matrix(self, m: RatMatrix) -> RatMatrix:
+        """p(m) by integer Horner: for m = N / d and p = sum P_k t^k / D,
+        S <- S N + P_k d^(deg+1-k) I from the top coefficient down, each
+        product one `_accumulate` call, gives p(m) = S / (D d^(deg+1))."""
         if m.rows != m.cols:
             raise ValueError("polynomial of a non-square matrix")
         n = m.rows
-        result = RatMatrix.zeros(n, n)
-        ident = RatMatrix.identity(n)
-        for c in reversed(self.coefficients):
-            result = result * m + ident.scale(c)
-        return result
+        ints, den = _integers_over(self.coefficients)
+        big, acc, scale = _matrix(n, n, m.nums), [0] * (n * n), 1
+        for c in reversed(ints):
+            scale *= m.den
+            acc = list(_product(_matrix(n, n, acc), big).nums)
+            acc[::n + 1] = [x + c * scale for x in acc[::n + 1]]
+        return _matrix(n, n, acc, den * scale)
 
 
-def poly_divmod(a: Polynomial, b: Polynomial) -> tuple:
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coefficients)
-    blead = b.leading
-    db = b.degree
-    quot = [ZERO] * max(len(rem) - db, 0)
-    while len(rem) - 1 >= db and any(rem):
-        while rem and not rem[-1]:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        shift = len(rem) - 1 - db
-        factor = rem[-1] / blead
-        quot[shift] = factor
-        for i, c in enumerate(b.coefficients):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return Polynomial(tuple(quot)), Polynomial(tuple(rem))
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.monic()
+def _pseudo_divmod(a: list, b: list) -> tuple:
+    """(q, r, s) with s a = q b + r and deg r < deg b, for integer
+    coefficient lists (lowest degree first), b without a zero leading
+    coefficient; r is trimmed. The running remainder and q are scaled by
+    lead(b) only when lead(b) does not divide the remainder's leading
+    coefficient, so s is a power of lead(b), and s = 1 when b divides a in
+    Z[t], as it does when b is primitive and divides a over Q (Gauss)."""
+    lead, db = b[-1], len(b) - 1
+    r, q, s = list(a), [0] * max(len(a) - db, 0), 1
+    for shift in range(len(q) - 1, -1, -1):
+        if r[shift + db] % lead:
+            r, q, s = [x * lead for x in r], [x * lead for x in q], s * lead
+        f = q[shift] = r[shift + db] // lead
+        for i, y in enumerate(b):
+            r[shift + i] -= f * y
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), monic: same roots as p, each simple."""
+    """p / gcd(p, p'), monic: same roots as p, each simple.
+
+    P is p with its denominators cleared. gcd(P, P') is the last nonzero term
+    of the primitive pseudo-remainder sequence, each remainder with its
+    content divided out (Knuth, TAOCP vol. 2, 4.6.1), and P / gcd is exact.
+    """
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    if g.is_zero() or g.degree == 0:
-        return p.monic()
-    q, r = poly_divmod(p, g)
-    if not r.is_zero():
+    ints, _ = _integers_over(p.coefficients)
+    a, b = ints, [i * c for i, c in enumerate(ints) if i]
+    while b:
+        g = math.gcd(*b)
+        b = [x // g for x in b]
+        a, b = b, _pseudo_divmod(a, b)[1]
+    q, r, s = _pseudo_divmod(ints, a)
+    if r or s != 1:
         raise ArithmeticError("gcd does not divide its polynomial")
-    return q.monic()
+    return Polynomial(tuple(Fraction(c, q[-1]) for c in q))
 
 
 def _horner(ints: Sequence[int], x: int) -> int:
@@ -864,96 +865,23 @@ def integer_roots(p: Polynomial) -> list:
 
 
 def char_poly(m: RatMatrix) -> Polynomial:
-    """Characteristic polynomial, monic, via the Faddeev-LeVerrier recursion."""
+    """Characteristic polynomial, monic, via the Faddeev-LeVerrier recursion
+    on the integer matrix N = den m: with c_n = 1 and M_0 = 0, M_k =
+    N (M_(k-1) + c_(n-k+1) I) by one `_accumulate` call, and c_(n-k) =
+    -tr(M_k) / k divides exactly. Coefficient k of char_poly(m) is
+    c_k den^(k-n)."""
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return Polynomial.constant(1)
-    ident = RatMatrix.identity(n)
-    cs = []
-    ak = m
-    c = -ak.trace()
-    cs.append(c)
-    for k in range(2, n + 1):
-        ak = m * (ak + ident.scale(c))
-        c = Fraction(-ak.trace(), k)
-        cs.append(c)
-    coeffs = [cs[n - 1 - i] for i in range(n)] + [ONE]
-    return Polynomial(tuple(coeffs))
+    big, ak, cs = _matrix(n, n, m.nums), [0] * (n * n), [1]
+    for k in range(1, n + 1):
+        ak[::n + 1] = [x + cs[-1] for x in ak[::n + 1]]
+        ak = list(_product(big, _matrix(n, n, ak)).nums)
+        cs.append(-sum(ak[::n + 1]) // k)
+    return Polynomial(tuple(Fraction(c, m.den ** k) for k, c in enumerate(cs))[::-1])
 
 
 def is_semisimple_matrix(m: RatMatrix) -> bool:
     """True iff the minimal polynomial is squarefree (diagonalizable over the closure)."""
     q = squarefree_part(char_poly(m))
     return q.evaluate_matrix(m).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# Dual numbers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DualNumber:
-    """a + b*eps with eps^2 = 0; exact forward derivatives of polynomial maps."""
-
-    value: Fraction
-    epsilon: Fraction = ZERO
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _as_fraction(self.value))
-        object.__setattr__(self, "epsilon", _as_fraction(self.epsilon))
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, DualNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return DualNumber(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualNumber(self.value + o.value, self.epsilon + o.epsilon)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualNumber(self.value - o.value, self.epsilon - o.epsilon)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualNumber(o.value - self.value, o.epsilon - self.epsilon)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualNumber(self.value * o.value,
-                          self.value * o.epsilon + self.epsilon * o.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.value:
-            raise ZeroDivisionError("dual division by a pure-epsilon number")
-        inv = ONE / o.value
-        return DualNumber(self.value * inv,
-                          (self.epsilon * o.value - self.value * o.epsilon) * inv * inv)
-
-    def __neg__(self):
-        return DualNumber(-self.value, -self.epsilon)
-
-    def __bool__(self):
-        return bool(self.value) or bool(self.epsilon)

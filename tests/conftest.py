@@ -1,10 +1,11 @@
-"""Shared builders for the test suite."""
+"""Shared builders and Fraction reference implementations for the test suite."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from orbitcharts.linalg import RatMatrix
+from orbitcharts.linalg import Polynomial, RatMatrix, _as_fraction
 from orbitcharts.liealg import build_classical
 
 
@@ -95,6 +96,142 @@ def matrix_power(m, k):
     for _ in range(k):
         result = result * m
     return result
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer polynomial layer
+# ---------------------------------------------------------------------------
+
+
+def fraction_mul(a, b):
+    """The product of two row lists of Fractions; zero entries of a add no
+    terms."""
+    return [[sum((x * y for x, y in zip(row, col) if x), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def fraction_char_poly(rows):
+    """Coefficients (lowest degree first) of the characteristic polynomial of
+    the square Fraction row list ``rows``: Faddeev-LeVerrier in Fractions,
+    M_k = A (M_(k-1) + c_(n-k+1) I) and c_(n-k) = -tr(M_k) / k."""
+    n = len(rows)
+    ak, cs = [[Fraction(0)] * n for _ in range(n)], [Fraction(1)]
+    for k in range(1, n + 1):
+        shifted = [[x + cs[-1] if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(ak)]
+        ak = fraction_mul(rows, shifted)
+        cs.append(-sum(ak[i][i] for i in range(n)) / k)
+    return tuple(reversed(cs))
+
+
+def fraction_horner(coefficients, rows):
+    """p(A) for p given by its Fraction ``coefficients`` (lowest degree
+    first) and A the square Fraction row list ``rows``, by Horner's rule."""
+    n = len(rows)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(coefficients):
+        acc = [[x + c if i == j else x for j, x in enumerate(row)]
+               for i, row in enumerate(fraction_mul(acc, rows))]
+    return acc
+
+
+def poly_divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b: long division of
+    `Polynomial` values in Fractions."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coefficients)
+    blead = b.leading
+    db = b.degree
+    quot = [Fraction(0)] * max(len(rem) - db, 0)
+    while len(rem) - 1 >= db and any(rem):
+        while rem and not rem[-1]:
+            rem.pop()
+        if len(rem) - 1 < db:
+            break
+        shift = len(rem) - 1 - db
+        factor = rem[-1] / blead
+        quot[shift] = factor
+        for i, c in enumerate(b.coefficients):
+            rem[shift + i] -= factor * c
+        rem.pop()
+    return Polynomial(tuple(quot)), Polynomial(tuple(rem))
+
+
+def fraction_squarefree_part(p):
+    """p / gcd(p, p'), monic, by the Euclidean algorithm in Fractions."""
+    a, b = p, p.derivative()
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    q, r = poly_divmod(p, a)
+    assert r.is_zero()
+    return q.scale(1 / q.leading)
+
+
+@dataclass(frozen=True)
+class DualNumber:
+    """a + b*eps with eps^2 = 0: exact forward derivatives of polynomial
+    maps, the reference that chart derivatives are checked against."""
+
+    value: Fraction
+    epsilon: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _as_fraction(self.value))
+        object.__setattr__(self, "epsilon", _as_fraction(self.epsilon))
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, DualNumber):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return DualNumber(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return DualNumber(self.value + o.value, self.epsilon + o.epsilon)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return DualNumber(self.value - o.value, self.epsilon - o.epsilon)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return DualNumber(o.value - self.value, o.epsilon - self.epsilon)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return DualNumber(self.value * o.value,
+                          self.value * o.epsilon + self.epsilon * o.value)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o.value:
+            raise ZeroDivisionError("dual division by a pure-epsilon number")
+        inv = 1 / o.value
+        return DualNumber(self.value * inv,
+                          (self.epsilon * o.value - self.value * o.epsilon) * inv * inv)
+
+    def __neg__(self):
+        return DualNumber(-self.value, -self.epsilon)
+
+    def __bool__(self):
+        return bool(self.value) or bool(self.epsilon)
 
 
 def sl(n):

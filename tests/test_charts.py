@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import diag_matrix, elem, element, matrix_power
+from conftest import DualNumber, diag_matrix, elem, element, matrix_power
 from orbitcharts.charts import (
     NotSemisimpleError,
     OrbitChart,
@@ -22,7 +22,6 @@ from orbitcharts.grading import grading_by
 from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import ad_matrix, build_classical, centralizer_basis
 from orbitcharts.linalg import (
-    DualNumber,
     NotNilpotentError,
     RatMatrix,
     char_poly,

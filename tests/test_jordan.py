@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import diag_matrix, elem, element, unit_bidiagonal
+from conftest import diag_matrix, elem, element, poly_divmod, unit_bidiagonal
 from orbitcharts import jordan
 from orbitcharts.charts import exp_nilpotent
 from orbitcharts.jordan import _inverse, jordan_decompose
@@ -14,7 +14,6 @@ from orbitcharts.linalg import (
     commutator,
     is_semisimple_matrix,
     kernel_basis,
-    poly_divmod,
     rank,
     squarefree_part,
     vstack,

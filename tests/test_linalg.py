@@ -5,16 +5,30 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import diag_matrix, draw_choice, draw_fraction, matrix_power
-from orbitcharts.charts import _core_brackets, _value_pass, build_chart
-from orbitcharts.liealg import build_classical
-from orbitcharts.linalg import (
+from conftest import (
     DualNumber,
+    diag_matrix,
+    draw_choice,
+    draw_fraction,
+    fraction_char_poly,
+    fraction_horner,
+    fraction_mul,
+    fraction_squarefree_part,
+    matrix_power,
+    poly_divmod,
+    sl,
+    unit_bidiagonal,
+)
+from orbitcharts import linalg
+from orbitcharts.charts import _core_brackets, _value_pass, build_chart
+from orbitcharts.liealg import ad_matrix, build_classical
+from orbitcharts.linalg import (
     Polynomial,
     RatMatrix,
     VectorSpan,
     _bareiss,
     _matrix,
+    _pseudo_divmod,
     char_poly,
     commutator,
     det,
@@ -23,7 +37,6 @@ from orbitcharts.linalg import (
     matrix_from_json,
     matrix_to_json,
     parse_rational,
-    poly_gcd,
     rank,
     rational_str,
     solve_linear,
@@ -283,11 +296,6 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             squarefree_part(Polynomial.zero())
 
-    def test_gcd(self):
-        a = Polynomial((F(-1), F(0), F(1)))  # t^2 - 1
-        b = Polynomial((F(-1), F(1)))        # t - 1
-        assert poly_gcd(a, b) == b
-
     def test_integer_roots(self):
         p = Polynomial((F(2), F(-3), F(0), F(1)))  # roots 1, 1, -2
         assert integer_roots(p) == [-2, 1]
@@ -395,6 +403,160 @@ def test_integer_roots_property():
     check()
 
 
+# ---------------------------------------------------------------------------
+# The integer polynomial layer against Fraction references
+# ---------------------------------------------------------------------------
+
+
+def _companion(coeffs):
+    """The companion matrix of the monic t^n + sum c_k t^k, ``coeffs`` = (c_0, ...)."""
+    n = len(coeffs)
+    return M([[F(int(i == j + 1)) if j < n - 1 else -F(coeffs[i]) for j in range(n)]
+              for i in range(n)])
+
+
+def _poly_corpus_matrices():
+    """0x0 and 1x1 matrices, dense rational n = 2 ... 14 with denominators up
+    to 40, and the sparse ad h of a non-split h in sl4 and sl6 and of a
+    conjugated rational diagonal h in sl4."""
+    rng = SplitMix64(2101)
+    dens = tuple(range(1, 41))
+    mats = [RatMatrix.zeros(0, 0), M([[0]]), M([[F(-7, 3)]])]
+    for n in range(2, 15):
+        mats.append(M([[draw_fraction(rng, -30, 30, dens) for _ in range(n)]
+                       for _ in range(n)]))
+    u, u_inv = unit_bidiagonal([F(1, 2), F(1), F(3, 2)])
+    for h in (_companion([-1, -1, 0, 0]), _companion([-1, -1, 0, 0, 0, 0]),
+              u * diag_matrix([F(-1), F(-1, 3), F(1, 3), F(1)]) * u_inv):
+        mats.append(ad_matrix(sl(h.rows).element_from_matrix(h)))
+    return mats
+
+
+def _squarefree_corpus():
+    """(p, its monic squarefree part): repeated rational roots times
+    irreducible quadratics, constants, linear polynomials and t^k."""
+    t = Polynomial((F(0), F(1)))
+    cases = [
+        (Polynomial((F(-1), F(0), F(1))) * Polynomial((F(-1), F(1))),  # (t^2 - 1)(t - 1)
+         Polynomial((F(-1), F(0), F(1)))),
+        (Polynomial((F(5),)), Polynomial((F(1),))),
+        (Polynomial((F(-3, 7),)), Polynomial((F(1),))),
+        (Polynomial((F(-2, 5), F(3))), Polynomial((F(-2, 15), F(1)))),
+    ]
+    power = Polynomial((F(1),))
+    for _ in range(6):
+        power = power * t
+        cases.append((power, t))
+    rng = SplitMix64(2102)
+    for _ in range(30):
+        roots = [draw_fraction(rng, -9, 9, (1, 2, 3, 5)) for _ in range(rng.randint(1, 3))]
+        quadratics = [Polynomial((draw_fraction(rng, 1, 20, (1, 4)), F(0), F(1)))
+                      for _ in range(rng.randint(0, 2))]
+        simple = Polynomial((draw_fraction(rng, 1, 9, (1, 7)),))
+        for r in dict.fromkeys(roots):
+            simple = simple * Polynomial((-r, F(1)))
+        for q in dict.fromkeys(quadratics):
+            simple = simple * q
+        p = simple
+        for factor in roots + quadratics:
+            if rng.randint(0, 1):
+                p = p * (factor if isinstance(factor, Polynomial)
+                         else Polynomial((-factor, F(1))))
+        cases.append((p, simple.scale(1 / simple.leading)))
+    return cases
+
+
+def _random_poly(rng, degree):
+    return Polynomial(tuple(draw_fraction(rng, -9, 9, (1, 2, 5, 40))
+                            for _ in range(degree + 1)))
+
+
+class TestPolynomialLayerAgainstFractionReference:
+    """`char_poly`, `squarefree_part` and `Polynomial.evaluate_matrix` run on
+    integers; the Fraction references in conftest share no code with them."""
+
+    def test_char_poly(self):
+        for m in _poly_corpus_matrices():
+            p = char_poly(m)
+            assert p.coefficients == fraction_char_poly(m.row_lists())
+            assert p.degree == m.rows and p.leading == 1
+
+    def test_squarefree_part_of_char_polys(self):
+        for m in _poly_corpus_matrices():
+            p = char_poly(m)
+            assert squarefree_part(p) == fraction_squarefree_part(p)
+
+    def test_squarefree_corpus(self):
+        for p, expected in _squarefree_corpus():
+            assert squarefree_part(p) == expected == fraction_squarefree_part(p)
+            assert squarefree_part(p.scale(F(-3, 8))) == expected
+
+    def test_evaluate_matrix(self):
+        rng = SplitMix64(2103)
+        for m in _poly_corpus_matrices():
+            if m.rows > 10:
+                continue
+            polys = [Polynomial.zero(), Polynomial((F(-5, 3),)), char_poly(m)]
+            polys += [_random_poly(rng, d) for d in (1, 2, 4)]
+            for p in polys:
+                value = p.evaluate_matrix(m)
+                assert value == M(fraction_horner(p.coefficients, m.row_lists()))
+        assert Polynomial.zero().evaluate_matrix(M([[F(1, 3)]])) == RatMatrix.zeros(1, 1)
+        assert Polynomial((F(2),)).evaluate_matrix(RatMatrix.zeros(0, 0)).rows == 0
+
+    def test_pseudo_divmod(self):
+        """s a = q b + r with deg r < deg b, s a power of lead(b), and the
+        quotient and remainder of Fraction long division are q / s, r / s."""
+        rng = SplitMix64(2104)
+        for _ in range(200):
+            a = [rng.randint(-20, 20) for _ in range(rng.randint(1, 8))]
+            b = [rng.randint(-20, 20) for _ in range(rng.randint(1, 5))]
+            b[-1] = b[-1] or rng.randint(1, 6)
+            q, r, s = _pseudo_divmod(a, b)
+            pa, pb = Polynomial(tuple(a)), Polynomial(tuple(b))
+            assert len(r) < len(b) and (not r or r[-1])
+            assert pa.scale(s) == Polynomial(tuple(q)) * pb + Polynomial(tuple(r))
+            k = 0
+            while abs(s) > 1 and s % b[-1] == 0:
+                s, k = s // b[-1], k + 1
+            assert s == 1 and k <= max(len(a) - len(b) + 1, 0)
+            fq, fr = poly_divmod(pa, pb)
+            assert Polynomial(tuple(q)).scale(F(1, b[-1] ** k)) == fq
+            assert Polynomial(tuple(r)).scale(F(1, b[-1] ** k)) == fr
+
+    def test_pseudo_divmod_scales_only_when_needed(self):
+        assert _pseudo_divmod([2, 0, 4], [1, 2]) == ([-1, 2], [3], 1)
+        assert _pseudo_divmod([1, 0, 1], [1, 2]) == ([-1, 2], [5], 4)
+        assert _pseudo_divmod([3], [1, 2]) == ([], [3], 1)
+
+
+def test_polynomial_layer_property():
+    """char_poly, squarefree_part and evaluate_matrix equal the Fraction
+    references on random rational matrices and products with repeated
+    factors."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rational = st.builds(F, st.integers(-40, 40), st.integers(1, 40))
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(0, 6))
+        rows = [[data.draw(rational) for _ in range(n)] for _ in range(n)]
+        m = M(rows)
+        p = char_poly(m)
+        assert p.coefficients == fraction_char_poly(rows)
+        assert squarefree_part(p) == fraction_squarefree_part(p)
+        q = Polynomial(tuple(data.draw(st.lists(rational, max_size=5))))
+        assert q.evaluate_matrix(m) == M(fraction_horner(q.coefficients, rows))
+        if not q.is_zero():
+            r = q * q * Polynomial(tuple(data.draw(st.lists(rational, min_size=1, max_size=4))))
+            if not r.is_zero():
+                assert squarefree_part(r) == fraction_squarefree_part(r)
+
+    check()
+
+
 class TestDualNumber:
     def test_product_rule(self):
         a, b, c, d = F(2), F(3), F(5), F(7)
@@ -450,6 +612,21 @@ class TestMatrixBasics:
     def test_nilpotent_detection(self):
         assert M([[0, 1], [0, 0]]).is_nilpotent()
         assert not M([[1, 0], [0, -1]]).is_nilpotent()
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[i - 2 if i == j else 0 for j in range(5)] for i in range(5)], False),
+        # N5 + E51, the cyclic permutation: no power vanishes
+        ([[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)], False),
+        # the 5x5 Jordan block: N^4 != 0 = N^5
+        ([[int(j == i + 1) for j in range(5)] for i in range(5)], True),
+    ], ids=["diag", "cyclic", "jordan-block"])
+    def test_nilpotency_checks_powers_up_to_n(self, monkeypatch, rows, expected):
+        """m^1 ... m^n are checked with n - 1 products."""
+        calls = []
+        product = linalg._product
+        monkeypatch.setattr(linalg, "_product", lambda a, b: calls.append(1) or product(a, b))
+        assert M(rows).is_nilpotent() is expected
+        assert len(calls) == 4
 
     def test_rational_strings(self):
         assert rational_str(F(3, 2)) == "3/2"
@@ -576,10 +753,6 @@ class TestCoercion:
 # ---------------------------------------------------------------------------
 
 
-def _ref_mul(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)] for row in a]
-
-
 def _ref_add(a, b, sign=1):
     return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -587,7 +760,7 @@ def _ref_add(a, b, sign=1):
 def _ref_power(a, k):
     out = [[F(int(i == j)) for j in range(len(a))] for i in range(len(a))]
     for _ in range(k):
-        out = _ref_mul(out, a)
+        out = fraction_mul(out, a)
     return out
 
 
@@ -647,8 +820,8 @@ class TestRatMatrixAgainstFractionReference:
             a, b = _random_rows(rng, r, k), _random_rows(rng, k, c)
             product = M(a) * M(b)
             assert (product.rows, product.cols) == (r, c)
-            assert product == M(_ref_mul(a, b))
-            assert product.entries == tuple(x for row in _ref_mul(a, b) for x in row)
+            assert product == M(fraction_mul(a, b))
+            assert product.entries == tuple(x for row in fraction_mul(a, b) for x in row)
         with pytest.raises(ValueError):
             M([[1, 2]]) * M([[1, 2]])
 
