@@ -31,9 +31,16 @@ along the basis element b of factor f it is
 where dexp_f(b) is the derivative of exp a_f along b (B. Hall, Lie Groups,
 Lie Algebras, and Representations, Thm 5.4); the series stops at its first
 zero term. The derivative along the slice element s_j is g s_j g^-1.
-`_core_brackets` forms the brackets [S_f^-1 y S_f, core] for both
-`eval_chart_with_derivatives` and `verify._jacobian_rank`, which ranks
-them with y = b. Every matrix is a `RatMatrix`.
+
+The value pass conjugates the core by one factor at a time, from the
+innermost factor outward, and keeps each partial value Ad(S_f) core.
+Conjugating every column by one matrix S_k g^-1 keeps the rank, and in that
+frame the column of b is [Ad(S_k S_f^-1) y, Ad(S_k) core] and the slice
+column Ad(S_k) s_j. `_core_brackets` forms these columns for any k from the
+partial values: `eval_chart_with_derivatives` takes k = m, the g^-1 frame,
+and maps the columns back by g; `verify._jacobian_rank` ranks them in the
+frame of the innermost chart's first factor, with y = b. Every matrix is a
+`RatMatrix`.
 
 Two constructions, chosen by the Jordan split x = x_s + x_n (computed once):
 
@@ -285,61 +292,94 @@ def build_chart(x: LieElement, seed: int) -> OrbitChart:
 class _ValuePass:
     """The value of a chart and the intermediates its derivatives reuse.
 
-    series[f] is (a_f, exp a_f, exp -a_f) for the matrix a_f of factors[f];
-    g = exp a_1 ... exp a_m and g_inv is its inverse. core is
-    shift + sum_j v_j s_j, and value is g core g^-1.
+    series[f] is (a, exp a, exp -a) for the matrix a of factors[f].
+    cores[k] is Ad(S_k) core, S_k being the product of the exponentials
+    of factors[k:] (exp a_(k+1) ... exp a_m in the numbering of the module
+    docstring): cores[m] is the core shift + sum_j v_j s_j and cores[0] is
+    the value g core g^-1.
     """
 
     series: list
-    g: RatMatrix
-    g_inv: RatMatrix
-    core: RatMatrix
-    value: RatMatrix
+    cores: list
+
+    @property
+    def core(self) -> RatMatrix:
+        return self.cores[-1]
+
+    @property
+    def value(self) -> RatMatrix:
+        return self.cores[0]
 
 
 def _value_pass(chart: OrbitChart, params: Sequence) -> _ValuePass:
-    """Evaluate at a tuple of exact Fractions."""
+    """Evaluate at a tuple of exact Fractions, conjugating the core by one
+    factor at a time from the innermost factor outward."""
     if len(params) != chart.param_count:
         raise ValueError(
             f"expected {chart.param_count} parameters, got {len(params)}"
         )
     n = chart.algebra.ambient_size
     series = []
-    g = g_inv = None  # None until the first factor: no product with the identity
     pos = 0
     for basis in chart.factors:
         coeffs = params[pos:pos + len(basis)]
         pos += len(basis)
         a = _lincomb(coeffs, [_support(b) for b in basis], n, n)
-        exp_a, exp_neg = _exp_series(a)
-        series.append((a, exp_a, exp_neg))
-        g, g_inv = (exp_a, exp_neg) if g is None else (g * exp_a, exp_neg * g_inv)
-    if g is None:
-        g = g_inv = RatMatrix.identity(n)
+        series.append((a,) + _exp_series(a))
     core = chart.shift if chart.shift is not None else RatMatrix.zeros(n, n)
     if chart.slice_basis:
         core = core + _lincomb(params[pos:], [_support(s) for s in chart.slice_basis], n, n)
-    return _ValuePass(series, g, g_inv, core, g * core * g_inv)
+    cores = [core]
+    for _, exp_a, exp_neg in reversed(series):
+        cores.append(exp_a * cores[-1] * exp_neg)
+    cores.reverse()
+    return _ValuePass(series, cores)
 
 
-def _core_brackets(vp: _ValuePass, per_factor: Sequence) -> list:
-    """[S_f^-1 y S_f, core] for the matrices y of per_factor[f], in
-    parameter order, with S_f = exp a_(f+1) ... exp a_m (the identity for
-    the last factor); see the module docstring."""
-    core = vp.core
-    blocks = []
-    suffix = suffix_inv = None  # S_f and S_f^-1, built from the last factor down
-    for f in range(len(per_factor) - 1, -1, -1):
-        block = []
-        for y in per_factor[f]:
-            x = y if suffix is None else suffix_inv * y * suffix
-            block.append(commutator(x, core))
-        blocks.append(block)
+def _times(a: Optional[RatMatrix], b: Optional[RatMatrix]) -> Optional[RatMatrix]:
+    """a b, with None standing for the identity."""
+    return b if a is None else a if b is None else a * b
+
+
+def _conjugate(p: Optional[RatMatrix], y: RatMatrix, p_inv: Optional[RatMatrix]) -> RatMatrix:
+    """p y p^-1, with None standing for the identity."""
+    return y if p is None else p * y * p_inv
+
+
+def _core_brackets(vp: _ValuePass, per_factor: Sequence, slice_basis: Sequence,
+                   k: int) -> list:
+    """The differential's columns in the frame S_k, as blocks in factor order.
+
+    S_k is the product of the exponentials of factors[k:], so k = m gives
+    the g^-1 frame of the module docstring. Block f holds [P y P^-1,
+    Ad(S_k) core] for the matrices y of per_factor[f], where P is the
+    inverse of the product over factors[f+1:k] for f < k and the product
+    over factors[k:f] for f >= k; a last block holds Ad(S_k) s_j for the
+    slice elements s_j.
+
+    P is S_k S^-1 for S the product over factors[f+1:], except that for
+    f >= k it leaves out the factor's own exponential, the last one in
+    S_k S^-1: Ad(exp a) maps the span of the factor onto itself (see
+    `verify._jacobian_rank`), so such a block spans what the full
+    conjugation spans, not the same columns.
+    """
+    core = vp.cores[k]
+    m = len(per_factor)
+    blocks = [None] * m
+    left = left_inv = None  # P and P^-1, P^-1 the product over factors[f+1:k]
+    for f in range(k - 1, -1, -1):
+        blocks[f] = [commutator(_conjugate(left, y, left_inv), core) for y in per_factor[f]]
         if f:
             _, exp_a, exp_neg = vp.series[f]
-            suffix = exp_a if suffix is None else exp_a * suffix
-            suffix_inv = exp_neg if suffix_inv is None else suffix_inv * exp_neg
-    return [column for block in reversed(blocks) for column in block]
+            left, left_inv = _times(left, exp_neg), _times(exp_a, left_inv)
+    right = right_inv = None  # P and P^-1, P the product over factors[k:f]
+    for f in range(k, m):
+        blocks[f] = [commutator(_conjugate(right, y, right_inv), core) for y in per_factor[f]]
+        if f + 1 < m or slice_basis:
+            _, exp_a, exp_neg = vp.series[f]
+            right, right_inv = _times(right, exp_a), _times(exp_neg, right_inv)
+    blocks.append([_conjugate(right, s, right_inv) for s in slice_basis])
+    return blocks
 
 
 def _left_dexp(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -371,8 +411,11 @@ def eval_chart_with_derivatives(chart: OrbitChart, params: Sequence) -> tuple:
     vp = _value_pass(chart, _as_fractions(params))
     ys = [[_left_dexp(a, b) for b in basis]
           for (a, _, _), basis in zip(vp.series, chart.factors)]
-    columns = _core_brackets(vp, ys) + list(chart.slice_basis)
-    return vp.value, [vp.g * c * vp.g_inv for c in columns]
+    g = g_inv = RatMatrix.identity(chart.algebra.ambient_size)
+    for _, exp_a, exp_neg in vp.series:
+        g, g_inv = g * exp_a, exp_neg * g_inv
+    blocks = _core_brackets(vp, ys, chart.slice_basis, len(ys))
+    return vp.value, [g * c * g_inv for block in blocks for c in block]
 
 
 # ---------------------------------------------------------------------------

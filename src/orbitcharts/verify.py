@@ -6,9 +6,12 @@ recorded in the report, never thrown.
 
 The Jacobian checks rank the differential exactly. At each point one
 exact value pass is made, and `charts._core_brackets` gives the
-differential's columns conjugated by g^-1, in which each factor column is
-one bracket with the core and each slice column is the slice element
-itself; one Bareiss elimination ranks them (`_jacobian_rank`).
+differential's columns conjugated by S_k g^-1, S_k = exp a_(k+1) ...
+exp a_m for the first factor k of the innermost chart: each factor column
+is one bracket with the partial value Ad(S_k) core, and a semisimple
+chart's columns need no conjugation. One Bareiss elimination ranks them,
+slice rows first and then the factor blocks from the last factor to the
+first (`_jacobian_rank`).
 
 The reductivity of a centralizer is tested through its proxy: the ambient
 trace form restricted to the centralizer is nondegenerate. This is valid
@@ -118,19 +121,36 @@ def jacobian_rank_at(chart: OrbitChart, params: Sequence) -> int:
 def _jacobian_rank(chart: OrbitChart, vp) -> int:
     """Exact rank of the differential of ``chart`` at the value pass ``vp``.
 
-    The differential's columns, conjugated by g^-1 (which keeps the rank),
-    are [S_f^-1 y S_f, core] with y = exp(-a_f) dexp_f(b) for the basis b
-    of each factor f, and the slice elements s_j (see `charts`). Here b
-    stands in for y. Factor f spans a nilpotent subalgebra U_f that holds
-    a_f (see `OrbitChart`), so ad a_f is nilpotent on U_f and the map
-    b -> y = sum_k (-ad a_f)^k (b) / (k+1)! sends U_f onto itself: both
-    bases span one space. `chart_from_json` refuses other factors.
+    The columns are ranked in the frame S_k = exp a_(k+1) ... exp a_m,
+    with k the first factor of the innermost chart: k = 1 for nilpotent and
+    semisimple charts and k = m for mixed ones. The differential's columns
+    conjugated by S_k g^-1, which keeps the rank, are [Ad(S_k S_f^-1) y,
+    Ad(S_k) core] with y = exp(-a_f) dexp_f(b) for the basis b of each
+    factor f, and Ad(S_k) s_j for the slice elements (see `charts`).
 
-    The rank does not depend on row order. The slice elements come first:
-    they are sparse with small integers, so they pivot first and the dense
-    bracket rows are eliminated against them.
+    Two substitutions keep the span of each block, hence the rank. Factor f
+    spans a nilpotent subalgebra U_f that holds a_f (see `OrbitChart`), so
+    ad a_f is nilpotent on U_f, and both b -> y = sum_i (-ad a_f)^i (b) /
+    (i+1)! and Ad(exp a_f) = exp(ad a_f) send U_f onto itself. So b stands
+    in for y, and for f > k the factor's own Ad(exp a_f), the last one in
+    Ad(S_k S_f^-1), is left out. `chart_from_json` refuses other factors.
+    A semisimple chart's rows are then [b, Ad(exp a_2) x_s] for b in u- and
+    u, with no conjugated column; nilpotent and mixed charts rank the rows
+    of the g^-1 frame.
+
+    The rank does not depend on row order. The slice elements come first,
+    then the factor blocks from the last factor to the first: sparse rows
+    with small integers pivot first and the dense rows are eliminated
+    against them. The sl10 mixed chart of CI's scale smoke ranks the same
+    rows as in the g^-1 frame, and four of its ranks took 0.15 s in this
+    order against 0.42-0.44 s in parameter order (Python 3.11, 2-vCPU
+    Xeon guest).
     """
-    return _span_rank(list(chart.slice_basis) + _core_brackets(vp, chart.factors))
+    inner = chart.inner or chart
+    # at most m: an innermost chart read from JSON may have no factor
+    k = min(len(chart.factors) - len(inner.factors) + 1, len(chart.factors))
+    blocks = _core_brackets(vp, chart.factors, chart.slice_basis, k)
+    return _span_rank([row for block in reversed(blocks) for row in block])
 
 
 def _power_ranks(m: RatMatrix) -> list:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitcharts.linalg import Polynomial, RatMatrix, _as_fraction
+from orbitcharts.linalg import Polynomial, RatMatrix, _as_fraction, rank
 from orbitcharts.liealg import build_classical
 
 
@@ -166,6 +166,30 @@ def fraction_squarefree_part(p):
     q, r = poly_divmod(p, a)
     assert r.is_zero()
     return q.scale(1 / q.leading)
+
+
+# ---------------------------------------------------------------------------
+# The Jacobian rank in the g^-1 frame
+# ---------------------------------------------------------------------------
+
+
+def g_inverse_frame_rank(chart, vp):
+    """The rank of the chart's differential at the value pass ``vp`` from
+    its columns conjugated by g^-1, in parameter order: [S_f^-1 b S_f, core]
+    for each basis element b of factor f, with S_f the product of the later
+    factors' exponentials, then the slice elements. The reference for the
+    frame and row order of `verify._jacobian_rank`."""
+    n = chart.algebra.ambient_size
+    rows = []
+    for f, basis in enumerate(chart.factors):
+        suffix = suffix_inv = RatMatrix.identity(n)
+        for _, exp_a, exp_neg in vp.series[f + 1:]:
+            suffix, suffix_inv = suffix * exp_a, exp_neg * suffix_inv
+        for b in basis:
+            y = suffix_inv * b * suffix
+            rows.append(y * vp.core - vp.core * y)
+    rows += chart.slice_basis
+    return rank(RatMatrix.from_rows([r.entries for r in rows])) if rows else 0
 
 
 @dataclass(frozen=True)

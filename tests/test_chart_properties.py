@@ -8,9 +8,16 @@ import json
 
 import pytest
 
-from conftest import diag_matrix, jordan_nilpotent, nontrivial_partitions, unit_bidiagonal
+from conftest import (
+    diag_matrix,
+    g_inverse_frame_rank,
+    jordan_nilpotent,
+    nontrivial_partitions,
+    unit_bidiagonal,
+)
 from test_charts import DERIVATIVE_CASES, assert_dual_number_derivatives, derivative_chart
 from orbitcharts.charts import (
+    _value_pass,
     build_chart,
     chart_from_json,
     chart_to_json,
@@ -21,7 +28,7 @@ from orbitcharts.charts import (
 from orbitcharts.cli import main
 from orbitcharts.liealg import build_classical
 from orbitcharts.linalg import RatMatrix, rank
-from orbitcharts.verify import redstab_suite, report_to_json, verify_chart
+from orbitcharts.verify import _jacobian_rank, redstab_suite, report_to_json, verify_chart
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -49,7 +56,8 @@ def _upper_basis(algebra):
 
 def _assert_chart_verifies(algebra, x):
     """The chart of x verifies with both suites, a second verification
-    prints the same bytes, and the JSON round trip keeps the base value."""
+    prints the same bytes, the Jacobian rank at the base tuple equals that
+    of the g^-1 frame rows, and the JSON round trip keeps the base value."""
     def reports():
         chart = build_chart(x, 42)
         chart_report = verify_chart(x, chart, 42, 10)
@@ -60,6 +68,8 @@ def _assert_chart_verifies(algebra, x):
 
     chart, text = reports()
     assert reports()[1] == text
+    vp = _value_pass(chart, chart.base_params)
+    assert _jacobian_rank(chart, vp) == g_inverse_frame_rank(chart, vp)
     rebuilt = chart_from_json(algebra, json.loads(json.dumps(chart_to_json(chart))))
     assert eval_chart(rebuilt, chart.base_params) == x.matrix
 

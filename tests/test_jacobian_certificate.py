@@ -1,14 +1,19 @@
 """The exact Jacobian rank of the verify checks, and the exact derivatives.
 
 `verify._jacobian_rank` ranks the chart's differential through its columns
-conjugated by g^-1: one bracket with the core per factor basis element, and
-each slice element as it is. The tests compare that rank with the exact rank
-of the `eval_chart_with_derivatives` columns: on hand-made sl2 and sl3
-charts whose columns vanish, coincide or carry a denominator modulo a small
-prime, on a chart with a genuine rank deficit, on a three-factor sl2 chart
-whose rank depends on conjugating by the later factors, and on a sweep of
-built charts. The sweep also compares the exact bracket-form derivatives with
-digests recorded from the suffix-product derivative pass they replaced.
+conjugated by S_k g^-1, with S_k the product of the exponentials after the
+first factor k of the innermost chart: one bracket with the partial value
+Ad(S_k) core per factor basis element, and each slice element conjugated by
+S_k. The tests compare that rank with the exact rank of the
+`eval_chart_with_derivatives` columns: on hand-made sl2 and sl3 charts whose
+columns vanish, coincide or carry a denominator modulo a small prime, on a
+chart with a genuine rank deficit, on a three-factor sl2 chart whose rank
+depends on conjugating by the later factors, on a two-factor sl2 chart whose
+rank depends on bracketing with Ad(S_1) core rather than the core, and on a
+sweep of built charts. On the sweep the rank also equals that of the g^-1
+frame rows in parameter order (`conftest.g_inverse_frame_rank`), and the
+exact bracket-form derivatives match digests recorded from the
+suffix-product derivative pass they replaced.
 """
 
 import functools
@@ -19,7 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import diag_matrix, elem, jordan_nilpotent, matrix_power, nontrivial_partitions
+from conftest import (
+    diag_matrix,
+    elem,
+    g_inverse_frame_rank,
+    jordan_nilpotent,
+    matrix_power,
+    nontrivial_partitions,
+)
 from orbitcharts import verify
 from orbitcharts.charts import (
     OrbitChart,
@@ -29,7 +41,7 @@ from orbitcharts.charts import (
     eval_chart_with_derivatives,
 )
 from orbitcharts.liealg import build_classical
-from orbitcharts.linalg import RatMatrix, matrix_to_json, rank
+from orbitcharts.linalg import RatMatrix, _span_rank, commutator, matrix_to_json, rank
 from orbitcharts.rng import SplitMix64
 
 F = Fraction
@@ -139,6 +151,20 @@ def test_factor_columns_conjugated_by_later_factors(rank_calls):
     assert rank_calls == [3]
 
 
+def test_semisimple_chart_brackets_with_the_conjugated_core(rank_calls):
+    # on e = E12 with factors E12, E21 at (0, 1) the rows are [b, C] for
+    # b = E12, E21 and C = Ad(exp E21) e, of rank 2; brackets with the
+    # core e itself would have rank 1
+    sl2 = build_classical("sl", 2)
+    e, f = elem(2, 0, 1), elem(2, 1, 0)
+    chart = OrbitChart(sl2.element_from_matrix(e), ((e,), (f,)), e, (), (), None)
+    params = (F(0), F(1))
+    vp = _value_pass(chart, params)
+    assert verify._jacobian_rank(chart, vp) == 2 == _exact_rank(chart, params)
+    assert rank_calls == [2]
+    assert _span_rank([commutator(b, e) for b in (e, f)]) == 1
+
+
 def _sweep_elements():
     """(label, family, n, matrix): sl3-sl6 nilpotent, semisimple and mixed
     elements, then so5, so6 and sp4 elements."""
@@ -201,7 +227,7 @@ def test_sweep_mod_p_rank_equals_exact_rank(label):
         assert derivative_digest(derivs) == digests[f"{label}/{name}"], name
         exact = rank(RatMatrix.from_rows([d.entries for d in derivs]))
         vp = _value_pass(chart, tuple(F(p) for p in params))
-        assert verify._jacobian_rank(chart, vp) == exact, name
+        assert verify._jacobian_rank(chart, vp) == exact == g_inverse_frame_rank(chart, vp), name
 
 
 def _assert_power_ranks(m):

@@ -14,12 +14,13 @@ from conftest import (
     fraction_horner,
     fraction_mul,
     fraction_squarefree_part,
+    g_inverse_frame_rank,
     matrix_power,
     poly_divmod,
     sl,
     unit_bidiagonal,
 )
-from orbitcharts import linalg
+from orbitcharts import linalg, verify
 from orbitcharts.charts import _core_brackets, _value_pass, build_chart
 from orbitcharts.liealg import ad_matrix, build_classical
 from orbitcharts.linalg import (
@@ -1027,10 +1028,23 @@ BRACKET_CASES = {
 }
 
 
+def _reference_chain(n, pairs):
+    """(E, E^-1) for E the product of the exp a of the (exp a, exp -a)
+    ``pairs`` in order (n x n matrices), by the row loop."""
+    chain = chain_inv = RatMatrix.identity(n)
+    for exp_a, exp_neg in pairs:
+        chain = _reference_product(chain, exp_a)
+        chain_inv = _reference_product(exp_neg, chain_inv)
+    return chain, chain_inv
+
+
 @pytest.mark.parametrize("label", list(BRACKET_CASES))
 def test_core_brackets_equal_reference_brackets(label):
-    """`_core_brackets` against [S_f^-1 b S_f, core] formed by the row loop,
-    at the base tuple and at seeded sample tuples."""
+    """`_core_brackets` in every frame k against the row loop, at the base
+    tuple and at seeded sample tuples: for factor f (numbered from 1) the
+    block [P b P^-1, Ad(S_k) core] with P = S_k S_f^-1, less the factor's
+    own exp a_f for f > k, then the slice block Ad(S_k) s_j. The rank
+    `verify._jacobian_rank` reports equals that of the g^-1 frame rows."""
     family, n, m = BRACKET_CASES[label]
     chart = build_chart(build_classical(family, n).element_from_matrix(m), 42)
     rng = SplitMix64(606)
@@ -1038,19 +1052,27 @@ def test_core_brackets_equal_reference_brackets(label):
         tuple(draw_fraction(rng, -3, 3) for _ in range(chart.param_count)) for _ in range(3)]
     for params in points:
         vp = _value_pass(chart, params)
-        want = []
-        for f, basis in enumerate(chart.factors):
-            suffix = suffix_inv = RatMatrix.identity(n)
-            for _, exp_a, exp_neg in vp.series[f + 1:]:
-                suffix = _reference_product(suffix, exp_a)
-                suffix_inv = _reference_product(exp_neg, suffix_inv)
-            for b in basis:
-                x = _reference_product(_reference_product(suffix_inv, b), suffix)
-                want.append(_reference_commutator(x, vp.core))
-        got = _core_brackets(vp, chart.factors)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            _assert_same_matrix(g, w)
+        exps = [(exp_a, exp_neg) for _, exp_a, exp_neg in vp.series]
+        for k in range(len(exps) + 1):
+            frame, frame_inv = _reference_chain(n, exps[k:])
+            core = _reference_product(_reference_product(frame, vp.core), frame_inv)
+            _assert_same_matrix(vp.cores[k], core)
+            want = []
+            for f, basis in enumerate(chart.factors):
+                if f < k:
+                    p_inv, p = _reference_chain(n, exps[f + 1:k])
+                else:
+                    p, p_inv = _reference_chain(n, exps[k:f])
+                want.append([_reference_commutator(
+                    _reference_product(_reference_product(p, b), p_inv), core) for b in basis])
+            want.append([_reference_product(_reference_product(frame, s), frame_inv)
+                         for s in chart.slice_basis])
+            got = _core_brackets(vp, chart.factors, chart.slice_basis, k)
+            assert [len(block) for block in got] == [len(block) for block in want]
+            for got_block, want_block in zip(got, want):
+                for g, w in zip(got_block, want_block):
+                    _assert_same_matrix(g, w)
+        assert verify._jacobian_rank(chart, vp) == g_inverse_frame_rank(chart, vp)
 
 
 def _reference_bareiss(rows):
@@ -1129,7 +1151,7 @@ def _with_zero_lines(rng, rows):
     return rows
 
 
-def _sl4_mixed_jacobian_rows():
+def _sl4_mixed_jacobian_rows(monkeypatch):
     """The flattened numerator rows `verify._jacobian_rank` eliminates for a
     built sl4 mixed chart, at a seeded chart point."""
     sl4 = build_classical("sl", 4)
@@ -1137,8 +1159,10 @@ def _sl4_mixed_jacobian_rows():
     chart = build_chart(x, 42)
     rng = SplitMix64(77)
     vp = _value_pass(chart, tuple(draw_fraction(rng, -3, 3) for _ in range(chart.param_count)))
-    mats = list(chart.slice_basis) + _core_brackets(vp, chart.factors)
-    return [list(mat.nums) for mat in mats]
+    ranked = []
+    monkeypatch.setattr(verify, "_span_rank", ranked.append)
+    verify._jacobian_rank(chart, vp)
+    return [list(mat.nums) for mat in ranked[0]]
 
 
 def _bareiss_corpus():
@@ -1151,7 +1175,6 @@ def _bareiss_corpus():
             corpus.append(_sparse_rows(rng, m, n, percent))
         corpus.append(_deficient_rows(rng, m, n))
         corpus.append(_with_zero_lines(rng, _sparse_rows(rng, m, n, 50)))
-    corpus.append(_sl4_mixed_jacobian_rows())
     return corpus
 
 
@@ -1162,6 +1185,10 @@ class TestBareissAgainstDenseLoop:
 
     @pytest.mark.parametrize("rows", _bareiss_corpus())
     def test_same_result_as_dense_loop(self, rows):
+        assert _bareiss(copy.deepcopy(rows)) == _reference_bareiss(copy.deepcopy(rows))
+
+    def test_sl4_mixed_jacobian_rows_same_as_dense_loop(self, monkeypatch):
+        rows = _sl4_mixed_jacobian_rows(monkeypatch)
         assert _bareiss(copy.deepcopy(rows)) == _reference_bareiss(copy.deepcopy(rows))
 
     def test_skipped_rows_become_pivot_rows_after_swaps(self):

@@ -7,6 +7,7 @@ from conftest import (
     draw_fraction,
     elem,
     element,
+    g_inverse_frame_rank,
     jordan_nilpotent,
     nontrivial_partitions,
     partitions,
@@ -296,15 +297,17 @@ def _reversed_round_trip(algebra, chart):
 
 
 def _assert_rank_matches_derivatives(chart):
-    """_jacobian_rank equals the exact rank of the derivative columns at
-    the base tuple and at two seeded random tuples."""
+    """_jacobian_rank equals the exact rank of the derivative columns and
+    the rank of the g^-1 frame rows at the base tuple and at two seeded
+    random tuples."""
     rng = SplitMix64(808)
     points = [chart.base_params] + [
         tuple(rng.fraction() for _ in range(chart.param_count)) for _ in range(2)]
     for params in points:
         _, derivs = eval_chart_with_derivatives(chart, params)
         exact = rank(RatMatrix.from_rows([d.entries for d in derivs]))
-        assert _jacobian_rank(chart, _value_pass(chart, params)) == exact, params
+        vp = _value_pass(chart, params)
+        assert _jacobian_rank(chart, vp) == exact == g_inverse_frame_rank(chart, vp), params
 
 
 class TestJacobianRankAgainstDerivatives:
