@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -90,6 +91,7 @@ from .linalg import (
     _int_rows,
     _lincomb,
     _matrix,
+    _product,
     _span_rank,
     _support,
     commutator,
@@ -117,6 +119,7 @@ class OrbitChart:
     the nested nilpotent chart of the mixed case, whose factors and slice
     are the tail of this chart's. ``parabolic`` carries the construction
     scaffolding for verification and sampling; it is not serialized.
+    ``supports`` is derived from the flat fields once, for evaluation.
     """
 
     base_element: LieElement
@@ -150,6 +153,14 @@ class OrbitChart:
     def base_params(self) -> tuple:
         return (ZERO,) * (self.param_count - len(self.slice_basis)) + self.slice_base
 
+    @cached_property
+    def supports(self) -> tuple:
+        """(per factor, the `_support` of each basis matrix; the `_support`
+        of each slice basis matrix): the sparse forms `_value_pass` sums.
+        Read once per chart; never serialized or compared."""
+        return (tuple(tuple(_support(b) for b in basis) for basis in self.factors),
+                tuple(_support(s) for s in self.slice_basis))
+
     @property
     def u2_differs_from_u(self) -> bool:
         if self.case_tag == "mixed":
@@ -165,21 +176,35 @@ class OrbitChart:
 
 
 def _exp_series(a: RatMatrix) -> tuple:
-    """(exp a, exp -a) of a nilpotent square matrix a, summed from the same
-    powers of a."""
+    """(exp a, exp -a) of a nilpotent square matrix a, summed on integers.
+
+    With a = N / d, the integer powers N^k are taken by `_product` up to
+    the first zero power; a nonzero N^n raises NotNilpotentError. With K the last k such that N^k != 0,
+    exp(+-a) = sum_k (+-1)^k N^k d^(K-k) K!/k! over the one denominator
+    d^K K!, summed into two integer buffers, each normalized once.
+    """
     n = a.rows
-    acc = acc_neg = RatMatrix.identity(n)
-    power = a
-    k = 1
+    big = _matrix(n, n, a.nums)
+    powers = []
+    power = big
     while not power.is_zero():
-        if k == n:
+        if len(powers) + 1 == n:
             raise NotNilpotentError("matrix is not nilpotent")
-        term = power.scale(Fraction(1, math.factorial(k)))
-        acc = acc + term
-        acc_neg = acc_neg + term if k % 2 == 0 else acc_neg - term
-        power = power * a
-        k += 1
-    return acc, acc_neg
+        powers.append(power.nums)
+        power = _product(power, big)
+    plus, minus = [0] * (n * n), [0] * (n * n)
+    c = 1  # d^(K-k) K!/k!, from k = K = len(powers) down
+    for k in range(len(powers), 0, -1):
+        signed = -c if k % 2 else c
+        for p, v in enumerate(powers[k - 1]):
+            if v:
+                plus[p] += c * v
+                minus[p] += signed * v
+        c *= a.den * k
+    for p in range(0, n * n, n + 1):
+        plus[p] += c
+        minus[p] += c
+    return _matrix(n, n, plus, c), _matrix(n, n, minus, c)
 
 
 def exp_nilpotent(a: RatMatrix) -> RatMatrix:
@@ -319,16 +344,17 @@ def _value_pass(chart: OrbitChart, params: Sequence) -> _ValuePass:
             f"expected {chart.param_count} parameters, got {len(params)}"
         )
     n = chart.algebra.ambient_size
+    factor_supports, slice_supports = chart.supports
     series = []
     pos = 0
-    for basis in chart.factors:
-        coeffs = params[pos:pos + len(basis)]
-        pos += len(basis)
-        a = _lincomb(coeffs, [_support(b) for b in basis], n, n)
+    for supports in factor_supports:
+        coeffs = params[pos:pos + len(supports)]
+        pos += len(supports)
+        a = _lincomb(coeffs, supports, n, n)
         series.append((a,) + _exp_series(a))
     core = chart.shift if chart.shift is not None else RatMatrix.zeros(n, n)
-    if chart.slice_basis:
-        core = core + _lincomb(params[pos:], [_support(s) for s in chart.slice_basis], n, n)
+    if slice_supports:
+        core = core + _lincomb(params[pos:], slice_supports, n, n)
     cores = [core]
     for _, exp_a, exp_neg in reversed(series):
         cores.append(exp_a * cores[-1] * exp_neg)

@@ -13,6 +13,14 @@ chart's columns need no conjugation. One Bareiss elimination ranks them,
 slice rows first and then the factor blocks from the last factor to the
 first (`_jacobian_rank`).
 
+A nilpotent chart walks the powers v, v^2, ... of each sampled value v
+once (`_power_chain`): the ranks of v^k for k < n give its Jordan type,
+and v^n = 0 is the certificate for char_poly(v) = t^n. For n x n v over
+the rationals, char_poly(v) = t^n <=> v is nilpotent <=> v^n = 0
+(Cayley-Hamilton one way, the eigenvalues the other), so when char_poly(x)
+= t^n no sampled characteristic polynomial is computed. Other charts and
+other targets compute char_poly(v) by Faddeev-LeVerrier.
+
 The reductivity of a centralizer is tested through its proxy: the ambient
 trace form restricted to the centralizer is nondegenerate. This is valid
 for the algebraic subalgebras arising here (centralizers of semisimple
@@ -45,6 +53,7 @@ from .liealg import (
 )
 from .linalg import (
     ONE,
+    Polynomial,
     RatMatrix,
     VectorSpan,
     ZERO,
@@ -153,18 +162,24 @@ def _jacobian_rank(chart: OrbitChart, vp) -> int:
     return _span_rank([row for block in reversed(blocks) for row in block])
 
 
-def _power_ranks(m: RatMatrix) -> list:
-    """[rank(m^k) for k = 1 .. n-1], one product per power; once a power
-    vanishes the remaining ranks are 0."""
+def _power_chain(m: RatMatrix) -> tuple:
+    """(ranks, nilpotent): ranks = [rank(m^k) for k = 1 .. n-1] and whether
+    m^n = 0, from one walk m, m^2, ..., m^n, one product per power, that
+    stops at the first zero power (the remaining ranks are then 0).
+
+    The flag certifies char_poly(m) = t^n without computing it: m^n = 0
+    gives it by the eigenvalues (all are 0), and char_poly(m) = t^n gives
+    m^n = 0 by Cayley-Hamilton.
+    """
+    n = m.rows
     ranks = []
     power = m
-    for k in range(1, m.rows):
+    for k in range(1, n):
         if power.is_zero():
-            return ranks + [0] * (m.rows - k)
+            return ranks + [0] * (n - k), True
         ranks.append(rank(power))
-        if k + 1 < m.rows:
-            power = power * m
-    return ranks
+        power = power * m
+    return ranks, power.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +205,7 @@ def _diagonal_conjugate(m: RatMatrix, rng: SplitMix64) -> RatMatrix:
                           for k, x in enumerate(m.nums)], m.den * lcm)
 
 
-def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan,
+def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan, u_supports: list,
                          rng: SplitMix64) -> tuple:
     """Coordinates of a random point of the group-orbit slice of ``nil``.
 
@@ -199,14 +214,15 @@ def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan,
     diagonal matrix (otherwise d = 1), so membership in the slice holds by
     construction. exp(u) is the whole unipotent group U, and such a d
     normalizes U, so one exponential reaches every point that a product of
-    them would. ``nil`` is a nilpotent chart carrying its scaffolding and
-    ``slice_span`` is the span of its slice.
+    them would. ``nil`` is a nilpotent chart carrying its scaffolding,
+    ``slice_span`` is the span of its slice and ``u_supports`` holds the
+    `_support` of each basis matrix of its u.
     """
     pd = nil.parabolic
     algebra = nil.algebra
     n = algebra.ambient_size
-    coeffs = [rng.fraction() for _ in pd.u]
-    exp_y, exp_neg = _exp_series(_lincomb(coeffs, [_support(el.matrix) for el in pd.u], n, n))
+    coeffs = [rng.fraction() for _ in u_supports]
+    exp_y, exp_neg = _exp_series(_lincomb(coeffs, u_supports, n, n))
     point = nil.base_element.matrix
     if algebra.family == "sl" and _is_diagonal(pd.grading.grading_element.matrix):
         point = _diagonal_conjugate(point, rng)
@@ -226,12 +242,12 @@ def _is_diagonal(m: RatMatrix) -> bool:
 
 
 def _sample_params(chart: OrbitChart, nil: OrbitChart, slice_span: VectorSpan | None,
-                   rng: SplitMix64) -> tuple:
+                   u_supports: list, rng: SplitMix64) -> tuple:
     """Random factor parameters of ``chart``, then orbit-slice coordinates
-    drawn from the scaffolding of ``nil``."""
+    drawn from the scaffolding of ``nil`` (see `_sample_slice_coords`)."""
     params = [rng.fraction() for _ in range(chart.param_count - len(chart.slice_basis))]
     if chart.slice_basis:
-        params.extend(_sample_slice_coords(nil, slice_span, rng))
+        params.extend(_sample_slice_coords(nil, slice_span, u_supports, rng))
     return tuple(params)
 
 
@@ -256,6 +272,12 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     chart's (``rebuilt_chart_identity``), so ``seed`` must be the seed the
     given chart was built with. A negative ``samples`` raises ValueError
     before any work.
+
+    ``char_poly_preserved`` compares char_poly(x) with the characteristic
+    polynomial of every sampled value and of the base value, the latter
+    only when it differs from x. For a nilpotent chart and char_poly(x) =
+    t^n, a sampled value v passes by the certificate v^n = 0 of
+    `_power_chain`, whose ranks ``jordan_type_preserved`` compares too.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -312,21 +334,23 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     values = []
     ranks = []
     seen = set()
-    slice_span = None
-    if chart.slice_basis:
-        slice_span = VectorSpan(scaffold.slice_basis, length=algebra.ambient_size ** 2)
     # Slice coordinates are drawn in the scaffold's slice; a given chart whose
     # slice has another dimension cannot take them (rebuilt_chart_identity fails).
     sampled = samples if len(chart.slice_basis) == len(scaffold.slice_basis) else 0
+    slice_span = None
+    u_supports = []
+    if chart.slice_basis and sampled:
+        slice_span = VectorSpan(scaffold.slice_basis, length=algebra.ambient_size ** 2)
+        u_supports = [_support(el.matrix) for el in nil.parabolic.u]
     for _ in range(sampled):
         # Resample coinciding tuples: sampled parameter tuples are pairwise
         # distinct, so equal outputs below would witness a genuine
         # injectivity failure rather than a duplicated input.
-        params = _sample_params(chart, nil, slice_span, rng)
+        params = _sample_params(chart, nil, slice_span, u_supports, rng)
         for _retry in range(32):
             if params not in seen:
                 break
-            params = _sample_params(chart, nil, slice_span, rng)
+            params = _sample_params(chart, nil, slice_span, u_supports, rng)
         seen.add(params)
         vp = _value_pass(chart, params)
         values.append(vp.value)
@@ -346,9 +370,16 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
         passed=(distinct == samples),
     ))
 
+    # A nilpotent chart walks each value's powers once: the ranks for
+    # jordan_type_preserved, and v^n = 0, which is char_poly(v) = t^n.
+    chains = [_power_chain(v) for v in values] if chart.case_tag == "nilpotent" else []
     target_poly = char_poly(x.matrix)
-    preserved = all(char_poly(v) == target_poly for v in values) \
-        and char_poly(base_value) == target_poly
+    if chains and target_poly == Polynomial((ZERO,) * algebra.ambient_size + (ONE,)):
+        preserved = all(nilpotent for _, nilpotent in chains)
+    else:
+        preserved = all(char_poly(v) == target_poly for v in values)
+    # equal matrices have equal characteristic polynomials
+    preserved = preserved and (base_value == x.matrix or char_poly(base_value) == target_poly)
     checks.append(Check(
         "char_poly_preserved",
         expected=True,
@@ -357,8 +388,8 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     ))
 
     if chart.case_tag == "nilpotent":
-        base_ranks = _power_ranks(x.matrix)
-        observed_ranks = sorted({tuple(_power_ranks(v)) for v in values})
+        base_ranks, _ = _power_chain(x.matrix)
+        observed_ranks = sorted({tuple(ranks) for ranks, _ in chains})
         ok = (not values) or observed_ranks == [tuple(base_ranks)]
         checks.append(Check(
             "jordan_type_preserved",

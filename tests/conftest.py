@@ -124,6 +124,18 @@ def fraction_char_poly(rows):
     return tuple(reversed(cs))
 
 
+def fraction_exp(rows):
+    """sum_k A^k / k! for the nilpotent square Fraction row list ``rows`` of
+    A: the terms k = 0 .. n-1, since A^n = 0."""
+    n = len(rows)
+    term = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    total = term
+    for k in range(1, n):
+        term = [[x / k for x in row] for row in fraction_mul(term, rows)]
+        total = [[x + y for x, y in zip(r, t)] for r, t in zip(total, term)]
+    return total
+
+
 def fraction_horner(coefficients, rows):
     """p(A) for p given by its Fraction ``coefficients`` (lowest degree
     first) and A the square Fraction row list ``rows``, by Horner's rule."""

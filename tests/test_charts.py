@@ -4,10 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DualNumber, diag_matrix, elem, element, matrix_power
+from conftest import (
+    DualNumber,
+    diag_matrix,
+    draw_fraction,
+    elem,
+    element,
+    fraction_exp,
+    matrix_power,
+    unit_bidiagonal,
+)
 from orbitcharts.charts import (
     NotSemisimpleError,
     OrbitChart,
+    _exp_series,
     build_chart,
     chart_from_json,
     chart_mixed,
@@ -63,6 +73,73 @@ class TestExpNilpotent:
                     for i in range(n)]
             a = M(rows)
             assert exp_nilpotent(a) * exp_nilpotent(-a) == RatMatrix.identity(n)
+
+
+def _seeded_nilpotent(rng, n):
+    """u s u^-1: s strictly upper-triangular with entries num/den, num in
+    -3..3 and den in 1..6, and u unit lower-bidiagonal with entries in
+    -1..1, so the nilpotent result is dense below the diagonal too."""
+    s = M([[draw_fraction(rng, -3, 3, range(1, 7)) if j > i else 0 for j in range(n)]
+           for i in range(n)])
+    u, u_inv = unit_bidiagonal([rng.randint(-1, 1) for _ in range(n - 1)], upper=False)
+    return u * s * u_inv
+
+
+def _assert_exp_series(a):
+    """Both sums equal the Fraction series, and exp(a) exp(-a) = I."""
+    plus, minus = _exp_series(a)
+    assert plus.row_lists() == fraction_exp(a.row_lists())
+    assert minus.row_lists() == fraction_exp((-a).row_lists())
+    assert plus * minus == RatMatrix.identity(a.rows)
+
+
+class TestExpSeries:
+    """`_exp_series` sums on integer numerators over one denominator; the
+    reference is sum_k a^k / k! in Fractions (`conftest.fraction_exp`)."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_seeded_nilpotents_match_fraction_series(self, n):
+        rng = SplitMix64(700 + n)
+        for _ in range(20):
+            _assert_exp_series(_seeded_nilpotent(rng, n))
+
+    @pytest.mark.parametrize("family,n", [("so", 5), ("so", 6), ("sp", 4), ("sp", 6)])
+    def test_so_sp_factor_combinations_match_fraction_series(self, family, n):
+        """Random combinations of the basis of each factor of the charts of
+        a split diagonal and of the sum of the strictly upper basis."""
+        algebra = build_classical(family, n)
+        half = [n // 2 - i for i in range(n // 2)]
+        d = diag_matrix(half + [0] * (n % 2) + [-v for v in reversed(half)])
+        upper = sum((b for b in algebra.basis
+                     if all(not b.at(i, j) for i in range(n) for j in range(i + 1))),
+                    RatMatrix.zeros(n, n))
+        rng = SplitMix64(71)
+        for x in (d, upper):
+            chart = build_chart(algebra.element_from_matrix(x), 42)
+            for basis in chart.factors:
+                for _ in range(3):
+                    coeffs = [draw_fraction(rng, -3, 3, range(1, 7)) for _ in basis]
+                    _assert_exp_series(sum((b.scale(c) for b, c in zip(basis, coeffs)),
+                                           RatMatrix.zeros(n, n)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_not_nilpotent_error_exactly_when_nth_power_nonzero(self, n):
+        """u (s + c E_ij) u^-1 with i >= j: nilpotent for some draws, not
+        for others."""
+        rng = SplitMix64(800 + n)
+        seen = set()
+        for _ in range(30):
+            s = _seeded_nilpotent(rng, n)
+            i = rng.randint(0, n - 1)
+            a = s + elem(n, i, rng.randint(0, i), rng.randint(-2, 2))
+            nonzero = not matrix_power(a, n).is_zero()
+            seen.add(nonzero)
+            if nonzero:
+                with pytest.raises(NotNilpotentError):
+                    _exp_series(a)
+            else:
+                _assert_exp_series(a)
+        assert seen == {False, True}
 
 
 def conjugate(factors, params, core):

@@ -13,7 +13,9 @@ rank depends on bracketing with Ad(S_1) core rather than the core, and on a
 sweep of built charts. On the sweep the rank also equals that of the g^-1
 frame rows in parameter order (`conftest.g_inverse_frame_rank`), and the
 exact bracket-form derivatives match digests recorded from the
-suffix-product derivative pass they replaced.
+suffix-product derivative pass they replaced. The power chain of the
+Jordan-type check, `verify._power_chain`, gives the ranks of the powers
+and a flag that equals char_poly(m) = t^n.
 """
 
 import functools
@@ -31,6 +33,7 @@ from conftest import (
     jordan_nilpotent,
     matrix_power,
     nontrivial_partitions,
+    unit_bidiagonal,
 )
 from orbitcharts import verify
 from orbitcharts.charts import (
@@ -41,7 +44,15 @@ from orbitcharts.charts import (
     eval_chart_with_derivatives,
 )
 from orbitcharts.liealg import build_classical
-from orbitcharts.linalg import RatMatrix, _span_rank, commutator, matrix_to_json, rank
+from orbitcharts.linalg import (
+    Polynomial,
+    RatMatrix,
+    _span_rank,
+    char_poly,
+    commutator,
+    matrix_to_json,
+    rank,
+)
 from orbitcharts.rng import SplitMix64
 
 F = Fraction
@@ -231,7 +242,9 @@ def test_sweep_mod_p_rank_equals_exact_rank(label):
 
 
 def _assert_power_ranks(m):
-    assert verify._power_ranks(m) == [rank(matrix_power(m, k)) for k in range(1, m.rows)]
+    ranks, nilpotent = verify._power_chain(m)
+    assert ranks == [rank(matrix_power(m, k)) for k in range(1, m.rows)]
+    assert nilpotent == matrix_power(m, m.rows).is_zero()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -249,3 +262,47 @@ def test_power_ranks_of_chart_values(label):
     _assert_power_ranks(chart.base_element.matrix)
     for _, params in sweep_points(chart)[1:]:
         _assert_power_ranks(eval_chart(chart, params))
+
+
+def _companion(n, low):
+    """The companion matrix of t^n + sum_k low[k] t^k: ones below the
+    diagonal, -low in the last column."""
+    rows = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    for k, c in enumerate(low):
+        rows[k][n - 1] = -c
+    return RatMatrix.from_rows(rows)
+
+
+def _power_chain_corpus(n):
+    """Conjugated nilpotents of every Jordan type (the regular one has
+    m^(n-1) != 0), the zero matrix, and traceless non-nilpotents whose
+    power ranks stay positive: companions of t^n - c and t^n - c t, whose
+    characteristic polynomials differ from t^n in one coefficient, and
+    J (+) diag(1, -1) for a Jordan block J."""
+    rng = SplitMix64(900 + n)
+    corpus = [RatMatrix.zeros(n, n)]
+    for part in nontrivial_partitions(n):
+        u, u_inv = unit_bidiagonal([rng.randint(-2, 2) for _ in range(n - 1)])
+        corpus.append(u * jordan_nilpotent(n, part) * u_inv)
+    for c in (1, -3, F(1, 2)):
+        corpus.append(_companion(n, [-c]))
+        if n > 2:
+            corpus.append(_companion(n, [0, -c]))
+    if n > 2:
+        corpus.append(jordan_nilpotent(n, [n - 2, 1, 1]) + diag_matrix([0] * (n - 2) + [1, -1]))
+    return corpus
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_power_chain_flag_is_char_poly_t_n(n):
+    """The flag of `_power_chain` is char_poly(m) = t^n, and its ranks are
+    those of the powers."""
+    t_n = Polynomial((0,) * n + (1,))
+    flags = set()
+    for m in _power_chain_corpus(n):
+        ranks, nilpotent = verify._power_chain(m)
+        assert nilpotent == (char_poly(m) == t_n)
+        assert nilpotent or all(ranks)
+        _assert_power_ranks(m)
+        flags.add(nilpotent)
+    assert flags == {False, True}

@@ -12,7 +12,9 @@ from conftest import (
     nontrivial_partitions,
     partitions,
 )
+from orbitcharts import verify
 from orbitcharts.charts import (
+    _ValuePass,
     _value_pass,
     build_chart,
     chart_from_json,
@@ -166,6 +168,17 @@ class TestVerifyChart:
         assert not rep.check("dimension_identity").passed
         assert not rep.check("jacobian_rank_samples").passed
 
+    def test_deserialized_nilpotent_chart_for_a_semisimple_element(self, sl2):
+        # the rebuilt chart is semisimple and has no slice to sample from;
+        # the report fails instead of raising
+        e = element(sl2, [[0, 1], [0, 0]])
+        h = element(sl2, [[1, 0], [0, -1]])
+        chart = chart_from_json(sl2, chart_to_json(chart_nilpotent(e)))
+        rep = verify_chart(h, chart, 42, 3)
+        assert not rep.check("rebuilt_chart_identity").passed
+        assert not rep.check("char_poly_preserved").passed
+        assert rep.check("jordan_type_preserved").passed
+
     def test_report_json_shape(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
         chart = chart_nilpotent(e)
@@ -173,6 +186,55 @@ class TestVerifyChart:
         assert set(data) == {"subject", "seed", "sample_count", "checks", "overall_pass"}
         for c in data["checks"]:
             assert set(c) == {"name", "expected", "observed", "pass"}
+
+
+class TestCharPolyPreserved:
+    """A nilpotent chart reads char_poly(v) = t^n off v^n = 0 from the power
+    chain of each sampled value; other charts run Faddeev-LeVerrier."""
+
+    @pytest.fixture
+    def char_poly_calls(self, monkeypatch):
+        calls = []
+        real = verify.char_poly
+
+        def spy(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(verify, "char_poly", spy)
+        return calls
+
+    def test_non_nilpotent_sample_fails(self, sl4, monkeypatch, char_poly_calls):
+        x = sl4.element_from_matrix(jordan_nilpotent(4, [4]))
+        chart = build_chart(x, 42)
+        bump = diag_matrix([1, -1, 0, 0])
+        passes = []
+        real = verify._value_pass
+
+        def value_pass(c, params):
+            vp = real(c, params)
+            passes.append(vp)
+            if len(passes) != 4:  # the base pass, then the samples
+                return vp
+            value = vp.value + bump
+            assert char_poly(value) != char_poly(x.matrix)
+            return _ValuePass(vp.series, [value] + vp.cores[1:])
+
+        assert verify_chart(x, chart, 42, 5).overall_pass
+        monkeypatch.setattr(verify, "_value_pass", value_pass)
+        report = verify_chart(x, chart, 42, 5)
+        check = report.check("char_poly_preserved")
+        assert check.observed is False and not check.passed
+        assert report.check("jacobian_rank_samples").passed
+        # two reports, one char_poly each: the target
+        assert char_poly_calls == [x.matrix, x.matrix]
+
+    def test_semisimple_chart_skips_only_the_base_value(self, sl3, char_poly_calls):
+        x = sl3.element_from_matrix(diag_matrix([1, 1, -2]))
+        report = verify_chart(x, build_chart(x, 42), 42, 5)
+        assert report.check("base_point_identity").passed
+        assert report.check("char_poly_preserved").passed
+        assert len(char_poly_calls) == 1 + 5
 
 
 class TestReductiveProxy:
