@@ -46,10 +46,10 @@ from .liealg import (
     center_basis,
 )
 from .linalg import (
-    Polynomial,
     RatMatrix,
     _int_kernel_basis,
     _int_rows,
+    _squarefree_integer_roots,
     char_poly,
     commutator,
     integer_roots,
@@ -121,7 +121,7 @@ def grading_by(h: LieElement) -> Grading:
         return Grading(h, {})
     weights = _natural_weights(h.matrix)
     if weights is None:
-        weights = integer_roots(squarefree_part(char_poly(ad_h)))
+        weights = integer_roots(char_poly(ad_h))
     pieces: Dict[int, Tuple[LieElement, ...]] = {}
     total = 0
     for i in weights:
@@ -158,13 +158,16 @@ def _rational_eigenvalues(m: RatMatrix):
 
     The rational roots l of the monic squarefree part p (degree d) are
     mu / D for the integer roots mu of D^d p(mu / D), where D clears the
-    denominators of p.
+    denominators of p. That polynomial has integer coefficients
+    c_k D^(d - k), computed on numerators, and no repeated root, so it goes
+    to `_squarefree_integer_roots` as it is.
     """
     p = squarefree_part(char_poly(m))
     d = p.degree
     denom = math.lcm(*(c.denominator for c in p.coefficients))
-    scaled = Polynomial(tuple(c * denom ** (d - k) for k, c in enumerate(p.coefficients)))
-    roots = [Fraction(mu, denom) for mu in integer_roots(scaled)]
+    ints = [c.numerator * denom ** (d - k) // c.denominator
+            for k, c in enumerate(p.coefficients)]
+    roots = [Fraction(mu, denom) for mu in _squarefree_integer_roots(ints)]
     return roots if len(roots) == d else None
 
 

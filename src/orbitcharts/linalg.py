@@ -18,17 +18,17 @@ integer product loop, `_accumulate`, on numerators. The nonzero entries of
 the left factor drive it, and the sparse pairs of a row of the right factor
 are built only when a nonzero first reaches that row. `_product` fills one
 buffer with it; `commutator` fills one buffer with both halves, signs +1 and
--1, and normalizes once. Every elimination (`rank`, `det`,
-`kernel_basis`, `solve_linear`, `VectorSpan` and the resultant of a
-polynomial and its derivative) runs one fraction-free loop, `_bareiss`, on
-integer rows to control coefficient growth; it skips the rows whose entry
-in the pivot column is zero and scales them lazily. Every solve after it
-runs one integer back-substitution, `_back_substitute`. The polynomial
-layer runs on integers too: `char_poly` is Faddeev-LeVerrier on the
-numerators, `Polynomial.evaluate_matrix` is integer Horner, and
-`squarefree_part` divides by a gcd from a primitive pseudo-remainder
-sequence, `_pseudo_divmod`. Integer roots of a polynomial are lifted from
-its roots modulo a small prime (Hensel), not found by factoring.
+-1, and normalizes once. Every matrix elimination (`rank`, `det`,
+`kernel_basis`, `solve_linear`, `VectorSpan`) runs one fraction-free loop,
+`_bareiss`, on integer rows to control coefficient growth; it skips the rows
+whose entry in the pivot column is zero and scales them lazily. Every solve
+after it runs one integer back-substitution, `_back_substitute`. The
+polynomial layer runs on integers too, and eliminates nothing: `char_poly`
+is Faddeev-LeVerrier on the numerators, `Polynomial.evaluate_matrix` is
+integer Horner, and `squarefree_part` divides by a gcd from a primitive
+pseudo-remainder sequence, `_pseudo_divmod`. Integer roots of a squarefree
+polynomial are Newton lifts (Hensel) of its roots modulo the least modulus
+at which the derivative is a unit at each of them, not found by factoring.
 Every function is pure and deterministic: rerunning on equal inputs gives
 bit-identical results.
 """
@@ -804,55 +804,46 @@ def _horner(ints: Sequence[int], x: int) -> int:
     return value
 
 
-def _resultant_with_derivative(ints: list) -> int:
-    """Res(P, P') up to sign, for the integer polynomial P = ``ints`` of
-    degree n >= 1: the determinant of the (2n - 1)-square Sylvester matrix,
-    by `_bareiss`. It is 0 exactly when P has a repeated root."""
-    n = len(ints) - 1
-    high = ints[::-1]
-    dhigh = [i * c for i, c in enumerate(ints) if i][::-1]
-    size = 2 * n - 1
-    rows = [[0] * k + high + [0] * (size - n - 1 - k) for k in range(n - 1)]
-    rows += [[0] * k + dhigh + [0] * (size - n - k) for k in range(n)]
-    ech, piv, _ = _bareiss(rows)
-    return ech[-1][-1] if len(piv) == size else 0
-
-
 def integer_roots(p: Polynomial) -> list:
-    """All integer roots of ``p``, in increasing order.
-
-    Found by Hensel lifting, without factoring anything. P is p with its
-    denominators cleared, replaced by its squarefree part when the
-    resultant R of P and P' is 0. Modulo the least prime q that divides
-    neither lead(P) nor R, P keeps its degree and has only simple roots,
-    so each root mod q lifts to exactly one root modulo every power of q
-    by Newton's step x - P(x) / P'(x). An integer root r satisfies
-    |r| <= B = 1 + max |a_i| // |lead(P)| (Cauchy), so once the modulus M
-    exceeds 2B, r is the lift taken in (-M/2, M/2]; each such lift is
-    kept when it is an exact root.
-    """
+    """All integer roots of ``p``, in increasing order: its squarefree part,
+    with denominators cleared, goes to `_squarefree_integer_roots`."""
     if p.is_zero():
         raise ValueError("every integer is a root of the zero polynomial")
-    if p.degree < 1:
-        return []
-    ints, _ = _integers_over(p.coefficients)
-    res = _resultant_with_derivative(ints)
-    if not res:
-        ints, _ = _integers_over(squarefree_part(p).coefficients)
-        res = _resultant_with_derivative(ints)
-    # The least q >= 2 coprime to lead(P) * R is prime: a smaller prime
-    # factor of q would be coprime to it too.
-    bad = ints[-1] * res
-    q = 2
-    while math.gcd(q, bad) != 1:
-        q += 1
+    ints, _ = _integers_over(squarefree_part(p).coefficients)
+    return _squarefree_integer_roots(ints)
+
+
+def _squarefree_integer_roots(ints: list) -> list:
+    """All integer roots, in increasing order, of the nonzero integer
+    polynomial P = ``ints`` (lowest degree first), which has no repeated root.
+
+    Found by Hensel lifting, without factoring anything. q is the least
+    modulus >= 2 at which P'(x) is a unit mod q at every root x of P mod q.
+    Such a q exists: P is squarefree, so its discriminant is not 0, and
+    every prime dividing neither lead(P) nor the discriminant qualifies,
+    since modulo it P keeps its degree and has only simple roots. q need not
+    be prime and may divide lead(P): Newton's step x - P(x) / P'(x) needs
+    only that P'(x) is a unit, and then lifts each root mod q to exactly one
+    root modulo q^2, q^4, .... An integer root r satisfies
+    |r| <= B = 1 + max |a_i| // |lead(P)| (Cauchy), so once the modulus M
+    exceeds 2B, r is the lift taken in (-M/2, M/2]; each such lift is kept
+    when it is an exact root.
+    """
     deriv = [i * c for i, c in enumerate(ints) if i]
-    bound = 1 + max(map(abs, ints[:-1])) // abs(ints[-1])
-    reduced = [c % q for c in ints]
+    q = 1
+    while True:
+        q += 1
+        reduced, residues = [c % q for c in ints], []
+        for x in range(q):
+            if not _horner(reduced, x) % q:
+                if math.gcd(_horner(deriv, x), q) != 1:
+                    break  # q is dropped at its first root where P' is not a unit
+                residues.append(x)
+        else:
+            break
+    bound = 1 + max(map(abs, ints[:-1]), default=0) // abs(ints[-1])
     roots = []
-    for x in range(q):
-        if _horner(reduced, x) % q:
-            continue
+    for x in residues:
         modulus = q
         while modulus <= 2 * bound:
             modulus *= modulus

@@ -351,11 +351,12 @@ class TestZeroPieceMatches:
 
 
 class TestNonSplitFallback:
-    def test_one_resultant_per_root_search(self, monkeypatch):
+    def test_one_root_search_on_char_poly_of_ad_h(self, monkeypatch):
         # h is the companion matrix of t^6 - t - 1 (trace 0, no rational
-        # eigenvalue), so the weights come from the squarefree part of
-        # char_poly(ad h); its integer roots give only g(0) = c(h), of
-        # dimension 5 < 35
+        # eigenvalue), so the weights are the integer roots of
+        # char_poly(ad h); they give only g(0) = c(h), of dimension 5 < 35.
+        # The root search eliminates nothing: the one `_bareiss` is the
+        # kernel of ad h that gives g(0)
         import orbitcharts.grading as grading
         import orbitcharts.linalg as linalg
 
@@ -363,21 +364,24 @@ class TestNonSplitFallback:
         rows[0][5] = rows[1][5] = 1
         sl6 = build_classical("sl", 6)
         h = element(sl6, rows)
-        calls = {"integer_roots": 0, "resultant": 0}
+        root_args, eliminations = [], []
+        linalg_bareiss = linalg._bareiss
 
-        def counted(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
-            return wrapper
+        def roots(p):
+            root_args.append(p)
+            return integer_roots(p)
 
-        monkeypatch.setattr(grading, "integer_roots",
-                            counted("integer_roots", grading.integer_roots))
-        monkeypatch.setattr(linalg, "_resultant_with_derivative",
-                            counted("resultant", linalg._resultant_with_derivative))
+        def bareiss(rows):
+            eliminations.append(len(rows))
+            return linalg_bareiss(rows)
+
+        monkeypatch.setattr(grading, "integer_roots", roots)
+        monkeypatch.setattr(linalg, "_bareiss", bareiss)
         with pytest.raises(NonIntegerSpectrumError, match="span 5 of 35"):
             grading_by(h)
-        assert calls == {"integer_roots": 2, "resultant": 2}
+        assert root_args == [char_poly(ad_matrix(h))]
+        assert root_args[0].degree == 35
+        assert eliminations == [35]
 
 
 class TestWitness:

@@ -362,8 +362,18 @@ class TestIntegerRoots:
         (_poly_from_roots([0, 0, 0, 4]), [0, 4]),
         # rational leading coefficient: (3/5)(t + 2)(t - 7)
         (_poly_from_roots([-2, 7]).scale(F(3, 5)), [-2, 7]),
+        # 210 = 2 * 3 * 5 * 7: modulo each of 2, ..., 10 the roots collide or
+        # P' = 2t - 210 is not a unit at a root, so the lift starts mod 11
+        (_poly_from_roots([0, 210]), [0, 210]),
+        # (2t - 1)(t + 1): the modulus 2 divides the leading coefficient, and
+        # the one root 1 mod 2, where P' = 4t + 1 is odd, lifts to -1
+        (Polynomial((F(-1), F(1), F(2))), [-1]),
     ])
-    def test_matches_divisor_scan(self, p, expected):
+    def test_matches_divisor_scan(self, p, expected, monkeypatch):
+        def no_elimination(rows):
+            raise AssertionError("integer_roots ran an elimination")
+
+        monkeypatch.setattr(linalg, "_bareiss", no_elimination)
         assert integer_roots(p) == expected
         assert _divisor_scan_roots(p) == expected
 
