@@ -91,7 +91,7 @@ from .linalg import (
     _int_rows,
     _lincomb,
     _matrix,
-    _product,
+    _powers,
     _span_rank,
     _support,
     commutator,
@@ -178,20 +178,16 @@ class OrbitChart:
 def _exp_series(a: RatMatrix) -> tuple:
     """(exp a, exp -a) of a nilpotent square matrix a, summed on integers.
 
-    With a = N / d, the integer powers N^k are taken by `_product` up to
-    the first zero power; a nonzero N^n raises NotNilpotentError. With K the last k such that N^k != 0,
+    With a = N / d, the integer powers N^k come from the walk `_powers`,
+    whose last power is zero exactly when a is nilpotent; otherwise
+    NotNilpotentError is raised. With K the last k such that N^k != 0,
     exp(+-a) = sum_k (+-1)^k N^k d^(K-k) K!/k! over the one denominator
     d^K K!, summed into two integer buffers, each normalized once.
     """
     n = a.rows
-    big = _matrix(n, n, a.nums)
-    powers = []
-    power = big
-    while not power.is_zero():
-        if len(powers) + 1 == n:
-            raise NotNilpotentError("matrix is not nilpotent")
-        powers.append(power.nums)
-        power = _product(power, big)
+    powers = _powers(a)
+    if any(powers.pop()):
+        raise NotNilpotentError("matrix is not nilpotent")
     plus, minus = [0] * (n * n), [0] * (n * n)
     c = 1  # d^(K-k) K!/k!, from k = K = len(powers) down
     for k in range(len(powers), 0, -1):

@@ -100,7 +100,8 @@ def cmd_analyze(args: argparse.Namespace) -> dict:
         "orbit_dim": orbit_dim,
     }
     if algebra.family == "sl" and not pair.semisimple.is_zero():
-        out["class_id"] = class_id_to_json(invariants(pair.semisimple))
+        # the class of x_s, read off char_poly(x) = char_poly(x_s)
+        out["class_id"] = class_id_to_json(invariants(x))
     return out
 
 

@@ -12,11 +12,11 @@ rarely the rational that was meant; pass a string such as "1/10" instead), a
 string goes through `parse_rational`, and anything else (an int, a Fraction
 subclass) goes through `Fraction(x)`. `RatMatrix.entries` and `RatMatrix.at`
 give exact Fractions back.
-Every matrix product (`*`, `commutator`, `char_poly`,
-`Polynomial.evaluate_matrix` and the products of chart evaluation) runs one
-integer product loop, `_accumulate`, on numerators. The nonzero entries of
-the left factor drive it, and the sparse pairs of a row of the right factor
-are built only when a nonzero first reaches that row. `_product` fills one
+Every matrix product (`*`, `commutator`, `char_poly`, the power walk
+`_powers`, `Polynomial.evaluate_matrix`, chart evaluation) runs one integer
+product loop, `_accumulate`, on numerators. The nonzero entries of the left
+factor drive it, and the sparse pairs of a row of the right factor are
+built only when a nonzero first reaches that row. `_product` fills one
 buffer with it; `commutator` fills one buffer with both halves, signs +1 and
 -1, and normalizes once. Every matrix elimination (`rank`, `det`,
 `kernel_basis`, `solve_linear`, `VectorSpan`) runs one fraction-free loop,
@@ -235,16 +235,9 @@ class RatMatrix:
         return not any(self.nums)
 
     def is_nilpotent(self) -> bool:
-        """True iff some power, at most the n-th, vanishes: checks m^1 ... m^n
-        with n - 1 products."""
-        if self.rows != self.cols:
-            return False
-        p = self
-        for _ in range(self.rows - 1):
-            if p.is_zero():
-                return True
-            p = p * self
-        return p.is_zero()
+        """True iff some power, at most the n-th, vanishes: the last power of
+        the walk `_powers`, at most n - 1 products, is zero."""
+        return self.rows == self.cols and not any(_powers(self)[-1])
 
 
 def _fill(m: RatMatrix, rows: int, cols: int, nums: tuple, den: int) -> None:
@@ -302,6 +295,19 @@ def _product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     out = [0] * (a.rows * b.cols)
     _accumulate(out, a, b, 1)
     return _matrix(a.rows, b.cols, out, a.den * b.den)
+
+
+def _powers(m: RatMatrix) -> list:
+    """The numerators of N, N^2, ..., N^K for the square m = N / den, one
+    `_product` per power: the walk stops at the first zero power or at N^n
+    (K = n), so the last power is zero exactly when m is nilpotent."""
+    n = m.rows
+    big = _matrix(n, n, m.nums)
+    power, powers = big, [m.nums]
+    while any(power.nums) and len(powers) < n:
+        power = _product(power, big)
+        powers.append(power.nums)
+    return powers
 
 
 def _support(m: RatMatrix) -> tuple:

@@ -7,6 +7,7 @@ import pytest
 
 from orbitcharts.linalg import Polynomial, RatMatrix, _as_fraction, rank
 from orbitcharts.liealg import build_classical
+from orbitcharts.rng import SplitMix64
 
 
 def partitions(n):
@@ -76,6 +77,68 @@ def elem(n, i, j, value=1):
     rows = [[0] * n for _ in range(n)]
     rows[i][j] = value
     return RatMatrix.from_rows(rows)
+
+
+def mixed_corpus():
+    """sl3-sl5, so5, so6 and sp4 diagonals plus a nilpotent inside their
+    centralizer: superdiagonal ones in repeated-eigenvalue blocks (for so and
+    sp, E_01 with the partner entry the form requires)."""
+    cases = []
+    for family, values, entries in (
+            ("sl", [1, 1, -2], [(0, 1, 1)]),
+            ("sl", [1, 1, -1, -1], [(0, 1, 1)]),
+            ("sl", [1, 1, -1, -1], [(0, 1, 1), (2, 3, 1)]),
+            ("sl", [1, 1, 1, -3], [(0, 1, 1), (1, 2, 1)]),
+            ("sl", [1, 1, 0, -1, -1], [(0, 1, 1), (3, 4, 1)]),
+            ("sl", [2, 2, 2, -3, -3], [(0, 1, 1), (1, 2, 1)]),
+            ("so", [1, 1, 0, -1, -1], [(0, 1, 1), (3, 4, -1)]),
+            ("so", [1, 1, 1, -1, -1, -1], [(0, 1, 1), (4, 5, -1)]),
+            ("sp", [1, 1, -1, -1], [(0, 1, 1), (2, 3, -1)])):
+        n = len(values)
+        label = ",".join(map(str, values)) + "+" + ",".join(f"E{i}{j}" for i, j, _ in entries)
+        cases.append(pytest.param(family, n, values, entries, id=f"{family}{n}-{label}"))
+    return cases
+
+
+def mixed_element(family, n, values, entries):
+    algebra = build_classical(family, n)
+    m = diag_matrix(values)
+    for i, j, v in entries:
+        m = m + elem(n, i, j, v)
+    return algebra, algebra.element_from_matrix(m)
+
+
+def companion(n, low):
+    """The companion matrix of t^n + sum_k low[k] t^k: ones below the
+    diagonal, -low in the last column."""
+    rows = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    for k, c in enumerate(low):
+        rows[k][n - 1] = -c
+    return RatMatrix.from_rows(rows)
+
+
+def power_walk_corpus(n):
+    """n x n matrices for the power walk: conjugated nilpotents of every
+    Jordan type (the regular one has m^(n-1) != 0), the zero matrix, and
+    traceless non-nilpotents whose power ranks stay positive: companions of
+    t^n - c and t^n - c t, whose characteristic polynomials differ from
+    t^n in one coefficient, a conjugate of each companion of t^n - c, and
+    J (+) diag(1, -1) for a Jordan block J."""
+    rng = SplitMix64(900 + n)
+    corpus = [RatMatrix.zeros(n, n)]
+    for part in nontrivial_partitions(n):
+        u, u_inv = unit_bidiagonal([rng.randint(-2, 2) for _ in range(n - 1)])
+        corpus.append(u * jordan_nilpotent(n, part) * u_inv)
+    for c in (1, -3, Fraction(1, 2)):
+        corpus.append(companion(n, [-c]))
+        if n > 2:
+            corpus.append(companion(n, [0, -c]))
+    if n > 2:
+        corpus.append(jordan_nilpotent(n, [n - 2, 1, 1]) + diag_matrix([0] * (n - 2) + [1, -1]))
+    for c in (1, -3, Fraction(1, 2)):
+        u, u_inv = unit_bidiagonal([rng.randint(-2, 2) for _ in range(n - 1)], upper=False)
+        corpus.append(u * companion(n, [-c]) * u_inv)
+    return corpus
 
 
 def draw_choice(rng, seq):

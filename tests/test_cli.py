@@ -12,9 +12,12 @@ import orbitcharts.grading as grading
 import orbitcharts.jordan as jordan
 import orbitcharts.liealg as liealg
 import orbitcharts.verify as verify
+from conftest import mixed_corpus, mixed_element
 from orbitcharts.cli import main
+from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import LieAlgebra, ad_matrix, build_classical
-from orbitcharts.linalg import RatMatrix
+from orbitcharts.linalg import RatMatrix, matrix_to_json
+from orbitcharts.verify import class_id_to_json, invariants
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,6 +83,23 @@ class TestAnalyze:
         assert data["case"] == "mixed"
         assert data["class_id"] == ["-3", "2"]
         assert data["jordan"]["nilpotent"][0][1] == "1"
+
+    @pytest.mark.parametrize("family,n,values,entries",
+                             [c for c in mixed_corpus() if c.values[0] == "sl"])
+    def test_mixed_class_id_read_off_x(self, monkeypatch, family, n, values, entries):
+        """class_id is the class of x_s, read off char_poly(x) =
+        char_poly(x_s): the one char_poly outside `jordan_decompose` is
+        taken of x."""
+        _, x = mixed_element(family, n, values, entries)
+        expected = class_id_to_json(invariants(jordan_decompose(x).semisimple))
+        calls = []
+        real = verify.char_poly
+        monkeypatch.setattr(verify, "char_poly", lambda m: calls.append(m) or real(m))
+        code, out = run(["analyze", "--family", family, "--size", str(n),
+                         "--element", json.dumps({"matrix": matrix_to_json(x.matrix)})])
+        assert code == 0
+        assert json.loads(out)["class_id"] == expected
+        assert calls == [x.matrix]
 
     def test_element_from_file(self, tmp_path):
         path = tmp_path / "el.json"

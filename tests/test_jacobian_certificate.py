@@ -13,9 +13,10 @@ rank depends on bracketing with Ad(S_1) core rather than the core, and on a
 sweep of built charts. On the sweep the rank also equals that of the g^-1
 frame rows in parameter order (`conftest.g_inverse_frame_rank`), and the
 exact bracket-form derivatives match digests recorded from the
-suffix-product derivative pass they replaced. The power chain of the
-Jordan-type check, `verify._power_chain`, gives the ranks of the powers
-and a flag that equals char_poly(m) = t^n.
+suffix-product derivative pass they replaced. The power walk of the
+verify checks, `verify._power_walk`, gives the power sums and the ranks of
+the powers, and its power sums are equal exactly when the characteristic
+polynomials are.
 """
 
 import functools
@@ -33,7 +34,7 @@ from conftest import (
     jordan_nilpotent,
     matrix_power,
     nontrivial_partitions,
-    unit_bidiagonal,
+    power_walk_corpus,
 )
 from orbitcharts import verify
 from orbitcharts.charts import (
@@ -47,6 +48,7 @@ from orbitcharts.liealg import build_classical
 from orbitcharts.linalg import (
     Polynomial,
     RatMatrix,
+    _powers,
     _span_rank,
     char_poly,
     commutator,
@@ -241,17 +243,20 @@ def test_sweep_mod_p_rank_equals_exact_rank(label):
         assert verify._jacobian_rank(chart, vp) == exact == g_inverse_frame_rank(chart, vp), name
 
 
-def _assert_power_ranks(m):
-    ranks, nilpotent = verify._power_chain(m)
+def _assert_power_walk(m):
+    """`verify._power_walk` gives tr(m^k) for k = 1 .. n and rank(m^k) for
+    k = 1 .. n-1."""
+    sums, ranks = verify._power_walk(m, True)
+    assert sums == [matrix_power(m, k).trace() for k in range(1, m.rows + 1)]
     assert ranks == [rank(matrix_power(m, k)) for k in range(1, m.rows)]
-    assert nilpotent == matrix_power(m, m.rows).is_zero()
+    assert verify._power_walk(m, False) == (sums, None)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_power_ranks_of_sl_nilpotents(n):
     for part in nontrivial_partitions(n):
-        _assert_power_ranks(jordan_nilpotent(n, part))
-    _assert_power_ranks(RatMatrix.zeros(n, n))
+        _assert_power_walk(jordan_nilpotent(n, part))
+    _assert_power_walk(RatMatrix.zeros(n, n))
 
 
 @pytest.mark.parametrize("label", list(SWEEP))
@@ -259,50 +264,44 @@ def test_power_ranks_of_chart_values(label):
     """On the element and on chart values at random tuples (nilpotent for
     nilpotent charts, of every Jordan type the slice reaches)."""
     chart = sweep_chart(label)
-    _assert_power_ranks(chart.base_element.matrix)
+    _assert_power_walk(chart.base_element.matrix)
     for _, params in sweep_points(chart)[1:]:
-        _assert_power_ranks(eval_chart(chart, params))
-
-
-def _companion(n, low):
-    """The companion matrix of t^n + sum_k low[k] t^k: ones below the
-    diagonal, -low in the last column."""
-    rows = [[int(i == j + 1) for j in range(n)] for i in range(n)]
-    for k, c in enumerate(low):
-        rows[k][n - 1] = -c
-    return RatMatrix.from_rows(rows)
-
-
-def _power_chain_corpus(n):
-    """Conjugated nilpotents of every Jordan type (the regular one has
-    m^(n-1) != 0), the zero matrix, and traceless non-nilpotents whose
-    power ranks stay positive: companions of t^n - c and t^n - c t, whose
-    characteristic polynomials differ from t^n in one coefficient, and
-    J (+) diag(1, -1) for a Jordan block J."""
-    rng = SplitMix64(900 + n)
-    corpus = [RatMatrix.zeros(n, n)]
-    for part in nontrivial_partitions(n):
-        u, u_inv = unit_bidiagonal([rng.randint(-2, 2) for _ in range(n - 1)])
-        corpus.append(u * jordan_nilpotent(n, part) * u_inv)
-    for c in (1, -3, F(1, 2)):
-        corpus.append(_companion(n, [-c]))
-        if n > 2:
-            corpus.append(_companion(n, [0, -c]))
-    if n > 2:
-        corpus.append(jordan_nilpotent(n, [n - 2, 1, 1]) + diag_matrix([0] * (n - 2) + [1, -1]))
-    return corpus
+        _assert_power_walk(eval_chart(chart, params))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_power_chain_flag_is_char_poly_t_n(n):
-    """The flag of `_power_chain` is char_poly(m) = t^n, and its ranks are
-    those of the powers."""
+    """The last power of the walk `linalg._powers`, which `is_nilpotent` and
+    `_exp_series` read, is zero exactly when char_poly(m) = t^n, and the
+    ranks and power sums of `verify._power_walk` are those of the powers."""
     t_n = Polynomial((0,) * n + (1,))
     flags = set()
-    for m in _power_chain_corpus(n):
-        ranks, nilpotent = verify._power_chain(m)
+    for m in power_walk_corpus(n):
+        nilpotent = not any(_powers(m)[-1])
+        _, ranks = verify._power_walk(m, True)
         assert nilpotent == (char_poly(m) == t_n)
         assert nilpotent or all(ranks)
-        _assert_power_ranks(m)
+        _assert_power_walk(m)
         flags.add(nilpotent)
     assert flags == {False, True}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_power_sums_equal_exactly_when_char_poly_equal(n):
+    """Over every pair of the corpus, the power sums tr(m^k), k = 1 .. n,
+    that `char_poly_preserved` compares are equal exactly when the
+    characteristic polynomials are (Newton's identities); the corpus has
+    pairs of both kinds off the nilpotent cone, and pairs that differ in
+    one power sum only."""
+    corpus = power_walk_corpus(n)
+    sums = [verify._power_walk(m, False)[0] for m in corpus]
+    polys = [char_poly(m) for m in corpus]
+    t_n = Polynomial((0,) * n + (1,))
+    kinds = set()
+    for i in range(len(corpus)):
+        for j in range(i):
+            same = polys[i] == polys[j]
+            assert (sums[i] == sums[j]) == same, (i, j)
+            if polys[i] != t_n:
+                kinds.add(same)
+    assert kinds == {False, True}

@@ -17,6 +17,7 @@ from conftest import (
     g_inverse_frame_rank,
     matrix_power,
     poly_divmod,
+    power_walk_corpus,
     sl,
     unit_bidiagonal,
 )
@@ -29,6 +30,7 @@ from orbitcharts.linalg import (
     VectorSpan,
     _bareiss,
     _matrix,
+    _powers,
     _pseudo_divmod,
     char_poly,
     commutator,
@@ -683,6 +685,52 @@ class TestMatrixBasics:
         assert m1 == m2
         assert kernel_basis(m1) == kernel_basis(m2)
         assert char_poly(m1) == char_poly(m2)
+
+
+def _powers_corpus():
+    """0x0, 1x1 and zero matrices, seeded dense rational n = 2 ... 6 with
+    denominators up to 12, and the power walk corpus of conftest for n =
+    2 ... 6."""
+    rng = SplitMix64(2201)
+    mats = [RatMatrix.zeros(0, 0), M([[0]]), M([[F(-7, 3)]])]
+    for n in range(2, 7):
+        mats.append(RatMatrix.zeros(n, n))
+        mats.append(M([[draw_fraction(rng, -30, 30, range(1, 13)) for _ in range(n)]
+                       for _ in range(n)]))
+        mats.extend(power_walk_corpus(n))
+    return mats
+
+
+class TestPowers:
+    """`_powers(m)` walks N, N^2, ... for m = N / den, one `_product` per
+    power, up to the first zero power or N^n."""
+
+    def test_numerators_match_repeated_products(self):
+        for m in _powers_corpus():
+            n, den = m.rows, m.den
+            powers = _powers(m)
+            zero = [k for k in range(1, n + 1) if matrix_power(m, k).is_zero()]
+            assert len(powers) == (zero[0] if zero else max(n, 1))
+            for k, nums in enumerate(powers, 1):
+                expected = [e * den ** k for e in matrix_power(m, k).entries]
+                assert all(e.denominator == 1 for e in expected)
+                assert list(nums) == expected
+            assert m.is_nilpotent() == (not any(powers[-1])) == bool(zero or n == 0)
+
+    def test_stops_at_the_first_zero_power(self, monkeypatch):
+        """At most n - 1 products, one per power after the first."""
+        calls = []
+        product = linalg._product
+        monkeypatch.setattr(linalg, "_product", lambda a, b: calls.append(1) or product(a, b))
+        for m in _powers_corpus():
+            del calls[:]
+            powers = _powers(m)
+            assert len(calls) == len(powers) - 1 <= max(m.rows - 1, 0)
+            assert all(any(p) for p in powers[:-1])
+        # N with N^2 = 0 in sl6: one product
+        del calls[:]
+        assert len(_powers(M([[int((i, j) == (0, 5)) for j in range(6)] for i in range(6)]))) == 2
+        assert len(calls) == 1
 
 
 class TestCoercion:

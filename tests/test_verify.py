@@ -9,6 +9,8 @@ from conftest import (
     element,
     g_inverse_frame_rank,
     jordan_nilpotent,
+    mixed_corpus,
+    mixed_element,
     nontrivial_partitions,
     partitions,
 )
@@ -189,8 +191,9 @@ class TestVerifyChart:
 
 
 class TestCharPolyPreserved:
-    """A nilpotent chart reads char_poly(v) = t^n off v^n = 0 from the power
-    chain of each sampled value; other charts run Faddeev-LeVerrier."""
+    """`char_poly_preserved` compares the power sums tr(v^k), k = 1 .. n, of
+    x and of each value, from one walk of the powers per matrix; no
+    characteristic polynomial is computed."""
 
     @pytest.fixture
     def char_poly_calls(self, monkeypatch):
@@ -204,10 +207,10 @@ class TestCharPolyPreserved:
         monkeypatch.setattr(verify, "char_poly", spy)
         return calls
 
-    def test_non_nilpotent_sample_fails(self, sl4, monkeypatch, char_poly_calls):
-        x = sl4.element_from_matrix(jordan_nilpotent(4, [4]))
-        chart = build_chart(x, 42)
-        bump = diag_matrix([1, -1, 0, 0])
+    @staticmethod
+    def _off_fibre_report(x, chart, bump, monkeypatch):
+        """The report of ``chart`` with ``bump`` added to the third sampled
+        value: the same trace, another characteristic polynomial."""
         passes = []
         real = verify._value_pass
 
@@ -217,6 +220,7 @@ class TestCharPolyPreserved:
             if len(passes) != 4:  # the base pass, then the samples
                 return vp
             value = vp.value + bump
+            assert value.trace() == x.matrix.trace()
             assert char_poly(value) != char_poly(x.matrix)
             return _ValuePass(vp.series, [value] + vp.cores[1:])
 
@@ -226,15 +230,38 @@ class TestCharPolyPreserved:
         check = report.check("char_poly_preserved")
         assert check.observed is False and not check.passed
         assert report.check("jacobian_rank_samples").passed
-        # two reports, one char_poly each: the target
-        assert char_poly_calls == [x.matrix, x.matrix]
 
-    def test_semisimple_chart_skips_only_the_base_value(self, sl3, char_poly_calls):
+    def test_non_nilpotent_sample_fails(self, sl4, monkeypatch, char_poly_calls):
+        x = sl4.element_from_matrix(jordan_nilpotent(4, [4]))
+        self._off_fibre_report(x, build_chart(x, 42), diag_matrix([1, -1, 0, 0]), monkeypatch)
+        assert char_poly_calls == []
+
+    def test_semisimple_sample_off_the_fibre_fails(self, sl4, monkeypatch, char_poly_calls):
+        x = sl4.element_from_matrix(diag_matrix([1, 1, -1, -1]))
+        chart = build_chart(x, 42)
+        assert chart.case_tag == "semisimple"
+        self._off_fibre_report(x, chart, diag_matrix([1, -1, 0, 0]), monkeypatch)
+        assert char_poly_calls == []
+
+    def test_mixed_sample_off_the_fibre_fails(self, sl4, monkeypatch, char_poly_calls):
+        x = sl4.element_from_matrix(diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1))
+        chart = build_chart(x, 42)
+        assert chart.case_tag == "mixed"
+        self._off_fibre_report(x, chart, diag_matrix([0, 0, 1, -1]), monkeypatch)
+        assert char_poly_calls == []
+
+    def test_semisimple_chart_skips_only_the_base_value(self, sl3, monkeypatch,
+                                                         char_poly_calls):
+        walks = []
+        real = verify._power_walk
+        monkeypatch.setattr(verify, "_power_walk",
+                            lambda m, ranked: walks.append(m) or real(m, ranked))
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]))
         report = verify_chart(x, build_chart(x, 42), 42, 5)
         assert report.check("base_point_identity").passed
         assert report.check("char_poly_preserved").passed
-        assert len(char_poly_calls) == 1 + 5
+        assert walks[0] == x.matrix and len(walks) == 1 + 5
+        assert char_poly_calls == []
 
 
 class TestReductiveProxy:
@@ -304,35 +331,6 @@ def _semisimple_corpus():
     return cases
 
 
-def _mixed_corpus():
-    """sl3-sl5, so5, so6 and sp4 diagonals plus a nilpotent inside their
-    centralizer: superdiagonal ones in repeated-eigenvalue blocks (for so and
-    sp, E_01 with the partner entry the form requires)."""
-    cases = []
-    for family, values, entries in (
-            ("sl", [1, 1, -2], [(0, 1, 1)]),
-            ("sl", [1, 1, -1, -1], [(0, 1, 1)]),
-            ("sl", [1, 1, -1, -1], [(0, 1, 1), (2, 3, 1)]),
-            ("sl", [1, 1, 1, -3], [(0, 1, 1), (1, 2, 1)]),
-            ("sl", [1, 1, 0, -1, -1], [(0, 1, 1), (3, 4, 1)]),
-            ("sl", [2, 2, 2, -3, -3], [(0, 1, 1), (1, 2, 1)]),
-            ("so", [1, 1, 0, -1, -1], [(0, 1, 1), (3, 4, -1)]),
-            ("so", [1, 1, 1, -1, -1, -1], [(0, 1, 1), (4, 5, -1)]),
-            ("sp", [1, 1, -1, -1], [(0, 1, 1), (2, 3, -1)])):
-        n = len(values)
-        label = ",".join(map(str, values)) + "+" + ",".join(f"E{i}{j}" for i, j, _ in entries)
-        cases.append(pytest.param(family, n, values, entries, id=f"{family}{n}-{label}"))
-    return cases
-
-
-def _mixed_element(family, n, values, entries):
-    algebra = build_classical(family, n)
-    m = diag_matrix(values)
-    for i, j, v in entries:
-        m = m + elem(n, i, j, v)
-    return algebra, algebra.element_from_matrix(m)
-
-
 class TestOneConstruction:
     @pytest.mark.parametrize("family,n,values", _semisimple_corpus())
     def test_semisimple_same_flat_data(self, family, n, values):
@@ -342,9 +340,9 @@ class TestOneConstruction:
         assert chart.case_tag == "semisimple"
         assert _same_flat_data(chart, chart_semisimple(x, 42))
 
-    @pytest.mark.parametrize("family,n,values,entries", _mixed_corpus())
+    @pytest.mark.parametrize("family,n,values,entries", mixed_corpus())
     def test_mixed_same_flat_data(self, family, n, values, entries):
-        _, x = _mixed_element(family, n, values, entries)
+        _, x = mixed_element(family, n, values, entries)
         chart = build_chart(x, 42)
         assert chart.case_tag == "mixed"
         assert _same_flat_data(chart, chart_mixed(x, 42))
@@ -383,9 +381,9 @@ class TestJacobianRankAgainstDerivatives:
         _assert_rank_matches_derivatives(chart)
         _assert_rank_matches_derivatives(_reversed_round_trip(algebra, chart))
 
-    @pytest.mark.parametrize("family,n,values,entries", _mixed_corpus())
+    @pytest.mark.parametrize("family,n,values,entries", mixed_corpus())
     def test_mixed(self, family, n, values, entries):
-        algebra, x = _mixed_element(family, n, values, entries)
+        algebra, x = mixed_element(family, n, values, entries)
         chart = build_chart(x, 42)
         assert len(chart.factors) == 3
         _assert_rank_matches_derivatives(chart)
@@ -401,9 +399,9 @@ class TestRedstabWitnessFromChart:
         assert report_to_json(redstab_suite(x, 42, chart)) \
             == report_to_json(redstab_suite(x, 42))
 
-    @pytest.mark.parametrize("family,n,values,entries", _mixed_corpus())
+    @pytest.mark.parametrize("family,n,values,entries", mixed_corpus())
     def test_mixed_same_report_as_without_chart(self, family, n, values, entries):
-        _, x = _mixed_element(family, n, values, entries)
+        _, x = mixed_element(family, n, values, entries)
         rep = redstab_suite(x, 42, build_chart(x, 42))
         assert rep.overall_pass
         assert report_to_json(rep) == report_to_json(redstab_suite(x, 42))
