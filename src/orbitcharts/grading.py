@@ -10,11 +10,17 @@ back to every integer root of the characteristic polynomial of ad h
 (degree dim g). Either way the scan is complete; the grading is accepted
 only when the eigenspaces fill the whole algebra.
 
-Each eigenspace is a kernel computed on integer rows: the numerators of
-ad h are read once, and weight i only shifts the diagonal. The pieces are then
-certified element by element (h x - x h = i x for each x in g(i), as n x n
-matrices); with the dimension count and the closure of g, the Jacobi
-identity gives [g(i), g(j)] in g(i + j) for every pair of pieces.
+When ad h is diagonal in the basis of g, as it is for a diagonal h in the
+standard bases of `build_classical` and in the centralizer of a diagonal
+element, every basis element is a weight vector. The pieces are then read
+off the diagonal, with no weight scan, no kernel and no characteristic
+polynomial, and they are the ones the scan would return (see
+`grading_by`). Otherwise each eigenspace is a kernel computed on integer rows: the numerators of
+ad h are read once, and weight i only shifts the diagonal. Either way the
+pieces are then certified element by element (h x - x h = i x for each x
+in g(i), as n x n matrices); with the dimension count and the closure of
+g, the Jacobi identity gives [g(i), g(j)] in g(i + j) for every pair of
+pieces.
 
 `semisimple_for_levi` realizes the witness statement behind the charts: a
 semisimple integer element z, central in the given Levi, whose full
@@ -105,7 +111,13 @@ class ParabolicData:
 def grading_by(h: LieElement) -> Grading:
     """Decompose the algebra of h into integer eigenspaces of ad h.
 
-    The weights scanned are `_natural_weights` of h, or, when the
+    When ad h is diagonal, g(i) is the basis elements b_j whose diagonal
+    entry is i, in increasing j. That is exactly what the scan below
+    returns: the kernel of diagonal integer rows is the unit vectors at
+    their zero entries, in increasing column order, and `basis_element(j)`
+    has the coordinates and the matrix of `element` on that unit vector.
+
+    Otherwise the weights scanned are `_natural_weights` of h, or, when the
     characteristic polynomial of h does not split over the rationals, every
     integer root of the characteristic polynomial of ad h.
 
@@ -119,20 +131,30 @@ def grading_by(h: LieElement) -> Grading:
     dim = algebra.dim
     if dim == 0:
         return Grading(h, {})
-    weights = _natural_weights(h.matrix)
-    if weights is None:
-        weights = integer_roots(char_poly(ad_h))
     pieces: Dict[int, Tuple[LieElement, ...]] = {}
-    total = 0
-    for i in weights:
-        rows = _int_rows(ad_h)
-        for k, row in enumerate(rows):
-            row[k] -= i * ad_h.den
-        vectors = _int_kernel_basis(rows, dim)
-        if not vectors:
-            continue
-        pieces[i] = tuple(algebra.element(v) for v in vectors)
-        total += len(vectors)
+    nums, den = ad_h.nums, ad_h.den
+    diagonal = nums[::dim + 1]
+    if len(nums) - nums.count(0) == len(diagonal) - diagonal.count(0):
+        # no nonzero entry off the diagonal: read the pieces off it
+        by_weight = {}
+        for j, d in enumerate(diagonal):
+            i, rem = divmod(d, den)
+            if not rem:
+                by_weight.setdefault(i, []).append(j)
+        for i, js in by_weight.items():
+            pieces[i] = tuple(algebra.basis_element(j) for j in js)
+    else:
+        weights = _natural_weights(h.matrix)
+        if weights is None:
+            weights = integer_roots(char_poly(ad_h))
+        for i in weights:
+            rows = _int_rows(ad_h)
+            for k, row in enumerate(rows):
+                row[k] -= i * den
+            vectors = _int_kernel_basis(rows, dim)
+            if vectors:
+                pieces[i] = tuple(algebra.element(v) for v in vectors)
+    total = sum(len(els) for els in pieces.values())
     if total != dim:
         raise NonIntegerSpectrumError(
             f"integer eigenspaces of ad h span {total} of {dim} dimensions"

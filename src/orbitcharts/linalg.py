@@ -682,57 +682,12 @@ class Polynomial:
             end -= 1
         object.__setattr__(self, "coefficients", coeffs[:end])
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((c,))
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(tuple(out))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coefficients))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero()
-        out = [ZERO] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if not a:
-                continue
-            for j, b in enumerate(other.coefficients):
-                if b:
-                    out[i + j] += a * b
-        return Polynomial(tuple(out))
-
-    def scale(self, c) -> "Polynomial":
-        c = _as_fraction(c)
-        return Polynomial(tuple(a * c for a in self.coefficients))
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i))

@@ -210,13 +210,51 @@ def fraction_horner(coefficients, rows):
     return acc
 
 
+def poly_add(a, b):
+    """a + b for `Polynomial` values."""
+    x, y = a.coefficients, b.coefficients
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] += c
+    return Polynomial(tuple(out))
+
+
+def poly_scale(p, c):
+    """c p for a `Polynomial` p and a rational c."""
+    return Polynomial(tuple(a * c for a in p.coefficients))
+
+
+def poly_sub(a, b):
+    """a - b for `Polynomial` values."""
+    return poly_add(a, poly_scale(b, -1))
+
+
+def poly_mul(*factors):
+    """The product of `Polynomial` factors; 1 when there are none."""
+    out = (Fraction(1),)
+    for p in factors:
+        prod = [Fraction(0)] * (len(out) + len(p.coefficients) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p.coefficients):
+                prod[i + j] += a * b
+        out = prod
+    return Polynomial(tuple(out))
+
+
+def monic(p):
+    """The nonzero `Polynomial` p divided by its leading coefficient."""
+    return poly_scale(p, 1 / p.coefficients[-1])
+
+
 def poly_divmod(a, b):
     """(q, r) with a = q b + r and deg r < deg b: long division of
     `Polynomial` values in Fractions."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a.coefficients)
-    blead = b.leading
+    blead = b.coefficients[-1]
     db = b.degree
     quot = [Fraction(0)] * max(len(rem) - db, 0)
     while len(rem) - 1 >= db and any(rem):
@@ -240,7 +278,7 @@ def fraction_squarefree_part(p):
         a, b = b, poly_divmod(a, b)[1]
     q, r = poly_divmod(p, a)
     assert r.is_zero()
-    return q.scale(1 / q.leading)
+    return monic(q)
 
 
 # ---------------------------------------------------------------------------

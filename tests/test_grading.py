@@ -10,6 +10,7 @@ from conftest import (
     element,
     jordan_nilpotent,
     nontrivial_partitions,
+    unit_bidiagonal,
 )
 from orbitcharts.grading import (
     Grading,
@@ -158,10 +159,157 @@ class TestNaturalWeights:
         g = grading_by(algebra.element_from_matrix(h))
         assert g.piece_dims() == {-1: 1, 0: 1}
 
+    def test_non_split_grading_element_falls_back_in_a_skewed_basis(self, monkeypatch):
+        # the algebra above on the basis (h, h + E): [h, h + E] = -E
+        # = h - (h + E), so ad h = [[0, 1], [0, -1]] is not diagonal and the
+        # weights come from the integer roots of char_poly(ad h)
+        import orbitcharts.grading as grading
+
+        h = RatMatrix.from_rows([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 1, 2], [0, 0, 1, 1]])
+        e = RatMatrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
+        algebra = LieAlgebra((h, h + e), "span{h, h + E} in gl4")
+        root_args = []
+
+        def roots(p):
+            root_args.append(p)
+            return integer_roots(p)
+
+        monkeypatch.setattr(grading, "integer_roots", roots)
+        g = grading_by(algebra.element_from_matrix(h))
+        assert g.piece_dims() == {-1: 1, 0: 1}
+        assert len(root_args) == 1
+
     def test_non_split_shortfall_message(self, sl3):
         companion = element(sl3, [[0, 0, 2], [1, 0, 0], [0, 1, 0]])  # t^3 - 2
         with pytest.raises(NonIntegerSpectrumError, match="span 2 of 8"):
             grading_by(companion)
+
+
+def _ad_is_diagonal(h):
+    ad_h = ad_matrix(h)
+    return all(ad_h.at(r, c) == 0 for r in range(ad_h.rows)
+               for c in range(ad_h.cols) if r != c)
+
+
+def _assert_reference_pieces(algebra, h, g):
+    """The pieces of ``g`` are the elements of the `_exhaustive_pieces`
+    coordinate vectors, coordinates and matrices alike."""
+    expected = _exhaustive_pieces(algebra, h)
+    assert {i: [el.coords for el in els] for i, els in g.pieces.items()} == expected, \
+        (algebra.label, h.matrix)
+    for i, els in g.pieces.items():
+        assert [el.matrix for el in els] \
+            == [algebra.element(v).matrix for v in expected[i]], (algebra.label, i)
+
+
+# Block compositions of sl3-sl5 with a diagonal x_s constant on each block;
+# the nilpotent x_n is a superdiagonal 1 in the first block of size >= 2.
+_LEVI_COMPOSITIONS = (
+    (3, (2, 1)), (3, (1, 2)),
+    (4, (2, 2)), (4, (2, 1, 1)), (4, (3, 1)),
+    (5, (4, 1)), (5, (3, 2)), (5, (2, 3)), (5, (3, 1, 1)), (5, (2, 1, 2)),
+    (5, (1, 3, 1)),
+)
+
+
+def _levi_elements():
+    """For each composition, the witness z of the Levi c(x_s) in sl(n) and
+    the JM h of x_n inside that Levi, graded in the Levi's kernel basis."""
+    out = []
+    for n, blocks in _LEVI_COMPOSITIONS:
+        # block k gets n k - sum_j m_j j: distinct values, trace zero
+        shift = sum(m * k for k, m in enumerate(blocks))
+        values = [n * k - shift for k, m in enumerate(blocks) for _ in range(m)]
+        algebra = build_classical("sl", n)
+        levi = centralizer_basis(algebra.element_from_matrix(diag_matrix(values)))
+        pos = sum(blocks[:next(k for k, m in enumerate(blocks) if m >= 2)])
+        x_n = levi.element_from_matrix(elem(n, pos, pos + 1))
+        out.append((algebra, semisimple_for_levi(algebra, levi, 42)))
+        out.append((levi, jacobson_morozov(x_n).h))
+    return out
+
+
+def _zero_elements():
+    out = [(algebra, algebra.zero_element())
+           for algebra in (build_classical("sl", 3), build_classical("so", 5),
+                           build_classical("sp", 4))]
+    sl4 = build_classical("sl", 4)
+    # the full Levi: the witness search grades by zero (`levi.same_span`)
+    out.append((sl4, semisimple_for_levi(sl4, block_levi(4, (4,)), 42)))
+    return out
+
+
+_READ_OFF_CORPORA = {
+    "diagonal": _diagonal_elements,
+    "jm": lambda: [c for n in (3, 4, 5) for c in _jm_elements(n)],
+    "levi": _levi_elements,
+    "zero": _zero_elements,
+}
+
+
+class TestDiagonalReadOff:
+    """When ad h is diagonal, the pieces are read off its diagonal; they
+    equal the reference scan's, element for element."""
+
+    @pytest.mark.parametrize("name", sorted(_READ_OFF_CORPORA))
+    def test_pieces_equal_the_reference_scan(self, name):
+        for algebra, h in _READ_OFF_CORPORA[name]():
+            assert _ad_is_diagonal(h), (algebra.label, h.matrix)
+            _assert_reference_pieces(algebra, h, grading_by(h))
+
+    def test_zero_grades_everything_in_degree_zero(self):
+        for algebra, h in _zero_elements():
+            assert h.is_zero()
+            assert grading_by(h).piece_dims() == {0: algebra.dim}
+
+    def test_non_integer_diagonal_rejected(self, sl3):
+        # the Cartan has weight 0; every root space has weight +-1/3 or +-2/3
+        h = sl3.element_from_matrix(diag_matrix([F(1, 3), 0, F(-1, 3)]))
+        assert _ad_is_diagonal(h)
+        with pytest.raises(NonIntegerSpectrumError, match="span 2 of 8"):
+            grading_by(h)
+
+    def test_no_elimination_and_no_char_poly(self, monkeypatch):
+        import orbitcharts.grading as grading
+        import orbitcharts.linalg as linalg
+
+        sl6 = build_classical("sl", 6)
+        h = jacobson_morozov(sl6.element_from_matrix(jordan_nilpotent(6, [6]))).h
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(linalg, "_bareiss", spy("_bareiss", linalg._bareiss))
+        monkeypatch.setattr(linalg, "char_poly", spy("char_poly", linalg.char_poly))
+        monkeypatch.setattr(grading, "char_poly", spy("char_poly", grading.char_poly))
+        g = grading_by(h)
+        assert g.piece_dims() == {-10: 1, -8: 2, -6: 3, -4: 4, -2: 5, 0: 5,
+                                  2: 5, 4: 4, 6: 3, 8: 2, 10: 1}
+        assert calls == []
+
+    def test_conjugated_diagonal_takes_the_scan(self, monkeypatch):
+        import orbitcharts.linalg as linalg
+
+        sl4 = build_classical("sl", 4)
+        u, u_inv = unit_bidiagonal([1, 2, 3])
+        h = sl4.element_from_matrix(u * diag_matrix([3, 1, -1, -3]) * u_inv)
+        assert not _ad_is_diagonal(h)
+        eliminations = []
+        linalg_bareiss = linalg._bareiss
+
+        def bareiss(rows):
+            eliminations.append(len(rows))
+            return linalg_bareiss(rows)
+
+        monkeypatch.setattr(linalg, "_bareiss", bareiss)
+        g = grading_by(h)
+        assert eliminations
+        monkeypatch.undo()
+        _assert_reference_pieces(sl4, h, g)
 
 
 def _upper_nilpotent_basis(algebra):

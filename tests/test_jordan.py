@@ -2,7 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import diag_matrix, elem, element, poly_divmod, unit_bidiagonal
+from conftest import (
+    diag_matrix,
+    elem,
+    element,
+    poly_add,
+    poly_divmod,
+    poly_mul,
+    poly_scale,
+    poly_sub,
+    unit_bidiagonal,
+)
 from orbitcharts import jordan
 from orbitcharts.charts import exp_nilpotent
 from orbitcharts.jordan import _inverse, jordan_decompose
@@ -102,15 +112,15 @@ def test_centralizer_is_intersection(sl3):
 def _extended_gcd(a, b):
     """(g, u, v) with u*a + v*b = g and g monic: the extended Euclidean
     algorithm over `Polynomial`."""
-    one, zero = Polynomial.constant(1), Polynomial.zero()
+    one, zero = Polynomial((1,)), Polynomial(())
     r0, r1, u0, u1, v0, v1 = a, b, one, zero, zero, one
     while not r1.is_zero():
         q, r = poly_divmod(r0, r1)
         r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    inv = 1 / r0.leading
-    return r0.scale(inv), u0.scale(inv), v0.scale(inv)
+        u0, u1 = u1, poly_sub(u0, poly_mul(q, u1))
+        v0, v1 = v1, poly_sub(v0, poly_mul(q, v1))
+    inv = 1 / r0.coefficients[-1]
+    return poly_scale(r0, inv), poly_scale(u0, inv), poly_scale(v0, inv)
 
 
 def _chevalley_semisimple(m):
@@ -118,8 +128,8 @@ def _chevalley_semisimple(m):
     part of char_poly(m) and v its Bezout cofactor: u*q + v*q' = 1."""
     q = squarefree_part(char_poly(m))
     g, u, v = _extended_gcd(q, q.derivative())
-    assert g == Polynomial.constant(1)
-    assert u * q + v * q.derivative() == g
+    assert g == Polynomial((1,))
+    assert poly_add(poly_mul(u, q), poly_mul(v, q.derivative())) == g
     xs = m
     while not q.evaluate_matrix(xs).is_zero():
         xs = xs - q.evaluate_matrix(xs) * v.evaluate_matrix(xs)
@@ -127,10 +137,7 @@ def _chevalley_semisimple(m):
 
 
 def _product(factors):
-    p = Polynomial.constant(1)
-    for f in factors:
-        p = p * Polynomial(tuple(F(c) for c in f))
-    return p
+    return poly_mul(*(Polynomial(tuple(F(c) for c in f)) for f in factors))
 
 
 def _companion(p):

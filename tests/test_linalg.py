@@ -16,7 +16,11 @@ from conftest import (
     fraction_squarefree_part,
     g_inverse_frame_rank,
     matrix_power,
+    monic,
+    poly_add,
     poly_divmod,
+    poly_mul,
+    poly_scale,
     power_walk_corpus,
     sl,
     unit_bidiagonal,
@@ -297,7 +301,7 @@ class TestPolynomial:
 
     def test_squarefree_zero_rejected(self):
         with pytest.raises(ValueError):
-            squarefree_part(Polynomial.zero())
+            squarefree_part(Polynomial(()))
 
     def test_integer_roots(self):
         p = Polynomial((F(2), F(-3), F(0), F(1)))  # roots 1, 1, -2
@@ -312,10 +316,7 @@ class TestPolynomial:
 
 
 def _poly_from_roots(roots, extra=Polynomial((F(1),))):
-    p = extra
-    for r in roots:
-        p = p * Polynomial((F(-r), F(1)))
-    return p
+    return poly_mul(extra, *(Polynomial((F(-r), F(1))) for r in roots))
 
 
 def _divisor_scan_roots(p):
@@ -345,9 +346,9 @@ def _divisor_scan_roots(p):
 class TestIntegerRoots:
     @pytest.mark.parametrize("p, expected", [
         # (t - 2)(t - 5)(t + 3/2) / 7
-        (_poly_from_roots([2, 5, F(-3, 2)]).scale(F(1, 7)), [2, 5]),
+        (poly_scale(_poly_from_roots([2, 5, F(-3, 2)]), F(1, 7)), [2, 5]),
         # t^2 (t - 3)(t - 1/2) (2/3)
-        (_poly_from_roots([0, 0, 3, F(1, 2)]).scale(F(2, 3)), [0, 3]),
+        (poly_scale(_poly_from_roots([0, 0, 3, F(1, 2)]), F(2, 3)), [0, 3]),
         # repeated roots: (t - 3)^3 (t + 1)^2
         (_poly_from_roots([3, 3, 3, -1, -1]), [-1, 3]),
         # constant term -1000003 * 999983, a product of two primes
@@ -363,7 +364,7 @@ class TestIntegerRoots:
         # repeated zero root: t^3 (t - 4)
         (_poly_from_roots([0, 0, 0, 4]), [0, 4]),
         # rational leading coefficient: (3/5)(t + 2)(t - 7)
-        (_poly_from_roots([-2, 7]).scale(F(3, 5)), [-2, 7]),
+        (poly_scale(_poly_from_roots([-2, 7]), F(3, 5)), [-2, 7]),
         # 210 = 2 * 3 * 5 * 7: modulo each of 2, ..., 10 the roots collide or
         # P' = 2t - 210 is not a unit at a root, so the lift starts mod 11
         (_poly_from_roots([0, 210]), [0, 210]),
@@ -408,9 +409,9 @@ def test_integer_roots_property():
         c = F(data.draw(st.integers(-100, 100).filter(bool)), data.draw(st.integers(1, 100)))
         p = Polynomial((c,))
         for a in data.draw(st.lists(st.integers(1, 10 ** 6), max_size=2)):
-            p = p * Polynomial((F(a * a), F(0), F(1)))
+            p = poly_mul(p, Polynomial((F(a * a), F(0), F(1))))
         for a, b in data.draw(st.lists(fraction, max_size=2)):
-            p = p * Polynomial((F(-a), F(b)))
+            p = poly_mul(p, Polynomial((F(-a), F(b))))
         assert integer_roots(_poly_from_roots(roots, p)) == sorted(set(roots))
 
     check()
@@ -450,7 +451,7 @@ def _squarefree_corpus():
     irreducible quadratics, constants, linear polynomials and t^k."""
     t = Polynomial((F(0), F(1)))
     cases = [
-        (Polynomial((F(-1), F(0), F(1))) * Polynomial((F(-1), F(1))),  # (t^2 - 1)(t - 1)
+        (poly_mul(Polynomial((F(-1), F(0), F(1))), Polynomial((F(-1), F(1)))),  # (t^2 - 1)(t - 1)
          Polynomial((F(-1), F(0), F(1)))),
         (Polynomial((F(5),)), Polynomial((F(1),))),
         (Polynomial((F(-3, 7),)), Polynomial((F(1),))),
@@ -458,7 +459,7 @@ def _squarefree_corpus():
     ]
     power = Polynomial((F(1),))
     for _ in range(6):
-        power = power * t
+        power = poly_mul(power, t)
         cases.append((power, t))
     rng = SplitMix64(2102)
     for _ in range(30):
@@ -467,15 +468,15 @@ def _squarefree_corpus():
                       for _ in range(rng.randint(0, 2))]
         simple = Polynomial((draw_fraction(rng, 1, 9, (1, 7)),))
         for r in dict.fromkeys(roots):
-            simple = simple * Polynomial((-r, F(1)))
+            simple = poly_mul(simple, Polynomial((-r, F(1))))
         for q in dict.fromkeys(quadratics):
-            simple = simple * q
+            simple = poly_mul(simple, q)
         p = simple
         for factor in roots + quadratics:
             if rng.randint(0, 1):
-                p = p * (factor if isinstance(factor, Polynomial)
-                         else Polynomial((-factor, F(1))))
-        cases.append((p, simple.scale(1 / simple.leading)))
+                p = poly_mul(p, factor if isinstance(factor, Polynomial)
+                             else Polynomial((-factor, F(1))))
+        cases.append((p, monic(simple)))
     return cases
 
 
@@ -492,7 +493,7 @@ class TestPolynomialLayerAgainstFractionReference:
         for m in _poly_corpus_matrices():
             p = char_poly(m)
             assert p.coefficients == fraction_char_poly(m.row_lists())
-            assert p.degree == m.rows and p.leading == 1
+            assert p.degree == m.rows and p.coefficients[-1] == 1
 
     def test_squarefree_part_of_char_polys(self):
         for m in _poly_corpus_matrices():
@@ -502,19 +503,19 @@ class TestPolynomialLayerAgainstFractionReference:
     def test_squarefree_corpus(self):
         for p, expected in _squarefree_corpus():
             assert squarefree_part(p) == expected == fraction_squarefree_part(p)
-            assert squarefree_part(p.scale(F(-3, 8))) == expected
+            assert squarefree_part(poly_scale(p, F(-3, 8))) == expected
 
     def test_evaluate_matrix(self):
         rng = SplitMix64(2103)
         for m in _poly_corpus_matrices():
             if m.rows > 10:
                 continue
-            polys = [Polynomial.zero(), Polynomial((F(-5, 3),)), char_poly(m)]
+            polys = [Polynomial(()), Polynomial((F(-5, 3),)), char_poly(m)]
             polys += [_random_poly(rng, d) for d in (1, 2, 4)]
             for p in polys:
                 value = p.evaluate_matrix(m)
                 assert value == M(fraction_horner(p.coefficients, m.row_lists()))
-        assert Polynomial.zero().evaluate_matrix(M([[F(1, 3)]])) == RatMatrix.zeros(1, 1)
+        assert Polynomial(()).evaluate_matrix(M([[F(1, 3)]])) == RatMatrix.zeros(1, 1)
         assert Polynomial((F(2),)).evaluate_matrix(RatMatrix.zeros(0, 0)).rows == 0
 
     def test_pseudo_divmod(self):
@@ -528,14 +529,15 @@ class TestPolynomialLayerAgainstFractionReference:
             q, r, s = _pseudo_divmod(a, b)
             pa, pb = Polynomial(tuple(a)), Polynomial(tuple(b))
             assert len(r) < len(b) and (not r or r[-1])
-            assert pa.scale(s) == Polynomial(tuple(q)) * pb + Polynomial(tuple(r))
+            assert poly_scale(pa, s) \
+                == poly_add(poly_mul(Polynomial(tuple(q)), pb), Polynomial(tuple(r)))
             k = 0
             while abs(s) > 1 and s % b[-1] == 0:
                 s, k = s // b[-1], k + 1
             assert s == 1 and k <= max(len(a) - len(b) + 1, 0)
             fq, fr = poly_divmod(pa, pb)
-            assert Polynomial(tuple(q)).scale(F(1, b[-1] ** k)) == fq
-            assert Polynomial(tuple(r)).scale(F(1, b[-1] ** k)) == fr
+            assert poly_scale(Polynomial(tuple(q)), F(1, b[-1] ** k)) == fq
+            assert poly_scale(Polynomial(tuple(r)), F(1, b[-1] ** k)) == fr
 
     def test_pseudo_divmod_scales_only_when_needed(self):
         assert _pseudo_divmod([2, 0, 4], [1, 2]) == ([-1, 2], [3], 1)
@@ -563,7 +565,8 @@ def test_polynomial_layer_property():
         q = Polynomial(tuple(data.draw(st.lists(rational, max_size=5))))
         assert q.evaluate_matrix(m) == M(fraction_horner(q.coefficients, rows))
         if not q.is_zero():
-            r = q * q * Polynomial(tuple(data.draw(st.lists(rational, min_size=1, max_size=4))))
+            r = poly_mul(q, q, Polynomial(tuple(data.draw(st.lists(rational, min_size=1,
+                                                                   max_size=4)))))
             if not r.is_zero():
                 assert squarefree_part(r) == fraction_squarefree_part(r)
 
@@ -799,7 +802,7 @@ class TestCoercion:
         assert all(type(c) is Fraction for c in p.coefficients)
         assert p.degree == 1
         assert Polynomial((0, F(0), "0")).is_zero()
-        assert Polynomial(("3",)) == Polynomial.constant(3)
+        assert Polynomial(("3",)) == Polynomial((3,))
 
     def test_dual_number_parts_are_exact(self):
         d = DualNumber(2, "1/3")
