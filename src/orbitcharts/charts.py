@@ -178,29 +178,30 @@ class OrbitChart:
 def _exp_series(a: RatMatrix) -> tuple:
     """(exp a, exp -a) of a nilpotent square matrix a, summed on integers.
 
-    With a = N / d, the integer powers N^k come from the walk `_powers`,
-    whose last power is zero exactly when a is nilpotent; otherwise
-    NotNilpotentError is raised. With K the last k such that N^k != 0,
-    exp(+-a) = sum_k (+-1)^k N^k d^(K-k) K!/k! over the one denominator
-    d^K K!, summed into two integer buffers, each normalized once.
+    The powers a^k come from the walk `_powers`, whose last power is zero
+    exactly when a is nilpotent; otherwise NotNilpotentError is raised.
+    With a^k = N_k / d_k for the k with a^k != 0, exp(+-a) = sum_k
+    (+-1)^k N_k (D / (d_k k!)) over the one denominator D = lcm(d_k k!),
+    summed into two integer buffers, each normalized once.
     """
     n = a.rows
     powers = _powers(a)
-    if any(powers.pop()):
+    if not powers.pop().is_zero():
         raise NotNilpotentError("matrix is not nilpotent")
+    scales = [p.den * math.factorial(k) for k, p in enumerate(powers, 1)]
+    den = math.lcm(*scales)
     plus, minus = [0] * (n * n), [0] * (n * n)
-    c = 1  # d^(K-k) K!/k!, from k = K = len(powers) down
-    for k in range(len(powers), 0, -1):
+    for k, (p, scale) in enumerate(zip(powers, scales), 1):
+        c = den // scale
         signed = -c if k % 2 else c
-        for p, v in enumerate(powers[k - 1]):
+        for q, v in enumerate(p.nums):
             if v:
-                plus[p] += c * v
-                minus[p] += signed * v
-        c *= a.den * k
-    for p in range(0, n * n, n + 1):
-        plus[p] += c
-        minus[p] += c
-    return _matrix(n, n, plus, c), _matrix(n, n, minus, c)
+                plus[q] += c * v
+                minus[q] += signed * v
+    for q in range(0, n * n, n + 1):
+        plus[q] += den
+        minus[q] += den
+    return _matrix(n, n, plus, den), _matrix(n, n, minus, den)
 
 
 def exp_nilpotent(a: RatMatrix) -> RatMatrix:

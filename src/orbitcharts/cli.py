@@ -173,6 +173,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _PARSER = _build_parser()
 
+# (exception kinds, exit code) of a failed command, first match wins: the
+# ValueError subclasses come before ValueError, which covers the parse
+# errors (ElementParseError among them)
+_EXIT_CODES = (
+    (NotInAlgebraError, EXIT_NOT_IN_ALGEBRA),
+    (WitnessNotFoundError, EXIT_NO_WITNESS),
+    ((ZeroElementError, ZeroSemisimplePartError), EXIT_ZERO_ELEMENT),
+    (ValueError, EXIT_PARSE),
+)
+
 
 def main(argv=None) -> int:
     try:
@@ -185,21 +195,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         result = _COMMANDS[args.command](args)
-    except ElementParseError as exc:
+    except (ValueError, WitnessNotFoundError) as exc:
         print(f"orbit: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotInAlgebraError as exc:
-        print(f"orbit: {exc}", file=sys.stderr)
-        return EXIT_NOT_IN_ALGEBRA
-    except WitnessNotFoundError as exc:
-        print(f"orbit: {exc}", file=sys.stderr)
-        return EXIT_NO_WITNESS
-    except (ZeroElementError, ZeroSemisimplePartError) as exc:
-        print(f"orbit: {exc}", file=sys.stderr)
-        return EXIT_ZERO_ELEMENT
-    except ValueError as exc:
-        print(f"orbit: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     text = json.dumps(result, indent=2) + "\n"
     if args.out:
         try:

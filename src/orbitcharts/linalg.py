@@ -237,7 +237,7 @@ class RatMatrix:
     def is_nilpotent(self) -> bool:
         """True iff some power, at most the n-th, vanishes: the last power of
         the walk `_powers`, at most n - 1 products, is zero."""
-        return self.rows == self.cols and not any(_powers(self)[-1])
+        return self.rows == self.cols and _powers(self)[-1].is_zero()
 
 
 def _fill(m: RatMatrix, rows: int, cols: int, nums: tuple, den: int) -> None:
@@ -298,15 +298,12 @@ def _product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 def _powers(m: RatMatrix) -> list:
-    """The numerators of N, N^2, ..., N^K for the square m = N / den, one
-    `_product` per power: the walk stops at the first zero power or at N^n
-    (K = n), so the last power is zero exactly when m is nilpotent."""
-    n = m.rows
-    big = _matrix(n, n, m.nums)
-    power, powers = big, [m.nums]
-    while any(power.nums) and len(powers) < n:
-        power = _product(power, big)
-        powers.append(power.nums)
+    """m, m^2, ..., m^K of the square m, each `_product` of the one before
+    and m: the walk stops at the first zero power or at m^n (K = n), so the
+    last power is zero exactly when m is nilpotent."""
+    powers = [m]
+    while not powers[-1].is_zero() and len(powers) < m.rows:
+        powers.append(_product(powers[-1], m))
     return powers
 
 

@@ -4,6 +4,14 @@ Reports are pure functions of (inputs, seed). Every sampled quantity flows
 from one splitmix64 stream, so reruns are byte-identical. Failures are
 recorded in the report, never thrown.
 
+Each check prints its expected and observed values. All but three are
+built by `_agrees` and pass exactly when observed == expected, so their
+verdicts can be recomputed from the report JSON alone. The three keep a
+rule of their own: ``levi_witness_found`` observes the witness matrix and
+passes when one was found, ``jordan_type_preserved`` also passes when
+nothing was sampled, and ``u2_differs_from_u`` is informational and always
+passes.
+
 The Jacobian checks rank the differential exactly. At each point one
 exact value pass is made, and `charts._core_brackets` gives the
 differential's columns conjugated by S_k g^-1, S_k = exp a_(k+1) ...
@@ -14,13 +22,12 @@ slice rows first and then the factor blocks from the last factor to the
 first (`_jacobian_rank`).
 
 Equal characteristic polynomials are certified by power sums: x and each
-value v = N / den are walked once (`linalg._powers`), and tr(v^k) =
-tr(N^k) / den^k, k = 1 .. n, is compared with tr(x^k). In characteristic
-0, Newton's identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i turn
-these p_k into the coefficients +-e_k of the characteristic polynomial and
-back (Macdonald, Symmetric Functions and Hall Polynomials, I.2). On a
-nilpotent chart the same walk gives the ranks of v^k for k < n, hence the
-Jordan type of v.
+value v are walked once (`linalg._powers`), and tr(v^k), k = 1 .. n, is
+compared with tr(x^k). In characteristic 0, Newton's identities k e_k =
+sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i turn these p_k into the coefficients
++-e_k of the characteristic polynomial and back (Macdonald, Symmetric
+Functions and Hall Polynomials, I.2). On a nilpotent chart the same walk
+gives the ranks of v^k for k < n, hence the Jordan type of v.
 
 The reductivity of a centralizer is tested through its proxy: the ambient
 trace form restricted to the centralizer is nondegenerate. This is valid
@@ -34,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence
 
 from .charts import (
@@ -85,6 +91,11 @@ class Check:
     expected: object
     observed: object
     passed: bool
+
+
+def _agrees(name: str, expected, observed) -> Check:
+    """The check that passes exactly when ``observed`` equals ``expected``."""
+    return Check(name, expected, observed, observed == expected)
 
 
 @dataclass(eq=False)
@@ -165,19 +176,16 @@ def _jacobian_rank(chart: OrbitChart, vp) -> int:
 
 
 def _power_walk(m: RatMatrix, ranked: bool) -> tuple:
-    """(sums, ranks) of the square m = N / den from one walk `_powers`:
-    sums = [tr(m^k) = tr(N^k) / den^k for k = 1 .. n] and, if ``ranked``,
-    ranks = [rank(m^k) for k = 1 .. n-1], else None. The powers past the
-    first zero one, of trace and rank 0, are not formed."""
+    """(sums, ranks) of the square m from one walk `_powers`: sums =
+    [tr(m^k) for k = 1 .. n] and, if ``ranked``, ranks = [rank(m^k) for
+    k = 1 .. n-1], else None. The powers past the first zero one, of trace
+    and rank 0, are not formed."""
     n = m.rows
     powers = _powers(m)
-    sums = [Fraction(sum(p[::n + 1]), m.den ** k) for k, p in enumerate(powers, 1)]
-    sums += [ZERO] * (n - len(powers))
+    sums = [p.trace() for p in powers] + [ZERO] * (n - len(powers))
     if not ranked:
         return sums, None
-    # m^k in lowest terms: on the raw N^k Bareiss ran 2.5x slower (sl12 samples)
-    ranks = [rank(_matrix(n, n, p, m.den ** k))
-             for k, p in enumerate(powers[:n - 1], 1) if any(p)]
+    ranks = [rank(p) for p in powers[:n - 1] if not p.is_zero()]
     return sums, ranks + [0] * (n - 1 - len(ranks))
 
 
@@ -286,48 +294,26 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     if chart.parabolic is None or (chart.inner is not None
                                    and chart.inner.parabolic is None):
         scaffold = build_chart(x, seed)
-        same = _same_flat_data(chart, scaffold)
-        checks.append(Check("rebuilt_chart_identity", expected=True, observed=same,
-                            passed=same))
+        checks.append(_agrees("rebuilt_chart_identity", True,
+                              _same_flat_data(chart, scaffold)))
     nil = _nilpotent_part(scaffold)
 
     expected_dim = rank(ad_matrix(x))
-    oracle_cdim = algebra.dim - expected_dim
-    checks.append(Check(
-        "dimension_identity",
-        expected=expected_dim,
-        observed=chart.param_count,
-        passed=(chart.param_count == expected_dim),
-    ))
+    checks.append(_agrees("dimension_identity", expected_dim, chart.param_count))
 
     if nil is not None:
         name = "tangent_identity" if nil is scaffold else "inner_tangent_identity"
         checks.append(_tangent_check(nil, name))
     if chart.case_tag == "mixed":
         inner = chart.inner
-        inner_cdim = inner.algebra.dim - rank(ad_matrix(inner.base_element))
-        checks.append(Check(
-            "centralizer_composition",
-            expected=oracle_cdim,
-            observed=inner_cdim,
-            passed=(inner_cdim == oracle_cdim),
-        ))
+        checks.append(_agrees("centralizer_composition", algebra.dim - expected_dim,
+                              inner.algebra.dim - rank(ad_matrix(inner.base_element))))
 
     base_vp = _value_pass(chart, _as_fractions(chart.base_params))
     base_value = base_vp.value
-    base_rank = _jacobian_rank(chart, base_vp)
-    checks.append(Check(
-        "base_point_identity",
-        expected=True,
-        observed=(base_value == x.matrix),
-        passed=(base_value == x.matrix),
-    ))
-    checks.append(Check(
-        "jacobian_rank_base",
-        expected=chart.expected_orbit_dim,
-        observed=base_rank,
-        passed=(base_rank == chart.expected_orbit_dim),
-    ))
+    checks.append(_agrees("base_point_identity", True, base_value == x.matrix))
+    checks.append(_agrees("jacobian_rank_base", chart.expected_orbit_dim,
+                          _jacobian_rank(chart, base_vp)))
 
     values = []
     ranks = []
@@ -353,20 +339,9 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
         vp = _value_pass(chart, params)
         values.append(vp.value)
         ranks.append(_jacobian_rank(chart, vp))
-    checks.append(Check(
-        "jacobian_rank_samples",
-        expected=[chart.expected_orbit_dim] * samples,
-        observed=ranks,
-        passed=(ranks == [chart.expected_orbit_dim] * samples),
-    ))
-
-    distinct = len(set(values))
-    checks.append(Check(
-        "injectivity_sampling",
-        expected=samples,
-        observed=distinct,
-        passed=(distinct == samples),
-    ))
+    checks.append(_agrees("jacobian_rank_samples", [chart.expected_orbit_dim] * samples,
+                          ranks))
+    checks.append(_agrees("injectivity_sampling", samples, len(set(values))))
 
     # one walk of the powers of x and of each value (the base value only if needed)
     nilpotent = chart.case_tag == "nilpotent"
@@ -375,29 +350,14 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     # equal matrices have equal power sums
     preserved = (all(sums == target_sums for sums, _ in walks)
                  and (base_value == x.matrix or _power_walk(base_value, False)[0] == target_sums))
-    checks.append(Check(
-        "char_poly_preserved",
-        expected=True,
-        observed=preserved,
-        passed=preserved,
-    ))
+    checks.append(_agrees("char_poly_preserved", True, preserved))
 
     if nilpotent:
         observed_ranks = sorted({tuple(ranks) for _, ranks in walks})
-        ok = (not values) or observed_ranks == [tuple(base_ranks)]
-        checks.append(Check(
-            "jordan_type_preserved",
-            expected=[base_ranks],
-            observed=[list(r) for r in observed_ranks],
-            passed=ok,
-        ))
-
-    checks.append(Check(
-        "u2_differs_from_u",
-        expected=None,
-        observed=scaffold.u2_differs_from_u,
-        passed=True,
-    ))
+        checks.append(Check("jordan_type_preserved", [base_ranks],
+                            [list(r) for r in observed_ranks],
+                            not values or observed_ranks == [tuple(base_ranks)]))
+    checks.append(Check("u2_differs_from_u", None, scaffold.u2_differs_from_u, True))
 
     subject = {
         "algebra": algebra.label,
@@ -411,10 +371,7 @@ def _tangent_check(nil_chart: OrbitChart, name: str) -> Check:
     """dim [e, p] == dim u2, as the rank of ad e on the coordinates of p."""
     pd = nil_chart.parabolic
     p_columns = RatMatrix.from_rows([el.coords for el in pd.p]).transpose()
-    observed = rank(ad_matrix(nil_chart.base_element) * p_columns)
-    expected = len(pd.u2)
-    return Check(name, expected=expected, observed=observed,
-                 passed=(observed == expected))
+    return _agrees(name, len(pd.u2), rank(ad_matrix(nil_chart.base_element) * p_columns))
 
 
 # ---------------------------------------------------------------------------
@@ -436,27 +393,24 @@ def redstab_suite(x: LieElement, seed: int,
                   chart: OrbitChart | None = None) -> VerificationReport:
     """Semisimplicity, the reductivity proxy, and the Levi witness, cross-checked.
 
-    ``chart`` is the chart built for (x, seed), if there is one.
-    For semisimple x the witness grading is taken from a semisimple chart of
-    x that carries its scaffolding: it is the grading the search would find
-    (same Levi, same seed). Only without such a chart is c(x) built as a
-    `LieAlgebra`, for the search; otherwise it is a kernel basis of ad x.
+    ``chart`` is the chart built for (x, seed), if there is one. A chart of
+    x that carries its scaffolding answers both questions without a second
+    Jordan test: x is semisimple exactly when the chart is (its Jordan split
+    gave x_n = 0), and then its witness grading is the grading the search
+    would find (same Levi, same seed). Only without such a chart is
+    semisimplicity tested on x and, for semisimple x, c(x) built as a
+    `LieAlgebra` for the search; otherwise c(x) is a kernel basis of ad x.
     Either way the zero piece must match c(x) (`_zero_piece_matches`).
     """
     algebra = x.algebra
-    semisimple = is_semisimple_matrix(x.matrix)
+    own = (chart is not None and chart.parabolic is not None
+           and chart.algebra is algebra and chart.base_element.matrix == x.matrix)
+    semisimple = chart.case_tag == "semisimple" if own else is_semisimple_matrix(x.matrix)
     cent = _centralizer_matrices(x)
     proxy = det(trace_form_gram(cent)) != 0
-    checks: List[Check] = [Check(
-        "semisimple_iff_reductive",
-        expected=semisimple,
-        observed=proxy,
-        passed=(semisimple == proxy),
-    )]
+    checks: List[Check] = [_agrees("semisimple_iff_reductive", semisimple, proxy)]
     if semisimple:
-        if (chart is not None and chart.case_tag == "semisimple"
-                and chart.parabolic is not None and chart.algebra is algebra
-                and chart.base_element.matrix == x.matrix):
+        if own:
             grading = chart.parabolic.grading
         else:
             try:
@@ -465,26 +419,11 @@ def redstab_suite(x: LieElement, seed: int,
                 grading = None
         found = grading is not None
         witness_json = matrix_to_json(grading.grading_element.matrix) if found else None
-        zero_piece_ok = found and _zero_piece_matches(grading, x.matrix, len(cent))
-        checks.append(Check(
-            "levi_witness_found",
-            expected=True,
-            observed=witness_json,
-            passed=found,
-        ))
-        checks.append(Check(
-            "witness_zero_piece_matches_centralizer",
-            expected=True,
-            observed=zero_piece_ok,
-            passed=zero_piece_ok,
-        ))
+        checks.append(Check("levi_witness_found", True, witness_json, found))
+        checks.append(_agrees("witness_zero_piece_matches_centralizer", True,
+                              found and _zero_piece_matches(grading, x.matrix, len(cent))))
     else:
-        checks.append(Check(
-            "nonsemisimple_not_reductive",
-            expected=False,
-            observed=proxy,
-            passed=(proxy is False),
-        ))
+        checks.append(_agrees("nonsemisimple_not_reductive", False, proxy))
     subject = {
         "algebra": algebra.label,
         "element": matrix_to_json(x.matrix),

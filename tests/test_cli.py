@@ -11,6 +11,7 @@ import orbitcharts.cli as cli
 import orbitcharts.grading as grading
 import orbitcharts.jordan as jordan
 import orbitcharts.liealg as liealg
+import orbitcharts.linalg as linalg
 import orbitcharts.verify as verify
 from conftest import mixed_corpus, mixed_element
 from orbitcharts.cli import main
@@ -32,6 +33,8 @@ CUBIC3 = '{"matrix": [["0","0","1"],["1","0","1"],["0","1","0"]]}'
 # of two primes: no rational root, and a constant term too large to factor
 BIG_CUBIC3 = json.dumps({"matrix": [["0", "0", str((10 ** 20 + 39) * (10 ** 20 + 129))],
                                     ["1", "0", "7"], ["0", "1", "0"]]})
+# companion matrix of t^3 - 2, which has no rational root
+CUBE_ROOT3 = '{"matrix": [["0","0","2"],["1","0","0"],["0","1","0"]]}'
 SO5_DIAG = ('{"matrix": [["1","0","0","0","0"],["0","1","0","0","0"],'
             '["0","0","0","0","0"],["0","0","0","-1","0"],["0","0","0","0","-1"]]}')
 SP4_REGULAR = ('{"matrix": [["0","1","0","0"],["0","0","1","0"],'
@@ -350,6 +353,35 @@ class TestVerify:
         assert "orbit: element is not valid JSON" in capsys.readouterr().err
 
 
+class TestExitCodes:
+    """One case per row of the exit-code table of `cli.main` (the ValueError
+    row twice: an element that does not parse, and a plain ValueError); each
+    failure prints "orbit: " and the exception text to stderr, nothing to
+    stdout."""
+
+    @pytest.mark.parametrize("args,code,message", [
+        (["analyze", "--family", "sl", "--size", "2",
+          "--element", '{"matrix": [["1","0"],["0","1"]]}'],
+         3, "matrix does not lie in sl2"),
+        (["chart", "--family", "sl", "--size", "3", "--element", CUBE_ROOT3],
+         4, "does not split over the rationals"),
+        (["chart", "--family", "sl", "--size", "2", "--element", ZERO2],
+         5, "the zero element has no chart"),
+        (["classify", "--family", "sl", "--size", "3", "--element", E13],
+         5, "semisimple part is zero"),
+        (["analyze", "--family", "sl", "--size", "2", "--element", '{"matrix": 1}'],
+         2, "matrix JSON must be a nonempty array of arrays"),
+        (["analyze", "--family", "sl", "--size", "1", "--element", '{"matrix": [["0"]]}'],
+         2, "sl(n) needs n >= 2"),
+    ], ids=["not-in-algebra", "no-witness", "zero-element", "zero-semisimple-part",
+            "element-parse", "value-error"])
+    def test_exit_code_and_message(self, capsys, args, code, message):
+        assert run(args) == (code, "")
+        err = capsys.readouterr().err
+        assert err.startswith("orbit: ") and err.endswith("\n") and err.count("\n") == 1
+        assert message in err
+
+
 class TestClassify:
     def test_sl2_jordan_block(self):
         code, out = run(["classify", "--family", "sl", "--size", "2",
@@ -447,6 +479,29 @@ class TestAnalysedOnce:
         assert code == 0
         assert counts["jordan_decompose"] == 1
         assert counts["algebras"] <= MAX_ALGEBRAS[command][case]
+
+    @pytest.mark.parametrize("rows,expected", [
+        ([[int(j == i + 1) for j in range(4)] for i in range(4)], 1),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 3),
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 3),
+    ], ids=["regular-nilpotent", "semisimple", "mixed"])
+    def test_verify_char_poly_calls(self, monkeypatch, rows, expected):
+        # one in the Jordan split; for x_s != 0 the witness search adds its
+        # rational eigenvalues and its candidate's semisimplicity test.
+        # redstab_suite reads semisimplicity off the chart
+        calls, real = [], linalg.char_poly
+
+        def spy(m):
+            calls.append(m)
+            return real(m)
+
+        for module in (linalg, liealg, jordan, grading, charts, verify, cli):
+            if getattr(module, "char_poly", None) is real:
+                monkeypatch.setattr(module, "char_poly", spy)
+        element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
+        code, _ = run(["verify", "--family", "sl", "--size", "4", "--element", element])
+        assert code == 0
+        assert len(calls) == expected
 
     @pytest.mark.parametrize("case", ["semisimple", "mixed"])
     def test_classify_splits_only_the_companion(self, monkeypatch, case):

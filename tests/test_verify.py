@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,7 @@ class TestVerifyChart:
         rep = verify_chart(x, tampered, 42, 5)
         assert not rep.overall_pass
         assert not rep.check("rebuilt_chart_identity").passed
+        _assert_verdict_rule(rep)
 
     def test_deserialized_chart_with_other_slice_dimension(self, sl3):
         # an extra slice vector with a matching orbit dimension passes
@@ -169,6 +171,7 @@ class TestVerifyChart:
         assert not rep.check("rebuilt_chart_identity").passed
         assert not rep.check("dimension_identity").passed
         assert not rep.check("jacobian_rank_samples").passed
+        _assert_verdict_rule(rep)
 
     def test_deserialized_nilpotent_chart_for_a_semisimple_element(self, sl2):
         # the rebuilt chart is semisimple and has no slice to sample from;
@@ -180,6 +183,7 @@ class TestVerifyChart:
         assert not rep.check("rebuilt_chart_identity").passed
         assert not rep.check("char_poly_preserved").passed
         assert rep.check("jordan_type_preserved").passed
+        _assert_verdict_rule(rep)
 
     def test_report_json_shape(self, sl2):
         e = element(sl2, [[0, 1], [0, 0]])
@@ -420,6 +424,97 @@ class TestRedstabWitnessFromChart:
         other = build_chart(sl3.element_from_matrix(diag_matrix([2, -1, -1])), 42)
         assert report_to_json(redstab_suite(x, 42, other)) \
             == report_to_json(redstab_suite(x, 42))
+
+
+# the checks whose verdict is not observed == expected (see `verify`)
+OWN_RULE = {"levi_witness_found", "jordan_type_preserved", "u2_differs_from_u"}
+
+
+def _assert_verdict_rule(*reports):
+    """Every check of the printed reports outside OWN_RULE passes exactly
+    when its observed value equals its expected one."""
+    for report in reports:
+        for c in json.loads(json.dumps(report_to_json(report)))["checks"]:
+            if c["name"] not in OWN_RULE:
+                assert c["pass"] == (c["observed"] == c["expected"]), c
+
+
+def _nilpotent_corpus():
+    """sl3-sl5 nilpotents of every nontrivial Jordan type, and the so5, so6,
+    sp4 and sp6 regular nilpotents (part None)."""
+    cases = [pytest.param("sl", n, part, id=f"sl{n}-" + ",".join(map(str, part)))
+             for n in (3, 4, 5) for part in nontrivial_partitions(n)]
+    for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6)):
+        cases.append(pytest.param(family, n, None, id=f"{family}{n}-regular"))
+    return cases
+
+
+class TestVerdictRule:
+    """Every check of `verify_chart` and `redstab_suite` outside OWN_RULE is
+    built by `verify._agrees`, so its verdict can be recomputed from the
+    printed report: on built charts, on charts read back from JSON and
+    verified under another seed, and on the failing reports of charts read
+    back with their factors reversed (and of the deserialized-chart tests of
+    `TestVerifyChart`)."""
+
+    @pytest.fixture
+    def agreed(self, monkeypatch):
+        """The names of the checks built by `verify._agrees`."""
+        names = set()
+        real = verify._agrees
+
+        def spy(name, expected, observed):
+            names.add(name)
+            return real(name, expected, observed)
+
+        monkeypatch.setattr(verify, "_agrees", spy)
+        return names
+
+    @staticmethod
+    def _reports(agreed, x, chart, seed=42):
+        """The chart report of ``chart`` under ``seed`` and the redstab
+        reports with and without it, after checking the rule on them."""
+        reports = [verify_chart(x, chart, seed, 3), redstab_suite(x, seed, chart),
+                   redstab_suite(x, seed)]
+        _assert_verdict_rule(*reports)
+        names = {c.name for report in reports for c in report.checks}
+        assert names - agreed <= OWN_RULE and not agreed & OWN_RULE
+        return reports
+
+    @pytest.mark.parametrize("family,n,part", _nilpotent_corpus())
+    def test_nilpotent(self, agreed, family, n, part):
+        if part is None:
+            _, x = _regular_nilpotent(family, n)
+        else:
+            x = build_classical(family, n).element_from_matrix(jordan_nilpotent(n, part))
+        assert all(r.overall_pass for r in self._reports(agreed, x, build_chart(x, 42)))
+
+    @pytest.mark.parametrize("family,n,values", _semisimple_corpus())
+    def test_semisimple(self, agreed, family, n, values):
+        algebra = build_classical(family, n)
+        x = algebra.element_from_matrix(diag_matrix(values))
+        self._assert_built_and_read_back(agreed, algebra, x)
+
+    @pytest.mark.parametrize("family,n,values,entries", mixed_corpus())
+    def test_mixed(self, agreed, family, n, values, entries):
+        algebra, x = mixed_element(family, n, values, entries)
+        self._assert_built_and_read_back(agreed, algebra, x)
+
+    def _assert_built_and_read_back(self, agreed, algebra, x):
+        chart = build_chart(x, 42)
+        assert all(r.overall_pass for r in self._reports(agreed, x, chart))
+        reversed_report = self._reports(agreed, x, _reversed_round_trip(algebra, chart))[0]
+        assert not reversed_report.check("rebuilt_chart_identity").passed
+        read_back = chart_from_json(algebra, chart_to_json(chart))
+        self._reports(agreed, x, read_back, seed=7)
+
+    def test_own_rule_names_are_exactly_three(self, agreed, sl3):
+        names = set()
+        for rows in (elem(3, 0, 2), diag_matrix([1, 1, -2])):
+            x = sl3.element_from_matrix(rows)
+            names |= {c.name for r in self._reports(agreed, x, build_chart(x, 42))
+                      for c in r.checks}
+        assert names - agreed == OWN_RULE
 
 
 class TestInvariants:
