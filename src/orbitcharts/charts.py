@@ -36,11 +36,11 @@ The value pass conjugates the core by one factor at a time, from the
 innermost factor outward, and keeps each partial value Ad(S_f) core.
 Conjugating every column by one matrix S_k g^-1 keeps the rank, and in that
 frame the column of b is [Ad(S_k S_f^-1) y, Ad(S_k) core] and the slice
-column Ad(S_k) s_j. `_core_brackets` forms these columns for any k from the
-partial values: `eval_chart_with_derivatives` takes k = m, the g^-1 frame,
-and maps the columns back by g; `verify._jacobian_rank` ranks them in the
-frame of the innermost chart's first factor, with y = b. Every matrix is a
-`RatMatrix`.
+column Ad(S_k) s_j. `_core_brackets` forms these columns from the partial
+values in the g^-1 frame, k = m, and in the frame k = m - 1 of a chart
+without a slice: `eval_chart_with_derivatives` takes k = m and maps the
+columns back by g; `verify._jacobian_rank` ranks them with y = b. Every
+matrix is a `RatMatrix`.
 
 Two constructions, chosen by the Jordan split x = x_s + x_n (computed once):
 
@@ -373,35 +373,26 @@ def _core_brackets(vp: _ValuePass, per_factor: Sequence, slice_basis: Sequence,
                    k: int) -> list:
     """The differential's columns in the frame S_k, as blocks in factor order.
 
-    S_k is the product of the exponentials of factors[k:], so k = m gives
-    the g^-1 frame of the module docstring. Block f holds [P y P^-1,
-    Ad(S_k) core] for the matrices y of per_factor[f], where P is the
-    inverse of the product over factors[f+1:k] for f < k and the product
-    over factors[k:f] for f >= k; a last block holds Ad(S_k) s_j for the
-    slice elements s_j.
-
-    P is S_k S^-1 for S the product over factors[f+1:], except that for
-    f >= k it leaves out the factor's own exponential, the last one in
-    S_k S^-1: Ad(exp a) maps the span of the factor onto itself (see
-    `verify._jacobian_rank`), so such a block spans what the full
-    conjugation spans, not the same columns.
+    S_k is the product of the exponentials of factors[k:]: k = m gives the
+    g^-1 frame of the module docstring, and k = m - 1, S_k = exp a_m, is
+    taken only when there is no slice. Block f < k holds [P y P^-1,
+    Ad(S_k) core] for the matrices y of per_factor[f], P = S_k S_f^-1 the
+    inverse of the product over factors[f+1:k]. A block f >= k, the last
+    factor's when k = m - 1, holds [y, Ad(S_k) core]: this leaves out the
+    factor's own exponential, which maps the span of the factor onto
+    itself (see `verify._jacobian_rank`), so the block spans what the full
+    conjugation spans, not the same columns. A last block holds the slice
+    elements s_j, which S_m = 1 leaves as they are.
     """
     core = vp.cores[k]
-    m = len(per_factor)
-    blocks = [None] * m
-    left = left_inv = None  # P and P^-1, P^-1 the product over factors[f+1:k]
+    blocks = [[commutator(y, core) for y in ys] for ys in per_factor[k:]]
+    blocks.append(list(slice_basis))
+    p = p_inv = None  # P and P^-1, P^-1 the product over factors[f+1:k]
     for f in range(k - 1, -1, -1):
-        blocks[f] = [commutator(_conjugate(left, y, left_inv), core) for y in per_factor[f]]
+        blocks.insert(0, [commutator(_conjugate(p, y, p_inv), core) for y in per_factor[f]])
         if f:
             _, exp_a, exp_neg = vp.series[f]
-            left, left_inv = _times(left, exp_neg), _times(exp_a, left_inv)
-    right = right_inv = None  # P and P^-1, P the product over factors[k:f]
-    for f in range(k, m):
-        blocks[f] = [commutator(_conjugate(right, y, right_inv), core) for y in per_factor[f]]
-        if f + 1 < m or slice_basis:
-            _, exp_a, exp_neg = vp.series[f]
-            right, right_inv = _times(right, exp_a), _times(exp_neg, right_inv)
-    blocks.append([_conjugate(right, s, right_inv) for s in slice_basis])
+            p, p_inv = _times(p, exp_neg), _times(exp_a, p_inv)
     return blocks
 
 

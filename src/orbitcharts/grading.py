@@ -129,8 +129,6 @@ def grading_by(h: LieElement) -> Grading:
     algebra = h.algebra
     ad_h = ad_matrix(h)
     dim = algebra.dim
-    if dim == 0:
-        return Grading(h, {})
     pieces: Dict[int, Tuple[LieElement, ...]] = {}
     nums, den = ad_h.nums, ad_h.den
     diagonal = nums[::dim + 1]

@@ -51,9 +51,6 @@ def jordan_decompose(x: LieElement) -> JordanPair:
     """
     algebra = x.algebra
     mat = x.matrix
-    if mat.is_zero():
-        zero = algebra.zero_element()
-        return JordanPair(zero, zero)
     n = mat.rows
     q = squarefree_part(char_poly(mat))
     dq = q.derivative()

@@ -231,8 +231,6 @@ def trace_form_gram(basis: Sequence[RatMatrix]) -> RatMatrix:
     """Gram matrix of the trace form tr(ab) on square matrices of one size."""
     if any(b.rows != b.cols or b.rows != basis[0].rows for b in basis):
         raise ValueError("trace form needs square matrices of one size")
-    if not basis:
-        return RatMatrix.zeros(0, 0)
     # tr(b_i b_j) is the dot product of b_i with the transpose of b_j
     transposed = [b.transpose() for b in basis]
     return RatMatrix.from_rows([[Fraction(sum(map(mul, bi.nums, bj.nums)), bi.den * bj.den)

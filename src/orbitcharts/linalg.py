@@ -420,8 +420,6 @@ def _bareiss(rows: list) -> tuple:
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals by fraction-free elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
     _, piv, _ = _bareiss(_int_rows(m))
     return len(piv)
 
@@ -443,15 +441,12 @@ def kernel_basis(m: RatMatrix) -> list:
     One vector per free column, normalized to primitive integer form with
     positive leading entry. Deterministic; count equals cols - rank.
     """
-    ncols = m.cols
-    if m.rows == 0:
-        return [tuple(ONE if j == f else ZERO for j in range(ncols)) for f in range(ncols)]
-    return _int_kernel_basis(_int_rows(m), ncols)
+    return _int_kernel_basis(_int_rows(m), m.cols)
 
 
 def _int_kernel_basis(rows: list, ncols: int) -> list:
-    """`kernel_basis` of nonempty integer rows (eliminated in place): Bareiss,
-    back-substitution, primitive form."""
+    """`kernel_basis` of integer rows of length ``ncols`` (eliminated in
+    place): Bareiss, back-substitution, primitive form."""
     ech, piv, _ = _bareiss(rows)
     pivset = set(piv)
     return [primitive_integer_vector(_back_substitute(ech, piv, f, ncols))

@@ -15,11 +15,12 @@ passes.
 The Jacobian checks rank the differential exactly. At each point one
 exact value pass is made, and `charts._core_brackets` gives the
 differential's columns conjugated by S_k g^-1, S_k = exp a_(k+1) ...
-exp a_m for the first factor k of the innermost chart: each factor column
-is one bracket with the partial value Ad(S_k) core, and a semisimple
-chart's columns need no conjugation. One Bareiss elimination ranks them,
-slice rows first and then the factor blocks from the last factor to the
-first (`_jacobian_rank`).
+exp a_m, with k = m (the g^-1 frame) for a chart with a slice and
+k = m - 1 for one without: each factor column is one bracket with the
+partial value Ad(S_k) core, and a semisimple chart's columns need no
+conjugation. One Bareiss elimination ranks them, slice rows first and
+then the factor blocks from the last factor to the first
+(`_jacobian_rank`).
 
 Equal characteristic polynomials are certified by power sums: x and each
 value v are walked once (`linalg._powers`), and tr(v^k), k = 1 .. n, is
@@ -143,22 +144,21 @@ def jacobian_rank_at(chart: OrbitChart, params: Sequence) -> int:
 def _jacobian_rank(chart: OrbitChart, vp) -> int:
     """Exact rank of the differential of ``chart`` at the value pass ``vp``.
 
-    The columns are ranked in the frame S_k = exp a_(k+1) ... exp a_m,
-    with k the first factor of the innermost chart: k = 1 for nilpotent and
-    semisimple charts and k = m for mixed ones. The differential's columns
-    conjugated by S_k g^-1, which keeps the rank, are [Ad(S_k S_f^-1) y,
-    Ad(S_k) core] with y = exp(-a_f) dexp_f(b) for the basis b of each
-    factor f, and Ad(S_k) s_j for the slice elements (see `charts`).
+    The columns are ranked in the frame S_k = exp a_(k+1) ... exp a_m:
+    k = m, the g^-1 frame, for a chart with a slice, and k = m - 1 for one
+    without. The differential's columns conjugated by S_k g^-1, which keeps
+    the rank, are [Ad(S_k S_f^-1) y, Ad(S_k) core] with y = exp(-a_f)
+    dexp_f(b) for the basis b of each factor f, and the slice elements s_j
+    themselves, since S_m = 1 (see `charts`).
 
     Two substitutions keep the span of each block, hence the rank. Factor f
     spans a nilpotent subalgebra U_f that holds a_f (see `OrbitChart`), so
     ad a_f is nilpotent on U_f, and both b -> y = sum_i (-ad a_f)^i (b) /
     (i+1)! and Ad(exp a_f) = exp(ad a_f) send U_f onto itself. So b stands
-    in for y, and for f > k the factor's own Ad(exp a_f), the last one in
-    Ad(S_k S_f^-1), is left out. `chart_from_json` refuses other factors.
-    A semisimple chart's rows are then [b, Ad(exp a_2) x_s] for b in u- and
-    u, with no conjugated column; nilpotent and mixed charts rank the rows
-    of the g^-1 frame.
+    in for y, and for k = m - 1 the last factor's Ad(exp a_m) is left out.
+    `chart_from_json` refuses other factors. A semisimple chart's rows are
+    then [b, Ad(exp a_2) x_s] for b in u- and u, with no conjugated column;
+    nilpotent and mixed charts rank the rows of the g^-1 frame.
 
     The rank does not depend on row order. The slice elements come first,
     then the factor blocks from the last factor to the first: sparse rows
@@ -168,9 +168,10 @@ def _jacobian_rank(chart: OrbitChart, vp) -> int:
     order against 0.42-0.44 s in parameter order (Python 3.11, 2-vCPU
     Xeon guest).
     """
-    inner = chart.inner or chart
-    # at most m: an innermost chart read from JSON may have no factor
-    k = min(len(chart.factors) - len(inner.factors) + 1, len(chart.factors))
+    m = len(chart.factors)
+    # with neither slice nor factor, k = -1: cores[-1] is the core, and no
+    # block is formed
+    k = m if chart.slice_basis else m - 1
     blocks = _core_brackets(vp, chart.factors, chart.slice_basis, k)
     return _span_rank([row for block in reversed(blocks) for row in block])
 
@@ -217,9 +218,11 @@ def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan, u_supports: li
     """Coordinates of a random point of the group-orbit slice of ``nil``.
 
     The point is Ad(exp(y) d)(base slice point) with y a random element of
-    u and, over sl with a diagonal grading element, d a determinant-one
-    diagonal matrix (otherwise d = 1), so membership in the slice holds by
-    construction. exp(u) is the whole unipotent group U, and such a d
+    u and d a determinant-one diagonal matrix when the algebra of ``nil``
+    has family "sl" and its grading element is diagonal (otherwise d = 1),
+    so membership in the slice holds by construction. The inner chart of a
+    mixed chart lives on a Levi, which has no family, so it takes d = 1.
+    exp(u) is the whole unipotent group U, and such a d
     normalizes U, so one exponential reaches every point that a product of
     them would. ``nil`` is a nilpotent chart carrying its scaffolding,
     ``slice_span`` is the span of its slice and ``u_supports`` holds the

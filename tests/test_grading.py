@@ -28,6 +28,7 @@ from orbitcharts.liealg import (
     ad_matrix,
     block_levi,
     build_classical,
+    center_basis,
     centralizer_basis,
     subalgebra_from_coords,
 )
@@ -239,11 +240,18 @@ def _zero_elements():
     return out
 
 
+def _zero_dimensional():
+    """The center of sl3, of dimension 0: no pieces, and they span all 0."""
+    center = center_basis(build_classical("sl", 3))
+    return [(center, center.zero_element())]
+
+
 _READ_OFF_CORPORA = {
     "diagonal": _diagonal_elements,
     "jm": lambda: [c for n in (3, 4, 5) for c in _jm_elements(n)],
     "levi": _levi_elements,
     "zero": _zero_elements,
+    "zero-dimensional": _zero_dimensional,
 }
 
 

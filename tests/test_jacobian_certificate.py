@@ -1,22 +1,25 @@
 """The exact Jacobian rank of the verify checks, and the exact derivatives.
 
 `verify._jacobian_rank` ranks the chart's differential through its columns
-conjugated by S_k g^-1, with S_k the product of the exponentials after the
-first factor k of the innermost chart: one bracket with the partial value
-Ad(S_k) core per factor basis element, and each slice element conjugated by
-S_k. The tests compare that rank with the exact rank of the
+conjugated by S_k g^-1, with S_k the product of the exponentials after
+factor k: k = m, the g^-1 frame, for a chart with a slice, and k = m - 1 for
+one without. Each factor basis element gives one bracket with the partial
+value Ad(S_k) core, and the slice elements are taken as they are. The tests
+compare that rank with the exact rank of the
 `eval_chart_with_derivatives` columns: on hand-made sl2 and sl3 charts whose
 columns vanish, coincide or carry a denominator modulo a small prime, on a
 chart with a genuine rank deficit, on a three-factor sl2 chart whose rank
 depends on conjugating by the later factors, on a two-factor sl2 chart whose
-rank depends on bracketing with Ad(S_1) core rather than the core, and on a
-sweep of built charts. On the sweep the rank also equals that of the g^-1
-frame rows in parameter order (`conftest.g_inverse_frame_rank`), and the
-exact bracket-form derivatives match digests recorded from the
-suffix-product derivative pass they replaced. The power walk of the
-verify checks, `verify._power_walk`, gives the power sums and the ranks of
-the powers, and its power sums are equal exactly when the characteristic
-polynomials are.
+rank depends on bracketing with Ad(S_1) core rather than the core, on a
+two-factor sl3 chart with a slice, and on a sweep of built charts; a
+chart read from JSON with neither factor nor slice has rank 0. A spy
+counts the conjugations a base-point rank of a built chart makes. On the
+sweep the rank also equals that of the g^-1 frame rows in parameter order
+(`conftest.g_inverse_frame_rank`), and the exact bracket-form derivatives
+match digests recorded from the suffix-product derivative pass they
+replaced. The power walk of the verify checks, `verify._power_walk`, gives
+the power sums and the ranks of the powers, and its power sums are equal
+exactly when the characteristic polynomials are.
 """
 
 import functools
@@ -36,11 +39,12 @@ from conftest import (
     nontrivial_partitions,
     power_walk_corpus,
 )
-from orbitcharts import verify
+from orbitcharts import charts, verify
 from orbitcharts.charts import (
     OrbitChart,
     _value_pass,
     build_chart,
+    chart_from_json,
     eval_chart,
     eval_chart_with_derivatives,
 )
@@ -176,6 +180,57 @@ def test_semisimple_chart_brackets_with_the_conjugated_core(rank_calls):
     assert verify._jacobian_rank(chart, vp) == 2 == _exact_rank(chart, params)
     assert rank_calls == [2]
     assert _span_rank([commutator(b, e) for b in (e, f)]) == 1
+
+
+def test_two_factor_chart_with_a_slice():
+    # factors E21 and E32 and slice E13 in sl3: a chart with a slice is
+    # ranked in the g^-1 frame, whatever number of factors it has
+    sl3 = build_classical("sl", 3)
+    e13 = elem(3, 0, 2)
+    chart = OrbitChart(sl3.element_from_matrix(e13), ((elem(3, 1, 0),), (elem(3, 2, 1),)),
+                       None, (e13,), (F(1),), None)
+    for params in ((F(0), F(0), F(1)), (F(1), F(-2), F(3)), (F(1, 3), F(2), F(-1, 2))):
+        vp = _value_pass(chart, params)
+        assert verify._jacobian_rank(chart, vp) == 3 == _exact_rank(chart, params) \
+            == g_inverse_frame_rank(chart, vp), params
+
+
+def test_chart_without_factor_or_slice():
+    # chart JSON may describe the zero element by no factor and no slice;
+    # its differential has no column, and there is no last factor to leave out
+    sl2 = build_classical("sl", 2)
+    zero = {"matrix": [["0", "0"], ["0", "0"]]}
+    chart = chart_from_json(sl2, {"case_tag": "nilpotent", "base_element": zero, "factors": [],
+                                  "slice_basis": [], "expected_orbit_dim": 0})
+    assert verify.jacobian_rank_at(chart, ()) == 0
+
+
+@pytest.mark.parametrize("rows, expected", [
+    (jordan_nilpotent(4, (4,)), 0),
+    (diag_matrix([1, 1, -1, -1]), 0),
+    (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1), 8),
+], ids=["regular-nilpotent", "semisimple", "mixed"])
+def test_conjugations_of_a_base_point_rank(monkeypatch, rows, expected):
+    """The conjugations by a product of exponentials that one rank at the
+    base point makes on sl4 charts: none on the nilpotent and semisimple
+    charts, and one per basis element of the mixed chart's outer u- and u
+    (factor sizes 4, 4, 1). Ranking every chart in the g^-1 frame would
+    conjugate the semisimple chart's u- block, and ranking every chart in
+    the frame S_1 would conjugate the mixed chart's inner factor and slice."""
+    sl4 = build_classical("sl", 4)
+    chart = build_chart(sl4.element_from_matrix(rows), 42)
+    vp = _value_pass(chart, chart.base_params)
+    conjugations = []
+    real = charts._conjugate
+
+    def spy(p, y, p_inv):
+        if p is not None:
+            conjugations.append(y)
+        return real(p, y, p_inv)
+
+    monkeypatch.setattr(charts, "_conjugate", spy)
+    assert verify._jacobian_rank(chart, vp) == chart.expected_orbit_dim
+    assert len(conjugations) == expected
 
 
 def _sweep_elements():

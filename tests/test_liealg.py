@@ -351,6 +351,9 @@ class TestTraceForm:
         sub = LieAlgebra((diag_matrix([1, 1, -2]), elem(3, 0, 1)), "pair")
         assert trace_form_gram(sub.basis) == RatMatrix.from_rows([[6, 0], [0, 0]])
 
+    def test_gram_of_no_matrices(self):
+        assert trace_form_gram(()) == RatMatrix.zeros(0, 0)
+
     def test_mixed_shapes_rejected(self):
         with pytest.raises(ValueError, match="square matrices of one size"):
             trace_form_gram((diag_matrix([1, -1]), diag_matrix([1, 0, -1])))

@@ -77,6 +77,14 @@ class TestKernelAndRank:
     def test_rank_zero(self):
         assert rank(RatMatrix.zeros(3, 3)) == 0
 
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
+    def test_empty_matrix(self, rows, cols):
+        # no pivot: rank 0, and the unit vector at each free column
+        m = RatMatrix.zeros(rows, cols)
+        assert rank(m) == 0
+        assert kernel_basis(m) == [tuple(F(int(j == f)) for j in range(cols))
+                                   for f in range(cols)]
+
     def test_rank_nullity_random(self):
         rng = SplitMix64(7)
         for _ in range(40):
@@ -1099,11 +1107,13 @@ def _reference_chain(n, pairs):
 
 @pytest.mark.parametrize("label", list(BRACKET_CASES))
 def test_core_brackets_equal_reference_brackets(label):
-    """`_core_brackets` in every frame k against the row loop, at the base
-    tuple and at seeded sample tuples: for factor f (numbered from 1) the
-    block [P b P^-1, Ad(S_k) core] with P = S_k S_f^-1, less the factor's
-    own exp a_f for f > k, then the slice block Ad(S_k) s_j. The rank
-    `verify._jacobian_rank` reports equals that of the g^-1 frame rows."""
+    """`_core_brackets` in the frames `verify._jacobian_rank` takes, k = m
+    and, for a chart without a slice, k = m - 1, against the row loop, at
+    the base tuple and at seeded sample tuples: for factor f (numbered
+    from 1) the block [P b P^-1, Ad(S_k) core] with P = S_k S_f^-1, less
+    the last factor's own exp a_m for k = m - 1, then the slice block
+    Ad(S_k) s_j. The rank `verify._jacobian_rank` reports equals that of
+    the g^-1 frame rows."""
     family, n, m = BRACKET_CASES[label]
     chart = build_chart(build_classical(family, n).element_from_matrix(m), 42)
     rng = SplitMix64(606)
@@ -1112,7 +1122,8 @@ def test_core_brackets_equal_reference_brackets(label):
     for params in points:
         vp = _value_pass(chart, params)
         exps = [(exp_a, exp_neg) for _, exp_a, exp_neg in vp.series]
-        for k in range(len(exps) + 1):
+        last = len(exps)
+        for k in (last,) if chart.slice_basis else (last, last - 1):
             frame, frame_inv = _reference_chain(n, exps[k:])
             core = _reference_product(_reference_product(frame, vp.core), frame_inv)
             _assert_same_matrix(vp.cores[k], core)
