@@ -106,6 +106,10 @@ class NotSemisimpleError(ValueError):
     """chart_semisimple was given an element with a nonzero nilpotent part."""
 
 
+class ZeroElementError(ValueError):
+    """The zero element has the zero orbit, which has no chart."""
+
+
 @dataclass(eq=False)
 class OrbitChart:
     """Evaluable parameterization of (an open piece of) the orbit of base_element.
@@ -219,13 +223,15 @@ def exp_nilpotent(a: RatMatrix) -> RatMatrix:
 def _make_chart(base: LieElement, factors: tuple,
                 shift: Optional[RatMatrix], slice_basis: tuple,
                 inner: Optional[OrbitChart], orbit_dim: int,
-                parabolic: Optional[ParabolicData], error: type) -> OrbitChart:
+                parabolic: Optional[ParabolicData]) -> OrbitChart:
     """Flatten, find the slice coordinates of the base, and validate.
 
     A mixed chart appends the inner chart's factors and takes its slice.
-    Defects raise ``error``: AssertionError for charts built here,
-    ValueError for charts read from outside input.
+    A defect raises AssertionError for a chart built here, which carries its
+    ``parabolic`` scaffolding, and ValueError for one read from outside
+    input, which carries none.
     """
+    error = ValueError if parabolic is None else AssertionError
     slice_base = ()
     if inner is not None:
         factors = factors + inner.factors
@@ -252,13 +258,13 @@ def chart_nilpotent(e: LieElement) -> OrbitChart:
     triple = jacobson_morozov(e)
     pd = parabolic_data(grading_by(triple.h))
     return _make_chart(e, (_basis(pd.u_minus),), None, _basis(pd.u2),
-                       None, rank(ad_matrix(e)), pd, AssertionError)
+                       None, rank(ad_matrix(e)), pd)
 
 
 def chart_semisimple(x: LieElement, seed: int) -> OrbitChart:
     """Chart psi(a, b) = Ad(exp a exp b)(x): a over u-, b over u of the witness grading."""
     if x.is_zero():
-        raise ValueError("the zero element has the zero orbit; no chart")
+        raise ZeroElementError("the zero element has no chart")
     pair = jordan_decompose(x)
     if not pair.nilpotent.is_zero():
         raise NotSemisimpleError("element has a nonzero nilpotent part")
@@ -292,13 +298,13 @@ def _chart_from_split(x: LieElement, pair: JordanPair, seed: int) -> OrbitChart:
     # c(x) = c(x_s) = levi for a semisimple x
     orbit_dim = algebra.dim - levi.dim if inner is None else rank(ad_matrix(x))
     return _make_chart(x, (_basis(pd.u_minus), _basis(pd.u)), pair.semisimple.matrix, (),
-                       inner, orbit_dim, pd, AssertionError)
+                       inner, orbit_dim, pd)
 
 
 def build_chart(x: LieElement, seed: int) -> OrbitChart:
     """Split x once and build the chart of its Jordan type."""
     if x.is_zero():
-        raise ValueError("the zero element has the zero orbit; no chart")
+        raise ZeroElementError("the zero element has no chart")
     pair = jordan_decompose(x)
     if pair.semisimple.is_zero():
         return chart_nilpotent(x)
@@ -461,8 +467,10 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
     Construction scaffolding (witness grading, parabolic) is not serialized;
     the result evaluates and differentiates but carries parabolic=None.
     Raises ValueError when a field is missing or has the wrong JSON type,
-    when a factor, slice or shift matrix is not n x n for the algebra,
-    when a factor does not span a nilpotent subalgebra (see `OrbitChart`),
+    when a mixed chart's inner chart is not nilpotent (checked before it is
+    read, so nesting cannot recurse), when a factor, slice or shift matrix
+    does not lie in the algebra (the inner chart's in its Levi), when a
+    factor does not span a nilpotent subalgebra (see `OrbitChart`),
     when the parameter count differs from expected_orbit_dim, or when the
     base tuple does not evaluate to the base element.
 
@@ -484,7 +492,7 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
     listed = _square_matrices(algebra, "slice_basis", data["slice_basis"])
     orbit_dim = data["expected_orbit_dim"]
     if case == "nilpotent":
-        return _make_chart(base, factors, None, listed, None, orbit_dim, None, ValueError)
+        return _make_chart(base, factors, None, listed, None, orbit_dim, None)
     if case not in ("semisimple", "mixed"):
         raise ValueError(f"unknown case tag {case!r}")
     if len(listed) != 1:
@@ -493,9 +501,7 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
     if case == "mixed":
         levi = centralizer_basis(algebra.element_from_matrix(listed[0]))
         inner = chart_from_json(levi, data["inner"])
-        if inner.case_tag != "nilpotent":
-            raise ValueError("mixed chart needs a nilpotent inner chart")
-    return _make_chart(base, factors, listed[0], (), inner, orbit_dim, None, ValueError)
+    return _make_chart(base, factors, listed[0], (), inner, orbit_dim, None)
 
 
 _CHART_FIELDS = (("case_tag", str, "a string"), ("base_element", dict, "an object"),
@@ -505,7 +511,8 @@ _CHART_FIELDS = (("case_tag", str, "a string"), ("base_element", dict, "an objec
 
 def _check_chart_shape(data) -> None:
     """Raise ValueError naming the first field of chart JSON ``data`` that
-    is missing or has the wrong JSON type."""
+    is missing or has the wrong JSON type, or the 'inner' field of a mixed
+    chart when it is not a nilpotent chart."""
     if not isinstance(data, dict):
         raise ValueError("chart JSON must be an object")
     for key, kind, name in _CHART_FIELDS:
@@ -514,16 +521,17 @@ def _check_chart_shape(data) -> None:
     if not all(isinstance(f, dict) and isinstance(f.get("basis"), list)
                for f in data["factors"]):
         raise ValueError("chart JSON field 'factors' must hold objects with a 'basis' array")
-    if data["case_tag"] == "mixed" and not isinstance(data.get("inner"), dict):
-        raise ValueError("chart JSON field 'inner' must be an object in a mixed chart")
+    if data["case_tag"] == "mixed" and not (isinstance(data.get("inner"), dict)
+                                            and data["inner"].get("case_tag") == "nilpotent"):
+        raise ValueError("chart JSON field 'inner' must be a nilpotent chart in a mixed chart")
 
 
 def _square_matrices(algebra: LieAlgebra, key: str, entries: list) -> tuple:
-    """The matrices of chart JSON field ``key``; each must be n x n."""
-    n = algebra.ambient_size
+    """The matrices of chart JSON field ``key``; each must lie in ``algebra``
+    (so be n x n)."""
     matrices = tuple(matrix_from_json(m) for m in entries)
-    if any(m.rows != n or m.cols != n for m in matrices):
-        raise ValueError(f"chart JSON field {key!r} must hold {n}x{n} matrices")
+    if not all(map(algebra.contains_matrix, matrices)):
+        raise ValueError(f"chart JSON field {key!r} must hold matrices of {algebra.label}")
     return matrices
 
 

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .charts import build_chart, chart_to_json
+from .charts import ZeroElementError, build_chart, chart_to_json
 from .grading import WitnessNotFoundError
 from .jordan import jordan_decompose, jordan_pair_to_json
 from .liealg import LieElement, NotInAlgebraError, _check_size, ad_matrix, build_classical
@@ -44,10 +44,6 @@ EXIT_ZERO_ELEMENT = 5
 
 
 class ElementParseError(ValueError):
-    pass
-
-
-class ZeroElementError(ValueError):
     pass
 
 
@@ -106,17 +102,11 @@ def cmd_analyze(args: argparse.Namespace) -> dict:
 
 
 def cmd_chart(args: argparse.Namespace) -> dict:
-    x = _resolve(args)
-    if x.is_zero():
-        raise ZeroElementError("the zero element has no chart")
-    chart = build_chart(x, args.seed)
-    return chart_to_json(chart)
+    return chart_to_json(build_chart(_resolve(args), args.seed))
 
 
 def cmd_verify(args: argparse.Namespace) -> dict:
     x = _resolve(args)
-    if x.is_zero():
-        raise ZeroElementError("the zero element has no chart")
     chart = build_chart(x, args.seed)
     chart_report = verify_chart(x, chart, args.seed, args.samples)
     red_report = redstab_suite(x, args.seed, chart)

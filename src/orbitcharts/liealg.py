@@ -16,9 +16,10 @@ which `ad_matrix` assembles ad x in one pass (`linalg._lincomb`). The
 supports of the basis matrices are kept too, so `element` builds its matrix
 in one pass. A `LieAlgebra` is built only where something brackets inside
 it: the classical algebras and the Levi c(x_s) (the mixed chart recurses
-into it, and the witness search reads its structure constants through
-`center_basis`). The Levi's center is a `LieAlgebra` too, as the span the
-search draws its candidates from, though nothing brackets inside it.
+into it, and the witness search takes its center, which `center_basis`
+reads off the integer rows of the structure constants with no ad matrix
+formed). The Levi's center is a `LieAlgebra` too, as the span the search
+draws its candidates from, though nothing brackets inside it.
 Every other subspace fact is read from a kernel basis, a commutator or a
 rank.
 
@@ -49,12 +50,12 @@ from .linalg import (
     RatMatrix,
     VectorSpan,
     _as_fractions,
+    _int_kernel_basis,
     _lincomb,
     _matrix,
     _support,
     kernel_basis,
     matrix_to_json,
-    vstack,
 )
 
 
@@ -216,13 +217,19 @@ def centralizer_basis(x: LieElement) -> LieAlgebra:
 
 
 def center_basis(algebra: LieAlgebra) -> LieAlgebra:
-    """Center of ``algebra``: intersection of the kernels of all ad b_i."""
-    if algebra.dim == 0:
-        return LieAlgebra((), f"center of {algebra.label}",
-                          ambient_size=algebra.ambient_size)
-    stacked = vstack([ad_matrix(algebra.basis_element(i))
-                      for i in range(algebra.dim)])
-    vectors = kernel_basis(stacked)
+    """Center of ``algebra``: intersection of the kernels of all ad b_i.
+
+    The kernel is taken of the nonzero rows of the structure constants,
+    each ad b_i scaled to integers by its own denominator. Scaling rows
+    keeps the kernel and the pivot columns, and each kernel vector is fixed
+    by them, so the basis is that of the stacked ad b_i.
+    """
+    m = algebra.dim
+    rows = {}
+    for i, (_, pairs) in enumerate(algebra._structure):
+        for p, x in pairs:
+            rows.setdefault((i, p // m), [0] * m)[p % m] = x
+    vectors = _int_kernel_basis(list(rows.values()), m)
     return subalgebra_from_coords(algebra, vectors,
                                   label=f"center of {algebra.label}")
 

@@ -213,52 +213,49 @@ def _diagonal_conjugate(m: RatMatrix, rng: SplitMix64) -> RatMatrix:
                           for k, x in enumerate(m.nums)], m.den * lcm)
 
 
-def _sample_slice_coords(nil: OrbitChart, slice_span: VectorSpan, u_supports: list,
-                         rng: SplitMix64) -> tuple:
-    """Coordinates of a random point of the group-orbit slice of ``nil``.
+def _is_diagonal(m: RatMatrix) -> bool:
+    return not any(x for k, x in enumerate(m.nums) if k % (m.cols + 1))
+
+
+def _sampler(chart: OrbitChart, nil: OrbitChart | None, rng: SplitMix64):
+    """The draw of one random parameter tuple of ``chart`` from ``rng``: its
+    factor parameters, then, if it has a slice, the coordinates of a random
+    point of the group-orbit slice of ``nil``, the nilpotent chart (carrying
+    its scaffolding) whose slice ``chart`` shares.
 
     The point is Ad(exp(y) d)(base slice point) with y a random element of
     u and d a determinant-one diagonal matrix when the algebra of ``nil``
     has family "sl" and its grading element is diagonal (otherwise d = 1),
     so membership in the slice holds by construction. The inner chart of a
     mixed chart lives on a Levi, which has no family, so it takes d = 1.
-    exp(u) is the whole unipotent group U, and such a d
-    normalizes U, so one exponential reaches every point that a product of
-    them would. ``nil`` is a nilpotent chart carrying its scaffolding,
-    ``slice_span`` is the span of its slice and ``u_supports`` holds the
-    `_support` of each basis matrix of its u.
+    exp(u) is the whole unipotent group U, and such a d normalizes U, so
+    one exponential reaches every point that a product of them would.
+
+    The slice span, the supports of u and the choice of d are worked out
+    once, here; each draw takes the factor parameters, the coefficients of
+    y and the entries of d, in that order.
     """
+    free = chart.param_count - len(chart.slice_basis)
+    if not chart.slice_basis:
+        return lambda: tuple(rng.fraction() for _ in range(free))
     pd = nil.parabolic
-    algebra = nil.algebra
-    n = algebra.ambient_size
-    coeffs = [rng.fraction() for _ in u_supports]
-    exp_y, exp_neg = _exp_series(_lincomb(coeffs, u_supports, n, n))
-    point = nil.base_element.matrix
-    if algebra.family == "sl" and _is_diagonal(pd.grading.grading_element.matrix):
-        point = _diagonal_conjugate(point, rng)
-    coords = slice_span.coords_of(exp_y * point * exp_neg)
-    if coords is None:
-        raise AssertionError("sampled orbit point left the slice")
-    return coords
+    n = nil.algebra.ambient_size
+    span = VectorSpan(nil.slice_basis, length=n * n)
+    supports = [_support(el.matrix) for el in pd.u]
+    base = nil.base_element.matrix
+    torus = nil.algebra.family == "sl" and _is_diagonal(pd.grading.grading_element.matrix)
 
+    def draw() -> tuple:
+        params = [rng.fraction() for _ in range(free)]
+        coeffs = [rng.fraction() for _ in supports]
+        exp_y, exp_neg = _exp_series(_lincomb(coeffs, supports, n, n))
+        point = _diagonal_conjugate(base, rng) if torus else base
+        coords = span.coords_of(exp_y * point * exp_neg)
+        if coords is None:
+            raise AssertionError("sampled orbit point left the slice")
+        return tuple(params) + coords
 
-def _nilpotent_part(chart: OrbitChart) -> OrbitChart | None:
-    """The nilpotent chart whose slice ``chart`` carries, or None."""
-    return chart if chart.case_tag == "nilpotent" else chart.inner
-
-
-def _is_diagonal(m: RatMatrix) -> bool:
-    return not any(x for k, x in enumerate(m.nums) if k % (m.cols + 1))
-
-
-def _sample_params(chart: OrbitChart, nil: OrbitChart, slice_span: VectorSpan | None,
-                   u_supports: list, rng: SplitMix64) -> tuple:
-    """Random factor parameters of ``chart``, then orbit-slice coordinates
-    drawn from the scaffolding of ``nil`` (see `_sample_slice_coords`)."""
-    params = [rng.fraction() for _ in range(chart.param_count - len(chart.slice_basis))]
-    if chart.slice_basis:
-        params.extend(_sample_slice_coords(nil, slice_span, u_supports, rng))
-    return tuple(params)
+    return draw
 
 
 def _same_flat_data(a: OrbitChart, b: OrbitChart) -> bool:
@@ -299,7 +296,7 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
         scaffold = build_chart(x, seed)
         checks.append(_agrees("rebuilt_chart_identity", True,
                               _same_flat_data(chart, scaffold)))
-    nil = _nilpotent_part(scaffold)
+    nil = scaffold if scaffold.case_tag == "nilpotent" else scaffold.inner
 
     expected_dim = rank(ad_matrix(x))
     checks.append(_agrees("dimension_identity", expected_dim, chart.param_count))
@@ -324,20 +321,16 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     # Slice coordinates are drawn in the scaffold's slice; a given chart whose
     # slice has another dimension cannot take them (rebuilt_chart_identity fails).
     sampled = samples if len(chart.slice_basis) == len(scaffold.slice_basis) else 0
-    slice_span = None
-    u_supports = []
-    if chart.slice_basis and sampled:
-        slice_span = VectorSpan(scaffold.slice_basis, length=algebra.ambient_size ** 2)
-        u_supports = [_support(el.matrix) for el in nil.parabolic.u]
+    draw = _sampler(chart, nil, rng) if sampled else None
     for _ in range(sampled):
         # Resample coinciding tuples: sampled parameter tuples are pairwise
         # distinct, so equal outputs below would witness a genuine
         # injectivity failure rather than a duplicated input.
-        params = _sample_params(chart, nil, slice_span, u_supports, rng)
+        params = draw()
         for _retry in range(32):
             if params not in seen:
                 break
-            params = _sample_params(chart, nil, slice_span, u_supports, rng)
+            params = draw()
         seen.add(params)
         vp = _value_pass(chart, params)
         values.append(vp.value)

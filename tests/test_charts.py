@@ -569,12 +569,40 @@ class TestChartSerialization:
                      "slice_basis", id="semisimple-shift-4x4"),
         pytest.param(lambda d: d["inner"]["factors"][0]["basis"].__setitem__(0, _upper(2, 2)),
                      "factors", id="mixed-inner-factor-2x2"),
+        # E20 lies in sl3 but not in the Levi c(x_s) of the inner chart
+        pytest.param(lambda d: d["inner"]["factors"][0]["basis"].__setitem__(
+            0, matrix_to_json(elem(3, 2, 0))), "factors", id="mixed-inner-factor-outside-levi"),
     ])
     def test_malformed_shape_raises_value_error(self, sl3, mutate, field):
         data = chart_to_json(build_chart(element(sl3, CASES["mixed"]), 42))
         mutate(data)
         with pytest.raises(ValueError, match=f"'{field}'"):
             chart_from_json(sl3, data)
+
+    @pytest.mark.parametrize("depth", [2, 2000])
+    def test_non_nilpotent_inner_chart_refused_before_descending(self, sl2, depth):
+        # sl2 semisimple chart JSON relabelled "mixed", nested depth times
+        # around a nilpotent chart: each level used to build a Levi and
+        # recurse, so 2000 levels raised RecursionError
+        semisimple = chart_to_json(build_chart(element(sl2, [[1, 0], [0, -1]]), 42))
+        data = chart_to_json(build_chart(element(sl2, [[0, 1], [0, 0]]), 42))
+        for _ in range(depth):
+            data = dict(semisimple, case_tag="mixed", inner=data)
+        with pytest.raises(ValueError, match="'inner'"):
+            chart_from_json(sl2, data)
+
+    def test_factor_outside_the_algebra_refused(self):
+        # E10 is nilpotent and spans a nilpotent subalgebra with the other
+        # matrix of the factor, but lies outside so4: the chart's values
+        # left so4, and only rebuilt_chart_identity failed in verify_chart
+        so4 = build_classical("so", 4)
+        upper = sum((b for b in so4.basis
+                     if all(not b.at(i, j) for i in range(4) for j in range(i + 1))),
+                    RatMatrix.zeros(4, 4))
+        data = chart_to_json(build_chart(so4.element_from_matrix(upper), 42))
+        data["factors"][0]["basis"][0] = matrix_to_json(elem(4, 1, 0))
+        with pytest.raises(ValueError, match="'factors'.*so4"):
+            chart_from_json(so4, data)
 
     @pytest.mark.parametrize("values, factor, defect", [
         # a = t1 E21 + t2 E32 + t3 E13 has a^3 != 0: verify_chart used to

@@ -23,6 +23,7 @@ from orbitcharts.linalg import (
     kernel_basis,
     mat_vec,
     rank,
+    vstack,
 )
 from orbitcharts.rng import SplitMix64
 
@@ -312,9 +313,24 @@ class TestCentralizers:
             assert centralizer_basis(x).contains_matrix(x.matrix)
 
 
+def _reference_center(algebra):
+    """The center's basis as the kernel of the stacked dense ad b_i (none
+    for a zero-dimensional algebra, which has nothing to stack)."""
+    if not algebra.dim:
+        return ()
+    stacked = vstack([ad_matrix(algebra.basis_element(i)) for i in range(algebra.dim)])
+    return tuple(algebra.element(v).matrix for v in kernel_basis(stacked))
+
+
 class TestCenter:
     def test_center_sl3_trivial(self, sl3):
         assert center_basis(sl3).dim == 0
+
+    @pytest.mark.parametrize("algebra",
+                             _oracle_cases() + [center_basis(build_classical("sl", 3))],
+                             ids=lambda a: a.label.replace(" ", "_"))
+    def test_center_equals_stacked_ad_kernel(self, algebra):
+        assert center_basis(algebra).basis == _reference_center(algebra)
 
     def test_center_block_levi(self):
         levi = block_levi(3, (2, 1))
