@@ -5,22 +5,23 @@ weights come from the natural representation: g is an ad h-stable subspace
 of gl_n, so every eigenvalue of ad h on g is a difference l_i - l_j of
 eigenvalues of the n x n matrix h. When the characteristic polynomial of h
 (degree n) splits over the rationals, the integer differences of its roots
-are therefore every possible weight. When it does not split, the scan falls
-back to every integer root of the characteristic polynomial of ad h
+are therefore every possible weight; they are read off the numerator
+matrix of h (`_rational_eigenvalues`). When it does not split, the scan
+falls back to every integer root of the characteristic polynomial of ad h
 (degree dim g). Either way the scan is complete; the grading is accepted
 only when the eigenspaces fill the whole algebra.
 
-When ad h is diagonal in the basis of g, as it is for a diagonal h in the
+When ad h is diagonal (`linalg._is_diagonal`), as for a diagonal h in the
 standard bases of `build_classical` and in the centralizer of a diagonal
 element, every basis element is a weight vector. The pieces are then read
 off the diagonal, with no weight scan, no kernel and no characteristic
-polynomial, and they are the ones the scan would return (see
-`grading_by`). Otherwise each eigenspace is a kernel computed on integer rows: the numerators of
-ad h are read once, and weight i only shifts the diagonal. Either way the
-pieces are then certified element by element (h x - x h = i x for each x
-in g(i), as n x n matrices); with the dimension count and the closure of
-g, the Jacobi identity gives [g(i), g(j)] in g(i + j) for every pair of
-pieces.
+polynomial, and they are the ones the scan would return (see `grading_by`).
+Otherwise each eigenspace is a kernel computed on integer rows: the
+numerators of ad h are read once, and weight i only shifts the diagonal.
+Either way the pieces are then certified element by element (h x - x h =
+i x for each x in g(i), as n x n matrices); with the dimension count and
+the closure of g, the Jacobi identity gives [g(i), g(j)] in g(i + j) for
+every pair of pieces.
 
 `semisimple_for_levi` realizes the witness statement behind the charts: a
 semisimple integer element z, central in the given Levi, whose full
@@ -40,7 +41,6 @@ budget runs out, the error counts the rejected draws by reason.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -55,6 +55,8 @@ from .linalg import (
     RatMatrix,
     _int_kernel_basis,
     _int_rows,
+    _is_diagonal,
+    _matrix,
     _squarefree_integer_roots,
     char_poly,
     commutator,
@@ -130,13 +132,10 @@ def grading_by(h: LieElement) -> Grading:
     ad_h = ad_matrix(h)
     dim = algebra.dim
     pieces: Dict[int, Tuple[LieElement, ...]] = {}
-    nums, den = ad_h.nums, ad_h.den
-    diagonal = nums[::dim + 1]
-    if len(nums) - nums.count(0) == len(diagonal) - diagonal.count(0):
-        # no nonzero entry off the diagonal: read the pieces off it
+    if _is_diagonal(ad_h):
         by_weight = {}
-        for j, d in enumerate(diagonal):
-            i, rem = divmod(d, den)
+        for j, d in enumerate(ad_h.nums[::dim + 1]):
+            i, rem = divmod(d, ad_h.den)
             if not rem:
                 by_weight.setdefault(i, []).append(j)
         for i, js in by_weight.items():
@@ -148,7 +147,7 @@ def grading_by(h: LieElement) -> Grading:
         for i in weights:
             rows = _int_rows(ad_h)
             for k, row in enumerate(rows):
-                row[k] -= i * den
+                row[k] -= i * ad_h.den
             vectors = _int_kernel_basis(rows, dim)
             if vectors:
                 pieces[i] = tuple(algebra.element(v) for v in vectors)
@@ -173,22 +172,16 @@ def _natural_weights(m: RatMatrix):
 
 
 def _rational_eigenvalues(m: RatMatrix):
-    """The distinct eigenvalues of ``m``, or None when its characteristic
-    polynomial does not split over the rationals.
+    """The distinct eigenvalues of ``m``, in increasing order, or None when
+    its characteristic polynomial does not split over the rationals.
 
-    The rational roots l of the monic squarefree part p (degree d) are
-    mu / D for the integer roots mu of D^d p(mu / D), where D clears the
-    denominators of p. That polynomial has integer coefficients
-    c_k D^(d - k), computed on numerators, and no repeated root, so it goes
-    to `_squarefree_integer_roots` as it is.
+    They are mu / den for the integer roots mu of the monic squarefree part
+    q of char_poly(N), N = den m: char_poly(N) is monic over Z, so q is too
+    (Gauss's lemma), and its rational roots are integers.
     """
-    p = squarefree_part(char_poly(m))
-    d = p.degree
-    denom = math.lcm(*(c.denominator for c in p.coefficients))
-    ints = [c.numerator * denom ** (d - k) // c.denominator
-            for k, c in enumerate(p.coefficients)]
-    roots = [Fraction(mu, denom) for mu in _squarefree_integer_roots(ints)]
-    return roots if len(roots) == d else None
+    q = squarefree_part(char_poly(_matrix(m.rows, m.cols, m.nums)))
+    mus = _squarefree_integer_roots([c.numerator for c in q.coefficients])
+    return [Fraction(mu, m.den) for mu in mus] if len(mus) == q.degree else None
 
 
 def _certify_pieces(grading: Grading) -> None:

@@ -307,6 +307,12 @@ def _powers(m: RatMatrix) -> list:
     return powers
 
 
+def _is_diagonal(m: RatMatrix) -> bool:
+    """Whether the square ``m`` has no more nonzero numerators than its diagonal."""
+    nums, diagonal = m.nums, m.nums[::m.rows + 1]
+    return len(nums) - nums.count(0) == len(diagonal) - diagonal.count(0)
+
+
 def _support(m: RatMatrix) -> tuple:
     """(den, nonzero (position, numerator) pairs) of ``m``: the sparse form
     `_lincomb` sums."""

@@ -66,6 +66,7 @@ from .linalg import (
     VectorSpan,
     ZERO,
     _as_fractions,
+    _is_diagonal,
     _lincomb,
     _matrix,
     _powers,
@@ -213,10 +214,6 @@ def _diagonal_conjugate(m: RatMatrix, rng: SplitMix64) -> RatMatrix:
                           for k, x in enumerate(m.nums)], m.den * lcm)
 
 
-def _is_diagonal(m: RatMatrix) -> bool:
-    return not any(x for k, x in enumerate(m.nums) if k % (m.cols + 1))
-
-
 def _sampler(chart: OrbitChart, nil: OrbitChart | None, rng: SplitMix64):
     """The draw of one random parameter tuple of ``chart`` from ``rng``: its
     factor parameters, then, if it has a slice, the coordinates of a random
@@ -225,15 +222,17 @@ def _sampler(chart: OrbitChart, nil: OrbitChart | None, rng: SplitMix64):
 
     The point is Ad(exp(y) d)(base slice point) with y a random element of
     u and d a determinant-one diagonal matrix when the algebra of ``nil``
-    has family "sl" and its grading element is diagonal (otherwise d = 1),
-    so membership in the slice holds by construction. The inner chart of a
-    mixed chart lives on a Levi, which has no family, so it takes d = 1.
-    exp(u) is the whole unipotent group U, and such a d normalizes U, so
-    one exponential reaches every point that a product of them would.
+    has family "sl" and its grading element is diagonal (`_is_diagonal`;
+    otherwise d = 1), so membership in the slice holds by construction.
+    The inner chart of a mixed chart lives on a Levi, which has no family,
+    so it takes d = 1. exp(u) is the whole unipotent group U, and such a d
+    normalizes U, so one exponential reaches every point that a product of
+    them would.
 
     The slice span, the supports of u and the choice of d are worked out
     once, here; each draw takes the factor parameters, the coefficients of
-    y and the entries of d, in that order.
+    y and the entries of d, in that order. Draws repeat on small charts: a
+    rational takes 41 values (`SplitMix64.fraction`), an entry of d 9.
     """
     free = chart.param_count - len(chart.slice_basis)
     if not chart.slice_basis:
@@ -280,10 +279,13 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     given chart was built with. A negative ``samples`` raises ValueError
     before any work.
 
-    ``char_poly_preserved`` compares the power sums of every sampled value
-    and of the base value (only when it differs from x) with those of x;
-    ``jordan_type_preserved`` compares the ranks of the powers from the
-    same walk, `_power_walk` (see the module docstring).
+    ``injectivity_sampling`` expects one value per distinct tuple drawn
+    (``samples`` less the repeats kept). ``char_poly_preserved`` compares
+    the power sums of every sampled value and of the base value (only when
+    it differs from x) with those of x; ``jordan_type_preserved`` compares
+    the ranks of the powers from the same walk, `_power_walk` (see the
+    module docstring). ``u2_differs_from_u`` reads the parabolic of ``nil``,
+    the nilpotent chart or inner chart, else the semisimple chart's.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -318,26 +320,27 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     values = []
     ranks = []
     seen = set()
+    repeats = 0
     # Slice coordinates are drawn in the scaffold's slice; a given chart whose
     # slice has another dimension cannot take them (rebuilt_chart_identity fails).
     sampled = samples if len(chart.slice_basis) == len(scaffold.slice_basis) else 0
     draw = _sampler(chart, nil, rng) if sampled else None
     for _ in range(sampled):
-        # Resample coinciding tuples: sampled parameter tuples are pairwise
-        # distinct, so equal outputs below would witness a genuine
-        # injectivity failure rather than a duplicated input.
+        # Resample coinciding tuples so the samples stay diverse; a small
+        # chart can run out of fresh ones, and then the repeat is kept.
         params = draw()
         for _retry in range(32):
             if params not in seen:
                 break
             params = draw()
+        repeats += params in seen
         seen.add(params)
         vp = _value_pass(chart, params)
         values.append(vp.value)
         ranks.append(_jacobian_rank(chart, vp))
     checks.append(_agrees("jacobian_rank_samples", [chart.expected_orbit_dim] * samples,
                           ranks))
-    checks.append(_agrees("injectivity_sampling", samples, len(set(values))))
+    checks.append(_agrees("injectivity_sampling", samples - repeats, len(set(values))))
 
     # one walk of the powers of x and of each value (the base value only if needed)
     nilpotent = chart.case_tag == "nilpotent"
@@ -353,7 +356,8 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
         checks.append(Check("jordan_type_preserved", [base_ranks],
                             [list(r) for r in observed_ranks],
                             not values or observed_ranks == [tuple(base_ranks)]))
-    checks.append(Check("u2_differs_from_u", None, scaffold.u2_differs_from_u, True))
+    checks.append(Check("u2_differs_from_u", None,
+                        (nil or scaffold).parabolic.u2_differs_from_u, True))
 
     subject = {
         "algebra": algebra.label,

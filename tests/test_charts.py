@@ -12,6 +12,8 @@ from conftest import (
     element,
     fraction_exp,
     matrix_power,
+    mixed_corpus,
+    mixed_element,
     unit_bidiagonal,
 )
 from orbitcharts.charts import (
@@ -28,7 +30,7 @@ from orbitcharts.charts import (
     eval_chart_with_derivatives,
     exp_nilpotent,
 )
-from orbitcharts.grading import grading_by
+from orbitcharts.grading import _zero_piece_matches, grading_by
 from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import ad_matrix, build_classical, centralizer_basis
 from orbitcharts.linalg import (
@@ -36,6 +38,7 @@ from orbitcharts.linalg import (
     RatMatrix,
     char_poly,
     det,
+    kernel_basis,
     matrix_to_json,
     rank,
 )
@@ -214,7 +217,7 @@ class TestNilpotentChart:
         chart = chart_nilpotent(e13)
         assert chart.param_count == 4
         assert chart.expected_orbit_dim == 4
-        assert chart.u2_differs_from_u
+        assert chart.parabolic.u2_differs_from_u
 
     def test_sl3_regular_counts(self, sl3):
         e = sl3.element_from_matrix(elem(3, 0, 1) + elem(3, 1, 2))
@@ -326,6 +329,43 @@ class TestMixedChart:
             chart_mixed(sl3.element_from_matrix(diag_matrix([1, 1, -2])), 42)
         with pytest.raises(ValueError):
             chart_mixed(sl3.element_from_matrix(elem(3, 0, 1)), 42)
+
+
+_SPLIT_DIAGONALS = [
+    ("sl", [1, 0, -1]), ("sl", [2, -1, -1]),
+    ("sl", [1, 1, -1, -1]), ("sl", [3, -1, -1, -1]), ("sl", [2, 1, 0, -3]),
+    ("sl", [1, 1, 1, -1, -2]), ("sl", [2, 1, 0, -1, -2]),
+    ("so", [1, 0, 0, 0, -1]), ("so", [2, 1, 0, -1, -2]),
+    ("so", [1, 1, 0, 0, -1, -1]), ("so", [2, 1, 0, 0, -1, -2]),
+    ("sp", [1, 0, 0, -1]), ("sp", [2, 1, -1, -2]),
+]
+
+
+def _split_elements():
+    """Elements with x_s != 0: the mixed corpus, sl3-sl5, so5, so6 and sp4
+    diagonals, and a conjugated sl4 diagonal."""
+    cases = [pytest.param(*mixed_element(*p.values), id=p.id) for p in mixed_corpus()]
+    for family, values in _SPLIT_DIAGONALS:
+        algebra = build_classical(family, len(values))
+        cases.append(pytest.param(algebra, algebra.element_from_matrix(diag_matrix(values)),
+                                  id=f"{family}{len(values)}-diag" + ",".join(map(str, values))))
+    sl4 = build_classical("sl", 4)
+    u, u_inv = unit_bidiagonal([1, 2, 3])
+    cases.append(pytest.param(
+        sl4, sl4.element_from_matrix(u * diag_matrix([3, 1, -1, -3]) * u_inv),
+        id="sl4-conjugated-diag3,1,-1,-3"))
+    return cases
+
+
+@pytest.mark.parametrize("algebra, x", _split_elements())
+def test_witness_zero_piece_is_the_centralizer_of_x_s(algebra, x):
+    """The witness grading's zero piece spans c(x_s), which the construction
+    guarantees and `_chart_from_split` therefore does not check again."""
+    chart = build_chart(x, 42)
+    assert chart.case_tag in ("semisimple", "mixed")
+    x_s = algebra.element_from_matrix(chart.shift)
+    assert _zero_piece_matches(chart.parabolic.grading, chart.shift,
+                               len(kernel_basis(ad_matrix(x_s))))
 
 
 class TestAlgebraFromElement:

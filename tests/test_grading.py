@@ -1,9 +1,11 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    companion,
     compositions,
     diag_matrix,
     elem,
@@ -18,6 +20,7 @@ from orbitcharts.grading import (
     WitnessNotFoundError,
     _certify_pieces,
     _natural_weights,
+    _rational_eigenvalues,
     _zero_piece_matches,
     grading_by,
     parabolic_data,
@@ -35,10 +38,12 @@ from orbitcharts.liealg import (
 from orbitcharts.linalg import (
     RatMatrix,
     VectorSpan,
+    _squarefree_integer_roots,
     char_poly,
     commutator,
     integer_roots,
     kernel_basis,
+    squarefree_part,
 )
 from orbitcharts.sl2 import jacobson_morozov
 
@@ -184,6 +189,57 @@ class TestNaturalWeights:
         companion = element(sl3, [[0, 0, 2], [1, 0, 0], [0, 1, 0]])  # t^3 - 2
         with pytest.raises(NonIntegerSpectrumError, match="span 2 of 8"):
             grading_by(companion)
+
+
+def _lcm_rescaled_eigenvalues(m):
+    """The rescaling `_rational_eigenvalues` replaced: the roots of the
+    monic squarefree part p (degree d) of char_poly(m) are mu / D for the
+    integer roots mu of D^d p(t / D), D the lcm of the denominators of p."""
+    p = squarefree_part(char_poly(m))
+    d = p.degree
+    denom = math.lcm(*(c.denominator for c in p.coefficients))
+    ints = [c.numerator * denom ** (d - k) // c.denominator
+            for k, c in enumerate(p.coefficients)]
+    roots = [F(mu, denom) for mu in _squarefree_integer_roots(ints)]
+    return roots if len(roots) == d else None
+
+
+def _eigenvalue_corpus():
+    """Matrices with denominators (diag(1/2, -1/2), integer spectra divided
+    by 6), the so5 and sp4 JM h, a non-split companion, a scalar plus a
+    Jordan block, a 1 x 1 and the 3 x 3 zero matrix."""
+    u, u_inv = unit_bidiagonal([1, 2, 3])
+    integer_spectra = [
+        diag_matrix([3, 1, -1, -3]),
+        u * diag_matrix([5, 2, 2, -9]) * u_inv,
+        u * (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1)) * u_inv,
+        companion(3, [0, -1, 0]),  # t^3 - t: roots -1, 0, 1
+    ]
+    jm = [h.matrix for family, n in (("so", 5), ("sp", 4))
+          for _, h in _split_jm_elements(family, n)]
+    return ([diag_matrix([F(1, 2), F(-1, 2)])]
+            + [m.scale(F(1, 6)) for m in integer_spectra + jm] + jm
+            + [companion(3, [-2, 0, 0]),  # t^3 - 2
+               diag_matrix([2, 2, 2]) + elem(3, 0, 1) + elem(3, 1, 2),
+               RatMatrix.from_rows([[F(-7, 3)]]),
+               RatMatrix.zeros(3, 3)])
+
+
+class TestRationalEigenvalues:
+    def test_equals_the_lcm_rescaling(self):
+        corpus = _eigenvalue_corpus()
+        assert {2, 6} <= {m.den for m in corpus}
+        for m in corpus:
+            assert _rational_eigenvalues(m) == _lcm_rescaled_eigenvalues(m), m
+
+    def test_values(self):
+        assert _rational_eigenvalues(diag_matrix([F(1, 2), F(-1, 2)])) == [F(-1, 2), F(1, 2)]
+        assert _rational_eigenvalues(diag_matrix([3, 1, -1, -3]).scale(F(1, 6))) == \
+            [F(-1, 2), F(-1, 6), F(1, 6), F(1, 2)]
+        assert _rational_eigenvalues(companion(3, [-2, 0, 0])) is None
+        assert _rational_eigenvalues(diag_matrix([2, 2, 2]) + elem(3, 0, 1)) == [2]
+        assert _rational_eigenvalues(RatMatrix.from_rows([[F(-7, 3)]])) == [F(-7, 3)]
+        assert _rational_eigenvalues(RatMatrix.zeros(3, 3)) == [0]
 
 
 def _ad_is_diagonal(h):

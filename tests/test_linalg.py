@@ -10,11 +10,13 @@ from conftest import (
     diag_matrix,
     draw_choice,
     draw_fraction,
+    elem,
     fraction_char_poly,
     fraction_horner,
     fraction_mul,
     fraction_squarefree_part,
     g_inverse_frame_rank,
+    jordan_nilpotent,
     matrix_power,
     monic,
     poly_add,
@@ -33,6 +35,7 @@ from orbitcharts.linalg import (
     RatMatrix,
     VectorSpan,
     _bareiss,
+    _is_diagonal,
     _matrix,
     _powers,
     _pseudo_divmod,
@@ -50,6 +53,7 @@ from orbitcharts.linalg import (
     squarefree_part,
 )
 from orbitcharts.rng import SplitMix64
+from orbitcharts.sl2 import jacobson_morozov
 
 F = Fraction
 
@@ -618,6 +622,37 @@ class TestDualNumber:
             expected = q.derivative()(r)
             observed = dual.epsilon if isinstance(dual, DualNumber) else F(0)
             assert observed == expected
+
+
+def _enumerated_is_diagonal(m):
+    """The definition `_is_diagonal` replaced: no nonzero numerator at a
+    position off the diagonal."""
+    return not any(x for k, x in enumerate(m.nums) if k % (m.cols + 1))
+
+
+def _is_diagonal_corpus():
+    """(label, square matrix, whether it is diagonal), built when a test runs."""
+    sl4 = build_classical("sl", 4)
+    h = jacobson_morozov(sl4.element_from_matrix(jordan_nilpotent(4, [4]))).h
+    u, u_inv = unit_bidiagonal([1, 1, 1])
+    conjugated = sl4.element_from_matrix(u * h.matrix * u_inv)
+    cases = [("diagonal", diag_matrix([3, F(1, 2), 0, -7]), True),
+             ("identity", RatMatrix.identity(4), True),
+             ("zero", RatMatrix.zeros(3, 3), True),
+             ("1x1", M([[F(-5, 2)]]), True),
+             ("1x1 zero", M([[0]]), True),
+             ("ad h of the sl4 JM h", ad_matrix(h), True),
+             ("ad of a conjugated h", ad_matrix(conjugated), False)]
+    cases += [(f"E{i}{j}", elem(3, i, j, F(2, 3)), False)
+              for i in range(3) for j in range(3) if i != j]
+    cases += [(f"diag(1, 0, 2) + E{i}{j}", diag_matrix([1, 0, 2]) + elem(3, i, j), False)
+              for i in range(3) for j in range(3) if i != j]
+    return cases
+
+
+def test_is_diagonal_against_the_enumerated_definition():
+    for label, m, diagonal in _is_diagonal_corpus():
+        assert _is_diagonal(m) is _enumerated_is_diagonal(m) is diagonal, label
 
 
 class TestMatrixBasics:

@@ -30,13 +30,12 @@ from orbitcharts.charts import (
 )
 from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import build_classical
-from orbitcharts.linalg import RatMatrix, char_poly, rank
+from orbitcharts.linalg import RatMatrix, _is_diagonal, char_poly, rank
 from orbitcharts.rng import SplitMix64
 from orbitcharts.verify import (
     OrbitClassId,
     ZeroSemisimplePartError,
     _diagonal_conjugate,
-    _is_diagonal,
     _jacobian_rank,
     _same_flat_data,
     check_centralizer_reductive,
@@ -192,6 +191,33 @@ class TestVerifyChart:
         assert set(data) == {"subject", "seed", "sample_count", "checks", "overall_pass"}
         for c in data["checks"]:
             assert set(c) == {"name", "expected", "observed", "pass"}
+
+
+class TestInjectivityOnFewTuples:
+    """The sl2 regular nilpotent chart has 41 x 9 = 369 parameter tuples:
+    41 rationals for its factor parameter (`SplitMix64.fraction`) and 9
+    slice points e_1^2 e from the torus entry. A draw that finds no fresh
+    tuple in its redraws keeps a repeat, and ``injectivity_sampling``
+    expects one value per distinct tuple drawn."""
+
+    @pytest.mark.parametrize("samples, distinct", [(300, 299), (500, 369)])
+    def test_expects_the_distinct_tuples_drawn(self, sl2, samples, distinct):
+        x = element(sl2, [[0, 1], [0, 0]])
+        report = verify_chart(x, build_chart(x, 42), 42, samples)
+        check = report.check("injectivity_sampling")
+        assert (check.expected, check.observed) == (distinct, distinct)
+        assert report.overall_pass
+
+    def test_unsampled_chart_still_fails(self, sl3):
+        # a chart whose slice has another dimension takes no sample, so it
+        # expects every requested value and observes none
+        e13 = sl3.element_from_matrix(elem(3, 0, 2))
+        data = chart_to_json(build_chart(e13, 42))
+        data["slice_basis"].append([["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]])
+        data["expected_orbit_dim"] += 1
+        check = verify_chart(e13, chart_from_json(sl3, data), 42, 3).check(
+            "injectivity_sampling")
+        assert (check.expected, check.observed, check.passed) == (3, 0, False)
 
 
 class TestCharPolyPreserved:
