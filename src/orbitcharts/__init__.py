@@ -27,7 +27,6 @@ from .liealg import (
     LieElement,
     NotInAlgebraError,
     ad_matrix,
-    block_levi,
     build_classical,
     center_basis,
     centralizer_basis,

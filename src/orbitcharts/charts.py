@@ -148,11 +148,6 @@ class OrbitChart:
         return sum(len(f) for f in self.factors) + len(self.slice_basis)
 
     @property
-    def expected_orbit_dim(self) -> int:
-        """The parameter count, which `_make_chart` checks is the orbit dimension."""
-        return self.param_count
-
-    @property
     def base_params(self) -> tuple:
         return (ZERO,) * (self.param_count - len(self.slice_basis)) + self.slice_base
 
@@ -453,7 +448,7 @@ def chart_to_json(chart: OrbitChart) -> dict:
         "slice_basis": [matrix_to_json(s) for s in
                         (chart.slice_basis if chart.shift is None else (chart.shift,))],
         "inner": chart_to_json(inner) if inner is not None else None,
-        "expected_orbit_dim": chart.expected_orbit_dim,
+        "expected_orbit_dim": chart.param_count,
     }
 
 
@@ -467,8 +462,8 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
     read, so nesting cannot recurse), when a factor, slice or shift matrix
     does not lie in the algebra (the inner chart's in its Levi), when a
     factor does not span a nilpotent subalgebra (see `OrbitChart`),
-    when the parameter count differs from expected_orbit_dim, or when the
-    base tuple does not evaluate to the base element.
+    when the parameter count differs from the field 'expected_orbit_dim',
+    or when the base tuple does not evaluate to the base element.
 
     The factor check is what lets `verify._jacobian_rank` rank the
     conjugated columns: it needs each factor's span closed under the

@@ -322,39 +322,6 @@ def build_classical(family: str, n: int) -> LieAlgebra:
     return algebra
 
 
-_LEVI_CACHE: dict = {}
-
-
-def block_levi(n: int, composition: Sequence[int]) -> LieAlgebra:
-    """Block-diagonal Levi subalgebra of sl(n) for an ordered composition of n.
-
-    Basis: off-diagonal E_ij inside each diagonal block (lexicographic), then
-    all diagonal differences, matching the sl(n) convention.
-    """
-    composition = tuple(int(c) for c in composition)
-    if any(c < 1 for c in composition) or sum(composition) != n:
-        raise ValueError("composition parts must be >= 1 and sum to n")
-    key = (n, composition)
-    if key in _LEVI_CACHE:
-        return _LEVI_CACHE[key]
-    blocks = []
-    start = 0
-    for size in composition:
-        blocks.append(range(start, start + size))
-        start += size
-    basis = []
-    for blk in blocks:
-        for i in blk:
-            for j in blk:
-                if i != j:
-                    basis.append(_elementary(n, i, j))
-    basis += [_elementary(n, k, k) - _elementary(n, k + 1, k + 1) for k in range(n - 1)]
-    label = "s(" + "x".join(f"gl{c}" for c in composition) + f") in sl{n}"
-    algebra = LieAlgebra(basis, label)
-    _LEVI_CACHE[key] = algebra
-    return algebra
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

@@ -279,13 +279,15 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     given chart was built with. A negative ``samples`` raises ValueError
     before any work.
 
+    Each distinct tuple drawn is evaluated once; a repeat reuses its rank.
     ``injectivity_sampling`` expects one value per distinct tuple drawn
     (``samples`` less the repeats kept). ``char_poly_preserved`` compares
-    the power sums of every sampled value and of the base value (only when
-    it differs from x) with those of x; ``jordan_type_preserved`` compares
-    the ranks of the powers from the same walk, `_power_walk` (see the
-    module docstring). ``u2_differs_from_u`` reads the parabolic of ``nil``,
-    the nilpotent chart or inner chart, else the semisimple chart's.
+    the power sums of the value of each distinct tuple and of the base
+    value (only when it differs from x) with those of x;
+    ``jordan_type_preserved`` compares the ranks of the powers from the
+    same walk, `_power_walk` (see the module docstring).
+    ``u2_differs_from_u`` reads the parabolic of ``nil``, the nilpotent
+    chart or inner chart, else the semisimple chart's.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -314,13 +316,11 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     base_vp = _value_pass(chart, _as_fractions(chart.base_params))
     base_value = base_vp.value
     checks.append(_agrees("base_point_identity", True, base_value == x.matrix))
-    checks.append(_agrees("jacobian_rank_base", chart.expected_orbit_dim,
+    checks.append(_agrees("jacobian_rank_base", chart.param_count,
                           _jacobian_rank(chart, base_vp)))
 
-    values = []
+    evaluated = {}  # each distinct tuple drawn: (its value, its Jacobian rank)
     ranks = []
-    seen = set()
-    repeats = 0
     # Slice coordinates are drawn in the scaffold's slice; a given chart whose
     # slice has another dimension cannot take them (rebuilt_chart_identity fails).
     sampled = samples if len(chart.slice_basis) == len(scaffold.slice_basis) else 0
@@ -330,16 +330,16 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
         # chart can run out of fresh ones, and then the repeat is kept.
         params = draw()
         for _retry in range(32):
-            if params not in seen:
+            if params not in evaluated:
                 break
             params = draw()
-        repeats += params in seen
-        seen.add(params)
-        vp = _value_pass(chart, params)
-        values.append(vp.value)
-        ranks.append(_jacobian_rank(chart, vp))
-    checks.append(_agrees("jacobian_rank_samples", [chart.expected_orbit_dim] * samples,
-                          ranks))
+        if params not in evaluated:
+            vp = _value_pass(chart, params)
+            evaluated[params] = (vp.value, _jacobian_rank(chart, vp))
+        ranks.append(evaluated[params][1])
+    values = [value for value, _ in evaluated.values()]
+    checks.append(_agrees("jacobian_rank_samples", [chart.param_count] * samples, ranks))
+    repeats = sampled - len(evaluated)
     checks.append(_agrees("injectivity_sampling", samples - repeats, len(set(values))))
 
     # one walk of the powers of x and of each value (the base value only if needed)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from orbitcharts.linalg import Polynomial, RatMatrix, _as_fraction, rank
-from orbitcharts.liealg import build_classical
+from orbitcharts.liealg import build_classical, centralizer_basis
 from orbitcharts.rng import SplitMix64
 
 
@@ -45,6 +45,15 @@ def compositions(n):
     for first in range(1, n + 1):
         for rest in compositions(n - first):
             yield (first,) + rest
+
+
+def block_levi(n, composition):
+    """The block-diagonal Levi s(gl_c1 x gl_c2 x ...) of sl(n) for the
+    composition (c1, c2, ...) of n: the centralizer of the traceless
+    diagonal element with entry n k - sum_j j c_j on each row of block k."""
+    shift = sum(k * c for k, c in enumerate(composition))
+    values = [n * k - shift for k, c in enumerate(composition) for _ in range(c)]
+    return centralizer_basis(sl(n).element_from_matrix(diag_matrix(values)))
 
 
 def unit_bidiagonal(entries, upper=True):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import (
+    block_levi,
     compositions,
     diag_matrix,
     elem,
@@ -26,7 +27,6 @@ from orbitcharts.charts import (
 )
 from orbitcharts.cli import main
 from orbitcharts.liealg import (
-    block_levi,
     build_classical,
     centralizer_basis,
 )

@@ -216,14 +216,12 @@ class TestNilpotentChart:
         e13 = sl3.element_from_matrix(elem(3, 0, 2))
         chart = chart_nilpotent(e13)
         assert chart.param_count == 4
-        assert chart.expected_orbit_dim == 4
         assert chart.parabolic.u2_differs_from_u
 
     def test_sl3_regular_counts(self, sl3):
         e = sl3.element_from_matrix(elem(3, 0, 1) + elem(3, 1, 2))
         chart = chart_nilpotent(e)
         assert chart.param_count == 6
-        assert chart.expected_orbit_dim == 6
 
     def test_base_point_identity(self, sl3):
         e = sl3.element_from_matrix(elem(3, 0, 1) + elem(3, 1, 2))
@@ -411,9 +409,10 @@ class TestDerivedFields:
 
     def test_expected_orbit_dim_follows_the_factors(self, sl3):
         chart = chart_nilpotent(sl3.element_from_matrix(elem(3, 0, 2)))
-        assert chart.expected_orbit_dim == chart.param_count == 4
+        assert chart_to_json(chart)["expected_orbit_dim"] == chart.param_count == 4
         shorter = replace(chart, factors=())
-        assert shorter.expected_orbit_dim == shorter.param_count == len(chart.slice_basis)
+        assert (chart_to_json(shorter)["expected_orbit_dim"] == shorter.param_count
+                == len(chart.slice_basis))
 
 
 # so5, so6 and sp4 charts, nilpotent and semisimple, and an sl4 mixed chart,
@@ -618,6 +617,21 @@ class TestChartSerialization:
         mutate(data)
         with pytest.raises(ValueError, match=f"'{field}'"):
             chart_from_json(sl3, data)
+
+    @pytest.mark.parametrize("case, mutate, message", [
+        ("nilpotent", lambda d: ["not", "a", "chart"], "chart JSON must be an object"),
+        ("nilpotent", lambda d: dict(d, case_tag="regular"), "unknown case tag 'regular'"),
+        ("semisimple", lambda d: dict(d, slice_basis=[]),
+         "semisimple chart needs exactly one slice matrix, the shift"),
+        ("mixed", lambda d: dict(d, slice_basis=d["slice_basis"] * 2),
+         "mixed chart needs exactly one slice matrix, the shift"),
+    ], ids=["not-an-object", "unknown-case-tag", "semisimple-without-shift",
+            "mixed-with-two-shifts"])
+    def test_refusal_message(self, sl3, case, mutate, message):
+        data = mutate(chart_to_json(build_chart(element(sl3, CASES[case]), 42)))
+        with pytest.raises(ValueError) as excinfo:
+            chart_from_json(sl3, data)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("depth", [2, 2000])
     def test_non_nilpotent_inner_chart_refused_before_descending(self, sl2, depth):

@@ -258,6 +258,17 @@ class TestVerify:
         assert "orbit: cannot write" in capsys.readouterr().err
         assert not target.exists()
 
+    def test_failed_check_exit_1_with_report(self, monkeypatch):
+        # every Jacobian rank reads 0, so both rank checks fail; the report
+        # is still printed
+        monkeypatch.setattr(verify, "_jacobian_rank", lambda chart, vp: 0)
+        code, out = run(["verify", "--family", "sl", "--size", "2", "--element", H2])
+        report = json.loads(out)
+        assert code == 1
+        assert report["overall_pass"] is False
+        failed = [c["name"] for c in report["chart_verification"]["checks"] if not c["pass"]]
+        assert failed == ["jacobian_rank_base", "jacobian_rank_samples"]
+
     def test_negative_samples_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "build_chart", _no_chart)
         code, out = run(["verify", "--family", "sl", "--size", "2",
@@ -371,10 +382,12 @@ class TestExitCodes:
          5, "semisimple part is zero"),
         (["analyze", "--family", "sl", "--size", "2", "--element", '{"matrix": 1}'],
          2, "matrix JSON must be a nonempty array of arrays"),
+        (["analyze", "--family", "sl", "--size", "2", "--element", '{"mat": [["0"]]}'],
+         2, 'element JSON must be an object with a "matrix" key'),
         (["analyze", "--family", "sl", "--size", "1", "--element", '{"matrix": [["0"]]}'],
          2, "sl(n) needs n >= 2"),
     ], ids=["not-in-algebra", "no-witness", "zero-element", "zero-semisimple-part",
-            "element-parse", "value-error"])
+            "element-parse", "element-without-matrix-key", "value-error"])
     def test_exit_code_and_message(self, capsys, args, code, message):
         assert run(args) == (code, "")
         err = capsys.readouterr().err

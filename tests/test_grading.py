@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    block_levi,
     companion,
     compositions,
     diag_matrix,
@@ -29,7 +30,6 @@ from orbitcharts.grading import (
 from orbitcharts.liealg import (
     LieAlgebra,
     ad_matrix,
-    block_levi,
     build_classical,
     center_basis,
     centralizer_basis,
