@@ -39,8 +39,9 @@ frame the column of b is [Ad(S_k S_f^-1) y, Ad(S_k) core] and the slice
 column Ad(S_k) s_j. `_core_brackets` forms these columns from the partial
 values in the g^-1 frame, k = m, and in the frame k = m - 1 of a chart
 without a slice: `eval_chart_with_derivatives` takes k = m and maps the
-columns back by g; `verify._jacobian_rank` ranks them with y = b. Every
-matrix is a `RatMatrix`.
+columns back by g; `verify._jacobian_rank` ranks them with y = b, and
+leaves unconjugated the blocks that `_plain_blocks` names. Every matrix
+is a `RatMatrix`.
 
 Two constructions, chosen by the Jordan split x = x_s + x_n (computed once):
 
@@ -367,7 +368,7 @@ def _conjugate(p: Optional[RatMatrix], y: RatMatrix, p_inv: Optional[RatMatrix])
 
 
 def _core_brackets(vp: _ValuePass, per_factor: Sequence, slice_basis: Sequence,
-                   k: int) -> list:
+                   k: int, plain: frozenset = frozenset()) -> list:
     """The differential's columns in the frame S_k, as blocks in factor order.
 
     S_k is the product of the exponentials of factors[k:]: k = m gives the
@@ -378,19 +379,53 @@ def _core_brackets(vp: _ValuePass, per_factor: Sequence, slice_basis: Sequence,
     factor's when k = m - 1, holds [y, Ad(S_k) core]: this leaves out the
     factor's own exponential, which maps the span of the factor onto
     itself (see `verify._jacobian_rank`), so the block spans what the full
-    conjugation spans, not the same columns. A last block holds the slice
+    conjugation spans, not the same columns. So does a block f < k in
+    ``plain``, which holds [y, Ad(S_k) core] too: `_plain_blocks` names
+    the blocks whose span P leaves as it is. A last block holds the slice
     elements s_j, which S_m = 1 leaves as they are.
+
+    `eval_chart_with_derivatives` passes no ``plain`` block, since its
+    columns must be the derivatives themselves.
     """
     core = vp.cores[k]
     blocks = [[commutator(y, core) for y in ys] for ys in per_factor[k:]]
     blocks.append(list(slice_basis))
     p = p_inv = None  # P and P^-1, P^-1 the product over factors[f+1:k]
     for f in range(k - 1, -1, -1):
-        blocks.insert(0, [commutator(_conjugate(p, y, p_inv), core) for y in per_factor[f]])
+        ys = per_factor[f] if f in plain else [_conjugate(p, y, p_inv) for y in per_factor[f]]
+        blocks.insert(0, [commutator(y, core) for y in ys])
         if f:
             _, exp_a, exp_neg = vp.series[f]
             p, p_inv = _times(p, exp_neg), _times(exp_a, p_inv)
     return blocks
+
+
+def _plain_blocks(factors: Sequence, k: int) -> frozenset:
+    """The blocks f < k that `_core_brackets` in the frame S_k may leave
+    unconjugated: those whose factor's span U_f every factor g with
+    f < g < k normalizes, [b_g, b_f] in U_f for all basis pairs.
+
+    Then ad a_g maps U_f into U_f, so Ad(P) = prod exp(-ad a_g) maps U_f
+    onto U_f. The block's span [U_f, Ad(S_k) core] is therefore the same
+    with or without P, and so is the rank of all the blocks. On a built
+    mixed chart the Levi c(x_s) holds the inner factors and normalizes
+    the outer u = g(>0), so u's block is plain, and so is the inner
+    factor's, with no factor after it; u- is not, as [u, u-] leaves it.
+
+    Each bracket is tested against the echelon rows of U_f, which span it
+    even when the basis is dependent, and the test stops at the first
+    bracket outside U_f.
+    """
+    def normalized(f: int) -> bool:
+        later = [a for g in range(f + 1, k) for a in factors[g]]
+        if not later:
+            return True
+        basis = factors[f]
+        ech, piv, _ = _bareiss([list(b.nums) for b in basis])
+        span = VectorSpan(ech[:len(piv)], length=len(later[0].nums))
+        return all(span.coords_of(commutator(a, b)) is not None for a in later for b in basis)
+
+    return frozenset(f for f in range(k) if normalized(f))
 
 
 def _left_dexp(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -20,7 +20,10 @@ k = m - 1 for one without: each factor column is one bracket with the
 partial value Ad(S_k) core, and a semisimple chart's columns need no
 conjugation. One Bareiss elimination ranks them, slice rows first and
 then the factor blocks from the last factor to the first
-(`_jacobian_rank`).
+(`_jacobian_rank`). Each report builds one `_RankFrame` (`_rank_frame`):
+the columns go in the weight order of the chart's grading element when
+it is diagonal, and a factor block that the factors between it and the
+frame normalize is left unconjugated. Neither changes the rank.
 
 Equal characteristic polynomials are certified by power sums: x and each
 value v are walked once (`linalg._powers`), and tr(v^k), k = 1 .. n, is
@@ -42,12 +45,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from fractions import Fraction
+from operator import itemgetter
+from typing import Callable, List, Optional, Sequence
 
 from .charts import (
     OrbitChart,
     _core_brackets,
     _exp_series,
+    _plain_blocks,
     _value_pass,
     build_chart,
 )
@@ -138,19 +144,81 @@ def report_to_json(report: VerificationReport) -> dict:
 
 def jacobian_rank_at(chart: OrbitChart, params: Sequence) -> int:
     """Exact rank of the differential of the chart at ``params``; see
-    `_jacobian_rank`."""
+    `_jacobian_rank`. It takes no `_RankFrame`: the rows keep their order
+    and every block its conjugation."""
     return _jacobian_rank(chart, _value_pass(chart, _as_fractions(params)))
 
 
-def _jacobian_rank(chart: OrbitChart, vp) -> int:
+@dataclass(frozen=True)
+class _RankFrame:
+    """How `_jacobian_rank` lays out the rows of one report.
+
+    ``order`` is an `operator.itemgetter` that permutes the n^2 flattened
+    entries of each row, or None to keep them in place; ``plain`` holds the
+    factor blocks left unconjugated (`charts._plain_blocks`). Neither
+    changes the rank; see `_rank_frame`.
+    """
+
+    order: Optional[Callable]
+    plain: frozenset
+
+
+_NO_FRAME = _RankFrame(None, frozenset())
+
+
+def _frame_index(chart: OrbitChart) -> int:
+    """k of the frame S_k that `_jacobian_rank` ranks ``chart`` in: m with
+    a slice, else m - 1. With neither slice nor factor k = -1, cores[-1]
+    is the core, and no block is formed."""
+    m = len(chart.factors)
+    return m if chart.slice_basis else m - 1
+
+
+def _rank_frame(chart: OrbitChart, scaffold: OrbitChart,
+                nil: OrbitChart | None) -> _RankFrame:
+    """The `_RankFrame` of one report on ``chart``, whose scaffolding is
+    ``scaffold`` and whose nilpotent chart (or inner chart) is ``nil``.
+
+    The order is read off the grading element g of the scaffold: the JM h
+    of a nilpotent chart, the witness z of a semisimple one, and K z + h
+    for a mixed one, with K = 2 max |h_a - h_b| + 1, so that z orders
+    first (h lies in the Levi c(x_s), where z is central, so they
+    commute). When g is diagonal, with entries d_a, the flattened entries
+    (a, b) are taken in increasing weight d_a - d_b, ties by position, so
+    that the rows of the graded factor blocks come nearly block triangular
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    8.1) and `_bareiss` skips most of them. Otherwise, or when g is not of
+    the chart's size, the entries keep their order.
+
+    The plain blocks are read off ``chart``'s own factors, so a chart from
+    `chart_from_json` is ranked on its own factors. A column permutation
+    and a plain block each keep the rank exactly, so a scaffold whose
+    grading does not fit ``chart`` changes only the speed.
+    """
+    n = chart.algebra.ambient_size
+    g = scaffold.parabolic.grading.grading_element.matrix
+    if nil is not None and nil is not scaffold:
+        h = nil.parabolic.grading.grading_element.matrix
+        spread = h.nums[::h.rows + 1]
+        g = g.scale(2 * Fraction(max(spread) - min(spread), h.den) + 1) + h
+    order = None
+    if g.rows == n and _is_diagonal(g):
+        d = g.nums[::n + 1]
+        flat = sorted(range(n * n), key=lambda q: d[q // n] - d[q % n])
+        if flat != list(range(n * n)):
+            order = itemgetter(*flat)
+    return _RankFrame(order, _plain_blocks(chart.factors, _frame_index(chart)))
+
+
+def _jacobian_rank(chart: OrbitChart, vp, frame: _RankFrame = _NO_FRAME) -> int:
     """Exact rank of the differential of ``chart`` at the value pass ``vp``.
 
     The columns are ranked in the frame S_k = exp a_(k+1) ... exp a_m:
     k = m, the g^-1 frame, for a chart with a slice, and k = m - 1 for one
-    without. The differential's columns conjugated by S_k g^-1, which keeps
-    the rank, are [Ad(S_k S_f^-1) y, Ad(S_k) core] with y = exp(-a_f)
-    dexp_f(b) for the basis b of each factor f, and the slice elements s_j
-    themselves, since S_m = 1 (see `charts`).
+    without (`_frame_index`). The differential's columns conjugated by
+    S_k g^-1, which keeps the rank, are [Ad(S_k S_f^-1) y, Ad(S_k) core]
+    with y = exp(-a_f) dexp_f(b) for the basis b of each factor f, and the
+    slice elements s_j themselves, since S_m = 1 (see `charts`).
 
     Two substitutions keep the span of each block, hence the rank. Factor f
     spans a nilpotent subalgebra U_f that holds a_f (see `OrbitChart`), so
@@ -161,20 +229,30 @@ def _jacobian_rank(chart: OrbitChart, vp) -> int:
     then [b, Ad(exp a_2) x_s] for b in u- and u, with no conjugated column;
     nilpotent and mixed charts rank the rows of the g^-1 frame.
 
+    ``frame`` (`_rank_frame`, built once per report) makes two more
+    changes that keep the rank. Its plain blocks f are ranked as
+    [b, Ad(S_k) core], without Ad(S_k S_f^-1): every factor g with
+    f < g < k normalizes U_f, so ad a_g maps U_f into U_f and Ad(S_k
+    S_f^-1) = prod exp(-ad a_g) maps U_f onto U_f, and the block's span
+    [U_f, Ad(S_k) core] is unchanged (`charts._plain_blocks`). On a built
+    mixed chart this leaves only u- conjugated. Its order permutes the
+    flattened entries of every row alike, a column permutation. Without
+    a frame (`jacobian_rank_at`) neither change is made.
+
     The rank does not depend on row order. The slice elements come first,
     then the factor blocks from the last factor to the first: sparse rows
     with small integers pivot first and the dense rows are eliminated
     against them. The sl10 mixed chart of CI's scale smoke ranks the same
     rows as in the g^-1 frame, and four of its ranks took 0.15 s in this
     order against 0.42-0.44 s in parameter order (Python 3.11, 2-vCPU
-    Xeon guest).
+    Xeon guest). The permuted rows go to `_span_rank` as 1 x n^2 matrices.
     """
-    m = len(chart.factors)
-    # with neither slice nor factor, k = -1: cores[-1] is the core, and no
-    # block is formed
-    k = m if chart.slice_basis else m - 1
-    blocks = _core_brackets(vp, chart.factors, chart.slice_basis, k)
-    return _span_rank([row for block in reversed(blocks) for row in block])
+    blocks = _core_brackets(vp, chart.factors, chart.slice_basis, _frame_index(chart),
+                            frame.plain)
+    rows = [row for block in reversed(blocks) for row in block]
+    if frame.order is not None:
+        rows = [_matrix(1, len(row.nums), frame.order(row.nums)) for row in rows]
+    return _span_rank(rows)
 
 
 def _power_walk(m: RatMatrix, ranked: bool) -> tuple:
@@ -221,11 +299,13 @@ def _sampler(chart: OrbitChart, nil: OrbitChart | None, rng: SplitMix64):
     its scaffolding) whose slice ``chart`` shares.
 
     The point is Ad(exp(y) d)(base slice point) with y a random element of
-    u and d a determinant-one diagonal matrix when the algebra of ``nil``
-    has family "sl" and its grading element is diagonal (`_is_diagonal`;
+    u and d a determinant-one diagonal matrix when the algebra of
+    ``chart`` has family "sl", the grading element of ``nil`` is diagonal
+    and the shift of ``chart`` is diagonal or absent (`_is_diagonal`;
     otherwise d = 1), so membership in the slice holds by construction.
-    The inner chart of a mixed chart lives on a Levi, which has no family,
-    so it takes d = 1. exp(u) is the whole unipotent group U, and such a d
+    On a mixed chart such a d commutes with the diagonal shift x_s, so it
+    lies in the group of the Levi c(x_s) that the inner chart ``nil``
+    lives on. exp(u) is the whole unipotent group U, and such a d
     normalizes U, so one exponential reaches every point that a product of
     them would.
 
@@ -242,7 +322,8 @@ def _sampler(chart: OrbitChart, nil: OrbitChart | None, rng: SplitMix64):
     span = VectorSpan(nil.slice_basis, length=n * n)
     supports = [_support(el.matrix) for el in pd.u]
     base = nil.base_element.matrix
-    torus = nil.algebra.family == "sl" and _is_diagonal(pd.grading.grading_element.matrix)
+    torus = (chart.algebra.family == "sl" and _is_diagonal(pd.grading.grading_element.matrix)
+             and (chart.shift is None or _is_diagonal(chart.shift)))
 
     def draw() -> tuple:
         params = [rng.fraction() for _ in range(free)]
@@ -313,11 +394,12 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
         checks.append(_agrees("centralizer_composition", algebra.dim - expected_dim,
                               inner.algebra.dim - rank(ad_matrix(inner.base_element))))
 
+    frame = _rank_frame(chart, scaffold, nil)
     base_vp = _value_pass(chart, _as_fractions(chart.base_params))
     base_value = base_vp.value
     checks.append(_agrees("base_point_identity", True, base_value == x.matrix))
     checks.append(_agrees("jacobian_rank_base", chart.param_count,
-                          _jacobian_rank(chart, base_vp)))
+                          _jacobian_rank(chart, base_vp, frame)))
 
     evaluated = {}  # each distinct tuple drawn: (its value, its Jacobian rank)
     ranks = []
@@ -335,7 +417,7 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
             params = draw()
         if params not in evaluated:
             vp = _value_pass(chart, params)
-            evaluated[params] = (vp.value, _jacobian_rank(chart, vp))
+            evaluated[params] = (vp.value, _jacobian_rank(chart, vp, frame))
         ranks.append(evaluated[params][1])
     values = [value for value, _ in evaluated.values()]
     checks.append(_agrees("jacobian_rank_samples", [chart.param_count] * samples, ranks))

@@ -261,7 +261,7 @@ class TestVerify:
     def test_failed_check_exit_1_with_report(self, monkeypatch):
         # every Jacobian rank reads 0, so both rank checks fail; the report
         # is still printed
-        monkeypatch.setattr(verify, "_jacobian_rank", lambda chart, vp: 0)
+        monkeypatch.setattr(verify, "_jacobian_rank", lambda chart, vp, frame: 0)
         code, out = run(["verify", "--family", "sl", "--size", "2", "--element", H2])
         report = json.loads(out)
         assert code == 1

@@ -20,12 +20,21 @@ match digests recorded from the suffix-product derivative pass they
 replaced. The power walk of the verify checks, `verify._power_walk`, gives
 the power sums and the ranks of the powers, and its power sums are equal
 exactly when the characteristic polynomials are.
+
+A report ranks in one `verify._RankFrame`: columns in the weight order of
+a diagonal grading element, and the factor blocks that the later factors
+normalize left unconjugated (`charts._plain_blocks`). Its rank equals the
+g^-1 frame rank on built and read-back charts over the sl, so and sp
+corpora, and so does the rank in the reversed column order; the plain
+blocks of a mixed chart are u and the inner factor, and a block that is
+not plain keeps a conjugation whose loss would drop the rank.
 """
 
 import functools
 import hashlib
 import json
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -36,8 +45,11 @@ from conftest import (
     g_inverse_frame_rank,
     jordan_nilpotent,
     matrix_power,
+    mixed_corpus,
+    mixed_element,
     nontrivial_partitions,
     power_walk_corpus,
+    unit_bidiagonal,
 )
 from orbitcharts import charts, verify
 from orbitcharts.charts import (
@@ -45,6 +57,7 @@ from orbitcharts.charts import (
     _value_pass,
     build_chart,
     chart_from_json,
+    chart_to_json,
     eval_chart,
     eval_chart_with_derivatives,
 )
@@ -205,21 +218,25 @@ def test_chart_without_factor_or_slice():
     assert verify.jacobian_rank_at(chart, ()) == 0
 
 
-@pytest.mark.parametrize("rows, expected", [
-    (jordan_nilpotent(4, (4,)), 0),
-    (diag_matrix([1, 1, -1, -1]), 0),
-    (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1), 8),
-], ids=["regular-nilpotent", "semisimple", "mixed"])
-def test_conjugations_of_a_base_point_rank(monkeypatch, rows, expected):
+@pytest.mark.parametrize("rows, framed, expected", [
+    (jordan_nilpotent(4, (4,)), False, 0),
+    (diag_matrix([1, 1, -1, -1]), False, 0),
+    (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1), False, 8),
+    (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1), True, 4),
+], ids=["regular-nilpotent", "semisimple", "mixed", "mixed-framed"])
+def test_conjugations_of_a_base_point_rank(monkeypatch, rows, framed, expected):
     """The conjugations by a product of exponentials that one rank at the
     base point makes on sl4 charts: none on the nilpotent and semisimple
     charts, and one per basis element of the mixed chart's outer u- and u
     (factor sizes 4, 4, 1). Ranking every chart in the g^-1 frame would
     conjugate the semisimple chart's u- block, and ranking every chart in
-    the frame S_1 would conjugate the mixed chart's inner factor and slice."""
+    the frame S_1 would conjugate the mixed chart's inner factor and slice.
+    In its report's frame the mixed chart conjugates u- only, since the
+    inner factor normalizes u."""
     sl4 = build_classical("sl", 4)
     chart = build_chart(sl4.element_from_matrix(rows), 42)
     vp = _value_pass(chart, chart.base_params)
+    frame = verify._rank_frame(chart, chart, chart.inner) if framed else verify._NO_FRAME
     conjugations = []
     real = charts._conjugate
 
@@ -229,7 +246,7 @@ def test_conjugations_of_a_base_point_rank(monkeypatch, rows, expected):
         return real(p, y, p_inv)
 
     monkeypatch.setattr(charts, "_conjugate", spy)
-    assert verify._jacobian_rank(chart, vp) == chart.param_count
+    assert verify._jacobian_rank(chart, vp, frame) == chart.param_count
     assert len(conjugations) == expected
 
 
@@ -360,3 +377,152 @@ def test_power_sums_equal_exactly_when_char_poly_equal(n):
             if polys[i] != t_n:
                 kinds.add(same)
     assert kinds == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# The rank frame of a report
+# ---------------------------------------------------------------------------
+
+
+def _nil(chart):
+    """The nilpotent chart (or inner chart) `verify_chart` samples from."""
+    return chart if chart.case_tag == "nilpotent" else chart.inner
+
+
+def _so_sp_elements(family, n):
+    """(label, matrix): the sum of the strictly upper basis elements and
+    diag(k, ..., 1, (0), -1, ..., -k) of so(n) or sp(n)."""
+    algebra = build_classical(family, n)
+    upper = [b for b in algebra.basis
+             if all(not b.at(i, j) for i in range(n) for j in range(i + 1))]
+    total = sum(upper[1:], upper[0])
+    k = n // 2
+    d = list(range(k, 0, -1)) + [0] * (n % 2) + list(range(-1, -k - 1, -1))
+    return [(f"{family}{n}-upper", total), (f"{family}{n}-diagonal", diag_matrix(d))]
+
+
+def _frame_corpus():
+    """(label, family, n, matrix): every sl3-sl6 nilpotent Jordan type, sl3-sl6
+    diagonals with repeated and distinct entries, the mixed corpus, so5,
+    so6, sp4 and sp6 upper nilpotents and diagonals, and a conjugated sl4
+    mixed element u (diag(1, 1, -1, -1) + E01) u^-1, whose witness and
+    JM h are not diagonal."""
+    out = []
+    for n in (3, 4, 5, 6):
+        for part in nontrivial_partitions(n):
+            out.append((f"sl{n}-" + "".join(map(str, part)), "sl", n, jordan_nilpotent(n, part)))
+        a = n // 2
+        for values in ([n - 1 - 2 * i for i in range(n)], [1] * (n - 1) + [1 - n],
+                       [n - a] * a + [-a] * (n - a)):
+            out.append((f"sl{n}-diag" + ",".join(map(str, values)), "sl", n, diag_matrix(values)))
+    for param in mixed_corpus():
+        family, n = param.values[:2]
+        out.append((param.id, family, n, mixed_element(*param.values)[1].matrix))
+    for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6)):
+        out += [(label, family, n, m) for label, m in _so_sp_elements(family, n)]
+    u, u_inv = unit_bidiagonal([1, -1, 2])
+    out.append(("sl4-conjugated-mixed", "sl", 4,
+                u * (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1)) * u_inv))
+    return out
+
+
+FRAME_CORPUS = {label: (family, n, m) for label, family, n, m in _frame_corpus()}
+
+
+@functools.lru_cache(maxsize=None)
+def frame_chart(label):
+    """The chart (seed 42) of a frame corpus element."""
+    family, n, m = FRAME_CORPUS[label]
+    return build_chart(build_classical(family, n).element_from_matrix(m), 42)
+
+
+def _frame_points(chart):
+    """(on the orbit's chart domain, parameter tuple): the base tuple and
+    three draws of the report's sampler, where the rank is full, then a
+    seeded random tuple, whose slice point may lie off the open orbit."""
+    draw = verify._sampler(chart, _nil(chart), SplitMix64(SWEEP_SEED))
+    rng = SplitMix64(SWEEP_SEED + 1)
+    return ([(True, chart.base_params)] + [(True, draw()) for _ in range(3)]
+            + [(False, tuple(rng.fraction() for _ in range(chart.param_count)))])
+
+
+@pytest.mark.parametrize("label", list(FRAME_CORPUS))
+def test_framed_rank_equals_g_inverse_frame_rank(label):
+    """The rank in the report's frame equals the g^-1 frame rank in
+    parameter order, at the base tuple and at sampled tuples, for the
+    built chart and for its JSON round trip ranked with the built chart
+    as scaffold; a column order reversed from the frame's gives it too."""
+    chart = frame_chart(label)
+    n = chart.algebra.ambient_size
+    read_back = chart_from_json(chart.algebra, json.loads(json.dumps(chart_to_json(chart))))
+    reversed_order = itemgetter(*range(n * n - 1, -1, -1))
+    for given in (chart, read_back):
+        frame = verify._rank_frame(given, chart, _nil(chart))
+        backwards = verify._RankFrame(reversed_order, frame.plain)
+        for sampled, params in _frame_points(chart):
+            vp = _value_pass(given, params)
+            want = g_inverse_frame_rank(given, vp)
+            assert want == chart.param_count or not sampled
+            assert verify._jacobian_rank(given, vp, frame) == want, params
+            assert verify._jacobian_rank(given, vp, backwards) == want, params
+
+
+def test_frame_order_is_increasing_weight():
+    """For the sl3 regular nilpotent, h = diag(2, 0, -2), the order takes
+    the entries (a, b) by h_a - h_b, ties by position; the weight-0
+    diagonal sits between the lower and the upper triangle."""
+    chart = frame_chart("sl3-3")
+    order = verify._rank_frame(chart, chart, chart).order
+    assert order(tuple(range(9))) == (6, 3, 7, 0, 4, 8, 1, 5, 2)
+
+
+def test_frame_keeps_the_order_of_a_non_diagonal_grading():
+    # the conjugated sl4 mixed chart has a dense witness: no permutation,
+    # and the plain blocks are still read off its factors
+    chart = frame_chart("sl4-conjugated-mixed")
+    frame = verify._rank_frame(chart, chart, chart.inner)
+    assert frame.order is None
+    assert frame.plain == {1, 2}
+
+
+@pytest.mark.parametrize("label, plain", [
+    ("sl4-nilpotent", {0}), ("sl4-semisimple", {0}), ("sl5-mixed", {1, 2}),
+    ("so6-nilpotent", {0}), ("sp4-semisimple", {0}),
+])
+def test_plain_blocks(label, plain):
+    """The blocks left unconjugated: a one-block frame's block, with no
+    factor after it, and on a mixed chart u and the inner factor, which the
+    Levi normalizes and centralizes into; u- is not plain, since [u, u-]
+    leaves it."""
+    chart = sweep_chart(label)
+    k = verify._frame_index(chart)
+    assert charts._plain_blocks(chart.factors, k) == plain
+    if chart.case_tag == "mixed":
+        u_minus, u = chart.factors[:2]
+        assert _span_rank(u_minus + tuple(commutator(a, b) for a in u for b in u_minus)) \
+            > _span_rank(u_minus)
+
+
+def test_a_block_that_is_not_plain_keeps_its_conjugation():
+    """On the chart of `test_factor_columns_conjugated_by_later_factors`
+    the first block is not plain, since [E21, E12] = -h leaves span(E12):
+    the report's frame conjugates it and ranks 2, where leaving it
+    unconjugated ranks 1."""
+    sl2 = build_classical("sl", 2)
+    e = elem(2, 0, 1)
+    chart = OrbitChart(sl2.element_from_matrix(e),
+                       ((e,), (elem(2, 1, 0),), (e,)), e, (), (), None)
+    vp = _value_pass(chart, (F(1), F(1), F(1)))
+    plain = charts._plain_blocks(chart.factors, verify._frame_index(chart))
+    assert plain == {1}
+    assert verify._jacobian_rank(chart, vp, verify._RankFrame(None, plain)) == 2
+    assert verify._jacobian_rank(chart, vp, verify._RankFrame(None, frozenset({0, 1}))) == 1
+
+
+def test_plain_blocks_of_a_dependent_basis():
+    # a factor read from JSON may list dependent matrices; its span is
+    # what the test reads: [E10, E20] = 0 stays in span(E20), and
+    # [E21, E10] = E20 leaves span(E10)
+    e10, e20, e21 = elem(3, 1, 0), elem(3, 2, 0), elem(3, 2, 1)
+    assert charts._plain_blocks(((e20, e20.scale(2)), (e10,)), 2) == {0, 1}
+    assert charts._plain_blocks(((e10, e10.scale(2)), (e21,)), 2) == {1}

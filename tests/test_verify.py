@@ -15,6 +15,7 @@ from conftest import (
     mixed_element,
     nontrivial_partitions,
     partitions,
+    unit_bidiagonal,
 )
 from orbitcharts import verify
 from orbitcharts.charts import (
@@ -219,9 +220,9 @@ class TestInjectivityOnFewTuples:
             calls["value"] += 1
             return value_pass(chart, params)
 
-        def count_rank(chart, vp):
+        def count_rank(chart, vp, frame):
             calls["rank"] += 1
-            return jacobian_rank(chart, vp)
+            return jacobian_rank(chart, vp, frame)
 
         monkeypatch.setattr(verify, "_value_pass", count_value)
         monkeypatch.setattr(verify, "_jacobian_rank", count_rank)
@@ -745,6 +746,13 @@ def _reference_diagonal_conjugate(m, rng):
     return diag_matrix(entries) * m * diag_matrix([1 / e for e in entries])
 
 
+def _conjugated_sl4_mixed():
+    """u (diag(1, 1, -1, -1) + E01) u^-1 for a unit upper-bidiagonal u: a
+    mixed element whose semisimple part is not diagonal."""
+    u, u_inv = unit_bidiagonal([1, -1, 2])
+    return u * (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1)) * u_inv
+
+
 class TestDiagonalConjugate:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_equals_fraction_reference(self, n):
@@ -763,3 +771,27 @@ class TestDiagonalConjugate:
         assert _is_diagonal(diag_matrix([3, F(1, 2), 0, -7]))
         assert not _is_diagonal(diag_matrix([1, 2, 3]) + elem(3, 2, 1))
         assert not _is_diagonal(elem(3, 0, 2, F(1, 5)))
+
+    @pytest.mark.parametrize("rows, draws", [
+        (jordan_nilpotent(4, [4]), 5),
+        (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1), 5),
+        (diag_matrix([1, 1, -1, -1]), 0),
+        (_conjugated_sl4_mixed(), 0),
+    ], ids=["regular-nilpotent", "mixed", "semisimple", "conjugated-mixed"])
+    def test_torus_drawn_for_each_sample_of_a_slice(self, sl4, monkeypatch, rows, draws):
+        """Each of 5 samples (seed 42) draws the torus element d for a
+        chart with a slice on sl4 and a diagonal shift, the mixed chart's
+        x_s included. The semisimple chart has no slice to draw in, and no
+        diagonal d commutes with the conjugated mixed chart's x_s."""
+        calls = []
+        real = verify._diagonal_conjugate
+
+        def spy(m, rng):
+            calls.append(m)
+            return real(m, rng)
+
+        monkeypatch.setattr(verify, "_diagonal_conjugate", spy)
+        x = sl4.element_from_matrix(rows)
+        report = verify_chart(x, build_chart(x, 42), 42, 5)
+        assert len(calls) == draws
+        assert report.overall_pass
