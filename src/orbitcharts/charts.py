@@ -236,15 +236,11 @@ def _make_chart(base: LieElement, factors: tuple,
     return chart
 
 
-def _basis(elements: Sequence[LieElement]) -> Tuple[RatMatrix, ...]:
-    return tuple(el.matrix for el in elements)
-
-
 def chart_nilpotent(e: LieElement) -> OrbitChart:
     """Chart psi(a, v) = Ad(exp a)(v): a over u-, v affine coordinates on u2."""
     triple = jacobson_morozov(e)
     pd = parabolic_data(grading_by(triple.h))
-    return _make_chart(e, (_basis(pd.u_minus),), None, _basis(pd.u2),
+    return _make_chart(e, (pd.u_minus,), None, pd.u2,
                        None, rank(ad_matrix(e)), pd)
 
 
@@ -289,7 +285,7 @@ def _chart_from_split(x: LieElement, pair: JordanPair, seed: int) -> OrbitChart:
         inner = chart_nilpotent(levi.element_from_matrix(pair.nilpotent.matrix))
     # c(x) = c(x_s) = levi for a semisimple x
     orbit_dim = algebra.dim - levi.dim if inner is None else rank(ad_matrix(x))
-    return _make_chart(x, (_basis(pd.u_minus), _basis(pd.u)), pair.semisimple.matrix, (),
+    return _make_chart(x, (pd.u_minus, pd.u), pair.semisimple.matrix, (),
                        inner, orbit_dim, pd)
 
 

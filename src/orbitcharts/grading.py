@@ -56,8 +56,10 @@ from .linalg import (
     _int_kernel_basis,
     _int_rows,
     _is_diagonal,
+    _lincomb,
     _matrix,
     _squarefree_integer_roots,
+    _support,
     char_poly,
     commutator,
     integer_roots,
@@ -79,10 +81,12 @@ class WitnessNotFoundError(RuntimeError):
 
 @dataclass(eq=False)
 class Grading:
-    """Eigenspace decomposition g = (+) g(i) under ad of the grading element."""
+    """Eigenspace decomposition g = (+) g(i) under ad of the grading element,
+    each piece a basis of n x n matrices; the grading element stays a
+    `LieElement`, whose coordinates `ad_matrix` reads."""
 
     grading_element: LieElement
-    pieces: Dict[int, Tuple[LieElement, ...]]
+    pieces: Dict[int, Tuple[RatMatrix, ...]]
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -94,16 +98,16 @@ class Grading:
 
 @dataclass(eq=False)
 class ParabolicData:
-    """Subspaces derived from a grading: p = g(>=0), u = g(>0), their opposite,
-    and the chart target u2 = g(>=2). The Levi g(0) is ``grading.pieces[0]``;
-    it is not built as a subalgebra, since nothing brackets inside it, and
+    """Matrix bases derived from a grading: p = g(>=0), u = g(>0), u- =
+    g(<0) and the chart target u2 = g(>=2). The Levi g(0) is the zero piece;
+    nothing brackets inside it, so it is not built as a subalgebra, and
     `_zero_piece_matches` compares it with c(s) by dimension and commutators."""
 
     grading: Grading
-    p: Tuple[LieElement, ...]
-    u: Tuple[LieElement, ...]
-    u_minus: Tuple[LieElement, ...]
-    u2: Tuple[LieElement, ...]
+    p: Tuple[RatMatrix, ...]
+    u: Tuple[RatMatrix, ...]
+    u_minus: Tuple[RatMatrix, ...]
+    u2: Tuple[RatMatrix, ...]
 
     @property
     def u2_differs_from_u(self) -> bool:
@@ -116,8 +120,8 @@ def grading_by(h: LieElement) -> Grading:
     When ad h is diagonal, g(i) is the basis elements b_j whose diagonal
     entry is i, in increasing j. That is exactly what the scan below
     returns: the kernel of diagonal integer rows is the unit vectors at
-    their zero entries, in increasing column order, and `basis_element(j)`
-    has the coordinates and the matrix of `element` on that unit vector.
+    their zero entries, in increasing column order, and the matrix of
+    `element` on the unit vector at j is b_j.
 
     Otherwise the weights scanned are `_natural_weights` of h, or, when the
     characteristic polynomial of h does not split over the rationals, every
@@ -131,15 +135,12 @@ def grading_by(h: LieElement) -> Grading:
     algebra = h.algebra
     ad_h = ad_matrix(h)
     dim = algebra.dim
-    pieces: Dict[int, Tuple[LieElement, ...]] = {}
+    pieces: Dict[int, list] = {}
     if _is_diagonal(ad_h):
-        by_weight = {}
-        for j, d in enumerate(ad_h.nums[::dim + 1]):
+        for b, d in zip(algebra.basis, ad_h.nums[::dim + 1]):
             i, rem = divmod(d, ad_h.den)
             if not rem:
-                by_weight.setdefault(i, []).append(j)
-        for i, js in by_weight.items():
-            pieces[i] = tuple(algebra.basis_element(j) for j in js)
+                pieces.setdefault(i, []).append(b)
     else:
         weights = _natural_weights(h.matrix)
         if weights is None:
@@ -150,13 +151,13 @@ def grading_by(h: LieElement) -> Grading:
                 row[k] -= i * ad_h.den
             vectors = _int_kernel_basis(rows, dim)
             if vectors:
-                pieces[i] = tuple(algebra.element(v) for v in vectors)
+                pieces[i] = [algebra.element(v).matrix for v in vectors]
     total = sum(len(els) for els in pieces.values())
     if total != dim:
         raise NonIntegerSpectrumError(
             f"integer eigenspaces of ad h span {total} of {dim} dimensions"
         )
-    grading = Grading(h, dict(sorted(pieces.items())))
+    grading = Grading(h, {i: tuple(els) for i, els in sorted(pieces.items())})
     _certify_pieces(grading)
     return grading
 
@@ -200,7 +201,7 @@ def _certify_pieces(grading: Grading) -> None:
     h = grading.grading_element.matrix
     for i, els in grading.pieces.items():
         for index, el in enumerate(els):
-            if commutator(h, el.matrix) != el.matrix.scale(i):
+            if commutator(h, el) != el.scale(i):
                 raise NonIntegerSpectrumError(
                     f"element {index} of g({i}) is not an eigenvector "
                     f"of ad h with eigenvalue {i}"
@@ -222,7 +223,7 @@ def parabolic_data(grading: Grading) -> ParabolicData:
     if len(u) != len(u_minus):
         raise AssertionError("u and u- have different dimensions")
     for el in u + u_minus:
-        if not el.matrix.is_nilpotent():
+        if not el.is_nilpotent():
             raise AssertionError("graded piece of nonzero weight is not nilpotent")
     return ParabolicData(grading, p, u, u_minus, u2)
 
@@ -232,7 +233,7 @@ def _zero_piece_matches(grading: Grading, s: RatMatrix, dim: int) -> bool:
     piece is a kernel basis, so ``dim`` elements commuting with s span c(s)."""
     zero_piece = grading.pieces.get(0, ())
     return (len(zero_piece) == dim
-            and all(commutator(s, el.matrix).is_zero() for el in zero_piece))
+            and all(commutator(s, el).is_zero() for el in zero_piece))
 
 
 def semisimple_for_levi(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> LieElement:
@@ -278,14 +279,14 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Gradin
     """
     center = center_basis(levi)
     n = algebra.ambient_size
-    if center.dim == 0:
+    if not center:
         if levi.same_span(algebra):
             return grading_by(algebra.zero_element())
         raise WitnessNotFoundError(
             f"{levi.label} has trivial center and is proper: no torus witness exists"
         )
     if algebra.family is not None:
-        for i, b in enumerate(center.basis):
+        for i, b in enumerate(center):
             if _rational_eigenvalues(b) is None:
                 element = json.dumps(matrix_to_json(b))
                 raise WitnessNotFoundError(
@@ -293,15 +294,16 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Gradin
                     f"polynomial of center basis element {i} {element} does not "
                     f"split over the rationals"
                 )
+    supports = [_support(b) for b in center]
     rng = SplitMix64(seed)
     bound = n * n
     rejected = dict.fromkeys(_REJECTION_REASONS, 0)
     for attempt in range(_WITNESS_ATTEMPTS):
         if attempt == 0:
-            coords = [1] * center.dim
+            coords = [1] * len(center)
         else:
-            coords = [rng.randint(-bound, bound) for _ in range(center.dim)]
-        outcome = _grade_candidate(algebra, levi, center.element(coords).matrix)
+            coords = [rng.randint(-bound, bound) for _ in center]
+        outcome = _grade_candidate(algebra, levi, _lincomb(coords, supports, n, n))
         if isinstance(outcome, Grading):
             return outcome
         rejected[outcome] += 1

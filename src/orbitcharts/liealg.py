@@ -18,10 +18,9 @@ in one pass. A `LieAlgebra` is built only where something brackets inside
 it: the classical algebras and the Levi c(x_s) (the mixed chart recurses
 into it, and the witness search takes its center, which `center_basis`
 reads off the integer rows of the structure constants with no ad matrix
-formed). The Levi's center is a `LieAlgebra` too, as the span the search
-draws its candidates from, though nothing brackets inside it.
-Every other subspace fact is read from a kernel basis, a commutator or a
-rank.
+formed). Every other subspace, the Levi's center and the graded pieces
+among them, is held as n x n matrices, and every fact about it is read
+from a kernel basis, a commutator or a rank.
 
 Basis conventions (frozen, since chart coordinates refer to basis indices):
 
@@ -45,7 +44,6 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import (
-    ONE,
     ZERO,
     RatMatrix,
     VectorSpan,
@@ -171,10 +169,6 @@ class LieAlgebra:
     def zero_element(self) -> "LieElement":
         return self.element((ZERO,) * self.dim)
 
-    def basis_element(self, i: int) -> "LieElement":
-        coords = tuple(ONE if k == i else ZERO for k in range(self.dim))
-        return LieElement(self, coords, self.basis[i])
-
     def same_span(self, other: "LieAlgebra") -> bool:
         if self.ambient_size != other.ambient_size or self.dim != other.dim:
             return False
@@ -216,8 +210,8 @@ def centralizer_basis(x: LieElement) -> LieAlgebra:
                                   label=f"centralizer in {algebra.label}")
 
 
-def center_basis(algebra: LieAlgebra) -> LieAlgebra:
-    """Center of ``algebra``: intersection of the kernels of all ad b_i.
+def center_basis(algebra: LieAlgebra) -> tuple:
+    """Center of ``algebra`` as matrices: intersection of the kernels of all ad b_i.
 
     The kernel is taken of the nonzero rows of the structure constants,
     each ad b_i scaled to integers by its own denominator. Scaling rows
@@ -230,18 +224,23 @@ def center_basis(algebra: LieAlgebra) -> LieAlgebra:
         for p, x in pairs:
             rows.setdefault((i, p // m), [0] * m)[p % m] = x
     vectors = _int_kernel_basis(list(rows.values()), m)
-    return subalgebra_from_coords(algebra, vectors,
-                                  label=f"center of {algebra.label}")
+    return tuple(algebra.element(v).matrix for v in vectors)
 
 
 def trace_form_gram(basis: Sequence[RatMatrix]) -> RatMatrix:
-    """Gram matrix of the trace form tr(ab) on square matrices of one size."""
+    """Gram matrix of the trace form tr(ab) on square matrices of one size.
+
+    With b_i = N_i / d_i, L = lcm(d_i) and s_i = L / d_i, tr(b_i b_j) is
+    s_i s_j tr(N_i N_j) / L^2, so the Gram is one matrix over L^2."""
     if any(b.rows != b.cols or b.rows != basis[0].rows for b in basis):
         raise ValueError("trace form needs square matrices of one size")
-    # tr(b_i b_j) is the dot product of b_i with the transpose of b_j
-    transposed = [b.transpose() for b in basis]
-    return RatMatrix.from_rows([[Fraction(sum(map(mul, bi.nums, bj.nums)), bi.den * bj.den)
-                                 for bj in transposed] for bi in basis])
+    lcm = math.lcm(*(b.den for b in basis))
+    scales = [lcm // b.den for b in basis]
+    # tr(N_i N_j) is the dot product of N_i with the transpose of N_j
+    transposed = [b.transpose().nums for b in basis]
+    return _matrix(len(basis), len(basis), [si * sj * sum(map(mul, bi.nums, tj))
+                                            for bi, si in zip(basis, scales)
+                                            for tj, sj in zip(transposed, scales)], lcm * lcm)
 
 
 # ---------------------------------------------------------------------------

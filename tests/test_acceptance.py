@@ -138,7 +138,7 @@ def test_criterion_2_dimension_identities():
         dims = pd.grading.piece_dims()
         cdim = centralizer_basis(e).dim
         identity_1 = cdim == dims.get(0, 0) + dims.get(1, 0)
-        tangent_rows = [algebra.coords_of_matrix(commutator(el.matrix, e.matrix))
+        tangent_rows = [algebra.coords_of_matrix(commutator(el, e.matrix))
                         for el in pd.p]
         identity_2 = rank(RatMatrix.from_rows(tangent_rows)) == len(pd.u2)
         ok = ok and identity_1 and identity_2

@@ -22,6 +22,7 @@ from orbitcharts.grading import (
     _certify_pieces,
     _natural_weights,
     _rational_eigenvalues,
+    _witness_grading,
     _zero_piece_matches,
     grading_by,
     parabolic_data,
@@ -52,8 +53,10 @@ F = Fraction
 
 def zero_piece_subalgebra(grading):
     """g(0) as a subalgebra; building it checks that it is bracket-closed."""
-    return subalgebra_from_coords(grading.algebra,
-                                  [el.coords for el in grading.pieces[0]], "g(0)")
+    algebra = grading.algebra
+    return subalgebra_from_coords(algebra,
+                                  [algebra.coords_of_matrix(el) for el in grading.pieces[0]],
+                                  "g(0)")
 
 
 class TestGradingBy:
@@ -94,7 +97,7 @@ class TestGradingBy:
             for j, ys in g.pieces.items():
                 for x in xs:
                     for y in ys:
-                        prod = x.matrix * y.matrix - y.matrix * x.matrix
+                        prod = x * y - y * x
                         coords = sl3.coords_of_matrix(prod)
                         assert coords is not None
                         assert mat_vec(ad_h, coords) == tuple(
@@ -146,8 +149,8 @@ class TestNaturalWeights:
         for algebra, h in cases:
             g = grading_by(h)
             expected = _exhaustive_pieces(algebra, h)
-            assert {i: [el.coords for el in els] for i, els in g.pieces.items()} \
-                == expected, (algebra.label, h.matrix)
+            assert {i: [algebra.coords_of_matrix(el) for el in els]
+                    for i, els in g.pieces.items()} == expected, (algebra.label, h.matrix)
             assert g.piece_dims() == {i: len(v) for i, v in expected.items()}
 
     def test_rational_non_integer_weights(self, sl3):
@@ -252,11 +255,11 @@ def _assert_reference_pieces(algebra, h, g):
     """The pieces of ``g`` are the elements of the `_exhaustive_pieces`
     coordinate vectors, coordinates and matrices alike."""
     expected = _exhaustive_pieces(algebra, h)
-    assert {i: [el.coords for el in els] for i, els in g.pieces.items()} == expected, \
-        (algebra.label, h.matrix)
+    assert {i: [algebra.coords_of_matrix(el) for el in els]
+            for i, els in g.pieces.items()} == expected, (algebra.label, h.matrix)
     for i, els in g.pieces.items():
-        assert [el.matrix for el in els] \
-            == [algebra.element(v).matrix for v in expected[i]], (algebra.label, i)
+        assert list(els) == [algebra.element(v).matrix for v in expected[i]], \
+            (algebra.label, i)
 
 
 # Block compositions of sl3-sl5 with a diagonal x_s constant on each block;
@@ -297,8 +300,10 @@ def _zero_elements():
 
 
 def _zero_dimensional():
-    """The center of sl3, of dimension 0: no pieces, and they span all 0."""
-    center = center_basis(build_classical("sl", 3))
+    """The center of sl3, of dimension 0, built as an algebra: no pieces,
+    and they span all 0."""
+    center = LieAlgebra(center_basis(build_classical("sl", 3)), "center of sl3",
+                        ambient_size=3)
     return [(center, center.zero_element())]
 
 
@@ -457,7 +462,7 @@ class TestIntegerRowsAndCertificate:
             ident = RatMatrix.identity(algebra.dim)
             assert sum(g.piece_dims().values()) == algebra.dim
             for i, els in g.pieces.items():
-                assert [el.coords for el in els] \
+                assert [algebra.coords_of_matrix(el) for el in els] \
                     == kernel_basis(ad_h - ident.scale(i)), (algebra.label, i)
 
     def test_skewed_rows_are_fractional(self):
@@ -468,12 +473,12 @@ class TestIntegerRowsAndCertificate:
     @pytest.mark.parametrize("name", sorted(_CORPORA))
     def test_every_pair_bracket_is_graded(self, name):
         for algebra, _, g in _corpus_gradings(name):
-            spans = {i: VectorSpan([el.matrix.entries for el in els])
+            spans = {i: VectorSpan([el.entries for el in els])
                      for i, els in g.pieces.items()}
             items = [(i, el) for i, els in g.pieces.items() for el in els]
             for a, (i, x) in enumerate(items):
                 for j, y in items[a:]:
-                    prod = commutator(x.matrix, y.matrix)
+                    prod = commutator(x, y)
                     if i + j in spans:
                         assert spans[i + j].coords_of(prod.entries) is not None
                     else:
@@ -496,7 +501,7 @@ class TestIntegerRowsAndCertificate:
             pieces = dict(g.pieces)
             top = max(pieces)
             x, y = pieces[top][0], pieces[0][0]
-            mixed = g.algebra.element(tuple(a + b for a, b in zip(x.coords, y.coords)))
+            mixed = x + y
             pieces[top] = (mixed,) + pieces[top][1:]
             with pytest.raises(NonIntegerSpectrumError,
                                match=rf"element 0 of g\({top}\) is not an eigenvector"):
@@ -523,7 +528,7 @@ class TestParabolicData:
         pd = parabolic_data(grading_by(sl3.element_from_matrix(diag_matrix([1, 0, -1]))))
         assert zero_piece_subalgebra(pd.grading).dim == 2
         for el in pd.u + pd.u_minus + pd.u2:
-            assert el.matrix.is_nilpotent()
+            assert el.is_nilpotent()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_jm_gradings_symmetric_and_centralizer_dims(self, n):
@@ -558,7 +563,7 @@ class TestZeroPieceMatches:
         # [x, E13] = 3 E13 != 0
         grading = grading_by(sl3.element_from_matrix(diag_matrix([1, -2, 1])))
         assert len(grading.pieces[0]) == 4
-        assert any(el.matrix == elem(3, 0, 2) for el in grading.pieces[0])
+        assert elem(3, 0, 2) in grading.pieces[0]
         assert not _zero_piece_matches(grading, self.X, 4)
 
 
@@ -611,6 +616,21 @@ class TestWitness:
         levi = block_levi(4, (2, 2))
         z = semisimple_for_levi(sl4, levi, 42)
         assert z.matrix == diag_matrix([1, 1, -1, -1])
+
+    @pytest.mark.parametrize("x, seed, witness", [
+        ([3, 1, -1, -3], 1, [4, -1, -19, 16]),
+        ([3, 1, -1, -3], 7, [8, -24, 0, 16]),
+        ([3, 1, -1, -3], 42, [15, -15, 8, -8]),
+        ([1, 1, 0, -2], 1, [4, 4, -5, -3]),
+        ([1, 1, 0, -2], 7, [8, 8, -32, 16]),
+        ([1, 1, 0, -2], 42, [15, 15, -30, 0]),
+    ])
+    def test_seeded_draws_are_pinned(self, sl4, x, seed, witness):
+        # the all-ones attempt fails on both Levis, so each witness is a
+        # seeded draw of integer coordinates in the center basis
+        levi = centralizer_basis(sl4.element_from_matrix(diag_matrix(x)))
+        grading = _witness_grading(sl4, levi, seed)
+        assert grading.grading_element.matrix == diag_matrix(witness)
 
     def test_witness_grading_zero_piece_is_levi(self, sl3):
         levi = block_levi(3, (2, 1))

@@ -164,7 +164,9 @@ class TestFallback:
         report = verify.verify_chart(x, build_chart(x, 42), 42, 5)
         assert report.check("jacobian_rank_base").observed == 6
         assert report.check("jacobian_rank_samples").observed == [6] * 5
-        assert rank_calls == [6] * 6
+        # first the inner tangent check, [e, b] for the 3 matrices b of the
+        # inner p, then one elimination per point
+        assert rank_calls == [3] + [6] * 6
 
 
 def test_factor_columns_conjugated_by_later_factors(rank_calls):

@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import block_levi, compositions, diag_matrix, draw_fraction, elem, element
+from conftest import (
+    block_levi,
+    compositions,
+    diag_matrix,
+    draw_fraction,
+    elem,
+    element,
+    fraction_mul,
+)
 from orbitcharts import linalg
 from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import (
@@ -227,6 +235,13 @@ def _reference_structure(basis):
     return tuple(supports)
 
 
+def _center_algebra(algebra):
+    """The center of ``algebra`` built as a `LieAlgebra`, for the corpora
+    that bracket inside it."""
+    return LieAlgebra(center_basis(algebra), f"center of {algebra.label}",
+                      ambient_size=algebra.ambient_size)
+
+
 def _mixed_subalgebras():
     """The Levi c(x_s), its center and the centralizer c(x) of mixed
     elements x of sl5 and so6."""
@@ -245,7 +260,7 @@ def _mixed_subalgebras():
         pair = jordan_decompose(x)
         assert not pair.semisimple.is_zero() and not pair.nilpotent.is_zero()
         levi = centralizer_basis(pair.semisimple)
-        algebras += [levi, center_basis(levi), centralizer_basis(x)]
+        algebras += [levi, _center_algebra(levi), centralizer_basis(x)]
     return algebras
 
 
@@ -324,35 +339,35 @@ def _reference_center(algebra):
     for a zero-dimensional algebra, which has nothing to stack)."""
     if not algebra.dim:
         return ()
-    stacked = vstack([ad_matrix(algebra.basis_element(i)) for i in range(algebra.dim)])
+    stacked = vstack([ad_matrix(algebra.element_from_matrix(b)) for b in algebra.basis])
     return tuple(algebra.element(v).matrix for v in kernel_basis(stacked))
 
 
 class TestCenter:
     def test_center_sl3_trivial(self, sl3):
-        assert center_basis(sl3).dim == 0
+        assert len(center_basis(sl3)) == 0
 
     @pytest.mark.parametrize("algebra",
-                             _oracle_cases() + [center_basis(build_classical("sl", 3))],
+                             _oracle_cases() + [_center_algebra(build_classical("sl", 3))],
                              ids=lambda a: a.label.replace(" ", "_"))
     def test_center_equals_stacked_ad_kernel(self, algebra):
-        assert center_basis(algebra).basis == _reference_center(algebra)
+        assert center_basis(algebra) == _reference_center(algebra)
 
     def test_center_block_levi(self):
         levi = block_levi(3, (2, 1))
         center = center_basis(levi)
-        assert center.dim == 1
-        assert center.basis[0] == diag_matrix([1, 1, -2])
+        assert len(center) == 1
+        assert center[0] == diag_matrix([1, 1, -2])
 
     def test_center_of_cartan_is_itself(self, sl3):
         cartan = LieAlgebra((diag_matrix([1, -1, 0]), diag_matrix([0, 1, -1])), "cartan")
         center = center_basis(cartan)
-        assert center.dim == 2
+        assert len(center) == 2
 
     def test_center_contained_in_centralizers(self, sl3):
         levi = block_levi(3, (2, 1))
         rng = SplitMix64(8)
-        z = center_basis(levi).basis[0]
+        z = center_basis(levi)[0]
         for _ in range(5):
             x = sl3.element([rng.fraction() for _ in range(sl3.dim)])
             # central elements of the levi centralize every levi element
@@ -372,6 +387,20 @@ class TestTraceForm:
     def test_gram_mixed_pair(self, sl3):
         sub = LieAlgebra((diag_matrix([1, 1, -2]), elem(3, 0, 1)), "pair")
         assert trace_form_gram(sub.basis) == RatMatrix.from_rows([[6, 0], [0, 0]])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gram_equals_fraction_reference_on_mixed_denominators(self, n):
+        # each matrix draws its entries over its own denominators, so the
+        # Gram is summed over the square of their lcm and then reduced
+        rng = SplitMix64(40 + n)
+        dens = ((1,), (2, 4), (3,), (5, 10), (1, 3, 7), (6, 9))
+        basis = [RatMatrix.from_rows([[draw_fraction(rng, -6, 6, d) for _ in range(n)]
+                                      for _ in range(n)]) for d in dens]
+        assert len({b.den for b in basis}) >= 4
+        rows = [b.row_lists() for b in basis]
+        reference = [[sum(fraction_mul(a, b)[i][i] for i in range(n)) for b in rows]
+                     for a in rows]
+        assert trace_form_gram(basis) == RatMatrix.from_rows(reference)
 
     def test_gram_of_no_matrices(self):
         assert trace_form_gram(()) == RatMatrix.zeros(0, 0)

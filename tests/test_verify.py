@@ -31,7 +31,7 @@ from orbitcharts.charts import (
     exp_nilpotent,
 )
 from orbitcharts.jordan import jordan_decompose
-from orbitcharts.liealg import build_classical
+from orbitcharts.liealg import ad_matrix, build_classical
 from orbitcharts.linalg import RatMatrix, _is_diagonal, char_poly, rank
 from orbitcharts.rng import SplitMix64
 from orbitcharts.verify import (
@@ -510,6 +510,55 @@ def _nilpotent_corpus():
     for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6)):
         cases.append(pytest.param(family, n, None, id=f"{family}{n}-regular"))
     return cases
+
+
+def _coordinate_tangent_rank(nil_chart):
+    """rank(ad e . P^T), P the coordinate rows of p: the coordinate formula
+    for dim [e, p], kept as the reference for `verify._tangent_check`."""
+    algebra = nil_chart.algebra
+    p_columns = RatMatrix.from_rows(
+        [algebra.coords_of_matrix(b) for b in nil_chart.parabolic.p]).transpose()
+    return rank(ad_matrix(nil_chart.base_element) * p_columns)
+
+
+def _tangent_corpus():
+    """sl3-sl6 nilpotents of every nontrivial Jordan type, and in so5, so6,
+    sp4 and sp6 the sum of the strictly upper basis elements and each of
+    those elements alone."""
+    cases = [pytest.param("sl", n, jordan_nilpotent(n, part),
+                          id=f"sl{n}-" + ",".join(map(str, part)))
+             for n in (3, 4, 5, 6) for part in nontrivial_partitions(n)]
+    for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6)):
+        upper = [b for b in build_classical(family, n).basis
+                 if all(not b.at(i, j) for i in range(n) for j in range(i + 1))]
+        cases.append(pytest.param(family, n, sum(upper[1:], upper[0]),
+                                  id=f"{family}{n}-upper"))
+        cases += [pytest.param(family, n, b, id=f"{family}{n}-upper{k}")
+                  for k, b in enumerate(upper)]
+    return cases
+
+
+class TestTangentIdentity:
+    """`verify._tangent_check` ranks the brackets [e, b], b in p, as
+    matrices. The coordinate map is injective, so that is the rank of the
+    coordinate formula, and both equal dim u2."""
+
+    @staticmethod
+    def _assert_agrees(nil_chart, name):
+        reference = _coordinate_tangent_rank(nil_chart)
+        u2 = len(nil_chart.parabolic.u2)
+        assert reference == u2
+        assert verify._tangent_check(nil_chart, name) == verify.Check(name, u2, reference, True)
+
+    @pytest.mark.parametrize("family, n, e", _tangent_corpus())
+    def test_nilpotent_charts(self, family, n, e):
+        chart = chart_nilpotent(build_classical(family, n).element_from_matrix(e))
+        self._assert_agrees(chart, "tangent_identity")
+
+    @pytest.mark.parametrize("family, n, values, entries", mixed_corpus())
+    def test_inner_charts_of_the_mixed_corpus(self, family, n, values, entries):
+        _, x = mixed_element(family, n, values, entries)
+        self._assert_agrees(build_chart(x, 42).inner, "inner_tangent_identity")
 
 
 class TestVerdictRule:
