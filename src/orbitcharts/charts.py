@@ -80,7 +80,7 @@ from .grading import (
     parabolic_data,
 )
 from .jordan import JordanPair, jordan_decompose
-from .liealg import LieAlgebra, LieElement, ad_matrix, centralizer_basis, element_to_json
+from .liealg import LieAlgebra, LieElement, centralizer_basis, element_to_json
 from .linalg import (
     NotNilpotentError,
     RatMatrix,
@@ -97,7 +97,6 @@ from .linalg import (
     commutator,
     matrix_from_json,
     matrix_to_json,
-    rank,
 )
 from .sl2 import jacobson_morozov
 
@@ -241,7 +240,7 @@ def chart_nilpotent(e: LieElement) -> OrbitChart:
     triple = jacobson_morozov(e)
     pd = parabolic_data(grading_by(triple.h))
     return _make_chart(e, (pd.u_minus,), None, pd.u2,
-                       None, rank(ad_matrix(e)), pd)
+                       None, e.orbit_dim, pd)
 
 
 def chart_semisimple(x: LieElement, seed: int) -> OrbitChart:
@@ -284,9 +283,8 @@ def _chart_from_split(x: LieElement, pair: JordanPair, seed: int) -> OrbitChart:
     if not pair.nilpotent.is_zero():
         inner = chart_nilpotent(levi.element_from_matrix(pair.nilpotent.matrix))
     # c(x) = c(x_s) = levi for a semisimple x
-    orbit_dim = algebra.dim - levi.dim if inner is None else rank(ad_matrix(x))
-    return _make_chart(x, (pd.u_minus, pd.u), pair.semisimple.matrix, (),
-                       inner, orbit_dim, pd)
+    return _make_chart(x, (pd.u_minus, pd.u), pair.semisimple.matrix, (), inner,
+                       algebra.dim - levi.dim if inner is None else x.orbit_dim, pd)
 
 
 def build_chart(x: LieElement, seed: int) -> OrbitChart:

@@ -22,8 +22,8 @@ from pathlib import Path
 from .charts import ZeroElementError, build_chart, chart_to_json
 from .grading import WitnessNotFoundError
 from .jordan import jordan_decompose, jordan_pair_to_json
-from .liealg import LieElement, NotInAlgebraError, _check_size, ad_matrix, build_classical
-from .linalg import RatMatrix, matrix_from_json, matrix_to_json, rank
+from .liealg import LieElement, NotInAlgebraError, _check_size, build_classical
+from .linalg import RatMatrix, matrix_from_json, matrix_to_json
 from .verify import (
     ZeroSemisimplePartError,
     class_id_to_json,
@@ -87,13 +87,12 @@ def cmd_analyze(args: argparse.Namespace) -> dict:
     pair = jordan_decompose(x)
     case = ("zero" if x.is_zero() else "nilpotent" if pair.semisimple.is_zero()
             else "semisimple" if pair.nilpotent.is_zero() else "mixed")
-    orbit_dim = rank(ad_matrix(x))
     out = {
         "algebra": algebra.label,
         "case": case,
         "jordan": jordan_pair_to_json(pair),
-        "centralizer_dim": algebra.dim - orbit_dim,
-        "orbit_dim": orbit_dim,
+        "centralizer_dim": algebra.dim - x.orbit_dim,
+        "orbit_dim": x.orbit_dim,
     }
     if algebra.family == "sl" and not pair.semisimple.is_zero():
         # the class of x_s, read off char_poly(x) = char_poly(x_s)

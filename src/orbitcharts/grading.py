@@ -65,7 +65,6 @@ from .linalg import (
     integer_roots,
     is_semisimple_matrix,
     matrix_to_json,
-    rank,
     squarefree_part,
 )
 from .rng import SplitMix64
@@ -327,7 +326,7 @@ def _grade_candidate(algebra: LieAlgebra, levi: LieAlgebra, z_mat: RatMatrix):
     if not is_semisimple_matrix(z_mat):
         return "not semisimple"
     z = algebra.element_from_matrix(z_mat)
-    if algebra.dim - rank(ad_matrix(z)) != levi.dim:
+    if algebra.dim - z.orbit_dim != levi.dim:
         return "centralizer too large"
     try:
         return grading_by(z)

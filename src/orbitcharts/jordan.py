@@ -47,7 +47,8 @@ def jordan_decompose(x: LieElement) -> JordanPair:
 
     The semisimple part is a polynomial in x with rational coefficients, so
     it lies in sl automatically; for so/sp membership is solved and checked
-    when the parts are re-expressed in the basis.
+    when the parts are re-expressed in the basis. A semisimple x (q(x) = 0)
+    is its own semisimple part, and keeps the facts it has read.
     """
     algebra = x.algebra
     mat = x.matrix
@@ -63,9 +64,8 @@ def jordan_decompose(x: LieElement) -> JordanPair:
         steps += 1
         if steps > n.bit_length():
             raise ArithmeticError("Jordan iteration failed to converge")
-    semis = algebra.element_from_matrix(xs)
-    nil = algebra.element_from_matrix(mat - xs)
-    return JordanPair(semis, nil)
+    semis = x if steps == 0 else algebra.element_from_matrix(xs)
+    return JordanPair(semis, algebra.element_from_matrix(mat - xs))
 
 
 def jordan_pair_to_json(pair: JordanPair) -> dict:

@@ -20,7 +20,8 @@ into it, and the witness search takes its center, which `center_basis`
 reads off the integer rows of the structure constants with no ad matrix
 formed). Every other subspace, the Levi's center and the graded pieces
 among them, is held as n x n matrices, and every fact about it is read
-from a kernel basis, a commutator or a rank.
+from a kernel basis, a commutator or a rank. An element keeps two such facts
+once read: ``orbit_dim``, rank(ad x), and ``centralizer``, a kernel of ad x.
 
 Basis conventions (frozen, since chart coordinates refer to basis indices):
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
@@ -54,6 +56,7 @@ from .linalg import (
     _support,
     kernel_basis,
     matrix_to_json,
+    rank,
 )
 
 
@@ -180,7 +183,8 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class LieElement:
-    """Element of a LieAlgebra: coordinates plus the cached ambient matrix."""
+    """Element of a LieAlgebra: coordinates plus the cached ambient matrix; ``orbit_dim``
+    and ``centralizer`` are kept once read (two caches: a rank costs less than a kernel)."""
 
     algebra: LieAlgebra
     coords: tuple
@@ -188,6 +192,16 @@ class LieElement:
 
     def is_zero(self) -> bool:
         return all(not c for c in self.coords)
+
+    @cached_property
+    def orbit_dim(self) -> int:
+        """rank(ad x) = dim g - dim c(x), the dimension of the orbit of x."""
+        return rank(ad_matrix(self))
+
+    @cached_property
+    def centralizer(self) -> tuple:
+        """The coordinates of a kernel basis of ad x, which spans c(x)."""
+        return tuple(kernel_basis(ad_matrix(self)))
 
 
 def ad_matrix(x: LieElement) -> RatMatrix:
@@ -203,11 +217,8 @@ def subalgebra_from_coords(algebra: LieAlgebra, coord_vectors: Sequence[Sequence
 
 
 def centralizer_basis(x: LieElement) -> LieAlgebra:
-    """Centralizer of x in the algebra of x: the kernel of ad x, as a subalgebra."""
-    algebra = x.algebra
-    vectors = kernel_basis(ad_matrix(x))
-    return subalgebra_from_coords(algebra, vectors,
-                                  label=f"centralizer in {algebra.label}")
+    """Centralizer of x in its algebra: the kernel ``x.centralizer`` of ad x, as a subalgebra."""
+    return subalgebra_from_coords(x.algebra, x.centralizer, f"centralizer in {x.algebra.label}")
 
 
 def center_basis(algebra: LieAlgebra) -> tuple:

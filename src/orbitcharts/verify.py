@@ -61,7 +61,6 @@ from .grading import WitnessNotFoundError, _witness_grading, _zero_piece_matches
 from .jordan import jordan_decompose
 from .liealg import (
     LieElement,
-    ad_matrix,
     build_classical,
     centralizer_basis,
     trace_form_gram,
@@ -82,7 +81,6 @@ from .linalg import (
     commutator,
     det,
     is_semisimple_matrix,
-    kernel_basis,
     matrix_to_json,
     rank,
     rational_str,
@@ -370,6 +368,8 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     same walk, `_power_walk` (see the module docstring).
     ``u2_differs_from_u`` reads the parabolic of ``nil``, the nilpotent
     chart or inner chart, else the semisimple chart's.
+    ``dimension_identity`` and ``centralizer_composition`` read rank(ad x),
+    and rank(ad x_n) in the Levi, as ``orbit_dim`` of x and of x_n.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -384,16 +384,15 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
                               _same_flat_data(chart, scaffold)))
     nil = scaffold if scaffold.case_tag == "nilpotent" else scaffold.inner
 
-    expected_dim = rank(ad_matrix(x))
-    checks.append(_agrees("dimension_identity", expected_dim, chart.param_count))
+    checks.append(_agrees("dimension_identity", x.orbit_dim, chart.param_count))
 
     if nil is not None:
         name = "tangent_identity" if nil is scaffold else "inner_tangent_identity"
         checks.append(_tangent_check(nil, name))
     if chart.case_tag == "mixed":
         inner = chart.inner
-        checks.append(_agrees("centralizer_composition", algebra.dim - expected_dim,
-                              inner.algebra.dim - rank(ad_matrix(inner.base_element))))
+        checks.append(_agrees("centralizer_composition", algebra.dim - x.orbit_dim,
+                              inner.algebra.dim - inner.base_element.orbit_dim))
 
     frame = _rank_frame(chart, scaffold, nil)
     base_vp = _value_pass(chart, _as_fractions(chart.base_params))
@@ -463,14 +462,9 @@ def _tangent_check(nil_chart: OrbitChart, name: str) -> Check:
 # ---------------------------------------------------------------------------
 
 
-def _centralizer_matrices(x: LieElement) -> list:
-    """The matrices of a kernel basis of ad x, which span c(x)."""
-    return [x.algebra.element(v).matrix for v in kernel_basis(ad_matrix(x))]
-
-
 def check_centralizer_reductive(x: LieElement) -> bool:
-    """Trace-form proxy: the Gram matrix on the centralizer is nonsingular."""
-    return det(trace_form_gram(_centralizer_matrices(x))) != 0
+    """Trace-form proxy: the Gram matrix on c(x) (``x.centralizer``) is nonsingular."""
+    return det(trace_form_gram([x.algebra.element(v).matrix for v in x.centralizer])) != 0
 
 
 def redstab_suite(x: LieElement, seed: int,
@@ -483,15 +477,14 @@ def redstab_suite(x: LieElement, seed: int,
     gave x_n = 0), and then its witness grading is the grading the search
     would find (same Levi, same seed). Only without such a chart is
     semisimplicity tested on x and, for semisimple x, c(x) built as a
-    `LieAlgebra` for the search; otherwise c(x) is a kernel basis of ad x.
-    Either way the zero piece must match c(x) (`_zero_piece_matches`).
+    `LieAlgebra` for the search. The proxy and `_zero_piece_matches` read
+    c(x) as ``x.centralizer``, the kernel a semisimple x's chart built its Levi on.
     """
     algebra = x.algebra
     own = (chart is not None and chart.parabolic is not None
            and chart.algebra is algebra and chart.base_element.matrix == x.matrix)
     semisimple = chart.case_tag == "semisimple" if own else is_semisimple_matrix(x.matrix)
-    cent = _centralizer_matrices(x)
-    proxy = det(trace_form_gram(cent)) != 0
+    proxy = check_centralizer_reductive(x)
     checks: List[Check] = [_agrees("semisimple_iff_reductive", semisimple, proxy)]
     if semisimple:
         if own:
@@ -505,7 +498,7 @@ def redstab_suite(x: LieElement, seed: int,
         witness_json = matrix_to_json(grading.grading_element.matrix) if found else None
         checks.append(Check("levi_witness_found", True, witness_json, found))
         checks.append(_agrees("witness_zero_piece_matches_centralizer", True,
-                              found and _zero_piece_matches(grading, x.matrix, len(cent))))
+                              found and _zero_piece_matches(grading, x.matrix, len(x.centralizer))))
     else:
         checks.append(_agrees("nonsemisimple_not_reductive", False, proxy))
     subject = {

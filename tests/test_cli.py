@@ -536,10 +536,11 @@ class TestAnalysedOnce:
         assert json.loads(out)["class_id"] == ["-2", "0", "1", "0"]
 
     def test_semisimple_verify_eliminates_ad_x_three_times(self, monkeypatch):
-        # the Levi c(x) in the chart, the dimension_identity oracle and the
-        # redstab kernel; the chart's orbit dimension is dim g - dim c(x).
-        # The witness search ranks ad z of its candidates z in `grading`,
-        # which is not counted (here the accepted z equals x)
+        # one kernel, x.centralizer, shared by the chart's Levi c(x) (x is
+        # its own semisimple part) and the redstab suite; one rank,
+        # x.orbit_dim, for the dimension_identity oracle; and one rank of
+        # the witness search's candidate z, which here equals x. The chart's
+        # orbit dimension is dim g - dim c(x)
         sl5 = build_classical("sl", 5)
         rows = SL5_CASES["semisimple"]
         ad_x = ad_matrix(sl5.element_from_matrix(RatMatrix.from_rows(rows)))
@@ -561,3 +562,42 @@ class TestAnalysedOnce:
                        "--samples", "2"])
         assert code == 0
         assert len(eliminations) == 3
+
+    @pytest.mark.parametrize("rows,ad_x_count,ad_xn_count", [
+        ([[int(j == i + 1) for j in range(4)] for i in range(4)], 2, 0),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 3, 0),
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 2, 1),
+    ], ids=["regular-nilpotent", "semisimple", "mixed"])
+    def test_verify_eliminates_each_ad_once_per_fact(self, monkeypatch, rows,
+                                                     ad_x_count, ad_xn_count):
+        # x keeps rank(ad x) and the kernel of ad x: one elimination each,
+        # whichever of the chart, its checks and the redstab suite reads
+        # them first. A semisimple x adds one rank of the witness
+        # candidate z = x, a new element. The inner chart's base element x_n
+        # keeps its rank(ad x_n) in the Levi for centralizer_composition
+        sl4 = build_classical("sl", 4)
+        x = sl4.element_from_matrix(RatMatrix.from_rows(rows))
+        ad_x = ad_matrix(x)
+        pair = jordan_decompose(x)
+        ad_xn = None
+        if not (pair.semisimple.is_zero() or pair.nilpotent.is_zero()):
+            levi = liealg.centralizer_basis(pair.semisimple)
+            ad_xn = ad_matrix(levi.element_from_matrix(pair.nilpotent.matrix))
+        counts = Counter()
+
+        def counted(fn):
+            def wrapper(m, *args, **kwargs):
+                counts["ad x"] += m == ad_x
+                counts["ad x_n"] += m == ad_xn
+                return fn(m, *args, **kwargs)
+            return wrapper
+
+        spies = {fn: counted(fn) for fn in (linalg.rank, linalg.kernel_basis)}
+        for module in (linalg, liealg, jordan, grading, charts, verify, cli):
+            for name, value in list(vars(module).items()):
+                if callable(value) and value in spies:
+                    monkeypatch.setattr(module, name, spies[value])
+        element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
+        code, _ = run(["verify", "--family", "sl", "--size", "4", "--element", element])
+        assert code == 0
+        assert (counts["ad x"], counts["ad x_n"]) == (ad_x_count, ad_xn_count)

@@ -10,6 +10,12 @@ from conftest import (
     elem,
     element,
     fraction_mul,
+    jordan_nilpotent,
+    mixed_corpus,
+    mixed_element,
+    nontrivial_partitions,
+    partitions,
+    unit_bidiagonal,
 )
 from orbitcharts import linalg
 from orbitcharts.jordan import jordan_decompose
@@ -332,6 +338,59 @@ class TestCentralizers:
         for _ in range(10):
             x = sl3.element([rng.fraction() for _ in range(sl3.dim)])
             assert centralizer_basis(x).contains_matrix(x.matrix)
+
+
+def _element_facts_corpus():
+    """(family, n, matrix, semisimple): sl3-sl6 nilpotents of every Jordan
+    type and diagonals of every multiplicity pattern, the mixed corpus, the
+    so5, so6, sp4 and sp6 upper nilpotents and diagonals, and a conjugated
+    sl4 diagonal, which is semisimple but not diagonal."""
+    cases = []
+    for n in (3, 4, 5, 6):
+        for part in nontrivial_partitions(n):
+            cases.append(pytest.param("sl", n, jordan_nilpotent(n, part), False,
+                                      id=f"sl{n}-" + ",".join(map(str, part))))
+        for pattern in list(partitions(n))[1:]:
+            values = [k for k, m in enumerate(pattern) for _ in range(m)]
+            values = [n * v - sum(values) for v in values]
+            cases.append(pytest.param("sl", n, diag_matrix(values), True,
+                                      id=f"sl{n}-diag" + ",".join(map(str, pattern))))
+    for param in mixed_corpus():
+        family, n = param.values[:2]
+        cases.append(pytest.param(family, n, mixed_element(*param.values)[1].matrix, False,
+                                  id=param.id))
+    for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6)):
+        upper = [b for b in build_classical(family, n).basis
+                 if all(not b.at(i, j) for i in range(n) for j in range(i + 1))]
+        k = n // 2
+        d = list(range(k, 0, -1)) + [0] * (n % 2) + list(range(-1, -k - 1, -1))
+        cases.append(pytest.param(family, n, sum(upper[1:], upper[0]), False,
+                                  id=f"{family}{n}-upper"))
+        cases.append(pytest.param(family, n, diag_matrix(d), True, id=f"{family}{n}-diagonal"))
+    u, u_inv = unit_bidiagonal([1, -1, 2])
+    cases.append(pytest.param("sl", 4, u * diag_matrix([1, 1, -1, -1]) * u_inv, True,
+                              id="sl4-conjugated-diagonal"))
+    return cases
+
+
+class TestElementFacts:
+    """An element keeps rank(ad x) and a kernel basis of ad x; the two are
+    computed apart, and they must agree by rank-nullity."""
+
+    @pytest.mark.parametrize("family, n, m, semisimple", _element_facts_corpus())
+    def test_orbit_dim_and_centralizer_agree(self, family, n, m, semisimple):
+        algebra = build_classical(family, n)
+        x = algebra.element_from_matrix(m)
+        assert x.orbit_dim == algebra.dim - len(x.centralizer)
+        assert all(commutator(m, algebra.element(v).matrix).is_zero() for v in x.centralizer)
+        assert centralizer_basis(x).dim == len(x.centralizer)
+
+    @pytest.mark.parametrize("family, n, m, semisimple", _element_facts_corpus())
+    def test_semisimple_element_is_its_own_semisimple_part(self, family, n, m, semisimple):
+        x = build_classical(family, n).element_from_matrix(m)
+        pair = jordan_decompose(x)
+        assert (pair.semisimple is x) == semisimple
+        assert pair.semisimple.matrix + pair.nilpotent.matrix == m
 
 
 def _reference_center(algebra):

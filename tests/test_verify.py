@@ -489,6 +489,38 @@ class TestRedstabWitnessFromChart:
             == report_to_json(redstab_suite(x, 42))
 
 
+SL4_CASES = {
+    "nilpotent": [[int(j == i + 1) for j in range(4)] for i in range(4)],
+    "semisimple": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    "mixed": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+}
+
+
+class TestChecksReadTheElement:
+    """The chart and its checks read rank(ad x) from ``x.orbit_dim``, the
+    fact x keeps: a wrong value there is caught, not trusted."""
+
+    @pytest.mark.parametrize("case", ["nilpotent", "mixed"])
+    def test_poisoned_orbit_dim_refuses_the_chart(self, sl4, case):
+        x = sl4.element_from_matrix(RatMatrix.from_rows(SL4_CASES[case]))
+        x.__dict__["orbit_dim"] = x.orbit_dim + 1
+        with pytest.raises(AssertionError, match="parameter count"):
+            build_chart(x, 42)
+
+    @pytest.mark.parametrize("case", sorted(SL4_CASES))
+    def test_poisoned_orbit_dim_fails_dimension_identity(self, sl4, case):
+        x = sl4.element_from_matrix(RatMatrix.from_rows(SL4_CASES[case]))
+        chart = build_chart(x, 42)
+        x.__dict__["orbit_dim"] = x.orbit_dim + 1
+        report = verify_chart(x, chart, 42, samples=2)
+        checks = {c.name: c for c in report.checks}
+        assert checks["dimension_identity"] == verify.Check(
+            "dimension_identity", chart.param_count + 1, chart.param_count, False)
+        if case == "mixed":
+            assert not checks["centralizer_composition"].passed
+        assert not report.overall_pass
+
+
 # the checks whose verdict is not observed == expected (see `verify`)
 OWN_RULE = {"levi_witness_found", "jordan_type_preserved", "u2_differs_from_u"}
 
