@@ -92,7 +92,6 @@ from .linalg import (
     _lincomb,
     _matrix,
     _powers,
-    _span_rank,
     _support,
     commutator,
     matrix_from_json,
@@ -406,20 +405,25 @@ def _plain_blocks(factors: Sequence, k: int) -> frozenset:
     the outer u = g(>0), so u's block is plain, and so is the inner
     factor's, with no factor after it; u- is not, as [u, u-] leaves it.
 
-    Each bracket is tested against the echelon rows of U_f, which span it
-    even when the basis is dependent, and the test stops at the first
-    bracket outside U_f.
+    The brackets are tested by `_in_span`, which stops at the first one
+    outside U_f.
     """
     def normalized(f: int) -> bool:
         later = [a for g in range(f + 1, k) for a in factors[g]]
-        if not later:
-            return True
-        basis = factors[f]
-        ech, piv, _ = _bareiss([list(b.nums) for b in basis])
-        span = VectorSpan(ech[:len(piv)], length=len(later[0].nums))
-        return all(span.coords_of(commutator(a, b)) is not None for a in later for b in basis)
+        brackets = (commutator(a, b) for a in later for b in factors[f])
+        return not later or _in_span(factors[f], brackets, len(later[0].nums))
 
     return frozenset(f for f in range(k) if normalized(f))
+
+
+def _in_span(basis: Sequence, matrices, length: int) -> bool:
+    """Whether every matrix of the iterable ``matrices`` lies in the span of
+    the matrices ``basis``, each of ``length`` entries. Each is tested
+    against the echelon rows of the span, which span it even when ``basis``
+    is dependent or empty, and the test stops at the first one outside."""
+    ech, piv, _ = _bareiss([list(b.nums) for b in basis])
+    span = VectorSpan(ech[:len(piv)], length=length)
+    return all(span.coords_of(m) is not None for m in matrices)
 
 
 def _left_dexp(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -562,7 +566,7 @@ def _factor_defect(basis: tuple, n: int) -> str:
     U is nilpotent iff every product of n of its matrices vanishes, that
     is iff V_n = 0 for V_0 = Q^n and V_(k+1) = span{b v : b in basis,
     v in V_k}; each V_k is kept as the echelon rows of its vectors. U is
-    closed iff adding the brackets of basis pairs leaves its dimension.
+    closed iff the bracket of every basis pair lies in U (`_in_span`).
     """
     space = RatMatrix.identity(n)
     transposed = [b.transpose() for b in basis]
@@ -573,7 +577,5 @@ def _factor_defect(basis: tuple, n: int) -> str:
         space = _matrix(len(piv), n, [x for row in ech[:len(piv)] for x in row])
     else:
         return "nilpotent"
-    brackets = [commutator(a, b) for i, a in enumerate(basis) for b in basis[i + 1:]]
-    if _span_rank(basis + tuple(brackets)) != _span_rank(basis):
-        return "bracket-closed"
-    return ""
+    brackets = (commutator(a, b) for i, a in enumerate(basis) for b in basis[i + 1:])
+    return "" if _in_span(basis, brackets, n * n) else "bracket-closed"

@@ -45,12 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .liealg import (
-    LieAlgebra,
-    LieElement,
-    ad_matrix,
-    center_basis,
-)
+from .liealg import LieAlgebra, LieElement, center_basis
 from .linalg import (
     RatMatrix,
     _int_kernel_basis,
@@ -82,7 +77,7 @@ class WitnessNotFoundError(RuntimeError):
 class Grading:
     """Eigenspace decomposition g = (+) g(i) under ad of the grading element,
     each piece a basis of n x n matrices; the grading element stays a
-    `LieElement`, whose coordinates `ad_matrix` reads."""
+    `LieElement`, which keeps its ``ad``."""
 
     grading_element: LieElement
     pieces: Dict[int, Tuple[RatMatrix, ...]]
@@ -132,7 +127,7 @@ def grading_by(h: LieElement) -> Grading:
     rows. The pieces are then certified by `_certify_pieces`.
     """
     algebra = h.algebra
-    ad_h = ad_matrix(h)
+    ad_h = h.ad
     dim = algebra.dim
     pieces: Dict[int, list] = {}
     if _is_diagonal(ad_h):

@@ -16,7 +16,6 @@ from .linalg import (
     RatMatrix,
     VectorSpan,
     _int_rows,
-    char_poly,
     matrix_to_json,
     squarefree_part,
 )
@@ -53,7 +52,7 @@ def jordan_decompose(x: LieElement) -> JordanPair:
     algebra = x.algebra
     mat = x.matrix
     n = mat.rows
-    q = squarefree_part(char_poly(mat))
+    q = squarefree_part(x.char_poly)
     dq = q.derivative()
     xs = mat
     qx = q.evaluate_matrix(xs)

@@ -20,8 +20,10 @@ into it, and the witness search takes its center, which `center_basis`
 reads off the integer rows of the structure constants with no ad matrix
 formed). Every other subspace, the Levi's center and the graded pieces
 among them, is held as n x n matrices, and every fact about it is read
-from a kernel basis, a commutator or a rank. An element keeps two such facts
-once read: ``orbit_dim``, rank(ad x), and ``centralizer``, a kernel of ad x.
+from a kernel basis, a commutator or a rank. An element keeps four facts
+once read: ``ad``, the matrix of ad x; ``char_poly``, the characteristic
+polynomial of x; ``orbit_dim``, rank(ad x); and ``centralizer``, a kernel
+of ad x.
 
 Basis conventions (frozen, since chart coordinates refer to basis indices):
 
@@ -47,6 +49,7 @@ from typing import Optional, Sequence
 
 from .linalg import (
     ZERO,
+    Polynomial,
     RatMatrix,
     VectorSpan,
     _as_fractions,
@@ -54,6 +57,7 @@ from .linalg import (
     _lincomb,
     _matrix,
     _support,
+    char_poly,
     kernel_basis,
     matrix_to_json,
     rank,
@@ -183,8 +187,9 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class LieElement:
-    """Element of a LieAlgebra: coordinates plus the cached ambient matrix; ``orbit_dim``
-    and ``centralizer`` are kept once read (two caches: a rank costs less than a kernel)."""
+    """Element of a LieAlgebra: coordinates plus the cached ambient matrix. Four
+    facts are kept once read: ``ad``, ``char_poly``, ``orbit_dim`` and
+    ``centralizer`` (the last two apart: a rank costs less than a kernel)."""
 
     algebra: LieAlgebra
     coords: tuple
@@ -194,14 +199,24 @@ class LieElement:
         return all(not c for c in self.coords)
 
     @cached_property
+    def ad(self) -> RatMatrix:
+        """ad x, the matrix of z -> [x, z] (`ad_matrix`)."""
+        return ad_matrix(self)
+
+    @cached_property
+    def char_poly(self) -> Polynomial:
+        """The characteristic polynomial of the ambient matrix of x."""
+        return char_poly(self.matrix)
+
+    @cached_property
     def orbit_dim(self) -> int:
         """rank(ad x) = dim g - dim c(x), the dimension of the orbit of x."""
-        return rank(ad_matrix(self))
+        return rank(self.ad)
 
     @cached_property
     def centralizer(self) -> tuple:
         """The coordinates of a kernel basis of ad x, which spans c(x)."""
-        return tuple(kernel_basis(ad_matrix(self)))
+        return tuple(kernel_basis(self.ad))
 
 
 def ad_matrix(x: LieElement) -> RatMatrix:

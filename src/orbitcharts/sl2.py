@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liealg import LieElement, ad_matrix
+from .liealg import LieElement
 from .linalg import (
     NotNilpotentError,
     RatMatrix,
@@ -44,7 +44,7 @@ def jacobson_morozov(e: LieElement) -> Sl2Triple:
         raise NotNilpotentError("element is not nilpotent")
 
     algebra = e.algebra
-    ade = ad_matrix(e)
+    ade = e.ad
     ade2 = ade * ade
     rhs = tuple(-2 * c for c in e.coords)
     u = solve_linear(ade2, rhs)
@@ -52,7 +52,7 @@ def jacobson_morozov(e: LieElement) -> Sl2Triple:
         raise NoTripleFoundError("no h with [h,e] = 2e inside [e, g]")
     h = algebra.element(mat_vec(ade, u))
 
-    adh = ad_matrix(h)
+    adh = h.ad
     m = algebra.dim
     stacked = vstack([adh + RatMatrix.identity(m).scale(2), ade])
     joint_rhs = tuple([ZERO] * m) + h.coords

@@ -21,8 +21,8 @@ partial value Ad(S_k) core, and a semisimple chart's columns need no
 conjugation. One Bareiss elimination ranks them, slice rows first and
 then the factor blocks from the last factor to the first
 (`_jacobian_rank`). Each report builds one `_RankFrame` (`_rank_frame`):
-the columns go in the weight order of the chart's grading element when
-it is diagonal, and a factor block that the factors between it and the
+the columns go in the weight order of the chart's grading elements when
+they are diagonal, and a factor block that the factors between it and the
 frame normalize is left unconjugated. Neither changes the rank.
 
 Equal characteristic polynomials are certified by power sums: x and each
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence
 
@@ -77,7 +76,6 @@ from .linalg import (
     _powers,
     _span_rank,
     _support,
-    char_poly,
     commutator,
     det,
     is_semisimple_matrix,
@@ -178,16 +176,16 @@ def _rank_frame(chart: OrbitChart, scaffold: OrbitChart,
     """The `_RankFrame` of one report on ``chart``, whose scaffolding is
     ``scaffold`` and whose nilpotent chart (or inner chart) is ``nil``.
 
-    The order is read off the grading element g of the scaffold: the JM h
-    of a nilpotent chart, the witness z of a semisimple one, and K z + h
-    for a mixed one, with K = 2 max |h_a - h_b| + 1, so that z orders
-    first (h lies in the Levi c(x_s), where z is central, so they
-    commute). When g is diagonal, with entries d_a, the flattened entries
-    (a, b) are taken in increasing weight d_a - d_b, ties by position, so
-    that the rows of the graded factor blocks come nearly block triangular
-    (Humphreys, Introduction to Lie Algebras and Representation Theory,
-    8.1) and `_bareiss` skips most of them. Otherwise, or when g is not of
-    the chart's size, the entries keep their order.
+    The order is read off the grading elements of the scaffold: the JM h
+    of a nilpotent chart, the witness z of a semisimple one, and z, then
+    the inner JM h, for a mixed one (h lies in the Levi c(x_s), where z is
+    central, so they commute). When each is diagonal and of the chart's
+    size, with entries d_a, the flattened entries (a, b) are taken in
+    increasing weight d_a - d_b, a mixed chart's in increasing pairs (z
+    weight, h weight), ties by position, so that the rows of the graded
+    factor blocks come nearly block triangular (Humphreys, Introduction to
+    Lie Algebras and Representation Theory, 8.1) and `_bareiss` skips
+    most of them. Otherwise the entries keep their order.
 
     The plain blocks are read off ``chart``'s own factors, so a chart from
     `chart_from_json` is ranked on its own factors. A column permutation
@@ -195,15 +193,12 @@ def _rank_frame(chart: OrbitChart, scaffold: OrbitChart,
     grading does not fit ``chart`` changes only the speed.
     """
     n = chart.algebra.ambient_size
-    g = scaffold.parabolic.grading.grading_element.matrix
-    if nil is not None and nil is not scaffold:
-        h = nil.parabolic.grading.grading_element.matrix
-        spread = h.nums[::h.rows + 1]
-        g = g.scale(2 * Fraction(max(spread) - min(spread), h.den) + 1) + h
+    graded = [scaffold] if nil is None or nil is scaffold else [scaffold, nil]
+    elements = [c.parabolic.grading.grading_element.matrix for c in graded]
     order = None
-    if g.rows == n and _is_diagonal(g):
-        d = g.nums[::n + 1]
-        flat = sorted(range(n * n), key=lambda q: d[q // n] - d[q % n])
+    if all(g.rows == n and _is_diagonal(g) for g in elements):
+        diagonals = [g.nums[::n + 1] for g in elements]
+        flat = sorted(range(n * n), key=lambda q: [d[q // n] - d[q % n] for d in diagonals])
         if flat != list(range(n * n)):
             order = itemgetter(*flat)
     return _RankFrame(order, _plain_blocks(chart.factors, _frame_index(chart)))
@@ -535,7 +530,7 @@ def invariants(x: LieElement) -> OrbitClassId:
     if x.algebra.family != "sl":
         raise ValueError("invariants are implemented for sl algebras only")
     n = x.algebra.ambient_size
-    p = char_poly(x.matrix)
+    p = x.char_poly
     coeffs = p.coefficients + (ZERO,) * (n + 1 - len(p.coefficients))
     if coeffs[n - 1] != 0:
         raise AssertionError("trace coefficient nonzero for a traceless matrix")
@@ -546,9 +541,11 @@ def hamiltonian_class(x: LieElement) -> OrbitClassId:
     """Class of the unique semisimple orbit in the fiber through x.
 
     Rejects nilpotent x, whose semisimple part vanishes: the zero orbit has
-    no nonzero semisimple representative. char_poly(x) = char_poly(x_s).
+    no nonzero semisimple representative. x is nilpotent iff char_poly(x) =
+    t^n (Cayley-Hamilton), so that test walks no power of x, and it comes
+    before the family check of `invariants`. char_poly(x) = char_poly(x_s).
     """
-    if x.matrix.is_nilpotent():
+    if not any(x.char_poly.coefficients[:-1]):
         raise ZeroSemisimplePartError("semisimple part is zero")
     return invariants(x)
 

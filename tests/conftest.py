@@ -1,5 +1,6 @@
 """Shared builders and Fraction reference implementations for the test suite."""
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +55,22 @@ def block_levi(n, composition):
     shift = sum(k * c for k, c in enumerate(composition))
     values = [n * k - shift for k, c in enumerate(composition) for _ in range(c)]
     return centralizer_basis(sl(n).element_from_matrix(diag_matrix(values)))
+
+
+def spy_everywhere(monkeypatch, fn):
+    """The list, filled from now on, of the first argument of every call of
+    ``fn``: each orbitcharts module that holds ``fn`` under its name, as
+    modules import each other's functions, gets a spy that records it."""
+    calls = []
+
+    def spy(first, *args, **kwargs):
+        calls.append(first)
+        return fn(first, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "orbitcharts" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, spy)
+    return calls
 
 
 def unit_bidiagonal(entries, upper=True):

@@ -13,7 +13,7 @@ import orbitcharts.jordan as jordan
 import orbitcharts.liealg as liealg
 import orbitcharts.linalg as linalg
 import orbitcharts.verify as verify
-from conftest import mixed_corpus, mixed_element
+from conftest import mixed_corpus, mixed_element, spy_everywhere
 from orbitcharts.cli import main
 from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import LieAlgebra, ad_matrix, build_classical
@@ -91,13 +91,11 @@ class TestAnalyze:
                              [c for c in mixed_corpus() if c.values[0] == "sl"])
     def test_mixed_class_id_read_off_x(self, monkeypatch, family, n, values, entries):
         """class_id is the class of x_s, read off char_poly(x) =
-        char_poly(x_s): the one char_poly outside `jordan_decompose` is
-        taken of x."""
+        char_poly(x_s): the one char_poly, taken in `jordan_decompose`, is
+        of x, and `invariants` reads it again from x."""
         _, x = mixed_element(family, n, values, entries)
         expected = class_id_to_json(invariants(jordan_decompose(x).semisimple))
-        calls = []
-        real = verify.char_poly
-        monkeypatch.setattr(verify, "char_poly", lambda m: calls.append(m) or real(m))
+        calls = spy_everywhere(monkeypatch, linalg.char_poly)
         code, out = run(["analyze", "--family", family, "--size", str(n),
                          "--element", json.dumps({"matrix": matrix_to_json(x.matrix)})])
         assert code == 0
@@ -502,15 +500,7 @@ class TestAnalysedOnce:
         # one in the Jordan split; for x_s != 0 the witness search adds its
         # rational eigenvalues and its candidate's semisimplicity test.
         # redstab_suite reads semisimplicity off the chart
-        calls, real = [], linalg.char_poly
-
-        def spy(m):
-            calls.append(m)
-            return real(m)
-
-        for module in (linalg, liealg, jordan, grading, charts, verify, cli):
-            if getattr(module, "char_poly", None) is real:
-                monkeypatch.setattr(module, "char_poly", spy)
+        calls = spy_everywhere(monkeypatch, linalg.char_poly)
         element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
         code, _ = run(["verify", "--family", "sl", "--size", "4", "--element", element])
         assert code == 0
@@ -601,3 +591,41 @@ class TestAnalysedOnce:
         code, _ = run(["verify", "--family", "sl", "--size", "4", "--element", element])
         assert code == 0
         assert (counts["ad x"], counts["ad x_n"]) == (ad_x_count, ad_xn_count)
+
+    @pytest.mark.parametrize("rows,expected", [
+        ([[int(j == i + 1) for j in range(4)] for i in range(4)], 2),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 2),
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 5),
+    ], ids=["regular-nilpotent", "semisimple", "mixed"])
+    def test_verify_builds_each_ad_once(self, monkeypatch, rows, expected):
+        # an element keeps ad x. Nilpotent: ad e (its rank, the JM solves,
+        # the redstab kernel) and ad h (the JM f solve, the grading).
+        # Semisimple: ad x and ad z of the witness candidate z = x, a new
+        # element (rank and grading). Mixed: ad x, ad x_s (the Levi), ad z,
+        # and in the Levi ad x_n and ad h
+        calls = spy_everywhere(monkeypatch, liealg.ad_matrix)
+        element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
+        code, _ = run(["verify", "--family", "sl", "--size", "4", "--element", element])
+        assert code == 0
+        assert len(calls) == expected
+
+    def test_analyze_forms_char_poly_once(self, monkeypatch):
+        # the Jordan split and the class id both read x.char_poly
+        rows = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+        calls = spy_everywhere(monkeypatch, linalg.char_poly)
+        element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
+        code, out = run(["analyze", "--family", "sl", "--size", "4", "--element", element])
+        assert code == 0
+        assert json.loads(out)["class_id"] == ["-2", "0", "1"]
+        assert calls == [RatMatrix.from_rows(rows)]
+
+    @pytest.mark.parametrize("case", ["semisimple", "mixed"])
+    def test_classify_walks_no_power_of_x(self, monkeypatch, case):
+        # x is nilpotent iff char_poly(x) = t^n, the polynomial the class is
+        # read from
+        walks = spy_everywhere(monkeypatch, linalg._powers)
+        rows = SL5_CASES[case]
+        element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
+        code, _ = run(["classify", "--family", "sl", "--size", "5", "--element", element])
+        assert code == 0
+        assert RatMatrix.from_rows(rows) not in walks

@@ -22,8 +22,10 @@ the power sums and the ranks of the powers, and its power sums are equal
 exactly when the characteristic polynomials are.
 
 A report ranks in one `verify._RankFrame`: columns in the weight order of
-a diagonal grading element, and the factor blocks that the later factors
-normalize left unconjugated (`charts._plain_blocks`). Its rank equals the
+a diagonal grading element (a mixed chart's by the pair of z and h
+weights, which is the order of the one weight of K z + h), and the factor
+blocks that the later factors normalize left unconjugated
+(`charts._plain_blocks`). Its rank equals the
 g^-1 frame rank on built and read-back charts over the sl, so and sp
 corpora, and so does the rank in the reversed column order; the plain
 blocks of a mixed chart are u and the inner factor, and a block that is
@@ -65,6 +67,7 @@ from orbitcharts.liealg import build_classical
 from orbitcharts.linalg import (
     Polynomial,
     RatMatrix,
+    _is_diagonal,
     _powers,
     _span_rank,
     char_poly,
@@ -476,6 +479,32 @@ def test_frame_order_is_increasing_weight():
     chart = frame_chart("sl3-3")
     order = verify._rank_frame(chart, chart, chart).order
     assert order(tuple(range(9))) == (6, 3, 7, 0, 4, 8, 1, 5, 2)
+
+
+def _single_weight_order(chart):
+    """The order of a mixed chart by the one weight of g = K z + h, K = 2
+    max |h_a - h_b| + 1, when g is diagonal, else None: h shifts no z
+    weight past the next, since z is an integer matrix."""
+    n = chart.algebra.ambient_size
+    z = chart.parabolic.grading.grading_element.matrix
+    h = chart.inner.parabolic.grading.grading_element.matrix
+    spread = h.nums[::n + 1]
+    g = z.scale(2 * F(max(spread) - min(spread), h.den) + 1) + h
+    if not _is_diagonal(g):
+        return None
+    d = g.nums[::n + 1]
+    flat = tuple(sorted(range(n * n), key=lambda q: d[q // n] - d[q % n]))
+    return None if flat == tuple(range(n * n)) else flat
+
+
+@pytest.mark.parametrize("label", [p.id for p in mixed_corpus()] + ["sl4-conjugated-mixed"])
+def test_mixed_frame_orders_by_z_then_h(label):
+    """A mixed chart's entries go in increasing pairs (z weight, h weight):
+    the order of the single weight of K z + h."""
+    chart = frame_chart(label)
+    n = chart.algebra.ambient_size
+    order = verify._rank_frame(chart, chart, chart.inner).order
+    assert (order and order(tuple(range(n * n)))) == _single_weight_order(chart)
 
 
 def test_frame_keeps_the_order_of_a_non_diagonal_grading():

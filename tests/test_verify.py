@@ -15,9 +15,10 @@ from conftest import (
     mixed_element,
     nontrivial_partitions,
     partitions,
+    spy_everywhere,
     unit_bidiagonal,
 )
-from orbitcharts import verify
+from orbitcharts import linalg, verify
 from orbitcharts.charts import (
     _ValuePass,
     _value_pass,
@@ -247,19 +248,12 @@ class TestInjectivityOnFewTuples:
 class TestCharPolyPreserved:
     """`char_poly_preserved` compares the power sums tr(v^k), k = 1 .. n, of
     x and of each value, from one walk of the powers per matrix; no
-    characteristic polynomial is computed."""
+    characteristic polynomial is computed. The spy records every
+    char_poly; each test clears what building its chart recorded."""
 
     @pytest.fixture
     def char_poly_calls(self, monkeypatch):
-        calls = []
-        real = verify.char_poly
-
-        def spy(m):
-            calls.append(m)
-            return real(m)
-
-        monkeypatch.setattr(verify, "char_poly", spy)
-        return calls
+        return spy_everywhere(monkeypatch, linalg.char_poly)
 
     @staticmethod
     def _off_fibre_report(x, chart, bump, monkeypatch):
@@ -287,12 +281,15 @@ class TestCharPolyPreserved:
 
     def test_non_nilpotent_sample_fails(self, sl4, monkeypatch, char_poly_calls):
         x = sl4.element_from_matrix(jordan_nilpotent(4, [4]))
-        self._off_fibre_report(x, build_chart(x, 42), diag_matrix([1, -1, 0, 0]), monkeypatch)
+        chart = build_chart(x, 42)
+        char_poly_calls.clear()
+        self._off_fibre_report(x, chart, diag_matrix([1, -1, 0, 0]), monkeypatch)
         assert char_poly_calls == []
 
     def test_semisimple_sample_off_the_fibre_fails(self, sl4, monkeypatch, char_poly_calls):
         x = sl4.element_from_matrix(diag_matrix([1, 1, -1, -1]))
         chart = build_chart(x, 42)
+        char_poly_calls.clear()
         assert chart.case_tag == "semisimple"
         self._off_fibre_report(x, chart, diag_matrix([1, -1, 0, 0]), monkeypatch)
         assert char_poly_calls == []
@@ -300,6 +297,7 @@ class TestCharPolyPreserved:
     def test_mixed_sample_off_the_fibre_fails(self, sl4, monkeypatch, char_poly_calls):
         x = sl4.element_from_matrix(diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1))
         chart = build_chart(x, 42)
+        char_poly_calls.clear()
         assert chart.case_tag == "mixed"
         self._off_fibre_report(x, chart, diag_matrix([0, 0, 1, -1]), monkeypatch)
         assert char_poly_calls == []
@@ -311,7 +309,9 @@ class TestCharPolyPreserved:
         monkeypatch.setattr(verify, "_power_walk",
                             lambda m, ranked: walks.append(m) or real(m, ranked))
         x = sl3.element_from_matrix(diag_matrix([1, 1, -2]))
-        report = verify_chart(x, build_chart(x, 42), 42, 5)
+        chart = build_chart(x, 42)
+        char_poly_calls.clear()
+        report = verify_chart(x, chart, 42, 5)
         assert report.check("base_point_identity").passed
         assert report.check("char_poly_preserved").passed
         assert walks[0] == x.matrix and len(walks) == 1 + 5
