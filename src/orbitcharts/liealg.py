@@ -23,7 +23,8 @@ among them, is held as n x n matrices, and every fact about it is read
 from a kernel basis, a commutator or a rank. An element keeps four facts
 once read: ``ad``, the matrix of ad x; ``char_poly``, the characteristic
 polynomial of x; ``orbit_dim``, rank(ad x); and ``centralizer``, a kernel
-of ad x.
+of ad x. ``is_nilpotent()`` reads ``char_poly``: x is nilpotent exactly
+when char_poly(x) = t^n (Cayley-Hamilton), so no power of x is walked.
 
 Basis conventions (frozen, since chart coordinates refer to basis indices):
 
@@ -189,7 +190,8 @@ class LieAlgebra:
 class LieElement:
     """Element of a LieAlgebra: coordinates plus the cached ambient matrix. Four
     facts are kept once read: ``ad``, ``char_poly``, ``orbit_dim`` and
-    ``centralizer`` (the last two apart: a rank costs less than a kernel)."""
+    ``centralizer`` (the last two apart: a rank costs less than a kernel).
+    ``is_nilpotent()`` reads ``char_poly`` (char_poly(x) = t^n)."""
 
     algebra: LieAlgebra
     coords: tuple
@@ -197,6 +199,11 @@ class LieElement:
 
     def is_zero(self) -> bool:
         return all(not c for c in self.coords)
+
+    def is_nilpotent(self) -> bool:
+        """Whether char_poly(x) = t^n, which holds exactly when x^n = 0
+        (Cayley-Hamilton); it reads ``char_poly`` and walks no power of x."""
+        return not any(self.char_poly.coefficients[:-1])
 
     @cached_property
     def ad(self) -> RatMatrix:

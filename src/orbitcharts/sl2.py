@@ -6,6 +6,10 @@ joint system [e, f] = h, [h, f] = -2f. Both systems take the deterministic
 minimal-support solution (free variables zero) of the row-reduced form.
 Works inside any bracket-closed reductive matrix algebra, in particular
 inside the Levi subalgebras the mixed case recurses into.
+
+The element is nilpotent when `LieElement.is_nilpotent` finds
+char_poly(e) = t^n. For the element of a request, the Jordan split has
+already formed that polynomial, so the test walks no power of e.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class Sl2Triple:
 def jacobson_morozov(e: LieElement) -> Sl2Triple:
     if e.is_zero():
         raise ValueError("Jacobson-Morozov needs a nonzero element")
-    if not e.matrix.is_nilpotent():
+    if not e.is_nilpotent():
         raise NotNilpotentError("element is not nilpotent")
 
     algebra = e.algebra

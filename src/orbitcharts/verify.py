@@ -541,11 +541,11 @@ def hamiltonian_class(x: LieElement) -> OrbitClassId:
     """Class of the unique semisimple orbit in the fiber through x.
 
     Rejects nilpotent x, whose semisimple part vanishes: the zero orbit has
-    no nonzero semisimple representative. x is nilpotent iff char_poly(x) =
-    t^n (Cayley-Hamilton), so that test walks no power of x, and it comes
+    no nonzero semisimple representative. `LieElement.is_nilpotent` reads
+    char_poly(x) = t^n, so that test walks no power of x, and it comes
     before the family check of `invariants`. char_poly(x) = char_poly(x_s).
     """
-    if not any(x.char_poly.coefficients[:-1]):
+    if x.is_nilpotent():
         raise ZeroSemisimplePartError("semisimple part is zero")
     return invariants(x)
 

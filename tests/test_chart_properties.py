@@ -1,10 +1,14 @@
 """Property tests of chart derivatives and serialization at random tuples,
-of whole charts on random so/sp elements, and of sl nilpotent orbits by
-Jordan type."""
+of whole charts on random so/sp elements, of sl nilpotent orbits by Jordan
+type, and of every so/sp nilpotent orbit by partition."""
 
 import contextlib
+import importlib.util
 import io
 import json
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,3 +146,85 @@ def test_sl_nilpotent_orbit_by_jordan_type(n, lam, data):
     assert analysis["centralizer_dim"] == dual_squares - 1
     code, report = _run_json(["verify", "--samples", "3"] + common)
     assert code == 0 and report["overall_pass"] is True
+
+
+def _load_workloads():
+    """`perfbench/workloads.py`, the benchmark's oracle, which imports no
+    orbitcharts code; it is loaded from its file and left unchanged."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
+
+
+def _valid_partitions(family, n):
+    """The nonzero partitions of n that label nilpotent orbits of so(n) or
+    sp(n): in so(n) even parts, in sp(n) odd parts, have even multiplicity
+    (Collingwood-McGovern, 5.1)."""
+    paired = 0 if family == "so" else 1
+    return [lam for lam in WORKLOADS.partitions(n)
+            if lam[0] > 1 and all(lam.count(d) % 2 == 0 for d in set(lam) if d % 2 == paired)]
+
+
+SO_SP_PARTITIONS = [(family, n, lam, swapped)
+                    for family, sizes in (("so", (5, 6, 7, 8)), ("sp", (4, 6, 8)))
+                    for n in sizes for lam in _valid_partitions(family, n)
+                    # so8 (4, 4) and (2, 2, 2, 2) are very even: two orbits each
+                    for swapped in ((False, True) if n == 8 and family == "so"
+                                    and all(d % 2 == 0 for d in lam) else (False,))]
+
+
+def _partition_representative(family, n, lam):
+    """A generic positive-integer combination of the upper basis elements
+    of weight 2 for h = diag(d - 1, d - 3, ..., 1 - d over the parts d,
+    sorted decreasing), redrawn until its Jordan type is lam: for the JM h
+    of e, the orbit of e is dense in g(2) (Kostant)."""
+    h = sorted((d - 1 - 2 * k for d in lam for k in range(d)), reverse=True)
+    weight2 = [b for b in WORKLOADS.upper_nilpotent_basis(family, n)
+               if all(h[i] - h[j] == 2 for i, row in enumerate(b)
+                      for j, v in enumerate(row) if v)]
+    rng = random.Random(f"{family}{n}-{lam}")
+    while True:
+        coeffs = [rng.randint(1, 9) for _ in weight2]
+        rows = [[sum(c * b[i][j] for c, b in zip(coeffs, weight2)) for j in range(n)]
+                for i in range(n)]
+        if WORKLOADS.nilpotent_partition(rows) == lam:
+            return rows
+
+
+@pytest.mark.parametrize(
+    "family,n,lam,swapped", SO_SP_PARTITIONS,
+    ids=[f"{family}{n}-{'.'.join(map(str, lam))}{'-swapped' if swapped else ''}"
+         for family, n, lam, swapped in SO_SP_PARTITIONS])
+def test_so_sp_nilpotent_orbit_by_partition(family, n, lam, swapped):
+    """A representative of the so/sp nilpotent orbit of each valid
+    partition: the orbit and centralizer dimensions equal the oracle's
+    (Collingwood-McGovern, Cor. 6.1.4), so do the ranks of the powers of
+    every sampled value, and the chart verifies. The second so8 orbit of a
+    very even partition is the first conjugated by the swap of basis
+    vectors 3 and 4, which keeps the form and has determinant -1."""
+    rows = _partition_representative(family, n, lam)
+    if swapped:
+        swap = [4 if k == 3 else 3 if k == 4 else k for k in range(n)]
+        rows = [[rows[swap[i]][swap[j]] for j in range(n)] for i in range(n)]
+    orbit_dim = WORKLOADS.nilpotent_orbit_dim(family, n, lam)
+    algebra_dim = n * (n - 1) // 2 if family == "so" else n * (n + 1) // 2
+    ranks = [sum(max(d - k, 0) for d in lam) for k in range(1, n)]
+    element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
+    common = ["--family", family, "--size", str(n), "--element", element]
+    code, analysis = _run_json(["analyze"] + common)
+    assert code == 0 and analysis["case"] == "nilpotent"
+    assert (analysis["orbit_dim"], analysis["centralizer_dim"]) \
+        == (orbit_dim, algebra_dim - orbit_dim)
+    code, report = _run_json(["verify", "--samples", "3"] + common)
+    assert code == 0 and report["overall_pass"] is True
+    checks = {c["name"]: c for c in report["chart_verification"]["checks"]}
+    assert checks["dimension_identity"]["observed"] == orbit_dim
+    jordan_types = checks["jordan_type_preserved"]
+    assert jordan_types["expected"] == [ranks]
+    assert jordan_types["observed"] == [ranks] * len(jordan_types["observed"])

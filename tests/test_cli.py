@@ -18,6 +18,7 @@ from orbitcharts.cli import main
 from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import LieAlgebra, ad_matrix, build_classical
 from orbitcharts.linalg import RatMatrix, matrix_to_json
+from orbitcharts.sl2 import jacobson_morozov
 from orbitcharts.verify import class_id_to_json, invariants
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -494,12 +495,13 @@ class TestAnalysedOnce:
     @pytest.mark.parametrize("rows,expected", [
         ([[int(j == i + 1) for j in range(4)] for i in range(4)], 1),
         ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 3),
-        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 3),
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 4),
     ], ids=["regular-nilpotent", "semisimple", "mixed"])
     def test_verify_char_poly_calls(self, monkeypatch, rows, expected):
         # one in the Jordan split; for x_s != 0 the witness search adds its
-        # rational eigenvalues and its candidate's semisimplicity test.
-        # redstab_suite reads semisimplicity off the chart
+        # rational eigenvalues and its candidate's semisimplicity test, and
+        # a mixed x adds the nilpotency test of the inner x_n, a new element
+        # of the Levi. redstab_suite reads semisimplicity off the chart
         calls = spy_everywhere(monkeypatch, linalg.char_poly)
         element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
         code, _ = run(["verify", "--family", "sl", "--size", "4", "--element", element])
@@ -618,6 +620,24 @@ class TestAnalysedOnce:
         assert code == 0
         assert json.loads(out)["class_id"] == ["-2", "0", "1"]
         assert calls == [RatMatrix.from_rows(rows)]
+
+    @pytest.mark.parametrize("family,n", [("sl", 4), ("so", 5)])
+    def test_nilpotent_verify_walks_x_once(self, monkeypatch, family, n):
+        # the sl4 regular nilpotent and the so5 sum of the strictly upper
+        # basis elements. jacobson_morozov reads x.char_poly = t^n, formed
+        # by the Jordan split, so only the checks' `_power_walk` walks x;
+        # parabolic_data walks no graded piece, which `grading_by` certified
+        algebra = build_classical(family, n)
+        upper = [b for b in algebra.basis
+                 if all(not b.at(i, j) for i in range(n) for j in range(i + 1))]
+        x = algebra.element_from_matrix(sum(upper[1:], upper[0]))
+        pd = grading.parabolic_data(grading.grading_by(jacobson_morozov(x).h))
+        walks = spy_everywhere(monkeypatch, linalg._powers)
+        element = json.dumps({"matrix": matrix_to_json(x.matrix)})
+        code, _ = run(["verify", "--family", family, "--size", str(n), "--element", element])
+        assert code == 0
+        assert walks.count(x.matrix) == 1
+        assert pd.u and not any(el in walks for el in pd.u + pd.u_minus)
 
     @pytest.mark.parametrize("case", ["semisimple", "mixed"])
     def test_classify_walks_no_power_of_x(self, monkeypatch, case):

@@ -39,6 +39,7 @@ from orbitcharts.liealg import (
 from orbitcharts.linalg import (
     RatMatrix,
     VectorSpan,
+    _is_diagonal,
     _squarefree_integer_roots,
     char_poly,
     commutator,
@@ -525,10 +526,32 @@ class TestParabolicData:
         assert not pd.u2_differs_from_u
 
     def test_levi0_closed_and_nilpotent_pieces(self, sl3):
-        pd = parabolic_data(grading_by(sl3.element_from_matrix(diag_matrix([1, 0, -1]))))
-        assert zero_piece_subalgebra(pd.grading).dim == 2
-        for el in pd.u + pd.u_minus + pd.u2:
-            assert el.is_nilpotent()
+        # parabolic_data checks neither: g(0) closes by the Jacobi identity
+        # and the pieces of nonzero weight are nilpotent by _certify_pieces.
+        # Next to diag(1, 0, -1), the JM h of the so5 regular nilpotent and
+        # a conjugate of diag(1, 0, -1) are not diagonal in their bases, so
+        # grading_by scans their weights
+        so5 = build_classical("so", 5)
+        upper = [b for b in so5.basis
+                 if all(not b.at(i, j) for i in range(5) for j in range(i + 1))]
+        u, u_inv = unit_bidiagonal([1, -1])
+        for h, diagonal in (
+                (sl3.element_from_matrix(diag_matrix([1, 0, -1])), True),
+                (jacobson_morozov(so5.element_from_matrix(sum(upper[1:], upper[0]))).h, False),
+                (sl3.element_from_matrix(u * diag_matrix([1, 0, -1]) * u_inv), False)):
+            assert _is_diagonal(h.ad) == diagonal
+            pd = parabolic_data(grading_by(h))
+            assert zero_piece_subalgebra(pd.grading).dim == 2
+            assert pd.u
+            for el in pd.u + pd.u_minus + pd.u2:
+                assert el.is_nilpotent()
+
+    def test_borel_u_and_u_minus_differ(self):
+        # span{h, e} of sl2 graded by h: u = span{e} and u- = 0
+        h = diag_matrix([1, -1])
+        borel = LieAlgebra((elem(2, 0, 1), h), "borel of sl2")
+        with pytest.raises(AssertionError, match="u and u- have different dimensions"):
+            parabolic_data(grading_by(borel.element_from_matrix(h)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_jm_gradings_symmetric_and_centralizer_dims(self, n):

@@ -348,15 +348,19 @@ def test_power_ranks_of_chart_values(label):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_power_chain_flag_is_char_poly_t_n(n):
-    """The last power of the walk `linalg._powers`, which `is_nilpotent` and
-    `_exp_series` read, is zero exactly when char_poly(m) = t^n, and the
+    """The last power of the walk `linalg._powers`, which
+    `RatMatrix.is_nilpotent` and `_exp_series` read, is zero exactly when
+    char_poly(m) = t^n, the rule of `LieElement.is_nilpotent`, and the
     ranks and power sums of `verify._power_walk` are those of the powers."""
     t_n = Polynomial((0,) * n + (1,))
+    sl_n = build_classical("sl", n)
     flags = set()
     for m in power_walk_corpus(n):
         nilpotent = _powers(m)[-1].is_zero()
         _, ranks = verify._power_walk(m, True)
         assert nilpotent == (char_poly(m) == t_n)
+        if not m.trace():
+            assert sl_n.element_from_matrix(m).is_nilpotent() == nilpotent
         assert nilpotent or all(ranks)
         _assert_power_walk(m)
         flags.add(nilpotent)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import diag_matrix, elem, element, jordan_nilpotent, nontrivial_partitions
-from orbitcharts.liealg import LieAlgebra, ad_matrix, build_classical
+from orbitcharts.liealg import LieAlgebra, ad_matrix, build_classical, centralizer_basis
 from orbitcharts.linalg import NotNilpotentError, commutator, solve_linear
 from orbitcharts.sl2 import NoTripleFoundError, jacobson_morozov
 
@@ -32,9 +32,18 @@ def test_sl3_minimal(sl3):
 
 
 def test_not_nilpotent_rejected(sl2):
-    h = element(sl2, [[1, 0], [0, -1]])
-    with pytest.raises(NotNilpotentError):
-        jacobson_morozov(h)
+    # h in sl2; diag(1, 1, -2) + E_01 in the Levi c(diag(1, 1, -2)) of sl3,
+    # an algebra with no family; diag(1, 0, 0, 0, -1) + E_01 - E_34 in so5
+    levi = centralizer_basis(build_classical("sl", 3).element_from_matrix(
+        diag_matrix([1, 1, -2])))
+    so5 = build_classical("so", 5)
+    assert levi.family is None
+    for x in (element(sl2, [[1, 0], [0, -1]]),
+              levi.element_from_matrix(diag_matrix([1, 1, -2]) + elem(3, 0, 1)),
+              so5.element_from_matrix(diag_matrix([1, 0, 0, 0, -1]) + elem(5, 0, 1)
+                                      + elem(5, 3, 4, -1))):
+        with pytest.raises(NotNilpotentError):
+            jacobson_morozov(x)
 
 
 def test_zero_rejected(sl2):
