@@ -277,7 +277,7 @@ def _chart_from_split(x: LieElement, pair: JordanPair, seed: int) -> OrbitChart:
     """
     algebra = x.algebra
     levi = centralizer_basis(pair.semisimple)
-    pd = parabolic_data(_witness_grading(algebra, levi, seed))
+    pd = parabolic_data(_witness_grading(algebra, levi, seed, pair.semisimple))
     inner = None
     if not pair.nilpotent.is_zero():
         inner = chart_nilpotent(levi.element_from_matrix(pair.nilpotent.matrix))

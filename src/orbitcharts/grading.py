@@ -257,10 +257,17 @@ _REJECTION_REASONS = ("zero", "not semisimple", "centralizer too large",
                       "non-integer spectrum")
 
 
-def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Grading:
+def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int, known=None) -> Grading:
     """The grading by the witness `semisimple_for_levi` returns; the grading
     is the last step of the witness's validation, so it is computed once.
     ``levi`` must lie in ``algebra``, as a centralizer built in it does.
+
+    ``known`` is the semisimple `LieElement` of ``algebra`` whose
+    centralizer is ``levi``, when the caller holds one: the x_s of a chart's
+    Jordan split, or the x of `verify.redstab_suite`'s search.
+    `semisimple_for_levi` holds only the Levi and passes None. The search
+    and its candidates are the same either way; a candidate equal to
+    ``known`` is graded as that element (`_grade_candidate`).
 
     When ``algebra`` is a split classical form (``algebra.family`` set), a
     center basis element whose characteristic polynomial does not split over
@@ -303,7 +310,7 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Gradin
             coords = [1] * len(center)
         else:
             coords = [rng.randint(-bound, bound) for _ in center]
-        outcome = _grade_candidate(algebra, levi, _lincomb(coords, supports, n, n))
+        outcome = _grade_candidate(algebra, levi, _lincomb(coords, supports, n, n), known)
         if isinstance(outcome, Grading):
             return outcome
         rejected[outcome] += 1
@@ -314,19 +321,26 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int) -> Gradin
     )
 
 
-def _grade_candidate(algebra: LieAlgebra, levi: LieAlgebra, z_mat: RatMatrix):
+def _grade_candidate(algebra: LieAlgebra, levi: LieAlgebra, z_mat: RatMatrix, known):
     """The grading by the candidate ``z_mat`` if it is a witness for
     ``levi``, else the reason it is rejected (one of _REJECTION_REASONS).
 
     z is a combination of the center basis of ``levi``, so it lies in the
     Levi, hence in ``algebra``, and commutes with the Levi. Then c(z)
     contains the Levi, and the rank of ad z alone proves c(z) = Levi.
+
+    A candidate equal to ``known`` (a semisimple `LieElement`, or None) is
+    that element: the Jordan split or `verify.redstab_suite` has proved it
+    semisimple, and it keeps ad and rank(ad) once read, so no new element
+    is built and neither is formed a second time.
     """
     if z_mat.is_zero():
         return "zero"
-    if not is_semisimple_matrix(z_mat):
-        return "not semisimple"
-    z = algebra.element_from_matrix(z_mat)
+    z = known if known is not None and known.matrix == z_mat else None
+    if z is None:
+        if not is_semisimple_matrix(z_mat):
+            return "not semisimple"
+        z = algebra.element_from_matrix(z_mat)
     if algebra.dim - z.orbit_dim != levi.dim:
         return "centralizer too large"
     try:

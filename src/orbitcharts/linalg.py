@@ -104,8 +104,9 @@ def _integers_over(values) -> tuple:
 
 
 def rational_str(value: Fraction) -> str:
-    """Canonical serialization: "p/q", or just "p" when the denominator is 1."""
-    return str(Fraction(value))
+    """Canonical serialization of an exact Fraction, in lowest terms: "p/q",
+    or just "p" when the denominator is 1."""
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +234,6 @@ class RatMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    def is_nilpotent(self) -> bool:
-        """True iff some power, at most the n-th, vanishes: the last power of
-        the walk `_powers`, at most n - 1 products, is zero."""
-        return self.rows == self.cols and _powers(self)[-1].is_zero()
 
 
 def _fill(m: RatMatrix, rows: int, cols: int, nums: tuple, den: int) -> None:

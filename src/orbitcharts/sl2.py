@@ -7,9 +7,14 @@ minimal-support solution (free variables zero) of the row-reduced form.
 Works inside any bracket-closed reductive matrix algebra, in particular
 inside the Levi subalgebras the mixed case recurses into.
 
-The element is nilpotent when `LieElement.is_nilpotent` finds
-char_poly(e) = t^n. For the element of a request, the Jordan split has
-already formed that polynomial, so the test walks no power of e.
+The first solve certifies that e is nilpotent, so a nilpotent e forms no
+characteristic polynomial. Any solution u gives h = [e, u] with
+[h, e] = 2e, and by Leibniz h e^k - e^k h = 2k e^k. So each nonzero e^k
+is an eigenvector of ad h on gl_n with eigenvalue 2k; these differ for
+distinct k, and ad h on gl_n has at most n^2 eigenvalues, so some e^k is
+zero. A non-nilpotent e therefore always fails the first solve, and only
+then does `LieElement.is_nilpotent` (char_poly(e) = t^n) tell
+`NotNilpotentError` from `NoTripleFoundError`.
 """
 
 from __future__ import annotations
@@ -44,8 +49,6 @@ class Sl2Triple:
 def jacobson_morozov(e: LieElement) -> Sl2Triple:
     if e.is_zero():
         raise ValueError("Jacobson-Morozov needs a nonzero element")
-    if not e.is_nilpotent():
-        raise NotNilpotentError("element is not nilpotent")
 
     algebra = e.algebra
     ade = e.ad
@@ -53,6 +56,8 @@ def jacobson_morozov(e: LieElement) -> Sl2Triple:
     rhs = tuple(-2 * c for c in e.coords)
     u = solve_linear(ade2, rhs)
     if u is None:
+        if not e.is_nilpotent():
+            raise NotNilpotentError("element is not nilpotent")
         raise NoTripleFoundError("no h with [h,e] = 2e inside [e, g]")
     h = algebra.element(mat_vec(ade, u))
 

@@ -486,7 +486,7 @@ def redstab_suite(x: LieElement, seed: int,
             grading = chart.parabolic.grading
         else:
             try:
-                grading = _witness_grading(algebra, centralizer_basis(x), seed)
+                grading = _witness_grading(algebra, centralizer_basis(x), seed, x)
             except WitnessNotFoundError:
                 grading = None
         found = grading is not None

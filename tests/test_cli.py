@@ -494,14 +494,16 @@ class TestAnalysedOnce:
 
     @pytest.mark.parametrize("rows,expected", [
         ([[int(j == i + 1) for j in range(4)] for i in range(4)], 1),
-        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 3),
-        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 4),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 2),
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 2),
     ], ids=["regular-nilpotent", "semisimple", "mixed"])
     def test_verify_char_poly_calls(self, monkeypatch, rows, expected):
-        # one in the Jordan split; for x_s != 0 the witness search adds its
-        # rational eigenvalues and its candidate's semisimplicity test, and
-        # a mixed x adds the nilpotency test of the inner x_n, a new element
-        # of the Levi. redstab_suite reads semisimplicity off the chart
+        # one in the Jordan split; for x_s != 0 the witness search adds the
+        # rational eigenvalues of its center basis element. Its candidate z
+        # equals x_s here, so z is not tested for semisimplicity again, and
+        # the JM solve of the inner x_n of a mixed x proves x_n nilpotent
+        # without its char_poly. redstab_suite reads semisimplicity off the
+        # chart
         calls = spy_everywhere(monkeypatch, linalg.char_poly)
         element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
         code, _ = run(["verify", "--family", "sl", "--size", "4", "--element", element])
@@ -527,12 +529,12 @@ class TestAnalysedOnce:
         assert len(splits) == 1 and splits[0] != RatMatrix.from_rows(rows)
         assert json.loads(out)["class_id"] == ["-2", "0", "1", "0"]
 
-    def test_semisimple_verify_eliminates_ad_x_three_times(self, monkeypatch):
+    def test_semisimple_verify_eliminates_ad_x_twice(self, monkeypatch):
         # one kernel, x.centralizer, shared by the chart's Levi c(x) (x is
-        # its own semisimple part) and the redstab suite; one rank,
-        # x.orbit_dim, for the dimension_identity oracle; and one rank of
-        # the witness search's candidate z, which here equals x. The chart's
-        # orbit dimension is dim g - dim c(x)
+        # its own semisimple part) and the redstab suite; and one rank,
+        # x.orbit_dim, shared by the dimension_identity oracle and the
+        # witness search, whose candidate z equals x and is graded as x.
+        # The chart's orbit dimension is dim g - dim c(x)
         sl5 = build_classical("sl", 5)
         rows = SL5_CASES["semisimple"]
         ad_x = ad_matrix(sl5.element_from_matrix(RatMatrix.from_rows(rows)))
@@ -553,19 +555,19 @@ class TestAnalysedOnce:
         code, _ = run(["verify", "--family", "sl", "--size", "5", "--element", element,
                        "--samples", "2"])
         assert code == 0
-        assert len(eliminations) == 3
+        assert len(eliminations) == 2
 
     @pytest.mark.parametrize("rows,ad_x_count,ad_xn_count", [
         ([[int(j == i + 1) for j in range(4)] for i in range(4)], 2, 0),
-        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 3, 0),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 2, 0),
         ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 2, 1),
     ], ids=["regular-nilpotent", "semisimple", "mixed"])
     def test_verify_eliminates_each_ad_once_per_fact(self, monkeypatch, rows,
                                                      ad_x_count, ad_xn_count):
         # x keeps rank(ad x) and the kernel of ad x: one elimination each,
-        # whichever of the chart, its checks and the redstab suite reads
-        # them first. A semisimple x adds one rank of the witness
-        # candidate z = x, a new element. The inner chart's base element x_n
+        # whichever of the chart, its checks, the witness search (whose
+        # candidate z = x is x) and the redstab suite reads them first.
+        # The inner chart's base element x_n
         # keeps its rank(ad x_n) in the Levi for centralizer_composition
         sl4 = build_classical("sl", 4)
         x = sl4.element_from_matrix(RatMatrix.from_rows(rows))
@@ -596,15 +598,15 @@ class TestAnalysedOnce:
 
     @pytest.mark.parametrize("rows,expected", [
         ([[int(j == i + 1) for j in range(4)] for i in range(4)], 2),
-        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 2),
-        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 5),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 1),
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 4),
     ], ids=["regular-nilpotent", "semisimple", "mixed"])
     def test_verify_builds_each_ad_once(self, monkeypatch, rows, expected):
         # an element keeps ad x. Nilpotent: ad e (its rank, the JM solves,
         # the redstab kernel) and ad h (the JM f solve, the grading).
-        # Semisimple: ad x and ad z of the witness candidate z = x, a new
-        # element (rank and grading). Mixed: ad x, ad x_s (the Levi), ad z,
-        # and in the Levi ad x_n and ad h
+        # Semisimple: ad x alone; the witness candidate z = x is x, so its
+        # rank and grading read ad x. Mixed: ad x, ad x_s (the Levi, and
+        # the witness candidate z = x_s), and in the Levi ad x_n and ad h
         calls = spy_everywhere(monkeypatch, liealg.ad_matrix)
         element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
         code, _ = run(["verify", "--family", "sl", "--size", "4", "--element", element])

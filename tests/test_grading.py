@@ -13,6 +13,7 @@ from conftest import (
     element,
     jordan_nilpotent,
     nontrivial_partitions,
+    spy_everywhere,
     unit_bidiagonal,
 )
 from orbitcharts.grading import (
@@ -40,6 +41,7 @@ from orbitcharts.linalg import (
     RatMatrix,
     VectorSpan,
     _is_diagonal,
+    _powers,
     _squarefree_integer_roots,
     char_poly,
     commutator,
@@ -544,7 +546,7 @@ class TestParabolicData:
             assert zero_piece_subalgebra(pd.grading).dim == 2
             assert pd.u
             for el in pd.u + pd.u_minus + pd.u2:
-                assert el.is_nilpotent()
+                assert _powers(el)[-1].is_zero()
 
     def test_borel_u_and_u_minus_differ(self):
         # span{h, e} of sl2 graded by h: u = span{e} and u- = 0
@@ -695,6 +697,52 @@ class TestWitness:
             levi = block_levi(n, comp)
             z = semisimple_for_levi(algebra, levi, 42)
             assert centralizer_basis(z).same_span(levi), comp
+
+    def test_known_element_changes_no_witness(self, monkeypatch):
+        # the search handed x_s = x returns the grading it finds without x;
+        # a candidate equal to x is x (no new element, no semisimplicity
+        # test, and no rank of ad x beyond the one x keeps), and the others
+        # are built and tested as before
+        import orbitcharts.grading as grading
+        import orbitcharts.linalg as linalg
+
+        u, u_inv = unit_bidiagonal([1, 1, 1])
+        corpus = [("sl", d) for d in (
+            [1, 1, -2], [1, 0, -1], [1, 1, -1, -1], [3, 1, -1, -3], [1, 1, 0, -2],
+            [1, 1, 1, -3], [1, 1, 1, 1, -4], [2, 2, -1, -1, -2], [1, 1, 0, -1, -1])]
+        corpus += [("so", d) for d in (
+            [1, 1, 0, -1, -1], [2, 1, 0, -1, -2], [1, 0, 0, 0, -1],
+            [1, 1, 1, -1, -1, -1], [1, 1, 0, 0, -1, -1], [2, 1, 0, 0, -1, -2])]
+        corpus += [("sp", d) for d in (
+            [1, 1, -1, -1], [2, 1, -1, -2], [1, 0, 0, -1],
+            [1, 1, 1, -1, -1, -1], [1, 0, 0, 0, 0, -1])]
+        matrices = [(family, diag_matrix(d)) for family, d in corpus]
+        matrices.append(("sl", u * diag_matrix([1, 1, -1, -1]) * u_inv))
+        built, tested = [], []
+        element_from_matrix = LieAlgebra.element_from_matrix
+        monkeypatch.setattr(LieAlgebra, "element_from_matrix",
+                            lambda algebra, m: built.append(m) or element_from_matrix(algebra, m))
+        monkeypatch.setattr(grading, "is_semisimple_matrix",
+                            lambda m: tested.append(m) or linalg.is_semisimple_matrix(m))
+        ranked = spy_everywhere(monkeypatch, linalg.rank)
+        hits = 0
+        for family, m in matrices:
+            algebra = build_classical(family, m.rows)
+            for seed in (7, 42):
+                x = algebra.element_from_matrix(m)
+                levi = centralizer_basis(x)
+                plain = _witness_grading(algebra, levi, seed)
+                assert x.orbit_dim == algebra.dim - levi.dim  # read once, before the spies
+                del built[:], tested[:], ranked[:]
+                known = _witness_grading(algebra, levi, seed, x)
+                assert known.pieces == plain.pieces, (family, m, seed)
+                z = known.grading_element
+                assert z.matrix == plain.grading_element.matrix
+                assert m not in built and m not in tested
+                assert x.ad not in ranked
+                hits += z is x
+                assert (z is x) == (z.matrix == m)
+        assert 0 < hits < 2 * len(matrices)
 
 
 # Elements whose semisimple part has an irrational eigenvalue, so the center

@@ -348,8 +348,8 @@ def test_power_ranks_of_chart_values(label):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_power_chain_flag_is_char_poly_t_n(n):
-    """The last power of the walk `linalg._powers`, which
-    `RatMatrix.is_nilpotent` and `_exp_series` read, is zero exactly when
+    """The last power of the walk `linalg._powers`, which `_exp_series`
+    reads, is zero exactly when
     char_poly(m) = t^n, the rule of `LieElement.is_nilpotent`, and the
     ranks and power sums of `verify._power_walk` are those of the powers."""
     t_n = Polynomial((0,) * n + (1,))

