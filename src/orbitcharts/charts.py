@@ -108,7 +108,7 @@ class ZeroElementError(ValueError):
     """The zero element has the zero orbit, which has no chart."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class OrbitChart:
     """Evaluable parameterization of (an open piece of) the orbit of base_element.
 
@@ -121,7 +121,8 @@ class OrbitChart:
     the nested nilpotent chart of the mixed case, whose factors and slice
     are the tail of this chart's. ``parabolic`` carries the construction
     scaffolding for verification and sampling; it is not serialized.
-    ``supports`` is derived from the flat fields once, for evaluation.
+    ``supports`` is derived from the flat fields once, for evaluation; the
+    chart is frozen, so no field can be reassigned under it.
     """
 
     base_element: LieElement

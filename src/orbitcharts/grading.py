@@ -73,7 +73,7 @@ class WitnessNotFoundError(RuntimeError):
     """No central semisimple witness found within the retry budget."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Grading:
     """Eigenspace decomposition g = (+) g(i) under ad of the grading element,
     each piece a basis of n x n matrices; the grading element stays a
@@ -90,7 +90,7 @@ class Grading:
         return {i: len(els) for i, els in self.pieces.items()}
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ParabolicData:
     """Matrix bases derived from a grading: p = g(>=0), u = g(>0), u- =
     g(<0) and the chart target u2 = g(>=2). The Levi g(0) is the zero piece;
@@ -114,8 +114,8 @@ def grading_by(h: LieElement) -> Grading:
     When ad h is diagonal, g(i) is the basis elements b_j whose diagonal
     entry is i, in increasing j. That is exactly what the scan below
     returns: the kernel of diagonal integer rows is the unit vectors at
-    their zero entries, in increasing column order, and the matrix of
-    `element` on the unit vector at j is b_j.
+    their zero entries, in increasing column order, and `matrix_of` of the
+    unit vector at j is b_j.
 
     Otherwise the weights scanned are `_natural_weights` of h, or, when the
     characteristic polynomial of h does not split over the rationals, every
@@ -145,7 +145,7 @@ def grading_by(h: LieElement) -> Grading:
                 row[k] -= i * ad_h.den
             vectors = _int_kernel_basis(rows, dim)
             if vectors:
-                pieces[i] = [algebra.element(v).matrix for v in vectors]
+                pieces[i] = list(map(algebra.matrix_of, vectors))
     total = sum(len(els) for els in pieces.values())
     if total != dim:
         raise NonIntegerSpectrumError(

@@ -13,17 +13,22 @@ column can be cleared by no row still to come: the bracket leaves the span.
 The coordinates are kept as sparse structure constants, the nonzero
 entries of each ad(b_i) in the integer form of `linalg._support`, from
 which `ad_matrix` assembles ad x in one pass (`linalg._lincomb`). The
-supports of the basis matrices are kept too, so `element` builds its matrix
-in one pass. A `LieAlgebra` is built only where something brackets inside
-it: the classical algebras and the Levi c(x_s) (the mixed chart recurses
-into it, and the witness search takes its center, which `center_basis`
-reads off the integer rows of the structure constants with no ad matrix
-formed). Every other subspace, the Levi's center and the graded pieces
-among them, is held as n x n matrices, and every fact about it is read
-from a kernel basis, a commutator or a rank. An element keeps four facts
-once read: ``ad``, the matrix of ad x; ``char_poly``, the characteristic
-polynomial of x; ``orbit_dim``, rank(ad x); and ``centralizer``, a kernel
-of ad x. ``is_nilpotent()`` reads ``char_poly``: x is nilpotent exactly
+supports of the basis matrices are kept too, so `matrix_of` builds the
+matrix of exact coordinates in one pass. It is the one path from
+coordinates to a matrix: `element` calls it, and so do c(x), the center of
+a Levi and the scanned graded pieces, on the primitive integer vectors of
+a kernel basis, which stay ints from the elimination to the matrix. A
+`LieAlgebra` is built only where something brackets inside it: the
+classical algebras and the Levi c(x_s) (the mixed chart recurses into it,
+and the witness search takes its center, which `center_basis` reads off
+the integer rows of the structure constants with no ad matrix formed).
+Every other subspace, c(x), the Levi's center and the graded pieces among
+them, is held as n x n matrices, and every fact about it is read from a
+kernel basis, a commutator or a rank. An element keeps four facts once
+read: ``ad``, the matrix of ad x; ``char_poly``, the characteristic
+polynomial of x; ``orbit_dim``, rank(ad x); and ``centralizer``, c(x) as
+the matrices of a kernel basis of ad x. ``is_nilpotent()`` reads
+``char_poly``: x is nilpotent exactly
 when char_poly(x) = t^n (Cayley-Hamilton), so no power of x is walked.
 
 Basis conventions (frozen, since chart coordinates refer to basis indices):
@@ -161,12 +166,19 @@ class LieAlgebra:
     def contains_matrix(self, matrix: RatMatrix) -> bool:
         return self.coords_of_matrix(matrix) is not None
 
-    def element(self, coords: Sequence) -> "LieElement":
-        coords = _as_fractions(coords)
+    def matrix_of(self, coords: Sequence) -> RatMatrix:
+        """The matrix sum c_i b_i of the exact coordinates ``coords`` (ints
+        or Fractions, one per basis element): one `_lincomb` pass over the
+        basis supports, in integers, with no `LieElement` and, for int
+        coordinates, no Fraction built."""
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
         n = self.ambient_size
-        return LieElement(self, coords, _lincomb(coords, self._basis_support, n, n))
+        return _lincomb(coords, self._basis_support, n, n)
+
+    def element(self, coords: Sequence) -> "LieElement":
+        coords = _as_fractions(coords)
+        return LieElement(self, coords, self.matrix_of(coords))
 
     def element_from_matrix(self, matrix: RatMatrix) -> "LieElement":
         coords = self.coords_of_matrix(matrix)
@@ -190,8 +202,9 @@ class LieAlgebra:
 class LieElement:
     """Element of a LieAlgebra: coordinates plus the cached ambient matrix. Four
     facts are kept once read: ``ad``, ``char_poly``, ``orbit_dim`` and
-    ``centralizer`` (the last two apart: a rank costs less than a kernel).
-    ``is_nilpotent()`` reads ``char_poly`` (char_poly(x) = t^n)."""
+    ``centralizer``, c(x) as a tuple of n x n matrices (the last two apart:
+    a rank costs less than a kernel). ``is_nilpotent()`` reads
+    ``char_poly`` (char_poly(x) = t^n)."""
 
     algebra: LieAlgebra
     coords: tuple
@@ -222,8 +235,9 @@ class LieElement:
 
     @cached_property
     def centralizer(self) -> tuple:
-        """The coordinates of a kernel basis of ad x, which spans c(x)."""
-        return tuple(kernel_basis(self.ad))
+        """c(x) as n x n matrices: `matrix_of` of each primitive integer
+        vector of the kernel basis of ad x."""
+        return tuple(map(self.algebra.matrix_of, kernel_basis(self.ad)))
 
 
 def ad_matrix(x: LieElement) -> RatMatrix:
@@ -234,13 +248,14 @@ def ad_matrix(x: LieElement) -> RatMatrix:
 
 def subalgebra_from_coords(algebra: LieAlgebra, coord_vectors: Sequence[Sequence[Fraction]],
                            label: str) -> LieAlgebra:
-    mats = [algebra.element(v).matrix for v in coord_vectors]
+    mats = [algebra.matrix_of(v) for v in coord_vectors]
     return LieAlgebra(mats, label, ambient_size=algebra.ambient_size)
 
 
 def centralizer_basis(x: LieElement) -> LieAlgebra:
-    """Centralizer of x in its algebra: the kernel ``x.centralizer`` of ad x, as a subalgebra."""
-    return subalgebra_from_coords(x.algebra, x.centralizer, f"centralizer in {x.algebra.label}")
+    """Centralizer of x in its algebra: the subalgebra on the matrices
+    ``x.centralizer``."""
+    return LieAlgebra(x.centralizer, f"centralizer in {x.algebra.label}", x.algebra.ambient_size)
 
 
 def center_basis(algebra: LieAlgebra) -> tuple:
@@ -256,8 +271,7 @@ def center_basis(algebra: LieAlgebra) -> tuple:
     for i, (_, pairs) in enumerate(algebra._structure):
         for p, x in pairs:
             rows.setdefault((i, p // m), [0] * m)[p % m] = x
-    vectors = _int_kernel_basis(list(rows.values()), m)
-    return tuple(algebra.element(v).matrix for v in vectors)
+    return tuple(map(algebra.matrix_of, _int_kernel_basis(list(rows.values()), m)))
 
 
 def trace_form_gram(basis: Sequence[RatMatrix]) -> RatMatrix:

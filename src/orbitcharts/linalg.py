@@ -4,14 +4,17 @@ No floating point appears anywhere. A `RatMatrix` stores integer numerators
 over one shared positive denominator in lowest terms: the gcd of the
 denominator and all numerators is 1, and the zero matrix has denominator 1.
 So equal matrices have equal storage, and the denominator is the lcm of the
-reduced entry denominators. Fractions appear at the API boundary only.
-Entries given to `RatMatrix` and coefficients of `Polynomial` are coerced
-once, on construction, by one rule: a value whose type is exactly `Fraction`
-is kept as it is, a `float` is refused with `TypeError` (its binary value is
-rarely the rational that was meant; pass a string such as "1/10" instead), a
-string goes through `parse_rational`, and anything else (an int, a Fraction
-subclass) goes through `Fraction(x)`. `RatMatrix.entries` and `RatMatrix.at`
-give exact Fractions back.
+reduced entry denominators. Fractions appear at the API boundary only, and
+results that are integers by construction come out as ints: the roots of
+`integer_roots` and the primitive vectors of `kernel_basis`.
+Entries given to `RatMatrix`, coefficients of `Polynomial` and the scalar of
+`RatMatrix.scale` are coerced once by one rule: a value whose type is
+exactly `Fraction` is kept as it is, a `float` is refused with `TypeError`
+(its binary value is rarely the rational that was meant; pass a string such
+as "1/10" instead), a string goes through `parse_rational`, and anything
+else (an int, a Fraction subclass) goes through `Fraction(x)`, except that
+`scale` takes an int as it is. `RatMatrix.entries` and `RatMatrix.at` give
+exact Fractions back.
 Every matrix product (`*`, `commutator`, `char_poly`, the power walk
 `_powers`, `Polynomial.evaluate_matrix`, chart evaluation) runs one integer
 product loop, `_accumulate`, on numerators. The nonzero entries of the left
@@ -218,7 +221,7 @@ class RatMatrix:
         return NotImplemented
 
     def scale(self, c) -> "RatMatrix":
-        c = _as_fraction(c)
+        c = c if type(c) is int else _as_fraction(c)
         p = c.numerator
         return _matrix(self.rows, self.cols, [x * p for x in self.nums],
                        self.den * c.denominator)
@@ -426,22 +429,24 @@ def rank(m: RatMatrix) -> int:
     return len(piv)
 
 
-def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple:
-    """Scale a nonzero rational vector to coprime integers, leading entry positive."""
-    ints, _ = _integers_over(vec)
-    g = math.gcd(*ints)
+def primitive_integer_vector(vec: Sequence[int]) -> tuple:
+    """The nonzero integer vector ``vec`` divided by the gcd of its entries,
+    signed so that its leading nonzero entry is positive: a tuple of ints."""
+    g = math.gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    if next(v for v in ints if v) < 0:
+    if next(v for v in vec if v) < 0:
         g = -g
-    return tuple(Fraction(v // g) for v in ints)
+    return tuple(v // g for v in vec)
 
 
 def kernel_basis(m: RatMatrix) -> list:
     """Basis of the right kernel of ``m``.
 
-    One vector per free column, normalized to primitive integer form with
-    positive leading entry. Deterministic; count equals cols - rank.
+    One vector per free column: the integer vector `_back_substitute`
+    solves, made primitive (`primitive_integer_vector`), so each is a tuple
+    of ints, coprime, with positive leading entry, and no Fraction is built.
+    Deterministic; count equals cols - rank.
     """
     return _int_kernel_basis(_int_rows(m), m.cols)
 

@@ -458,8 +458,9 @@ def _tangent_check(nil_chart: OrbitChart, name: str) -> Check:
 
 
 def check_centralizer_reductive(x: LieElement) -> bool:
-    """Trace-form proxy: the Gram matrix on c(x) (``x.centralizer``) is nonsingular."""
-    return det(trace_form_gram([x.algebra.element(v).matrix for v in x.centralizer])) != 0
+    """Trace-form proxy: the Gram matrix on the matrices ``x.centralizer``
+    spanning c(x) is nonsingular."""
+    return det(trace_form_gram(x.centralizer)) != 0
 
 
 def redstab_suite(x: LieElement, seed: int,
@@ -472,8 +473,9 @@ def redstab_suite(x: LieElement, seed: int,
     gave x_n = 0), and then its witness grading is the grading the search
     would find (same Levi, same seed). Only without such a chart is
     semisimplicity tested on x and, for semisimple x, c(x) built as a
-    `LieAlgebra` for the search. The proxy and `_zero_piece_matches` read
-    c(x) as ``x.centralizer``, the kernel a semisimple x's chart built its Levi on.
+    `LieAlgebra` for the search. The proxy forms its Gram matrix on the
+    matrices ``x.centralizer``, and `_zero_piece_matches` reads their count:
+    they are the matrices a semisimple x's chart built its Levi on.
     """
     algebra = x.algebra
     own = (chart is not None and chart.parabolic is not None

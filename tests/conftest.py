@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from orbitcharts.linalg import Polynomial, RatMatrix, _as_fraction, rank
-from orbitcharts.liealg import build_classical, centralizer_basis
+from orbitcharts.liealg import LieAlgebra, build_classical, centralizer_basis
 from orbitcharts.rng import SplitMix64
 
 
@@ -70,6 +70,34 @@ def spy_everywhere(monkeypatch, fn):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "orbitcharts" and getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, spy)
+    return calls
+
+
+def fraction_spy(monkeypatch):
+    """The list, filled from now on, of the arguments of every `Fraction`
+    built."""
+    new = Fraction.__dict__["__new__"].__func__
+    built = []
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+    return built
+
+
+def element_spy(monkeypatch):
+    """The list, filled from now on, of the coordinates of every
+    `LieAlgebra.element` call."""
+    element = LieAlgebra.element
+    calls = []
+
+    def spy(algebra, coords):
+        calls.append(coords)
+        return element(algebra, coords)
+
+    monkeypatch.setattr(LieAlgebra, "element", spy)
     return calls
 
 

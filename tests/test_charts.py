@@ -1,5 +1,5 @@
 import functools
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -413,6 +413,23 @@ class TestDerivedFields:
         shorter = replace(chart, factors=())
         assert (chart_to_json(shorter)["expected_orbit_dim"] == shorter.param_count
                 == len(chart.slice_basis))
+
+    def test_charts_and_gradings_are_frozen(self, sl3):
+        # a chart derives its supports once from its flat fields, so no
+        # field of it, of its parabolic data or of their grading can be
+        # reassigned; `replace` builds a new chart with supports of its own
+        x = sl3.element_from_matrix(M([[1, 1, 0], [0, 1, 0], [0, 0, -2]]))
+        chart = build_chart(x, 42)
+        params = (F(1),) * chart.param_count
+        value = eval_chart(chart, params)
+        pd = chart.parabolic
+        for obj, name, new in ((chart, "factors", chart.factors[::-1]), (pd, "u2", ()),
+                               (pd.grading, "pieces", {})):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, new)
+        assert eval_chart(chart, params) == value
+        swapped = replace(chart, factors=chart.factors[::-1])
+        assert eval_chart(swapped, params) != value
 
 
 # so5, so6 and sp4 charts, nilpotent and semisimple, and an sl4 mixed chart,

@@ -11,6 +11,7 @@ from conftest import (
     diag_matrix,
     elem,
     element,
+    element_spy,
     jordan_nilpotent,
     nontrivial_partitions,
     spy_everywhere,
@@ -382,6 +383,20 @@ class TestDiagonalReadOff:
         assert eliminations
         monkeypatch.undo()
         _assert_reference_pieces(sl4, h, g)
+
+    def test_scan_builds_no_element(self, monkeypatch):
+        # the JM h of the so5 regular nilpotent is not diagonal in the so5
+        # basis; each scanned piece is the matrices of its integer kernel
+        # vectors, with no LieElement built for them
+        so5 = build_classical("so", 5)
+        upper = _upper_nilpotent_basis(so5)
+        h = jacobson_morozov(so5.element_from_matrix(sum(upper[1:], upper[0]))).h
+        assert not _ad_is_diagonal(h)
+        elements = element_spy(monkeypatch)
+        g = grading_by(h)
+        assert elements == []
+        monkeypatch.undo()
+        _assert_reference_pieces(so5, h, g)
 
 
 def _upper_nilpotent_basis(algebra):

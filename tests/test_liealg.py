@@ -9,7 +9,9 @@ from conftest import (
     draw_fraction,
     elem,
     element,
+    element_spy,
     fraction_mul,
+    fraction_spy,
     jordan_nilpotent,
     mixed_corpus,
     mixed_element,
@@ -382,8 +384,23 @@ class TestElementFacts:
         algebra = build_classical(family, n)
         x = algebra.element_from_matrix(m)
         assert x.orbit_dim == algebra.dim - len(x.centralizer)
-        assert all(commutator(m, algebra.element(v).matrix).is_zero() for v in x.centralizer)
+        assert all(commutator(m, c).is_zero() for c in x.centralizer)
         assert centralizer_basis(x).dim == len(x.centralizer)
+
+    @pytest.mark.parametrize("family, n, m, semisimple", _element_facts_corpus())
+    def test_centralizers_build_no_fraction_and_no_element(self, monkeypatch, family, n, m,
+                                                          semisimple):
+        # c(x), the Levi c(x_s) and its center come straight from the
+        # primitive integer kernel vectors: no Fraction, no LieElement
+        algebra = build_classical(family, n)
+        x = algebra.element_from_matrix(m)
+        xs = jordan_decompose(x).semisimple
+        built, elements = fraction_spy(monkeypatch), element_spy(monkeypatch)
+        cent = x.centralizer
+        assert centralizer_basis(x).basis == cent
+        center_basis(centralizer_basis(xs))
+        assert (built, elements) == ([], [])
+        assert all(type(c) is RatMatrix for c in cent)
 
     @pytest.mark.parametrize("family, n, m, semisimple", _element_facts_corpus())
     def test_semisimple_element_is_its_own_semisimple_part(self, family, n, m, semisimple):

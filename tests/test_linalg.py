@@ -14,6 +14,7 @@ from conftest import (
     fraction_char_poly,
     fraction_horner,
     fraction_mul,
+    fraction_spy,
     fraction_squarefree_part,
     g_inverse_frame_rank,
     jordan_nilpotent,
@@ -62,6 +63,31 @@ def M(rows):
     return RatMatrix.from_rows(rows)
 
 
+def _random_corpus():
+    """40 random matrices of up to 5 x 5 fractions (seed 7)."""
+    rng = SplitMix64(7)
+    matrices = []
+    for _ in range(40):
+        r = rng.randint(1, 5)
+        c = rng.randint(1, 5)
+        matrices.append(M([[rng.fraction() for _ in range(c)] for _ in range(r)]))
+    return matrices
+
+
+def _dependent_rows_corpus():
+    """30 matrices whose last rows are integer combinations of the first
+    (seed 11), so most have a kernel."""
+    rng = SplitMix64(11)
+    matrices = []
+    for _ in range(30):
+        c = rng.randint(2, 7)
+        base = [[rng.fraction() for _ in range(c)] for _ in range(rng.randint(1, 4))]
+        combos = [[sum(rng.randint(-2, 2) * row[j] for row in base) for j in range(c)]
+                  for _ in range(rng.randint(0, 3))]
+        matrices.append(M(base + combos))
+    return matrices
+
+
 class TestKernelAndRank:
     def test_kernel_zero_map(self):
         assert kernel_basis(M([[0, 0], [0, 0]])) == [(F(1), F(0)), (F(0), F(1))]
@@ -90,11 +116,8 @@ class TestKernelAndRank:
                                    for f in range(cols)]
 
     def test_rank_nullity_random(self):
-        rng = SplitMix64(7)
-        for _ in range(40):
-            r = rng.randint(1, 5)
-            c = rng.randint(1, 5)
-            m = M([[rng.fraction() for _ in range(c)] for _ in range(r)])
+        for m in _random_corpus():
+            r, c = m.rows, m.cols
             assert rank(m) + len(kernel_basis(m)) == c
             for v in kernel_basis(m):
                 assert all(s == 0 for s in
@@ -103,13 +126,8 @@ class TestKernelAndRank:
     def test_kernel_matches_independent_solve(self):
         # Kernel vector of free column f: x_f = 1, the other free entries 0,
         # the pivot entries solved by solve_linear, then primitive form.
-        rng = SplitMix64(11)
-        for _ in range(30):
-            c = rng.randint(2, 7)
-            base = [[rng.fraction() for _ in range(c)] for _ in range(rng.randint(1, 4))]
-            combos = [[sum(rng.randint(-2, 2) * row[j] for row in base) for j in range(c)]
-                      for _ in range(rng.randint(0, 3))]
-            m = M(base + combos)
+        for m in _dependent_rows_corpus():
+            c = m.cols
             cols = [[m.at(i, j) for i in range(m.rows)] for j in range(c)]
             pivots = [j for j in range(c) if rank(M(list(zip(*cols[:j + 1])))) >
                       (rank(M(list(zip(*cols[:j])))) if j else 0)]
@@ -127,6 +145,18 @@ class TestKernelAndRank:
                 sign = -1 if next(v for v in ints if v) < 0 else 1
                 expected.append(tuple(F(sign * v // g) for v in ints))
             assert kernel_basis(m) == expected
+
+    def test_kernel_vectors_are_primitive_ints(self):
+        # the matrices of the tests above: each kernel vector is a tuple of
+        # ints, coprime, with a positive leading entry
+        matrices = [M([[0, 0], [0, 0]]), M([[1, 0], [0, 1]]), M([[1, 1], [1, 1]]),
+                    RatMatrix.zeros(0, 3), RatMatrix.zeros(3, 0)]
+        matrices += _random_corpus() + _dependent_rows_corpus()
+        vectors = [v for m in matrices for v in kernel_basis(m)]
+        assert any(max(map(abs, v)) > 1 for v in vectors)
+        for v in vectors:
+            assert type(v) is tuple and all(type(x) is int for x in v), v
+            assert math.gcd(*v) == 1 and next(x for x in v if x) > 0, v
 
     def test_rank_fractional_entries(self):
         assert rank(M([[F(1, 2), F(1, 3)], [F(1, 1), F(1, 1)]])) == 2
@@ -957,6 +987,14 @@ class TestRatMatrixAgainstFractionReference:
                 assert _ref_is_zero(_ref_power(nil.row_lists(), n))
         # a nonzero 1 x n row is its own last power: the walk takes no product
         assert not _powers(M([[1, 2, 3]]))[-1].is_zero()
+
+    def test_int_scale_builds_no_fraction(self, monkeypatch):
+        m = M([[F(1, 2), 2], [0, F(-3, 4)]])
+        built = fraction_spy(monkeypatch)
+        scaled = m.scale(3)
+        assert built == []
+        monkeypatch.undo()
+        assert scaled == M([[F(3, 2), 6], [0, F(-9, 4)]])
 
     def test_lowest_terms_make_equality_and_hash_structural(self):
         rng = SplitMix64(905)
