@@ -1,10 +1,12 @@
 """Additive Jordan decomposition of a rational matrix.
 
-Exact Newton steps: with q the squarefree part of the characteristic
-polynomial, x -> x - q(x) q'(x)^-1 squares the q-adic order each step, so
-after at most ceil(log2 n) steps it lands on the semisimple part. q'(x_k)
-is invertible: x_k - x is a nilpotent element of Q[x], so x_k has the
-eigenvalues of x, at none of which q' vanishes. No eigenvalue is computed.
+A nilpotent x is its own nilpotent part and a semisimple x its own
+semisimple part; only a mixed x takes Newton steps. With q the squarefree
+part of the characteristic polynomial, x -> x - q(x) q'(x)^-1 squares the
+q-adic order each step, so after at most ceil(log2 n) steps it lands on the
+semisimple part. q'(x_k) is invertible: x_k - x is a nilpotent element of
+Q[x], so x_k has the eigenvalues of x, at none of which q' vanishes. No
+eigenvalue is computed.
 """
 
 from __future__ import annotations
@@ -44,27 +46,30 @@ def _inverse(m: RatMatrix) -> RatMatrix:
 def jordan_decompose(x: LieElement) -> JordanPair:
     """Split x into its commuting semisimple and nilpotent parts.
 
-    The semisimple part is a polynomial in x with rational coefficients, so
-    it lies in sl automatically; for so/sp membership is solved and checked
-    when the parts are re-expressed in the basis. A semisimple x (q(x) = 0)
-    is its own semisimple part, and keeps the facts it has read.
+    A nilpotent x (char_poly(x) = t^n) is its own nilpotent part and a
+    semisimple x (q(x) = 0) its own semisimple part; each keeps the facts it
+    has read, and the other part is the algebra's zero element. Only a mixed
+    x takes Newton steps. Its semisimple part is a polynomial in x with
+    rational coefficients, so it lies in sl automatically; for so/sp
+    membership is solved and checked when the parts are re-expressed in the
+    basis.
     """
     algebra = x.algebra
-    mat = x.matrix
-    n = mat.rows
+    if x.is_nilpotent():
+        return JordanPair(algebra.zero_element(), x)
     q = squarefree_part(x.char_poly)
     dq = q.derivative()
-    xs = mat
-    qx = q.evaluate_matrix(xs)
-    steps = 0
-    while not qx.is_zero():
-        xs = xs - qx * _inverse(dq.evaluate_matrix(xs))
+    xs = x.matrix
+    for steps in range(xs.rows.bit_length() + 1):
         qx = q.evaluate_matrix(xs)
-        steps += 1
-        if steps > n.bit_length():
-            raise ArithmeticError("Jordan iteration failed to converge")
-    semis = x if steps == 0 else algebra.element_from_matrix(xs)
-    return JordanPair(semis, algebra.element_from_matrix(mat - xs))
+        if qx.is_zero():
+            break
+        xs = xs - qx * _inverse(dq.evaluate_matrix(xs))
+    else:
+        raise ArithmeticError("Jordan iteration failed to converge")
+    if steps == 0:
+        return JordanPair(x, algebra.zero_element())
+    return JordanPair(algebra.element_from_matrix(xs), algebra.element_from_matrix(x.matrix - xs))
 
 
 def jordan_pair_to_json(pair: JordanPair) -> dict:

@@ -404,16 +404,15 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
     draw = _sampler(chart, nil, rng) if sampled else None
     for _ in range(sampled):
         # Resample coinciding tuples so the samples stay diverse; a small
-        # chart can run out of fresh ones, and then the repeat is kept.
-        params = draw()
-        for _retry in range(32):
-            if params not in evaluated:
-                break
+        # chart can run out of fresh ones, and then the 33rd draw's repeat is kept.
+        for _draw in range(33):
             params = draw()
-        if params not in evaluated:
-            vp = _value_pass(chart, params)
-            evaluated[params] = (vp.value, _jacobian_rank(chart, vp, frame))
-        ranks.append(evaluated[params][1])
+            seen = evaluated.get(params)
+            if seen is None:
+                vp = _value_pass(chart, params)
+                seen = evaluated[params] = (vp.value, _jacobian_rank(chart, vp, frame))
+                break
+        ranks.append(seen[1])
     values = [value for value, _ in evaluated.values()]
     checks.append(_agrees("jacobian_rank_samples", [chart.param_count] * samples, ranks))
     repeats = sampled - len(evaluated)

@@ -16,7 +16,7 @@ from conftest import (
 from orbitcharts import jordan
 from orbitcharts.charts import exp_nilpotent
 from orbitcharts.jordan import _inverse, jordan_decompose
-from orbitcharts.liealg import ad_matrix, build_classical
+from orbitcharts.liealg import LieAlgebra, ad_matrix, build_classical
 from orbitcharts.linalg import (
     Polynomial,
     RatMatrix,
@@ -244,6 +244,48 @@ class TestNewtonEqualsChevalley:
             _assert_newton_equals_chevalley(algebra, g * (d + e) * g_inv, g * d * g_inv)
 
 
+def _own_part_cases(family, n):
+    """The zero element of the classical algebra (family, n), and seeded
+    nilpotent and semisimple elements of it: strictly upper-triangular and
+    diagonal integer combinations of its basis, conjugated by exp of a
+    lower-triangular nilpotent."""
+    algebra = build_classical(family, n)
+    rng = SplitMix64(910 + n)
+    diagonal = [b for b in algebra.basis
+                if all(not b.at(i, j) for i in range(n) for j in range(n) if i != j)]
+    cases = [(algebra.zero_element(), "zero")]
+    for _ in range(3):
+        y = _upper_nilpotent(algebra, rng).transpose()
+        g, g_inv = exp_nilpotent(y), exp_nilpotent(-y)
+        nil = _upper_nilpotent(algebra, rng)
+        d = RatMatrix.zeros(n, n)
+        for b in diagonal:
+            d = d + b.scale(rng.randint(-2, 2))
+        cases.append((algebra.element_from_matrix(g * nil * g_inv), "nilpotent"))
+        cases.append((algebra.element_from_matrix(g * d * g_inv), "semisimple"))
+    return cases
+
+
+@pytest.mark.parametrize("family,n", [("sl", 3), ("sl", 4), ("sl", 5), ("so", 5),
+                                      ("so", 6), ("sp", 4), ("sp", 6)])
+def test_nilpotent_or_semisimple_x_is_its_own_part(monkeypatch, family, n):
+    # a nilpotent x is its own nilpotent part, a semisimple x its own
+    # semisimple part; the other part is zero and no coordinates are solved
+    cases = _own_part_cases(family, n)
+    solved = []
+    from_matrix = LieAlgebra.element_from_matrix
+    monkeypatch.setattr(LieAlgebra, "element_from_matrix",
+                        lambda algebra, m: solved.append(m) or from_matrix(algebra, m))
+    for x, kind in cases:
+        assert x.is_nilpotent() == (kind != "semisimple")
+        pair = jordan_decompose(x)
+        own, other = ((pair.nilpotent, pair.semisimple) if kind != "semisimple"
+                      else (pair.semisimple, pair.nilpotent))
+        assert own is x
+        assert other.is_zero()
+    assert solved == []
+
+
 class TestInverse:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_two_sided(self, n):
@@ -264,8 +306,10 @@ class TestInverse:
 
     @pytest.mark.parametrize("rows,inverses", [
         ([[1, 0, 0], [0, 1, 0], [0, 0, -2]], 0),   # semisimple: q(x) = 0 at once
+        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 0),    # nilpotent: char_poly(x) = t^3
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 0),    # zero
         ([[1, 1, 0], [0, 1, 0], [0, 0, -2]], 1),   # one Newton step
-    ], ids=["semisimple", "mixed"])
+    ], ids=["semisimple", "nilpotent", "zero", "mixed"])
     def test_newton_steps_invert(self, monkeypatch, sl3, rows, inverses):
         calls = []
 
