@@ -20,10 +20,11 @@ k = m - 1 for one without: each factor column is one bracket with the
 partial value Ad(S_k) core, and a semisimple chart's columns need no
 conjugation. One Bareiss elimination ranks them, slice rows first and
 then the factor blocks from the last factor to the first
-(`_jacobian_rank`). Each report builds one `_RankFrame` (`_rank_frame`):
-the columns go in the weight order of the chart's grading elements when
-they are diagonal, and a factor block that the factors between it and the
-frame normalize is left unconjugated. Neither changes the rank.
+(`_jacobian_rank`). Every rank, a report's and `jacobian_rank_at`'s, is
+taken in the chart's one `_RankFrame` (`_rank_frame`): the columns go in
+the weight order of the chart's diagonal grading elements, and a factor
+block that the factors between it and the frame normalize is left
+unconjugated. Neither changes the rank.
 
 Equal characteristic polynomials are certified by power sums: x and each
 value v are walked once (`linalg._powers`), and tr(v^k), k = 1 .. n, is
@@ -140,27 +141,27 @@ def report_to_json(report: VerificationReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def jacobian_rank_at(chart: OrbitChart, params: Sequence) -> int:
-    """Exact rank of the differential of the chart at ``params``; see
-    `_jacobian_rank`. It takes no `_RankFrame`: the rows keep their order
-    and every block its conjugation."""
-    return _jacobian_rank(chart, _value_pass(chart, _as_fractions(params)))
+    """Exact rank of the differential of the chart at ``params``, in the
+    frame a report on ``chart`` ranks it in, ``_rank_frame(chart, chart)``:
+    a built chart's columns go in the weight order of its diagonal grading
+    elements, and a chart from `chart_from_json` keeps its column order.
+    See `_jacobian_rank`."""
+    return _jacobian_rank(chart, _value_pass(chart, _as_fractions(params)),
+                          _rank_frame(chart, chart))
 
 
 @dataclass(frozen=True)
 class _RankFrame:
-    """How `_jacobian_rank` lays out the rows of one report.
+    """How `_jacobian_rank` lays out the rows of ``chart`` (`_rank_frame`).
 
     ``order`` is an `operator.itemgetter` that permutes the n^2 flattened
     entries of each row, or None to keep them in place; ``plain`` holds the
     factor blocks left unconjugated (`charts._plain_blocks`). Neither
-    changes the rank; see `_rank_frame`.
+    changes the rank.
     """
 
     order: Optional[Callable]
     plain: frozenset
-
-
-_NO_FRAME = _RankFrame(None, frozenset())
 
 
 def _frame_index(chart: OrbitChart) -> int:
@@ -171,21 +172,24 @@ def _frame_index(chart: OrbitChart) -> int:
     return m if chart.slice_basis else m - 1
 
 
-def _rank_frame(chart: OrbitChart, scaffold: OrbitChart,
-                nil: OrbitChart | None) -> _RankFrame:
-    """The `_RankFrame` of one report on ``chart``, whose scaffolding is
-    ``scaffold`` and whose nilpotent chart (or inner chart) is ``nil``.
+def _rank_frame(chart: OrbitChart, scaffold: OrbitChart) -> _RankFrame:
+    """The `_RankFrame` of ``chart``, built once per report and once per
+    `jacobian_rank_at` call, whose scaffolding is ``scaffold``: the chart
+    itself, or, in a report on a chart from `chart_from_json`, the chart
+    rebuilt from x.
 
-    The order is read off the grading elements of the scaffold: the JM h
-    of a nilpotent chart, the witness z of a semisimple one, and z, then
-    the inner JM h, for a mixed one (h lies in the Levi c(x_s), where z is
-    central, so they commute). When each is diagonal and of the chart's
-    size, with entries d_a, the flattened entries (a, b) are taken in
-    increasing weight d_a - d_b, a mixed chart's in increasing pairs (z
-    weight, h weight), ties by position, so that the rows of the graded
-    factor blocks come nearly block triangular (Humphreys, Introduction to
-    Lie Algebras and Representation Theory, 8.1) and `_bareiss` skips
-    most of them. Otherwise the entries keep their order.
+    The order is read off the grading elements of ``scaffold`` and of
+    ``scaffold.inner`` that carry a parabolic: the JM h of a nilpotent
+    chart, the witness z of a semisimple one, and z, then the inner JM h,
+    for a mixed one (h lies in the Levi c(x_s), where z is central, so
+    they commute). The flattened entries (a, b) are taken in increasing
+    weights d_a - d_b of each such element that is diagonal, with entries
+    d_a, and of the chart's size, compared in that order, ties by
+    position, so that the rows of the graded factor blocks come nearly
+    block triangular (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 8.1) and `_bareiss` skips most of them. A
+    non-diagonal element adds no weight; with no diagonal one the entries
+    keep their order, as for a chart from `chart_from_json` ranked alone.
 
     The plain blocks are read off ``chart``'s own factors, so a chart from
     `chart_from_json` is ranked on its own factors. A column permutation
@@ -193,18 +197,15 @@ def _rank_frame(chart: OrbitChart, scaffold: OrbitChart,
     grading does not fit ``chart`` changes only the speed.
     """
     n = chart.algebra.ambient_size
-    graded = [scaffold] if nil is None or nil is scaffold else [scaffold, nil]
-    elements = [c.parabolic.grading.grading_element.matrix for c in graded]
-    order = None
-    if all(g.rows == n and _is_diagonal(g) for g in elements):
-        diagonals = [g.nums[::n + 1] for g in elements]
-        flat = sorted(range(n * n), key=lambda q: [d[q // n] - d[q % n] for d in diagonals])
-        if flat != list(range(n * n)):
-            order = itemgetter(*flat)
+    graded = [c.parabolic.grading.grading_element.matrix for c in (scaffold, scaffold.inner)
+              if c is not None and c.parabolic is not None]
+    diagonals = [g.nums[::n + 1] for g in graded if g.rows == n and _is_diagonal(g)]
+    flat = sorted(range(n * n), key=lambda q: [d[q // n] - d[q % n] for d in diagonals])
+    order = itemgetter(*flat) if flat != list(range(n * n)) else None
     return _RankFrame(order, _plain_blocks(chart.factors, _frame_index(chart)))
 
 
-def _jacobian_rank(chart: OrbitChart, vp, frame: _RankFrame = _NO_FRAME) -> int:
+def _jacobian_rank(chart: OrbitChart, vp, frame: _RankFrame) -> int:
     """Exact rank of the differential of ``chart`` at the value pass ``vp``.
 
     The columns are ranked in the frame S_k = exp a_(k+1) ... exp a_m:
@@ -223,15 +224,15 @@ def _jacobian_rank(chart: OrbitChart, vp, frame: _RankFrame = _NO_FRAME) -> int:
     then [b, Ad(exp a_2) x_s] for b in u- and u, with no conjugated column;
     nilpotent and mixed charts rank the rows of the g^-1 frame.
 
-    ``frame`` (`_rank_frame`, built once per report) makes two more
-    changes that keep the rank. Its plain blocks f are ranked as
-    [b, Ad(S_k) core], without Ad(S_k S_f^-1): every factor g with
-    f < g < k normalizes U_f, so ad a_g maps U_f into U_f and Ad(S_k
-    S_f^-1) = prod exp(-ad a_g) maps U_f onto U_f, and the block's span
-    [U_f, Ad(S_k) core] is unchanged (`charts._plain_blocks`). On a built
-    mixed chart this leaves only u- conjugated. Its order permutes the
-    flattened entries of every row alike, a column permutation. Without
-    a frame (`jacobian_rank_at`) neither change is made.
+    ``frame`` (`_rank_frame`) makes two more changes that keep the rank.
+    Its plain blocks f are ranked as [b, Ad(S_k) core], without
+    Ad(S_k S_f^-1): every factor g with f < g < k normalizes U_f, so ad
+    a_g maps U_f into U_f and Ad(S_k S_f^-1) = prod exp(-ad a_g) maps U_f
+    onto U_f, and the block's span [U_f, Ad(S_k) core] is unchanged
+    (`charts._plain_blocks`). On a built mixed chart this leaves only u-
+    conjugated. Its order permutes the flattened entries of every row
+    alike, a column permutation. A frame with no order and no plain block
+    ranks the rows above as they are.
 
     The rank does not depend on row order. The slice elements come first,
     then the factor blocks from the last factor to the first: sparse rows
@@ -389,7 +390,7 @@ def verify_chart(x: LieElement, chart: OrbitChart, seed: int,
         checks.append(_agrees("centralizer_composition", algebra.dim - x.orbit_dim,
                               inner.algebra.dim - inner.base_element.orbit_dim))
 
-    frame = _rank_frame(chart, scaffold, nil)
+    frame = _rank_frame(chart, scaffold)
     base_vp = _value_pass(chart, _as_fractions(chart.base_params))
     base_value = base_vp.value
     checks.append(_agrees("base_point_identity", True, base_value == x.matrix))

@@ -9,6 +9,7 @@ import pytest
 from orbitcharts.linalg import Polynomial, RatMatrix, _as_fraction, rank
 from orbitcharts.liealg import LieAlgebra, build_classical, centralizer_basis
 from orbitcharts.rng import SplitMix64
+from orbitcharts.verify import _RankFrame
 
 
 def partitions(n):
@@ -338,6 +339,11 @@ def fraction_squarefree_part(p):
 # ---------------------------------------------------------------------------
 # The Jacobian rank in the g^-1 frame
 # ---------------------------------------------------------------------------
+
+
+# The rank frame with no column order and no plain block: `verify._jacobian_rank`
+# ranks the rows of `charts._core_brackets` as they are, every block conjugated.
+UNFRAMED = _RankFrame(None, frozenset())
 
 
 def g_inverse_frame_rank(chart, vp):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    UNFRAMED,
     diag_matrix,
     g_inverse_frame_rank,
     jordan_nilpotent,
@@ -61,7 +62,9 @@ def _upper_basis(algebra):
 def _assert_chart_verifies(algebra, x):
     """The chart of x verifies with both suites, a second verification
     prints the same bytes, the Jacobian rank at the base tuple equals that
-    of the g^-1 frame rows, and the JSON round trip keeps the base value."""
+    of the g^-1 frame rows, and the JSON round trip keeps the base value
+    and verifies too, on the scaffolding of the chart rebuilt from x
+    (``rebuilt_chart_identity`` passes)."""
     def reports():
         chart = build_chart(x, 42)
         chart_report = verify_chart(x, chart, 42, 10)
@@ -73,9 +76,11 @@ def _assert_chart_verifies(algebra, x):
     chart, text = reports()
     assert reports()[1] == text
     vp = _value_pass(chart, chart.base_params)
-    assert _jacobian_rank(chart, vp) == g_inverse_frame_rank(chart, vp)
+    assert _jacobian_rank(chart, vp, UNFRAMED) == g_inverse_frame_rank(chart, vp)
     rebuilt = chart_from_json(algebra, json.loads(json.dumps(chart_to_json(chart))))
     assert eval_chart(rebuilt, chart.base_params) == x.matrix
+    read_back = verify_chart(x, rebuilt, 42, 10)
+    assert read_back.check("rebuilt_chart_identity").passed and read_back.overall_pass
 
 
 @pytest.mark.parametrize("family,n", [("so", 5), ("so", 6), ("sp", 4), ("sp", 6)],

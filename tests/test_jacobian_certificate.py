@@ -21,15 +21,18 @@ replaced. The power walk of the verify checks, `verify._power_walk`, gives
 the power sums and the ranks of the powers, and its power sums are equal
 exactly when the characteristic polynomials are.
 
-A report ranks in one `verify._RankFrame`: columns in the weight order of
-a diagonal grading element (a mixed chart's by the pair of z and h
-weights, which is the order of the one weight of K z + h), and the factor
-blocks that the later factors normalize left unconjugated
-(`charts._plain_blocks`). Its rank equals the
-g^-1 frame rank on built and read-back charts over the sl, so and sp
-corpora, and so does the rank in the reversed column order; the plain
-blocks of a mixed chart are u and the inner factor, and a block that is
-not plain keeps a conjugation whose loss would drop the rank.
+A report and `verify.jacobian_rank_at` rank in one `verify._RankFrame`:
+columns in the weight order of the chart's diagonal grading elements (a
+mixed chart's by the pair of z and h weights, which is the order of the
+one weight of K z + h, or by the weight of the one of them that is
+diagonal), and the factor blocks that the later factors normalize left
+unconjugated (`charts._plain_blocks`). The other tests here rank with
+`conftest.UNFRAMED`, no order and no plain block. The framed rank equals
+the g^-1 frame rank on built and read-back charts over the sl, so and sp
+corpora, and so do the rank in the reversed column order and the rank of
+`jacobian_rank_at`; the plain blocks of a mixed chart are u and the
+inner factor, and a block that is not plain keeps a conjugation whose
+loss would drop the rank.
 """
 
 import functools
@@ -42,6 +45,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    UNFRAMED,
     diag_matrix,
     elem,
     g_inverse_frame_rank,
@@ -119,27 +123,27 @@ class TestFallback:
         # [7 E21, h] = 14 E21 is zero mod 7
         chart = _sl2_chart(elem(2, 1, 0, 7), elem(2, 0, 1))
         vp = _value_pass(chart, (F(0), F(0)))
-        assert verify._jacobian_rank(chart, vp) == 2 == _exact_rank(chart, (0, 0))
+        assert verify._jacobian_rank(chart, vp, UNFRAMED) == 2 == _exact_rank(chart, (0, 0))
         assert rank_calls == [2]
 
     def test_columns_dependent_mod_prime(self, rank_calls):
         # columns 2 E21 and 2 E21 - 14 E12: independent over Q, not mod 7
         chart = _sl2_chart(elem(2, 1, 0), elem(2, 1, 0) + elem(2, 0, 1, 7))
         vp = _value_pass(chart, (F(0), F(0)))
-        assert verify._jacobian_rank(chart, vp) == 2 == _exact_rank(chart, (0, 0))
+        assert verify._jacobian_rank(chart, vp, UNFRAMED) == 2 == _exact_rank(chart, (0, 0))
         assert rank_calls == [2]
 
     def test_basis_denominator_divisible_by_prime(self, rank_calls):
         chart = _sl2_chart(elem(2, 1, 0, F(1, 7)), elem(2, 0, 1))
         vp = _value_pass(chart, (F(0), F(0)))
-        assert verify._jacobian_rank(chart, vp) == 2 == _exact_rank(chart, (0, 0))
+        assert verify._jacobian_rank(chart, vp, UNFRAMED) == 2 == _exact_rank(chart, (0, 0))
         assert rank_calls == [2]
 
     def test_parameter_denominator_divisible_by_prime(self, rank_calls):
         # exp(E21 / 7) carries the denominator into the value pass
         chart = _sl2_chart(elem(2, 1, 0), elem(2, 0, 1))
         vp = _value_pass(chart, (F(1, 7), F(0)))
-        assert verify._jacobian_rank(chart, vp) == 2 == _exact_rank(chart, (F(1, 7), 0))
+        assert verify._jacobian_rank(chart, vp, UNFRAMED) == 2 == _exact_rank(chart, (F(1, 7), 0))
         assert rank_calls == [2]
 
     def test_factorial_divisible_by_prime(self):
@@ -149,7 +153,7 @@ class TestFallback:
         lower = elem(3, 1, 0) + elem(3, 2, 1)
         chart = OrbitChart(x, ((lower,),), x.matrix, (), (), None)
         vp = _value_pass(chart, (F(1),))
-        assert verify._jacobian_rank(chart, vp) == 1 == _exact_rank(chart, (1,))
+        assert verify._jacobian_rank(chart, vp, UNFRAMED) == 1 == _exact_rank(chart, (1,))
 
     @pytest.mark.parametrize("denominator", [7, 2 ** 61 - 1])
     def test_genuine_deficit_reports_exact_rank(self, denominator, rank_calls):
@@ -158,7 +162,7 @@ class TestFallback:
         chart = _sl2_chart(elem(2, 1, 0), elem(2, 1, 0, 2))
         params = (F(1, denominator), F(-2, 3))
         vp = _value_pass(chart, params)
-        assert verify._jacobian_rank(chart, vp) == 1 == _exact_rank(chart, params)
+        assert verify._jacobian_rank(chart, vp, UNFRAMED) == 1 == _exact_rank(chart, params)
         assert rank_calls == [2]
 
     def test_verify_ranks_each_point_once(self, rank_calls):
@@ -181,7 +185,7 @@ def test_factor_columns_conjugated_by_later_factors(rank_calls):
     chart = OrbitChart(sl2.element_from_matrix(e),
                        ((e,), (elem(2, 1, 0),), (e,)), e, (), (), None)
     params = (F(1), F(1), F(1))
-    assert verify._jacobian_rank(chart, _value_pass(chart, params)) == 2
+    assert verify._jacobian_rank(chart, _value_pass(chart, params), UNFRAMED) == 2
     assert _exact_rank(chart, params) == 2
     assert rank_calls == [3]
 
@@ -195,7 +199,7 @@ def test_semisimple_chart_brackets_with_the_conjugated_core(rank_calls):
     chart = OrbitChart(sl2.element_from_matrix(e), ((e,), (f,)), e, (), (), None)
     params = (F(0), F(1))
     vp = _value_pass(chart, params)
-    assert verify._jacobian_rank(chart, vp) == 2 == _exact_rank(chart, params)
+    assert verify._jacobian_rank(chart, vp, UNFRAMED) == 2 == _exact_rank(chart, params)
     assert rank_calls == [2]
     assert _span_rank([commutator(b, e) for b in (e, f)]) == 1
 
@@ -209,7 +213,7 @@ def test_two_factor_chart_with_a_slice():
                        None, (e13,), (F(1),), None)
     for params in ((F(0), F(0), F(1)), (F(1), F(-2), F(3)), (F(1, 3), F(2), F(-1, 2))):
         vp = _value_pass(chart, params)
-        assert verify._jacobian_rank(chart, vp) == 3 == _exact_rank(chart, params) \
+        assert verify._jacobian_rank(chart, vp, UNFRAMED) == 3 == _exact_rank(chart, params) \
             == g_inverse_frame_rank(chart, vp), params
 
 
@@ -223,25 +227,27 @@ def test_chart_without_factor_or_slice():
     assert verify.jacobian_rank_at(chart, ()) == 0
 
 
-@pytest.mark.parametrize("rows, framed, expected", [
-    (jordan_nilpotent(4, (4,)), False, 0),
-    (diag_matrix([1, 1, -1, -1]), False, 0),
-    (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1), False, 8),
-    (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1), True, 4),
-], ids=["regular-nilpotent", "semisimple", "mixed", "mixed-framed"])
-def test_conjugations_of_a_base_point_rank(monkeypatch, rows, framed, expected):
+@pytest.mark.parametrize("rows, ranked, expected", [
+    (jordan_nilpotent(4, (4,)), "unframed", 0),
+    (diag_matrix([1, 1, -1, -1]), "unframed", 0),
+    (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1), "unframed", 8),
+    (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1), "report", 4),
+    (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1), "library", 4),
+], ids=["regular-nilpotent", "semisimple", "mixed", "mixed-framed", "mixed-library"])
+def test_conjugations_of_a_base_point_rank(monkeypatch, rows, ranked, expected):
     """The conjugations by a product of exponentials that one rank at the
     base point makes on sl4 charts: none on the nilpotent and semisimple
-    charts, and one per basis element of the mixed chart's outer u- and u
-    (factor sizes 4, 4, 1). Ranking every chart in the g^-1 frame would
-    conjugate the semisimple chart's u- block, and ranking every chart in
-    the frame S_1 would conjugate the mixed chart's inner factor and slice.
-    In its report's frame the mixed chart conjugates u- only, since the
-    inner factor normalizes u."""
+    charts, and, with no plain block, one per basis element of the mixed
+    chart's outer u- and u (factor sizes 4, 4, 1). Ranking every chart in
+    the g^-1 frame would conjugate the semisimple chart's u- block, and
+    ranking every chart in the frame S_1 would conjugate the mixed chart's
+    inner factor and slice. In its report's frame, which
+    `verify.jacobian_rank_at` takes too, the mixed chart conjugates u-
+    only, since the inner factor normalizes u."""
     sl4 = build_classical("sl", 4)
     chart = build_chart(sl4.element_from_matrix(rows), 42)
     vp = _value_pass(chart, chart.base_params)
-    frame = verify._rank_frame(chart, chart, chart.inner) if framed else verify._NO_FRAME
+    frame = verify._rank_frame(chart, chart) if ranked == "report" else UNFRAMED
     conjugations = []
     real = charts._conjugate
 
@@ -251,7 +257,10 @@ def test_conjugations_of_a_base_point_rank(monkeypatch, rows, framed, expected):
         return real(p, y, p_inv)
 
     monkeypatch.setattr(charts, "_conjugate", spy)
-    assert verify._jacobian_rank(chart, vp, frame) == chart.param_count
+    if ranked == "library":
+        assert verify.jacobian_rank_at(chart, chart.base_params) == chart.param_count
+    else:
+        assert verify._jacobian_rank(chart, vp, frame) == chart.param_count
     assert len(conjugations) == expected
 
 
@@ -317,7 +326,8 @@ def test_sweep_mod_p_rank_equals_exact_rank(label):
         assert derivative_digest(derivs) == digests[f"{label}/{name}"], name
         exact = rank(RatMatrix.from_rows([d.entries for d in derivs]))
         vp = _value_pass(chart, tuple(F(p) for p in params))
-        assert verify._jacobian_rank(chart, vp) == exact == g_inverse_frame_rank(chart, vp), name
+        assert verify._jacobian_rank(chart, vp, UNFRAMED) == exact \
+            == g_inverse_frame_rank(chart, vp), name
 
 
 def _assert_power_walk(m):
@@ -410,12 +420,26 @@ def _so_sp_elements(family, n):
     return [(f"{family}{n}-upper", total), (f"{family}{n}-diagonal", diag_matrix(d))]
 
 
+def _so_sp_mixed(family, n):
+    """diag(1, ..., 1, -1, ..., -1) in so(n) or sp(n), n even, plus the
+    strictly upper basis elements that commute with it, built as CI's
+    so12 and sp12 mixed scale elements are: the witness z is diagonal and
+    the inner JM h is not."""
+    algebra = build_classical(family, n)
+    d = [1] * (n // 2) + [-1] * (n // 2)
+    upper = [b for b in algebra.basis
+             if all(not b.at(i, j) for i in range(n) for j in range(i + 1))
+             and all(not b.at(i, j) or d[i] == d[j] for i in range(n) for j in range(n))]
+    return sum(upper, diag_matrix(d))
+
+
 def _frame_corpus():
     """(label, family, n, matrix): every sl3-sl6 nilpotent Jordan type, sl3-sl6
     diagonals with repeated and distinct entries, the mixed corpus, so5,
-    so6, sp4 and sp6 upper nilpotents and diagonals, and a conjugated sl4
-    mixed element u (diag(1, 1, -1, -1) + E01) u^-1, whose witness and
-    JM h are not diagonal."""
+    so6, sp4 and sp6 upper nilpotents and diagonals, so6 and sp6 mixed
+    elements whose inner JM h alone is not diagonal (`_so_sp_mixed`), and
+    a conjugated sl4 mixed element u (diag(1, 1, -1, -1) + E01) u^-1,
+    whose witness and JM h are not diagonal."""
     out = []
     for n in (3, 4, 5, 6):
         for part in nontrivial_partitions(n):
@@ -429,6 +453,8 @@ def _frame_corpus():
         out.append((param.id, family, n, mixed_element(*param.values)[1].matrix))
     for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6)):
         out += [(label, family, n, m) for label, m in _so_sp_elements(family, n)]
+    for family in ("so", "sp"):
+        out.append((f"{family}6-mixed-upper", family, 6, _so_sp_mixed(family, 6)))
     u, u_inv = unit_bidiagonal([1, -1, 2])
     out.append(("sl4-conjugated-mixed", "sl", 4,
                 u * (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1)) * u_inv))
@@ -460,13 +486,15 @@ def test_framed_rank_equals_g_inverse_frame_rank(label):
     """The rank in the report's frame equals the g^-1 frame rank in
     parameter order, at the base tuple and at sampled tuples, for the
     built chart and for its JSON round trip ranked with the built chart
-    as scaffold; a column order reversed from the frame's gives it too."""
+    as scaffold; a column order reversed from the frame's gives it too,
+    and so does `verify.jacobian_rank_at`, which ranks the round trip in
+    its own frame, with no order."""
     chart = frame_chart(label)
     n = chart.algebra.ambient_size
     read_back = chart_from_json(chart.algebra, json.loads(json.dumps(chart_to_json(chart))))
     reversed_order = itemgetter(*range(n * n - 1, -1, -1))
     for given in (chart, read_back):
-        frame = verify._rank_frame(given, chart, _nil(chart))
+        frame = verify._rank_frame(given, chart)
         backwards = verify._RankFrame(reversed_order, frame.plain)
         for sampled, params in _frame_points(chart):
             vp = _value_pass(given, params)
@@ -474,6 +502,7 @@ def test_framed_rank_equals_g_inverse_frame_rank(label):
             assert want == chart.param_count or not sampled
             assert verify._jacobian_rank(given, vp, frame) == want, params
             assert verify._jacobian_rank(given, vp, backwards) == want, params
+            assert verify.jacobian_rank_at(given, params) == want, params
 
 
 def test_frame_order_is_increasing_weight():
@@ -481,41 +510,55 @@ def test_frame_order_is_increasing_weight():
     the entries (a, b) by h_a - h_b, ties by position; the weight-0
     diagonal sits between the lower and the upper triangle."""
     chart = frame_chart("sl3-3")
-    order = verify._rank_frame(chart, chart, chart).order
+    order = verify._rank_frame(chart, chart).order
     assert order(tuple(range(9))) == (6, 3, 7, 0, 4, 8, 1, 5, 2)
 
 
 def _single_weight_order(chart):
     """The order of a mixed chart by the one weight of g = K z + h, K = 2
-    max |h_a - h_b| + 1, when g is diagonal, else None: h shifts no z
-    weight past the next, since z is an integer matrix."""
+    max |h_a - h_b| + 1, with z or h taken as 0 when it is not diagonal,
+    or None when it keeps every entry in place: h shifts no z weight past
+    the next, since z is an integer matrix."""
     n = chart.algebra.ambient_size
-    z = chart.parabolic.grading.grading_element.matrix
-    h = chart.inner.parabolic.grading.grading_element.matrix
+    z, h = [m if _is_diagonal(m) else RatMatrix.zeros(n, n)
+            for m in (c.parabolic.grading.grading_element.matrix
+                      for c in (chart, chart.inner))]
     spread = h.nums[::n + 1]
     g = z.scale(2 * F(max(spread) - min(spread), h.den) + 1) + h
-    if not _is_diagonal(g):
-        return None
     d = g.nums[::n + 1]
     flat = tuple(sorted(range(n * n), key=lambda q: d[q // n] - d[q % n]))
     return None if flat == tuple(range(n * n)) else flat
 
 
-@pytest.mark.parametrize("label", [p.id for p in mixed_corpus()] + ["sl4-conjugated-mixed"])
+@pytest.mark.parametrize("label", [p.id for p in mixed_corpus()]
+                         + ["so6-mixed-upper", "sp6-mixed-upper", "sl4-conjugated-mixed"])
 def test_mixed_frame_orders_by_z_then_h(label):
-    """A mixed chart's entries go in increasing pairs (z weight, h weight):
-    the order of the single weight of K z + h."""
+    """A mixed chart's entries go in increasing pairs (z weight, h weight)
+    over the diagonal ones of z and h: the order of the single weight of
+    K z + h, a non-diagonal one taken as 0."""
     chart = frame_chart(label)
     n = chart.algebra.ambient_size
-    order = verify._rank_frame(chart, chart, chart.inner).order
+    order = verify._rank_frame(chart, chart).order
     assert (order and order(tuple(range(n * n)))) == _single_weight_order(chart)
+
+
+@pytest.mark.parametrize("label", ["so6-mixed-upper", "sp6-mixed-upper"])
+def test_frame_orders_by_a_diagonal_witness_alone(label):
+    """On so6 and sp6 mixed elements built as CI's so12 and sp12 ones, the
+    witness z is diagonal and the inner JM h is not: the report's frame
+    still orders the entries, by the z weights. Its rank is checked at
+    `_frame_points` by `test_framed_rank_equals_g_inverse_frame_rank`."""
+    chart = frame_chart(label)
+    z, h = (c.parabolic.grading.grading_element.matrix for c in (chart, chart.inner))
+    assert _is_diagonal(z) and not _is_diagonal(h)
+    assert verify._rank_frame(chart, chart).order is not None
 
 
 def test_frame_keeps_the_order_of_a_non_diagonal_grading():
     # the conjugated sl4 mixed chart has a dense witness: no permutation,
     # and the plain blocks are still read off its factors
     chart = frame_chart("sl4-conjugated-mixed")
-    frame = verify._rank_frame(chart, chart, chart.inner)
+    frame = verify._rank_frame(chart, chart)
     assert frame.order is None
     assert frame.plain == {1, 2}
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     DualNumber,
+    UNFRAMED,
     diag_matrix,
     draw_choice,
     draw_fraction,
@@ -1218,7 +1219,7 @@ def test_core_brackets_equal_reference_brackets(label):
             for got_block, want_block in zip(got, want):
                 for g, w in zip(got_block, want_block):
                     _assert_same_matrix(g, w)
-        assert verify._jacobian_rank(chart, vp) == g_inverse_frame_rank(chart, vp)
+        assert verify._jacobian_rank(chart, vp, UNFRAMED) == g_inverse_frame_rank(chart, vp)
 
 
 def _reference_bareiss(rows):
@@ -1307,7 +1308,7 @@ def _sl4_mixed_jacobian_rows(monkeypatch):
     vp = _value_pass(chart, tuple(draw_fraction(rng, -3, 3) for _ in range(chart.param_count)))
     ranked = []
     monkeypatch.setattr(verify, "_span_rank", ranked.append)
-    verify._jacobian_rank(chart, vp)
+    verify._jacobian_rank(chart, vp, UNFRAMED)
     return [list(mat.nums) for mat in ranked[0]]
 
 

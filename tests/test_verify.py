@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    UNFRAMED,
     companion,
     diag_matrix,
     draw_fraction,
@@ -434,7 +435,8 @@ def _assert_rank_matches_derivatives(chart):
         _, derivs = eval_chart_with_derivatives(chart, params)
         exact = rank(RatMatrix.from_rows([d.entries for d in derivs]))
         vp = _value_pass(chart, params)
-        assert _jacobian_rank(chart, vp) == exact == g_inverse_frame_rank(chart, vp), params
+        assert _jacobian_rank(chart, vp, UNFRAMED) == exact \
+            == g_inverse_frame_rank(chart, vp), params
 
 
 class TestJacobianRankAgainstDerivatives:
