@@ -121,8 +121,9 @@ class OrbitChart:
     the nested nilpotent chart of the mixed case, whose factors and slice
     are the tail of this chart's. ``parabolic`` carries the construction
     scaffolding for verification and sampling; it is not serialized.
-    ``supports`` is derived from the flat fields once, for evaluation; the
-    chart is frozen, so no field can be reassigned under it.
+    ``supports`` is derived from the flat fields once, for evaluation, and
+    ``slice_span`` once, for slice coordinates; the chart is frozen, so no
+    field can be reassigned under them.
     """
 
     base_element: LieElement
@@ -158,6 +159,14 @@ class OrbitChart:
         Read once per chart; never serialized or compared."""
         return (tuple(tuple(_support(b) for b in basis) for basis in self.factors),
                 tuple(_support(s) for s in self.slice_basis))
+
+    @cached_property
+    def slice_span(self) -> VectorSpan:
+        """The `VectorSpan` of ``slice_basis``, which solves the slice
+        coordinates of a point: the base point's in `_make_chart`, which
+        builds it and fills this cache, and each sampled point's in
+        `verify`. Never serialized or compared."""
+        return VectorSpan(self.slice_basis, length=self.algebra.ambient_size ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +227,18 @@ def _make_chart(base: LieElement, factors: tuple,
     input, which carries none.
     """
     error = ValueError if parabolic is None else AssertionError
-    slice_base = ()
+    slice_base, span = (), None
     if inner is not None:
         factors = factors + inner.factors
         slice_basis, slice_base = inner.slice_basis, inner.slice_base
     elif slice_basis:
-        n = base.algebra.ambient_size
-        slice_base = VectorSpan(slice_basis, length=n * n).coords_of(base.matrix)
+        span = VectorSpan(slice_basis, length=base.algebra.ambient_size ** 2)
+        slice_base = span.coords_of(base.matrix)
         if slice_base is None:
             raise error("base element does not lie in the slice span")
     chart = OrbitChart(base, factors, shift, slice_basis, slice_base, inner, parabolic)
+    if span is not None:
+        vars(chart)["slice_span"] = span  # the `slice_span` cache: built once
     if chart.param_count != orbit_dim:
         raise error(f"parameter count {chart.param_count} != orbit dimension {orbit_dim}")
     if eval_chart(chart, chart.base_params) != base.matrix:

@@ -27,7 +27,10 @@ them, is held as n x n matrices, and every fact about it is read from a
 kernel basis, a commutator or a rank. An element keeps four facts once
 read: ``ad``, the matrix of ad x; ``char_poly``, the characteristic
 polynomial of x; ``orbit_dim``, rank(ad x); and ``centralizer``, c(x) as
-the matrices of a kernel basis of ad x. ``is_nilpotent()`` reads
+the matrices of a kernel basis of ad x. The last two read one echelon
+form of ad x (`linalg._echelon`): the rank is its pivot count, and the
+kernel is back-substituted from the same rows (`linalg._echelon_kernel`)
+when c(x) is read. ``is_nilpotent()`` reads
 ``char_poly``: x is nilpotent exactly
 when char_poly(x) = t^n (Cayley-Hamilton), so no power of x is walked.
 
@@ -59,14 +62,14 @@ from .linalg import (
     RatMatrix,
     VectorSpan,
     _as_fractions,
+    _echelon,
+    _echelon_kernel,
     _int_kernel_basis,
     _lincomb,
     _matrix,
     _support,
     char_poly,
-    kernel_basis,
     matrix_to_json,
-    rank,
 )
 
 
@@ -202,9 +205,11 @@ class LieAlgebra:
 class LieElement:
     """Element of a LieAlgebra: coordinates plus the cached ambient matrix. Four
     facts are kept once read: ``ad``, ``char_poly``, ``orbit_dim`` and
-    ``centralizer``, c(x) as a tuple of n x n matrices (the last two apart:
-    a rank costs less than a kernel). ``is_nilpotent()`` reads
-    ``char_poly`` (char_poly(x) = t^n)."""
+    ``centralizer``, c(x) as a tuple of n x n matrices. The last two share
+    one elimination of ad x: the rank is its pivot count, and the kernel is
+    back-substituted from its rows only when c(x) is read, so a rank alone
+    costs no kernel. ``is_nilpotent()`` reads ``char_poly``
+    (char_poly(x) = t^n)."""
 
     algebra: LieAlgebra
     coords: tuple
@@ -229,15 +234,23 @@ class LieElement:
         return char_poly(self.matrix)
 
     @cached_property
+    def _ad_echelon(self) -> tuple:
+        """The one elimination of ad x (`linalg._echelon`): its echelon rows,
+        pivot columns and column count, read by ``orbit_dim`` and
+        ``centralizer``."""
+        return _echelon(self.ad)
+
+    @cached_property
     def orbit_dim(self) -> int:
-        """rank(ad x) = dim g - dim c(x), the dimension of the orbit of x."""
-        return rank(self.ad)
+        """rank(ad x) = dim g - dim c(x), the dimension of the orbit of x:
+        the pivot count of the echelon of ad x."""
+        return len(self._ad_echelon[1])
 
     @cached_property
     def centralizer(self) -> tuple:
         """c(x) as n x n matrices: `matrix_of` of each primitive integer
-        vector of the kernel basis of ad x."""
-        return tuple(map(self.algebra.matrix_of, kernel_basis(self.ad)))
+        kernel vector that `_echelon_kernel` reads off the echelon of ad x."""
+        return tuple(map(self.algebra.matrix_of, _echelon_kernel(*self._ad_echelon)))
 
 
 def ad_matrix(x: LieElement) -> RatMatrix:

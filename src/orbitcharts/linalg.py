@@ -25,7 +25,9 @@ buffer with it; `commutator` fills one buffer with both halves, signs +1 and
 `kernel_basis`, `solve_linear`, `VectorSpan`) runs one fraction-free loop,
 `_bareiss`, on integer rows to control coefficient growth; it skips the rows
 whose entry in the pivot column is zero and scales them lazily. Every solve
-after it runs one integer back-substitution, `_back_substitute`. The
+after it runs one integer back-substitution, `_back_substitute`, and every
+kernel basis is read off echelon rows by one reader, `_echelon_kernel`, so
+a rank and a kernel of one matrix can share one elimination (`_echelon`). The
 polynomial layer runs on integers too, and eliminates nothing: `char_poly`
 is Faddeev-LeVerrier on the numerators, `Polynomial.evaluate_matrix` is
 integer Horner, and `squarefree_part` divides by a gcd from a primitive
@@ -42,6 +44,7 @@ import heapq
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -108,8 +111,14 @@ def _integers_over(values) -> tuple:
 
 def rational_str(value: Fraction) -> str:
     """Canonical serialization of an exact Fraction, in lowest terms: "p/q",
-    or just "p" when the denominator is 1."""
-    return str(value)
+    or just "p" when the denominator is 1. An integer past the interpreter's
+    digit limit for int-to-str conversion is written through `Decimal`,
+    which converts it exactly and has no such limit."""
+    try:
+        return str(value)
+    except ValueError:
+        num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +432,17 @@ def _bareiss(rows: list) -> tuple:
     return rows, piv_cols, swaps
 
 
+def _echelon(m: RatMatrix) -> tuple:
+    """(rows, pivot_columns, cols) of the `_bareiss` echelon form of the
+    integer rows of ``m``: the rank is the pivot count, and
+    `_echelon_kernel(*_echelon(m))` reads the kernel from the same rows."""
+    ech, piv, _ = _bareiss(_int_rows(m))
+    return ech, piv, m.cols
+
+
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals by fraction-free elimination."""
-    _, piv, _ = _bareiss(_int_rows(m))
-    return len(piv)
+    return len(_echelon(m)[1])
 
 
 def primitive_integer_vector(vec: Sequence[int]) -> tuple:
@@ -453,8 +469,14 @@ def kernel_basis(m: RatMatrix) -> list:
 
 def _int_kernel_basis(rows: list, ncols: int) -> list:
     """`kernel_basis` of integer rows of length ``ncols`` (eliminated in
-    place): Bareiss, back-substitution, primitive form."""
-    ech, piv, _ = _bareiss(rows)
+    place): Bareiss, then `_echelon_kernel`."""
+    return _echelon_kernel(*_bareiss(rows)[:2], ncols)
+
+
+def _echelon_kernel(ech: list, piv: list, ncols: int) -> list:
+    """The kernel basis of the `_bareiss` echelon rows ``ech`` of length
+    ``ncols``, pivot columns ``piv``: per free column, `_back_substitute`,
+    primitive form. The rows are only read."""
     pivset = set(piv)
     return [primitive_integer_vector(_back_substitute(ech, piv, f, ncols))
             for f in range(ncols) if f not in pivset]

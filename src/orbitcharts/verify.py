@@ -68,7 +68,6 @@ from .liealg import (
 from .linalg import (
     ONE,
     RatMatrix,
-    VectorSpan,
     ZERO,
     _as_fractions,
     _is_diagonal,
@@ -304,9 +303,10 @@ def _sampler(chart: OrbitChart, nil: OrbitChart | None, rng: SplitMix64):
     normalizes U, so one exponential reaches every point that a product of
     them would.
 
-    The slice span, the supports of u and the choice of d are worked out
-    once, here; each draw takes the factor parameters, the coefficients of
-    y and the entries of d, in that order. Draws repeat on small charts: a
+    The point is solved in ``nil.slice_span``, which the chart built with
+    its base coordinates. The supports of u and the choice of d are worked
+    out once, here; each draw takes the factor parameters, the coefficients
+    of y and the entries of d, in that order. Draws repeat on small charts: a
     rational takes 41 values (`SplitMix64.fraction`), an entry of d 9.
     """
     free = chart.param_count - len(chart.slice_basis)
@@ -314,7 +314,6 @@ def _sampler(chart: OrbitChart, nil: OrbitChart | None, rng: SplitMix64):
         return lambda: tuple(rng.fraction() for _ in range(free))
     pd = nil.parabolic
     n = nil.algebra.ambient_size
-    span = VectorSpan(nil.slice_basis, length=n * n)
     supports = [_support(b) for b in pd.u]
     base = nil.base_element.matrix
     torus = (chart.algebra.family == "sl" and _is_diagonal(pd.grading.grading_element.matrix)
@@ -325,7 +324,7 @@ def _sampler(chart: OrbitChart, nil: OrbitChart | None, rng: SplitMix64):
         coeffs = [rng.fraction() for _ in supports]
         exp_y, exp_neg = _exp_series(_lincomb(coeffs, supports, n, n))
         point = _diagonal_conjugate(base, rng) if torus else base
-        coords = span.coords_of(exp_y * point * exp_neg)
+        coords = nil.slice_span.coords_of(exp_y * point * exp_neg)
         if coords is None:
             raise AssertionError("sampled orbit point left the slice")
         return tuple(params) + coords

@@ -58,14 +58,16 @@ def block_levi(n, composition):
     return centralizer_basis(sl(n).element_from_matrix(diag_matrix(values)))
 
 
-def spy_everywhere(monkeypatch, fn):
-    """The list, filled from now on, of the first argument of every call of
-    ``fn``: each orbitcharts module that holds ``fn`` under its name, as
-    modules import each other's functions, gets a spy that records it."""
+def spy_everywhere(monkeypatch, fn, record=lambda first: first):
+    """The list, filled from now on, of ``record`` of the first argument of
+    every call of ``fn``, taken before the call (a copy, say, of rows that
+    ``fn`` changes in place): each orbitcharts module that holds ``fn``
+    under its name, as modules import each other's functions, gets a spy
+    that records it."""
     calls = []
 
     def spy(first, *args, **kwargs):
-        calls.append(first)
+        calls.append(record(first))
         return fn(first, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):

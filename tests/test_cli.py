@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -44,6 +45,10 @@ SP4_REGULAR = ('{"matrix": [["0","1","0","0"],["0","0","1","0"],'
 
 def _no_chart(*_args):
     raise AssertionError("a chart was built")
+
+
+def _copy_rows(rows):
+    return [list(row) for row in rows]
 
 
 def run(args):
@@ -394,6 +399,40 @@ class TestExitCodes:
         assert message in err
 
 
+class TestMainExits:
+    def test_help_exits_0(self):
+        code, out = run(["--help"])
+        assert code == 0 and out.startswith("usage: orbit")
+
+    def test_no_command_exits_2(self, capsys):
+        assert run([]) == (2, "")
+        assert "the following arguments are required: command" in capsys.readouterr().err
+
+
+class TestLongIntegers:
+    """An exact output integer of more digits than the interpreter's
+    int-to-str limit (4300 by default) is printed in full; an input literal
+    past that limit is still refused."""
+
+    BIG = 10 ** 2999
+
+    @pytest.mark.parametrize("command", ["analyze", "classify"])
+    def test_class_id_past_the_digit_limit(self, command):
+        # the class id of diag(10^2999, -10^2999) is -10^5998
+        element = json.dumps({"matrix": [[str(self.BIG), "0"], ["0", str(-self.BIG)]]})
+        code, out = run([command, "--family", "sl", "--size", "2", "--element", element])
+        assert code == 0
+        assert json.loads(out)["class_id"] == ["-1" + "0" * 5998]
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter has no int-to-str digit limit")
+    def test_literal_past_the_digit_limit_exits_2(self, capsys):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        element = json.dumps({"matrix": [[digits, "0"], ["0", "-" + digits]]})
+        assert run(["analyze", "--family", "sl", "--size", "2", "--element", element]) == (2, "")
+        assert capsys.readouterr().err.startswith("orbit: ")
+
+
 class TestClassify:
     def test_sl2_jordan_block(self):
         code, out = run(["classify", "--family", "sl", "--size", "2",
@@ -529,46 +568,35 @@ class TestAnalysedOnce:
         assert len(splits) == 1 and splits[0] != RatMatrix.from_rows(rows)
         assert json.loads(out)["class_id"] == ["-2", "0", "1", "0"]
 
-    def test_semisimple_verify_eliminates_ad_x_twice(self, monkeypatch):
-        # one kernel, x.centralizer, shared by the chart's Levi c(x) (x is
-        # its own semisimple part) and the redstab suite; and one rank,
-        # x.orbit_dim, shared by the dimension_identity oracle and the
-        # witness search, whose candidate z equals x and is graded as x.
-        # The chart's orbit dimension is dim g - dim c(x)
+    def test_semisimple_verify_eliminates_ad_x_once(self, monkeypatch):
+        # one echelon of ad x, x._ad_echelon: its kernel, x.centralizer, is
+        # shared by the chart's Levi c(x) (x is its own semisimple part)
+        # and the redstab suite; its rank, x.orbit_dim, by the
+        # dimension_identity oracle and the witness search, whose candidate
+        # z equals x and is graded as x. The chart's orbit dimension is
+        # dim g - dim c(x)
         sl5 = build_classical("sl", 5)
         rows = SL5_CASES["semisimple"]
         ad_x = ad_matrix(sl5.element_from_matrix(RatMatrix.from_rows(rows)))
-        eliminations = []
-
-        def counted(fn):
-            def wrapper(m, *args, **kwargs):
-                if m == ad_x:
-                    eliminations.append(fn.__name__)
-                return fn(m, *args, **kwargs)
-            return wrapper
-
-        for module in (charts, cli, liealg, verify):
-            for name in ("rank", "kernel_basis"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        eliminated = spy_everywhere(monkeypatch, linalg._bareiss, _copy_rows)
         element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
         code, _ = run(["verify", "--family", "sl", "--size", "5", "--element", element,
                        "--samples", "2"])
         assert code == 0
-        assert len(eliminations) == 2
+        assert eliminated.count(linalg._int_rows(ad_x)) == 1
 
     @pytest.mark.parametrize("rows,ad_x_count,ad_xn_count", [
-        ([[int(j == i + 1) for j in range(4)] for i in range(4)], 2, 0),
-        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 2, 0),
-        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 2, 1),
+        ([[int(j == i + 1) for j in range(4)] for i in range(4)], 1, 0),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 1, 0),
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 1, 1),
     ], ids=["regular-nilpotent", "semisimple", "mixed"])
     def test_verify_eliminates_each_ad_once_per_fact(self, monkeypatch, rows,
                                                      ad_x_count, ad_xn_count):
-        # x keeps rank(ad x) and the kernel of ad x: one elimination each,
-        # whichever of the chart, its checks, the witness search (whose
-        # candidate z = x is x) and the redstab suite reads them first.
-        # The inner chart's base element x_n
-        # keeps its rank(ad x_n) in the Levi for centralizer_composition
+        # x keeps one echelon of ad x, which gives both rank(ad x) and the
+        # kernel of ad x, whichever of the chart, its checks, the witness
+        # search (whose candidate z = x is x) and the redstab suite reads
+        # them first. The inner chart's base element x_n keeps its
+        # rank(ad x_n) in the Levi for centralizer_composition
         sl4 = build_classical("sl", 4)
         x = sl4.element_from_matrix(RatMatrix.from_rows(rows))
         ad_x = ad_matrix(x)
@@ -577,24 +605,36 @@ class TestAnalysedOnce:
         if not (pair.semisimple.is_zero() or pair.nilpotent.is_zero()):
             levi = liealg.centralizer_basis(pair.semisimple)
             ad_xn = ad_matrix(levi.element_from_matrix(pair.nilpotent.matrix))
-        counts = Counter()
-
-        def counted(fn):
-            def wrapper(m, *args, **kwargs):
-                counts["ad x"] += m == ad_x
-                counts["ad x_n"] += m == ad_xn
-                return fn(m, *args, **kwargs)
-            return wrapper
-
-        spies = {fn: counted(fn) for fn in (linalg.rank, linalg.kernel_basis)}
-        for module in (linalg, liealg, jordan, grading, charts, verify, cli):
-            for name, value in list(vars(module).items()):
-                if callable(value) and value in spies:
-                    monkeypatch.setattr(module, name, spies[value])
+        eliminated = spy_everywhere(monkeypatch, linalg._bareiss, _copy_rows)
         element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
         code, _ = run(["verify", "--family", "sl", "--size", "4", "--element", element])
         assert code == 0
-        assert (counts["ad x"], counts["ad x_n"]) == (ad_x_count, ad_xn_count)
+        xn_count = eliminated.count(linalg._int_rows(ad_xn)) if ad_xn is not None else 0
+        assert (eliminated.count(linalg._int_rows(ad_x)), xn_count) == (ad_x_count,
+                                                                        ad_xn_count)
+
+    @pytest.mark.parametrize("rows", [
+        [[int(j == i + 1) for j in range(4)] for i in range(4)],
+        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    ], ids=["regular-nilpotent", "mixed"])
+    def test_verify_builds_the_slice_span_once(self, monkeypatch, rows):
+        # the chart solves its base point in its slice_span, and the
+        # sampler solves each drawn point in the same span
+        x = build_classical("sl", 4).element_from_matrix(RatMatrix.from_rows(rows))
+        chart = charts.build_chart(x, 42)
+        slice_basis = (chart.inner or chart).slice_basis
+        assert slice_basis
+        spans, init = [], linalg.VectorSpan.__init__
+
+        def counted(span, vectors, *args, **kwargs):
+            spans.append(tuple(vectors))
+            init(span, vectors, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.VectorSpan, "__init__", counted)
+        element = json.dumps({"matrix": [[str(v) for v in row] for row in rows]})
+        code, _ = run(["verify", "--family", "sl", "--size", "4", "--element", element])
+        assert code == 0
+        assert spans.count(slice_basis) == 1
 
     @pytest.mark.parametrize("rows,expected", [
         ([[int(j == i + 1) for j in range(4)] for i in range(4)], 2),

@@ -376,8 +376,17 @@ def _element_facts_corpus():
 
 
 class TestElementFacts:
-    """An element keeps rank(ad x) and a kernel basis of ad x; the two are
-    computed apart, and they must agree by rank-nullity."""
+    """An element keeps rank(ad x) and a kernel basis of ad x, both read off
+    one echelon of ad x. They must agree by rank-nullity, and with `rank`
+    and `kernel_basis` of ad x, each its own elimination."""
+
+    @pytest.mark.parametrize("family, n, m, semisimple", _element_facts_corpus())
+    def test_facts_match_rank_and_kernel_basis(self, family, n, m, semisimple):
+        algebra = build_classical(family, n)
+        x = algebra.element_from_matrix(m)
+        ad_x = ad_matrix(x)
+        assert x.orbit_dim == rank(ad_x)
+        assert x.centralizer == tuple(map(algebra.matrix_of, kernel_basis(ad_x)))
 
     @pytest.mark.parametrize("family, n, m, semisimple", _element_facts_corpus())
     def test_orbit_dim_and_centralizer_agree(self, family, n, m, semisimple):

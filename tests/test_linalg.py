@@ -49,6 +49,7 @@ from orbitcharts.linalg import (
     matrix_from_json,
     matrix_to_json,
     parse_rational,
+    primitive_integer_vector,
     rank,
     rational_str,
     solve_linear,
@@ -729,6 +730,20 @@ class TestMatrixBasics:
             parse_rational("1/0")
         with pytest.raises(ValueError):
             parse_rational("abc")
+
+    @pytest.mark.parametrize("value,text", [
+        (F(-10 ** 5998), "-1" + "0" * 5998),
+        (F(10 ** 5000, 7), "1" + "0" * 5000 + "/7"),
+        (F(3, 10 ** 5000 + 1), "3/1" + "0" * 4999 + "1"),
+    ], ids=["integer", "numerator", "denominator"])
+    def test_rational_string_past_the_int_digit_limit(self, value, text):
+        # str refuses an int of more than sys.get_int_max_str_digits()
+        # digits (4300 by default); the exact value is still printed
+        assert rational_str(value) == text
+
+    def test_primitive_form_of_zero_refused(self):
+        with pytest.raises(ValueError, match="zero vector has no primitive form"):
+            primitive_integer_vector((0, 0))
 
     @pytest.mark.parametrize("text", ["1e5", "1E5", "2.5e-3", "1e2000000"])
     def test_exponent_notation_refused(self, text):

@@ -19,7 +19,7 @@ from orbitcharts.liealg import (
     centralizer_basis,
 )
 from orbitcharts.linalg import NotNilpotentError, commutator, solve_linear
-from orbitcharts.sl2 import NoTripleFoundError, jacobson_morozov
+from orbitcharts.sl2 import NoTripleFoundError, Sl2Triple, _check_relations, jacobson_morozov
 
 F = Fraction
 
@@ -131,3 +131,16 @@ def test_all_jordan_types(n):
         assert sol is not None, part
         # e sits in weight 2 of its own grading
         assert commutator(t.h.matrix, e.matrix) == e.matrix.scale(2)
+
+
+@pytest.mark.parametrize("e,h,f,message", [
+    (elem(2, 0, 1), diag_matrix([2, -2]), elem(2, 1, 0), r"^\[h, e\] != 2e$"),
+    (elem(2, 0, 1), diag_matrix([1, -1]), elem(2, 0, 1), r"^\[h, f\] != -2f$"),
+    (elem(2, 0, 1), diag_matrix([1, -1]), elem(2, 1, 0).scale(2), r"^\[e, f\] != h$"),
+], ids=["h-e", "h-f", "e-f"])
+def test_forged_triple_fails_its_relation(sl2, e, h, f, message):
+    # each forged triple breaks one relation and keeps the ones checked
+    # before it
+    triple = Sl2Triple(*(sl2.element_from_matrix(m) for m in (e, h, f)))
+    with pytest.raises(NoTripleFoundError, match=message):
+        _check_relations(triple)
