@@ -7,8 +7,10 @@ matrix as lists of ints or Fractions; `element_json(case)` returns
 """
 
 import json
+from fractions import Fraction
 
 from orbitcharts.liealg import build_classical
+from orbitcharts.rng import SplitMix64
 
 
 def _upper(family, n, d=None):
@@ -23,6 +25,60 @@ def _upper(family, n, d=None):
 def _diagonal(d):
     n = len(d)
     return [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _inverse(m):
+    """The inverse of the square matrix m by Gauss-Jordan elimination in
+    Fractions, or None when m is singular."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for c in range(n):
+        pr = next((r for r in range(c, n) if aug[r][c]), None)
+        if pr is None:
+            return None
+        aug[c], aug[pr] = aug[pr], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def _cayley(family, n, kind):
+    """g m g^-1 for g = (I - A)^-1 (I + A), the Cayley transform of A in
+    so(n) or sp(n), which preserves the form: a dense element of the orbit
+    of m. A is the sum c_i b_i over the basis, one SplitMix64(5).randint(-1,
+    1) per c_i, redrawn until I - A is invertible; g^-1 = (I + A)^-1 (I -
+    A). With k = n // 2, m is diag(k, ..., 1, (0), -1, ..., -k)
+    ("diagonal"), the sum of the strictly upper basis elements
+    ("nilpotent"), or diag(1, ..., 1, (0), -1, ..., -1) plus the strictly
+    upper basis elements that commute with it ("mixed")."""
+    algebra = build_classical(family, n)
+    k = n // 2
+    if kind == "diagonal":
+        m = _diagonal(list(range(k, 0, -1)) + [0] * (n % 2) + list(range(-1, -k - 1, -1)))
+    else:
+        d = [0] * n if kind == "nilpotent" else [1] * k + [0] * (n % 2) + [-1] * k
+        upper = _upper(family, n, None if kind == "nilpotent" else d)
+        m = [[(d[i] if i == j else 0) + sum(b.at(i, j) for b in upper) for j in range(n)]
+             for i in range(n)]
+    rng = SplitMix64(5)
+    while True:
+        coords = [rng.randint(-1, 1) for _ in algebra.basis]
+        a = [[sum(c * b.at(i, j) for c, b in zip(coords, algebra.basis)) for j in range(n)]
+             for i in range(n)]
+        minus = [[int(i == j) - a[i][j] for j in range(n)] for i in range(n)]
+        plus = [[int(i == j) + a[i][j] for j in range(n)] for i in range(n)]
+        inverse = _inverse(minus)
+        if inverse is not None:
+            g, g_inv = _mul(inverse, plus), _mul(_inverse(plus), minus)
+            return family, n, _mul(_mul(g, m), g_inv)
 
 
 def rows(case):
@@ -95,6 +151,12 @@ def rows(case):
         upper = _upper(family, n)
         return family, n, [[sum(b.at(i, j) for b in upper) for j in range(n)]
                            for i in range(n)]
+    if case in [f"{family}8-cayley-{kind}" for family in ("so", "sp")
+                for kind in ("diagonal", "nilpotent", "mixed")]:
+        # dense so8 and sp8 elements of each kind: the Cayley conjugates of
+        # `_cayley`, whose gradings are not diagonal, so their chart factors
+        # have dense bases
+        return _cayley(case[:2], 8, case.rsplit("-", 1)[1])
     raise ValueError(f"unknown case {case!r}")
 
 

@@ -40,7 +40,9 @@ column Ad(S_k) s_j. `_core_brackets` forms these columns from the partial
 values in the g^-1 frame, k = m, and in the frame k = m - 1 of a chart
 without a slice: `eval_chart_with_derivatives` takes k = m and maps the
 columns back by g; `verify._jacobian_rank` ranks them with y = b, and
-leaves unconjugated the blocks that `_plain_blocks` names. Every matrix
+leaves unconjugated the blocks that `_plain_blocks` names. An
+unconjugated y of at most n nonzeros is bracketed through its support
+(`linalg._support_bracket`), a denser one by `commutator`. Every matrix
 is a `RatMatrix`.
 
 Two constructions, chosen by the Jordan split x = x_s + x_n (computed once):
@@ -93,6 +95,7 @@ from .linalg import (
     _matrix,
     _powers,
     _support,
+    _support_bracket,
     commutator,
     matrix_from_json,
     matrix_to_json,
@@ -367,13 +370,14 @@ def _times(a: Optional[RatMatrix], b: Optional[RatMatrix]) -> Optional[RatMatrix
     return b if a is None else a if b is None else a * b
 
 
-def _conjugate(p: Optional[RatMatrix], y: RatMatrix, p_inv: Optional[RatMatrix]) -> RatMatrix:
-    """p y p^-1, with None standing for the identity."""
-    return y if p is None else p * y * p_inv
+def _conjugate(p: RatMatrix, y: RatMatrix, p_inv: RatMatrix) -> RatMatrix:
+    """p y p^-1."""
+    return p * y * p_inv
 
 
 def _core_brackets(vp: _ValuePass, per_factor: Sequence, slice_basis: Sequence,
-                   k: int, plain: frozenset = frozenset()) -> list:
+                   k: int, plain: frozenset = frozenset(),
+                   supports: Optional[Sequence] = None) -> list:
     """The differential's columns in the frame S_k, as blocks in factor order.
 
     S_k is the product of the exponentials of factors[k:]: k = m gives the
@@ -389,16 +393,35 @@ def _core_brackets(vp: _ValuePass, per_factor: Sequence, slice_basis: Sequence,
     the blocks whose span P leaves as it is. A last block holds the slice
     elements s_j, which S_m = 1 leaves as they are.
 
+    ``supports`` holds the `_support` of each y, per factor: the chart's
+    own ``supports[0]`` when per_factor is its factors, else (None) they
+    are read off per_factor. A y left unconjugated, in a block f >= k, a
+    plain block or block k - 1 (where P = 1), is bracketed through its
+    support (`linalg._support_bracket`) when it has at most n nonzero
+    entries, which costs O(n nnz(y)), and by `commutator` otherwise: the
+    dense pieces of a non-diagonal grading are cheaper through the
+    product loop. Both give the same matrix.
+
     `eval_chart_with_derivatives` passes no ``plain`` block, since its
     columns must be the derivatives themselves.
     """
     core = vp.cores[k]
-    blocks = [[commutator(y, core) for y in ys] for ys in per_factor[k:]]
+    n = core.rows
+    if supports is None:
+        supports = [[_support(y) for y in ys] for ys in per_factor]
+
+    def unconjugated(f: int) -> list:
+        return [_support_bracket(s, core) if len(s[1]) <= n else commutator(y, core)
+                for y, s in zip(per_factor[f], supports[f])]
+
+    blocks = [unconjugated(f) for f in range(max(k, 0), len(per_factor))]
     blocks.append(list(slice_basis))
     p = p_inv = None  # P and P^-1, P^-1 the product over factors[f+1:k]
     for f in range(k - 1, -1, -1):
-        ys = per_factor[f] if f in plain else [_conjugate(p, y, p_inv) for y in per_factor[f]]
-        blocks.insert(0, [commutator(y, core) for y in ys])
+        if p is None or f in plain:
+            blocks.insert(0, unconjugated(f))
+        else:
+            blocks.insert(0, [commutator(_conjugate(p, y, p_inv), core) for y in per_factor[f]])
         if f:
             _, exp_a, exp_neg = vp.series[f]
             p, p_inv = _times(p, exp_neg), _times(exp_a, p_inv)

@@ -21,10 +21,17 @@ product loop, `_accumulate`, on numerators. The nonzero entries of the left
 factor drive it, and the sparse pairs of a row of the right factor are
 built only when a nonzero first reaches that row. `_product` fills one
 buffer with it; `commutator` fills one buffer with both halves, signs +1 and
--1, and normalizes once. Every matrix elimination (`rank`, `det`,
-`kernel_basis`, `solve_linear`, `VectorSpan`) runs one fraction-free loop,
-`_bareiss`, on integer rows to control coefficient growth; it skips the rows
-whose entry in the pivot column is zero and scales them lazily. Every solve
+-1, and normalizes once. One bracket does not run it: `_support_bracket`
+brackets a matrix b given by its `_support` with a matrix m by adding and
+subtracting whole rows and columns of m, one of each per nonzero of b, in
+O(n nnz(b)) where `commutator` walks all n^2 entries of m. The Jacobian
+columns of a chart take it for a basis element of at most n nonzeros
+(`charts._core_brackets`). Every matrix elimination (`rank`, `det`,
+`kernel_basis`, `solve_linear`, `VectorSpan`, `_span_rank`) runs one
+fraction-free loop, `_bareiss`, on integer rows to control coefficient
+growth; it skips the rows whose entry in the pivot column is zero and
+scales them lazily. `_span_rank` takes integer rows and divides each by its
+content, the gcd of its entries, before it eliminates them. Every solve
 after it runs one integer back-substitution, `_back_substitute`, and every
 kernel basis is read off echelon rows by one reader, `_echelon_kernel`, so
 a rank and a kernel of one matrix can share one elimination (`_echelon`). The
@@ -353,6 +360,27 @@ def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return _matrix(n, n, out, a.den * b.den)
 
 
+def _support_bracket(support: tuple, m: RatMatrix) -> RatMatrix:
+    """[b, m] = b m - m b for the n x n matrix b given by its `_support`
+    (d, pairs) and the n x n matrix m, over d * m.den, normalized once.
+
+    Each pair (p = i n + k, v) adds v (row k of m) to row i, the term of
+    b m, and subtracts v (column i of m) from column k, the term of m b,
+    each as one whole-slice update. So it costs O(n nnz(b)), where
+    `commutator(b, m)` walks all n^2 numerators of m to meet the nonzeros
+    of b; it gives the same matrix.
+    """
+    d, pairs = support
+    n, nums = m.rows, m.nums
+    out = [0] * (n * n)
+    for p, v in pairs:
+        i, k = divmod(p, n)
+        row = i * n
+        out[row:row + n] = [x + v * y for x, y in zip(out[row:row + n], nums[k * n:k * n + n])]
+        out[k::n] = [x - v * y for x, y in zip(out[k::n], nums[i::n])]
+    return _matrix(n, n, out, d * m.den)
+
+
 def matrix_to_json(m: RatMatrix) -> list:
     return [[rational_str(x) for x in row] for row in m.row_lists()]
 
@@ -561,14 +589,17 @@ def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     return _matrix(sum(m.rows for m in mats), cols, nums, den)
 
 
-def _span_rank(mats: Sequence[RatMatrix]) -> int:
-    """Dimension of the span of the same-shape matrices ``mats``: the rank
-    of their numerators, one flattened matrix per row (scaling a row by its
-    denominator keeps the rank)."""
-    if not mats:
-        return 0
-    size = mats[0].rows * mats[0].cols
-    return rank(_matrix(len(mats), size, [x for m in mats for x in m.nums]))
+def _span_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Dimension of the span of the integer vectors ``rows``, such as the
+    numerators of same-shape matrices, one flattened matrix per row
+    (scaling a row by its denominator keeps the rank). Each row is divided
+    by its content, the gcd of its entries, which keeps the rank and the
+    minors `_bareiss` forms small, and one `_bareiss` eliminates them."""
+    primitive = []
+    for row in rows:
+        g = math.gcd(*row)
+        primitive.append([x // g for x in row] if g > 1 else list(row))
+    return len(_bareiss(primitive)[1])
 
 
 def _vector_ints(v) -> tuple:

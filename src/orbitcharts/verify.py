@@ -18,8 +18,12 @@ differential's columns conjugated by S_k g^-1, S_k = exp a_(k+1) ...
 exp a_m, with k = m (the g^-1 frame) for a chart with a slice and
 k = m - 1 for one without: each factor column is one bracket with the
 partial value Ad(S_k) core, and a semisimple chart's columns need no
-conjugation. One Bareiss elimination ranks them, slice rows first and
-then the factor blocks from the last factor to the first
+conjugation. A column whose basis element is left unconjugated and has at
+most n nonzeros is bracketed through the element's support in the chart's
+``supports`` (`linalg._support_bracket`), a denser one by `commutator`.
+The columns' integer numerators go to `linalg._span_rank`, which divides
+each row by its content and ranks them by one Bareiss elimination, slice
+rows first and then the factor blocks from the last factor to the first
 (`_jacobian_rank`). Every rank, a report's and `jacobian_rank_at`'s, is
 taken in the chart's one `_RankFrame` (`_rank_frame`): the columns go in
 the weight order of the chart's diagonal grading elements, and a factor
@@ -239,14 +243,22 @@ def _jacobian_rank(chart: OrbitChart, vp, frame: _RankFrame) -> int:
     against them. The sl10 mixed chart of CI's scale smoke ranks the same
     rows as in the g^-1 frame, and four of its ranks took 0.15 s in this
     order against 0.42-0.44 s in parameter order (Python 3.11, 2-vCPU
-    Xeon guest). The permuted rows go to `_span_rank` as 1 x n^2 matrices.
+    Xeon guest).
+
+    The columns come from `charts._core_brackets` on the chart's own
+    ``supports``: an unconjugated basis element of at most n nonzeros, such
+    as the E_ij of a diagonal grading, is bracketed through its support
+    (`linalg._support_bracket`, O(n nnz(b))), and a denser one, such as
+    the kernel vectors of a non-diagonal grading, by `commutator`. The
+    numerators of each column, permuted by the order, go to `_span_rank`
+    as one integer row; it divides the row by its content, which keeps the
+    rank, and eliminates all rows once.
     """
     blocks = _core_brackets(vp, chart.factors, chart.slice_basis, _frame_index(chart),
-                            frame.plain)
-    rows = [row for block in reversed(blocks) for row in block]
-    if frame.order is not None:
-        rows = [_matrix(1, len(row.nums), frame.order(row.nums)) for row in rows]
-    return _span_rank(rows)
+                            frame.plain, chart.supports[0])
+    order = frame.order
+    return _span_rank([c.nums if order is None else order(c.nums)
+                       for block in reversed(blocks) for c in block])
 
 
 def _power_walk(m: RatMatrix, ranked: bool) -> tuple:
@@ -448,7 +460,7 @@ def _tangent_check(nil_chart: OrbitChart, name: str) -> Check:
     coordinate map is injective, so it is the rank of ad e on p."""
     pd = nil_chart.parabolic
     e = nil_chart.base_element.matrix
-    return _agrees(name, len(pd.u2), _span_rank([commutator(e, b) for b in pd.p]))
+    return _agrees(name, len(pd.u2), _span_rank([commutator(e, b).nums for b in pd.p]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Property tests of chart derivatives and serialization at random tuples,
 of whole charts on random so/sp elements, of sl nilpotent orbits by Jordan
-type, and of every so/sp nilpotent orbit by partition."""
+type, of every so/sp nilpotent orbit by partition, and of dense so/sp
+elements of each kind by the Cayley transform."""
 
 import contextlib
 import importlib.util
@@ -13,12 +14,16 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    CAYLEY_KINDS,
     UNFRAMED,
+    cayley_base,
+    cayley_conjugate,
     diag_matrix,
     g_inverse_frame_rank,
     jordan_nilpotent,
     nontrivial_partitions,
     unit_bidiagonal,
+    upper_basis,
 )
 from test_charts import DERIVATIVE_CASES, assert_dual_number_derivatives, derivative_chart
 from orbitcharts.charts import (
@@ -50,13 +55,6 @@ def test_derivatives_and_round_trip_at_random_tuples(data):
     rebuilt = chart_from_json(chart.algebra, chart_to_json(chart))
     assert eval_chart_with_derivatives(rebuilt, params) == \
         eval_chart_with_derivatives(chart, params)
-
-
-def _upper_basis(algebra):
-    """The strictly upper-triangular basis elements of ``algebra``."""
-    n = algebra.ambient_size
-    return [b for b in algebra.basis
-            if all(not b.at(i, j) for i in range(n) for j in range(i + 1))]
 
 
 def _assert_chart_verifies(algebra, x):
@@ -94,7 +92,7 @@ def test_so_sp_conjugated_diagonals_and_upper_nilpotents(family, n, data):
     algebra = build_classical(family, n)
     a = data.draw(st.lists(st.integers(1, 4), min_size=n // 2, max_size=n // 2))
     d = diag_matrix(a + [0] * (n % 2) + [-v for v in reversed(a)])
-    upper = _upper_basis(algebra)
+    upper = upper_basis(algebra)
     coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(upper),
                                 max_size=len(upper)))
     y = sum((b.scale(c) for b, c in zip(upper, coeffs)), d.scale(0))
@@ -233,3 +231,57 @@ def test_so_sp_nilpotent_orbit_by_partition(family, n, lam, swapped):
     jordan_types = checks["jordan_type_preserved"]
     assert jordan_types["expected"] == [ranks]
     assert jordan_types["observed"] == [ranks] * len(jordan_types["observed"])
+
+
+CAYLEY_CASES = [(family, n, kind) for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6))
+                for kind in CAYLEY_KINDS]
+
+
+def _cayley_orbit_dim(family, n, kind, base):
+    """The workloads' oracle for the orbit of `cayley_base` ``base``, k = n // 2:
+    a split diagonal's formula for diag(k, ..., 1, (0), -1, ..., -k), the
+    partition formula for the nilpotent, and for the mixed element dim O_x_s
+    + dim O_x_n in the Levi c(x_s) = gl(k) (+ so or sp of the zero part),
+    where x_n is the top left k x k block of base - x_s, as an sl(k)
+    nilpotent of its Jordan type."""
+    k = n // 2
+    rows = [[base.at(i, j) for j in range(n)] for i in range(n)]
+    if kind == "diagonal":
+        return WORKLOADS.split_diagonal_orbit_dim(family, tuple(range(k, 0, -1)), n)
+    if kind == "nilpotent":
+        return WORKLOADS.nilpotent_orbit_dim(family, n, WORKLOADS.nilpotent_partition(rows))
+    block = [[v if i != j else 0 for j, v in enumerate(row[:k])] for i, row in enumerate(rows[:k])]
+    return (WORKLOADS.split_diagonal_orbit_dim(family, (1,) * k, n)
+            + WORKLOADS.nilpotent_orbit_dim("sl", k, WORKLOADS.nilpotent_partition(block)))
+
+
+@pytest.mark.parametrize("family,n,kind", CAYLEY_CASES,
+                         ids=[f"{family}{n}-{kind}" for family, n, kind in CAYLEY_CASES])
+@hypothesis.settings(derandomize=True, max_examples=3, deadline=None)
+@hypothesis.given(data=st.data())
+def test_so_sp_cayley_conjugates(family, n, kind, data):
+    """Ad(g) of a `cayley_base` element, g the Cayley transform of an A in
+    so(n) or sp(n) with basis coordinates in -1..1 and I - A invertible,
+    taken when it has more nonzero entries than the base: a denser element
+    of the same orbit, whose gradings are in general not diagonal and whose
+    chart factors then have dense bases (see
+    `test_jacobian_certificate.test_brackets_through_supports_and_commutator`).
+    `verify` through the CLI passes,
+    with the case of its kind and the orbit dimension of the workloads'
+    oracle (`_cayley_orbit_dim`) as both sides of ``dimension_identity``."""
+    algebra = build_classical(family, n)
+    base = cayley_base(algebra, kind)
+    coords = data.draw(st.lists(st.integers(-1, 1), min_size=algebra.dim, max_size=algebra.dim))
+    x = cayley_conjugate(algebra, base, coords)
+    hypothesis.assume(x is not None and x.nums.count(0) < base.nums.count(0))
+    element = json.dumps({"matrix": [[str(v) for v in row] for row in x.row_lists()]})
+    code, report = _run_json(["verify", "--samples", "3", "--family", family, "--size", str(n),
+                              "--element", element])
+    assert code == 0 and report["overall_pass"] is True
+    chart_report = report["chart_verification"]
+    case = {"diagonal": "semisimple"}.get(kind, kind)
+    assert chart_report["subject"]["case"] == case
+    checks = {c["name"]: c for c in chart_report["checks"]}
+    orbit_dim = _cayley_orbit_dim(family, n, kind, base)
+    assert checks["dimension_identity"]["expected"] == orbit_dim
+    assert checks["dimension_identity"]["observed"] == orbit_dim

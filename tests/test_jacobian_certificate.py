@@ -45,7 +45,10 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    CAYLEY_KINDS,
     UNFRAMED,
+    cayley_base,
+    cayley_element,
     diag_matrix,
     elem,
     g_inverse_frame_rank,
@@ -55,6 +58,7 @@ from conftest import (
     mixed_element,
     nontrivial_partitions,
     power_walk_corpus,
+    spy_everywhere,
     unit_bidiagonal,
 )
 from orbitcharts import charts, verify
@@ -201,7 +205,7 @@ def test_semisimple_chart_brackets_with_the_conjugated_core(rank_calls):
     vp = _value_pass(chart, params)
     assert verify._jacobian_rank(chart, vp, UNFRAMED) == 2 == _exact_rank(chart, params)
     assert rank_calls == [2]
-    assert _span_rank([commutator(b, e) for b in (e, f)]) == 1
+    assert _span_rank([commutator(b, e).nums for b in (e, f)]) == 1
 
 
 def test_two_factor_chart_with_a_slice():
@@ -410,35 +414,20 @@ def _nil(chart):
 
 def _so_sp_elements(family, n):
     """(label, matrix): the sum of the strictly upper basis elements and
-    diag(k, ..., 1, (0), -1, ..., -k) of so(n) or sp(n)."""
+    diag(k, ..., 1, (0), -1, ..., -k) of so(n) or sp(n) (`cayley_base`)."""
     algebra = build_classical(family, n)
-    upper = [b for b in algebra.basis
-             if all(not b.at(i, j) for i in range(n) for j in range(i + 1))]
-    total = sum(upper[1:], upper[0])
-    k = n // 2
-    d = list(range(k, 0, -1)) + [0] * (n % 2) + list(range(-1, -k - 1, -1))
-    return [(f"{family}{n}-upper", total), (f"{family}{n}-diagonal", diag_matrix(d))]
-
-
-def _so_sp_mixed(family, n):
-    """diag(1, ..., 1, -1, ..., -1) in so(n) or sp(n), n even, plus the
-    strictly upper basis elements that commute with it, built as CI's
-    so12 and sp12 mixed scale elements are: the witness z is diagonal and
-    the inner JM h is not."""
-    algebra = build_classical(family, n)
-    d = [1] * (n // 2) + [-1] * (n // 2)
-    upper = [b for b in algebra.basis
-             if all(not b.at(i, j) for i in range(n) for j in range(i + 1))
-             and all(not b.at(i, j) or d[i] == d[j] for i in range(n) for j in range(n))]
-    return sum(upper, diag_matrix(d))
+    return [(f"{family}{n}-upper", cayley_base(algebra, "nilpotent")),
+            (f"{family}{n}-diagonal", cayley_base(algebra, "diagonal"))]
 
 
 def _frame_corpus():
     """(label, family, n, matrix): every sl3-sl6 nilpotent Jordan type, sl3-sl6
     diagonals with repeated and distinct entries, the mixed corpus, so5,
     so6, sp4 and sp6 upper nilpotents and diagonals, so6 and sp6 mixed
-    elements whose inner JM h alone is not diagonal (`_so_sp_mixed`), and
-    a conjugated sl4 mixed element u (diag(1, 1, -1, -1) + E01) u^-1,
+    elements whose inner JM h alone is not diagonal, the dense Cayley
+    conjugates of so5, so6, sp4 and sp6 elements of each kind
+    (`cayley_element`), whose gradings are not diagonal, and a
+    conjugated sl4 mixed element u (diag(1, 1, -1, -1) + E01) u^-1,
     whose witness and JM h are not diagonal."""
     out = []
     for n in (3, 4, 5, 6):
@@ -454,7 +443,15 @@ def _frame_corpus():
     for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6)):
         out += [(label, family, n, m) for label, m in _so_sp_elements(family, n)]
     for family in ("so", "sp"):
-        out.append((f"{family}6-mixed-upper", family, 6, _so_sp_mixed(family, 6)))
+        # diag(1, 1, 1, -1, -1, -1) plus the strictly upper basis elements that
+        # commute with it, built as CI's so12 and sp12 mixed scale elements
+        # are: the witness z is diagonal and the inner JM h is not
+        out.append((f"{family}6-mixed-upper", family, 6,
+                    cayley_base(build_classical(family, 6), "mixed")))
+    for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6)):
+        algebra = build_classical(family, n)
+        out += [(f"{family}{n}-cayley-{kind}", family, n,
+                 cayley_element(algebra, kind, SplitMix64(5))) for kind in CAYLEY_KINDS]
     u, u_inv = unit_bidiagonal([1, -1, 2])
     out.append(("sl4-conjugated-mixed", "sl", 4,
                 u * (diag_matrix([1, 1, -1, -1]) + elem(4, 0, 1)) * u_inv))
@@ -503,6 +500,55 @@ def test_framed_rank_equals_g_inverse_frame_rank(label):
             assert verify._jacobian_rank(given, vp, frame) == want, params
             assert verify._jacobian_rank(given, vp, backwards) == want, params
             assert verify.jacobian_rank_at(given, params) == want, params
+
+
+@pytest.mark.parametrize("label", list(FRAME_CORPUS))
+def test_framed_rank_equals_derivative_rank(label):
+    """The rank in the report's frame, where the unconjugated blocks are
+    bracketed through the supports of their basis elements when these are
+    sparse and by `commutator` when not, equals the rank of the columns
+    `eval_chart_with_derivatives` forms, at the base tuple and two sampled
+    tuples; so does the rank of the chart read back from JSON under
+    `UNFRAMED`, on the chart's own factors. Mixed charts keep their u-
+    block conjugated in both frames."""
+    chart = frame_chart(label)
+    read_back = chart_from_json(chart.algebra, json.loads(json.dumps(chart_to_json(chart))))
+    frame = verify._rank_frame(chart, chart)
+    if chart.case_tag == "mixed":
+        assert 0 not in frame.plain
+    for _, params in _frame_points(chart)[:3]:
+        want = _exact_rank(chart, params)
+        assert want == chart.param_count
+        assert verify._jacobian_rank(chart, _value_pass(chart, params), frame) == want
+        assert verify._jacobian_rank(read_back, _value_pass(read_back, params), UNFRAMED) == want
+
+
+@pytest.mark.parametrize("label, frame, supported, dense", [
+    ("sl4-1,1,-1,-1+E01", "report", 5, 4),
+    ("sl4-1,1,-1,-1+E01", "unframed", 1, 8),
+    ("sl6-diag5,3,1,-1,-3,-5", "report", 30, 0),
+    ("sl5-32", "report", 10, 0),
+    ("sp4-cayley-nilpotent", "report", 0, 4),
+    ("sp4-cayley-mixed", "report", 1, 6),
+])
+def test_brackets_through_supports_and_commutator(monkeypatch, label, frame, supported, dense):
+    """The brackets one base-point rank forms through a basis element's
+    support (`linalg._support_bracket`) and through `commutator`. The sl4
+    mixed chart (factor sizes 4, 4, 1, single-entry bases) in its report's
+    frame brackets u and the inner factor through their supports and
+    conjugates u- (4 commutators); with no plain block only the inner
+    factor is left unconjugated. The sl diagonal and nilpotent charts
+    need no commutator. The dense Cayley sp4 charts bracket their basis
+    elements of more than 4 nonzeros by `commutator`: all four of the
+    nilpotent's u-, and on the mixed chart u- (conjugated, 3), two of
+    u's three and the inner factor's one."""
+    chart = frame_chart(label)
+    ranked = verify._rank_frame(chart, chart) if frame == "report" else UNFRAMED
+    vp = _value_pass(chart, chart.base_params)
+    through_supports = spy_everywhere(monkeypatch, charts._support_bracket)
+    through_commutator = spy_everywhere(monkeypatch, commutator)
+    assert verify._jacobian_rank(chart, vp, ranked) == chart.param_count
+    assert (len(through_supports), len(through_commutator)) == (supported, dense)
 
 
 def test_frame_order_is_increasing_weight():
@@ -577,8 +623,8 @@ def test_plain_blocks(label, plain):
     assert charts._plain_blocks(chart.factors, k) == plain
     if chart.case_tag == "mixed":
         u_minus, u = chart.factors[:2]
-        assert _span_rank(u_minus + tuple(commutator(a, b) for a in u for b in u_minus)) \
-            > _span_rank(u_minus)
+        spanned = u_minus + tuple(commutator(a, b) for a in u for b in u_minus)
+        assert _span_rank([m.nums for m in spanned]) > _span_rank([m.nums for m in u_minus])
 
 
 def test_a_block_that_is_not_plain_keeps_its_conjugation():

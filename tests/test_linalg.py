@@ -1156,6 +1156,58 @@ class TestProductKernelAgainstRowLoop:
             commutator(RatMatrix.zeros(r1, c1), RatMatrix.zeros(r2, c2))
 
 
+class TestSupportBracket:
+    """`_support_bracket(_support(b), m)`, which adds and subtracts whole rows
+    and columns of m for each nonzero of b, has the storage of
+    `commutator(b, m)`."""
+
+    @pytest.mark.parametrize("family,sizes", [("sl", (2, 3, 4, 5, 6)), ("so", (5, 6, 7, 8)),
+                                              ("sp", (4, 6, 8))])
+    def test_basis_elements(self, family, sizes):
+        """Every basis element b of the algebra, with one or two nonzeros
+        (E_ij and h_i in sl, the paired entries of so and sp and the single
+        long-root entries of sp), against
+        a dense m with Fraction entries, a sparse m and the zero m."""
+        rng = SplitMix64(3030)
+        counts = set()
+        for n in sizes:
+            algebra = build_classical(family, n)
+            operands = [_kernel_operand(rng, n, n, 100), _kernel_operand(rng, n, n, 30),
+                        RatMatrix.zeros(n, n)]
+            for b in algebra.basis:
+                support = linalg._support(b)
+                counts.add(len(support[1]))
+                for m in operands:
+                    _assert_same_matrix(linalg._support_bracket(support, m), commutator(b, m))
+        assert counts == ({2} if family == "so" else {1, 2})
+
+    def test_kernel_corpus(self):
+        """The pairs of `_commutator_corpus`: zero, identity, one or two
+        basis-like entries and dense b, each with Fraction entries, against
+        every kind of m, the zero matrix among them."""
+        for b, m in _commutator_corpus():
+            _assert_same_matrix(linalg._support_bracket(linalg._support(b), m), commutator(b, m))
+
+    def test_seeded_dense_fraction_operands(self):
+        """Dense b and m with Fraction entries whose halves cancel down to
+        lowest terms, and b scaled so its support carries a denominator."""
+        rng = SplitMix64(3031)
+        for n in range(1, 7):
+            for _ in range(4):
+                b = _kernel_operand(rng, n, n, 100).scale(F(1, draw_choice(rng, (1, 2, 6))))
+                m = _kernel_operand(rng, n, n, draw_choice(rng, (10, 100)))
+                for x, y in ((b, m), (b, b), (m, b)):
+                    got = linalg._support_bracket(linalg._support(x), y)
+                    _assert_same_matrix(got, commutator(x, y))
+                    _assert_same_matrix(got, _reference_commutator(x, y))
+
+    def test_zero_operands(self):
+        m = M([[F(1, 2), 3], [-1, F(-1, 2)]])
+        zero = RatMatrix.zeros(2, 2)
+        _assert_same_matrix(linalg._support_bracket(linalg._support(zero), m), zero)
+        _assert_same_matrix(linalg._support_bracket(linalg._support(m), zero), zero)
+
+
 def test_product_kernel_property_against_row_loop():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -1324,7 +1376,7 @@ def _sl4_mixed_jacobian_rows(monkeypatch):
     ranked = []
     monkeypatch.setattr(verify, "_span_rank", ranked.append)
     verify._jacobian_rank(chart, vp, UNFRAMED)
-    return [list(mat.nums) for mat in ranked[0]]
+    return [list(row) for row in ranked[0]]
 
 
 def _bareiss_corpus():
