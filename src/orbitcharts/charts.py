@@ -40,10 +40,9 @@ column Ad(S_k) s_j. `_core_brackets` forms these columns from the partial
 values in the g^-1 frame, k = m, and in the frame k = m - 1 of a chart
 without a slice: `eval_chart_with_derivatives` takes k = m and maps the
 columns back by g; `verify._jacobian_rank` ranks them with y = b, and
-leaves unconjugated the blocks that `_plain_blocks` names. An
-unconjugated y of at most n nonzeros is bracketed through its support
-(`linalg._support_bracket`), a denser one by `commutator`. Every matrix
-is a `RatMatrix`.
+leaves unconjugated the blocks that `_plain_blocks` names. Every column
+is one `commutator`, which brackets through the support of a factor of at
+most n nonzeros. Every matrix is a `RatMatrix`.
 
 Two constructions, chosen by the Jordan split x = x_s + x_n (computed once):
 
@@ -94,8 +93,6 @@ from .linalg import (
     _lincomb,
     _matrix,
     _powers,
-    _support,
-    _support_bracket,
     commutator,
     matrix_from_json,
     matrix_to_json,
@@ -124,9 +121,9 @@ class OrbitChart:
     the nested nilpotent chart of the mixed case, whose factors and slice
     are the tail of this chart's. ``parabolic`` carries the construction
     scaffolding for verification and sampling; it is not serialized.
-    ``supports`` is derived from the flat fields once, for evaluation, and
-    ``slice_span`` once, for slice coordinates; the chart is frozen, so no
-    field can be reassigned under them.
+    ``slice_span`` is derived from the flat fields once, for slice
+    coordinates; the chart is frozen, so no field can be reassigned under
+    it. Evaluation reads each basis matrix's own `RatMatrix.support`.
     """
 
     base_element: LieElement
@@ -154,14 +151,6 @@ class OrbitChart:
     @property
     def base_params(self) -> tuple:
         return (ZERO,) * (self.param_count - len(self.slice_basis)) + self.slice_base
-
-    @cached_property
-    def supports(self) -> tuple:
-        """(per factor, the `_support` of each basis matrix; the `_support`
-        of each slice basis matrix): the sparse forms `_value_pass` sums.
-        Read once per chart; never serialized or compared."""
-        return (tuple(tuple(_support(b) for b in basis) for basis in self.factors),
-                tuple(_support(s) for s in self.slice_basis))
 
     @cached_property
     def slice_span(self) -> VectorSpan:
@@ -347,17 +336,16 @@ def _value_pass(chart: OrbitChart, params: Sequence) -> _ValuePass:
             f"expected {chart.param_count} parameters, got {len(params)}"
         )
     n = chart.algebra.ambient_size
-    factor_supports, slice_supports = chart.supports
     series = []
     pos = 0
-    for supports in factor_supports:
-        coeffs = params[pos:pos + len(supports)]
-        pos += len(supports)
-        a = _lincomb(coeffs, supports, n, n)
+    for basis in chart.factors:
+        coeffs = params[pos:pos + len(basis)]
+        pos += len(basis)
+        a = _lincomb(coeffs, [b.support for b in basis], n, n)
         series.append((a,) + _exp_series(a))
     core = chart.shift if chart.shift is not None else RatMatrix.zeros(n, n)
-    if slice_supports:
-        core = core + _lincomb(params[pos:], slice_supports, n, n)
+    if chart.slice_basis:
+        core = core + _lincomb(params[pos:], [s.support for s in chart.slice_basis], n, n)
     cores = [core]
     for _, exp_a, exp_neg in reversed(series):
         cores.append(exp_a * cores[-1] * exp_neg)
@@ -376,8 +364,7 @@ def _conjugate(p: RatMatrix, y: RatMatrix, p_inv: RatMatrix) -> RatMatrix:
 
 
 def _core_brackets(vp: _ValuePass, per_factor: Sequence, slice_basis: Sequence,
-                   k: int, plain: frozenset = frozenset(),
-                   supports: Optional[Sequence] = None) -> list:
+                   k: int, plain: frozenset = frozenset()) -> list:
     """The differential's columns in the frame S_k, as blocks in factor order.
 
     S_k is the product of the exponentials of factors[k:]: k = m gives the
@@ -391,37 +378,22 @@ def _core_brackets(vp: _ValuePass, per_factor: Sequence, slice_basis: Sequence,
     conjugation spans, not the same columns. So does a block f < k in
     ``plain``, which holds [y, Ad(S_k) core] too: `_plain_blocks` names
     the blocks whose span P leaves as it is. A last block holds the slice
-    elements s_j, which S_m = 1 leaves as they are.
-
-    ``supports`` holds the `_support` of each y, per factor: the chart's
-    own ``supports[0]`` when per_factor is its factors, else (None) they
-    are read off per_factor. A y left unconjugated, in a block f >= k, a
-    plain block or block k - 1 (where P = 1), is bracketed through its
-    support (`linalg._support_bracket`) when it has at most n nonzero
-    entries, which costs O(n nnz(y)), and by `commutator` otherwise: the
-    dense pieces of a non-diagonal grading are cheaper through the
-    product loop. Both give the same matrix.
+    elements s_j, which S_m = 1 leaves as they are. Every column is one
+    `commutator`, which brackets a sparse y, such as the E_ij of a
+    diagonal grading, through its support.
 
     `eval_chart_with_derivatives` passes no ``plain`` block, since its
     columns must be the derivatives themselves.
     """
     core = vp.cores[k]
-    n = core.rows
-    if supports is None:
-        supports = [[_support(y) for y in ys] for ys in per_factor]
-
-    def unconjugated(f: int) -> list:
-        return [_support_bracket(s, core) if len(s[1]) <= n else commutator(y, core)
-                for y, s in zip(per_factor[f], supports[f])]
-
-    blocks = [unconjugated(f) for f in range(max(k, 0), len(per_factor))]
+    blocks = [[commutator(y, core) for y in ys] for ys in per_factor[max(k, 0):]]
     blocks.append(list(slice_basis))
     p = p_inv = None  # P and P^-1, P^-1 the product over factors[f+1:k]
     for f in range(k - 1, -1, -1):
-        if p is None or f in plain:
-            blocks.insert(0, unconjugated(f))
-        else:
-            blocks.insert(0, [commutator(_conjugate(p, y, p_inv), core) for y in per_factor[f]])
+        ys = per_factor[f]
+        if p is not None and f not in plain:
+            ys = [_conjugate(p, y, p_inv) for y in ys]
+        blocks.insert(0, [commutator(y, core) for y in ys])
         if f:
             _, exp_a, exp_neg = vp.series[f]
             p, p_inv = _times(p, exp_neg), _times(exp_a, p_inv)

@@ -54,7 +54,6 @@ from .linalg import (
     _lincomb,
     _matrix,
     _squarefree_integer_roots,
-    _support,
     char_poly,
     commutator,
     integer_roots,
@@ -301,7 +300,7 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int, known=Non
                     f"polynomial of center basis element {i} {element} does not "
                     f"split over the rationals"
                 )
-    supports = [_support(b) for b in center]
+    supports = [b.support for b in center]
     rng = SplitMix64(seed)
     bound = n * n
     rejected = dict.fromkeys(_REJECTION_REASONS, 0)

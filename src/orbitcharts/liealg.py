@@ -11,11 +11,11 @@ of earlier steps, reaches, in increasing order. An echelon row is zero left
 of its pivot column, so a nonzero residual at a column that is not a pivot
 column can be cleared by no row still to come: the bracket leaves the span.
 The coordinates are kept as sparse structure constants, the nonzero
-entries of each ad(b_i) in the integer form of `linalg._support`, from
-which `ad_matrix` assembles ad x in one pass (`linalg._lincomb`). The
-supports of the basis matrices are kept too, so `matrix_of` builds the
-matrix of exact coordinates in one pass. It is the one path from
-coordinates to a matrix: `element` calls it, and so do c(x), the center of
+entries of each ad(b_i) in the sparse form of `RatMatrix.support`, from
+which `ad_matrix` assembles ad x in one pass (`linalg._lincomb`), and
+`matrix_of` builds the matrix of exact coordinates in one pass over the
+basis matrices' own supports. It is the one path from coordinates to a
+matrix: `element` calls it, and so do c(x), the center of
 a Levi and the scanned graded pieces, on the primitive integer vectors of
 a kernel basis, which stay ints from the elimination to the matrix. A
 `LieAlgebra` is built only where something brackets inside it: the
@@ -67,7 +67,6 @@ from .linalg import (
     _int_kernel_basis,
     _lincomb,
     _matrix,
-    _support,
     char_poly,
     matrix_to_json,
 )
@@ -98,7 +97,6 @@ class LieAlgebra:
             self._span = VectorSpan(basis, length=ambient_size * ambient_size)
         except ValueError as exc:
             raise ValueError(f"{label}: basis is linearly dependent") from exc
-        self._basis_support = tuple(map(_support, basis))
         self._structure = self._validate_closure()
 
     @property
@@ -108,32 +106,33 @@ class LieAlgebra:
     def _validate_closure(self) -> tuple:
         """Check [b_i, b_j] stays in the span; return the structure constants.
 
-        Entry i is the `_support` of ad(b_i), whose nonzero entries are
-        listed at p = row * dim + col, the row-major position: the column of
-        b_j holds the coordinates of [b_i, b_j].
+        Entry i is ad(b_i) in the sparse form of `RatMatrix.support`, its
+        nonzero entries listed at p = row * dim + col, the row-major
+        position: the column of b_j holds the coordinates of [b_i, b_j].
 
-        Each bracket is formed from the basis supports, in integers over
-        d_i * d_j: an entry (r, k) of one factor is multiplied only with
-        row k of the other. `VectorSpan.sparse_coords_of` solves it on the
-        span built for the independence check, visiting only the pivot
-        columns the bracket or its fill-in reaches. A nonzero residual at a
+        Each bracket is formed from the basis matrices' supports, in
+        integers over d_i * d_j: an entry (r, k) of one factor is
+        multiplied only with row k of the other.
+        `VectorSpan.sparse_coords_of` solves it on the span built for the
+        independence check, visiting only the pivot columns the bracket or
+        its fill-in reaches. A nonzero residual at a
         column that is not a pivot column can be cleared by no remaining
         echelon row, since each is zero left of its pivot column, so the
         bracket leaves the span and the basis is refused.
         """
         n, m = self.ambient_size, self.dim
+        supports = [b.support for b in self.basis]
         # entry (r, k) of b_i as (r * n, k, value), and the rows of b_i
-        entries = [[(p - p % n, p % n, v) for p, v in pairs]
-                   for _, pairs in self._basis_support]
+        entries = [[(p - p % n, p % n, v) for p, v in pairs] for _, pairs in supports]
         by_row = []
-        for _, pairs in self._basis_support:
+        for _, pairs in supports:
             rows = {}
             for p, v in pairs:
                 rows.setdefault(p // n, []).append((p % n, v))
             by_row.append(rows)
         table = [[] for _ in range(m)]
         for i in range(m):
-            di, ei, ri = self._basis_support[i][0], entries[i], by_row[i]
+            di, ei, ri = supports[i][0], entries[i], by_row[i]
             for j in range(i + 1, m):
                 ej, rj = entries[j], by_row[j]
                 bracket = {}
@@ -143,8 +142,7 @@ class LieAlgebra:
                 for rn, k, v in ej:
                     for c, w in ri.get(k, ()):
                         bracket[rn + c] = bracket.get(rn + c, 0) - v * w
-                solved = self._span.sparse_coords_of(
-                    bracket, di * self._basis_support[j][0])
+                solved = self._span.sparse_coords_of(bracket, di * supports[j][0])
                 if solved is None:
                     raise ValueError(
                         f"{self.label}: basis is not bracket-closed "
@@ -154,12 +152,12 @@ class LieAlgebra:
                 for k, x in coords:
                     table[i].append((k * m + j, x, s))
                     table[j].append((k * m + i, -x, s))
-        supports = []
+        ad_supports = []
         for ad_entries in table:
             # d is the lcm of the reduced denominators, as in `_integers_over`
             d = math.lcm(*(s // math.gcd(x, s) for _, x, s in ad_entries))
-            supports.append((d, tuple((p, x * d // s) for p, x, s in ad_entries)))
-        return tuple(supports)
+            ad_supports.append((d, tuple((p, x * d // s) for p, x, s in ad_entries)))
+        return tuple(ad_supports)
 
     def coords_of_matrix(self, matrix: RatMatrix):
         if matrix.rows != self.ambient_size or matrix.cols != self.ambient_size:
@@ -177,7 +175,7 @@ class LieAlgebra:
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
         n = self.ambient_size
-        return _lincomb(coords, self._basis_support, n, n)
+        return _lincomb(coords, [b.support for b in self.basis], n, n)
 
     def element(self, coords: Sequence) -> "LieElement":
         coords = _as_fractions(coords)

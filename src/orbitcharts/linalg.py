@@ -15,34 +15,35 @@ as "1/10" instead), a string goes through `parse_rational`, and anything
 else (an int, a Fraction subclass) goes through `Fraction(x)`, except that
 `scale` takes an int as it is. `RatMatrix.entries` and `RatMatrix.at` give
 exact Fractions back.
-Every matrix product (`*`, `commutator`, `char_poly`, the power walk
-`_powers`, `Polynomial.evaluate_matrix`, chart evaluation) runs one integer
-product loop, `_accumulate`, on numerators. The nonzero entries of the left
-factor drive it, and the sparse pairs of a row of the right factor are
-built only when a nonzero first reaches that row. `_product` fills one
-buffer with it; `commutator` fills one buffer with both halves, signs +1 and
--1, and normalizes once. One bracket does not run it: `_support_bracket`
-brackets a matrix b given by its `_support` with a matrix m by adding and
-subtracting whole rows and columns of m, one of each per nonzero of b, in
-O(n nnz(b)) where `commutator` walks all n^2 entries of m. The Jacobian
-columns of a chart take it for a basis element of at most n nonzeros
-(`charts._core_brackets`). Every matrix elimination (`rank`, `det`,
-`kernel_basis`, `solve_linear`, `VectorSpan`, `_span_rank`) runs one
-fraction-free loop, `_bareiss`, on integer rows to control coefficient
-growth; it skips the rows whose entry in the pivot column is zero and
-scales them lazily. `_span_rank` takes integer rows and divides each by its
-content, the gcd of its entries, before it eliminates them. Every solve
-after it runs one integer back-substitution, `_back_substitute`, and every
-kernel basis is read off echelon rows by one reader, `_echelon_kernel`, so
-a rank and a kernel of one matrix can share one elimination (`_echelon`). The
-polynomial layer runs on integers too, and eliminates nothing: `char_poly`
-is Faddeev-LeVerrier on the numerators, `Polynomial.evaluate_matrix` is
-integer Horner, and `squarefree_part` divides by a gcd from a primitive
-pseudo-remainder sequence, `_pseudo_divmod`. Integer roots of a squarefree
-polynomial are Newton lifts (Hensel) of its roots modulo the least modulus
-at which the derivative is a unit at each of them, not found by factoring.
-Every function is pure and deterministic: rerunning on equal inputs gives
-bit-identical results.
+Every matrix product (`*`, `char_poly`, the power walk `_powers`,
+`Polynomial.evaluate_matrix`, chart evaluation) runs one integer product
+loop, `_accumulate`, on numerators. The nonzero entries of the left factor
+drive it, and the sparse pairs of a row of the right factor are built only
+when a nonzero first reaches that row; `_product` fills one buffer with it.
+A matrix keeps its sparse form, `RatMatrix.support` (its den and nonzero
+(position, numerator) pairs), once read, and `_lincomb` sums such forms.
+`commutator` is the one bracket of two matrices, and it picks its loop:
+when the sparser factor b has at most n nonzeros, `_support_bracket` adds
+and subtracts whole rows and columns of the other factor m, one of each per
+nonzero of b, in O(n nnz(b)) where the product loop walks all n^2 entries
+of m; otherwise two `_accumulate` calls fill one buffer with both halves,
+signs +1 and -1. Either way it normalizes once. Every matrix elimination
+(`rank`, `det`, `kernel_basis`, `solve_linear`, `VectorSpan`, `_span_rank`)
+runs one fraction-free loop, `_bareiss`, on integer rows to control
+coefficient growth; it skips the rows whose entry in the pivot column is
+zero and scales them lazily. `_span_rank` takes integer rows and divides
+each by its content, the gcd of its entries, before it eliminates them.
+Every solve after it runs one integer back-substitution,
+`_back_substitute`, and every kernel basis is read off echelon rows by one
+reader, `_echelon_kernel`, so a rank and a kernel of one matrix can share
+one elimination (`_echelon`). The polynomial layer runs on integers too,
+and eliminates nothing: `char_poly` is Faddeev-LeVerrier on the numerators,
+`Polynomial.evaluate_matrix` is integer Horner, and `squarefree_part`
+divides by a gcd from a primitive pseudo-remainder sequence,
+`_pseudo_divmod`. Integer roots of a squarefree polynomial are Newton lifts
+(Hensel) of its roots modulo the least modulus at which the derivative is a
+unit at each of them, not found by factoring. Every function is pure and
+deterministic: rerunning on equal inputs gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -138,10 +139,12 @@ class RatMatrix:
 
     Stored as the integer numerators ``nums`` over the shared denominator
     ``den``, in lowest terms (see the module docstring), so ``==`` and
-    ``hash`` compare storage directly.
+    ``hash`` compare storage directly. ``support``, the sparse form, is
+    kept in a private slot once read; ``==``, ``hash`` and pickling do not
+    see it.
     """
 
-    __slots__ = ("rows", "cols", "nums", "den")
+    __slots__ = ("rows", "cols", "nums", "den", "_sparse")
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -189,6 +192,18 @@ class RatMatrix:
 
     def at(self, i: int, j: int) -> Fraction:
         return Fraction(self.nums[i * self.cols + j], self.den)
+
+    @property
+    def support(self) -> tuple:
+        """(den, nonzero (position, numerator) pairs), position the
+        row-major index: the sparse form `_lincomb` sums and
+        `_support_bracket` brackets, formed on first read and kept."""
+        try:
+            return self._sparse
+        except AttributeError:
+            sparse = self.den, tuple((p, v) for p, v in enumerate(self.nums) if v)
+            object.__setattr__(self, "_sparse", sparse)
+            return sparse
 
     def row_lists(self) -> list:
         c = self.cols
@@ -328,16 +343,12 @@ def _is_diagonal(m: RatMatrix) -> bool:
     return len(nums) - nums.count(0) == len(diagonal) - diagonal.count(0)
 
 
-def _support(m: RatMatrix) -> tuple:
-    """(den, nonzero (position, numerator) pairs) of ``m``: the sparse form
-    `_lincomb` sums."""
-    return m.den, tuple((p, v) for p, v in enumerate(m.nums) if v)
-
-
 def _lincomb(coeffs: Sequence[Fraction], supports: Sequence, rows: int,
              cols: int) -> RatMatrix:
-    """sum c_i M_i, each M_i given by its `_support`: one pass over the
-    nonzero terms, in integers over one common denominator."""
+    """sum c_i M_i, each M_i given by its sparse form (den, pairs), the
+    `RatMatrix.support` of a matrix or a structure-constant row of
+    `liealg`: one pass over the nonzero terms, in integers over one common
+    denominator."""
     terms = [(c, s) for c, s in zip(coeffs, supports) if c]
     den = math.lcm(*(c.denominator * d for c, (d, _) in terms))
     acc = [0] * (rows * cols)
@@ -349,32 +360,47 @@ def _lincomb(coeffs: Sequence[Fraction], supports: Sequence, rows: int,
 
 
 def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """[a, b] = a b - b a for n x n matrices: two `_accumulate` calls, signs
-    +1 and -1, into one buffer over a.den * b.den, normalized once."""
+    """[a, b] = a b - b a for n x n matrices, over a.den * b.den, normalized
+    once: the one bracket of two matrices, which picks its loop.
+
+    When the sparser factor has at most n nonzeros, `_support_bracket`
+    brackets from its `support` in O(n nnz), with the sign flipped when b
+    is the sparser, as [a, b] = -[b, a]; ties go to a. Otherwise two
+    `_accumulate` calls, signs +1 and -1, fill one buffer: past n
+    nonzeros the product loop is the cheaper. Both give the same matrix.
+    """
     n = a.rows
     if not n == a.cols == b.rows == b.cols:
         raise ValueError(f"cannot bracket {a.rows}x{a.cols} with {b.rows}x{b.cols}")
-    out = [0] * (n * n)
+    size = n * n
+    nnz_a, nnz_b = size - a.nums.count(0), size - b.nums.count(0)
+    if nnz_a <= n and nnz_a <= nnz_b:
+        return _support_bracket(a.support, b, 1)
+    if nnz_b <= n:
+        return _support_bracket(b.support, a, -1)
+    out = [0] * size
     _accumulate(out, a, b, 1)
     _accumulate(out, b, a, -1)
     return _matrix(n, n, out, a.den * b.den)
 
 
-def _support_bracket(support: tuple, m: RatMatrix) -> RatMatrix:
-    """[b, m] = b m - m b for the n x n matrix b given by its `_support`
-    (d, pairs) and the n x n matrix m, over d * m.den, normalized once.
+def _support_bracket(support: tuple, m: RatMatrix, sign: int) -> RatMatrix:
+    """sign [b, m] = sign (b m - m b) for the n x n matrix b given by its
+    `RatMatrix.support` (d, pairs) and the n x n matrix m, over d * m.den,
+    normalized once: `commutator`'s loop when b is its sparser factor.
 
     Each pair (p = i n + k, v) adds v (row k of m) to row i, the term of
     b m, and subtracts v (column i of m) from column k, the term of m b,
-    each as one whole-slice update. So it costs O(n nnz(b)), where
-    `commutator(b, m)` walks all n^2 numerators of m to meet the nonzeros
-    of b; it gives the same matrix.
+    each as one whole-slice update. So it costs O(n nnz(b)), where the
+    product loop walks all n^2 numerators of m to meet the nonzeros of b;
+    it gives the same matrix.
     """
     d, pairs = support
     n, nums = m.rows, m.nums
     out = [0] * (n * n)
     for p, v in pairs:
         i, k = divmod(p, n)
+        v *= sign
         row = i * n
         out[row:row + n] = [x + v * y for x, y in zip(out[row:row + n], nums[k * n:k * n + n])]
         out[k::n] = [x - v * y for x, y in zip(out[k::n], nums[i::n])]

@@ -18,9 +18,8 @@ differential's columns conjugated by S_k g^-1, S_k = exp a_(k+1) ...
 exp a_m, with k = m (the g^-1 frame) for a chart with a slice and
 k = m - 1 for one without: each factor column is one bracket with the
 partial value Ad(S_k) core, and a semisimple chart's columns need no
-conjugation. A column whose basis element is left unconjugated and has at
-most n nonzeros is bracketed through the element's support in the chart's
-``supports`` (`linalg._support_bracket`), a denser one by `commutator`.
+conjugation. Each column is one `commutator`, which brackets through the
+support of a factor of at most n nonzeros (`linalg._support_bracket`).
 The columns' integer numerators go to `linalg._span_rank`, which divides
 each row by its content and ranks them by one Bareiss elimination, slice
 rows first and then the factor blocks from the last factor to the first
@@ -79,7 +78,6 @@ from .linalg import (
     _matrix,
     _powers,
     _span_rank,
-    _support,
     commutator,
     det,
     is_semisimple_matrix,
@@ -245,17 +243,17 @@ def _jacobian_rank(chart: OrbitChart, vp, frame: _RankFrame) -> int:
     order against 0.42-0.44 s in parameter order (Python 3.11, 2-vCPU
     Xeon guest).
 
-    The columns come from `charts._core_brackets` on the chart's own
-    ``supports``: an unconjugated basis element of at most n nonzeros, such
-    as the E_ij of a diagonal grading, is bracketed through its support
-    (`linalg._support_bracket`, O(n nnz(b))), and a denser one, such as
-    the kernel vectors of a non-diagonal grading, by `commutator`. The
-    numerators of each column, permuted by the order, go to `_span_rank`
-    as one integer row; it divides the row by its content, which keeps the
-    rank, and eliminates all rows once.
+    The columns come from `charts._core_brackets`, one `commutator` each:
+    a bracket with a factor of at most n nonzeros, such as an unconjugated
+    E_ij of a diagonal grading or a sparse Ad(S_k) core, runs through
+    that factor's support (O(n nnz)), and one of two denser factors, such
+    as a kernel vector of a non-diagonal grading, through the product
+    loop. The numerators of each column, permuted by the order, go to
+    `_span_rank` as one integer row; it divides the row by its content,
+    which keeps the rank, and eliminates all rows once.
     """
     blocks = _core_brackets(vp, chart.factors, chart.slice_basis, _frame_index(chart),
-                            frame.plain, chart.supports[0])
+                            frame.plain)
     order = frame.order
     return _span_rank([c.nums if order is None else order(c.nums)
                        for block in reversed(blocks) for c in block])
@@ -326,7 +324,7 @@ def _sampler(chart: OrbitChart, nil: OrbitChart | None, rng: SplitMix64):
         return lambda: tuple(rng.fraction() for _ in range(free))
     pd = nil.parabolic
     n = nil.algebra.ambient_size
-    supports = [_support(b) for b in pd.u]
+    supports = [b.support for b in pd.u]
     base = nil.base_element.matrix
     torus = (chart.algebra.family == "sl" and _is_diagonal(pd.grading.grading_element.matrix)
              and (chart.shift is None or _is_diagonal(chart.shift)))

@@ -15,6 +15,7 @@ from conftest import (
     mixed_corpus,
     mixed_element,
     unit_bidiagonal,
+    upper_basis,
 )
 from orbitcharts.charts import (
     NotSemisimpleError,
@@ -113,9 +114,7 @@ class TestExpSeries:
         algebra = build_classical(family, n)
         half = [n // 2 - i for i in range(n // 2)]
         d = diag_matrix(half + [0] * (n % 2) + [-v for v in reversed(half)])
-        upper = sum((b for b in algebra.basis
-                     if all(not b.at(i, j) for i in range(n) for j in range(i + 1))),
-                    RatMatrix.zeros(n, n))
+        upper = sum(upper_basis(algebra), RatMatrix.zeros(n, n))
         rng = SplitMix64(71)
         for x in (d, upper):
             chart = build_chart(algebra.element_from_matrix(x), 42)
@@ -415,9 +414,10 @@ class TestDerivedFields:
                 == len(chart.slice_basis))
 
     def test_charts_and_gradings_are_frozen(self, sl3):
-        # a chart derives its supports once from its flat fields, so no
-        # field of it, of its parabolic data or of their grading can be
-        # reassigned; `replace` builds a new chart with supports of its own
+        # a chart derives its slice span once from its flat fields, and
+        # evaluates through its basis matrices' own supports, so no field
+        # of it, of its parabolic data or of their grading can be
+        # reassigned; `replace` builds a new chart on the new factors
         x = sl3.element_from_matrix(M([[1, 1, 0], [0, 1, 0], [0, 0, -2]]))
         chart = build_chart(x, 42)
         params = (F(1),) * chart.param_count
@@ -667,9 +667,7 @@ class TestChartSerialization:
         # matrix of the factor, but lies outside so4: the chart's values
         # left so4, and only rebuilt_chart_identity failed in verify_chart
         so4 = build_classical("so", 4)
-        upper = sum((b for b in so4.basis
-                     if all(not b.at(i, j) for i in range(4) for j in range(i + 1))),
-                    RatMatrix.zeros(4, 4))
+        upper = sum(upper_basis(so4), RatMatrix.zeros(4, 4))
         data = chart_to_json(build_chart(so4.element_from_matrix(upper), 42))
         data["factors"][0]["basis"][0] = matrix_to_json(elem(4, 1, 0))
         with pytest.raises(ValueError, match="'factors'.*so4"):

@@ -14,7 +14,7 @@ import orbitcharts.jordan as jordan
 import orbitcharts.liealg as liealg
 import orbitcharts.linalg as linalg
 import orbitcharts.verify as verify
-from conftest import mixed_corpus, mixed_element, spy_everywhere
+from conftest import mixed_corpus, mixed_element, spy_everywhere, upper_basis
 from orbitcharts.cli import main
 from orbitcharts.jordan import jordan_decompose
 from orbitcharts.liealg import LieAlgebra, ad_matrix, build_classical
@@ -670,8 +670,7 @@ class TestAnalysedOnce:
         # by the Jordan split, so only the checks' `_power_walk` walks x;
         # parabolic_data walks no graded piece, which `grading_by` certified
         algebra = build_classical(family, n)
-        upper = [b for b in algebra.basis
-                 if all(not b.at(i, j) for i in range(n) for j in range(i + 1))]
+        upper = upper_basis(algebra)
         x = algebra.element_from_matrix(sum(upper[1:], upper[0]))
         pd = grading.parabolic_data(grading.grading_by(jacobson_morozov(x).h))
         walks = spy_everywhere(monkeypatch, linalg._powers)

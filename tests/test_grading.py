@@ -16,6 +16,7 @@ from conftest import (
     nontrivial_partitions,
     spy_everywhere,
     unit_bidiagonal,
+    upper_basis,
 )
 from orbitcharts.grading import (
     Grading,
@@ -389,7 +390,7 @@ class TestDiagonalReadOff:
         # basis; each scanned piece is the matrices of its integer kernel
         # vectors, with no LieElement built for them
         so5 = build_classical("so", 5)
-        upper = _upper_nilpotent_basis(so5)
+        upper = upper_basis(so5)
         h = jacobson_morozov(so5.element_from_matrix(sum(upper[1:], upper[0]))).h
         assert not _ad_is_diagonal(h)
         elements = element_spy(monkeypatch)
@@ -399,17 +400,11 @@ class TestDiagonalReadOff:
         _assert_reference_pieces(so5, h, g)
 
 
-def _upper_nilpotent_basis(algebra):
-    n = algebra.ambient_size
-    return [b for b in algebra.basis
-            if all(not b.at(i, j) for i in range(n) for j in range(i + 1))]
-
-
 def _split_jm_elements(family, n):
     """JM h of each strictly upper-triangular basis element of so(n) or
     sp(n), and of their sum (a regular nilpotent)."""
     algebra = build_classical(family, n)
-    upper = _upper_nilpotent_basis(algebra)
+    upper = upper_basis(algebra)
     total = upper[0]
     for b in upper[1:]:
         total = total + b
@@ -549,8 +544,7 @@ class TestParabolicData:
         # a conjugate of diag(1, 0, -1) are not diagonal in their bases, so
         # grading_by scans their weights
         so5 = build_classical("so", 5)
-        upper = [b for b in so5.basis
-                 if all(not b.at(i, j) for i in range(5) for j in range(i + 1))]
+        upper = upper_basis(so5)
         u, u_inv = unit_bidiagonal([1, -1])
         for h, diagonal in (
                 (sl3.element_from_matrix(diag_matrix([1, 0, -1])), True),

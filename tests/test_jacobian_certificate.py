@@ -61,7 +61,7 @@ from conftest import (
     spy_everywhere,
     unit_bidiagonal,
 )
-from orbitcharts import charts, verify
+from orbitcharts import charts, linalg, verify
 from orbitcharts.charts import (
     OrbitChart,
     _value_pass,
@@ -504,11 +504,11 @@ def test_framed_rank_equals_g_inverse_frame_rank(label):
 
 @pytest.mark.parametrize("label", list(FRAME_CORPUS))
 def test_framed_rank_equals_derivative_rank(label):
-    """The rank in the report's frame, where the unconjugated blocks are
-    bracketed through the supports of their basis elements when these are
-    sparse and by `commutator` when not, equals the rank of the columns
-    `eval_chart_with_derivatives` forms, at the base tuple and two sampled
-    tuples; so does the rank of the chart read back from JSON under
+    """The rank in the report's frame, where every column is a
+    `commutator` that brackets through the support of a factor of at most
+    n nonzeros and through the product loop otherwise, equals the rank of
+    the columns `eval_chart_with_derivatives` forms, at the base tuple and
+    two sampled tuples; so does the rank of the chart read back from JSON under
     `UNFRAMED`, on the chart's own factors. Mixed charts keep their u-
     block conjugated in both frames."""
     chart = frame_chart(label)
@@ -524,31 +524,33 @@ def test_framed_rank_equals_derivative_rank(label):
 
 
 @pytest.mark.parametrize("label, frame, supported, dense", [
-    ("sl4-1,1,-1,-1+E01", "report", 5, 4),
-    ("sl4-1,1,-1,-1+E01", "unframed", 1, 8),
+    ("sl4-1,1,-1,-1+E01", "report", 9, 0),
+    ("sl4-1,1,-1,-1+E01", "unframed", 9, 0),
     ("sl6-diag5,3,1,-1,-3,-5", "report", 30, 0),
     ("sl5-32", "report", 10, 0),
     ("sp4-cayley-nilpotent", "report", 0, 4),
-    ("sp4-cayley-mixed", "report", 1, 6),
+    ("sp4-cayley-mixed", "report", 3, 4),
 ])
 def test_brackets_through_supports_and_commutator(monkeypatch, label, frame, supported, dense):
-    """The brackets one base-point rank forms through a basis element's
-    support (`linalg._support_bracket`) and through `commutator`. The sl4
-    mixed chart (factor sizes 4, 4, 1, single-entry bases) in its report's
-    frame brackets u and the inner factor through their supports and
-    conjugates u- (4 commutators); with no plain block only the inner
-    factor is left unconjugated. The sl diagonal and nilpotent charts
-    need no commutator. The dense Cayley sp4 charts bracket their basis
-    elements of more than 4 nonzeros by `commutator`: all four of the
-    nilpotent's u-, and on the mixed chart u- (conjugated, 3), two of
-    u's three and the inner factor's one."""
+    """The brackets one base-point rank forms, every one a `commutator`,
+    split by the loop it runs: through the support of a factor of at most
+    n nonzeros (`linalg._support_bracket`) or through the product loop.
+    At the base point every factor's exponential is 1, so a conjugated
+    basis element keeps its support. The sl4 mixed chart (factor sizes 4,
+    4, 1, single-entry bases) brackets all 9 columns through a support,
+    in the report's frame (u- conjugated) and unframed (u- and u). The sl
+    diagonal and nilpotent charts need no product loop. The Cayley sp4
+    charts bracket their basis elements of more than 4 nonzeros through
+    the product loop: all four of the nilpotent's u-, and on the mixed
+    chart one of u-'s three, two of u's three and the inner factor's
+    one."""
     chart = frame_chart(label)
     ranked = verify._rank_frame(chart, chart) if frame == "report" else UNFRAMED
     vp = _value_pass(chart, chart.base_params)
-    through_supports = spy_everywhere(monkeypatch, charts._support_bracket)
-    through_commutator = spy_everywhere(monkeypatch, commutator)
+    through_supports = spy_everywhere(monkeypatch, linalg._support_bracket)
+    brackets = spy_everywhere(monkeypatch, commutator)
     assert verify._jacobian_rank(chart, vp, ranked) == chart.param_count
-    assert (len(through_supports), len(through_commutator)) == (supported, dense)
+    assert (len(through_supports), len(brackets) - len(through_supports)) == (supported, dense)
 
 
 def test_frame_order_is_increasing_weight():

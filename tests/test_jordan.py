@@ -12,6 +12,7 @@ from conftest import (
     poly_scale,
     poly_sub,
     unit_bidiagonal,
+    upper_basis,
 )
 from orbitcharts import jordan
 from orbitcharts.charts import exp_nilpotent
@@ -186,9 +187,8 @@ def _upper_nilpotent(algebra, rng):
     upper-triangular basis elements of ``algebra``."""
     n = algebra.ambient_size
     y = RatMatrix.zeros(n, n)
-    for b in algebra.basis:
-        if all(not b.at(i, j) for i in range(n) for j in range(i + 1)):
-            y = y + b.scale(rng.randint(-1, 1))
+    for b in upper_basis(algebra):
+        y = y + b.scale(rng.randint(-1, 1))
     return y
 
 

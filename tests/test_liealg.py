@@ -18,6 +18,7 @@ from conftest import (
     nontrivial_partitions,
     partitions,
     unit_bidiagonal,
+    upper_basis,
 )
 from orbitcharts import linalg
 from orbitcharts.jordan import jordan_decompose
@@ -362,8 +363,7 @@ def _element_facts_corpus():
         cases.append(pytest.param(family, n, mixed_element(*param.values)[1].matrix, False,
                                   id=param.id))
     for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6)):
-        upper = [b for b in build_classical(family, n).basis
-                 if all(not b.at(i, j) for i in range(n) for j in range(i + 1))]
+        upper = upper_basis(build_classical(family, n))
         k = n // 2
         d = list(range(k, 0, -1)) + [0] * (n % 2) + list(range(-1, -k - 1, -1))
         cases.append(pytest.param(family, n, sum(upper[1:], upper[0]), False,

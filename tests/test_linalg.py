@@ -1127,9 +1127,10 @@ def _assert_same_matrix(got, want):
 
 
 class TestProductKernelAgainstRowLoop:
-    """`_product` and `commutator` run `_accumulate`, driven by the nonzeros
-    of the left factor, into one integer buffer; their storage equals that
-    of the row loop and of a b - b a built from it."""
+    """`_product` runs `_accumulate`, driven by the nonzeros of the left
+    factor, into one integer buffer, and `commutator` picks that loop or
+    `_support_bracket`; their storage equals that of the row loop and of
+    a b - b a built from it."""
 
     def test_products(self):
         for a, b in _product_corpus():
@@ -1156,29 +1157,61 @@ class TestProductKernelAgainstRowLoop:
             commutator(RatMatrix.zeros(r1, c1), RatMatrix.zeros(r2, c2))
 
 
-class TestSupportBracket:
-    """`_support_bracket(_support(b), m)`, which adds and subtracts whole rows
-    and columns of m for each nonzero of b, has the storage of
-    `commutator(b, m)`."""
+def _old_support(m):
+    """The sparse form as the module function before `RatMatrix.support`
+    built it: (den, nonzero (position, numerator) pairs)."""
+    return m.den, tuple((p, v) for p, v in enumerate(m.nums) if v)
 
-    @pytest.mark.parametrize("family,sizes", [("sl", (2, 3, 4, 5, 6)), ("so", (5, 6, 7, 8)),
-                                              ("sp", (4, 6, 8))])
+
+def _basis_operands(family, sizes, seed):
+    """(b, m) for every basis element b of the algebra at each size, each
+    against a dense m with Fraction entries, a sparse m and the zero m."""
+    rng = SplitMix64(seed)
+    pairs = []
+    for n in sizes:
+        operands = [_kernel_operand(rng, n, n, 100), _kernel_operand(rng, n, n, 30),
+                    RatMatrix.zeros(n, n)]
+        pairs += [(b, m) for b in build_classical(family, n).basis for m in operands]
+    return pairs
+
+
+def _dense_fraction_operands(seed):
+    """Dense b and m with Fraction entries whose halves cancel down to
+    lowest terms, b scaled so its support carries a denominator, as the
+    pairs (b, m), (b, b) and (m, b)."""
+    rng = SplitMix64(seed)
+    pairs = []
+    for n in range(1, 7):
+        for _ in range(4):
+            b = _kernel_operand(rng, n, n, 100).scale(F(1, draw_choice(rng, (1, 2, 6))))
+            m = _kernel_operand(rng, n, n, draw_choice(rng, (10, 100)))
+            pairs += [(b, m), (b, b), (m, b)]
+    return pairs
+
+
+BASIS_FAMILIES = [("sl", (2, 3, 4, 5, 6)), ("so", (5, 6, 7, 8)), ("sp", (4, 6, 8))]
+
+
+class TestSupportBracket:
+    """`_support_bracket(b.support, m, sign)`, which adds and subtracts
+    whole rows and columns of m for each nonzero of b, has the storage of
+    sign `commutator(b, m)` and of the row loop's b m - m b."""
+
+    @pytest.mark.parametrize("family,sizes", BASIS_FAMILIES)
     def test_basis_elements(self, family, sizes):
         """Every basis element b of the algebra, with one or two nonzeros
         (E_ij and h_i in sl, the paired entries of so and sp and the single
         long-root entries of sp), against
         a dense m with Fraction entries, a sparse m and the zero m."""
-        rng = SplitMix64(3030)
         counts = set()
-        for n in sizes:
-            algebra = build_classical(family, n)
-            operands = [_kernel_operand(rng, n, n, 100), _kernel_operand(rng, n, n, 30),
-                        RatMatrix.zeros(n, n)]
-            for b in algebra.basis:
-                support = linalg._support(b)
-                counts.add(len(support[1]))
-                for m in operands:
-                    _assert_same_matrix(linalg._support_bracket(support, m), commutator(b, m))
+        for b, m in _basis_operands(family, sizes, 3030):
+            support = b.support
+            counts.add(len(support[1]))
+            _assert_same_matrix(linalg._support_bracket(support, m, 1), commutator(b, m))
+            _assert_same_matrix(linalg._support_bracket(support, m, 1),
+                                _reference_commutator(b, m))
+            _assert_same_matrix(linalg._support_bracket(support, m, -1),
+                                _reference_commutator(m, b))
         assert counts == ({2} if family == "so" else {1, 2})
 
     def test_kernel_corpus(self):
@@ -1186,26 +1219,148 @@ class TestSupportBracket:
         basis-like entries and dense b, each with Fraction entries, against
         every kind of m, the zero matrix among them."""
         for b, m in _commutator_corpus():
-            _assert_same_matrix(linalg._support_bracket(linalg._support(b), m), commutator(b, m))
+            got = linalg._support_bracket(b.support, m, 1)
+            _assert_same_matrix(got, commutator(b, m))
+            _assert_same_matrix(got, _reference_commutator(b, m))
 
     def test_seeded_dense_fraction_operands(self):
         """Dense b and m with Fraction entries whose halves cancel down to
         lowest terms, and b scaled so its support carries a denominator."""
-        rng = SplitMix64(3031)
-        for n in range(1, 7):
-            for _ in range(4):
-                b = _kernel_operand(rng, n, n, 100).scale(F(1, draw_choice(rng, (1, 2, 6))))
-                m = _kernel_operand(rng, n, n, draw_choice(rng, (10, 100)))
-                for x, y in ((b, m), (b, b), (m, b)):
-                    got = linalg._support_bracket(linalg._support(x), y)
-                    _assert_same_matrix(got, commutator(x, y))
-                    _assert_same_matrix(got, _reference_commutator(x, y))
+        for x, y in _dense_fraction_operands(3031):
+            got = linalg._support_bracket(x.support, y, 1)
+            _assert_same_matrix(got, commutator(x, y))
+            _assert_same_matrix(got, _reference_commutator(x, y))
 
     def test_zero_operands(self):
         m = M([[F(1, 2), 3], [-1, F(-1, 2)]])
         zero = RatMatrix.zeros(2, 2)
-        _assert_same_matrix(linalg._support_bracket(linalg._support(zero), m), zero)
-        _assert_same_matrix(linalg._support_bracket(linalg._support(m), zero), zero)
+        _assert_same_matrix(linalg._support_bracket(zero.support, m, 1), zero)
+        _assert_same_matrix(linalg._support_bracket(m.support, zero, 1), zero)
+
+
+def _loop_spies(monkeypatch):
+    """The lists, filled from now on, of the calls of the two bracket loops
+    `commutator` picks from: (support, m, sign) per `_support_bracket` call
+    and (a, b, sign) per `_accumulate` call."""
+    support_calls, product_calls = [], []
+    support_bracket, accumulate = linalg._support_bracket, linalg._accumulate
+
+    def support_spy(support, m, sign):
+        support_calls.append((support, m, sign))
+        return support_bracket(support, m, sign)
+
+    def product_spy(out, a, b, sign):
+        product_calls.append((a, b, sign))
+        accumulate(out, a, b, sign)
+
+    monkeypatch.setattr(linalg, "_support_bracket", support_spy)
+    monkeypatch.setattr(linalg, "_accumulate", product_spy)
+    return support_calls, product_calls
+
+
+class TestCommutatorPicksItsLoop:
+    """`commutator` runs `_support_bracket` from the support of its
+    sparser factor when that factor has at most n nonzeros, a first and
+    with the sign flipped for b, and otherwise the two `_accumulate` calls;
+    either way its storage is that of the row loop."""
+
+    def test_against_the_row_loop_on_the_support_corpora(self):
+        """Both orders of the `TestSupportBracket` pairs; `_commutator_corpus`
+        is `TestProductKernelAgainstRowLoop.test_commutators`'."""
+        pairs = _dense_fraction_operands(3031)
+        for family, sizes in BASIS_FAMILIES:
+            pairs += _basis_operands(family, sizes, 3030)
+        for a, b in pairs:
+            _assert_same_matrix(commutator(a, b), _reference_commutator(a, b))
+            _assert_same_matrix(commutator(b, a), _reference_commutator(b, a))
+
+    def test_a_driven(self, monkeypatch):
+        a = elem(4, 1, 2).scale(F(3, 2))
+        b = M([[F(k + 1, 1 + k % 3) for k in range(4 * j, 4 * j + 4)] for j in range(4)])
+        supports, products = _loop_spies(monkeypatch)
+        _assert_same_matrix(commutator(a, b), _reference_commutator(a, b))
+        assert supports == [(a.support, b, 1)] and products == []
+
+    def test_b_driven_flips_the_sign(self, monkeypatch):
+        a = M([[F(k + 1, 1 + k % 3) for k in range(4 * j, 4 * j + 4)] for j in range(4)])
+        b = elem(4, 0, 3) - elem(4, 3, 0).scale(F(1, 5))
+        supports, products = _loop_spies(monkeypatch)
+        _assert_same_matrix(commutator(a, b), _reference_commutator(a, b))
+        assert supports == [(b.support, a, -1)] and products == []
+
+    def test_a_tie_goes_to_a(self, monkeypatch):
+        a = elem(3, 0, 1) + elem(3, 2, 2).scale(F(-1, 2))
+        b = elem(3, 1, 0) + elem(3, 1, 2).scale(7)
+        supports, products = _loop_spies(monkeypatch)
+        _assert_same_matrix(commutator(a, b), _reference_commutator(a, b))
+        _assert_same_matrix(commutator(b, a), _reference_commutator(b, a))
+        assert supports == [(a.support, b, 1), (b.support, a, 1)] and products == []
+
+    def test_n_nonzeros_is_the_threshold(self, monkeypatch):
+        """The identity, n nonzeros, takes the support loop; with one more
+        entry, n + 1, both factors are above the threshold."""
+        n = 4
+        dense = M([[F(1 + (i * n + j) % 7, 1 + j) for j in range(n)] for i in range(n)])
+        at = RatMatrix.identity(n).scale(F(2, 3))
+        above = at + elem(n, 0, 3)
+        supports, products = _loop_spies(monkeypatch)
+        _assert_same_matrix(commutator(at, dense), _reference_commutator(at, dense))
+        assert len(supports) == 1 and products == []
+        _assert_same_matrix(commutator(above, dense), _reference_commutator(above, dense))
+        _assert_same_matrix(commutator(dense, above), _reference_commutator(dense, above))
+        assert len(supports) == 1
+        assert [(a, b, sign) for a, b, sign in products] == [
+            (above, dense, 1), (dense, above, -1), (dense, above, 1), (above, dense, -1)]
+
+    def test_empty_operands(self):
+        empty = RatMatrix.zeros(0, 0)
+        _assert_same_matrix(commutator(empty, empty), empty)
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (3, 2)), ((2, 2), (3, 3)),
+                                        ((1, 2), (2, 2)), ((0, 0), (1, 1))])
+    def test_shape_mismatch_raises_before_any_loop(self, monkeypatch, shapes):
+        (r1, c1), (r2, c2) = shapes
+        supports, products = _loop_spies(monkeypatch)
+        with pytest.raises(ValueError):
+            commutator(RatMatrix.zeros(r1, c1), RatMatrix.zeros(r2, c2))
+        assert supports == [] and products == []
+
+
+class TestSupportProperty:
+    """`RatMatrix.support` is the sparse form the module function built,
+    read once and kept where `==`, `hash`, pickling and copying do not see
+    it; the matrix stays immutable."""
+
+    def test_equals_the_old_form(self):
+        for m in _random_corpus() + [a for a, _ in _commutator_corpus()]:
+            assert m.support == _old_support(m)
+
+    def test_second_read_is_the_same_object(self):
+        m = M([[F(1, 2), 0], [3, F(-5, 6)]])
+        first = m.support
+        assert m.support is first
+        assert first == (6, ((0, 3), (2, 18), (3, -5)))
+
+    def test_invisible_to_eq_hash_and_pickling(self):
+        rows = [[F(1, 2), 0, 3], [0, F(-5, 6), 0], [1, 0, 0]]
+        read, unread = M(rows), M(rows)
+        before = pickle.dumps(read)
+        read.support
+        assert read == unread and hash(read) == hash(unread)
+        assert pickle.dumps(read) == before == pickle.dumps(unread)
+        for copied in (pickle.loads(pickle.dumps(read)), copy.copy(read), copy.deepcopy(read)):
+            assert copied == read and hash(copied) == hash(read)
+            assert copied.support == read.support
+
+    def test_assigning_any_attribute_raises(self):
+        m = M([[1, 2], [0, 3]])
+        m.support
+        for name in ("rows", "cols", "nums", "den", "support", "_sparse", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        assert m.support == (1, ((0, 1), (1, 2), (3, 3)))
 
 
 def test_product_kernel_property_against_row_loop():

@@ -18,6 +18,7 @@ from conftest import (
     partitions,
     spy_everywhere,
     unit_bidiagonal,
+    upper_basis,
 )
 from orbitcharts import linalg, verify
 from orbitcharts.charts import (
@@ -563,8 +564,7 @@ def _tangent_corpus():
                           id=f"sl{n}-" + ",".join(map(str, part)))
              for n in (3, 4, 5, 6) for part in nontrivial_partitions(n)]
     for family, n in (("so", 5), ("so", 6), ("sp", 4), ("sp", 6)):
-        upper = [b for b in build_classical(family, n).basis
-                 if all(not b.at(i, j) for i in range(n) for j in range(i + 1))]
+        upper = upper_basis(build_classical(family, n))
         cases.append(pytest.param(family, n, sum(upper[1:], upper[0]),
                                   id=f"{family}{n}-upper"))
         cases += [pytest.param(family, n, b, id=f"{family}{n}-upper{k}")
@@ -763,11 +763,8 @@ def _regular_nilpotent(family, n):
     algebra = build_classical(family, n)
     if family == "sl":
         return algebra, algebra.element_from_matrix(jordan_nilpotent(n, [n]))
-    total = None
-    for b in algebra.basis:
-        if all(not b.at(i, j) for i in range(n) for j in range(i + 1)):
-            total = b if total is None else total + b
-    return algebra, algebra.element_from_matrix(total)
+    upper = upper_basis(algebra)
+    return algebra, algebra.element_from_matrix(sum(upper[1:], upper[0]))
 
 
 def _jordan_type(x):
