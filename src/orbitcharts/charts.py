@@ -216,7 +216,8 @@ def _make_chart(base: LieElement, factors: tuple,
     A mixed chart appends the inner chart's factors and takes its slice.
     A defect raises AssertionError for a chart built here, which carries its
     ``parabolic`` scaffolding, and ValueError for one read from outside
-    input, which carries none.
+    input, which carries none. A slice basis must be independent, one
+    parameter per dimension, so its `VectorSpan` must have full rank.
     """
     error = ValueError if parabolic is None else AssertionError
     slice_base, span = (), None
@@ -225,6 +226,8 @@ def _make_chart(base: LieElement, factors: tuple,
         slice_basis, slice_base = inner.slice_basis, inner.slice_base
     elif slice_basis:
         span = VectorSpan(slice_basis, length=base.algebra.ambient_size ** 2)
+        if span.rank < len(slice_basis):
+            raise error("slice basis is linearly dependent")
         slice_base = span.coords_of(base.matrix)
         if slice_base is None:
             raise error("base element does not lie in the slice span")
@@ -413,7 +416,9 @@ def _plain_blocks(factors: Sequence, k: int) -> frozenset:
     factor's, with no factor after it; u- is not, as [u, u-] leaves it.
 
     The brackets are tested by `_in_span`, which stops at the first one
-    outside U_f.
+    outside U_f. The basis of U_f may be dependent, as in a chart read from
+    JSON: `_in_span` tests against its span, so the verdict is the same
+    as for an independent basis of U_f.
     """
     def normalized(f: int) -> bool:
         later = [a for g in range(f + 1, k) for a in factors[g]]
@@ -425,11 +430,10 @@ def _plain_blocks(factors: Sequence, k: int) -> frozenset:
 
 def _in_span(basis: Sequence, matrices, length: int) -> bool:
     """Whether every matrix of the iterable ``matrices`` lies in the span of
-    the matrices ``basis``, each of ``length`` entries. Each is tested
-    against the echelon rows of the span, which span it even when ``basis``
-    is dependent or empty, and the test stops at the first one outside."""
-    ech, piv, _ = _bareiss([list(b.nums) for b in basis])
-    span = VectorSpan(ech[:len(piv)], length=length)
+    the matrices ``basis``, each of ``length`` entries: one `VectorSpan`,
+    which spans them even when ``basis`` is dependent or empty. The test
+    stops at the first matrix outside."""
+    span = VectorSpan(basis, length=length)
     return all(span.coords_of(m) is not None for m in matrices)
 
 
@@ -499,11 +503,13 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
     the result evaluates and differentiates but carries parabolic=None.
     Raises ValueError when a field is missing or has the wrong JSON type,
     when a mixed chart's inner chart is not nilpotent (checked before it is
-    read, so nesting cannot recurse), when a factor, slice or shift matrix
-    does not lie in the algebra (the inner chart's in its Levi), when a
-    factor does not span a nilpotent subalgebra (see `OrbitChart`),
-    when the parameter count differs from the field 'expected_orbit_dim',
-    or when the base tuple does not evaluate to the base element.
+    read, so nesting cannot recurse), when the base element is zero
+    (`ZeroElementError`, as in `build_chart`), when a factor, slice or
+    shift matrix does not lie in the algebra (the inner chart's in its
+    Levi), when a factor does not span a nilpotent subalgebra (see
+    `OrbitChart`), when the slice basis is linearly dependent, when the
+    parameter count differs from the field 'expected_orbit_dim', or when
+    the base tuple does not evaluate to the base element.
 
     The factor check is what lets `verify._jacobian_rank` rank the
     conjugated columns: it needs each factor's span closed under the
@@ -514,6 +520,8 @@ def chart_from_json(algebra: LieAlgebra, data: dict) -> OrbitChart:
     _check_chart_shape(data)
     case = data["case_tag"]
     base = algebra.element_from_matrix(matrix_from_json(data["base_element"].get("matrix")))
+    if base.is_zero():
+        raise ZeroElementError("the zero element has no chart")
     factors = tuple(_square_matrices(algebra, "factors", f["basis"]) for f in data["factors"])
     for i, basis in enumerate(factors):
         defect = _factor_defect(basis, algebra.ambient_size)
@@ -573,7 +581,9 @@ def _factor_defect(basis: tuple, n: int) -> str:
     U is nilpotent iff every product of n of its matrices vanishes, that
     is iff V_n = 0 for V_0 = Q^n and V_(k+1) = span{b v : b in basis,
     v in V_k}; each V_k is kept as the echelon rows of its vectors. U is
-    closed iff the bracket of every basis pair lies in U (`_in_span`).
+    closed iff the bracket of every basis pair lies in U (`_in_span`). Both
+    tests read only spans, so a dependent ``basis`` gets the verdict of an
+    independent basis of U.
     """
     space = RatMatrix.identity(n)
     transposed = [b.transpose() for b in basis]

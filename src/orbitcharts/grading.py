@@ -259,7 +259,9 @@ _REJECTION_REASONS = ("zero", "not semisimple", "centralizer too large",
 def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int, known=None) -> Grading:
     """The grading by the witness `semisimple_for_levi` returns; the grading
     is the last step of the witness's validation, so it is computed once.
-    ``levi`` must lie in ``algebra``, as a centralizer built in it does.
+    ``levi`` must lie in ``algebra``, as a centralizer built in it does, so
+    a ``levi`` of the same dimension is the whole algebra, which the zero
+    element grades; any other Levi with a trivial center has no witness.
 
     ``known`` is the semisimple `LieElement` of ``algebra`` whose
     centralizer is ``levi``, when the caller holds one: the x_s of a chart's
@@ -286,7 +288,7 @@ def _witness_grading(algebra: LieAlgebra, levi: LieAlgebra, seed: int, known=Non
     center = center_basis(levi)
     n = algebra.ambient_size
     if not center:
-        if levi.same_span(algebra):
+        if levi.dim == algebra.dim:
             return grading_by(algebra.zero_element())
         raise WitnessNotFoundError(
             f"{levi.label} has trivial center and is proper: no torus witness exists"

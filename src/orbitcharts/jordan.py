@@ -33,12 +33,12 @@ class JordanPair:
 
 def _inverse(m: RatMatrix) -> RatMatrix:
     """m^-1 = den (den m)^-1, row i of (den m)^-1 being the coordinates of
-    e_i in the integer rows den m."""
+    e_i in the integer rows den m. Raises ArithmeticError when those rows
+    span less than Q^n, that is when m is singular."""
     n = m.rows
-    try:
-        span = VectorSpan(_int_rows(m))
-    except ValueError:
-        raise ArithmeticError("Newton step met a singular q'(x)") from None
+    span = VectorSpan(_int_rows(m))
+    if span.rank < n:
+        raise ArithmeticError("Newton step met a singular q'(x)")
     rows = [span.coords_of([int(i == j) for j in range(n)]) for i in range(n)]
     return RatMatrix.from_rows(rows).scale(m.den)
 

@@ -2,12 +2,13 @@
 
 A `LieAlgebra` is an ordered basis of ambient n x n rational matrices that
 is linearly independent and closed under the commutator; both conditions
-are checked at construction. The closure check computes the coordinates of
-every [b_i, b_j] without a dense matrix: the bracket is formed from the
-basis supports, multiplying only the entries (r, k) and (k, c) that meet,
-and solved by a walk over the echelon rows of the independence check's
-`VectorSpan` that visits only the pivot columns the bracket, or the fill-in
-of earlier steps, reaches, in increasing order. An echelon row is zero left
+are checked at construction, on one `VectorSpan` of the basis. The basis is
+independent when the span's rank is its length. The closure check computes
+the coordinates of every [b_i, b_j] without a dense matrix: the bracket is
+formed from the basis supports, multiplying only the entries (r, k) and
+(k, c) that meet, and solved by a walk over the echelon rows of that span
+that visits only the pivot columns the bracket, or the fill-in of earlier
+steps, reaches, in increasing order. An echelon row is zero left
 of its pivot column, so a nonzero residual at a column that is not a pivot
 column can be cleared by no row still to come: the bracket leaves the span.
 The coordinates are kept as sparse structure constants, the nonzero
@@ -93,10 +94,9 @@ class LieAlgebra:
         self.label = label
         self.ambient_size = ambient_size
         self.family = family
-        try:
-            self._span = VectorSpan(basis, length=ambient_size * ambient_size)
-        except ValueError as exc:
-            raise ValueError(f"{label}: basis is linearly dependent") from exc
+        self._span = VectorSpan(basis, length=ambient_size * ambient_size)
+        if self._span.rank < len(basis):
+            raise ValueError(f"{label}: basis is linearly dependent")
         self._structure = self._validate_closure()
 
     @property
@@ -113,9 +113,9 @@ class LieAlgebra:
         Each bracket is formed from the basis matrices' supports, in
         integers over d_i * d_j: an entry (r, k) of one factor is
         multiplied only with row k of the other.
-        `VectorSpan.sparse_coords_of` solves it on the span built for the
-        independence check, visiting only the pivot columns the bracket or
-        its fill-in reaches. A nonzero residual at a
+        `VectorSpan.sparse_coords_of` solves it on the span whose rank
+        checked independence, visiting only the pivot columns the bracket
+        or its fill-in reaches. A nonzero residual at a
         column that is not a pivot column can be cleared by no remaining
         echelon row, since each is zero left of its pivot column, so the
         bracket leaves the span and the basis is refused.
@@ -189,11 +189,6 @@ class LieAlgebra:
 
     def zero_element(self) -> "LieElement":
         return self.element((ZERO,) * self.dim)
-
-    def same_span(self, other: "LieAlgebra") -> bool:
-        if self.ambient_size != other.ambient_size or self.dim != other.dim:
-            return False
-        return all(self.contains_matrix(b) for b in other.basis)
 
     def __repr__(self):
         return f"LieAlgebra({self.label!r}, dim={self.dim}, ambient={self.ambient_size})"
@@ -374,6 +369,8 @@ def build_classical(family: str, n: int) -> LieAlgebra:
         expected = n * (n + 1) // 2
     algebra = LieAlgebra(basis, f"{family}{n}", family=family)
     if algebra.dim != expected:
+        # defensive: each basis above has `expected` elements, and LieAlgebra
+        # refuses a dependent basis
         raise AssertionError(f"{family}{n}: dimension {algebra.dim} != {expected}")
     _CLASSICAL_CACHE[key] = algebra
     return algebra

@@ -31,7 +31,10 @@ signs +1 and -1. Either way it normalizes once. Every matrix elimination
 (`rank`, `det`, `kernel_basis`, `solve_linear`, `VectorSpan`, `_span_rank`)
 runs one fraction-free loop, `_bareiss`, on integer rows to control
 coefficient growth; it skips the rows whose entry in the pivot column is
-zero and scales them lazily. `_span_rank` takes integer rows and divides
+zero and scales them lazily. A `VectorSpan` spans any vectors, dependent
+or not, and reports the dimension of their span as ``rank``; a caller that
+needs independence compares it with the number of vectors and raises its
+own error. `_span_rank` takes integer rows and divides
 each by its content, the gcd of its entries, before it eliminates them.
 Every solve after it runs one integer back-substitution,
 `_back_substitute`, and every kernel basis is read off echelon rows by one
@@ -557,6 +560,7 @@ def _back_substitute(ech: list, piv: list, f: int, ncols: int) -> list:
                 s += row[j] * x[j]
         x[c], rem = divmod(-s, row[c])
         if rem:
+            # defensive: each entry is a minor quotient, an integer by Cramer's rule
             raise ArithmeticError("inexact division in fraction-free back-substitution")
     return x
 
@@ -637,17 +641,20 @@ def _vector_ints(v) -> tuple:
 
 
 class VectorSpan:
-    """Span of independent row vectors, with exact coordinate solving.
+    """Span of any row vectors, with its rank and exact coordinate solving.
 
     A vector is a sequence of rationals or a `RatMatrix`, read as its
     row-major entries. The integer rows of [vectors | I] are brought to the
     echelon form [U | T] by `_bareiss`. Each row of U is the combination of
-    the vectors that the same row of T lists, and a pivot at or past
-    ``length`` means the vectors are dependent. Each row is kept under its
-    pivot column, in increasing column order, as its pivot and the nonzero
-    (index, value) pairs of its U and T parts. Coordinates are solved by
-    one walk, `sparse_coords_of`, over only the rows whose pivot column the
-    vector reaches.
+    the vectors that the same row of T lists. A row whose pivot lies at or
+    past ``length`` has U = 0: it records a dependency and spans nothing,
+    so it is dropped. The rows kept span what the vectors span, and their
+    count is ``rank``; a caller that needs the vectors independent compares
+    it with their count. Each row is kept under its pivot column, in
+    increasing column order, as its pivot and the nonzero (index, value)
+    pairs of its U and T parts. Coordinates are solved by one walk,
+    `sparse_coords_of`, over only the rows whose pivot column the vector
+    reaches; for dependent vectors they are one solution of several.
     """
 
     def __init__(self, vectors: Sequence, length: int | None = None):
@@ -661,13 +668,16 @@ class VectorSpan:
         rows = [list(ints) + [d if j == i else 0 for j in range(m)]
                 for i, (ints, d) in enumerate(vectors)]
         ech, piv, _ = _bareiss(rows)
-        if piv and piv[-1] >= length:
-            raise ValueError("vectors are linearly dependent")
-        self._dim = m
+        self._count = m
         self._rows = {c: (row[c],
                           [(j, y) for j, y in enumerate(row[:length]) if y],
                           [(i, t) for i, t in enumerate(row[length:]) if t])
-                      for c, row in zip(piv, ech)}
+                      for c, row in zip(piv, ech) if c < length}
+
+    @property
+    def rank(self) -> int:
+        """The dimension of the span."""
+        return len(self._rows)
 
     def coords_of(self, vector):
         """Coordinates in the original vectors, or None if outside the span:
@@ -680,7 +690,7 @@ class VectorSpan:
         if solved is None:
             return None
         pairs, s = solved
-        coords = [ZERO] * self._dim
+        coords = [ZERO] * self._count
         for i, x in pairs:
             coords[i] = Fraction(x, s)
         return tuple(coords)
@@ -831,6 +841,8 @@ def squarefree_part(p: Polynomial) -> Polynomial:
         a, b = b, _pseudo_divmod(a, b)[1]
     q, r, s = _pseudo_divmod(ints, a)
     if r or s != 1:
+        # defensive: a is a primitive gcd of P and P', so it divides P in Z[t]
+        # (Gauss's lemma) and the pseudo-division is exact with s = 1
         raise ArithmeticError("gcd does not divide its polynomial")
     return Polynomial(tuple(Fraction(c, q[-1]) for c in q))
 

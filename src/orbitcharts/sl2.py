@@ -67,6 +67,9 @@ def jacobson_morozov(e: LieElement) -> Sl2Triple:
     joint_rhs = tuple([ZERO] * m) + h.coords
     f_coords = solve_linear(stacked, joint_rhs)
     if f_coords is None:
+        # defensive: with h in [e, g] and [h, e] = 2e, Morozov's lemma gives
+        # such an f in any finite-dimensional Lie algebra over Q (Jacobson,
+        # Lie Algebras, III.11)
         raise NoTripleFoundError("no f completing the triple")
     f = algebra.element(f_coords)
 

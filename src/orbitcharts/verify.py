@@ -336,6 +336,8 @@ def _sampler(chart: OrbitChart, nil: OrbitChart | None, rng: SplitMix64):
         point = _diagonal_conjugate(base, rng) if torus else base
         coords = nil.slice_span.coords_of(exp_y * point * exp_neg)
         if coords is None:
+            # defensive: Ad(exp y) maps g(>=2) into itself as [g(>0), g(>=2)]
+            # lies in g(>=3), and d scales each E_ij of a diagonal grading
             raise AssertionError("sampled orbit point left the slice")
         return tuple(params) + coords
 

@@ -18,6 +18,7 @@ from conftest import (
     elem,
     jordan_nilpotent,
     nontrivial_partitions,
+    same_span,
 )
 from orbitcharts.charts import (
     chart_mixed,
@@ -192,7 +193,7 @@ def test_criterion_6_levi_witness():
         for comp in compositions(n):
             levi = block_levi(n, comp)
             z = semisimple_for_levi(algebra, levi, SEED)
-            ok = ok and centralizer_basis(z).same_span(levi)
+            ok = ok and same_span(centralizer_basis(z), levi)
             count += 1
     _report("6 Levi witnesses", ok, f"{count} compositions")
 

@@ -20,7 +20,9 @@ from conftest import (
 from orbitcharts.charts import (
     NotSemisimpleError,
     OrbitChart,
+    ZeroElementError,
     _exp_series,
+    _make_chart,
     build_chart,
     chart_from_json,
     chart_mixed,
@@ -406,6 +408,16 @@ class TestDerivedFields:
         assert [c.case_tag for c in (nil, semisimple, mixed)] == \
             ["nilpotent", "semisimple", "mixed"]
 
+    def test_slice_span_of_a_chart_made_directly(self, sl3):
+        # `_make_chart` fills the cache; a chart made with `OrbitChart` builds it
+        e13 = elem(3, 0, 2)
+        chart = OrbitChart(sl3.element_from_matrix(e13), ((elem(3, 1, 0),),), None,
+                           (e13, elem(3, 0, 1)), (F(1), F(0)), None)
+        assert "slice_span" not in vars(chart)
+        assert chart.slice_span.rank == 2
+        assert chart.slice_span.coords_of(e13.scale(3) - elem(3, 0, 1)) == (F(3), F(-1))
+        assert chart.slice_span is chart.slice_span
+
     def test_expected_orbit_dim_follows_the_factors(self, sl3):
         chart = chart_nilpotent(sl3.element_from_matrix(elem(3, 0, 2)))
         assert chart_to_json(chart)["expected_orbit_dim"] == chart.param_count == 4
@@ -642,13 +654,35 @@ class TestChartSerialization:
          "semisimple chart needs exactly one slice matrix, the shift"),
         ("mixed", lambda d: dict(d, slice_basis=d["slice_basis"] * 2),
          "mixed chart needs exactly one slice matrix, the shift"),
+        # the slice u2 = span{E01, E12, E02}, its first matrix listed three times
+        ("nilpotent", lambda d: dict(d, slice_basis=d["slice_basis"][:1] * 3),
+         "slice basis is linearly dependent"),
     ], ids=["not-an-object", "unknown-case-tag", "semisimple-without-shift",
-            "mixed-with-two-shifts"])
+            "mixed-with-two-shifts", "dependent-slice"])
     def test_refusal_message(self, sl3, case, mutate, message):
         data = mutate(chart_to_json(build_chart(element(sl3, CASES[case]), 42)))
         with pytest.raises(ValueError) as excinfo:
             chart_from_json(sl3, data)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("case, slice_basis", [
+        ("nilpotent", []), ("semisimple", [[[0, 0, 0], [0, 0, 0], [0, 0, 0]]]),
+    ], ids=["nilpotent", "semisimple"])
+    def test_zero_element_refused(self, sl3, case, slice_basis):
+        # `build_chart` refuses the zero element; its JSON used to be read
+        # back, and `verify_chart` then raised instead of reporting
+        zero = [["0"] * 3 for _ in range(3)]
+        data = {"case_tag": case, "base_element": {"matrix": zero}, "factors": [],
+                "slice_basis": slice_basis, "expected_orbit_dim": 0}
+        with pytest.raises(ZeroElementError, match="the zero element has no chart"):
+            chart_from_json(sl3, data)
+
+    def test_built_chart_with_dependent_slice_is_a_fault(self, sl3):
+        # a chart built with its scaffolding raises AssertionError, not ValueError
+        chart = build_chart(element(sl3, CASES["nilpotent"]), 42)
+        with pytest.raises(AssertionError, match="slice basis is linearly dependent"):
+            _make_chart(chart.base_element, chart.factors, None, chart.slice_basis[:1] * 3,
+                        None, 6, chart.parabolic)
 
     @pytest.mark.parametrize("depth", [2, 2000])
     def test_non_nilpotent_inner_chart_refused_before_descending(self, sl2, depth):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import runpy
 import sys
 from collections import Counter
 from pathlib import Path
@@ -407,6 +408,22 @@ class TestMainExits:
     def test_no_command_exits_2(self, capsys):
         assert run([]) == (2, "")
         assert "the following arguments are required: command" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "--family", "sl", "--size", "2", "--element", H2], 0), ([], 2),
+    ], ids=["analyze", "no-command"])
+    def test_run_as_a_module_exits_with_the_code(self, monkeypatch, capsys, argv, code):
+        # `python -m orbitcharts.cli` calls `entry`, which exits with main's code
+        monkeypatch.setattr(sys, "argv", ["orbit"] + argv)
+        monkeypatch.delitem(sys.modules, "orbitcharts.cli")  # run it fresh, without a warning
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("orbitcharts.cli", run_name="__main__")
+        assert info.value.code == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert json.loads(out)["orbit_dim"] == 2
+        else:
+            assert out == ""
 
 
 class TestLongIntegers:

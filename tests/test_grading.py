@@ -14,6 +14,7 @@ from conftest import (
     element_spy,
     jordan_nilpotent,
     nontrivial_partitions,
+    same_span,
     spy_everywhere,
     unit_bidiagonal,
     upper_basis,
@@ -299,7 +300,7 @@ def _zero_elements():
            for algebra in (build_classical("sl", 3), build_classical("so", 5),
                            build_classical("sp", 4))]
     sl4 = build_classical("sl", 4)
-    # the full Levi: the witness search grades by zero (`levi.same_span`)
+    # the full Levi, of the dimension of sl4: the witness search grades by zero
     out.append((sl4, semisimple_for_levi(sl4, block_levi(4, (4,)), 42)))
     return out
 
@@ -670,7 +671,7 @@ class TestWitness:
         levi = block_levi(3, (2, 1))
         z = semisimple_for_levi(sl3, levi, 42)
         pd = parabolic_data(grading_by(z))
-        assert zero_piece_subalgebra(pd.grading).same_span(levi)
+        assert same_span(zero_piece_subalgebra(pd.grading), levi)
 
     def test_deterministic_given_seed(self, sl4):
         levi = block_levi(4, (1, 2, 1))
@@ -682,7 +683,7 @@ class TestWitness:
         levi = block_levi(3, (3,))
         z = semisimple_for_levi(sl3, levi, 42)
         assert z.is_zero()
-        assert centralizer_basis(z).same_span(levi)
+        assert same_span(centralizer_basis(z), levi)
 
     def test_trivial_center_proper_fails_fast(self, sl2):
         borel = LieAlgebra((elem(2, 0, 1), diag_matrix([1, -1])), "borel")
@@ -705,7 +706,7 @@ class TestWitness:
         for comp in compositions(n):
             levi = block_levi(n, comp)
             z = semisimple_for_levi(algebra, levi, 42)
-            assert centralizer_basis(z).same_span(levi), comp
+            assert same_span(centralizer_basis(z), levi), comp
 
     def test_known_element_changes_no_witness(self, monkeypatch):
         # the search handed x_s = x returns the grading it finds without x;
@@ -802,5 +803,5 @@ class TestEarlyRejection:
         algebra = LieAlgebra((rotation, *sl2_block), "R (+) sl2")
         assert algebra.family is None
         levi = centralizer_basis(algebra.element_from_matrix(rotation))
-        assert levi.same_span(algebra)
+        assert same_span(levi, algebra)
         assert semisimple_for_levi(algebra, levi, 42).matrix == rotation

@@ -50,6 +50,10 @@ CASES = {
     "basis-of-two-sizes": (lambda: LieAlgebra([RatMatrix.zeros(2, 2),
                                                RatMatrix.zeros(3, 3)], "mixed sizes"),
                            ValueError, "basis matrices must share the ambient size"),
+    "dependent-algebra-basis": (lambda: LieAlgebra([RatMatrix.from_rows([[0, 1], [0, 0]]),
+                                                    RatMatrix.from_rows([[0, 2], [0, 0]])],
+                                                   "dep"),
+                                ValueError, "dep: basis is linearly dependent"),
     "element-short-coords": (lambda: build_classical("sl", 2).element((1, 0)), ValueError,
                              "coordinate length mismatch"),
     "exp-of-1x2": (lambda: exp_nilpotent(ROW), NotNilpotentError,

@@ -222,12 +222,11 @@ def test_two_factor_chart_with_a_slice():
 
 
 def test_chart_without_factor_or_slice():
-    # chart JSON may describe the zero element by no factor and no slice;
-    # its differential has no column, and there is no last factor to leave out
+    # a chart made with `OrbitChart` may have no factor and no slice (chart
+    # JSON of the zero element is refused); its differential has no column,
+    # and there is no last factor to leave out
     sl2 = build_classical("sl", 2)
-    zero = {"matrix": [["0", "0"], ["0", "0"]]}
-    chart = chart_from_json(sl2, {"case_tag": "nilpotent", "base_element": zero, "factors": [],
-                                  "slice_basis": [], "expected_orbit_dim": 0})
+    chart = OrbitChart(sl2.zero_element(), (), None, (), (), None)
     assert verify.jacobian_rank_at(chart, ()) == 0
 
 
@@ -652,3 +651,31 @@ def test_plain_blocks_of_a_dependent_basis():
     e10, e20, e21 = elem(3, 1, 0), elem(3, 2, 0), elem(3, 2, 1)
     assert charts._plain_blocks(((e20, e20.scale(2)), (e10,)), 2) == {0, 1}
     assert charts._plain_blocks(((e10, e10.scale(2)), (e21,)), 2) == {1}
+
+
+@pytest.mark.parametrize("dependent, independent, defect", [
+    # span{E01, E02}: closed and nilpotent
+    ((elem(3, 0, 1), elem(3, 0, 1).scale(2), elem(3, 0, 2)),
+     (elem(3, 0, 1), elem(3, 0, 2)), ""),
+    # [E21, E10] = E20 leaves span{E10, E21}
+    ((elem(3, 1, 0), elem(3, 2, 1), elem(3, 2, 1).scale(-3)),
+     (elem(3, 1, 0), elem(3, 2, 1)), "bracket-closed"),
+    # E10 + E21 + E02 is not nilpotent
+    ((elem(3, 1, 0), elem(3, 2, 1), elem(3, 0, 2), elem(3, 1, 0) + elem(3, 0, 2)),
+     (elem(3, 1, 0), elem(3, 2, 1), elem(3, 0, 2)), "nilpotent"),
+], ids=["nilpotent-subalgebra", "not-closed", "not-nilpotent"])
+def test_factor_defect_of_a_dependent_basis(dependent, independent, defect):
+    # a factor read from JSON may list dependent matrices; the verdict is
+    # that of an independent basis of the same span
+    assert charts._factor_defect(dependent, 3) == charts._factor_defect(independent, 3) == defect
+
+
+def test_in_span_eliminates_once(monkeypatch):
+    # one `VectorSpan` of the dependent basis, however many matrices it tests
+    eliminations = spy_everywhere(monkeypatch, linalg._bareiss, len)
+    e10, e20, e21 = elem(3, 1, 0), elem(3, 2, 0), elem(3, 2, 1)
+    basis = (e20, e20.scale(2), e10)
+    assert charts._in_span(basis, [e10.scale(3), e10 + e20, e20], 9)
+    assert eliminations == [3]
+    assert not charts._in_span(basis, [e20, e21, e10], 9)
+    assert eliminations == [3, 3]

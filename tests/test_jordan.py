@@ -301,8 +301,10 @@ class TestInverse:
             checked += 1
 
     def test_singular_is_an_internal_fault(self):
-        with pytest.raises(ArithmeticError):
-            _inverse(RatMatrix.from_rows([[1, 2], [2, 4]]))
+        for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0, 1], [0, 1]]):
+            with pytest.raises(ArithmeticError) as info:
+                _inverse(RatMatrix.from_rows(rows))
+            assert str(info.value) == "Newton step met a singular q'(x)", rows
 
     @pytest.mark.parametrize("rows,inverses", [
         ([[1, 0, 0], [0, 1, 0], [0, 0, -2]], 0),   # semisimple: q(x) = 0 at once

@@ -158,6 +158,9 @@ class TestBracketAndAd:
         with pytest.raises(ValueError, match="closed"):
             LieAlgebra((RatMatrix.identity(2) + elem(2, 0, 1), diag_matrix([1, -1])), "bad")
 
+    def test_repr(self, sl2):
+        assert repr(sl2) == "LieAlgebra('sl2', dim=3, ambient=2)"
+
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError, match="dependent"):
             LieAlgebra((elem(2, 0, 1), elem(2, 0, 1).scale(2)), "dep")

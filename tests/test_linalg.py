@@ -226,9 +226,31 @@ def _reference_solve(rows, rhs, ncols):
 
 
 def _reference_coords(vectors, vector):
-    """Coordinates of ``vector`` in the independent ``vectors``, or None."""
+    """Coordinates of ``vector`` in ``vectors`` with the free ones zero, or
+    None: for independent ``vectors`` the only coordinates."""
     columns = [[v[j] for v in vectors] for j in range(len(vector))]
     return _reference_solve(columns, vector, len(vectors))
+
+
+def _combination(coords, vectors):
+    return [sum((c * F(v[j]) for c, v in zip(coords, vectors)), F(0))
+            for j in range(len(vectors[0]))]
+
+
+def _assert_dependent_span(span, vectors):
+    """``vectors`` are dependent: ``span`` reports their rank below their
+    count, and each unit vector gets coordinates that recombine to it
+    exactly when it lies in their span, else None."""
+    length = len(vectors[0])
+    assert span.rank == len(_gauss_jordan(vectors, length)[1]) < len(vectors)
+    for j in range(length):
+        unit = [F(int(i == j)) for i in range(length)]
+        coords = span.coords_of(unit)
+        if _reference_coords(vectors, unit) is None:
+            assert coords is None, (vectors, j)
+        else:
+            assert _combination(coords, vectors) == unit, (vectors, j)
+            assert all(type(c) is F for c in coords)
 
 
 def _random_entry(rng, fractional):
@@ -246,11 +268,14 @@ class TestEliminationAgainstGaussJordan:
             if rng.randint(0, 2) == 0:
                 vectors.append([sum((rng.randint(-2, 2) * v[j] for v in vectors), F(0))
                                 for j in range(length)])
-            if len(_gauss_jordan(vectors, length)[1]) < len(vectors):
-                with pytest.raises(ValueError, match="vectors are linearly dependent"):
-                    VectorSpan(vectors)
-                continue
             span = VectorSpan(vectors)
+            if len(_gauss_jordan(vectors, length)[1]) < len(vectors):
+                # nothing is drawn here, so every later set is the same draw
+                _assert_dependent_span(span, vectors)
+                inside = _combination(range(1, len(vectors) + 1), vectors)
+                assert _combination(span.coords_of(inside), vectors) == inside
+                continue
+            assert span.rank == len(vectors)
             coeffs = [_random_entry(rng, fractional) for _ in vectors]
             inside = [sum((c * v[j] for c, v in zip(coeffs, vectors)), F(0))
                       for j in range(length)]
@@ -259,11 +284,10 @@ class TestEliminationAgainstGaussJordan:
             assert span.coords_of(probe) == _reference_coords(vectors, probe)
             assert all(type(c) is F for c in span.coords_of(inside))
 
-    def test_dependent_sets_rejected(self):
+    def test_dependent_sets_report_their_rank(self):
         for vectors in ([[1, 2], [2, 4]], [[0, 0, 0]], [[1, 0], [0, 1], [1, 1]],
                         [[F(1, 2), F(1, 3), 1], [3, 2, 6], [0, 1, 0]]):
-            with pytest.raises(ValueError, match="vectors are linearly dependent"):
-                VectorSpan(vectors)
+            _assert_dependent_span(VectorSpan(vectors), vectors)
 
     def test_vectors_outside_span(self):
         span = VectorSpan([[1, 0, 0], [0, F(1, 2), 1]])
@@ -692,6 +716,20 @@ class TestMatrixBasics:
         a = M([[1, 2], [3, 4]])
         b = M([[0, 1], [1, 0]])
         assert a * b == M([[2, 1], [4, 3]])
+
+    def test_product_with_a_non_scalar_is_a_type_error(self):
+        # `__mul__` and `__rmul__` return NotImplemented, so Python raises
+        a = M([[1, 2], [3, 4]])
+        with pytest.raises(TypeError):
+            a * "x"
+        with pytest.raises(TypeError):
+            "x" * a
+
+    def test_repr_evaluates_to_the_matrix(self):
+        a = M([[1, F(-1, 2)], [0, 3]])
+        assert repr(a) == ("RatMatrix(2, 2, (Fraction(1, 1), Fraction(-1, 2), "
+                           "Fraction(0, 1), Fraction(3, 1)))")
+        assert eval(repr(a), {"RatMatrix": RatMatrix, "Fraction": F}) == a
 
     def test_trace_transpose_power(self):
         a = M([[1, 2], [3, 4]])

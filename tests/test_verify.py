@@ -34,7 +34,7 @@ from orbitcharts.charts import (
     exp_nilpotent,
 )
 from orbitcharts.jordan import jordan_decompose
-from orbitcharts.liealg import ad_matrix, build_classical
+from orbitcharts.liealg import LieAlgebra, ad_matrix, build_classical
 from orbitcharts.linalg import RatMatrix, _is_diagonal, char_poly, rank
 from orbitcharts.rng import SplitMix64
 from orbitcharts.verify import (
@@ -675,6 +675,14 @@ class TestInvariants:
     def test_nilpotent_all_zero(self, sl3):
         e = sl3.element_from_matrix(elem(3, 0, 1) + elem(3, 1, 2))
         assert invariants(e).is_zero()
+
+    def test_trace_assertion_on_an_algebra_labelled_sl(self):
+        # gl2 under the family "sl": an element with nonzero trace reaches
+        # the assertion that a traceless family guards
+        basis = [elem(2, i, j) for i in range(2) for j in range(2)]
+        gl2 = LieAlgebra(basis, "gl2", family="sl")
+        with pytest.raises(AssertionError, match="trace coefficient nonzero"):
+            invariants(gl2.element_from_matrix(diag_matrix([1, 0])))
 
     def test_rejects_non_sl(self):
         so4 = build_classical("so", 4)
