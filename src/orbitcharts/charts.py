@@ -282,15 +282,12 @@ def _chart_from_split(x: LieElement, pair: JordanPair, seed: int) -> OrbitChart:
     certified basis of c(z). A zero-dimensional center grades by 0 only
     when the Levi is the whole algebra. `verify.redstab_suite` reports it.
     """
-    algebra = x.algebra
     levi = centralizer_basis(pair.semisimple)
-    pd = parabolic_data(_witness_grading(algebra, levi, seed, pair.semisimple))
+    pd = parabolic_data(_witness_grading(x.algebra, levi, seed, pair.semisimple))
     inner = None
     if not pair.nilpotent.is_zero():
         inner = chart_nilpotent(levi.element_from_matrix(pair.nilpotent.matrix))
-    # c(x) = c(x_s) = levi for a semisimple x
-    return _make_chart(x, (pd.u_minus, pd.u), pair.semisimple.matrix, (), inner,
-                       algebra.dim - levi.dim if inner is None else x.orbit_dim, pd)
+    return _make_chart(x, (pd.u_minus, pd.u), pair.semisimple.matrix, (), inner, x.orbit_dim, pd)
 
 
 def build_chart(x: LieElement, seed: int) -> OrbitChart:
@@ -438,16 +435,14 @@ def _in_span(basis: Sequence, matrices, length: int) -> bool:
 
 
 def _left_dexp(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """exp(-a) dexp_a(b) = sum_k (-ad a)^k (b) / (k+1)!, summed until the
-    first zero term."""
-    total = term = b
-    k = 1
-    while True:
+    """exp(-a) dexp_a(b) = sum_k (-ad a)^k (b) / (k+1)!, the terms before
+    the first zero one summed in one `_lincomb` pass."""
+    terms, term = [], b
+    while not term.is_zero():
+        terms.append(term.support)
         term = commutator(term, a)
-        if term.is_zero():
-            return total
-        k += 1
-        total = total + term.scale(Fraction(1, math.factorial(k)))
+    coeffs = [Fraction(1, math.factorial(k)) for k in range(1, len(terms) + 1)]
+    return _lincomb(coeffs, terms, a.rows, a.rows)
 
 
 def eval_chart(chart: OrbitChart, params: Sequence) -> RatMatrix:

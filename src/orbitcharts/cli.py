@@ -3,6 +3,9 @@
     orbit analyze|chart|verify|classify --family sl --size 3 \
         --element FILE_OR_JSON [--seed 42] [--samples 10] [--out FILE]
 
+One parser declares the flags once for all four commands, so the command
+word may also stand after them (`orbit --help` lists it last).
+
 stdout carries only JSON (stable key order, canonical rational strings);
 diagnostics go to stderr. Exit codes: 0 success (for `verify`: all checks
 passed), 1 failed verification checks, 2 parse error (a negative
@@ -43,29 +46,22 @@ EXIT_NO_WITNESS = 4
 EXIT_ZERO_ELEMENT = 5
 
 
-class ElementParseError(ValueError):
-    pass
-
-
 def _load_element_matrix(source: str) -> RatMatrix:
     text = source
     if not source.lstrip().startswith("{"):
         try:
             text = Path(source).read_text(encoding="utf-8")
         except OSError as exc:
-            raise ElementParseError(f"cannot read element file {source!r}: {exc}")
+            raise ValueError(f"cannot read element file {source!r}: {exc}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ElementParseError(f"element is not valid JSON: {exc}")
+        raise ValueError(f"element is not valid JSON: {exc}")
     except RecursionError:
-        raise ElementParseError("element JSON is nested too deeply")
+        raise ValueError("element JSON is nested too deeply")
     if not isinstance(data, dict) or "matrix" not in data:
-        raise ElementParseError('element JSON must be an object with a "matrix" key')
-    try:
-        return matrix_from_json(data["matrix"])
-    except ValueError as exc:
-        raise ElementParseError(str(exc))
+        raise ValueError('element JSON must be an object with a "matrix" key')
+    return matrix_from_json(data["matrix"])
 
 
 def _resolve(args: argparse.Namespace) -> LieElement:
@@ -141,22 +137,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact charts and verification for adjoint orbits of "
                     "classical matrix Lie algebras over the rationals.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "Jordan split, case, centralizer and orbit dimensions"),
-        ("chart", "build the orbit chart and print it as JSON"),
-        ("verify", "build the chart and run the exact verification suites"),
-        ("classify", "invariant class id and its semisimple representative"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--family", required=True, choices=("sl", "so", "sp"))
-        p.add_argument("--size", required=True, type=int)
-        p.add_argument("--element", required=True,
-                       help="path to an element JSON file, or inline JSON "
-                            '{"matrix": [["p/q", ...], ...]}')
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--samples", type=int, default=10)
-        p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    parser.add_argument("command", choices=_COMMANDS, help=(
+        "analyze: Jordan split, case, centralizer and orbit dimensions; "
+        "chart: build the orbit chart and print it as JSON; "
+        "verify: build the chart and run the exact verification suites; "
+        "classify: invariant class id and its semisimple representative"))
+    parser.add_argument("--family", required=True, choices=("sl", "so", "sp"))
+    parser.add_argument("--size", required=True, type=int)
+    parser.add_argument("--element", required=True,
+                        help="path to an element JSON file, or inline JSON "
+                             '{"matrix": [["p/q", ...], ...]}')
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--samples", type=int, default=10)
+    parser.add_argument("--out", default=None, help="write JSON here instead of stdout")
     return parser
 
 
@@ -164,7 +157,7 @@ _PARSER = _build_parser()
 
 # (exception kinds, exit code) of a failed command, first match wins: the
 # ValueError subclasses come before ValueError, which covers the parse
-# errors (ElementParseError among them)
+# errors
 _EXIT_CODES = (
     (NotInAlgebraError, EXIT_NOT_IN_ALGEBRA),
     (WitnessNotFoundError, EXIT_NO_WITNESS),

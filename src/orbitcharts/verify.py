@@ -543,8 +543,7 @@ def invariants(x: LieElement) -> OrbitClassId:
     if x.algebra.family != "sl":
         raise ValueError("invariants are implemented for sl algebras only")
     n = x.algebra.ambient_size
-    p = x.char_poly
-    coeffs = p.coefficients + (ZERO,) * (n + 1 - len(p.coefficients))
+    coeffs = x.char_poly.coefficients
     if coeffs[n - 1] != 0:
         raise AssertionError("trace coefficient nonzero for a traceless matrix")
     return OrbitClassId(tuple(coeffs[k] for k in range(n - 2, -1, -1)))

@@ -48,6 +48,10 @@ def _no_chart(*_args):
     raise AssertionError("a chart was built")
 
 
+def _not_read(*_args):
+    raise AssertionError("the element was read")
+
+
 def _copy_rows(rows):
     return [list(row) for row in rows]
 
@@ -399,8 +403,48 @@ class TestExitCodes:
         assert err.startswith("orbit: ") and err.endswith("\n") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("element, line", [
+        ('{"matrix": 1}', "orbit: matrix JSON must be a nonempty array of arrays\n"),
+        ('{"mat": [["0"]]}', 'orbit: element JSON must be an object with a "matrix" key\n'),
+    ], ids=["element-parse", "element-without-matrix-key"])
+    def test_element_error_line_is_exact(self, capsys, element, line):
+        # the element's own ValueError reaches stderr as its message, unwrapped
+        assert run(["analyze", "--family", "sl", "--size", "2", "--element", element]) == (2, "")
+        assert capsys.readouterr().err == line
+
+
+COMMAND_ARGV = {
+    "analyze": ["--family", "sl", "--size", "3", "--element", MIXED3],
+    "chart": ["--family", "sl", "--size", "3", "--element", MIXED3, "--seed", "42"],
+    "verify": ["--family", "sl", "--size", "3", "--element", MIXED3, "--seed", "42",
+               "--samples", "2"],
+    "classify": ["--family", "sl", "--size", "3", "--element", MIXED3],
+}
+
 
 class TestMainExits:
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+    def test_negative_samples_exit_2_before_the_element_is_read(self, capsys, monkeypatch,
+                                                                command):
+        monkeypatch.setattr(cli, "_load_element_matrix", _not_read)
+        assert run([command] + COMMAND_ARGV[command] + ["--samples", "-1"]) == (2, "")
+        assert capsys.readouterr().err == "orbit: --samples must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+    def test_command_help_exits_0_and_names_every_command(self, command):
+        code, out = run([command, "--help"])
+        assert code == 0 and out.startswith("usage: orbit")
+        assert all(name in out for name in COMMAND_ARGV)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+    def test_command_after_the_options_prints_the_same(self, command):
+        # one parser: the command word may stand before, between or after the flags
+        argv = COMMAND_ARGV[command]
+        expected = run([command] + argv)
+        assert expected[0] == 0
+        assert run(argv + [command]) == expected
+        assert run(argv[:2] + [command] + argv[2:]) == expected
+
     def test_help_exits_0(self):
         code, out = run(["--help"])
         assert code == 0 and out.startswith("usage: orbit")
@@ -471,9 +515,6 @@ class TestClassify:
     ], ids=["so5-element", "not-in-so5", "unreadable-path"])
     def test_outside_sl_exit_2_before_the_element_is_read(self, capsys, monkeypatch,
                                                            element):
-        def _not_read(*_args):
-            raise AssertionError("the element was read")
-
         monkeypatch.setattr(cli, "_load_element_matrix", _not_read)
         code, out = run(["classify", "--family", "so", "--size", "5",
                          "--element", element])
